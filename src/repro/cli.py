@@ -16,8 +16,8 @@
     python -m repro explain PROP [--codegen]
                                         # how a property compiles: dispatch
                                         #   plan summary, or the generated
-                                        #   matcher source exec'd by
-                                        #   --match-strategy codegen
+                                        #   matcher source the monitor
+                                        #   exec's
     python -m repro stats TRACE FILE... [--json|--prom] [--trace-out S.jsonl]
                                         #   [--poll-interval S]
                                         # replay with full telemetry: metrics
@@ -267,16 +267,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
     registry = None
     if args.metrics:
         registry = MetricsRegistry()
-    kwargs = dict(store_strategy=args.store_strategy,
-                  match_strategy=args.match_strategy)
     if args.shards > 0:
         from .fabric import ShardedMonitor
 
         monitor = ShardedMonitor(
             props, num_shards=args.shards, mode=args.shard_mode,
-            registry=registry, monitor_kwargs=kwargs)
+            registry=registry)
     else:
-        monitor = Monitor(registry=registry, **kwargs)
+        monitor = Monitor(registry=registry)
         for prop in props:
             monitor.add_property(prop)
     if registry is not None:
@@ -326,10 +324,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
                   f"the catalog).\ncatalog: {names}", file=sys.stderr)
             return 2
     if args.codegen:
-        # The exact source the codegen strategy exec's for these
-        # properties — what actually runs per event, after inlining.
-        monitor = Monitor(match_strategy="codegen",
-                          store_strategy=args.store_strategy)
+        # The exact source the monitor exec's for these properties —
+        # what actually runs per event, after inlining.
+        monitor = Monitor()
         for prop in props:
             monitor.add_property(prop)
         print(monitor.codegen_source())
@@ -675,12 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="virtual seconds to run timers past the trace")
     replay.add_argument("--metrics", default=None, metavar="OUT",
                         help="write a JSON metrics snapshot to OUT")
-    replay.add_argument("--match-strategy", default="compiled",
-                        choices=("compiled", "interpreted", "codegen"),
-                        help="event matching: compiled dispatch plan "
-                             "(default), the interpreted ablation, or "
-                             "codegen (source-specialized matchers, "
-                             "exec'd once at startup)")
     replay.add_argument("--shards", type=int, default=0, metavar="N",
                         help="partition monitor instances by key hash into "
                              "N shards (0 = plain single monitor)")
@@ -689,10 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fabric execution mode: N in-process shards "
                              "(ablation/oracle) or N forked worker "
                              "processes fed serialized event frames")
-    replay.add_argument("--store-strategy", default="indexed",
-                        choices=("indexed", "linear"),
-                        help="instance lookup: hash index (default) or "
-                             "the linear-scan ablation")
     replay.set_defaults(fn=cmd_replay)
 
     explain = sub.add_parser(
@@ -704,11 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "learned-unicast-port) or a DSL file")
     explain.add_argument("--codegen", action="store_true",
                          help="dump the specialized Python source the "
-                              "codegen match strategy exec's")
-    explain.add_argument("--store-strategy", default="indexed",
-                         choices=("indexed", "linear"),
-                         help="instance lookup the generated source "
-                              "inlines probes for (default: indexed)")
+                              "monitor exec's for the property")
     explain.set_defaults(fn=cmd_explain)
 
     stats = sub.add_parser(

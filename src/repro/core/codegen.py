@@ -1,17 +1,17 @@
-"""Source-specialized matchers — ``match_strategy="codegen"``.
+"""Source-specialized matchers — the monitor's production evaluator.
 
-PR 3 compiled guard trees to *closures*; evaluation still walks plan
-tuples and makes one Python call per guard per candidate.  This module
-removes that interpretive layer entirely: for every (property, event
-class) pair in the dispatch plans it emits straight-line Python source —
-field reads hoisted into locals, constants folded into the compare
-expressions, instance-store probes inlined against the store's own
-dictionaries — and ``exec``'s the whole program once at build time.
+For every (property, event class) pair in the dispatch plans
+(:func:`repro.core.compile.dispatch_plan`) this module emits
+straight-line Python source — field reads hoisted into locals, constants
+folded into the compare expressions, instance-store probes inlined
+against the store's own dictionaries — and ``exec``'s it once, on the
+monitor's first evaluation.  No plan tuples are walked and no per-guard
+call is made at run time.
 
 Two generated entry points exist per concrete event class:
 
-* ``_eval__<Cls>(event, fields)`` — the single-event evaluator bound as
-  ``Monitor._evaluate``.  One function call per event, zero per guard.
+* ``_eval__<Cls>(event, fields)`` — the single-event evaluator behind
+  ``Monitor.observe``.  One function call per event, zero per guard.
 
 * a columnar batch triple used by ``Monitor.observe_batch``: an
   *extractor* builds a :class:`ColumnarBatch` (one Python list per field
@@ -25,15 +25,18 @@ Two generated entry points exist per concrete event class:
   results.
 
 Equivalence is the design invariant, not an aspiration: the generated
-code mirrors ``Monitor._evaluate_compiled`` branch for branch — the same
-candidate iteration order, the same ``candidates_examined`` increments
-(batched into one counter add per event), the same doomed-set and
-key-filter semantics — and the Hypothesis differential suite holds all
-three strategies to identical violations, counters, and ledgers.
+code follows the reference walk (:mod:`repro.core.reference`) phase for
+phase — cancels in stage order with unless before discharge, then
+advances, then create; the same candidate iteration order, the same
+``candidates_examined`` increments (batched into one counter add per
+event), the same doomed-set and key-filter semantics — and the
+Hypothesis differential suite holds the two to identical violations,
+counters, and ledgers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
@@ -286,10 +289,8 @@ class _ConstPool:
 class _Sections:
     """One property's watchers for ONE event class, as raw patterns.
 
-    The structural twin of ``monitor._PropPlan`` — same phase order
-    (cancels in stage order with unless before discharge, then advances
-    by stage, then create), but holding patterns for source emission
-    instead of compiled closures.
+    In the reference walk's phase order: cancels in stage order with
+    unless before discharge, then advances by stage, then create.
     """
 
     cancels: List[Tuple[bool, int, Tuple[EventPattern, ...]]]
@@ -941,6 +942,21 @@ class _ClassEmitter:
 # ---------------------------------------------------------------------------
 # Program assembly
 # ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=256)
+def _compile_function(lineno: int, source: str):
+    """One generated ``def`` -> its code object, placed at ``lineno``.
+
+    ``compile()`` is ~70 % of a program build, and monitors over the same
+    properties (in-process shards, a test's many short-lived monitors)
+    emit identical text: everything monitor-specific is bound through the
+    exec globals, never baked into the source, so the code object is a
+    pure function of the arguments and safe to share.  The newline
+    padding keeps traceback line numbers pointing into the program text
+    as ``repro explain --codegen`` prints it.
+    """
+    return compile("\n" * lineno + source, "<repro-codegen>", "exec")
+
+
 def build_program(
     entries: Sequence[Tuple[PropertySpec, InstanceStore, bool]],
     host,
@@ -951,9 +967,15 @@ def build_program(
     """Emit, compile, and exec the full program for a monitor's properties.
 
     ``entries`` come in property registration order — the generated
-    functions walk properties in exactly the order the compiled
-    evaluator's ``_dispatch`` lists do, keeping op order (and therefore
-    same-timestamp violation order) identical across strategies.
+    functions walk properties in exactly the order the reference
+    evaluator does, keeping op order (and therefore same-timestamp
+    violation order) identical across strategies.
+
+    Each generated function is compiled on its own
+    (:func:`_compile_function`): one ``compile()`` over the whole catalog
+    program (~1 900 lines) peaks several MB of transient parser/AST
+    memory, which would land in a daemon's peak RSS; per function the
+    transient is a few hundred KB.
     """
     pool = _ConstPool()
     exec_globals: Dict[str, object] = {
@@ -980,7 +1002,7 @@ def build_program(
                 _Entry(pidx, prop, store, refresh_ok, sec))
 
     parts: List[str] = [
-        "# repro codegen program (match_strategy=\"codegen\")",
+        "# repro codegen program (generated by repro.core.codegen)",
         "# properties: " + ", ".join(
             prop.name for prop, _, _ in entries),
     ]
@@ -1008,9 +1030,13 @@ def build_program(
                             eb_name)
 
     exec_globals.update(pool.globals)
+    lineno = 0
+    for part in parts:
+        if part.startswith("def "):
+            code = _compile_function(lineno, part)
+            exec(code, exec_globals)  # noqa: S102 - the point of this module
+        lineno += part.count("\n") + 1
     source = "\n".join(parts) + "\n"
-    code = compile(source, "<repro-codegen>", "exec")
-    exec(code, exec_globals)  # noqa: S102 - the whole point of this module
     eval_fns = {cls: exec_globals[name] for cls, name in eval_names.items()}
     batch_fns = {
         cls: _BatchFns(

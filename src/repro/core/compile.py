@@ -1,44 +1,41 @@
-"""Pattern compilation and event dispatch planning — the monitor fast path.
+"""Dispatch planning and guard emission — the front half of the lowering.
 
 Sec. 3.3 of the paper argues that *matching* cost, not state size, is
 what makes on-switch property monitoring expensive; FAST and OpenState
 make the same bet by pre-compiling match logic into tables instead of
-interpreting it per packet.  This module is the engine-side analogue:
-
-* :func:`compile_pattern` turns an :class:`~repro.core.refs.EventPattern`
-  — a tree of guard dataclasses walked via ``isinstance`` and
-  :func:`~repro.core.refs.resolve` on every event — into a
-  :class:`CompiledPattern` of specialized closures.  Constant guards are
-  folded at compile time (the ``Const`` wrapper disappears), environment
-  lookups are hoisted to direct dict accesses on pre-extracted variable
-  names, and the ``same_packet_as`` uid linkage is inlined with its env
-  key precomputed.
+interpreting it per packet.  This module is the engine-side analogue,
+in two parts that :mod:`repro.core.codegen` assembles into the program
+the monitor runs:
 
 * :func:`dispatch_plan` maps each *concrete* dataplane event class to the
   exact ``(stage, role)`` watchers of a property that could ever match
-  it.  The monitor unions these per event class at ``add_property`` time,
-  so ``observe()`` touches only the stages that can react to the event
-  instead of the full property × stage cross-product.  The linter reads
-  the same plan (:func:`dispatch_summary`) to price how many watchers a
-  property puts on each event kind — and to flag stages that force
+  it, so an event touches only the stages that can react to it instead
+  of the full property × stage cross-product.  The linter reads the same
+  plan (:func:`dispatch_summary`) to price how many watchers a property
+  puts on each event kind — and to flag stages that force
   full-population scans on hot packet kinds.
 
-The interpreted path (``EventPattern.matches`` et al.) stays available as
-the ``match_strategy="interpreted"`` ablation, mirroring the
-indexed/linear instance-store split: the compiled path is an
-optimization, never a semantic change, and a Hypothesis differential test
-holds the two to byte-identical verdicts and counters.
+* :func:`guard_source`, :func:`refinement_sources` and
+  :func:`bindable_source` turn an :class:`~repro.core.refs.EventPattern`'s
+  guard dataclasses into inline boolean source text: constants folded
+  into the compare (the ``Const`` wrapper disappears), environment
+  lookups as direct dict accesses on pre-extracted variable names.
+
+Guard semantics are therefore written twice in the repo, not more: here
+(the emitter) and in ``EventPattern.matches`` as walked by the reference
+evaluator (:mod:`repro.core.reference`, ``match_strategy="interpreted"``).
+A Hypothesis differential test holds the two to identical verdicts and
+counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 from ..switch.events import DataplaneEvent
-from .instances import stage_index_plan, uid_var
+from .instances import stage_index_plan
 from .refs import (
-    CMP_FNS,
     EventPattern,
     FieldCmp,
     FieldEq,
@@ -48,244 +45,10 @@ from .refs import (
     Var,
     kind_event_classes,
 )
-from .spec import Absent, PropertySpec, Stage
+from .spec import Absent, PropertySpec
 
 #: Sentinel distinguishing "field absent" from any real field value.
 _MISSING = object()
-
-GuardCheck = Callable[[Mapping[str, object], Mapping[str, object]], bool]
-
-
-# ---------------------------------------------------------------------------
-# Guard compilation
-# ---------------------------------------------------------------------------
-def _compile_guard(guard) -> GuardCheck:
-    """One guard dataclass -> one closure, branches resolved up front."""
-    if isinstance(guard, FieldEq):
-        field = guard.field
-        if isinstance(guard.value, Var):
-            name = guard.value.name
-
-            def check(fields, env, _f=field, _n=name, _M=_MISSING):
-                got = fields.get(_f, _M)
-                return got is not _M and got == env[_n]
-
-            return check
-        value = guard.value.value  # constant folded
-
-        def check(fields, env, _f=field, _v=value, _M=_MISSING):
-            got = fields.get(_f, _M)
-            return got is not _M and got == _v
-
-        return check
-    if isinstance(guard, FieldNe):
-        field = guard.field
-        if isinstance(guard.value, Var):
-            name = guard.value.name
-
-            def check(fields, env, _f=field, _n=name, _M=_MISSING):
-                got = fields.get(_f, _M)
-                # an absent field cannot equal the forbidden value
-                return got is _M or got != env[_n]
-
-            return check
-        value = guard.value.value
-
-        def check(fields, env, _f=field, _v=value, _M=_MISSING):
-            got = fields.get(_f, _M)
-            return got is _M or got != _v
-
-        return check
-    if isinstance(guard, FieldCmp):
-        field = guard.field
-        cmp = CMP_FNS[guard.op]
-        if isinstance(guard.value, Var):
-            name = guard.value.name
-
-            def check(fields, env, _f=field, _n=name, _c=cmp, _M=_MISSING):
-                got = fields.get(_f, _M)
-                if got is _M:
-                    return False
-                try:
-                    return bool(_c(got, env[_n]))
-                except TypeError:  # unorderable pair never satisfies
-                    return False
-
-            return check
-        value = guard.value.value  # constant folded
-
-        def check(fields, env, _f=field, _v=value, _c=cmp, _M=_MISSING):
-            got = fields.get(_f, _M)
-            if got is _M:
-                return False
-            try:
-                return bool(_c(got, _v))
-            except TypeError:
-                return False
-
-        return check
-    if isinstance(guard, MismatchAny):
-        # (field, getter) pairs: the getter resolves the expected value
-        # from the env (or is a folded constant).
-        pairs = tuple(
-            (
-                name,
-                (lambda env, _n=ref.name: env[_n])
-                if isinstance(ref, Var)
-                else (lambda env, _v=ref.value: _v),
-            )
-            for name, ref in guard.pairs
-        )
-
-        def check(fields, env, _pairs=pairs):
-            for name, _ in _pairs:
-                if name not in fields:
-                    return False  # a packet lacking the fields is no witness
-            for name, expected in _pairs:
-                if fields[name] != expected(env):
-                    return True
-            return False
-
-        return check
-    if isinstance(guard, Predicate):
-        return guard.fn
-    raise TypeError(f"cannot compile guard {guard!r}")  # pragma: no cover
-
-
-def _compile_refinements(pattern: EventPattern) -> List[GuardCheck]:
-    """The oob-kind / egress-action refinements as field checks."""
-    checks: List[GuardCheck] = []
-    if pattern.oob_kind is not None:
-        checks.append(
-            lambda fields, env, _k=pattern.oob_kind:
-            fields.get("oob.kind") == _k)
-    if pattern.egress_action is not None:
-        checks.append(
-            lambda fields, env, _a=pattern.egress_action:
-            fields.get("egress.action") == _a)
-    if pattern.not_egress_action is not None:
-        checks.append(
-            lambda fields, env, _a=pattern.not_egress_action:
-            fields.get("egress.action") != _a)
-    return checks
-
-
-def _compose(checks: List[GuardCheck]) -> GuardCheck:
-    """Fuse a check list into one closure (small arities unrolled)."""
-    if not checks:
-        return lambda fields, env: True
-    if len(checks) == 1:
-        return checks[0]
-    if len(checks) == 2:
-        c0, c1 = checks
-
-        def fused(fields, env, _c0=c0, _c1=c1):
-            return _c0(fields, env) and _c1(fields, env)
-
-        return fused
-    if len(checks) == 3:
-        c0, c1, c2 = checks
-
-        def fused(fields, env, _c0=c0, _c1=c1, _c2=c2):
-            return (_c0(fields, env) and _c1(fields, env)
-                    and _c2(fields, env))
-
-        return fused
-    frozen = tuple(checks)
-
-    def fused(fields, env, _checks=frozen):
-        for check in _checks:
-            if not check(fields, env):
-                return False
-        return True
-
-    return fused
-
-
-# ---------------------------------------------------------------------------
-# Pattern compilation
-# ---------------------------------------------------------------------------
-class CompiledPattern:
-    """Specialized closures for one :class:`EventPattern`.
-
-    * ``guards_match(fields, env)`` — refinements + guards, no kind check
-      (dispatch already guarantees the event class);
-    * ``matches(event, fields, env)`` — full parity with the interpreted
-      ``EventPattern.matches`` including the kind check;
-    * ``match_instance(fields, instance)`` — guards against an instance's
-      env with the ``same_packet_as`` uid comparison inlined;
-    * ``capture(fields)`` / ``bindable(fields)`` — binds as pre-extracted
-      ``(var, field)`` pairs.
-    """
-
-    __slots__ = (
-        "pattern",
-        "guards_match",
-        "matches",
-        "match_instance",
-        "capture",
-        "bindable",
-    )
-
-    def __init__(self, pattern: EventPattern) -> None:
-        self.pattern = pattern
-        checks = _compile_refinements(pattern)
-        checks.extend(_compile_guard(g) for g in pattern.guards)
-        guards_match = _compose(checks)
-        self.guards_match = guards_match
-
-        kind_types = kind_event_classes(pattern.kind)
-
-        def matches(event, fields, env, _types=kind_types, _gm=guards_match):
-            return isinstance(event, _types) and _gm(fields, env)
-
-        self.matches = matches
-
-        if pattern.same_packet_as is None:
-
-            def match_instance(fields, instance, _gm=guards_match):
-                return _gm(fields, instance.env)
-
-        else:
-            uid_key = uid_var(pattern.same_packet_as)
-
-            def match_instance(fields, instance, _gm=guards_match,
-                               _uid_key=uid_key):
-                expected = instance.env.get(_uid_key)
-                if expected is None or fields.get("uid") != expected:
-                    return False
-                return _gm(fields, instance.env)
-
-        self.match_instance = match_instance
-
-        bind_pairs = tuple((b.var, b.field) for b in pattern.binds)
-        if not bind_pairs:
-            self.capture = lambda fields: {}
-            self.bindable = lambda fields: True
-        else:
-            bind_fields = tuple(f for _, f in bind_pairs)
-
-            def capture(fields, _pairs=bind_pairs):
-                try:
-                    return {var: fields[f] for var, f in _pairs}
-                except KeyError as exc:
-                    raise KeyError(
-                        f"bind: field {exc.args[0]!r} absent from event"
-                    ) from None
-
-            def bindable(fields, _fields=bind_fields):
-                for f in _fields:
-                    if f not in fields:
-                        return False
-                return True
-
-            self.capture = capture
-            self.bindable = bindable
-
-
-def compile_pattern(pattern: EventPattern) -> CompiledPattern:
-    """Compile one event pattern into its closure bundle."""
-    return CompiledPattern(pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +112,11 @@ CMP_HELPERS = {"<": "_lt", "<=": "_le", ">": "_gt", ">=": "_ge"}
 def guard_source(guard, fx, const, env_expr: str, fields_expr: str) -> str:
     """One guard dataclass -> one inline boolean expression.
 
-    The textual twin of :func:`_compile_guard`, branch for branch: the
-    same absence semantics (``_M`` is the missing-field sentinel), the
-    same constant folding (literals inline, other values bound as exec
-    globals via ``const``), the same TypeError-swallowing ordered
-    compares (via the :data:`CMP_HELPERS` functions).
+    Same verdicts as the guard's interpreted ``holds``: the same absence
+    semantics (``_M`` is the missing-field sentinel), constants folded
+    (literals inline, other values bound as exec globals via ``const``),
+    ordered compares that swallow TypeError (via the :data:`CMP_HELPERS`
+    functions).
 
     ``fx`` maps a field name to its access expression — a hoisted local
     in the per-event matcher, a column index in the batch matcher —
@@ -391,9 +154,9 @@ def guard_source(guard, fx, const, env_expr: str, fields_expr: str) -> str:
 
 
 def refinement_sources(pattern: EventPattern, fx, const) -> List[str]:
-    """The oob-kind / egress-action refinements as inline expressions,
-    mirroring :func:`_compile_refinements` (absent fields never equal an
-    enum member, so the ``is not _M`` presence check is equivalent)."""
+    """The oob-kind / egress-action refinements as inline expressions
+    (absent fields never equal an enum member, so the ``is not _M``
+    presence check is equivalent to ``fields.get(...) == member``)."""
     out: List[str] = []
     if pattern.oob_kind is not None:
         got = fx("oob.kind")
@@ -409,31 +172,11 @@ def refinement_sources(pattern: EventPattern, fx, const) -> List[str]:
     return out
 
 
-def match_source(
-    pattern: EventPattern, fx, const, env_expr: str, fields_expr: str
-) -> str:
-    """``guards_match`` as one expression: refinements then guards, no
-    kind check (dispatch already guarantees the event class)."""
-    terms = refinement_sources(pattern, fx, const)
-    terms.extend(
-        guard_source(g, fx, const, env_expr, fields_expr)
-        for g in pattern.guards
-    )
-    return " and ".join(terms) if terms else "True"
-
-
 def bindable_source(pattern: EventPattern, fx) -> str:
     """``bindable`` as one expression (``"True"`` when nothing binds)."""
     if not pattern.binds:
         return "True"
     return " and ".join(f"{fx(b.field)} is not _M" for b in pattern.binds)
-
-
-def capture_source(pattern: EventPattern, fx) -> str:
-    """``capture`` as a dict display (callers guard with bindable first,
-    matching the compiled path where capture never sees absent fields)."""
-    items = ", ".join(f"{b.var!r}: {fx(b.field)}" for b in pattern.binds)
-    return "{" + items + "}"
 
 
 #: short names for the concrete event classes, for summaries and JSON.

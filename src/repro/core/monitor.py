@@ -34,10 +34,11 @@ carries its timeout — the instance is gone before the late drop is seen.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..netsim.scheduler import EventScheduler
 from ..switch.events import DataplaneEvent
@@ -45,7 +46,6 @@ from ..switch.registers import StateCostMeter
 from ..switch.switch import DEFAULT_SPLIT_LAG, ProcessingMode
 from ..telemetry import NULL_TRACER, MetricsRegistry, NullRegistry, Tracer
 from ..telemetry.metrics import COUNT_BUCKETS, LATENCY_BUCKETS
-from .compile import CompiledPattern, compile_pattern, dispatch_plan
 from .degradation import (
     IMPACT_FALSE,
     IMPACT_MISSED,
@@ -53,10 +53,10 @@ from .degradation import (
     OverflowLedger,
     classify_op,
 )
-from .instances import Instance, InstanceStore, make_store, uid_var
+from .instances import Instance, InstanceStore, make_store
 from .provenance import ProvenanceLevel, StageRecord, record_stage
-from .refs import EventKind, EventPattern, event_fields, kind_matches
-from .spec import Absent, Observe, PropertySpec, refresh_applies
+from .refs import event_fields
+from .spec import Absent, PropertySpec, refresh_applies
 from .violations import Violation
 
 ViolationSink = Callable[[Violation], None]
@@ -97,14 +97,17 @@ class MonitorState:
     instances: Tuple[InstanceCheckpoint, ...]
     lost_pending_ops: int = 0
 
-#: the empty env stage-0 patterns match against (never written to).
-_EMPTY_ENV: Dict[str, object] = {}
-
+#: ``"compiled"`` runs the generated program (:mod:`repro.core.codegen`);
+#: ``"interpreted"`` runs the reference walk (:mod:`repro.core.reference`).
+#: ``"codegen"`` is a deprecated spelling of ``"compiled"`` — accepted
+#: only because the frozen ``benchmarks/e2e`` harness still probes it,
+#: and it goes when a benchmark PR drops that probe.  Read at
+#: construction, so removing a name here makes ``Monitor`` reject it.
 MATCH_STRATEGIES = ("compiled", "interpreted", "codegen")
 
-#: events per columnar chunk in the codegen batch path.  Bounds the
-#: per-chunk packet-fields cache (keyed by ``id(packet)``) so replaying a
-#: long trace never pins every packet's field map at once.
+#: events per columnar chunk in ``observe_batch``.  Bounds the per-chunk
+#: packet-fields cache (keyed by ``id(packet)``) so replaying a long
+#: trace never pins every packet's field map at once.
 CODEGEN_CHUNK = 1024
 
 
@@ -183,101 +186,18 @@ def _op_uid(op: _Op) -> Optional[int]:
     return packet.uid if packet is not None else None
 
 
-# ---------------------------------------------------------------------------
-# Compiled dispatch plans (the fast path built at add_property time)
-# ---------------------------------------------------------------------------
-class _PropPlan:
-    """One property's pre-resolved watchers for ONE concrete event class.
-
-    Built once when the property is registered; ``_evaluate_compiled``
-    walks only these.  Phase structure mirrors the interpreted engine:
-    ``cancels`` (unless cancellations and Absent discharges, in stage
-    order with unless before discharge per stage), then ``advances``
-    (positive stages), then ``create`` (stage 0).
-    """
-
-    __slots__ = ("prop", "store", "cancels", "advances", "create")
-
-    def __init__(self, prop: PropertySpec, store: InstanceStore) -> None:
-        self.prop = prop
-        self.store = store
-        #: tuple of (is_unless, stage_idx, matcher-or-matchers)
-        self.cancels: Tuple = ()
-        #: tuple of (stage_idx, match_instance, capture, bindable, uid_key)
-        self.advances: Tuple = ()
-        #: None, or (guards_match, capture, bindable, uid_key, key_vars,
-        #: refresh_ok)
-        self.create = None
-
-
-def _build_prop_plans(
-    prop: PropertySpec,
-    store: InstanceStore,
-    refresh_ok: bool,
-    compiled: Dict[int, CompiledPattern],
-) -> Dict[type, _PropPlan]:
-    """Compile one property's dispatch plans, one per concrete event class.
-
-    ``compiled`` caches CompiledPatterns by ``id(pattern)`` so a pattern
-    watched from several event classes (ANY_PACKET) compiles once.
-    """
-
-    def get(pattern: EventPattern) -> CompiledPattern:
-        cached = compiled.get(id(pattern))
-        if cached is None:
-            cached = compile_pattern(pattern)
-            compiled[id(pattern)] = cached
-        return cached
-
-    plans: Dict[type, _PropPlan] = {}
-    raw = dispatch_plan(prop)
-    for cls, watchers in raw.items():
-        plan = _PropPlan(prop, store)
-        cancels: List[Tuple] = []
-        unless_at: Dict[int, List] = {}
-        discharge_at: Dict[int, CompiledPattern] = {}
-        advances: List[Tuple] = []
-        for watcher in watchers:
-            cp = get(watcher.pattern)
-            if watcher.role == "unless":
-                unless_at.setdefault(watcher.stage_idx, []).append(
-                    cp.match_instance)
-            elif watcher.role == "discharge":
-                discharge_at[watcher.stage_idx] = cp
-            elif watcher.role == "advance":
-                stage = prop.stages[watcher.stage_idx]
-                advances.append((
-                    watcher.stage_idx,
-                    cp.match_instance,
-                    cp.capture,
-                    cp.bindable,
-                    uid_var(stage.name),
-                ))
-            else:  # create
-                stage0 = prop.stages[0]
-                plan.create = (
-                    cp.guards_match,
-                    cp.capture,
-                    cp.bindable,
-                    uid_var(stage0.name),
-                    prop.key_vars,
-                    refresh_ok,
-                )
-        for stage_idx in sorted(set(unless_at) | set(discharge_at)):
-            matchers = unless_at.get(stage_idx)
-            if matchers:
-                cancels.append((True, stage_idx, tuple(matchers)))
-            cp = discharge_at.get(stage_idx)
-            if cp is not None:
-                cancels.append((False, stage_idx, cp.match_instance))
-        plan.cancels = tuple(cancels)
-        plan.advances = tuple(sorted(advances, key=lambda a: a[0]))
-        plans[cls] = plan
-    return plans
-
-
 class Monitor:
-    """Cross-packet property monitor over a dataplane event stream."""
+    """Cross-packet property monitor over a dataplane event stream.
+
+    One production evaluator: the program :mod:`repro.core.codegen`
+    generates from the properties' dispatch plans.  The two ``*_strategy``
+    parameters exist for tests and ablation benchmarks only —
+    ``match_strategy="interpreted"`` swaps in the reference walk
+    (:mod:`repro.core.reference`) and ``store_strategy="linear"`` the
+    unindexed instance store; both are Python-only oracles with no CLI
+    selector.  See :data:`MATCH_STRATEGIES` for the deprecated
+    ``"codegen"`` spelling.
+    """
 
     def __init__(
         self,
@@ -303,7 +223,8 @@ class Monitor:
         self.scheduler = scheduler
         self.provenance = provenance
         self.store_strategy = store_strategy
-        self.match_strategy = match_strategy
+        self.match_strategy = (
+            "compiled" if match_strategy == "codegen" else match_strategy)
         self.mode = mode
         self.split_lag = split_lag
         self.max_layer = max_layer
@@ -329,20 +250,18 @@ class Monitor:
         self._sinks: List[ViolationSink] = []
         self._props: Dict[str, PropertySpec] = {}
         self._stores: Dict[str, InstanceStore] = {}
-        #: concrete event class -> per-property compiled plans, in
-        #: property registration order (the compiled fast path).
-        self._dispatch: Dict[type, List[_PropPlan]] = {}
         #: live instances across all stores, maintained incrementally so
         #: the telemetry-disabled path never iterates stores per event.
         self._live_total = 0
-        if match_strategy == "compiled":
-            self._evaluate = self._evaluate_compiled
-        elif match_strategy == "codegen":
-            self._evaluate = self._evaluate_codegen
+        if self.match_strategy == "interpreted":
+            from .reference import evaluate_interpreted
+
+            self._evaluate = functools.partial(evaluate_interpreted, self)
         else:
-            self._evaluate = self._evaluate_interpreted
-        #: the exec'd codegen program; built lazily on first evaluation
-        #: and invalidated whenever a property is added.
+            self._evaluate = self._evaluate_codegen
+        #: the exec'd generated program; built lazily on first evaluation
+        #: (off the set-up path) and invalidated whenever a property is
+        #: added.
         self._codegen_program = None
         self._wheel: List[Tuple[float, int, Instance, int]] = []
         self._wheel_seq = itertools.count()
@@ -453,31 +372,7 @@ class Monitor:
             "repro_instance_store_live_instances",
             help="Live instances in one property's store",
             labels={"property": prop.name})
-        # Compile the dispatch plan: per concrete event class, the exact
-        # watchers this property contributes.  Built for both match
-        # strategies (it is cheap, one-time, and introspectable); only
-        # the compiled evaluator walks it.
-        refresh_ok = self._should_refresh(prop, prop.stages[0])
-        compiled_cache: Dict[int, CompiledPattern] = {}
-        for cls, plan in _build_prop_plans(
-            prop, self._stores[prop.name], refresh_ok, compiled_cache
-        ).items():
-            self._dispatch.setdefault(cls, []).append(plan)
         self._codegen_program = None  # stale: rebuilt on next evaluation
-
-    def dispatch_sizes(self) -> Dict[str, int]:
-        """Watchers the monitor touches per concrete event class.
-
-        The dispatch plan's size — what one event of each class costs in
-        stage visits, before any candidate scan.
-        """
-        out: Dict[str, int] = {}
-        for cls, plans in self._dispatch.items():
-            out[cls.__name__] = sum(
-                len(p.cancels) + len(p.advances) + (1 if p.create else 0)
-                for p in plans
-            )
-        return dict(sorted(out.items()))
 
     def on_violation(self, sink: ViolationSink) -> None:
         self._sinks.append(sink)
@@ -533,34 +428,23 @@ class Monitor:
             )
         self._track_peak()
 
-    def observe_batch(self, events: Sequence[DataplaneEvent]) -> None:
-        """Process a sequence of events (the replay entry point).
+    def observe_batch(self, events: Iterable[DataplaneEvent]) -> None:
+        """Process a stream of events (the replay entry point).
 
         Semantically ``for e in events: self.observe(e)``; when the
-        monitor runs inline with telemetry disabled — the configuration
-        replay throughput is measured in — the per-event loop runs with
-        hot-path attribute lookups hoisted to locals.
+        monitor runs the generated program inline with telemetry disabled
+        — the configuration replay throughput is measured in — events go
+        through the columnar batch driver instead.
         """
-        if self.mode is not ProcessingMode.INLINE or self.registry.enabled:
+        if (
+            self.mode is not ProcessingMode.INLINE
+            or self.registry.enabled
+            or self.match_strategy == "interpreted"
+        ):
             for event in events:
                 self.observe(event)
             return
-        if self.match_strategy == "codegen":
-            self._run_codegen_batch(events)
-            return
-        advance_to = self.advance_to
-        inc_event = self._c_events.inc
-        evaluate = self._evaluate
-        apply_op = self._apply
-        set_live = self._g_live.set
-        max_layer = self.max_layer
-        for event in events:
-            advance_to(event.time)
-            inc_event()
-            ops = evaluate(event, event_fields(event, max_layer=max_layer))
-            for op in ops:
-                apply_op(op)
-            set_live(float(self._live_total))
+        self._run_codegen_batch(events)
 
     def advance_to(self, when: float) -> None:
         """Move monitor time forward, firing due timers and pending ops.
@@ -675,174 +559,59 @@ class Monitor:
         return len(self._pending) + len(self._retry)
 
     # -- evaluation (read-only against current state) ---------------------------
-    def _evaluate_compiled(
-        self, event: DataplaneEvent, fields: Mapping[str, object]
-    ) -> List[_Op]:
-        """Dispatch-planned evaluation with compiled matchers (default).
+    def _program(self):
+        """The generated program for the current properties.
 
-        Touches only the ``(property, stage, role)`` watchers registered
-        for this event's concrete class; guard trees were compiled to
-        closures at ``add_property`` time.  Produces exactly the ops the
-        interpreted walk would — the differential property test holds
-        the two paths to identical violations and counters.
+        Emitted and exec'd on first use, not in ``add_property``: a
+        daemon's set-up path stays free of the build.  Deferred import:
+        :mod:`repro.core.codegen` is only needed by a monitor that
+        evaluates, and the ``_Op`` class it binds lives here.
         """
-        ops: List[_Op] = []
-        plans = self._dispatch.get(type(event))
-        if not plans:
-            return ops
-        t = event.time
-        inc_candidate = self._c_candidates.inc
-        key_filter = self.key_filter
-        has_uid = "uid" in fields
-        uid = fields["uid"] if has_uid else None
-        for plan in plans:
-            store = plan.store
-            doomed = None  # allocated lazily; most events doom nothing
+        program = self._codegen_program
+        if program is None:
+            from .codegen import build_program
 
-            # 1. Cancellations: unless patterns (Feature 4) and Absent
-            #    discharges (the awaited event happened: obligation met).
-            for is_unless, stage_idx, matcher in plan.cancels:
-                if is_unless:
-                    for inst in store.at_stage(stage_idx):
-                        if doomed is not None and inst.instance_id in doomed:
-                            continue
-                        for match_instance in matcher:
-                            if match_instance(fields, inst):
-                                if doomed is None:
-                                    doomed = set()
-                                doomed.add(inst.instance_id)
-                                ops.append(_Op(
-                                    "kill", plan.prop, instance=inst,
-                                    reason="unless", time=t))
-                                break
-                else:
-                    for inst in store.candidates(stage_idx, fields):
-                        if inst.stage != stage_idx or (
-                            doomed is not None
-                            and inst.instance_id in doomed
-                        ):
-                            continue
-                        inc_candidate()
-                        if matcher(fields, inst):
-                            if doomed is None:
-                                doomed = set()
-                            doomed.add(inst.instance_id)
-                            ops.append(_Op(
-                                "kill", plan.prop, instance=inst,
-                                reason="discharged", time=t))
-
-            # 2. Advancement of positive stages.
-            for stage_idx, match_instance, capture, bindable, uid_key in \
-                    plan.advances:
-                for inst in store.candidates(stage_idx, fields):
-                    if inst.stage != stage_idx or (
-                        doomed is not None and inst.instance_id in doomed
-                    ):
-                        continue
-                    inc_candidate()
-                    if not match_instance(fields, inst):
-                        continue
-                    if not bindable(fields):
-                        continue
-                    binds = capture(fields)
-                    if has_uid:
-                        binds[uid_key] = uid
-                    if doomed is None:
-                        doomed = set()
-                    doomed.add(inst.instance_id)  # one transition/event
-                    ops.append(_Op(
-                        "advance", plan.prop, instance=inst, binds=binds,
-                        event=event, time=t))
-
-            # 3. Creation / refresh at stage 0.
-            if plan.create is not None:
-                (guards_match, capture, bindable, uid_key, key_vars,
-                 refresh_ok) = plan.create
-                if guards_match(fields, _EMPTY_ENV) and bindable(fields):
-                    env0 = capture(fields)
-                    if has_uid:
-                        env0[uid_key] = uid
-                    key = tuple(env0[k] for k in key_vars)
-                    if key_filter is not None and not key_filter(
-                        plan.prop.name, key
-                    ):
-                        continue
-                    existing = store.by_key(key)
-                    if existing is not None and existing.alive:
-                        if (
-                            existing.stage == 1
-                            and refresh_ok
-                            and (doomed is None
-                                 or existing.instance_id not in doomed)
-                        ):
-                            ops.append(_Op(
-                                "refresh", plan.prop, instance=existing,
-                                binds=env0, event=event, time=t))
-                    else:
-                        ops.append(_Op(
-                            "create", plan.prop, key=key, env=env0,
-                            event=event, time=t))
-        return ops
-
-    # -- codegen strategy (source-specialized matchers) -------------------------
-    def _build_codegen(self):
-        """Emit and exec the specialized program for the current properties.
-
-        Deferred import: :mod:`repro.core.codegen` imports from
-        :mod:`repro.core.compile`, and the ``_Op`` class lives here.
-        """
-        from .codegen import build_program
-
-        entries = [
-            (prop, self._stores[name],
-             self._should_refresh(prop, prop.stages[0]))
-            for name, prop in self._props.items()
-        ]
-        program = build_program(
-            entries, host=self, op_cls=_Op,
-            inc_candidates=self._c_candidates.inc,
-            max_layer=self.max_layer,
-        )
-        self._codegen_program = program
+            entries = [
+                (prop, self._stores[name], refresh_applies(prop))
+                for name, prop in self._props.items()
+            ]
+            program = self._codegen_program = build_program(
+                entries, host=self, op_cls=_Op,
+                inc_candidates=self._c_candidates.inc,
+                max_layer=self.max_layer,
+            )
         return program
 
     def codegen_source(self) -> str:
         """The full generated-program source (``repro explain --codegen``)."""
-        program = self._codegen_program
-        if program is None:
-            program = self._build_codegen()
-        return program.source
+        return self._program().source
 
     def codegen_emissions(self):
         """Per-property emission stats off the generated program — the
         *measured* side of the lint calibration's codegen cost model
         (``repro.lint.calibration.CALIBRATION_CODEGEN``)."""
-        program = self._codegen_program
-        if program is None:
-            program = self._build_codegen()
-        return dict(program.emissions)
+        return dict(self._program().emissions)
 
     def _evaluate_codegen(
         self, event: DataplaneEvent, fields: Mapping[str, object]
     ) -> List[_Op]:
-        """Straight-line generated matchers (``match_strategy="codegen"``).
+        """Plan one event's ops with the generated program.
 
         One exec'd function per concrete event class: field reads are
         hoisted to locals, constants folded into compares, store probes
-        inlined.  Produces exactly the ops ``_evaluate_compiled`` would —
-        the differential property suite holds all three strategies to
-        identical violations, counters, and ledgers.
+        inlined.  Produces exactly the ops the reference walk
+        (:mod:`repro.core.reference`) would — the differential property
+        suite holds the two to identical violations, counters, and
+        ledgers.
         """
-        program = self._codegen_program
-        if program is None:
-            program = self._build_codegen()
+        program = self._codegen_program or self._program()
         fn = program.eval_fns.get(type(event))
         if fn is None:
             return []
         return fn(event, fields)
 
-    def _run_codegen_batch(self, events: Sequence[DataplaneEvent]) -> None:
-        """Columnar batch driver behind ``observe_batch`` for codegen.
+    def _run_codegen_batch(self, events: Iterable[DataplaneEvent]) -> None:
+        """Columnar batch driver behind ``observe_batch``.
 
         Chunks the stream (so the per-chunk packet-fields cache stays
         bounded), transposes each same-class run into a
@@ -851,17 +620,15 @@ class Monitor:
         then evaluates events in order against their column rows.
         Semantically ``for e in events: self.observe(e)``.
         """
-        program = self._codegen_program
-        if program is None:
-            program = self._build_codegen()
+        program = self._program()
         advance_to = self.advance_to
         inc_event = self._c_events.inc
         apply_op = self._apply
         set_live = self._g_live.set
         columnar = program.columnar
         batch_fns = program.batch_fns
-        for start in range(0, len(events), CODEGEN_CHUNK):
-            chunk = events[start:start + CODEGEN_CHUNK]
+        stream = iter(events)
+        while chunk := list(itertools.islice(stream, CODEGEN_CHUNK)):
             pf_cache: Dict[int, Mapping[str, object]] = {}
             # Partition the chunk by concrete class and transpose each
             # class's events into columns ONCE — the stream interleaves
@@ -899,116 +666,6 @@ class Monitor:
                     for op in eval_batch(event, columns, i, creates):
                         apply_op(op)
                 set_live(float(self._live_total))
-
-    def _evaluate_interpreted(
-        self, event: DataplaneEvent, fields: Mapping[str, object]
-    ) -> List[_Op]:
-        """The ablation baseline: walk every property and every stage,
-        evaluating interpreted guard trees (``EventPattern.matches``).
-        Kept verbatim as ``match_strategy="interpreted"`` so the
-        dispatch+compiled fast path stays measurable and refutable."""
-        ops: List[_Op] = []
-        t = event.time
-        for prop in self._props.values():
-            store = self._stores[prop.name]
-            doomed: Set[int] = set()
-
-            # 1. Cancellations: unless patterns (Feature 4) and Absent
-            #    discharges (the awaited event happened: obligation met).
-            for stage_idx in range(1, prop.num_stages):
-                stage = prop.stages[stage_idx]
-                unless = getattr(stage, "unless", ())
-                if unless:
-                    for inst in store.at_stage(stage_idx):
-                        if inst.instance_id in doomed:
-                            continue
-                        for pattern in unless:
-                            if self._pattern_matches(pattern, event, fields, inst):
-                                doomed.add(inst.instance_id)
-                                ops.append(_Op("kill", prop, instance=inst,
-                                               reason="unless", time=t))
-                                break
-                if isinstance(stage, Absent) and kind_matches(
-                    stage.pattern.kind, event
-                ):
-                    for inst in store.candidates(stage_idx, fields):
-                        if inst.stage != stage_idx or inst.instance_id in doomed:
-                            continue
-                        self._c_candidates.inc()
-                        if self._pattern_matches(stage.pattern, event, fields, inst):
-                            doomed.add(inst.instance_id)
-                            ops.append(_Op("kill", prop, instance=inst,
-                                           reason="discharged", time=t))
-
-            # 2. Advancement of positive stages.
-            for stage_idx in range(1, prop.num_stages):
-                stage = prop.stages[stage_idx]
-                if isinstance(stage, Absent):
-                    continue
-                if not kind_matches(stage.pattern.kind, event):
-                    continue
-                for inst in store.candidates(stage_idx, fields):
-                    if inst.stage != stage_idx or inst.instance_id in doomed:
-                        continue
-                    self._c_candidates.inc()
-                    if not self._pattern_matches(stage.pattern, event, fields, inst):
-                        continue
-                    if not stage.pattern.bindable(fields):
-                        continue
-                    binds = dict(stage.pattern.capture(fields))
-                    if "uid" in fields:
-                        binds[uid_var(stage.name)] = fields["uid"]
-                    doomed.add(inst.instance_id)  # at most one transition/event
-                    ops.append(_Op("advance", prop, instance=inst, binds=binds,
-                                   event=event, time=t))
-
-            # 3. Creation / refresh at stage 0.
-            stage0 = prop.stages[0]
-            pattern0 = stage0.pattern
-            if (
-                kind_matches(pattern0.kind, event)
-                and pattern0.matches(event, fields, {})
-                and pattern0.bindable(fields)
-            ):
-                env0 = pattern0.capture(fields)
-                if "uid" in fields:
-                    env0[uid_var(stage0.name)] = fields["uid"]
-                key = tuple(env0[k] for k in prop.key_vars)
-                if self.key_filter is not None and not self.key_filter(
-                    prop.name, key
-                ):
-                    continue
-                existing = store.by_key(key)
-                if existing is not None and existing.alive:
-                    if existing.stage == 1 and existing.instance_id not in doomed:
-                        if self._should_refresh(prop, stage0):
-                            ops.append(_Op("refresh", prop, instance=existing,
-                                           binds=env0, event=event, time=t))
-                else:
-                    ops.append(_Op("create", prop, key=key, env=env0,
-                                   event=event, time=t))
-        return ops
-
-    def _should_refresh(self, prop: PropertySpec, stage0: Observe) -> bool:
-        # Feature 7 subtlety folded in spec.refresh_applies: with the sound
-        # "never" policy a repeated prior observation must NOT reset the
-        # negative-observation timer, or a request storm every T-1 seconds
-        # evades detection.  Shared with the codegen backend so every
-        # strategy folds the same policy.
-        return refresh_applies(prop)
-
-    def _pattern_matches(
-        self,
-        pattern: EventPattern,
-        event: DataplaneEvent,
-        fields: Mapping[str, object],
-        instance: Instance,
-    ) -> bool:
-        if pattern.same_packet_as is not None:
-            expected = instance.env.get(uid_var(pattern.same_packet_as))
-            if expected is None or fields.get("uid") != expected:
-                return False
-        return pattern.matches(event, fields, instance.env)
 
     # -- state transitions -------------------------------------------------------
     def _apply(self, op: _Op) -> None:

@@ -219,8 +219,8 @@ def refresh_applies(prop: PropertySpec) -> bool:
     in (``refresh_on_repeat``) *and* refreshing is sound for the next
     stage: for an ``Absent`` stage the paper's Sec. 3.2 bug is exactly an
     unconditional reset, so only the explicit ``refresh="on_prior"``
-    policy re-arms the timer.  Shared by the monitor's evaluators and the
-    codegen backend so all strategies fold the same policy.
+    policy re-arms the timer.  Shared by the generated program and the
+    reference evaluator so both fold the same policy.
     """
     stage0 = prop.stages[0]
     if not stage0.refresh_on_repeat or prop.num_stages < 2:

@@ -16,8 +16,8 @@ catalog property that is rule-compilable (none today: the catalog rows
 all need egress taps, predicates, or out-of-band events; the corpus keeps
 the loop closed until one lands).
 
-The same loop closes over the software fast path: the
-``match_strategy="codegen"`` backend reports what it actually generated
+The same loop closes over the software fast path: the monitor's
+generated program (:mod:`repro.core.codegen`) reports what it emitted
 per property (event classes emitted, inline boolean terms, matcher
 source lines — :class:`repro.core.codegen.PropEmission`), a second
 checked-in table (:data:`CALIBRATION_CODEGEN`) pins those counts for the
@@ -51,8 +51,8 @@ class MeasuredCost:
 
 @dataclass(frozen=True)
 class MeasuredCodegenCost:
-    """One codegen calibration row: counts taken off the program the
-    ``match_strategy="codegen"`` backend actually generated.
+    """One codegen calibration row: counts taken off the program
+    :mod:`repro.core.codegen` actually generated.
 
     ``event_classes`` and ``inline_terms`` have analytic twins in
     :func:`repro.lint.splitmode.estimate_codegen_cost` (a test holds them
@@ -298,7 +298,7 @@ def regenerate_codegen() -> Dict[str, Tuple[int, int, int]]:
 
     table: Dict[str, Tuple[int, int, int]] = {}
     for prop in codegen_corpus():
-        monitor = Monitor(match_strategy="codegen")
+        monitor = Monitor()
         monitor.add_property(prop)
         emission = monitor.codegen_emissions()[prop.name]
         table[prop.name] = (

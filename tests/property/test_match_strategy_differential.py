@@ -1,26 +1,26 @@
-"""Differential property tests: compiled vs interpreted vs codegen matching.
+"""Differential property tests: the generated program vs the reference walk.
 
-The compiled engine (per-event-class dispatch plans + specialized guard
-closures, ``repro.core.compile``) and the codegen engine (straight-line
-source emitted per (property, event class) and exec'd once,
-``repro.core.codegen``) are performance rewrites of the monitor hot
-path.  They must be *observationally invisible*: on any event stream,
-all three match strategies — crossed with both instance-store strategies
-— must produce identical violations and identical counters.  These tests
-drive random streams through every configuration and compare everything
-the monitor exposes, including the codegen columnar batch path and the
-sharded fabric.
+The monitor's production evaluator is the program ``repro.core.codegen``
+emits per (property, event class) and exec's once.  It must be
+*observationally invisible*: on any event stream it must produce the
+violations and counters of the reference evaluator
+(``repro.core.reference``, ``match_strategy="interpreted"``) under either
+instance-store strategy, whether events arrive one at a time or through
+``observe_batch``'s columnar driver, alone or behind the sharded fabric,
+and under every monitor configuration that changes what evaluation sees
+(parse depth, split mode, provenance, key ownership, bounded stores).
 
 The probe catalog here is deliberately richer than the one in
 ``test_engine_properties``: it adds negative observations (Absent),
 ``unless`` cancellation, ``MismatchAny`` disjunctive negation, drop
-events, constant guards (the closure compiler folds these), and a
-refresh-on-prior timer, so every branch of the compiled evaluator is
-exercised against its interpreted twin.
+events, constant guards (the emitter folds these), and a
+refresh-on-prior timer, so every branch of the emitter is exercised
+against the reference.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +40,12 @@ from repro.core import (
     PropertySpec,
     Var,
 )
+from repro.core.degradation import EVICTION_POLICIES, DegradationPolicy
+from repro.core.provenance import ProvenanceLevel
+from repro.fabric.routing import stable_hash
 from repro.packet import ethernet
+from repro.props.catalog import build_table1
+from repro.resilience import catalog_trace
 from repro.switch.events import (
     EgressAction,
     OobKind,
@@ -49,11 +54,12 @@ from repro.switch.events import (
     PacketDrop,
     PacketEgress,
 )
+from repro.switch.switch import ProcessingMode
 
 addr = st.integers(min_value=1, max_value=4)
 
 STORE_STRATEGIES = ("indexed", "linear")
-MATCH_STRATEGIES = ("compiled", "interpreted", "codegen")
+MATCH_STRATEGIES = ("compiled", "interpreted")
 
 STAT_FIELDS = (
     "events",
@@ -104,7 +110,7 @@ def event_streams(draw, max_events=25):
 
 
 def probe_catalog():
-    """Property shapes covering every compiled-evaluator branch."""
+    """Property shapes covering every branch of the emitter."""
     return [
         # Exact match plus a folded constant guard (FieldEq/FieldNe Const).
         PropertySpec(
@@ -218,7 +224,7 @@ def probe_catalog():
         ),
         # Predicate guards plus ordered compare and an egress-action
         # refinement.  A stage-0 Predicate keeps this property OFF the
-        # codegen columnar prefilter (predicates may consult auxiliary
+        # columnar stage-0 prefilter (predicates may consult auxiliary
         # state, so they must run per event, in order); the stage-1
         # Predicate reads the full field mapping, exercising the batch
         # path's fields-dict column.
@@ -245,21 +251,63 @@ def probe_catalog():
     ]
 
 
-def run_config(events, store_strategy, match_strategy):
+def fingerprint(violation):
+    return (violation.property_name, round(violation.time, 9),
+            violation.message, tuple(sorted(
+                (k, str(val)) for k, val in violation.bindings.items())))
+
+
+def run_config(events, store_strategy, match_strategy, batch=False):
     monitor = Monitor(store_strategy=store_strategy,
                       match_strategy=match_strategy)
     for prop in probe_catalog():
         monitor.add_property(prop)
-    for event in events:
-        monitor.observe(event)
+    if batch:
+        monitor.observe_batch(events)
+    else:
+        for event in events:
+            monitor.observe(event)
     monitor.advance_to(events[-1].time + 100.0)
-    violations = [
-        (v.property_name, round(v.time, 9), v.message, tuple(sorted(
-            (k, str(val)) for k, val in v.bindings.items())))
-        for v in monitor.violations
-    ]
+    violations = [fingerprint(v) for v in monitor.violations]
     stats = {name: getattr(monitor.stats, name) for name in STAT_FIELDS}
     return violations, stats
+
+
+#: monitor configurations that change what evaluation sees or what its
+#: ops turn into; the generated program must track the reference under
+#: each.  ``max_instances=50`` is far below the catalog trace's live
+#: population, so every eviction policy actually sheds.
+MONITOR_CONFIGS = {
+    "max-layer-3": dict(max_layer=3),
+    "max-layer-4": dict(max_layer=4),
+    "split": dict(mode=ProcessingMode.SPLIT, split_lag=0.02),
+    "provenance-none": dict(provenance=ProvenanceLevel.NONE),
+    "provenance-full": dict(provenance=ProvenanceLevel.FULL),
+    "key-filter": dict(
+        key_filter=lambda name, key: stable_hash(key) % 2 == 0),
+    **{
+        f"capped-{eviction}": dict(degradation=DegradationPolicy(
+            max_instances=50, eviction=eviction))
+        for eviction in EVICTION_POLICIES
+    },
+}
+
+CATALOG_EVENTS = catalog_trace(seed=7, num_events=1500)
+
+
+def run_catalog(match_strategy, **monitor_kwargs):
+    monitor = Monitor(match_strategy=match_strategy, **monitor_kwargs)
+    for entry in build_table1():
+        monitor.add_property(entry.prop)
+    monitor.observe_batch(CATALOG_EVENTS)
+    monitor.advance_to(CATALOG_EVENTS[-1].time + 600.0)
+    violations = [
+        fingerprint(v) + (len(v.history), v.trigger is None)
+        for v in monitor.violations
+    ]
+    stats = {name: getattr(monitor.stats, name)
+             for name in (*monitor.stats._COUNTERS, *monitor.stats._GAUGES)}
+    return violations, stats, monitor.ledger.summary()
 
 
 class TestMatchStrategyEquivalence:
@@ -267,10 +315,9 @@ class TestMatchStrategyEquivalence:
     @given(event_streams())
     def test_all_configs_agree(self, events):
         """Violations (name, time, message, bindings) are identical across
-        {compiled, interpreted, codegen} x {indexed, linear}; the full
-        counter set is identical across match strategies within each store
-        (different stores may legitimately examine different candidate
-        counts)."""
+        {compiled, interpreted} x {indexed, linear}; the full counter set
+        is identical across match strategies within each store (different
+        stores may legitimately examine different candidate counts)."""
         results = {
             (store, match): run_config(events, store, match)
             for store, match in itertools.product(
@@ -280,72 +327,63 @@ class TestMatchStrategyEquivalence:
         for other in violation_sets[1:]:
             assert other == violation_sets[0]
         for store in STORE_STRATEGIES:
-            _, compiled_stats = results[(store, "compiled")]
-            for match in MATCH_STRATEGIES[1:]:
-                _, other_stats = results[(store, match)]
-                assert other_stats == compiled_stats, (store, match)
+            assert (results[(store, "compiled")][1]
+                    == results[(store, "interpreted")][1]), store
 
     @settings(max_examples=30, deadline=None)
     @given(event_streams())
     def test_candidate_counts_match_within_store(self, events):
         """Dispatch planning skips whole (property, stage) pairs, but the
         candidates it *does* examine must be the same set the interpreted
-        walk reaches after its own kind/stage filters.  The codegen
-        engine batches its counter increments (one add per event), which
-        must still land on the same totals."""
+        walk reaches after its own kind/stage filters.  The generated
+        program batches its counter increments (one add per event), which
+        must still land on the same totals — on the batch path too."""
         for store in STORE_STRATEGIES:
             _, interp_stats = run_config(events, store, "interpreted")
-            for match in ("compiled", "codegen"):
-                _, fast_stats = run_config(events, store, match)
+            for batch in (False, True):
+                _, fast_stats = run_config(events, store, "compiled", batch)
                 assert (fast_stats["candidates_examined"]
-                        == interp_stats["candidates_examined"]), (store, match)
+                        == interp_stats["candidates_examined"]), (store, batch)
 
     @settings(max_examples=30, deadline=None)
     @given(event_streams())
     def test_batch_equals_loop(self, events):
-        """observe_batch must be just a loop unroll: the compiled fast
-        path hoists attribute lookups, the codegen path transposes chunks
-        into ColumnarBatch columns and prefilters stage-0 matches — both
-        must yield the violations and counters of event-at-a-time
-        observe."""
-        looped = run_config(events, "indexed", "compiled")
-
-        for match in ("compiled", "codegen"):
-            monitor = Monitor(match_strategy=match)
-            for prop in probe_catalog():
-                monitor.add_property(prop)
-            monitor.observe_batch(events)
-            monitor.advance_to(events[-1].time + 100.0)
-            batched_violations = [
-                (v.property_name, round(v.time, 9), v.message, tuple(sorted(
-                    (k, str(val)) for k, val in v.bindings.items())))
-                for v in monitor.violations
-            ]
-            batched_stats = {name: getattr(monitor.stats, name)
-                             for name in STAT_FIELDS}
-            assert (batched_violations, batched_stats) == looped, match
+        """observe_batch must be just a loop unroll: the generated program
+        transposes chunks into ColumnarBatch columns and prefilters
+        stage-0 matches, the reference falls back to per-event observe —
+        under either store both must yield the violations and counters of
+        event-at-a-time observe."""
+        for store, match in itertools.product(
+                STORE_STRATEGIES, MATCH_STRATEGIES):
+            assert (run_config(events, store, match, batch=True)
+                    == run_config(events, store, match)), (store, match)
 
     @settings(max_examples=15, deadline=None)
     @given(event_streams())
     def test_codegen_under_shards(self, events):
-        """The fabric passes ``match_strategy`` through ``monitor_kwargs``
-        unchanged, so codegen composes with ``--shards``: a 2-shard
-        fabric running codegen produces the single-monitor compiled
-        violation set (order-insensitive: the fabric may interleave
-        same-timestamp violations differently)."""
+        """The generated program composes with the fabric's per-shard
+        ``key_filter``: a 2-shard fabric produces the single-monitor
+        reference violation set (order-insensitive: the fabric may
+        interleave same-timestamp violations differently)."""
         from repro.fabric import ShardedMonitor
 
-        reference, _ = run_config(events, "indexed", "compiled")
+        reference, _ = run_config(events, "indexed", "interpreted")
 
         sharded = ShardedMonitor(
-            probe_catalog(), num_shards=2, mode="inprocess",
-            monitor_kwargs=dict(match_strategy="codegen"))
+            probe_catalog(), num_shards=2, mode="inprocess")
         sharded.observe_batch(events)
         sharded.advance_to(events[-1].time + 100.0)
         sharded.stop()
-        fingerprints = sorted(
-            (v.property_name, round(v.time, 9), v.message, tuple(sorted(
-                (k, str(val)) for k, val in v.bindings.items())))
-            for v in sharded.violations
-        )
-        assert fingerprints == sorted(reference)
+        assert sorted(map(fingerprint, sharded.violations)) == sorted(reference)
+
+    @pytest.mark.parametrize("config", sorted(MONITOR_CONFIGS))
+    def test_monitor_configs_agree(self, config):
+        """Under each non-default monitor configuration the Table-1
+        catalog yields the same violations (with bindings, history depth
+        and trigger presence), every ``MonitorStats`` counter and gauge
+        peak, and the same ledger summary from both strategies."""
+        kwargs = MONITOR_CONFIGS[config]
+        compiled = run_catalog("compiled", **kwargs)
+        assert compiled == run_catalog("interpreted", **kwargs)
+        if config.startswith("capped-"):
+            assert compiled[2]["records"] > 0  # the cap really shed

@@ -6,9 +6,9 @@ Run after a deliberate change to the source emitted by
     PYTHONPATH=src python -m tests.regen_codegen_goldens
 
 then eyeball the diff before committing — the goldens pin the exact
-straight-line program the ``match_strategy="codegen"`` backend executes
-for two representative Table-1 properties, so any emission change is
-reviewable as a plain-text diff.  ``--check`` regenerates into a temp
+straight-line program the monitor executes for two representative
+Table-1 properties, so any emission change is reviewable as a
+plain-text diff.  ``--check`` regenerates into a temp
 directory and diffs against the checked-in fixtures instead of
 overwriting them (exit 1 on drift) — CI runs this so the goldens cannot
 go stale silently.
@@ -34,7 +34,7 @@ PINNED = ("knocking-invalidated", "dhcp-reply-within")
 
 def generated_source(prop_name: str) -> str:
     props = {entry.prop.name: entry.prop for entry in build_table1()}
-    monitor = Monitor(match_strategy="codegen")
+    monitor = Monitor()
     monitor.add_property(props[prop_name])
     return monitor.codegen_source()
 

@@ -111,7 +111,7 @@ class TestCodegenCalibration:
         from repro.core import Monitor
 
         est = estimate_codegen_cost(CODEGEN_CORPUS[name])
-        monitor = Monitor(match_strategy="codegen")
+        monitor = Monitor()
         monitor.add_property(CODEGEN_CORPUS[name])
         emission = monitor.codegen_emissions()[name]
         assert est.event_classes == emission.event_classes

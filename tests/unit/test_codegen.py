@@ -34,7 +34,7 @@ class TestGoldenSources:
             "rerun PYTHONPATH=src python -m tests.regen_codegen_goldens")
 
     def test_source_header_names_all_properties(self):
-        monitor = Monitor(match_strategy="codegen")
+        monitor = Monitor()
         for entry in build_table1():
             monitor.add_property(entry.prop)
         source = monitor.codegen_source()
@@ -45,7 +45,7 @@ class TestGoldenSources:
 
 class TestProgramSurface:
     def test_emission_stats_are_populated(self):
-        monitor = Monitor(match_strategy="codegen")
+        monitor = Monitor()
         monitor.add_property(CATALOG["knocking-invalidated"])
         monitor.codegen_source()  # forces the lazy build
         program = monitor._codegen_program
@@ -56,7 +56,7 @@ class TestProgramSurface:
         assert emission.matcher_lines >= emission.event_classes
 
     def test_add_property_invalidates_program(self):
-        monitor = Monitor(match_strategy="codegen")
+        monitor = Monitor()
         monitor.add_property(CATALOG["knocking-invalidated"])
         first = monitor.codegen_source()
         monitor.add_property(CATALOG["dhcp-reply-within"])
@@ -65,12 +65,17 @@ class TestProgramSurface:
         assert "dhcp-reply-within" in second
 
     def test_generated_functions_compile_under_marker_filename(self):
-        monitor = Monitor(match_strategy="codegen")
+        monitor = Monitor()
         monitor.add_property(CATALOG["dhcp-reply-within"])
         monitor.codegen_source()
         program = monitor._codegen_program
+        lines = program.source.splitlines()
         for fn in program.eval_fns.values():
             assert fn.__code__.co_filename == "<repro-codegen>"
+            # each function is compiled on its own, yet a traceback's
+            # line number still points into the dumped program
+            assert lines[fn.__code__.co_firstlineno - 1].startswith(
+                f"def {fn.__name__}(")
 
 
 class TestExplainCommand:

@@ -1,7 +1,9 @@
-"""Unit tests for the compiled hot path (repro.core.compile) and the
-monitor/store machinery built on it: guard closures, dispatch plans,
+"""Unit tests for the lowering (repro.core.compile) and the monitor/store
+machinery built on it: emitted guard expressions, dispatch plans,
 per-stage store buckets with O(1) back-pointer removal, observe_batch,
 and the incrementally maintained live counter."""
+
+from collections import deque
 
 import pytest
 
@@ -19,14 +21,21 @@ from repro.core import (
     Predicate,
     PropertySpec,
     Var,
-    compile_pattern,
     dispatch_plan,
     dispatch_summary,
     make_store,
     scan_watchers,
     uid_var,
 )
-from repro.core.compile import event_class_label
+from repro.core import codegen
+from repro.core.compile import (
+    _MISSING,
+    CMP_HELPERS,
+    bindable_source,
+    event_class_label,
+    guard_source,
+    refinement_sources,
+)
 from repro.core.instances import Instance
 from repro.packet import ethernet
 from repro.switch.events import (
@@ -53,14 +62,29 @@ def egress(src, dst, t=2.0, packet=None):
                         in_port=1, action=EgressAction.UNICAST)
 
 
+def field_access(name):
+    return f"_F.get({name!r}, _M)"
+
+
+def emitted_match(pattern, fields, env):
+    """Evaluate the expression the emitter generates for ``pattern``'s
+    refinements and guards, against one field map and one env."""
+    pool = codegen._ConstPool()
+    terms = refinement_sources(pattern, field_access, pool)
+    terms += [guard_source(g, field_access, pool, "_env", "_F")
+              for g in pattern.guards]
+    scope = {"_M": _MISSING, "_F": fields, "_env": env, **pool.globals,
+             **{name: getattr(codegen, name) for name in CMP_HELPERS.values()}}
+    return eval(" and ".join(terms) or "True", scope)
+
+
 # ---------------------------------------------------------------------------
-# Guard closures: exact parity with the interpreted dataclasses
+# Emitted guard expressions: exact parity with the interpreted dataclasses
 # ---------------------------------------------------------------------------
 class TestCompiledGuards:
     def parity(self, pattern, fields, env):
-        compiled = compile_pattern(pattern)
         expected = all(g.holds(fields, env) for g in pattern.guards)
-        assert compiled.guards_match(fields, env) is expected
+        assert emitted_match(pattern, fields, env) is expected
         return expected
 
     def test_fieldeq_const_folded(self):
@@ -112,7 +136,6 @@ class TestCompiledGuards:
         assert self.parity(pattern, {"x": 1}, {"V": 3}) is False
 
     def test_many_guards_compose(self):
-        # arity 4 exercises the loop fallback past the unrolled cases
         pattern = EventPattern(
             kind=EventKind.ARRIVAL,
             guards=(FieldEq("a", Const(1)), FieldEq("b", Const(2)),
@@ -123,19 +146,29 @@ class TestCompiledGuards:
 
 
 class TestCompiledPattern:
+    """What the generated program does with a whole pattern — event-class
+    dispatch, refinements, the ``same_packet_as`` link, binds — probed
+    through ``Monitor._evaluate`` with hand-made field maps."""
+
     def test_matches_checks_event_class(self):
-        compiled = compile_pattern(EventPattern(kind=EventKind.EGRESS))
-        ev = egress(1, 2)
-        assert compiled.matches(ev, {}, {}) is True
-        assert compiled.matches(arrival(1, 2), {}, {}) is False
+        monitor = Monitor()
+        monitor.add_property(PropertySpec(
+            name="p", description="",
+            stages=(Observe("a", EventPattern(
+                kind=EventKind.EGRESS, binds=(Bind("S", "eth.src"),))),),
+            key_vars=("S",)))
+        monitor.observe(arrival(1, 2))
+        assert monitor.violations == []
+        monitor.observe(egress(1, 2))
+        assert len(monitor.violations) == 1
 
     def test_oob_kind_refinement(self):
-        compiled = compile_pattern(EventPattern(
-            kind=EventKind.OOB, oob_kind=OobKind.PORT_DOWN))
-        assert compiled.guards_match(
-            {"oob.kind": OobKind.PORT_DOWN}, {}) is True
-        assert compiled.guards_match(
-            {"oob.kind": OobKind.PORT_UP}, {}) is False
+        pattern = EventPattern(kind=EventKind.OOB,
+                               oob_kind=OobKind.PORT_DOWN)
+        assert emitted_match(
+            pattern, {"oob.kind": OobKind.PORT_DOWN}, {}) is True
+        assert emitted_match(
+            pattern, {"oob.kind": OobKind.PORT_UP}, {}) is False
 
     def test_match_instance_inlines_same_packet(self):
         prop = PropertySpec(
@@ -148,28 +181,44 @@ class TestCompiledPattern:
             ),
             key_vars=("S",),
         )
-        compiled = compile_pattern(prop.stages[1].pattern)
-        inst = Instance(prop, ("k",), {"S": "k", uid_var("a"): 42}, 0.0)
-        assert compiled.match_instance({"uid": 42}, inst) is True
-        assert compiled.match_instance({"uid": 43}, inst) is False
+        # the linear store offers every waiting instance as a candidate,
+        # so the emitted uid comparison alone decides
+        monitor = Monitor(store_strategy="linear")
+        monitor.add_property(prop)
+        store = monitor.store("p")
+        store.add(Instance(prop, ("k",), {"S": "k", uid_var("a"): 42}, 0.0))
         # no uid bound at the linked stage: identity cannot hold
-        bare = Instance(prop, ("k2",), {"S": "k2"}, 0.0)
-        assert compiled.match_instance({"uid": 42}, bare) is False
+        store.add(Instance(prop, ("k2",), {"S": "k2"}, 0.0))
+
+        def advanced(uid):
+            return [op.instance.key
+                    for op in monitor._evaluate(egress(1, 2), {"uid": uid})
+                    if op.kind == "advance"]
+
+        assert advanced(42) == [("k",)]
+        assert advanced(43) == []
 
     def test_capture_and_bindable(self):
-        compiled = compile_pattern(EventPattern(
-            kind=EventKind.ARRIVAL,
-            binds=(Bind("S", "eth.src"), Bind("P", "in_port"))))
-        assert compiled.bindable({"eth.src": "m", "in_port": 3}) is True
-        assert compiled.bindable({"eth.src": "m"}) is False
-        assert compiled.capture({"eth.src": "m", "in_port": 3}) == {
-            "S": "m", "P": 3}
-        with pytest.raises(KeyError):
-            compiled.capture({"eth.src": "m"})
-        # the bind-free fast path
-        empty = compile_pattern(EventPattern(kind=EventKind.ARRIVAL))
-        assert empty.capture({}) == {}
-        assert empty.bindable({}) is True
+        monitor = Monitor()
+        monitor.add_property(PropertySpec(
+            name="p", description="",
+            stages=(
+                Observe("a", EventPattern(
+                    kind=EventKind.ARRIVAL,
+                    binds=(Bind("S", "eth.src"), Bind("P", "in_port")))),
+                Observe("b", EventPattern(kind=EventKind.EGRESS)),
+            ),
+            key_vars=("S",)))
+        event = arrival(1, 2)
+        (op,) = monitor._evaluate(
+            event, {"eth.src": "m", "in_port": 3, "uid": 9})
+        assert (op.kind, op.key, op.env) == (
+            "create", ("m",), {"S": "m", "P": 3, uid_var("a"): 9})
+        # a bind whose field is absent blocks the match, it never raises
+        assert monitor._evaluate(event, {"eth.src": "m", "uid": 9}) == []
+        # the bind-free fast path emits no presence check at all
+        assert bindable_source(
+            EventPattern(kind=EventKind.ARRIVAL), field_access) == "True"
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +299,6 @@ class TestDispatchPlan:
 
 
 class TestMonitorDispatch:
-    def test_dispatch_sizes(self):
-        monitor = Monitor()
-        monitor.add_property(rich_prop())
-        assert monitor.dispatch_sizes() == {
-            "PacketArrival": 1, "PacketEgress": 1, "OutOfBandEvent": 1}
-
     def test_unwatched_event_class_is_skipped(self):
         monitor = Monitor()
         monitor.add_property(rich_prop())
@@ -268,6 +311,9 @@ class TestMonitorDispatch:
     def test_unknown_match_strategy_rejected(self):
         with pytest.raises(ValueError):
             Monitor(match_strategy="jit")
+
+    def test_codegen_is_a_spelling_of_compiled(self):
+        assert Monitor(match_strategy="codegen").match_strategy == "compiled"
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +402,10 @@ def verdicts(monitor):
 
 
 class TestObserveBatch:
-    def run_batch(self, **kwargs):
+    def run_batch(self, container=list, **kwargs):
         monitor = Monitor(**kwargs)
         monitor.add_property(echo_prop())
-        monitor.observe_batch(sample_events())
+        monitor.observe_batch(container(sample_events()))
         return monitor
 
     def test_batch_equals_loop(self):
@@ -368,6 +414,18 @@ class TestObserveBatch:
         for event in sample_events():
             looped.observe(event)
         assert verdicts(self.run_batch()) == verdicts(looped)
+
+    @pytest.mark.parametrize("container", [iter, deque, tuple])
+    def test_batch_takes_any_iterable(self, container):
+        assert (verdicts(self.run_batch(container))
+                == verdicts(self.run_batch()))
+
+    def test_batch_chunks_an_iterator(self, monkeypatch):
+        """A chunk boundary falling mid-stream loses and repeats nothing."""
+        from repro.core import monitor as monitor_module
+        whole = verdicts(self.run_batch())
+        monkeypatch.setattr(monitor_module, "CODEGEN_CHUNK", 2)
+        assert verdicts(self.run_batch(iter)) == whole
 
     def test_batch_with_registry_falls_back_identically(self):
         assert (verdicts(self.run_batch(registry=MetricsRegistry()))
