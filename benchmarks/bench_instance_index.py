@@ -8,15 +8,32 @@ with a linear scan as the live-instance population grows: the indexed
 store's candidate examinations stay flat per event, the scan's grow
 linearly — the same asymmetry that separates OpenState-style indexed state
 from Varanus's scan-all-tables pipeline.
+
+The cancel-path case holds the same axis up to Feature 4: a property
+whose only per-packet watcher is an ``unless``, probed by packets that
+cancel nothing.  ``candidates_examined`` never counted cancels, so this
+one is read off the clock: the indexed store's cost per probe stays flat
+as instances accumulate, the linear store's grows with them (the
+Sec. 3.3 shape).
 """
+
+import time
 
 import pytest
 
-from repro.core import Monitor
-from repro.packet import ethernet
-from repro.props import firewall_basic
-from repro.switch.events import PacketArrival, PacketDrop
+from repro.core import (
+    Bind,
+    EventKind,
+    EventPattern,
+    FieldEq,
+    Monitor,
+    Observe,
+    PropertySpec,
+    Var,
+)
 from repro.packet import tcp_packet
+from repro.props import firewall_basic
+from repro.switch.events import OobKind, PacketArrival, PacketDrop
 
 POPULATIONS = (50, 200, 800)
 
@@ -99,3 +116,75 @@ def test_wallclock_gap_at_scale(benchmark, bench_registry):
         return drive("indexed", POPULATIONS[-1], registry=bench_registry)
 
     benchmark(indexed)
+
+
+# ---------------------------------------------------------------------------
+# The cancel path: an ``unless`` as the only per-packet watcher
+# ---------------------------------------------------------------------------
+def cancel_only_prop():
+    """Waits for a (rare) port-down; a drop addressed to the bound source
+    cancels the wait.  Per packet, only stage 0 and the unless react."""
+    return PropertySpec(
+        name="cancel-only", description="",
+        stages=(
+            Observe("seen", EventPattern(kind=EventKind.ARRIVAL,
+                                         binds=(Bind("S", "ipv4.src"),))),
+            Observe("down", EventPattern(kind=EventKind.OOB,
+                                         oob_kind=OobKind.PORT_DOWN),
+                    unless=(EventPattern(
+                        kind=EventKind.DROP,
+                        guards=(FieldEq("ipv4.dst", Var("S")),)),)),
+        ),
+        key_vars=("S",),
+    )
+
+
+def drive_cancel(strategy, population, probes=200):
+    """Microseconds per drop that cancels nothing, with ``population``
+    instances waiting; then one drop that cancels exactly one."""
+    monitor = Monitor(store_strategy=strategy)
+    monitor.add_property(cancel_only_prop())
+    t = 0.0
+    for i in range(population):
+        t += 1e-4
+        monitor.observe(PacketArrival(
+            switch_id="s", time=t, in_port=1,
+            packet=tcp_packet(1, 2, f"10.0.{i // 250}.{i % 250 + 1}",
+                              "198.51.100.9", 1000, 80)))
+    misses = [
+        PacketDrop(switch_id="s", time=t + 1e-4 * (i + 1), in_port=2,
+                   reason="x",
+                   packet=tcp_packet(2, 1, "198.51.100.9",
+                                     f"10.9.9.{i % 250 + 1}", 80, 1000))
+        for i in range(probes)
+    ]
+    monitor.observe(misses[0])  # build the program outside the clock
+    start = time.perf_counter()
+    for event in misses[1:]:
+        monitor.observe(event)
+    spent = time.perf_counter() - start
+    assert monitor.stats.instances_cancelled == 0
+    monitor.observe(PacketDrop(
+        switch_id="s", time=misses[-1].time + 1e-4, in_port=2, reason="x",
+        packet=tcp_packet(2, 1, "198.51.100.9", "10.0.0.1", 80, 1000)))
+    assert monitor.stats.instances_cancelled == 1
+    return 1e6 * spent / (probes - 1)
+
+
+def _cancel_sweep(strategy):
+    # min of 3: the noise on a shared box is one-sided
+    return [min(drive_cancel(strategy, n) for _ in range(3))
+            for n in POPULATIONS]
+
+
+def test_cancel_path_cost_vs_live_instances():
+    indexed, linear = _cancel_sweep("indexed"), _cancel_sweep("linear")
+    print("\ncancel path: population -> us per non-cancelling drop")
+    for n, fast, slow in zip(POPULATIONS, indexed, linear):
+        print(f"  {n:6d} -> indexed {fast:8.1f}   linear {slow:8.1f}")
+    growth = POPULATIONS[-1] / POPULATIONS[0]
+    # the probe is one dict miss whatever the population ...
+    assert indexed[-1] / indexed[0] < 2.5
+    # ... the scan walks it (fixed per-event cost damps the ratio)
+    assert linear[-1] / linear[0] > growth / 4
+    assert linear[-1] > 2.0 * indexed[-1]

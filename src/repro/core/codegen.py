@@ -4,8 +4,9 @@ For every (property, event class) pair in the dispatch plans
 (:func:`repro.core.compile.dispatch_plan`) this module emits
 straight-line Python source — field reads hoisted into locals, constants
 folded into the compare expressions, instance-store probes inlined
-against the store's own dictionaries — and ``exec``'s it once, on the
-monitor's first evaluation.  No plan tuples are walked and no per-guard
+against the store's own dictionaries — on the monitor's first
+evaluation, and ``exec``'s each function of it once, when an event of
+its class first needs it.  No plan tuples are walked and no per-guard
 call is made at run time.
 
 Two generated entry points exist per concrete event class:
@@ -57,6 +58,7 @@ from .compile import (
 from .instances import (
     IndexedInstanceStore,
     InstanceStore,
+    merge_by_stage_entry,
     stage_index_plan,
     uid_var,
 )
@@ -145,13 +147,33 @@ class _BatchFns:
     eval_batch: Callable
 
 
+class _LazyFns(dict):
+    """Event class -> its generated function(s), compiled on first use.
+
+    The program text is emitted whole, but a replay never calls the
+    per-event evaluators and a daemon never calls the batch triples, and
+    ``compile()`` is most of a build: each ``def`` is compiled and exec'd
+    when its class is first looked up (``fns[cls]``).  A class no
+    property watches maps to None.
+    """
+
+    def __init__(self, define: Callable[[type], object]) -> None:
+        super().__init__()
+        self._define = define
+
+    def __missing__(self, cls: type):
+        fns = self[cls] = self._define(cls)
+        return fns
+
+
 @dataclass
 class CodegenProgram:
-    """The exec'd program: generated functions plus their source."""
+    """The generated program: its source, and the functions exec'd from
+    it as each event class first needs them (:class:`_LazyFns`)."""
 
     source: str
-    eval_fns: Dict[type, Callable]
-    batch_fns: Dict[type, _BatchFns]
+    eval_fns: Dict[type, Optional[Callable]]
+    batch_fns: Dict[type, Optional[_BatchFns]]
     emissions: Dict[str, PropEmission]
     exec_globals: Dict[str, object] = field(repr=False, default_factory=dict)
 
@@ -162,7 +184,7 @@ class CodegenProgram:
         pf_cache: Dict[int, Dict[str, object]],
     ) -> Optional[ColumnarBatch]:
         """Build the columnar representation for one same-class chunk."""
-        fns = self.batch_fns.get(cls)
+        fns = self.batch_fns[cls]
         if fns is None:
             return None
         columns = fns.extract(events, pf_cache)
@@ -524,16 +546,47 @@ class _ClassEmitter:
             w.ded()
 
     # -- section emitters -------------------------------------------------
+    def _unless_probe(self, name: str, pattern: EventPattern) -> str:
+        """One ``unless`` pattern's cancel-index lookup as an expression:
+        the bucket dict, or None on a miss.  An absent field never equals
+        a binding, hence the presence check before the probe."""
+        parts = [self.fmap(f) for f, _ in pattern.env_guards()]
+        key = f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+        presence = " and ".join(f"{part} is not _M" for part in parts)
+        return f"{name}.get({key}) if {name} and {presence} else None"
+
     def _emit_unless(self, w: _Writer, entry: _Entry, stage_idx: int,
                      patterns: Tuple[EventPattern, ...],
                      fields_expr: str) -> None:
+        """Feature 4: cancel every waiting instance a pattern matches (no
+        candidate counting).  When the store has a cancel index for every
+        pattern the candidates are the bucket hits — two patterns hitting
+        at once are merged back into stage-population order, the order
+        the scan emits kills in — otherwise (a linear store, a pattern
+        with no ``field == $var`` guard) the stage population is scanned.
+        The index dicts are bound as stable exec globals like the advance
+        buckets in ``_emit_candidates``."""
         p = entry.pidx
-        # at_stage scan: every waiting instance, no candidate counting
-        # (Feature 4 cancels the whole matching population).
-        sp = self._stage_pop_ref(entry, stage_idx)
-        w.w(f"if {sp}:")
+        unless = entry.prop.stages[stage_idx].unless
+        indexes = {
+            f"_ub{p}_{stage_idx}_{j}": entry.store.unless_index(stage_idx, j)
+            for j in map(unless.index, patterns)
+        }
+        if None in indexes.values():
+            w.w(f"_c = {self._stage_pop_ref(entry, stage_idx)}")
+        else:
+            self.g.update(indexes)
+            first, *rest = map(self._unless_probe, indexes, patterns)
+            w.w(f"_c = {first}")
+            for probe in rest:
+                w.w(f"_h = {probe}")
+                w.w("if _h:")
+                w.ind()
+                w.w("_c = _merge(_c, _h) if _c else _h")
+                w.ded()
+        w.w("if _c:")
         w.ind()
-        w.w(f"for _inst in {sp}.values():")
+        w.w("for _inst in _c.values():")
         w.ind()
         w.w("if _d is not None and _inst.instance_id in _d:")
         w.ind()
@@ -964,7 +1017,8 @@ def build_program(
     inc_candidates: Callable[[float], None],
     max_layer: int = 7,
 ) -> CodegenProgram:
-    """Emit, compile, and exec the full program for a monitor's properties.
+    """Emit the full program for a monitor's properties; its functions
+    are compiled and exec'd as each is first needed (:class:`_LazyFns`).
 
     ``entries`` come in property registration order — the generated
     functions walk properties in exactly the order the reference
@@ -984,6 +1038,7 @@ def build_program(
         "_E": {},   # the empty env stage-0 predicates see (never written)
         "_mon": host,
         "_inc_cand": inc_candidates,
+        "_merge": merge_by_stage_entry,
         "_lt": _lt,
         "_le": _le,
         "_gt": _gt,
@@ -1030,26 +1085,36 @@ def build_program(
                             eb_name)
 
     exec_globals.update(pool.globals)
+    placed: Dict[str, Tuple[int, str]] = {}  # def name -> (line, source)
     lineno = 0
     for part in parts:
         if part.startswith("def "):
-            code = _compile_function(lineno, part)
-            exec(code, exec_globals)  # noqa: S102 - the point of this module
+            placed[part[4:part.index("(")]] = (lineno, part)
         lineno += part.count("\n") + 1
-    source = "\n".join(parts) + "\n"
-    eval_fns = {cls: exec_globals[name] for cls, name in eval_names.items()}
-    batch_fns = {
-        cls: _BatchFns(
-            extract=exec_globals[ex],
-            create_batch=exec_globals[cb] if cb is not None else None,
-            eval_batch=exec_globals[eb],
+
+    def define(name: str) -> Callable:
+        exec(_compile_function(*placed.pop(name)), exec_globals)  # noqa: S102
+        return exec_globals[name]
+
+    def eval_fn(cls: type) -> Optional[Callable]:
+        name = eval_names.get(cls)
+        return None if name is None else define(name)
+
+    def batch_fn(cls: type) -> Optional[_BatchFns]:
+        names = batch_names.get(cls)
+        if names is None:
+            return None
+        ex, cb, eb = names
+        return _BatchFns(
+            extract=define(ex),
+            create_batch=define(cb) if cb is not None else None,
+            eval_batch=define(eb),
         )
-        for cls, (ex, cb, eb) in batch_names.items()
-    }
+
     return CodegenProgram(
-        source=source,
-        eval_fns=eval_fns,
-        batch_fns=batch_fns,
+        source="\n".join(parts) + "\n",
+        eval_fns=_LazyFns(eval_fn),
+        batch_fns=_LazyFns(batch_fn),
         emissions=emissions,
         exec_globals=exec_globals,
     )

@@ -58,8 +58,9 @@ _MISSING = object()
 class Watcher:
     """One (stage, role) pair that an event class could ever trigger.
 
-    ``indexed`` records whether the stage's instance lookup is a hash
-    probe (its index plan is non-empty) or a full scan of the stage
+    ``indexed`` records whether the watcher's instance lookup is a hash
+    probe (the stage's index plan — for an ``unless``, the pattern's own
+    ``field == $var`` guards — is non-empty) or a full scan of the stage
     population — the distinction the hot-scan lint warns about.
     """
 
@@ -91,9 +92,8 @@ def dispatch_plan(
             continue
         indexed = bool(stage_index_plan(stage))
         for unless in getattr(stage, "unless", ()):
-            # unless scans the stage population by design (Feature 4
-            # cancels every waiting instance the pattern matches).
-            register(Watcher(stage_idx, "unless", unless, False))
+            register(Watcher(
+                stage_idx, "unless", unless, bool(unless.env_guards())))
         if isinstance(stage, Absent):
             register(Watcher(stage_idx, "discharge", stage.pattern, indexed))
         else:
@@ -208,10 +208,11 @@ def scan_watchers(
 ) -> List[Tuple[str, str, str]]:
     """(event kind, stage name, role) for full-population scan watchers.
 
-    These are advance/discharge watchers with an empty index plan: every
-    event of that kind examines *every* instance waiting at the stage
-    (Table 1's multiple match).  On hot packet kinds that is the
-    per-packet price the hot-scan lint (L015) warns about.
+    These are advance/discharge watchers with an empty index plan and
+    ``unless`` watchers with no ``field == $var`` guard: every event of
+    that kind examines *every* instance waiting at the stage (Table 1's
+    multiple match).  On hot packet kinds that is the per-packet price
+    the hot-scan lint (L015) warns about.
     """
     out: List[Tuple[str, str, str]] = []
     seen = set()
@@ -219,9 +220,9 @@ def scan_watchers(
         dispatch_plan(prop).items(), key=lambda kv: kv[0].__name__
     ):
         for watcher in watchers:
-            if watcher.indexed or watcher.role == "unless":
+            if watcher.indexed:
                 continue
-            key = (cls, watcher.stage_idx)
+            key = (cls, watcher.stage_idx, watcher.role)
             if key in seen:
                 continue
             seen.add(key)

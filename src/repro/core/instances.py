@@ -15,11 +15,26 @@ Two store implementations share one interface:
   bound values for those variables.  An event yields candidates by direct
   lookup.  Stages with no indexable guards (e.g. an out-of-band link-down,
   which must advance *every* instance — multiple match) fall back to
-  scanning that stage's population.
+  scanning that stage's population.  The same treatment covers the
+  cancel path: every ``unless`` pattern (Feature 4) with a
+  ``field == $var`` guard gets its own hash index over the instances
+  waiting at its stage (:func:`unless_index_plans`), so a cancelling
+  event probes one bucket instead of walking the stage population; an
+  ``unless`` with no such guard still scans.
 
-* :class:`LinearInstanceStore` — always scans.  It exists as the ablation
-  baseline for ``benchmarks/bench_instance_index.py``, quantifying why
-  instance identification is a switch-design axis and not a lookup detail.
+* :class:`LinearInstanceStore` — always scans, advances and cancels
+  alike.  It exists as the ablation baseline for
+  ``benchmarks/bench_instance_index.py``, quantifying why instance
+  identification is a switch-design axis and not a lookup detail, and as
+  the oracle the differential suite holds the indexed store to.
+
+Order is part of the contract.  The scan visits a stage's population in
+stage-entry order (a refresh re-inserts, so this is not instance-id
+order) and cancels are emitted in the order visited; op order feeds the
+seeded per-op control-channel faults in SPLIT mode.  Every bucket is an
+insertion-ordered dict re-inserted at the same moments as the stage
+population, so one bucket iterates in scan order, and
+:func:`merge_by_stage_entry` restores it across buckets.
 """
 
 from __future__ import annotations
@@ -56,6 +71,8 @@ class Instance:
         "instance_id",
         "stage_bucket",
         "index_bucket",
+        "unless_slots",
+        "stage_entry",
     )
 
     def __init__(
@@ -81,6 +98,12 @@ class Instance:
         # They make removal O(1) instead of a walk over stages × buckets.
         self.stage_bucket: Optional[Dict[int, "Instance"]] = None
         self.index_bucket: Optional[Dict[int, "Instance"]] = None
+        #: (unless index, key) per indexed ``unless`` pattern of the
+        #: current stage — where the indexed store filed this instance.
+        self.unless_slots: Tuple[Tuple[Dict, Tuple], ...] = ()
+        #: per-store stamp of the moment this instance (re-)entered its
+        #: stage population; orders instances drawn from several buckets.
+        self.stage_entry = 0
 
     @property
     def complete(self) -> bool:
@@ -106,6 +129,34 @@ def stage_index_plan(stage: Stage) -> Tuple[Tuple[str, str], ...]:
     return tuple(plan)
 
 
+def unless_index_plans(
+    stage: Stage,
+) -> Tuple[Tuple[int, Tuple[Tuple[str, str], ...]], ...]:
+    """``(position in stage.unless, (event_field, env_var) pairs)`` for
+    every ``unless`` pattern of the stage a cancel index can hash on."""
+    return tuple(
+        (j, plan)
+        for j, unless in enumerate(getattr(stage, "unless", ()))
+        if (plan := unless.env_guards())
+    )
+
+
+def merge_by_stage_entry(
+    a: Mapping[int, Instance], b: Mapping[int, Instance]
+) -> Dict[int, Instance]:
+    """The union of two buckets of one stage, in stage-population order.
+
+    Called by the generated cancel path when two ``unless`` patterns of
+    one stage both hit on one event: the scan would have met the
+    instances interleaved by stage entry, not bucket by bucket.
+    """
+    return {
+        inst.instance_id: inst
+        for inst in sorted(
+            {**a, **b}.values(), key=lambda inst: inst.stage_entry)
+    }
+
+
 #: shared empty dict backing ``at_stage`` misses (never written to).
 _EMPTY_STAGE: Dict[int, Instance] = {}
 
@@ -115,8 +166,9 @@ class InstanceStore:
 
     Beyond the key map, the base class maintains one dict per stage
     holding exactly the live instances waiting there, so ``at_stage`` —
-    the scan behind every ``unless`` pattern and linear-store candidate
-    lookup — is O(stage population) and allocates nothing per event.
+    the linear store's candidate lookup, and the scan behind any
+    ``unless`` pattern with nothing to hash on — is O(stage population)
+    and allocates nothing per event.
     """
 
     def __init__(self, prop: PropertySpec, capacity: Optional[int] = None) -> None:
@@ -183,6 +235,14 @@ class InstanceStore:
         self, stage_idx: int, fields: Mapping[str, object]
     ) -> Iterable[Instance]:
         raise NotImplementedError
+
+    def unless_index(
+        self, stage_idx: int, pattern_idx: int
+    ) -> Optional[Dict[Tuple, Dict[int, Instance]]]:
+        """The cancel index of ``stages[stage_idx].unless[pattern_idx]``
+        (index_key -> waiting instances), or None when there is none:
+        that pattern is answered by scanning ``at_stage``."""
+        return None
 
     def at_stage(self, stage_idx: int) -> Iterable[Instance]:
         """Live instances waiting at a stage — a view, no allocation."""
@@ -260,6 +320,30 @@ class IndexedInstanceStore(InstanceStore):
         self._buckets: Dict[int, Dict[Optional[Tuple], Dict[int, Instance]]] = {
             i: {} for i in self._plans
         }
+        # The cancel-path twin: stage -> one (position in stage.unless,
+        # index, env vars) per hashable ``unless`` pattern, each index
+        # mapping index_key -> instances in the same insertion-ordered
+        # shape.  The index dicts are created here and never replaced
+        # (the generated program binds them, see ``unless_index``); a
+        # bucket is dropped when its last instance leaves, so an index
+        # holds live instances only.
+        self._unless: Dict[int, Tuple[Tuple[int, Dict, Tuple[str, ...]], ...]] = {
+            i: tuple(
+                (j, {}, tuple(var for _, var in plan)) for j, plan in plans)
+            for i, stage in enumerate(prop.stages)
+            if (plans := unless_index_plans(stage))
+        }
+        self._stage_entries = itertools.count(1)
+
+    def unless_index(
+        self, stage_idx: int, pattern_idx: int
+    ) -> Optional[Dict[Tuple, Dict[int, Instance]]]:
+        """None when the pattern has no ``field == $var`` guard to hash
+        on."""
+        for j, index, _ in self._unless.get(stage_idx, ()):
+            if j == pattern_idx:
+                return index
+        return None
 
     def _instance_index_key(self, instance: Instance) -> Optional[Tuple]:
         plan = self._plans.get(instance.stage, ())
@@ -280,6 +364,18 @@ class IndexedInstanceStore(InstanceStore):
         bucket = self._buckets[instance.stage].setdefault(key, {})
         bucket[instance.instance_id] = instance
         instance.index_bucket = bucket
+        unless = self._unless.get(instance.stage)
+        if unless is not None:
+            # Spec validation guarantees every $var an unless reads is
+            # bound before its stage, so there is no unhashable case.
+            env = instance.env
+            slots = []
+            for _, index, env_vars in unless:
+                key = tuple(env[var] for var in env_vars)
+                index.setdefault(key, {})[instance.instance_id] = instance
+                slots.append((index, key))
+            instance.unless_slots = tuple(slots)
+            instance.stage_entry = next(self._stage_entries)
 
     def _index_remove(self, instance: Instance) -> None:
         # The back-pointer makes this O(1); the historical implementation
@@ -288,6 +384,13 @@ class IndexedInstanceStore(InstanceStore):
         if bucket is not None:
             bucket.pop(instance.instance_id, None)
             instance.index_bucket = None
+        if instance.unless_slots:
+            for index, key in instance.unless_slots:
+                bucket = index[key]
+                del bucket[instance.instance_id]
+                if not bucket:
+                    del index[key]
+            instance.unless_slots = ()
 
     def _index_move(self, instance: Instance, old_stage: int) -> None:
         self._index_remove(instance)

@@ -253,6 +253,9 @@ class Monitor:
         #: live instances across all stores, maintained incrementally so
         #: the telemetry-disabled path never iterates stores per event.
         self._live_total = 0
+        #: properties whose store gained or lost an instance since their
+        #: live gauge was last written (see ``_track_peak``).
+        self._live_dirty: set = set()
         if self.match_strategy == "interpreted":
             from .reference import evaluate_interpreted
 
@@ -605,7 +608,7 @@ class Monitor:
         ledgers.
         """
         program = self._codegen_program or self._program()
-        fn = program.eval_fns.get(type(event))
+        fn = program.eval_fns[type(event)]
         if fn is None:
             return []
         return fn(event, fields)
@@ -705,7 +708,7 @@ class Monitor:
                     op.time, classify_op("create", "dropped"))
                 return
             store.remove(victim)
-            self._live_total -= 1
+            self._live_changed(op.prop.name, -1)
             self._c_evicted.inc()
             self.ledger.record(
                 "instance-evicted", op.prop.name, f"key={victim.key!r}",
@@ -721,7 +724,7 @@ class Monitor:
         if record is not None:
             instance.provenance.append(record)
         store.add(instance)
-        self._live_total += 1
+        self._live_changed(op.prop.name, +1)
         self._c_created.inc()
         if self.tracer.enabled:
             self.tracer.event(
@@ -730,7 +733,7 @@ class Monitor:
         if instance.complete:  # single-stage property: immediate violation
             self._violate(instance, op.event, op.time)
             store.remove(instance)
-            self._live_total -= 1
+            self._live_changed(op.prop.name, -1)
             return
         self._arm_timer(instance, op.time)
 
@@ -758,7 +761,7 @@ class Monitor:
         if instance.complete:
             self._violate(instance, op.event, op.time)
             store.remove(instance)
-            self._live_total -= 1
+            self._live_changed(op.prop.name, -1)
             return
         store.reindex(instance, old_stage)
         self._arm_timer(instance, op.time)
@@ -769,7 +772,7 @@ class Monitor:
         if not instance.alive:
             return
         self._stores[op.prop.name].remove(instance)
-        self._live_total -= 1
+        self._live_changed(op.prop.name, -1)
         if op.reason == "discharged":
             self._c_discharged.inc()
         else:
@@ -832,7 +835,7 @@ class Monitor:
         store = self._stores[instance.prop.name]
         if instance.deadline_kind == "expire":
             store.remove(instance)
-            self._live_total -= 1
+            self._live_changed(instance.prop.name, -1)
             self._c_expired.inc()
             return
         # Timeout action (Feature 7): the negative observation is satisfied.
@@ -853,7 +856,7 @@ class Monitor:
         if instance.complete:
             self._violate(instance, None, deadline)
             store.remove(instance)
-            self._live_total -= 1
+            self._live_changed(instance.prop.name, -1)
             return
         store.reindex(instance, old_stage)
         self._arm_timer(instance, deadline)
@@ -890,19 +893,24 @@ class Monitor:
         for sink in self._sinks:
             sink(violation)
 
+    def _live_changed(self, prop_name: str, delta: int) -> None:
+        """One instance entered (+1) or left (-1) ``prop_name``'s store."""
+        self._live_total += delta
+        self._live_dirty.add(prop_name)
+
     def _track_peak(self) -> None:
-        if not self.registry.enabled:
-            # Telemetry off: no per-property gauge fan-out, no store
-            # iteration — the incrementally maintained total keeps the
-            # peak-live watermark exact at O(1) per event.
-            self._g_live.set(float(self._live_total))
-            return
-        total = 0
-        for name, store in self._stores.items():
-            live = store.live_count
-            total += live
-            self._prop_live_gauges[name].set(float(live))
-        self._g_live.set(float(total))
+        """Event-end gauge update: the incrementally maintained total
+        keeps the peak-live watermark exact at O(1) per event, and with
+        telemetry on only the stores that changed since the last write
+        get their per-property gauge set (an unchanged store's gauge
+        already holds its value and its watermark)."""
+        self._g_live.set(float(self._live_total))
+        dirty = self._live_dirty
+        if dirty and self.registry.enabled:
+            for name in dirty:
+                self._prop_live_gauges[name].set(
+                    float(self._stores[name].live_count))
+            dirty.clear()
 
     # -- lifecycle (the serve daemon's start/drain/stop contract) --------------------
     def start(self, now: float = 0.0) -> None:
@@ -1010,7 +1018,7 @@ class Monitor:
             instance.advanced_at = snap.advanced_at
             instance.provenance = list(snap.provenance)
             self._stores[snap.prop].add(instance)
-            self._live_total += 1
+            self._live_changed(snap.prop, +1)
             if snap.deadline is not None:
                 instance.deadline = snap.deadline
                 instance.deadline_kind = snap.deadline_kind

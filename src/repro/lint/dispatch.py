@@ -9,11 +9,13 @@ dispatch shape: a full-population scan on a hot packet kind.
 
 A stage scans when its index plan is empty — no equality guard against
 an earlier binding and no ``same_packet_as`` linkage — so every live
-instance must be examined on every matching event.  That is intrinsic
-for multiple-match properties like the paper's link-down example, but
-there the scanned kind is a rare out-of-band event; the warning fires
-only for per-packet kinds (arrival / egress / drop), where the scan
-turns per-event cost from O(1) into O(live instances).
+instance must be examined on every matching event; an ``unless`` scans
+on the same terms, when none of its own guards equates a field with an
+earlier binding.  That is intrinsic for multiple-match properties like
+the paper's link-down example, but there the scanned kind is a rare
+out-of-band event; the warning fires only for per-packet kinds (arrival
+/ egress / drop), where the scan turns per-event cost from O(1) into
+O(live instances).
 """
 
 from __future__ import annotations
@@ -63,9 +65,11 @@ def dispatch_diagnostics(
     """``L015`` for each stage scanning the population on a packet kind."""
     out: List[Diagnostic] = []
     for kind, stage, role in report.hot_scans:
+        what = (f"an unless of stage {stage!r}" if role == "unless"
+                else f"stage {stage!r}")
         out.append(make(
             "L015",
-            f"stage {stage!r} has no indexable guard, so every live "
+            f"{what} has no indexable guard, so every live "
             f"instance is scanned on every {kind} event — bind a "
             f"correlating field at an earlier stage or guard on one "
             f"(role: {role})",

@@ -164,12 +164,7 @@ def no_unfounded_reply(
                         kind=EventKind.EGRESS,
                         guards=(
                             is_dhcp_ack(),
-                            Predicate(
-                                lambda fields, env: fields.get("dhcp.yiaddr")
-                                == env.get("ip"),
-                                "lease granted for the asked address",
-                                fields_used=("dhcp.yiaddr",),
-                            ),
+                            FieldEq("dhcp.yiaddr", Var("ip")),
                         ),
                     ),
                     # ...or a genuine reply arriving from the owner.

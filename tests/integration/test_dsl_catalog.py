@@ -54,6 +54,14 @@ class TestDslTable1Equivalence:
         dsl_prop = dsl_specs[TABLE1_DSL_KEYS[row]]
         assert dsl_prop.num_stages == entry.prop.num_stages
         assert len(dsl_prop.key_vars) == len(entry.prop.key_vars)
+        # The field == $var equalities are what the instance store hashes
+        # on (advances and unless cancels alike): one hidden in a builder
+        # lambda turns a bucket probe into a population scan.
+        for built, parsed in zip(entry.prop.stages, dsl_prop.stages):
+            assert sorted(built.pattern.env_guards()) == sorted(
+                parsed.pattern.env_guards()), built.name
+            assert [sorted(u.env_guards()) for u in built.unless] == [
+                sorted(u.env_guards()) for u in parsed.unless], built.name
 
 
 class TestDslWorkedExamples:

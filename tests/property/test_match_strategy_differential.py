@@ -9,6 +9,9 @@ instance-store strategy, whether events arrive one at a time or through
 ``observe_batch``'s columnar driver, alone or behind the sharded fabric,
 and under every monitor configuration that changes what evaluation sees
 (parse depth, split mode, provenance, key ownership, bounded stores).
+For the cancel path the bar is higher than counters: the *sequence* of
+applied ops must be the reference scan's, because op order feeds the
+seeded per-op control-channel faults in SPLIT mode.
 
 The probe catalog here is deliberately richer than the one in
 ``test_engine_properties``: it adds negative observations (Absent),
@@ -21,7 +24,7 @@ against the reference.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -43,6 +46,7 @@ from repro.core import (
 from repro.core.degradation import EVICTION_POLICIES, DegradationPolicy
 from repro.core.provenance import ProvenanceLevel
 from repro.fabric.routing import stable_hash
+from repro.netsim.chaos import ControlFaultProfile
 from repro.packet import ethernet
 from repro.props.catalog import build_table1
 from repro.resilience import catalog_trace
@@ -310,6 +314,81 @@ def run_catalog(match_strategy, **monitor_kwargs):
     return violations, stats, monitor.ledger.summary()
 
 
+def cancel_prop():
+    """Two ``unless`` patterns on one stage, keyed on different variables.
+
+    An arrival x->y creates or refreshes (x, y) — a refresh re-inserts,
+    so stage-population order drifts away from instance-id order — and
+    cancels waiting instances with D == x (first pattern) and with
+    S == y (second): two buckets of the indexed store hit at once, their
+    members interleaved in the stage population.  The in_port guards
+    keep some of each bucket alive, and the third stage carries the
+    instances (and their index entries) one stage further.
+    """
+    return PropertySpec(
+        name="cancelly", description="",
+        stages=(
+            Observe("a", EventPattern(
+                kind=EventKind.ARRIVAL,
+                binds=(Bind("S", "eth.src"), Bind("D", "eth.dst")))),
+            Observe("b", EventPattern(
+                kind=EventKind.EGRESS,
+                guards=(FieldEq("eth.dst", Var("S")),
+                        FieldEq("out_port", Const(1)))),
+                within=6.0,
+                unless=(
+                    EventPattern(kind=EventKind.ARRIVAL, guards=(
+                        FieldEq("eth.src", Var("D")),
+                        FieldNe("in_port", Const(3)))),
+                    EventPattern(kind=EventKind.ARRIVAL, guards=(
+                        FieldEq("eth.dst", Var("S")),
+                        FieldNe("in_port", Const(4)))),
+                )),
+            Observe("c", EventPattern(
+                kind=EventKind.EGRESS,
+                guards=(FieldEq("eth.src", Var("S")),)),
+                unless=(EventPattern(kind=EventKind.DROP, guards=(
+                    FieldEq("eth.dst", Var("D")),)),)),
+        ),
+        key_vars=("S", "D"),
+    )
+
+
+def applied_ops(events, store_strategy, match_strategy, **monitor_kwargs):
+    """The ops a monitor over :func:`cancel_prop` applied, in order."""
+    monitor = Monitor(store_strategy=store_strategy,
+                      match_strategy=match_strategy, **monitor_kwargs)
+    monitor.add_property(cancel_prop())
+    applied = []
+    apply_op = monitor._apply
+
+    def recording_apply(op):
+        key = op.instance.key if op.instance is not None else op.key
+        applied.append((op.kind, op.prop.name, key, op.reason))
+        apply_op(op)
+
+    monitor._apply = recording_apply
+    for event in events:
+        monitor.observe(event)
+    monitor.advance_to(events[-1].time + 100.0)
+    return applied, [fingerprint(v) for v in monitor.violations]
+
+
+def _arrival(src, dst, t):
+    return PacketArrival(switch_id="s", time=t, packet=ethernet(src, dst),
+                         in_port=1)
+
+
+#: (1, 2) then (3, 4) are created, a repeat 1->2 refreshes (1, 2) to the
+#: back of the stage population, then 2->3 hits both ``unless`` buckets:
+#: D == 2 holds (1, 2), S == 3 holds (3, 4).  The scan kills (3, 4)
+#: first; instance-id order, or bucket-by-bucket order, kills (1, 2) first.
+REORDERED_DOUBLE_HIT = [
+    _arrival(1, 2, 0.1), _arrival(3, 4, 0.2), _arrival(1, 2, 0.3),
+    _arrival(2, 3, 0.4),
+]
+
+
 class TestMatchStrategyEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(event_streams())
@@ -387,3 +466,32 @@ class TestMatchStrategyEquivalence:
         assert compiled == run_catalog("interpreted", **kwargs)
         if config.startswith("capped-"):
             assert compiled[2]["records"] > 0  # the cap really shed
+
+    @settings(max_examples=30, deadline=None)
+    @given(event_streams(max_events=40), st.integers(0, 3))
+    @example(events=REORDERED_DOUBLE_HIT, fault_seed=0)
+    def test_cancel_order_is_the_scan_order(self, events, fault_seed):
+        """The indexed cancel path applies the ops of the reference scan
+        (``interpreted``, and ``compiled`` over the linear store) in the
+        same order — kind, property, instance key, reason — inline, and
+        in SPLIT mode behind a seeded lossy control channel, where a
+        different order would hand the seeded drops to different ops."""
+        profile = ControlFaultProfile(
+            drop=0.3, extra_lag=0.01, jitter=0.05, seed=fault_seed)
+        modes = {
+            "inline": lambda: {},
+            "split-faults": lambda: dict(
+                mode=ProcessingMode.SPLIT, split_lag=0.02,
+                op_faults=profile.channel()),
+        }
+        if events is REORDERED_DOUBLE_HIT:
+            kills = [key for kind, _, key, _ in applied_ops(
+                events, "indexed", "compiled")[0] if kind == "kill"]
+            assert [tuple(map(int, key)) for key in kills] == [(3, 4), (1, 2)]
+        for mode, kwargs in modes.items():
+            indexed = applied_ops(events, "indexed", "compiled", **kwargs())
+            for store, match in (("indexed", "interpreted"),
+                                 ("linear", "compiled"),
+                                 ("linear", "interpreted")):
+                assert indexed == applied_ops(
+                    events, store, match, **kwargs()), (mode, store, match)

@@ -20,14 +20,22 @@ from repro.lint import lint_source, render_json, render_text
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "lint", "golden")
 
+#: golden input -> the stem its two renderings are written under
+INPUTS = {
+    "golden_input.prop": "report",
+    "unless_scan_input.prop": "unless_scan",
+}
+
 
 def generate(out_dir: str) -> list:
-    with open(os.path.join(GOLDEN, "golden_input.prop")) as fp:
-        report = lint_source(fp.read(), path="golden_input.prop")
-    outputs = [
-        ("report.txt", render_text([report]) + "\n"),
-        ("report.json", render_json([report]) + "\n"),
-    ]
+    outputs = []
+    for source, stem in INPUTS.items():
+        with open(os.path.join(GOLDEN, source)) as fp:
+            report = lint_source(fp.read(), path=source)
+        outputs += [
+            (stem + ".txt", render_text([report]) + "\n"),
+            (stem + ".json", render_json([report]) + "\n"),
+        ]
     paths = []
     for name, text in outputs:
         path = os.path.join(out_dir, name)

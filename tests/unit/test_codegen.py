@@ -10,13 +10,17 @@ while the Hypothesis differential suite owns semantic equivalence.
 
 import io
 import os
+import re
 from contextlib import redirect_stdout
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core import Monitor
+from repro.core.compile import scan_watchers
+from repro.lint.dispatch import HOT_KINDS
 from repro.props.catalog import build_table1
+from repro.switch.events import PacketArrival, PacketEgress, TimerFired
 from tests.regen_codegen_goldens import GOLDEN, PINNED, generated_source
 
 CATALOG = {entry.prop.name: entry.prop for entry in build_table1()}
@@ -70,12 +74,38 @@ class TestProgramSurface:
         monitor.codegen_source()
         program = monitor._codegen_program
         lines = program.source.splitlines()
-        for fn in program.eval_fns.values():
+        assert not program.eval_fns  # nothing compiled before first use
+        for cls in (PacketArrival, PacketEgress):
+            fn = program.eval_fns[cls]
             assert fn.__code__.co_filename == "<repro-codegen>"
             # each function is compiled on its own, yet a traceback's
             # line number still points into the dumped program
             assert lines[fn.__code__.co_firstlineno - 1].startswith(
                 f"def {fn.__name__}(")
+        assert program.eval_fns[TimerFired] is None  # unwatched class
+
+
+class TestCatalogCancelPath:
+    """The Sec. 3.3 regression guard, with no clock in it: no Table-1
+    property may put a per-packet watcher on a full-population walk."""
+
+    def test_no_catalog_watcher_scans_on_a_packet_kind(self):
+        for entry in build_table1():
+            hot = [scan for scan in scan_watchers(entry.prop)
+                   if scan[0] in HOT_KINDS]
+            assert hot == [], entry.prop.name
+
+    def test_catalog_program_walks_no_stage_population_per_packet(self):
+        monitor = Monitor()
+        for entry in build_table1():
+            monitor.add_property(entry.prop)
+        source = monitor.codegen_source()
+        assert "_ub" in source  # the cancel probes are there instead
+        for chunk in source.split("\ndef ")[1:]:
+            name = chunk[:chunk.index("(")]
+            if name.endswith(("__PacketArrival", "__PacketEgress",
+                              "__PacketDrop")):
+                assert not re.search(r"_sp\d+_\d+", chunk), name
 
 
 class TestExplainCommand:

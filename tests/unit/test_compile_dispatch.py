@@ -242,6 +242,22 @@ def rich_prop():
     )
 
 
+def _unless_prop(unless):
+    """Two stages, the second indexable, cancelled by ``unless``."""
+    return PropertySpec(
+        name="cancelled", description="",
+        stages=(
+            Observe("a", EventPattern(kind=EventKind.ARRIVAL,
+                                      binds=(Bind("S", "eth.src"),))),
+            Observe("b", EventPattern(
+                kind=EventKind.EGRESS,
+                guards=(FieldEq("eth.dst", Var("S")),)),
+                unless=(unless,)),
+        ),
+        key_vars=("S",),
+    )
+
+
 class TestDispatchPlan:
     def test_roles_land_on_the_right_classes(self):
         plan = dispatch_plan(rich_prop())
@@ -270,10 +286,15 @@ class TestDispatchPlan:
         for cls in (PacketArrival, PacketEgress, PacketDrop):
             assert any(w.role == "create" for w in plan[cls])
 
-    def test_unless_watchers_are_never_indexed(self):
+    def test_unless_watchers_indexed_by_env_guards(self):
         plan = dispatch_plan(rich_prop())
         (unless,) = plan[OutOfBandEvent]
-        assert unless.indexed is False
+        assert unless.indexed is False  # an oob kind test hashes nothing
+        keyed = dispatch_plan(_unless_prop(
+            EventPattern(kind=EventKind.ARRIVAL,
+                         guards=(FieldEq("eth.src", Var("S")),))))
+        assert [w.indexed for w in keyed[PacketArrival]
+                if w.role == "unless"] == [True]
 
     def test_summary_and_labels(self):
         assert dispatch_summary(rich_prop()) == {
@@ -294,8 +315,18 @@ class TestDispatchPlan:
             key_vars=("S",),
         )
         assert scan_watchers(hot) == [("arrival", "b", "advance")]
-        # an indexable stage produces no scans (the uid link indexes ident)
-        assert scan_watchers(rich_prop()) == []
+        # an indexable stage produces no scans (the uid link indexes
+        # ident); its unless has nothing to hash on, so that one scans
+        assert scan_watchers(rich_prop()) == [("oob", "reply", "unless")]
+
+    def test_scan_watchers_reports_unless_like_any_other_scan(self):
+        unkeyed = EventPattern(kind=EventKind.ARRIVAL,
+                               guards=(FieldEq("tcp.dst", Const(80)),))
+        assert scan_watchers(_unless_prop(unkeyed)) == [
+            ("arrival", "b", "unless")]
+        keyed = EventPattern(kind=EventKind.ARRIVAL,
+                             guards=(FieldEq("eth.src", Var("S")),))
+        assert scan_watchers(_unless_prop(keyed)) == []
 
 
 class TestMonitorDispatch:

@@ -4,10 +4,12 @@ import pytest
 
 from repro.core import (
     Bind,
+    Const,
     EventKind,
     EventPattern,
     FieldEq,
     MatchKind,
+    Monitor,
     Observe,
     PropertySpec,
     Var,
@@ -18,12 +20,16 @@ from repro.core import (
     stage_index_plan,
     uid_var,
 )
+from repro.core.degradation import EVICTION_POLICIES, DegradationPolicy
 from repro.core.instances import (
     IndexedInstanceStore,
     Instance,
     LinearInstanceStore,
     make_store,
+    unless_index_plans,
 )
+from repro.core.refs import event_fields
+from repro.packet import ethernet
 from repro.props import (
     build_table1,
     firewall_basic,
@@ -32,6 +38,12 @@ from repro.props import (
     learned_unicast_port,
     link_down_clears_learning,
     nat_reverse_translation,
+)
+from repro.switch.events import (
+    EgressAction,
+    PacketArrival,
+    PacketDrop,
+    PacketEgress,
 )
 
 
@@ -134,6 +146,211 @@ class TestInstanceStores:
         assert list(store.candidates(1, {"eth.dst": "m"})) == []
 
 
+def cancel_prop():
+    """Stage b: one unless keyed on D, one on S, one with nothing to hash
+    on; stage c: one keyed on D again."""
+    arrival = EventKind.ARRIVAL
+    return PropertySpec(
+        name="cp", description="",
+        stages=(
+            Observe("a", EventPattern(
+                kind=arrival,
+                binds=(Bind("S", "eth.src"), Bind("D", "eth.dst")))),
+            Observe("b", EventPattern(
+                kind=EventKind.EGRESS,
+                guards=(FieldEq("eth.dst", Var("S")),)),
+                within=5.0,
+                unless=(
+                    EventPattern(kind=arrival, guards=(
+                        FieldEq("eth.src", Var("D")),)),
+                    EventPattern(kind=EventKind.DROP, guards=(
+                        FieldEq("eth.dst", Var("S")),
+                        FieldEq("in_port", Const(1)))),
+                    EventPattern(kind=EventKind.DROP, guards=(
+                        FieldEq("in_port", Const(9)),)),
+                )),
+            Observe("c", EventPattern(
+                kind=EventKind.EGRESS,
+                guards=(FieldEq("eth.src", Var("S")),)),
+                unless=(EventPattern(kind=arrival, guards=(
+                    FieldEq("eth.dst", Var("D")),)),)),
+        ),
+        key_vars=("S", "D"),
+    )
+
+
+def unless_contents(store):
+    """(stage, unless position) -> {index key: [instance keys in order]}."""
+    out = {}
+    for stage_idx, stage in enumerate(store.prop.stages):
+        for j, _ in unless_index_plans(stage):
+            out[stage_idx, j] = {
+                key: [inst.key for inst in bucket.values()]
+                for key, bucket in store.unless_index(stage_idx, j).items()
+            }
+    return out
+
+
+def check_unless_invariant(store):
+    """Every index holds exactly the live instances waiting at its stage,
+    filed under their current bindings, in stage-population order, and
+    no empty bucket is kept."""
+    for stage_idx, stage in enumerate(store.prop.stages):
+        waiting = list(store.at_stage(stage_idx))
+        for j, plan in unless_index_plans(stage):
+            expected = {}
+            for inst in waiting:
+                key = tuple(inst.env[var] for _, var in plan)
+                expected.setdefault(key, []).append(inst.key)
+            assert unless_contents(store)[stage_idx, j] == expected
+
+
+class TestUnlessIndex:
+    def _instance(self, prop, s, d):
+        return Instance(prop, (s, d), {"S": s, "D": d}, created_at=0.0)
+
+    def test_plans_cover_only_hashable_patterns(self):
+        prop = cancel_prop()
+        assert unless_index_plans(prop.stages[0]) == ()
+        assert unless_index_plans(prop.stages[1]) == (
+            (0, (("eth.src", "D"),)), (1, (("eth.dst", "S"),)))
+        store = IndexedInstanceStore(prop)
+        assert store.unless_index(1, 2) is None  # constant guards only
+        assert store.unless_index(2, 0) == {}
+
+    def test_add_and_remove(self):
+        prop = cancel_prop()
+        store = IndexedInstanceStore(prop)
+        one, two = self._instance(prop, "s", "d"), self._instance(prop, "t", "d")
+        store.add(one)
+        store.add(two)
+        assert unless_contents(store) == {
+            (1, 0): {("d",): [("s", "d"), ("t", "d")]},
+            (1, 1): {("s",): [("s", "d")], ("t",): [("t", "d")]},
+            (2, 0): {},
+        }
+        store.remove(one)
+        assert one.unless_slots == ()
+        assert unless_contents(store) == {
+            (1, 0): {("d",): [("t", "d")]},
+            (1, 1): {("t",): [("t", "d")]},
+            (2, 0): {},
+        }
+        store.remove(two)
+        assert unless_contents(store) == {(1, 0): {}, (1, 1): {}, (2, 0): {}}
+
+    def test_refresh_rebinds_and_moves_to_the_back(self):
+        prop = cancel_prop()
+        store = IndexedInstanceStore(prop)
+        one, two = self._instance(prop, "s", "d"), self._instance(prop, "t", "d")
+        store.add(one)
+        store.add(two)
+        store.reindex(one, old_stage=1)  # a refresh: same stage, re-entered
+        assert [i.key for i in store.at_stage(1)] == [("t", "d"), ("s", "d")]
+        assert unless_contents(store)[1, 0] == {
+            ("d",): [("t", "d"), ("s", "d")]}
+        assert one.stage_entry > two.stage_entry
+        one.env["D"] = "e"  # a refresh that re-binds an indexed variable
+        store.reindex(one, old_stage=1)
+        assert unless_contents(store)[1, 0] == {
+            ("d",): [("t", "d")], ("e",): [("s", "d")]}
+        check_unless_invariant(store)
+
+    def test_advance_moves_to_the_next_stage_index(self):
+        prop = cancel_prop()
+        store = IndexedInstanceStore(prop)
+        inst = self._instance(prop, "s", "d")
+        store.add(inst)
+        inst.stage = 2
+        store.reindex(inst, old_stage=1)
+        assert unless_contents(store) == {
+            (1, 0): {}, (1, 1): {}, (2, 0): {("d",): [("s", "d")]}}
+        inst.stage = 3  # complete: waits nowhere
+        store.reindex(inst, old_stage=2)
+        assert unless_contents(store) == {(1, 0): {}, (1, 1): {}, (2, 0): {}}
+
+    def test_linear_store_keeps_no_index(self):
+        prop = cancel_prop()
+        store = LinearInstanceStore(prop)
+        inst = self._instance(prop, "s", "d")
+        store.add(inst)
+        assert inst.unless_slots == ()
+        assert store.unless_index(1, 0) is None
+
+    @staticmethod
+    def _events():
+        """Creates, refreshes, cancels by each pattern, an advance, and a
+        violation."""
+        def arrival(src, dst, t):
+            return PacketArrival(switch_id="s", time=t, in_port=1,
+                                 packet=ethernet(src, dst))
+
+        def egress(src, dst, t):
+            return PacketEgress(
+                switch_id="s", time=t, packet=ethernet(src, dst), out_port=2,
+                in_port=1, action=EgressAction.UNICAST)
+        pairs = [(1, 2), (3, 4), (5, 6), (1, 2), (7, 8), (2, 9), (3, 5),
+                 (9, 1), (4, 7), (5, 6), (6, 3), (8, 2)]
+        events = [arrival(s, d, 0.1 * (n + 1)) for n, (s, d) in enumerate(pairs)]
+        events.append(egress(2, 8, 1.5))  # (8, 2) moves on to stage c
+        events.append(PacketDrop(switch_id="s", time=1.6, in_port=1,
+                                 packet=ethernet(1, 9)))  # cancels S == 9
+        events += [arrival(s, d, 1.7 + 0.1 * n)
+                   for n, (s, d) in enumerate([(1, 3), (4, 4), (2, 6)])]
+        events.append(egress(8, 5, 2.1))  # (8, 2) completes: a violation
+        return events
+
+    @pytest.mark.parametrize("eviction", EVICTION_POLICIES)
+    def test_index_follows_the_monitor_lifecycle(self, eviction):
+        monitor = Monitor(degradation=DegradationPolicy(
+            max_instances=4, eviction=eviction))
+        monitor.add_property(cancel_prop())
+        store = monitor.store("cp")
+        for event in self._events():
+            monitor.observe(event)
+            check_unless_invariant(store)
+        assert monitor.stats.instances_cancelled > 0
+        assert monitor.stats.refreshes > 0
+        assert (monitor.stats.instances_evicted
+                + monitor.stats.instances_rejected) > 0
+        assert any(unless_contents(store).values())
+        monitor.advance_to(1000.0)  # stage b expires; stage c waits forever
+        check_unless_invariant(store)
+        for inst in list(store.all()):
+            store.remove(inst)
+        assert not any(unless_contents(store).values())
+
+    def test_restored_monitor_probes_like_the_original(self):
+        """A restore re-adds instances in export (key-map) order, which a
+        refresh can make differ from the exporter's stage order — for the
+        scan as much as for the index; here the one refreshed instance is
+        cancelled before the checkpoint, so even the order carries over."""
+        events = self._events()
+        original, restored = Monitor(), Monitor()
+        for monitor in (original, restored):
+            monitor.add_property(cancel_prop())
+        for event in events[:9]:
+            original.observe(event)
+        restored.restore_state(original.export_state())
+        already = len(original.violations)
+        check_unless_invariant(restored.store("cp"))
+        assert (unless_contents(restored.store("cp"))
+                == unless_contents(original.store("cp")))
+        for event in events[9:]:
+            plans = [
+                [(op.kind, op.key or op.instance.key, op.reason)
+                 for op in monitor._evaluate(event, event_fields(event))]
+                for monitor in (original, restored)
+            ]
+            assert plans[0] == plans[1]
+            for monitor in (original, restored):
+                monitor.observe(event)
+        assert len(original.violations) > already
+        assert ([(v.time, v.bindings) for v in restored.violations]
+                == [(v.time, v.bindings)
+                    for v in original.violations[already:]])
+
+
 class TestFieldClassification:
     @pytest.mark.parametrize(
         "field,layer",
@@ -201,6 +418,18 @@ class TestAnalysis:
                 f"{entry.description}: computed {entry.computed_row()}, "
                 f"paper says {entry.expected_row}"
             )
+
+    def test_no_unfounded_reply_row_survives_structured_unless(self):
+        """Its lease-ACK unless is the structured ``dhcp.yiaddr == $ip``
+        the store can hash; the wandering-match cell still comes from the
+        stage-0 predicate's history fields."""
+        (entry,) = [e for e in build_table1()
+                    if e.prop.name == "no-unfounded-reply"]
+        ack, reply = entry.prop.stages[1].unless
+        assert ack.env_guards() == (("dhcp.yiaddr", "ip"),)
+        assert reply.env_guards() == (("arp.sender_ip", "ip"),)
+        assert analyze(entry.prop).match_kind is MatchKind.WANDERING
+        assert entry.matches_paper()
 
     def test_table1_groups(self):
         groups = [e.group for e in build_table1()]

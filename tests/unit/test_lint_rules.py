@@ -155,6 +155,21 @@ class TestRenderGolden:
             expected = fp.read()
         assert render_json([self._report()]) + "\n" == expected
 
+    @pytest.mark.parametrize("ext,render", [
+        ("txt", render_text), ("json", render_json)])
+    def test_unless_scan_rendering_matches_golden(self, ext, render):
+        """L015 on the cancel path: an unless nothing keys, on a stage
+        whose own advance is indexable."""
+        source = "unless_scan_input.prop"
+        with open(fixture_path(os.path.join("golden", source))) as fp:
+            report = lint_source(fp.read(), path=source)
+        (hit,) = [d for d in report.all_diagnostics() if d.code == "L015"]
+        assert "an unless of stage 'reply'" in hit.message
+        assert "(role: unless)" in hit.message
+        with open(fixture_path(
+                os.path.join("golden", "unless_scan." + ext))) as fp:
+            assert render([report]) + "\n" == fp.read()
+
     def test_json_is_valid_and_summarised(self):
         payload = json.loads(render_json([self._report()]))
         assert payload["summary"]["files"] == 1
