@@ -32,7 +32,7 @@ from repro.core import (
     Var,
 )
 from repro.packet import tcp_packet
-from repro.props import firewall_basic
+from repro.props import load_property
 from repro.switch.events import OobKind, PacketArrival, PacketDrop
 
 POPULATIONS = (50, 200, 800)
@@ -42,7 +42,7 @@ def drive(strategy, population, registry=None):
     """Create ``population`` firewall instances, then probe with events
     that must be checked against the stage-1 waiting set."""
     monitor = Monitor(store_strategy=strategy, registry=registry)
-    monitor.add_property(firewall_basic())
+    monitor.add_property(load_property("firewall-basic"))
     t = 0.0
     for i in range(population):
         t += 1e-4
@@ -96,7 +96,7 @@ def test_same_verdicts_both_stores():
 
     def verdicts(strategy):
         monitor = Monitor(store_strategy=strategy)
-        monitor.add_property(firewall_basic())
+        monitor.add_property(load_property("firewall-basic"))
         out = tcp_packet(1, 2, "10.0.0.1", "198.51.100.9", 1000, 80)
         back = tcp_packet(2, 1, "198.51.100.9", "10.0.0.1", 80, 1000)
         monitor.observe(PacketArrival(switch_id="s", time=0.0, packet=out,

@@ -16,14 +16,25 @@ the fully-refined property still catches a genuinely buggy firewall.
 Run:  python examples/firewall_monitoring.py
 """
 
+from dataclasses import replace
+
 from repro.apps import StatefulFirewallApp, sometimes
 from repro.core import Monitor
 from repro.netsim import single_switch_network
 from repro.packet import tcp_fin, tcp_packet
-from repro.props import firewall_basic, firewall_timed, firewall_with_close
+from repro.props import load_property
 from repro.switch.pipeline import MissPolicy
 
 T = 5.0  # the firewall's advertised state timeout
+
+
+def with_window(name: str, seconds: float):
+    """The catalog property *name* (shipped with a 30 s pinhole window)
+    with the window set to this firewall's timeout."""
+    prop = load_property(name)
+    outbound_stage, return_dropped = prop.stages
+    return replace(prop, stages=(
+        outbound_stage, replace(return_dropped, within=seconds)))
 
 
 def run_scenario(app, scenario) -> dict:
@@ -34,9 +45,9 @@ def run_scenario(app, scenario) -> dict:
     switch.set_app(app)
     monitor = Monitor(scheduler=net.scheduler)
     props = {
-        "basic": firewall_basic(),
-        "timed": firewall_timed(T=T, name="fw-timed"),
-        "with-close": firewall_with_close(T=T, name="fw-close"),
+        "basic": load_property("firewall-basic"),
+        "timed": with_window("firewall-timed", T),
+        "with-close": with_window("firewall-with-close", T),
     }
     for prop in props.values():
         monitor.add_property(prop)

@@ -19,7 +19,7 @@ from repro.apps import NatApp, sometimes
 from repro.core import Monitor, ProvenanceLevel
 from repro.netsim import single_switch_network
 from repro.packet import IPv4Address, tcp_packet
-from repro.props import nat_reverse_translation
+from repro.props import load_property
 from repro.switch.pipeline import MissPolicy
 
 PUBLIC_IP = IPv4Address("203.0.113.1")
@@ -32,7 +32,7 @@ def run(nat: NatApp):
     switch.set_app(nat)
     monitor = Monitor(scheduler=net.scheduler,
                       provenance=ProvenanceLevel.FULL)
-    monitor.add_property(nat_reverse_translation())
+    monitor.add_property(load_property("nat-reverse-translation"))
     monitor.attach(switch)
 
     # Outbound: 10.0.0.1:5555 -> 198.51.100.1:80 (gets translated).

@@ -14,7 +14,7 @@ from repro.apps import LearningSwitchApp, sometimes
 from repro.core import Monitor
 from repro.netsim import single_switch_network
 from repro.packet import ethernet
-from repro.props import learned_unicast_port
+from repro.props import load_property
 from repro.switch.pipeline import MissPolicy
 
 
@@ -30,7 +30,7 @@ def main() -> None:
 
     # The monitor: attach the Sec. 1 property as a dataplane tap.
     monitor = Monitor(scheduler=net.scheduler)
-    monitor.add_property(learned_unicast_port())
+    monitor.add_property(load_property("learned-unicast-port"))
     monitor.attach(switch)
 
     # Drive traffic: h1 talks (teaching the switch MAC 1 lives on port 1),

@@ -11,11 +11,11 @@ Quick tour::
 
     from repro.netsim import single_switch_network, TraceRecorder
     from repro.core import Monitor
-    from repro.props import firewall_timed
+    from repro.props import load_property
 
     net, switch, hosts = single_switch_network(2)
     monitor = Monitor(scheduler=net.scheduler)
-    monitor.add_property(firewall_timed(T=30.0))
+    monitor.add_property(load_property("firewall-timed"))
     monitor.attach(switch)
     # drive traffic; monitor.violations collects the witnesses
 

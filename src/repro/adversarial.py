@@ -50,11 +50,7 @@ from .packet.builder import (
 from .packet.dhcp import DhcpMessageType
 from .packet.headers import TCPFlags
 from .packet.packet import Packet
-from .props.arp import ArpKnowledge
-from .props.catalog import CATALOG_BACKENDS, CATALOG_VIP
-from .props.dhcp_arp import LeaseKnowledge
-from .props.dsl_sources import DSL_SOURCES, dsl_predicates
-from .props.load_balancing import RoundRobinExpectation
+from .props import CATALOG_NAMES, catalog_predicates, property_source
 from .switch.events import PacketArrival
 
 #: ledger record kinds that mean "an instance was shed"
@@ -73,12 +69,6 @@ _SPOOFABLE_PREDICATES = (
 )
 
 
-def _predicate_env():
-    return dsl_predicates(
-        ArpKnowledge(), LeaseKnowledge(),
-        RoundRobinExpectation(CATALOG_VIP, CATALOG_BACKENDS))
-
-
 # ---------------------------------------------------------------------------
 # findings
 # ---------------------------------------------------------------------------
@@ -87,7 +77,7 @@ def _predicate_env():
 class AttackFinding:
     """One L017/L018 diagnostic paired with everything needed to attack."""
 
-    source_key: str  # DSL_SOURCES key ("" for ad-hoc sources)
+    source_key: str  # catalog name ("" for ad-hoc sources)
     source: str
     ast: PropertyAst
     report: TaintReport
@@ -117,10 +107,10 @@ def findings_for(source: str, source_key: str = "") -> List[AttackFinding]:
 def catalog_findings(
     keys: Optional[Iterable[str]] = None,
 ) -> List[AttackFinding]:
-    """Attackable findings across the DSL catalog (or a subset of keys)."""
+    """Attackable findings across the catalog (or a subset of names)."""
     out: List[AttackFinding] = []
-    for key in (sorted(DSL_SOURCES) if keys is None else keys):
-        out.extend(findings_for(DSL_SOURCES[key], source_key=key))
+    for key in (sorted(CATALOG_NAMES) if keys is None else keys):
+        out.extend(findings_for(property_source(key), source_key=key))
     return out
 
 
@@ -308,7 +298,7 @@ class AttackOutcome:
 
 def _capped_monitor(finding: AttackFinding, cap: int) -> Monitor:
     """A monitor holding just the flagged property, capped as suggested."""
-    spec: PropertySpec = compile_one(finding.source, _predicate_env())
+    spec: PropertySpec = compile_one(finding.source, catalog_predicates())
     policy = suggested_policy(
         max(finding.report.instance_bound, 1), attacker_keyed=True, cap=cap)
     monitor = Monitor(degradation=policy)

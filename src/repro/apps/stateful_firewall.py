@@ -5,8 +5,8 @@ Topology convention: port ``internal_port`` faces the protected network,
 passes and opens a pinhole for the reverse (A, B) pair; external traffic is
 admitted only through a live pinhole.  Pinholes expire after
 ``state_timeout`` seconds and are torn down when either side closes the
-connection (FIN/RST) — the behaviours whose *correctness* the firewall
-property family in :mod:`repro.props.firewall` checks.
+connection (FIN/RST) — the behaviours whose *correctness* the
+``firewall_*.prop`` family in the :mod:`repro.props` catalog checks.
 
 Fault knobs:
 

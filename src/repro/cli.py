@@ -36,9 +36,10 @@
                                         #   running serve daemon at a target
                                         #   event rate
 
-Named predicates available to DSL files via ``check``/``replay``:
-``@internal`` (RFC1918 source, public destination), ``@tcp_syn``,
-``@tcp_close``, ``@dhcp_request``, ``@dhcp_ack``, ``@dhcp_release``.
+Named predicates available to DSL files (``check``/``lint``/``replay``/
+``explain``/``stats``): the whole catalog environment,
+:func:`repro.props.catalog_predicates` — listed in docs/LANGUAGE.md,
+"Named predicates".
 """
 
 from __future__ import annotations
@@ -59,13 +60,9 @@ def _predicates():
     checks and replays; their auxiliary state starts empty, which is the
     right default for replaying a standalone trace.
     """
-    from .props import ArpKnowledge, LeaseKnowledge, RoundRobinExpectation
-    from .props.catalog import CATALOG_BACKENDS, CATALOG_VIP
-    from .props.dsl_sources import dsl_predicates
+    from .props import catalog_predicates
 
-    return dsl_predicates(
-        ArpKnowledge(), LeaseKnowledge(),
-        RoundRobinExpectation(CATALOG_VIP, CATALOG_BACKENDS))
+    return catalog_predicates()
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
@@ -307,22 +304,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
         with open(args.target, "r", encoding="utf-8") as fp:
             props = compile_source(fp.read(), _predicates())
     else:
-        from .props import (
-            build_table1,
-            learned_no_flood,
-            learned_unicast_port,
-            link_down_clears_learning,
-        )
+        from .props import CATALOG_NAMES, load_property
 
-        known = [e.prop for e in build_table1()]
-        known += [learned_unicast_port(), learned_no_flood(),
-                  link_down_clears_learning()]
-        props = [p for p in known if p.name == args.target]
-        if not props:
-            names = ", ".join(sorted(p.name for p in known))
+        if args.target not in CATALOG_NAMES:
             print(f"unknown property {args.target!r} (not a file, not in "
-                  f"the catalog).\ncatalog: {names}", file=sys.stderr)
+                  f"the catalog).\ncatalog: "
+                  f"{', '.join(sorted(CATALOG_NAMES))}", file=sys.stderr)
             return 2
+        props = [load_property(args.target)]
     if args.codegen:
         # The exact source the monitor exec's for these properties —
         # what actually runs per event, after inlining.

@@ -102,7 +102,7 @@ class PropertySpec:
     the paper's hand classification differs, each with a comment saying
     why.  ``match_kind_override`` plays the same role for the one Table-1
     row whose paper classification differs from the structural rule (see
-    :mod:`repro.props.dhcp`).
+    ``repro/props/sources/dhcp_no_overlap.prop``).
     """
 
     name: str

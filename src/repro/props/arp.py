@@ -1,34 +1,15 @@
-"""ARP cache proxy properties — Sec. 2.3 and Table 1's first group
-(taken by the paper from Varanus).
+"""ARP cache proxy knowledge (Sec. 2.3, Table 1's first group).
 
-* :func:`arp_known_not_forwarded` — "Requests for known addresses are not
-  forwarded."  An address becomes known when a reply resolving it is seen
-  leaving the switch; a later *request* for it leaving the switch is the
-  violation.  Instance matching is **exact**: the same address value is
-  matched in both stages (no directional pair is inverted).
-
-* :func:`arp_unknown_forwarded` — "Requests for unknown addresses are
-  forwarded."  Stage 0 catches an arriving request whose target is not in
-  the proxy's knowledge (a predicate over the knowledge the monitor has
-  accumulated); the violation is *negative*: T seconds elapse without the
-  same packet leaving the switch (Feature 7 timeout action + Feature 5
-  packet identity).  The obligation is discharged if the request does get
-  forwarded.  The deadline is a monitoring practicality, not part of the
-  property statement — so it does not require ordinary timeouts (F3).
-
-* :func:`arp_reply_within` — the Sec. 2.3 worked example: "If the switch
-  receives a request for a known MAC address, it will send a reply within
-  T seconds."  The ``refresh='never'`` default is load-bearing: a
-  never-answered request storm arriving every T-1 seconds must still be
-  flagged (re-requests must NOT reset the timer).
+The properties themselves are ``sources/arp_*.prop``; what they cannot
+say in the language is *which addresses are known*, which is auxiliary
+monitor state (:class:`ArpKnowledge`, read by ``@known`` / ``@unknown``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Set
+from typing import Set
 
-from ..core.refs import Bind, EventKind, EventPattern, FieldEq, Predicate, Var
-from ..core.spec import Absent, Observe, PropertySpec
+from ..core.refs import Predicate
 from ..packet.addresses import IPv4Address
 from ..switch.events import PacketArrival, PacketEgress
 
@@ -92,137 +73,4 @@ def _is_arp_reply() -> Predicate:
         lambda fields, env: fields.get("arp.op") == ArpOp.REPLY,
         "ARP reply",
         fields_used=("arp.op",),
-    )
-
-
-def arp_known_not_forwarded(name: str = "arp-known-not-forwarded") -> PropertySpec:
-    return PropertySpec(
-        name=name,
-        description="Requests for known addresses are not forwarded",
-        stages=(
-            Observe(
-                "resolved",
-                EventPattern(
-                    kind=EventKind.EGRESS,
-                    guards=(_is_arp_reply(),),
-                    binds=(Bind("D", "arp.sender_ip"),),
-                ),
-            ),
-            Observe(
-                "request_forwarded",
-                EventPattern(
-                    kind=EventKind.EGRESS,
-                    guards=(
-                        _is_arp_request(),
-                        FieldEq("arp.target_ip", Var("D")),
-                        # The switch-forwarded copy of a host's request, not
-                        # a proxy-originated packet (inject uses in_port 0).
-                        Predicate(
-                            lambda fields, env: fields.get("in_port", 0) != 0,
-                            "forwarded (not switch-originated)",
-                            fields_used=("in_port",),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-        key_vars=("D",),
-        violation_message="request for a known address was forwarded",
-    )
-
-
-def arp_unknown_forwarded(
-    knowledge: ArpKnowledge,
-    T: float = 1.0,
-    name: str = "arp-unknown-forwarded",
-) -> PropertySpec:
-    return PropertySpec(
-        name=name,
-        description="Requests for unknown addresses are forwarded",
-        stages=(
-            Observe(
-                "unknown_request",
-                EventPattern(
-                    kind=EventKind.ARRIVAL,
-                    guards=(_is_arp_request(), knowledge.unknown_predicate()),
-                    binds=(Bind("D", "arp.target_ip"),),
-                ),
-            ),
-            Absent(
-                "never_forwarded",
-                EventPattern(
-                    kind=EventKind.EGRESS,
-                    same_packet_as="unknown_request",
-                ),
-                within=T,
-                semantic_deadline=False,
-                unless=(
-                    # The address becoming known lifts the forwarding
-                    # obligation: the proxy may now answer directly instead.
-                    EventPattern(
-                        kind=EventKind.EGRESS,
-                        guards=(
-                            _is_arp_reply(),
-                            FieldEq("arp.sender_ip", Var("D")),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-        key_vars=("D",),
-        violation_message="request for an unknown address was never forwarded",
-        # F4 •: the monitor holds a pending forwarding obligation per
-        # request (the paper marks this row's Obligation column).
-        obligation_override=True,
-    )
-
-
-def arp_reply_within(
-    knowledge: ArpKnowledge,
-    T: float = 1.0,
-    refresh: str = "never",
-    name: str = "arp-reply-within",
-) -> PropertySpec:
-    """Sec. 2.3: a request for a known address must be answered within T.
-
-    ``refresh='on_prior'`` reproduces the unsound variant the paper warns
-    about (re-requests reset the timer, so a storm every T-1 seconds is
-    never flagged); tests exercise both policies.
-    """
-    return PropertySpec(
-        name=name,
-        description=(
-            f"If the switch receives a request for a known address, it "
-            f"sends a reply within {T} seconds"
-        ),
-        stages=(
-            Observe(
-                "known_request",
-                EventPattern(
-                    kind=EventKind.ARRIVAL,
-                    guards=(_is_arp_request(), knowledge.known_predicate()),
-                    binds=(
-                        Bind("D", "arp.target_ip"),
-                        Bind("asker", "arp.sender_mac"),
-                    ),
-                ),
-            ),
-            Absent(
-                "no_reply",
-                EventPattern(
-                    kind=EventKind.EGRESS,
-                    guards=(
-                        _is_arp_reply(),
-                        FieldEq("arp.sender_ip", Var("D")),
-                        FieldEq("arp.target_mac", Var("asker")),
-                    ),
-                ),
-                within=T,
-                refresh=refresh,
-                semantic_deadline=False,
-            ),
-        ),
-        key_vars=("D", "asker"),
-        violation_message="no reply sent for a known-address request within T",
-        obligation_override=True,
     )

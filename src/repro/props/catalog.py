@@ -1,52 +1,102 @@
-"""The Table 1 catalog: all thirteen properties with the paper's expected
-feature annotations, plus the Sec. 1/2 worked examples.
+"""The property catalog: Table 1's thirteen properties with the paper's
+expected feature annotations, plus the Sec. 1/2 worked examples.
 
-``TABLE1`` is the reproduction target for ``benchmarks/bench_table1.py``:
-each entry pairs a property specification with the row the paper prints.
-The bench runs the static analyzer over the specification and asserts
-cell-for-cell agreement.
+Each property is written once, in the property language, as a ``.prop``
+file under ``sources/`` (package data).  :func:`load_property` compiles
+one by its catalog name; :func:`build_table1` pairs the thirteen Table 1
+rows with the cells the paper prints, which ``benchmarks/bench_table1.py``
+and ``repro tables`` check against the static analyzer cell for cell.
+What the language cannot say — auxiliary monitor knowledge and the named
+``@predicates`` the sources refer to — lives beside this module and is
+assembled by :func:`catalog_predicates`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Tuple
+import pkgutil
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.analysis import analyze
+from ..core.refs import Predicate
 from ..core.spec import PropertySpec
+from ..lang import PropertyAst, compile_ast, parse_one
 from ..packet.addresses import IPv4Address
-from .arp import (
-    ArpKnowledge,
-    arp_known_not_forwarded,
-    arp_reply_within,
-    arp_unknown_forwarded,
+from .arp import ArpKnowledge, _is_arp_reply, _is_arp_request
+from .common import (
+    internal_to_external,
+    is_dhcp_ack,
+    is_dhcp_release,
+    is_dhcp_request,
+    is_forwarded,
+    is_not_tcp_close,
+    is_tcp_close,
+    is_tcp_syn,
 )
-from .dhcp import dhcp_no_overlap, dhcp_no_reuse, dhcp_reply_within
-from .dhcp_arp import LeaseKnowledge, arp_cache_preloaded, no_unfounded_reply
-from .firewall import (
-    firewall_basic,
-    firewall_drops_after_close,
-    firewall_timed,
-    firewall_with_close,
-)
-from .ftp import ftp_data_port_matches
-from .learning import (
-    learned_no_flood,
-    learned_unicast_port,
-    link_down_clears_learning,
-)
-from .load_balancing import (
-    RoundRobinExpectation,
-    lb_hashed_port,
-    lb_round_robin_port,
-    lb_sticky_port,
-)
-from .nat import nat_reverse_translation
-from .port_knocking import knocking_invalidated, knocking_recognized
+from .dhcp_arp import LeaseKnowledge
+from .ftp import _advertises_endpoint
+from .load_balancing import RoundRobinExpectation, wrong_hash_backend
 
-#: The VIP / backend set used by the catalog's load-balancing rows.
+#: The VIP / backend set used by the catalog's load-balancing rows (the
+#: VIP also appears, as a literal, in the three ``lb_*.prop`` sources).
 CATALOG_VIP = IPv4Address("10.0.0.100")
 CATALOG_BACKENDS = (2, 3, 4)
+
+_DOT = "•"
+_BLANK = ""
+
+#: Table 1 in the paper's row order: (group, catalog name, the cells
+#: Fields, History, Timeouts, Obligation, Identity, NegMatch, TimeoutActs,
+#: InstID exactly as printed).
+_TABLE1_ROWS = (
+    ("ARP Cache Proxy", "arp-known-not-forwarded",
+     ("L3", _DOT, _BLANK, _BLANK, _BLANK, _BLANK, _BLANK, "exact")),
+    ("ARP Cache Proxy", "arp-unknown-forwarded",
+     ("L3", _DOT, _BLANK, _DOT, _DOT, _BLANK, _DOT, "exact")),
+    ("Port Knocking", "knocking-invalidated",
+     ("L4", _DOT, _BLANK, _BLANK, _BLANK, _DOT, _BLANK, "exact")),
+    ("Port Knocking", "knocking-recognized",
+     ("L4", _DOT, _BLANK, _DOT, _BLANK, _DOT, _BLANK, "exact")),
+    ("Load Balancing", "lb-hashed-port",
+     ("L4", _DOT, _BLANK, _DOT, _DOT, _BLANK, _BLANK, "symmetric")),
+    ("Load Balancing", "lb-round-robin-port",
+     ("L4", _DOT, _BLANK, _DOT, _DOT, _BLANK, _BLANK, "symmetric")),
+    ("Load Balancing", "lb-sticky-port",
+     ("L4", _DOT, _BLANK, _BLANK, _DOT, _DOT, _BLANK, "symmetric")),
+    ("FTP", "ftp-data-port-matches",
+     ("L7", _DOT, _BLANK, _BLANK, _BLANK, _DOT, _BLANK, "symmetric")),
+    ("DHCP", "dhcp-reply-within",
+     ("L7", _DOT, _DOT, _BLANK, _BLANK, _BLANK, _DOT, "symmetric")),
+    ("DHCP", "dhcp-no-reuse",
+     ("L7", _DOT, _DOT, _BLANK, _BLANK, _BLANK, _BLANK, "symmetric")),
+    ("DHCP", "dhcp-no-overlap",
+     ("L7", _DOT, _BLANK, _BLANK, _BLANK, _DOT, _BLANK, "symmetric")),
+    ("DHCP + ARP Proxy", "arp-cache-preloaded",
+     ("L7", _DOT, _BLANK, _BLANK, _BLANK, _DOT, _DOT, "wandering")),
+    ("DHCP + ARP Proxy", "no-unfounded-reply",
+     ("L7", _DOT, _BLANK, _DOT, _BLANK, _BLANK, _BLANK, "wandering")),
+)
+
+#: The Sec. 1 and Sec. 2 properties :func:`worked_examples` returns.
+_WORKED_EXAMPLES = (
+    "learned-unicast-port",
+    "learned-no-flood",
+    "link-down-clears-learning",
+    "firewall-basic",
+    "firewall-timed",
+    "firewall-with-close",
+    "firewall-drops-after-close",
+    "nat-reverse-translation",
+)
+
+#: Every catalog name: Table 1 order, the worked examples, then Sec. 2.3's
+#: ARP example (which needs an ``ArpKnowledge`` tap to be meaningful).
+CATALOG_NAMES: Tuple[str, ...] = (
+    tuple(name for _, name, _ in _TABLE1_ROWS)
+    + _WORKED_EXAMPLES
+    + ("arp-reply-within",)
+)
 
 
 @dataclass(frozen=True)
@@ -67,111 +117,96 @@ class CatalogEntry:
         return self.computed_row() == self.expected_row
 
 
+def catalog_predicates(
+    arp_knowledge: Optional[ArpKnowledge] = None,
+    lease_knowledge: Optional[LeaseKnowledge] = None,
+    rr: Optional[RoundRobinExpectation] = None,
+) -> Dict[str, Predicate]:
+    """The ``@name`` environment the catalog sources compile against.
+
+    Pass the knowledge objects a test also attaches as switch taps; any
+    left out start fresh and empty (the right default for checking a file
+    or replaying a standalone trace).
+    """
+    if arp_knowledge is None:
+        arp_knowledge = ArpKnowledge()
+    if lease_knowledge is None:
+        lease_knowledge = LeaseKnowledge()
+    if rr is None:
+        rr = RoundRobinExpectation(CATALOG_VIP, CATALOG_BACKENDS)
+    return {
+        "internal": internal_to_external(),
+        "tcp_syn": is_tcp_syn(),
+        "tcp_close": is_tcp_close(),
+        "not_close": is_not_tcp_close(),
+        "dhcp_request": is_dhcp_request(),
+        "dhcp_ack": is_dhcp_ack(),
+        "dhcp_release": is_dhcp_release(),
+        "arp_request": _is_arp_request(),
+        "arp_reply": _is_arp_reply(),
+        "forwarded": is_forwarded(),
+        "known": arp_knowledge.known_predicate(),
+        "unknown": arp_knowledge.unknown_predicate(),
+        "lease_unknown": lease_knowledge.unknown_predicate(),
+        "ftp_advertises": _advertises_endpoint(),
+        "wrong_hash_backend": wrong_hash_backend(CATALOG_BACKENDS),
+        "wrong_rr_backend": rr.wrong_backend_predicate(),
+    }
+
+
+def property_source(name: str) -> str:
+    """The property-language text of catalog property *name*."""
+    if name not in CATALOG_NAMES:
+        raise KeyError(
+            f"unknown catalog property {name!r} (catalog: "
+            f"{', '.join(sorted(CATALOG_NAMES))})")
+    # pkgutil.get_data reads through the package's loader exactly as
+    # importlib.resources does, without that module's ~5 ms import
+    # (tempfile, shutil, ...) on every process's set-up path.
+    filename = name.replace("-", "_") + ".prop"
+    data = pkgutil.get_data(__package__, f"sources/{filename}")
+    return data.decode("utf-8")
+
+
+@lru_cache(maxsize=None)
+def _parsed(name: str) -> PropertyAst:
+    # ASTs are frozen: parse each source once per process, elaborate per
+    # call (elaboration is what binds the per-call knowledge objects).
+    return parse_one(property_source(name))
+
+
+def load_property(
+    name: str, predicates: Optional[Mapping[str, Predicate]] = None
+) -> PropertySpec:
+    """Compile catalog property *name* (``"firewall-timed"``, ...).
+
+    *predicates* defaults to a fresh :func:`catalog_predicates`; pass your
+    own to share knowledge objects with switch taps.  The specification is
+    named by its hyphenated catalog name (the language's identifiers have
+    no hyphens, so the source says ``firewall_timed``).
+    """
+    env = catalog_predicates() if predicates is None else predicates
+    return replace(compile_ast(_parsed(name), env), name=name)
+
+
 def build_table1() -> Tuple[CatalogEntry, ...]:
     """Construct fresh property instances for all thirteen Table 1 rows.
 
     A fresh call builds fresh auxiliary-knowledge objects, so catalog
     properties can be monitored independently in different tests.
     """
-    arp_knowledge = ArpKnowledge()
-    lease_knowledge = LeaseKnowledge()
-    rr = RoundRobinExpectation(CATALOG_VIP, CATALOG_BACKENDS)
-    dot = "•"
-    blank = ""
-    return (
-        CatalogEntry(
-            "ARP Cache Proxy",
-            "Requests for known addresses are not forwarded",
-            arp_known_not_forwarded(),
-            ("L3", dot, blank, blank, blank, blank, blank, "exact"),
-        ),
-        CatalogEntry(
-            "ARP Cache Proxy",
-            "Requests for unknown addresses are forwarded",
-            arp_unknown_forwarded(arp_knowledge),
-            ("L3", dot, blank, dot, dot, blank, dot, "exact"),
-        ),
-        CatalogEntry(
-            "Port Knocking",
-            "Intervening guesses invalidate sequence",
-            knocking_invalidated(),
-            ("L4", dot, blank, blank, blank, dot, blank, "exact"),
-        ),
-        CatalogEntry(
-            "Port Knocking",
-            "Recognize valid sequence",
-            knocking_recognized(),
-            ("L4", dot, blank, dot, blank, dot, blank, "exact"),
-        ),
-        CatalogEntry(
-            "Load Balancing",
-            "New flows go to hashed port",
-            lb_hashed_port(CATALOG_VIP, CATALOG_BACKENDS),
-            ("L4", dot, blank, dot, dot, blank, blank, "symmetric"),
-        ),
-        CatalogEntry(
-            "Load Balancing",
-            "New flows go to round-robin port",
-            lb_round_robin_port(CATALOG_VIP, CATALOG_BACKENDS, rr),
-            ("L4", dot, blank, dot, dot, blank, blank, "symmetric"),
-        ),
-        CatalogEntry(
-            "Load Balancing",
-            "No change in port until flow closed",
-            lb_sticky_port(CATALOG_VIP),
-            ("L4", dot, blank, blank, dot, dot, blank, "symmetric"),
-        ),
-        CatalogEntry(
-            "FTP",
-            "Data L4 port matches L4 port given in control stream",
-            ftp_data_port_matches(),
-            ("L7", dot, blank, blank, blank, dot, blank, "symmetric"),
-        ),
-        CatalogEntry(
-            "DHCP",
-            "Reply to lease request within T seconds",
-            dhcp_reply_within(),
-            ("L7", dot, dot, blank, blank, blank, dot, "symmetric"),
-        ),
-        CatalogEntry(
-            "DHCP",
-            "Leased addresses never re-used until expiration or release",
-            dhcp_no_reuse(),
-            ("L7", dot, dot, blank, blank, blank, blank, "symmetric"),
-        ),
-        CatalogEntry(
-            "DHCP",
-            "No lease overlap between DHCP servers",
-            dhcp_no_overlap(),
-            ("L7", dot, blank, blank, blank, dot, blank, "symmetric"),
-        ),
-        CatalogEntry(
-            "DHCP + ARP Proxy",
-            "Pre-load ARP cache with leased addresses",
-            arp_cache_preloaded(),
-            ("L7", dot, blank, blank, blank, dot, dot, "wandering"),
-        ),
-        CatalogEntry(
-            "DHCP + ARP Proxy",
-            "No direct reply if neither pre-loaded nor prior reply seen",
-            no_unfounded_reply(lease_knowledge),
-            ("L7", dot, blank, dot, blank, blank, blank, "wandering"),
-        ),
-    )
+    env = catalog_predicates()
+    entries = []
+    for group, name, expected in _TABLE1_ROWS:
+        prop = load_property(name, env)
+        entries.append(CatalogEntry(group, prop.description, prop, expected))
+    return tuple(entries)
 
 
 def worked_examples() -> Tuple[PropertySpec, ...]:
     """The Sec. 1 and Sec. 2 properties (not Table 1 rows)."""
-    return (
-        learned_unicast_port(),
-        learned_no_flood(),
-        link_down_clears_learning(),
-        firewall_basic(),
-        firewall_timed(),
-        firewall_with_close(),
-        firewall_drops_after_close(),
-        nat_reverse_translation(),
-    )
+    env = catalog_predicates()
+    return tuple(load_property(name, env) for name in _WORKED_EXAMPLES)
 
 
 TABLE1_HEADER = (

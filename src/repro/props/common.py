@@ -1,8 +1,8 @@
-"""Shared guard predicates and helpers for the property catalog."""
+"""Stateless named predicates the catalog sources refer to as ``@name``."""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Mapping
 
 from ..core.refs import Predicate
 from ..packet.addresses import IPv4Address
@@ -71,3 +71,13 @@ def is_dhcp_ack() -> Predicate:
 
 def is_dhcp_release() -> Predicate:
     return dhcp_msg(DhcpMessageType.RELEASE, "DHCP RELEASE")
+
+
+def is_forwarded() -> Predicate:
+    """The switch-forwarded copy of a host's packet, not a switch-originated
+    one (``inject`` uses in_port 0)."""
+    return Predicate(
+        lambda fields, env: fields.get("in_port", 0) != 0,
+        "forwarded (not switch-originated)",
+        fields_used=("in_port",),
+    )

@@ -1,22 +1,9 @@
-"""FTP property — Table 1 (taken by the paper from FAST).
-
-"Data L4 port matches L4 port given in control stream."  In active-mode
-FTP the client advertises, over the control connection, the endpoint the
-server's data connection must target (a ``PORT`` command, or the server
-advertises via a ``227`` passive reply).  The violation: the subsequent
-data connection between the same pair targets a *different* port (F6
-negative match at L7 parse depth).  Instance identification is symmetric —
-the data connection runs in the reverse direction of the control line that
-advertised the endpoint.
-"""
+"""The ``@ftp_advertises`` predicate of ``sources/ftp_data_port_matches.prop``
+(Table 1's FTP row, taken by the paper from FAST)."""
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from ..core.refs import Bind, EventKind, EventPattern, FieldEq, FieldNe, Predicate, Var
-from ..core.spec import Observe, PropertySpec
-from .common import is_tcp_syn
+from ..core.refs import Predicate
 
 
 def _advertises_endpoint() -> Predicate:
@@ -24,46 +11,4 @@ def _advertises_endpoint() -> Predicate:
         lambda fields, env: "ftp.data_port" in fields,
         "FTP control line advertises a data endpoint",
         fields_used=("ftp.data_port", "ftp.line"),
-    )
-
-
-def ftp_data_port_matches(name: str = "ftp-data-port-matches") -> PropertySpec:
-    return PropertySpec(
-        name=name,
-        description=(
-            "The data connection's L4 port matches the port advertised in "
-            "the control stream"
-        ),
-        stages=(
-            Observe(
-                "advertised",
-                EventPattern(
-                    kind=EventKind.ARRIVAL,
-                    guards=(_advertises_endpoint(),),
-                    binds=(
-                        Bind("client", "ipv4.src"),
-                        Bind("server", "ipv4.dst"),
-                        Bind("dport", "ftp.data_port"),
-                    ),
-                ),
-            ),
-            Observe(
-                "wrong_data_port",
-                EventPattern(
-                    kind=EventKind.ARRIVAL,
-                    guards=(
-                        # Active mode: the server opens the data connection
-                        # back toward the client — the flow is inverted.
-                        FieldEq("ipv4.src", Var("server")),
-                        FieldEq("ipv4.dst", Var("client")),
-                        is_tcp_syn(),
-                        FieldNe("tcp.dst", Var("dport")),
-                    ),
-                ),
-            ),
-        ),
-        key_vars=("client", "server"),
-        violation_message=(
-            "data connection opened to a port other than the advertised one"
-        ),
     )

@@ -1,23 +1,10 @@
-"""Load-balancing properties — Table 1's load-balancing group.
+"""Load-balancing expectations: Table 1's load-balancing group.
 
-All three are **symmetric** matches: the flow's 5-tuple binds at the first
-observation and return-direction events (the connection closing from the
-server side) match it inverted.
-
-* :func:`lb_hashed_port` — "New flows go to hashed port": a new flow's
-  first packet must leave toward the backend the hash function selects;
-  the same packet (F5) egressing anywhere else is the violation.  The
-  expectation lapses if the flow closes first (F4 obligation, per the
-  paper's marking).
-
-* :func:`lb_round_robin_port` — "New flows go to round-robin port": as
-  above but the expectation comes from a round-robin counter tracked as
-  auxiliary monitor state (:class:`RoundRobinExpectation`).
-
-* :func:`lb_sticky_port` — "No change in port until flow closed": once a
-  flow's packets leave toward backend port b, a later packet of the same
-  flow leaving toward any other port (F6 negative match) is the violation,
-  unless the flow closed in between.
+The properties are ``sources/lb_*.prop``.  Which backend a new flow was
+*owed* is not something a guard over packet fields can say, so it is
+supplied as two named predicates: ``@wrong_hash_backend`` recomputes the
+balancer's 5-tuple hash, ``@wrong_rr_backend`` reads a round-robin
+counter kept as auxiliary monitor state (:class:`RoundRobinExpectation`).
 """
 
 from __future__ import annotations
@@ -25,94 +12,23 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..apps.load_balancer import flow_hash
-from ..core.refs import Bind, Const, EventKind, EventPattern, FieldEq, FieldNe, Predicate, Var
-from ..core.spec import Observe, PropertySpec
+from ..core.refs import Predicate
 from ..packet.addresses import IPv4Address
-from .common import is_not_tcp_close, is_tcp_close, is_tcp_syn
 
 
-def _flow_binds() -> Tuple[Bind, ...]:
-    return (
-        Bind("cip", "ipv4.src"),
-        Bind("cport", "tcp.src"),
-        Bind("vip", "ipv4.dst"),
-        Bind("vport", "tcp.dst"),
-    )
+def _flow_key(env: Mapping[str, object]) -> Tuple:
+    return (env["cip"], env["cport"], env["vip"], env["vport"], 6)
 
 
-def _forward_flow_guards() -> Tuple:
-    return (
-        FieldEq("ipv4.src", Var("cip")),
-        FieldEq("tcp.src", Var("cport")),
-        FieldEq("ipv4.dst", Var("vip")),
-        FieldEq("tcp.dst", Var("vport")),
-    )
-
-
-def _close_either_direction() -> Tuple[EventPattern, ...]:
-    """FIN/RST observed client-to-service or service-to-client."""
-    return (
-        EventPattern(
-            kind=EventKind.ARRIVAL,
-            guards=_forward_flow_guards() + (is_tcp_close(),),
-        ),
-        EventPattern(
-            kind=EventKind.ARRIVAL,
-            guards=(
-                FieldEq("ipv4.dst", Var("cip")),
-                FieldEq("tcp.dst", Var("cport")),
-                is_tcp_close(),
-            ),
-        ),
-    )
-
-
-def lb_hashed_port(
-    vip: IPv4Address,
-    backend_ports: Sequence[int],
-    name: str = "lb-hashed-port",
-) -> PropertySpec:
+def wrong_hash_backend(backend_ports: Sequence[int]) -> Predicate:
     backends = tuple(backend_ports)
 
-    def wrong_backend(fields: Mapping[str, object], env: Mapping[str, object]) -> bool:
-        key = (env["cip"], env["cport"], env["vip"], env["vport"], 6)
-        expected = backends[flow_hash(key, len(backends))]
+    def check(fields: Mapping[str, object], env: Mapping[str, object]) -> bool:
+        expected = backends[flow_hash(_flow_key(env), len(backends))]
         return fields.get("out_port") != expected
 
-    return PropertySpec(
-        name=name,
-        description="New flows go to the 5-tuple-hashed backend port",
-        stages=(
-            Observe(
-                "new_flow",
-                EventPattern(
-                    kind=EventKind.ARRIVAL,
-                    guards=(FieldEq("ipv4.dst", Const(vip)), is_tcp_syn()),
-                    binds=_flow_binds(),
-                ),
-            ),
-            Observe(
-                "wrong_backend",
-                EventPattern(
-                    kind=EventKind.EGRESS,
-                    same_packet_as="new_flow",
-                    guards=(
-                        Predicate(
-                            wrong_backend,
-                            "egress port differs from hashed backend",
-                            fields_used=("out_port",),
-                        ),
-                    ),
-                ),
-                unless=_close_either_direction(),
-            ),
-        ),
-        key_vars=("cip", "cport", "vip", "vport"),
-        violation_message="new flow sent to a backend other than the hashed one",
-        # F4 •: the monitor awaits the flow's (possibly never-occurring)
-        # first egress — per the paper's marking for this row.
-        obligation_override=True,
-    )
+    return Predicate(check, "egress port differs from hashed backend",
+                     fields_used=("out_port",))
 
 
 class RoundRobinExpectation:
@@ -149,105 +65,14 @@ class RoundRobinExpectation:
             self._next += 1
 
     def expected(self, env: Mapping[str, object]) -> Optional[int]:
-        key = (env["cip"], env["cport"], env["vip"], env["vport"], 6)
-        return self.expected_by_flow.get(key)
+        return self.expected_by_flow.get(_flow_key(env))
 
+    def wrong_backend_predicate(self) -> Predicate:
+        def check(
+            fields: Mapping[str, object], env: Mapping[str, object]
+        ) -> bool:
+            expected = self.expected(env)
+            return expected is not None and fields.get("out_port") != expected
 
-def lb_round_robin_port(
-    vip: IPv4Address,
-    backend_ports: Sequence[int],
-    expectation: RoundRobinExpectation,
-    name: str = "lb-round-robin-port",
-) -> PropertySpec:
-    def wrong_backend(fields: Mapping[str, object], env: Mapping[str, object]) -> bool:
-        expected = expectation.expected(env)
-        return expected is not None and fields.get("out_port") != expected
-
-    return PropertySpec(
-        name=name,
-        description="New flows go to the round-robin-selected backend port",
-        stages=(
-            Observe(
-                "new_flow",
-                EventPattern(
-                    kind=EventKind.ARRIVAL,
-                    guards=(FieldEq("ipv4.dst", Const(vip)), is_tcp_syn()),
-                    binds=_flow_binds(),
-                ),
-            ),
-            Observe(
-                "wrong_backend",
-                EventPattern(
-                    kind=EventKind.EGRESS,
-                    same_packet_as="new_flow",
-                    guards=(
-                        Predicate(
-                            wrong_backend,
-                            "egress port differs from round-robin backend",
-                            fields_used=("out_port",),
-                        ),
-                    ),
-                ),
-                unless=_close_either_direction(),
-            ),
-        ),
-        key_vars=("cip", "cport", "vip", "vport"),
-        violation_message="new flow sent to a backend out of round-robin order",
-        obligation_override=True,
-    )
-
-
-def lb_sticky_port(
-    vip: IPv4Address,
-    name: str = "lb-sticky-port",
-) -> PropertySpec:
-    return PropertySpec(
-        name=name,
-        description="A flow's backend port does not change until the flow closes",
-        stages=(
-            Observe(
-                "pinned",
-                EventPattern(
-                    kind=EventKind.EGRESS,
-                    # A *live* flow packet pins the backend; a departing
-                    # FIN/RST must not re-pin a flow that just closed.
-                    guards=(FieldEq("ipv4.dst", Const(vip)),
-                            is_not_tcp_close()),
-                    binds=_flow_binds() + (Bind("backend", "out_port"),),
-                ),
-            ),
-            Observe(
-                "next_packet",
-                EventPattern(
-                    kind=EventKind.ARRIVAL,
-                    guards=_forward_flow_guards(),
-                ),
-                unless=_close_either_direction(),
-            ),
-            Observe(
-                "moved",
-                EventPattern(
-                    kind=EventKind.EGRESS,
-                    same_packet_as="next_packet",
-                    guards=(FieldNe("out_port", Var("backend")),),
-                ),
-                unless=_close_either_direction()
-                + (
-                    # The watched packet leaving on the *pinned* backend is
-                    # correct behaviour: retire this instance (the same
-                    # egress event re-creates one at stage 0, so the next
-                    # packet of the flow is watched afresh).
-                    EventPattern(
-                        kind=EventKind.EGRESS,
-                        same_packet_as="next_packet",
-                        guards=(FieldEq("out_port", Var("backend")),),
-                    ),
-                ),
-            ),
-        ),
-        key_vars=("cip", "cport", "vip", "vport"),
-        violation_message="flow moved to a different backend before closing",
-        # Paper leaves Obligation blank here: the violation trace is purely
-        # positive; the closes are mere cancellations.
-        obligation_override=False,
-    )
+        return Predicate(check, "egress port differs from round-robin backend",
+                         fields_used=("out_port",))

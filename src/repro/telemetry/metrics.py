@@ -24,8 +24,8 @@ Two registry flavours share one interface:
   working with no registry configured), but histograms are shared no-ops,
   ``enabled`` is False so hot paths skip labeled fan-out and span
   emission, and ``snapshot()`` exports nothing.
-  ``benchmarks/bench_monitor_throughput.py`` measures the enabled ↔
-  disabled gap to keep this claim honest.
+  ``benchmarks/e2e`` measures the enabled ↔ disabled gap (its
+  ``telemetry.registry`` layer) to keep this claim honest.
 
 Zero dependencies by design: the repo's north star is a switch simulator
 that runs "as fast as the hardware allows", and a telemetry layer you

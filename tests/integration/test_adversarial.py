@@ -21,7 +21,6 @@ from repro.adversarial import (
 )
 from repro.cli import main
 from repro.lint import lint_source
-from repro.props.dsl_sources import DSL_SOURCES
 
 FLOODABLE_KEY = "knocking-invalidated"  # predicate-free stage 0, L017
 

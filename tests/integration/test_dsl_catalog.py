@@ -1,103 +1,129 @@
-"""Integration: the DSL catalog matches the programmatic catalog.
+"""Integration: the catalog is its ``.prop`` files.
 
-DESIGN.md promises every property "as both DSL text and IR"; these tests
-keep the two halves in lock-step — each DSL-compiled property must analyze
-to exactly the same feature requirements as its programmatic twin (and
-therefore reproduce the same Table 1 row).
+Every catalog property is written once, as property-language text shipped
+as package data; ``repro.props`` compiles it on demand.  These tests hold
+the shipped text to the paper (Table 1 cell for cell), to the structure
+the engine relies on (indexable ``unless`` cancels), and to the promise
+that nothing in Python stands between a file and the specification the
+monitor runs except the hyphenated name.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.core import Monitor, analyze
-from repro.props import build_table1
-from repro.props.dsl_sources import (
-    DSL_SOURCES,
-    TABLE1_DSL_KEYS,
-    WORKED_EXAMPLE_DSL_KEYS,
-    dsl_table1,
-    dsl_worked_examples,
+from repro.lang import Comparison, VarRef, compile_one, parse_one
+from repro.packet import IPv4Address
+from repro.props import (
+    CATALOG_NAMES,
+    ArpKnowledge,
+    build_table1,
+    catalog_predicates,
+    load_property,
+    property_source,
+    worked_examples,
 )
 
 
 @pytest.fixture(scope="module")
-def programmatic():
+def table1():
     return build_table1()
 
 
-@pytest.fixture(scope="module")
-def dsl_specs():
-    return dict(dsl_table1())
+def written_env_guards(pattern_ast):
+    """The ``field == $var`` comparisons as written in the source."""
+    return sorted(
+        (c.field, c.value.name) for c in pattern_ast.conditions
+        if isinstance(c, Comparison) and c.op == "=="
+        and isinstance(c.value, VarRef))
 
 
 class TestDslTable1Equivalence:
-    def test_all_thirteen_present(self, dsl_specs):
-        assert len(dsl_specs) == 13
+    """Table 1 as computed from the shipped sources is Table 1 as the
+    paper prints it."""
+
+    def test_all_thirteen_present(self, table1):
+        assert len(table1) == 13
+        assert [e.prop.name for e in table1] == list(CATALOG_NAMES[:13])
 
     @pytest.mark.parametrize("row", range(13))
-    def test_row_analyzes_identically(self, row, programmatic, dsl_specs):
-        entry = programmatic[row]
-        key = TABLE1_DSL_KEYS[row]
-        dsl_prop = dsl_specs[key]
-        assert analyze(dsl_prop) == analyze(entry.prop), (
-            f"{key}: DSL analysis diverges from the programmatic catalog"
-        )
+    def test_row_reproduces_paper_cells(self, row, table1):
+        entry = table1[row]
+        assert analyze(entry.prop).table1_row() == entry.expected_row
 
     @pytest.mark.parametrize("row", range(13))
-    def test_row_reproduces_paper_cells(self, row, programmatic, dsl_specs):
-        entry = programmatic[row]
-        dsl_prop = dsl_specs[TABLE1_DSL_KEYS[row]]
-        assert analyze(dsl_prop).table1_row() == entry.expected_row
+    def test_row_analyzes_identically(self, row, table1):
+        """A row is its file and nothing else: compiling the shipped text
+        directly (what ``repro check FILE`` does) gives the specification
+        the catalog serves, up to the name the loader sets."""
+        name = table1[row].prop.name
+        env = catalog_predicates()
+        direct = compile_one(property_source(name), env)
+        assert direct.name == name.replace("-", "_")
+        assert replace(direct, name=name) == load_property(name, env)
+        assert analyze(direct) == analyze(table1[row].prop)
 
     @pytest.mark.parametrize("row", range(13))
-    def test_same_stage_structure(self, row, programmatic, dsl_specs):
-        entry = programmatic[row]
-        dsl_prop = dsl_specs[TABLE1_DSL_KEYS[row]]
-        assert dsl_prop.num_stages == entry.prop.num_stages
-        assert len(dsl_prop.key_vars) == len(entry.prop.key_vars)
-        # The field == $var equalities are what the instance store hashes
-        # on (advances and unless cancels alike): one hidden in a builder
-        # lambda turns a bucket probe into a population scan.
-        for built, parsed in zip(entry.prop.stages, dsl_prop.stages):
-            assert sorted(built.pattern.env_guards()) == sorted(
-                parsed.pattern.env_guards()), built.name
-            assert [sorted(u.env_guards()) for u in built.unless] == [
-                sorted(u.env_guards()) for u in parsed.unless], built.name
+    def test_same_stage_structure(self, row, table1):
+        """The ``field == $var`` equalities are what the instance store
+        hashes on (advances and ``unless`` cancels alike).  Every one the
+        source writes must reach the specification, and every ``unless``
+        must have at least one — a cancel without one turns a bucket
+        probe into a walk of the stage population."""
+        prop = table1[row].prop
+        ast = parse_one(property_source(prop.name))
+        assert prop.num_stages == len(ast.stages)
+        assert prop.key_vars == ast.key_vars
+        for stage, written in zip(prop.stages, ast.stages):
+            assert sorted(stage.pattern.env_guards()) == written_env_guards(
+                written.pattern), stage.name
+            assert len(stage.unless) == len(written.unless), stage.name
+            for cancel, written_cancel in zip(stage.unless, written.unless):
+                assert cancel.env_guards(), stage.name
+                assert sorted(cancel.env_guards()) == written_env_guards(
+                    written_cancel), stage.name
 
 
 class TestDslWorkedExamples:
     def test_all_compile(self):
-        specs = dsl_worked_examples()
-        assert len(specs) == len(WORKED_EXAMPLE_DSL_KEYS)
+        names = [prop.name for prop in worked_examples()]
+        assert names == list(CATALOG_NAMES[13:21])
+        # ...and Sec. 2.3's ARP example, the one name neither list serves
+        assert CATALOG_NAMES[21:] == ("arp-reply-within",)
+        assert load_property("arp-reply-within").num_stages == 2
 
-    def test_firewall_equivalence(self):
-        from repro.props import firewall_basic, firewall_timed, firewall_with_close
+    def test_every_property_carries_its_violation_message(self):
+        for name in CATALOG_NAMES:
+            assert load_property(name).violation_message, name
 
-        specs = dict(dsl_worked_examples())
-        assert analyze(specs["firewall-basic"]) == analyze(firewall_basic())
-        assert analyze(specs["firewall-timed"]) == analyze(firewall_timed())
-        assert analyze(specs["firewall-with-close"]) == analyze(
-            firewall_with_close())
+    def test_unknown_name_is_a_key_error(self):
+        with pytest.raises(KeyError, match="firewall-timed"):
+            load_property("firewall_timed")  # the catalog name is hyphenated
 
-    def test_nat_equivalence(self):
-        from repro.props import nat_reverse_translation
 
-        specs = dict(dsl_worked_examples())
-        assert analyze(specs["nat-reverse-translation"]) == analyze(
-            nat_reverse_translation())
+class TestFreshKnowledgePerBuild:
+    def test_two_builds_share_no_knowledge_state(self, monkeypatch):
+        made = []
 
-    def test_learning_equivalence(self):
-        from repro.props import (
-            learned_no_flood,
-            learned_unicast_port,
-            link_down_clears_learning,
-        )
+        class Recorded(ArpKnowledge):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
 
-        specs = dict(dsl_worked_examples())
-        assert analyze(specs["learned-unicast-port"]) == analyze(
-            learned_unicast_port())
-        assert analyze(specs["learned-no-flood"]) == analyze(learned_no_flood())
-        assert analyze(specs["link-down-clears-learning"]) == analyze(
-            link_down_clears_learning())
+        monkeypatch.setattr("repro.props.catalog.ArpKnowledge", Recorded)
+        first, second = build_table1(), build_table1()
+        assert len(made) == 2
+        address = IPv4Address("10.0.0.3")
+        made[0].known.add(address)  # teach the first build only
+
+        def unknown(entries):
+            # arp-unknown-forwarded, stage 0: `@arp_request and @unknown`
+            predicate = entries[1].prop.stages[0].pattern.guards[1]
+            return predicate.holds({"arp.target_ip": address}, {})
+
+        assert not unknown(first)
+        assert unknown(second)
 
 
 class TestDslCatalogRuns:
@@ -106,16 +132,15 @@ class TestDslCatalogRuns:
         statically."""
         from repro.apps import NatApp, sometimes
         from repro.netsim import single_switch_network
-        from repro.packet import IPv4Address, tcp_packet
+        from repro.packet import tcp_packet
         from repro.switch.pipeline import MissPolicy
 
-        specs = dict(dsl_worked_examples())
         net, switch, hosts = single_switch_network(
             2, switch_kwargs={"miss_policy": MissPolicy.CONTROLLER})
         switch.set_app(NatApp(public_ip=IPv4Address("203.0.113.1"),
                               faults=sometimes("corrupt_reverse", 1.0)))
         monitor = Monitor(scheduler=net.scheduler)
-        monitor.add_property(specs["nat-reverse-translation"])
+        monitor.add_property(load_property("nat-reverse-translation"))
         monitor.attach(switch)
         hosts[0].send(tcp_packet(1, 2, "10.0.0.1", "198.51.100.1", 5555, 80))
         net.run()
@@ -123,11 +148,14 @@ class TestDslCatalogRuns:
                                  80, 40000))
         net.run()
         assert len(monitor.violations) == 1
+        # the file's `message` header reaches the violation report
+        assert monitor.violations[0].message.startswith(
+            "return packet translated to the wrong internal endpoint")
 
     def test_full_dsl_catalog_loads_into_one_monitor(self):
         monitor = Monitor()
-        for _, prop in dsl_table1() + dsl_worked_examples():
-            monitor.add_property(prop)
+        for name in CATALOG_NAMES:
+            monitor.add_property(load_property(name))
         # survives an arbitrary event
         from repro.packet import ethernet
         from repro.switch.events import PacketArrival

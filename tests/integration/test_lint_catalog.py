@@ -16,6 +16,7 @@ import os
 
 import pytest
 
+import repro.props
 from repro.backends import UnsupportedFeature, all_backends
 from repro.cli import main
 from repro.core import (
@@ -41,8 +42,7 @@ from repro.switch.events import PacketArrival
 from repro.switch.switch import ProcessingMode
 
 EXAMPLES = sorted(glob.glob(os.path.join(
-    os.path.dirname(__file__), "..", "..", "examples", "properties",
-    "*.prop")))
+    os.path.dirname(repro.props.__file__), "sources", "*.prop")))
 
 
 def echo_property():
@@ -143,7 +143,7 @@ class TestSplitVerdictsMatchTheBench:
 
 class TestShippedExamplesLintClean:
     def test_cli_lint_examples_exits_zero(self, capsys):
-        assert len(EXAMPLES) == 20
+        assert len(EXAMPLES) == len(repro.props.CATALOG_NAMES) == 22
         assert main(["lint"] + EXAMPLES) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out

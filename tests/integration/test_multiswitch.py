@@ -7,6 +7,8 @@ attributed to the misbehaving switch, and a property can scope itself to
 one switch via the ``switch`` metadata field.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps import LearningSwitchApp, sometimes
@@ -23,7 +25,7 @@ from repro.core import (
 )
 from repro.netsim import Network, TraceRecorder
 from repro.packet import MACAddress, ethernet
-from repro.props import learned_unicast_port
+from repro.props import load_property
 from repro.switch.pipeline import MissPolicy
 
 
@@ -56,10 +58,12 @@ class TestPerSwitchMonitors:
         net, sa, sb, h1, h2 = two_switch_chain(app_b=buggy)
 
         monitor_a = Monitor(scheduler=net.scheduler)
-        monitor_a.add_property(learned_unicast_port(name="lu-a"))
+        monitor_a.add_property(
+            replace(load_property("learned-unicast-port"), name="lu-a"))
         monitor_a.attach(sa)
         monitor_b = Monitor(scheduler=net.scheduler)
-        monitor_b.add_property(learned_unicast_port(name="lu-b"))
+        monitor_b.add_property(
+            replace(load_property("learned-unicast-port"), name="lu-b"))
         monitor_b.attach(sb)
 
         # Teach both switches where MAC 2 lives, then traffic back toward

@@ -7,7 +7,7 @@ from repro.core import Monitor, ProvenanceLevel
 from repro.core.postcards import Postcard, PostcardCollector, PostcardMonitor
 from repro.netsim import single_switch_network
 from repro.packet import IPv4Address, tcp_packet
-from repro.props import nat_reverse_translation
+from repro.props import load_property
 from repro.apps import NatApp, sometimes
 from repro.switch.pipeline import MissPolicy
 
@@ -21,7 +21,7 @@ def nat_run(collector=None, corrupt=True, flows=1):
     switch.set_app(NatApp(public_ip=PUBLIC_IP, faults=faults))
     collector = collector or PostcardCollector()
     pm = PostcardMonitor(collector, scheduler=net.scheduler)
-    pm.add_property(nat_reverse_translation())
+    pm.add_property(load_property("nat-reverse-translation"))
     pm.attach(switch)
     for i in range(flows):
         hosts[0].send(tcp_packet(1, 2, "10.0.0.1", "198.51.100.1",

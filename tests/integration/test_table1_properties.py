@@ -2,6 +2,8 @@
 correct behaviour — the executable half of the Table 1 reproduction.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps import (
@@ -34,19 +36,8 @@ from repro.props import (
     ArpKnowledge,
     LeaseKnowledge,
     RoundRobinExpectation,
-    arp_cache_preloaded,
-    arp_known_not_forwarded,
-    arp_unknown_forwarded,
-    dhcp_no_overlap,
-    dhcp_no_reuse,
-    dhcp_reply_within,
-    ftp_data_port_matches,
-    knocking_invalidated,
-    knocking_recognized,
-    lb_hashed_port,
-    lb_round_robin_port,
-    lb_sticky_port,
-    no_unfounded_reply,
+    catalog_predicates,
+    load_property,
 )
 from repro.switch.pipeline import MissPolicy
 
@@ -68,7 +59,8 @@ def monitored_net(num_hosts, app, *props, taps_before=()):
 class TestArpRows:
     def test_known_not_forwarded_fault(self):
         app = ArpProxyApp(faults=sometimes("forward_known", 1.0))
-        net, sw, hosts, mon = monitored_net(3, app, arp_known_not_forwarded())
+        net, sw, hosts, mon = monitored_net(
+            3, app, load_property("arp-known-not-forwarded"))
         hosts[2].send(arp_reply(3, "10.0.0.3", 1, "10.0.0.1"))
         net.run()
         hosts[0].send(arp_request(1, "10.0.0.1", "10.0.0.3"))
@@ -76,8 +68,8 @@ class TestArpRows:
         assert len(mon.violations) >= 1
 
     def test_known_not_forwarded_clean(self):
-        net, sw, hosts, mon = monitored_net(3, ArpProxyApp(),
-                                            arp_known_not_forwarded())
+        net, sw, hosts, mon = monitored_net(
+            3, ArpProxyApp(), load_property("arp-known-not-forwarded"))
         hosts[2].send(arp_reply(3, "10.0.0.3", 1, "10.0.0.1"))
         net.run()
         hosts[0].send(arp_request(1, "10.0.0.1", "10.0.0.3"))
@@ -88,7 +80,8 @@ class TestArpRows:
         knowledge = ArpKnowledge()
         app = ArpProxyApp(faults=sometimes("suppress_reply", 1.0))
         net, sw, hosts, mon = monitored_net(
-            3, app, arp_unknown_forwarded(knowledge, T=1.0),
+            3, app, load_property("arp-unknown-forwarded",
+                             catalog_predicates(arp_knowledge=knowledge)),
             taps_before=(knowledge.observe,),
         )
         hosts[0].send(arp_request(1, "10.0.0.1", "10.0.0.99"))
@@ -98,7 +91,8 @@ class TestArpRows:
     def test_unknown_forwarded_clean(self):
         knowledge = ArpKnowledge()
         net, sw, hosts, mon = monitored_net(
-            3, ArpProxyApp(), arp_unknown_forwarded(knowledge, T=1.0),
+            3, ArpProxyApp(), load_property("arp-unknown-forwarded",
+                             catalog_predicates(arp_knowledge=knowledge)),
             taps_before=(knowledge.observe,),
         )
         hosts[0].send(arp_request(1, "10.0.0.1", "10.0.0.99"))
@@ -117,7 +111,7 @@ class TestPortKnockingRows:
     def test_invalidation_ignored_fault(self):
         net, sw, hosts, mon = monitored_net(
             2, self._app(always("ignore_wrong_guess")),
-            knocking_invalidated(sequence=(7001, 7002), protected=22),
+            load_property("knocking-invalidated"),
         )
         for dport in (7001, 9999, 7002, 22):
             hosts[0].send(self._pkt(dport))
@@ -127,7 +121,7 @@ class TestPortKnockingRows:
     def test_invalidation_respected_clean(self):
         net, sw, hosts, mon = monitored_net(
             2, self._app(),
-            knocking_invalidated(sequence=(7001, 7002), protected=22),
+            load_property("knocking-invalidated"),
         )
         for dport in (7001, 9999, 7002, 22):
             hosts[0].send(self._pkt(dport))
@@ -137,7 +131,7 @@ class TestPortKnockingRows:
     def test_never_open_fault(self):
         net, sw, hosts, mon = monitored_net(
             2, self._app(always("never_open")),
-            knocking_recognized(sequence=(7001, 7002), protected=22),
+            load_property("knocking-recognized"),
         )
         for dport in (7001, 7002, 22):
             hosts[0].send(self._pkt(dport))
@@ -147,7 +141,7 @@ class TestPortKnockingRows:
     def test_recognition_clean(self):
         net, sw, hosts, mon = monitored_net(
             2, self._app(),
-            knocking_recognized(sequence=(7001, 7002), protected=22),
+            load_property("knocking-recognized"),
         )
         for dport in (7001, 7002, 22):
             hosts[0].send(self._pkt(dport))
@@ -159,7 +153,7 @@ class TestPortKnockingRows:
         # correct: the unless pattern discharges the expectation.
         net, sw, hosts, mon = monitored_net(
             2, self._app(),
-            knocking_recognized(sequence=(7001, 7002), protected=22),
+            load_property("knocking-recognized"),
         )
         for dport in (7001, 9999, 7002, 22):
             hosts[0].send(self._pkt(dport))
@@ -183,7 +177,7 @@ class TestLoadBalancingRows:
     def test_hashed_port_fault(self):
         net, sw, hosts, mon = monitored_net(
             4, self._app(faults=sometimes("misroute_new", 1.0)),
-            lb_hashed_port(self.VIP, (2, 3, 4)),
+            load_property("lb-hashed-port"),
         )
         hosts[0].send(self._flow(1000))
         net.run()
@@ -191,7 +185,7 @@ class TestLoadBalancingRows:
 
     def test_hashed_port_clean(self):
         net, sw, hosts, mon = monitored_net(
-            4, self._app(), lb_hashed_port(self.VIP, (2, 3, 4)),
+            4, self._app(), load_property("lb-hashed-port"),
         )
         for sport in (1000, 1001, 1002):
             hosts[0].send(self._flow(sport))
@@ -204,7 +198,7 @@ class TestLoadBalancingRows:
             4,
             self._app(mode=BalanceMode.ROUND_ROBIN,
                       faults=sometimes("misroute_new", 1.0)),
-            lb_round_robin_port(self.VIP, (2, 3, 4), rr),
+            load_property("lb-round-robin-port", catalog_predicates(rr=rr)),
             taps_before=(rr.observe,),
         )
         hosts[0].send(self._flow(1000))
@@ -215,7 +209,7 @@ class TestLoadBalancingRows:
         rr = RoundRobinExpectation(self.VIP, (2, 3, 4))
         net, sw, hosts, mon = monitored_net(
             4, self._app(mode=BalanceMode.ROUND_ROBIN),
-            lb_round_robin_port(self.VIP, (2, 3, 4), rr),
+            load_property("lb-round-robin-port", catalog_predicates(rr=rr)),
             taps_before=(rr.observe,),
         )
         for sport in (1000, 1001, 1002, 1003):
@@ -226,7 +220,7 @@ class TestLoadBalancingRows:
     def test_sticky_fault(self):
         net, sw, hosts, mon = monitored_net(
             4, self._app(faults=sometimes("rebalance_midflow", 1.0)),
-            lb_sticky_port(self.VIP),
+            load_property("lb-sticky-port"),
         )
         from repro.packet import TCPFlags
 
@@ -237,7 +231,7 @@ class TestLoadBalancingRows:
 
     def test_sticky_clean_across_many_packets(self):
         net, sw, hosts, mon = monitored_net(
-            4, self._app(), lb_sticky_port(self.VIP),
+            4, self._app(), load_property("lb-sticky-port"),
         )
         from repro.packet import TCPFlags
 
@@ -249,7 +243,8 @@ class TestLoadBalancingRows:
 
     def test_sticky_move_after_close_is_clean(self):
         net, sw, hosts, mon = monitored_net(
-            4, self._app(mode=BalanceMode.ROUND_ROBIN), lb_sticky_port(self.VIP),
+            4, self._app(mode=BalanceMode.ROUND_ROBIN),
+            load_property("lb-sticky-port"),
         )
         from repro.packet import TCPFlags
 
@@ -266,7 +261,8 @@ class TestFtpRow:
         from repro.apps import FtpAlgApp, always as _always
 
         app = FtpAlgApp(faults=_always("no_enforce"))
-        net, sw, hosts, mon = monitored_net(2, app, ftp_data_port_matches())
+        net, sw, hosts, mon = monitored_net(
+            2, app, load_property("ftp-data-port-matches"))
         session = ftp_session(hosts[0].mac, hosts[1].mac, hosts[0].ip,
                               hosts[1].ip, advertised_port=1025,
                               actual_port=actual_port)
@@ -292,7 +288,7 @@ class TestDhcpRows:
 
     def test_reply_within_clean(self):
         net, sw, hosts, mon = monitored_net(
-            2, self._server(), dhcp_reply_within(T=2.0))
+            2, self._server(), load_property("dhcp-reply-within"))
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1))
         net.run(until=5.0)
         assert mon.violations == []
@@ -300,7 +296,7 @@ class TestDhcpRows:
     def test_reply_delay_detected(self):
         net, sw, hosts, mon = monitored_net(
             2, self._server(faults=FaultPlan(values={"reply_delay": 4.0})),
-            dhcp_reply_within(T=2.0))
+            load_property("dhcp-reply-within"))
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1))
         net.run(until=10.0)
         assert len(mon.violations) == 1
@@ -308,14 +304,14 @@ class TestDhcpRows:
     def test_no_reply_detected(self):
         net, sw, hosts, mon = monitored_net(
             2, self._server(faults=sometimes("no_reply", 1.0)),
-            dhcp_reply_within(T=2.0))
+            load_property("dhcp-reply-within"))
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1))
         net.run(until=10.0)
         assert len(mon.violations) == 1
 
     def test_no_reuse_clean_with_renewal(self):
         net, sw, hosts, mon = monitored_net(
-            2, self._server(lease_time=60.0), dhcp_no_reuse(lease_time=60.0))
+            2, self._server(lease_time=60.0), load_property("dhcp-no-reuse"))
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1))
         # Renewal by the same client must not look like re-use.
         hosts[0].send_at(5.0, dhcp_packet(5, DhcpMessageType.REQUEST, xid=2))
@@ -325,7 +321,7 @@ class TestDhcpRows:
     def test_reuse_detected(self):
         net, sw, hosts, mon = monitored_net(
             2, self._server(pool_size=1, faults=always("reuse_leased")),
-            dhcp_no_reuse(lease_time=60.0))
+            load_property("dhcp-no-reuse"))
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1))
         hosts[0].send_at(5.0, dhcp_packet(6, DhcpMessageType.REQUEST, xid=2))
         net.run()
@@ -333,7 +329,7 @@ class TestDhcpRows:
 
     def test_reuse_after_release_is_clean(self):
         net, sw, hosts, mon = monitored_net(
-            2, self._server(pool_size=1), dhcp_no_reuse(lease_time=60.0))
+            2, self._server(pool_size=1), load_property("dhcp-no-reuse"))
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1))
         hosts[0].send_at(5.0, dhcp_packet(5, DhcpMessageType.RELEASE))
         hosts[0].send_at(6.0, dhcp_packet(6, DhcpMessageType.REQUEST, xid=2))
@@ -341,9 +337,12 @@ class TestDhcpRows:
         assert mon.violations == []
 
     def test_reuse_after_expiry_is_clean(self):
+        # the catalog's 60 s lease window shortened to the server's 5 s
+        prop = load_property("dhcp-no-reuse")
+        leased, re_leased = prop.stages
+        prop = replace(prop, stages=(leased, replace(re_leased, within=5.0)))
         net, sw, hosts, mon = monitored_net(
-            2, self._server(pool_size=1, lease_time=5.0),
-            dhcp_no_reuse(lease_time=5.0))
+            2, self._server(pool_size=1, lease_time=5.0), prop)
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1))
         hosts[0].send_at(10.0, dhcp_packet(6, DhcpMessageType.REQUEST, xid=2))
         net.run()
@@ -372,14 +371,14 @@ class TestDhcpRows:
                 pass
 
         net, sw, hosts, mon = monitored_net(2, TwinServers(),
-                                            dhcp_no_overlap())
+                                            load_property("dhcp-no-overlap"))
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1))
         net.run()
         assert len(mon.violations) == 1
 
     def test_single_server_no_overlap(self):
         net, sw, hosts, mon = monitored_net(2, self._server(),
-                                            dhcp_no_overlap())
+                                            load_property("dhcp-no-overlap"))
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1))
         hosts[0].send_at(1.0, dhcp_packet(6, DhcpMessageType.REQUEST, xid=2))
         net.run()
@@ -418,7 +417,7 @@ class TestDhcpArpRows:
     def test_preload_honoured_clean(self):
         app, taps, proxy = self._setup()
         net, sw, hosts, mon = monitored_net(
-            3, app, arp_cache_preloaded(T=1.0), taps_before=taps)
+            3, app, load_property("arp-cache-preloaded"), taps_before=taps)
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1,
                                   requested_ip="10.0.0.100"))
         net.run()
@@ -431,7 +430,7 @@ class TestDhcpArpRows:
     def test_skip_preload_detected(self):
         app, taps, proxy = self._setup(proxy_faults=always("skip_preload"))
         net, sw, hosts, mon = monitored_net(
-            3, app, arp_cache_preloaded(T=1.0), taps_before=taps)
+            3, app, load_property("arp-cache-preloaded"), taps_before=taps)
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1,
                                   requested_ip="10.0.0.100"))
         net.run()
@@ -443,7 +442,8 @@ class TestDhcpArpRows:
         knowledge = LeaseKnowledge()
         app, taps, proxy = self._setup(proxy_faults=always("reply_unknown"))
         net, sw, hosts, mon = monitored_net(
-            3, app, no_unfounded_reply(knowledge),
+            3, app, load_property("no-unfounded-reply",
+                             catalog_predicates(lease_knowledge=knowledge)),
             taps_before=taps + [knowledge.observe])
         hosts[1].send(arp_request(2, "10.0.0.2", "10.0.0.99"))
         net.run()
@@ -453,7 +453,8 @@ class TestDhcpArpRows:
         knowledge = LeaseKnowledge()
         app, taps, proxy = self._setup()
         net, sw, hosts, mon = monitored_net(
-            3, app, no_unfounded_reply(knowledge),
+            3, app, load_property("no-unfounded-reply",
+                             catalog_predicates(lease_knowledge=knowledge)),
             taps_before=taps + [knowledge.observe])
         # Lease first: the address becomes known via DHCP.
         hosts[0].send(dhcp_packet(5, DhcpMessageType.REQUEST, xid=1,

@@ -11,9 +11,26 @@ from repro.backends import (
 from repro.core import Monitor
 from repro.netsim import single_switch_network
 from repro.packet import ethernet, tcp_packet
-from repro.props import build_table1, render_table1
+from repro.props import build_table1, load_property, render_table1
 from repro.switch.events import PacketArrival
 from repro.switch.switch import ProcessingMode
+
+
+class TestTablesSnapshot:
+    def test_repro_tables_output_is_byte_identical(self, capsys):
+        """``repro tables`` prints what it printed when the catalog was
+        hand-built Python (tests/fixtures/tables/repro_tables.txt was
+        captured at commit 05562df, before the .prop files became the
+        single source)."""
+        import os
+
+        from repro.cli import main
+
+        assert main(["tables"]) == 0
+        path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                            "tables", "repro_tables.txt")
+        with open(path, encoding="utf-8") as fp:
+            assert capsys.readouterr().out == fp.read()
 
 
 class TestTable1Reproduction:
@@ -112,11 +129,9 @@ class TestMonitorOnSwitchLatency:
     (the latency/accuracy trade of Feature 9)."""
 
     def test_inline_monitor_charges_switch_meter(self):
-        from repro.props import learned_unicast_port
-
         net, sw, hosts = single_switch_network(3)
         monitor = Monitor(meter=sw.meter, slow_path_updates=False)
-        monitor.add_property(learned_unicast_port())
+        monitor.add_property(load_property("learned-unicast-port"))
         monitor.attach(sw)
         before = sw.meter.fast_updates
         hosts[0].send(ethernet(1, 2))

@@ -29,7 +29,7 @@ from repro.core import (
 )
 from repro.netsim import EventScheduler
 from repro.packet import IPv4Address, tcp_syn
-from repro.props import firewall_basic, link_down_clears_learning, nat_reverse_translation
+from repro.props import load_property
 from repro.switch.match import MatchSpec
 from repro.switch.pipeline import MissPolicy
 from repro.switch.switch import Switch
@@ -245,7 +245,7 @@ class TestFragmentValidation:
     def test_rejects_predicate_guards(self):
         # firewall_basic's stage 0 uses an internal->external Predicate.
         with pytest.raises(VaranusCompileError) as exc:
-            check_compilable(firewall_basic())
+            check_compilable(load_property("firewall-basic"))
         assert "Predicate" in str(exc.value)
 
     def test_rejects_drop_observations(self):
@@ -267,11 +267,11 @@ class TestFragmentValidation:
 
     def test_rejects_identity(self):
         with pytest.raises(VaranusCompileError):
-            check_compilable(nat_reverse_translation())
+            check_compilable(load_property("nat-reverse-translation"))
 
     def test_rejects_oob(self):
         with pytest.raises(VaranusCompileError):
-            check_compilable(link_down_clears_learning())
+            check_compilable(load_property("link-down-clears-learning"))
 
     def test_rejects_intermediate_absent(self):
         prop = PropertySpec(

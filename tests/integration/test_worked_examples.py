@@ -11,6 +11,8 @@ violations appear exactly when the paper says they should:
 * S2.4 — link-down multiple match (Sec. 2.4).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.apps import (
@@ -35,17 +37,17 @@ from repro.packet import (
 )
 from repro.props import (
     ArpKnowledge,
-    arp_reply_within,
-    firewall_basic,
-    firewall_drops_after_close,
-    firewall_timed,
-    firewall_with_close,
-    learned_no_flood,
-    learned_unicast_port,
-    link_down_clears_learning,
-    nat_reverse_translation,
+    catalog_predicates,
+    load_property,
 )
 from repro.switch.pipeline import MissPolicy
+
+
+def with_deadline(prop, T, **last_stage_changes):
+    """The catalog property with its last stage's window set to T."""
+    *earlier, last = prop.stages
+    last = replace(last, within=T, **last_stage_changes)
+    return replace(prop, stages=(*earlier, last))
 
 
 def monitored_net(num_hosts, app, *props, taps_before=(), monitor_kwargs=None):
@@ -65,7 +67,8 @@ def monitored_net(num_hosts, app, *props, taps_before=(), monitor_kwargs=None):
 class TestLearningSwitchS1:
     def test_correct_switch_is_clean(self):
         net, sw, hosts, mon = monitored_net(
-            3, LearningSwitchApp(), learned_unicast_port(), learned_no_flood()
+            3, LearningSwitchApp(), load_property("learned-unicast-port"),
+            load_property("learned-no-flood")
         )
         hosts[0].send(ethernet(1, 2))
         net.run()
@@ -78,7 +81,7 @@ class TestLearningSwitchS1:
     def test_wrong_port_fault_detected(self):
         net, sw, hosts, mon = monitored_net(
             3, LearningSwitchApp(faults=sometimes("wrong_port", 1.0)),
-            learned_unicast_port(),
+            load_property("learned-unicast-port"),
         )
         hosts[0].send(ethernet(1, 9))  # learn 1@port1
         net.run()
@@ -92,7 +95,7 @@ class TestLearningSwitchS1:
     def test_flood_known_fault_detected(self):
         net, sw, hosts, mon = monitored_net(
             3, LearningSwitchApp(faults=sometimes("flood_known", 1.0)),
-            learned_no_flood(),
+            load_property("learned-no-flood"),
         )
         hosts[0].send(ethernet(1, 9))
         net.run()
@@ -103,7 +106,7 @@ class TestLearningSwitchS1:
     def test_initial_flood_is_not_a_violation(self):
         # Before D is learned, flooding to it is correct behaviour.
         net, sw, hosts, mon = monitored_net(
-            3, LearningSwitchApp(), learned_no_flood()
+            3, LearningSwitchApp(), load_property("learned-no-flood")
         )
         hosts[0].send(ethernet(1, 2))  # 2 not yet learned: flood is fine
         net.run()
@@ -112,7 +115,7 @@ class TestLearningSwitchS1:
     def test_host_move_is_tracked(self):
         # D re-learned on a new port: unicast to the new port is correct.
         net, sw, hosts, mon = monitored_net(
-            3, LearningSwitchApp(), learned_unicast_port()
+            3, LearningSwitchApp(), load_property("learned-unicast-port")
         )
         hosts[0].send(ethernet(1, 9))
         net.run()
@@ -132,7 +135,7 @@ class TestFirewallS21:
 
     def test_correct_firewall_clean(self):
         net, sw, hosts, mon = monitored_net(
-            2, StatefulFirewallApp(), firewall_basic()
+            2, StatefulFirewallApp(), load_property("firewall-basic")
         )
         hosts[0].send(self._out())
         net.run()
@@ -143,7 +146,7 @@ class TestFirewallS21:
     def test_drop_valid_detected_by_basic(self):
         net, sw, hosts, mon = monitored_net(
             2, StatefulFirewallApp(faults=sometimes("drop_valid", 1.0)),
-            firewall_basic(),
+            load_property("firewall-basic"),
         )
         hosts[0].send(self._out())
         net.run()
@@ -156,7 +159,8 @@ class TestFirewallS21:
         # The paper's point: without the timeout refinement, a correct
         # firewall expiring stale state looks like a violator.
         net, sw, hosts, mon = monitored_net(
-            2, StatefulFirewallApp(state_timeout=5.0), firewall_basic()
+            2, StatefulFirewallApp(state_timeout=5.0),
+            load_property("firewall-basic")
         )
         hosts[0].send(self._out())
         hosts[1].send_at(10.0, self._back())  # correctly dropped: stale
@@ -165,7 +169,8 @@ class TestFirewallS21:
 
     def test_timed_property_tolerates_expiry(self):
         net, sw, hosts, mon = monitored_net(
-            2, StatefulFirewallApp(state_timeout=5.0), firewall_timed(T=5.0)
+            2, StatefulFirewallApp(state_timeout=5.0),
+            with_deadline(load_property("firewall-timed"), 5.0)
         )
         hosts[0].send(self._out())
         hosts[1].send_at(10.0, self._back())
@@ -177,7 +182,7 @@ class TestFirewallS21:
             2,
             StatefulFirewallApp(state_timeout=10.0,
                                 faults=always("early_expiry")),
-            firewall_timed(T=10.0),
+            with_deadline(load_property("firewall-timed"), 10.0),
         )
         hosts[0].send(self._out())
         hosts[1].send_at(7.0, self._back())  # inside advertised window
@@ -186,7 +191,7 @@ class TestFirewallS21:
 
     def test_close_property_tolerates_post_close_drop(self):
         net, sw, hosts, mon = monitored_net(
-            2, StatefulFirewallApp(), firewall_with_close(T=30.0)
+            2, StatefulFirewallApp(), load_property("firewall-with-close")
         )
         hosts[0].send(self._out())
         hosts[0].send_at(1.0, tcp_fin(1, 2, "10.0.0.1", "198.51.100.1",
@@ -199,7 +204,7 @@ class TestFirewallS21:
         # Without the obligation refinement, the legitimate post-close drop
         # still looks like a violation inside the window.
         net, sw, hosts, mon = monitored_net(
-            2, StatefulFirewallApp(), firewall_timed(T=30.0)
+            2, StatefulFirewallApp(), load_property("firewall-timed")
         )
         hosts[0].send(self._out())
         hosts[0].send_at(1.0, tcp_fin(1, 2, "10.0.0.1", "198.51.100.1",
@@ -211,7 +216,7 @@ class TestFirewallS21:
     def test_ignore_close_detected_by_converse_property(self):
         net, sw, hosts, mon = monitored_net(
             2, StatefulFirewallApp(faults=always("ignore_close")),
-            firewall_drops_after_close(),
+            load_property("firewall-drops-after-close"),
         )
         hosts[0].send(self._out())
         hosts[0].send_at(1.0, tcp_fin(1, 2, "10.0.0.1", "198.51.100.1",
@@ -228,7 +233,7 @@ class TestNatS22:
 
     def test_correct_nat_clean(self):
         net, sw, hosts, mon = monitored_net(
-            2, self._nat(), nat_reverse_translation()
+            2, self._nat(), load_property("nat-reverse-translation")
         )
         hosts[0].send(tcp_packet(1, 2, "10.0.0.1", "198.51.100.1", 5555, 80))
         net.run()
@@ -240,7 +245,7 @@ class TestNatS22:
     def test_corrupt_reverse_port_detected(self):
         net, sw, hosts, mon = monitored_net(
             2, self._nat(faults=sometimes("corrupt_reverse", 1.0)),
-            nat_reverse_translation(),
+            load_property("nat-reverse-translation"),
         )
         hosts[0].send(tcp_packet(1, 2, "10.0.0.1", "198.51.100.1", 5555, 80))
         net.run()
@@ -255,7 +260,7 @@ class TestNatS22:
     def test_corrupt_reverse_ip_detected(self):
         net, sw, hosts, mon = monitored_net(
             2, self._nat(faults=sometimes("corrupt_reverse_ip", 1.0)),
-            nat_reverse_translation(),
+            load_property("nat-reverse-translation"),
         )
         hosts[0].send(tcp_packet(1, 2, "10.0.0.1", "198.51.100.1", 5555, 80))
         net.run()
@@ -266,7 +271,7 @@ class TestNatS22:
 
     def test_unrelated_inbound_does_not_advance(self):
         net, sw, hosts, mon = monitored_net(
-            2, self._nat(), nat_reverse_translation()
+            2, self._nat(), load_property("nat-reverse-translation")
         )
         hosts[0].send(tcp_packet(1, 2, "10.0.0.1", "198.51.100.1", 5555, 80))
         net.run()
@@ -280,7 +285,7 @@ class TestNatS22:
     def test_multiple_flows_tracked_independently(self):
         net, sw, hosts, mon = monitored_net(
             2, self._nat(faults=sometimes("corrupt_reverse", 1.0)),
-            nat_reverse_translation(),
+            load_property("nat-reverse-translation"),
         )
         for i in range(3):
             hosts[0].send(tcp_packet(1, 2, "10.0.0.1", "198.51.100.1",
@@ -297,7 +302,10 @@ class TestArpProxyS23:
     def _setup(self, proxy_faults=None, refresh="never", T=1.0):
         app = ArpProxyApp(faults=proxy_faults)
         knowledge = ArpKnowledge()
-        prop = arp_reply_within(knowledge, T=T, refresh=refresh)
+        prop = with_deadline(
+            load_property("arp-reply-within",
+                          catalog_predicates(arp_knowledge=knowledge)),
+            T, refresh=refresh)
         return monitored_net(3, app, prop, taps_before=(knowledge.observe,))
 
     def test_prompt_reply_is_clean(self):
@@ -361,7 +369,7 @@ class TestMultipleMatchS24:
     def test_link_down_with_stale_forwarding(self):
         app = LearningSwitchApp(faults=always("keep_on_link_down"))
         net, sw, hosts, mon = monitored_net(
-            3, app, link_down_clears_learning()
+            3, app, load_property("link-down-clears-learning")
         )
         hosts[0].send(ethernet(1, 9))
         hosts[1].send(ethernet(2, 9))
@@ -375,7 +383,7 @@ class TestMultipleMatchS24:
     def test_relearning_cancels(self):
         app = LearningSwitchApp(faults=always("keep_on_link_down"))
         net, sw, hosts, mon = monitored_net(
-            3, app, link_down_clears_learning()
+            3, app, load_property("link-down-clears-learning")
         )
         hosts[0].send(ethernet(1, 9))
         net.run()
@@ -388,7 +396,7 @@ class TestMultipleMatchS24:
 
     def test_correct_app_clean(self):
         net, sw, hosts, mon = monitored_net(
-            3, LearningSwitchApp(), link_down_clears_learning()
+            3, LearningSwitchApp(), load_property("link-down-clears-learning")
         )
         hosts[0].send(ethernet(1, 9))
         net.run()

@@ -22,7 +22,7 @@ from repro.lang.ast import (
 )
 from repro.lang.format import format_ast
 from repro.lang.parser import parse
-from repro.props import build_table1, worked_examples
+from repro.props import build_table1, load_property, worked_examples
 
 
 def roundtrip(prop):
@@ -51,18 +51,15 @@ class TestFormatRoundtrip:
             assert analyze(again).table1_row() == entry.expected_row
 
     def test_formatted_text_is_readable(self):
-        from repro.props import firewall_with_close
-
-        source, predicates = format_property(firewall_with_close())
+        source, predicates = format_property(
+            load_property("firewall-with-close"))
         assert "observe outbound : arrival" in source
         assert "drop within 30" in source
         assert "unless arrival where" in source
         assert len(predicates) >= 1  # the @internal predicate got a name
 
     def test_roundtrip_is_idempotent(self):
-        from repro.props import nat_reverse_translation
-
-        prop = nat_reverse_translation()
+        prop = load_property("nat-reverse-translation")
         once = roundtrip(prop)
         twice = roundtrip(once)
         assert analyze(once) == analyze(twice)
@@ -73,10 +70,9 @@ class TestFormatRoundtrip:
         from repro.core import Monitor
         from repro.netsim import single_switch_network
         from repro.packet import IPv4Address, tcp_packet
-        from repro.props import nat_reverse_translation
         from repro.switch.pipeline import MissPolicy
 
-        prop = roundtrip(nat_reverse_translation())
+        prop = roundtrip(load_property("nat-reverse-translation"))
         net, switch, hosts = single_switch_network(
             2, switch_kwargs={"miss_policy": MissPolicy.CONTROLLER})
         switch.set_app(NatApp(public_ip=IPv4Address("203.0.113.1"),
@@ -196,15 +192,8 @@ class TestAstRoundtrip:
         assert format_ast(parse(once)[0]) == once
 
     def test_whole_shipped_corpus_roundtrips(self):
-        import glob
-        import os
+        from repro.props import CATALOG_NAMES, property_source
 
-        pattern = os.path.join(
-            os.path.dirname(__file__), "..", "..", "examples", "properties",
-            "*.prop")
-        paths = glob.glob(pattern)
-        assert paths
-        for path in paths:
-            with open(path) as fp:
-                for prop in parse(fp.read()):
-                    assert parse(format_ast(prop))[0] == prop, path
+        for name in CATALOG_NAMES:
+            for prop in parse(property_source(name)):
+                assert parse(format_ast(prop))[0] == prop, name

@@ -30,16 +30,7 @@ from repro.backends import (
 from repro.core.refs import event_fields
 from repro.netsim import EventScheduler, TraceRecorder, single_switch_network
 from repro.packet import IPv4Address, ethernet, tcp_packet, tcp_syn
-from repro.props import (
-    arp_cache_preloaded,
-    dhcp_reply_within,
-    firewall_basic,
-    firewall_timed,
-    ftp_data_port_matches,
-    knocking_invalidated,
-    link_down_clears_learning,
-    nat_reverse_translation,
-)
+from repro.props import load_property
 from repro.switch.events import PacketArrival, PacketDrop
 from repro.switch.match import MatchSpec
 from repro.switch.pipeline import MissPolicy
@@ -53,31 +44,30 @@ class TestCompileChecks:
     def test_openflow_rejects_stateful_properties(self):
         backend = OpenFlow13Backend()
         with pytest.raises(UnsupportedFeature) as exc:
-            backend.compile(firewall_basic())
+            backend.compile(load_property("firewall-basic"))
         assert exc.value.feature == "event history"
         assert not exc.value.precluded  # blank, not X
 
     def test_fixed_parsers_reject_l7(self):
         for backend in (OpenStateBackend(), FastBackend(), VaranusBackend()):
             with pytest.raises(UnsupportedFeature) as exc:
-                backend.compile(ftp_data_port_matches())
+                backend.compile(load_property("ftp-data-port-matches"))
             assert exc.value.feature == "field access"
 
     def test_dynamic_parsers_accept_l7(self):
         # The FTP property needs only symmetric+negative on a dynamic
         # parser; P4/SNAP compile it.
         for backend in (P4Backend(), SnapBackend()):
-            monitor = backend.compile(ftp_data_port_matches())
+            monitor = backend.compile(load_property("ftp-data-port-matches"))
             assert monitor.backend_name == backend.caps.name
 
     def test_fast_rejects_rule_timeouts(self):
         with pytest.raises(UnsupportedFeature) as exc:
-            FastBackend().compile(firewall_timed())
+            FastBackend().compile(load_property("firewall-timed"))
         assert exc.value.feature == "rule timeouts"
         assert exc.value.precluded
 
     def test_only_varanus_family_accepts_timeout_actions(self):
-        prop_factory = dhcp_reply_within  # L7 though; use a neutral probe
         from repro.backends.conformance import timeout_action_probe
 
         for backend in (OpenStateBackend(), FastBackend(), P4Backend(),
@@ -88,7 +78,7 @@ class TestCompileChecks:
             backend.compile(timeout_action_probe())
 
     def test_only_varanus_accepts_oob(self):
-        prop = link_down_clears_learning()
+        prop = load_property("link-down-clears-learning")
         VaranusBackend().compile(prop)
         with pytest.raises(UnsupportedFeature):
             StaticVaranusBackend().compile(prop)
@@ -100,12 +90,12 @@ class TestCompileChecks:
         # visibility (P4's egress metadata, Varanus's OVS extensions) can
         # host it; OpenState cannot.
         with pytest.raises(UnsupportedFeature) as exc:
-            OpenStateBackend().compile(firewall_basic())
+            OpenStateBackend().compile(load_property("firewall-basic"))
         assert exc.value.feature == "drop visibility"
-        VaranusBackend().compile(firewall_basic())
+        VaranusBackend().compile(load_property("firewall-basic"))
 
     def test_nat_needs_identity(self):
-        prop = nat_reverse_translation()
+        prop = load_property("nat-reverse-translation")
         for backend in (VaranusBackend(),):
             backend.compile(prop)
         with pytest.raises(UnsupportedFeature) as exc:
@@ -120,7 +110,7 @@ class TestCompileChecks:
 class TestBackendMonitorRuntime:
     def test_varanus_depth_tracks_instances(self):
         backend = VaranusBackend()
-        monitor = backend.compile(knocking_invalidated())
+        monitor = backend.compile(load_property("knocking-invalidated"))
         base = monitor.pipeline_depth
         for i in range(5):
             monitor.observe(arr(
@@ -132,7 +122,7 @@ class TestBackendMonitorRuntime:
 
     def test_static_varanus_depth_constant(self):
         backend = StaticVaranusBackend()
-        monitor = backend.compile(knocking_invalidated())
+        monitor = backend.compile(load_property("knocking-invalidated"))
         base = monitor.pipeline_depth
         for i in range(5):
             monitor.observe(arr(
@@ -164,7 +154,7 @@ class TestBackendMonitorRuntime:
         assert slow.meter.slow_updates >= 1 and slow.meter.fast_updates == 0
 
     def test_controller_mirror_sees_everything_at_slow_cost(self):
-        mirror = ControllerMirror([firewall_basic()])
+        mirror = ControllerMirror([load_property("firewall-basic")])
         out = tcp_packet(1, 2, "10.0.0.1", "198.51.100.1", 1000, 80)
         back = tcp_packet(2, 1, "198.51.100.1", "10.0.0.1", 80, 1000)
         mirror.observe(arr(out, 0.0))

@@ -118,6 +118,16 @@ class TestExplainCommand:
         assert out.startswith("# repro codegen program")
         assert "_eval__PacketArrival" in out
 
+    def test_every_catalog_name_explains(self, capsys):
+        # `explain` used to hand-list Table 1 + three builders, so
+        # firewall-basic and friends answered "not in the catalog".
+        from repro.props import CATALOG_NAMES
+
+        assert len(CATALOG_NAMES) == 22
+        for name in CATALOG_NAMES:
+            assert cli_main(["explain", name]) == 0, name
+            assert f"property {name}:" in capsys.readouterr().out
+
     def test_explain_unknown_property_fails(self, capsys):
         rc = cli_main(["explain", "no-such-property"])
         assert rc == 2

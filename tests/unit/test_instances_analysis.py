@@ -30,15 +30,7 @@ from repro.core.instances import (
 )
 from repro.core.refs import event_fields
 from repro.packet import ethernet
-from repro.props import (
-    build_table1,
-    firewall_basic,
-    firewall_timed,
-    firewall_with_close,
-    learned_unicast_port,
-    link_down_clears_learning,
-    nat_reverse_translation,
-)
+from repro.props import build_table1, load_property
 from repro.switch.events import (
     EgressAction,
     PacketArrival,
@@ -128,12 +120,12 @@ class TestInstanceStores:
         assert stage_index_plan(prop.stages[1]) == (("eth.dst", "S"),)
 
     def test_stage_index_plan_includes_uid(self):
-        prop = nat_reverse_translation()
+        prop = load_property("nat-reverse-translation")
         plan = stage_index_plan(prop.stages[1])
         assert ("uid", uid_var("outbound_arrival")) in plan
 
     def test_oob_stage_has_empty_plan(self):
-        prop = link_down_clears_learning()
+        prop = load_property("link-down-clears-learning")
         assert stage_index_plan(prop.stages[1]) == ()
 
     def test_reindex_moves_instance(self):
@@ -377,38 +369,38 @@ class TestFieldClassification:
 
 class TestAnalysis:
     def test_firewall_basic(self):
-        req = analyze(firewall_basic())
+        req = analyze(load_property("firewall-basic"))
         assert req.history and not req.timeouts and not req.obligation
         assert req.match_kind is MatchKind.SYMMETRIC
         assert req.drop_visibility
         assert req.max_layer == 3
 
     def test_firewall_timed_adds_timeouts(self):
-        assert analyze(firewall_timed()).timeouts
+        assert analyze(load_property("firewall-timed")).timeouts
 
     def test_firewall_with_close_adds_obligation(self):
-        req = analyze(firewall_with_close())
+        req = analyze(load_property("firewall-with-close"))
         assert req.obligation and req.timeouts
 
     def test_nat_property(self):
-        req = analyze(nat_reverse_translation())
+        req = analyze(load_property("nat-reverse-translation"))
         assert req.identity
         assert req.negative_match
         assert req.match_kind is MatchKind.SYMMETRIC
         assert req.max_layer == 4
 
     def test_learning_switch_negmatch_on_metadata(self):
-        req = analyze(learned_unicast_port())
+        req = analyze(load_property("learned-unicast-port"))
         assert req.negative_match
         assert req.max_layer == 2
 
     def test_link_down_property_is_multiple_match(self):
-        req = analyze(link_down_clears_learning())
+        req = analyze(load_property("link-down-clears-learning"))
         assert req.multiple_match
         assert req.out_of_band
 
     def test_non_oob_props_not_multiple(self):
-        assert not analyze(firewall_basic()).multiple_match
+        assert not analyze(load_property("firewall-basic")).multiple_match
 
     def test_table1_rows_all_match_paper(self):
         entries = build_table1()
@@ -441,9 +433,8 @@ class TestAnalysis:
         assert groups.count("DHCP + ARP Proxy") == 2
 
     def test_match_kind_override_respected(self):
-        from repro.props import dhcp_no_overlap
-
-        assert classify_match_kind(dhcp_no_overlap()) is MatchKind.SYMMETRIC
+        assert classify_match_kind(
+            load_property("dhcp-no-overlap")) is MatchKind.SYMMETRIC
 
     def test_table1_render(self):
         from repro.props import render_table1

@@ -271,9 +271,9 @@ observe c : arrival where eth.dst == $S
         assert analyze(prop).multiple_match
 
     def test_dsl_matches_handwritten_analysis(self):
-        """The DSL firewall property analyzes identically to the
-        hand-written catalog one."""
-        from repro.props import firewall_with_close
+        """An inline firewall property (own name, own predicate names)
+        analyzes identically to the catalog's firewall-with-close."""
+        from repro.props import load_property
 
         dsl = compile_one("""
 property fw
@@ -286,7 +286,7 @@ observe return_dropped : drop within 30
     unless arrival where ipv4.src == $A and ipv4.dst == $B and @close
     unless arrival where ipv4.src == $B and ipv4.dst == $A and @close
 """, {"internal": internal_to_external(), "close": is_tcp_close()})
-        assert analyze(dsl) == analyze(firewall_with_close())
+        assert analyze(dsl) == analyze(load_property("firewall-with-close"))
 
     def test_compile_source_multiple(self):
         props = compile_source(SIMPLE + SIMPLE.replace("echo", "echo2"))

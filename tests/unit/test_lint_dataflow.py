@@ -181,19 +181,12 @@ observe open : arrival
         assert "L016" not in codes
 
     def test_catalog_is_clean(self):
-        import glob
-        import os
+        from repro.props import CATALOG_NAMES, property_source
 
-        pattern = os.path.join(
-            os.path.dirname(__file__), "..", "..", "examples", "properties",
-            "*.prop")
-        paths = glob.glob(pattern)
-        assert paths
-        for path in paths:
-            with open(path) as fp:
-                report = lint_source(fp.read(), path=path)
+        for name in CATALOG_NAMES:
+            report = lint_source(property_source(name), path=name)
             hits = [d for d in report.all_diagnostics() if d.code == "L016"]
-            assert not hits, f"{path}: unexpected L016 {hits}"
+            assert not hits, f"{name}: unexpected L016 {hits}"
 
 
 class TestStageEnvironments:

@@ -304,28 +304,29 @@ class TestStatsCli:
 
 
 class TestShippedPropertyFiles:
-    """The .prop files under examples/properties/ must stay compilable."""
+    """The catalog's .prop files (package data) must stay compilable."""
+
+    @staticmethod
+    def _files():
+        from importlib import resources
+
+        sources = resources.files("repro.props") / "sources"
+        return sorted(str(entry) for entry in sources.iterdir()
+                      if entry.name.endswith(".prop"))
 
     def test_all_shipped_files_check(self, capsys):
-        import glob
-        import os
-
-        files = sorted(glob.glob(
-            os.path.join(os.path.dirname(__file__), "..", "..",
-                         "examples", "properties", "*.prop")))
-        assert len(files) == 20
+        files = self._files()
+        assert len(files) == 22
         assert main(["check"] + files) == 0
         out = capsys.readouterr().out
-        assert out.count("inst. id") == 20
+        assert out.count("inst. id") == 22
 
-    def test_files_match_dsl_sources(self):
-        import glob
+    def test_files_match_catalog_names(self):
+        """One file per catalog name: no stray source, none missing."""
         import os
 
-        from repro.props.dsl_sources import DSL_SOURCES
+        from repro.props import CATALOG_NAMES
 
-        files = glob.glob(
-            os.path.join(os.path.dirname(__file__), "..", "..",
-                         "examples", "properties", "*.prop"))
-        names = {os.path.basename(f)[:-5].replace("_", "-") for f in files}
-        assert names == set(DSL_SOURCES)
+        names = [os.path.basename(f)[:-5].replace("_", "-")
+                 for f in self._files()]
+        assert sorted(names) == sorted(CATALOG_NAMES)
