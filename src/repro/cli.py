@@ -379,7 +379,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         poller = StatsPoller(registry, args.poll_interval, start_time=start)
 
     if poller is None and tracer is None:
-        # No per-event instrumentation requested: take the batch fast path.
+        # No per-event instrumentation requested.
         monitor.observe_batch(events)
     else:
         for event in events:

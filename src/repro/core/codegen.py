@@ -9,21 +9,12 @@ evaluation, and ``exec``'s each function of it once, when an event of
 its class first needs it.  No plan tuples are walked and no per-guard
 call is made at run time.
 
-Two generated entry points exist per concrete event class:
-
-* ``_eval__<Cls>(event, fields)`` — the single-event evaluator behind
-  ``Monitor.observe``.  One function call per event, zero per guard.
-
-* a columnar batch triple used by ``Monitor.observe_batch``: an
-  *extractor* builds a :class:`ColumnarBatch` (one Python list per field
-  for a chunk of same-class events, with packet field maps cached per
-  packet object), a *create prefilter* matches stage-0 patterns against
-  whole columns at once and returns per-event hit slots, and
-  ``_evalb__<Cls>`` evaluates one event against its column row.  The
-  prefilter is restricted to predicate-free stage-0 patterns, which are
-  provably state-independent (spec validation forbids ``Var`` references
-  at stage 0), so hoisting them before any timer fires cannot change
-  results.
+One generated function exists per watched concrete event class:
+``_eval__<Cls>(event, fields)`` takes the flat field map
+:func:`repro.core.refs.event_fields` built for the event — the only
+place an event becomes fields — and returns the ops it plans.  One
+function call per event, zero per guard.  ``Monitor.observe`` is its only
+caller; ``observe_batch`` is a loop over ``observe``.
 
 Equivalence is the design invariant, not an aspiration: the generated
 code follows the reference walk (:mod:`repro.core.reference`) phase for
@@ -39,15 +30,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..switch.events import (
-    DataplaneEvent,
-    OutOfBandEvent,
-    PacketArrival,
-    PacketDrop,
-    PacketEgress,
-)
+from ..switch.events import PacketArrival, PacketDrop, PacketEgress
 from .compile import (
     _MISSING,
     bindable_source,
@@ -123,47 +108,22 @@ class PropEmission:
     matcher_lines: int = 0
 
 
-@dataclass
-class ColumnarBatch:
-    """One chunk of same-class events, transposed into per-field columns.
-
-    ``columns[i][j]`` is field ``i`` of event ``j`` (``_MISSING`` when the
-    event lacks the field).  ``creates`` — present when the class carries
-    prefiltered stage-0 watchers — holds one slot list per property:
-    ``creates[p][j]`` is ``(env0, key)`` when event ``j`` matched property
-    ``p``'s stage-0 pattern (and passed the key filter), else ``None``.
-    """
-
-    event_class: type
-    events: List[DataplaneEvent]
-    columns: Tuple[list, ...]
-    creates: Optional[list]
-
-
-@dataclass
-class _BatchFns:
-    extract: Callable
-    create_batch: Optional[Callable]
-    eval_batch: Callable
-
-
 class _LazyFns(dict):
-    """Event class -> its generated function(s), compiled on first use.
+    """Event class -> its generated function, compiled on first use.
 
-    The program text is emitted whole, but a replay never calls the
-    per-event evaluators and a daemon never calls the batch triples, and
-    ``compile()`` is most of a build: each ``def`` is compiled and exec'd
-    when its class is first looked up (``fns[cls]``).  A class no
-    property watches maps to None.
+    The program text is emitted whole, but a trace rarely carries every
+    watched class and ``compile()`` is most of a build: each ``def`` is
+    compiled and exec'd when its class is first looked up (``fns[cls]``).
+    A class no property watches maps to None.
     """
 
-    def __init__(self, define: Callable[[type], object]) -> None:
+    def __init__(self, define: Callable[[type], Optional[Callable]]) -> None:
         super().__init__()
         self._define = define
 
     def __missing__(self, cls: type):
-        fns = self[cls] = self._define(cls)
-        return fns
+        fn = self[cls] = self._define(cls)
+        return fn
 
 
 @dataclass
@@ -173,26 +133,8 @@ class CodegenProgram:
 
     source: str
     eval_fns: Dict[type, Optional[Callable]]
-    batch_fns: Dict[type, Optional[_BatchFns]]
     emissions: Dict[str, PropEmission]
     exec_globals: Dict[str, object] = field(repr=False, default_factory=dict)
-
-    def columnar(
-        self,
-        cls: type,
-        events: List[DataplaneEvent],
-        pf_cache: Dict[int, Dict[str, object]],
-    ) -> Optional[ColumnarBatch]:
-        """Build the columnar representation for one same-class chunk."""
-        fns = self.batch_fns[cls]
-        if fns is None:
-            return None
-        columns = fns.extract(events, pf_cache)
-        creates = (
-            fns.create_batch(events, columns)
-            if fns.create_batch is not None else None
-        )
-        return ColumnarBatch(cls, events, columns, creates)
 
 
 def pattern_terms(pattern: EventPattern) -> int:
@@ -214,10 +156,6 @@ def pattern_terms(pattern: EventPattern) -> int:
     for guard in pattern.guards:
         n += len(guard.pairs) if isinstance(guard, MismatchAny) else 1
     return n
-
-
-def _has_predicate(pattern: EventPattern) -> bool:
-    return any(isinstance(g, Predicate) for g in pattern.guards)
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +183,12 @@ def _sanitize(name: str) -> str:
 
 
 class _FieldMap:
-    """Field name -> stable local name (and, by order, column index)."""
+    """Field name -> stable local name, in first-use order."""
 
     def __init__(self) -> None:
         self.order: List[str] = []
         self._names: Dict[str, str] = {}
         self._used: set = set()
-        self.record: Optional[set] = None
 
     def __call__(self, fieldname: str) -> str:
         name = self._names.get(fieldname)
@@ -262,12 +199,7 @@ class _FieldMap:
             self._used.add(base)
             self._names[fieldname] = name = base
             self.order.append(fieldname)
-        if self.record is not None:
-            self.record.add(fieldname)
         return name
-
-    def index(self, fieldname: str) -> int:
-        return self.order.index(fieldname)
 
 
 class _ConstPool:
@@ -366,7 +298,7 @@ class _Entry:
 # The per-class emitter
 # ---------------------------------------------------------------------------
 class _ClassEmitter:
-    """Emits all four functions for one concrete event class."""
+    """Emits the evaluator for one concrete event class."""
 
     def __init__(
         self,
@@ -375,14 +307,12 @@ class _ClassEmitter:
         pool: _ConstPool,
         exec_globals: Dict[str, object],
         emissions: Dict[str, PropEmission],
-        max_layer: int,
     ) -> None:
         self.cls = cls
         self.entries = entries
         self.pool = pool
         self.g = exec_globals
         self.emissions = emissions
-        self.max_layer = max_layer
         self.fmap = _FieldMap()
         self.has_uid = cls in _UID_CLASSES
         self.has_create = any(e.sections.create is not None for e in entries)
@@ -391,31 +321,9 @@ class _ClassEmitter:
             or any(not is_unless for is_unless, _, _ in e.sections.cancels)
             for e in entries
         )
-        #: fields-dict column needed iff any emitted pattern carries a
-        #: Predicate (predicates receive the full field Mapping).
-        self.needs_fields = any(
-            _has_predicate(p)
-            for e in entries
-            for p in self._all_patterns(e.sections)
-        )
-        #: properties whose stage-0 match is prefiltered columnarly —
-        #: predicate-free create patterns only (state-independence proof).
-        self.prefiltered: List[_Entry] = [
-            e for e in entries
-            if e.sections.create is not None
-            and not _has_predicate(e.sections.create)
-        ]
-        self._slots = {id(e): j for j, e in enumerate(self.prefiltered)}
-        self._term_sink: Optional[PropEmission] = None
-
-    @staticmethod
-    def _all_patterns(sec: _Sections):
-        for _, _, patterns in sec.cancels:
-            yield from patterns
-        for _, pattern in sec.advances:
-            yield pattern
-        if sec.create is not None:
-            yield sec.create
+        #: emission of the property ``_emit_prop_sections`` is working on;
+        #: ``_matcher`` tallies inline terms into it.
+        self._term_sink: PropEmission
 
     # -- shared expression builders -------------------------------------
     def _matcher(self, pattern: EventPattern, env_expr: str,
@@ -433,8 +341,7 @@ class _ClassEmitter:
             guard_source(g, self.fmap, self.pool, env_expr, fields_expr)
             for g in pattern.guards
         )
-        if self._term_sink is not None:
-            self._term_sink.inline_terms += pattern_terms(pattern)
+        self._term_sink.inline_terms += pattern_terms(pattern)
         return " and ".join(terms) if terms else "True"
 
     @staticmethod
@@ -679,8 +586,7 @@ class _ClassEmitter:
         self._emit_candidates(w, entry, stage_idx, body)
 
     def _emit_refresh_or_create(self, w: _Writer, entry: _Entry) -> None:
-        """The by-key half of create, shared by inline and prefiltered
-        paths (runs per event against current state)."""
+        """The by-key half of create (runs against current state)."""
         p = entry.pidx
         w.w(f"_ex = _byk{p}(_key)")
         if entry.refresh_ok:
@@ -724,8 +630,8 @@ class _ClassEmitter:
         return self._binds_dict(
             pattern, uid_var(entry.prop.stages[0].name))
 
-    def _emit_create_inline(self, w: _Writer, entry: _Entry,
-                            fields_expr: str) -> None:
+    def _emit_create(self, w: _Writer, entry: _Entry,
+                     fields_expr: str) -> None:
         cond = self._create_cond(entry, fields_expr)
         guarded = cond != "True"
         if guarded:
@@ -741,11 +647,10 @@ class _ClassEmitter:
             w.ded()
 
     def _emit_prop_sections(self, w: _Writer, entry: _Entry,
-                            fields_expr: str, batch_mode: bool) -> None:
+                            fields_expr: str) -> None:
         emission = self.emissions[entry.prop.name]
         start = len(w.lines)
-        if not batch_mode:
-            self._term_sink = emission
+        self._term_sink = emission
         w.w(f"# --- property {entry.prop.name!r} ---")
         w.w("_d = None")
         for is_unless, stage_idx, patterns in entry.sections.cancels:
@@ -757,28 +662,16 @@ class _ClassEmitter:
         for stage_idx, pattern in entry.sections.advances:
             self._emit_advance(w, entry, stage_idx, pattern, fields_expr)
         if entry.sections.create is not None:
-            if batch_mode and id(entry) in self._slots:
-                j = self._slots[id(entry)]
-                w.w(f"_cr = _creates[{j}][_i]")
-                w.w("if _cr is not None:")
-                w.ind()
-                w.w("_env0, _key = _cr")
-                self._emit_refresh_or_create(w, entry)
-                w.ded()
-            else:
-                self._emit_create_inline(w, entry, fields_expr)
-        self._term_sink = None
+            self._emit_create(w, entry, fields_expr)
         emission.matcher_lines += len(w.lines) - start
 
-    # -- the four functions -----------------------------------------------
     def emit_eval(self) -> Tuple[str, str]:
-        """The single-event evaluator (returns (name, source))."""
+        """The class's evaluator (returns (name, source))."""
         name = f"_eval__{self.cls.__name__}"
         body = _Writer()
         body.ind()
         for entry in self.entries:
-            self._emit_prop_sections(body, entry, "_fields",
-                                     batch_mode=False)
+            self._emit_prop_sections(body, entry, "_fields")
         head = _Writer()
         head.w(f"def {name}(_ev, _fields):")
         head.ind()
@@ -800,196 +693,6 @@ class _ClassEmitter:
             tail.ded()
         tail.w("return _ops")
         return name, "\n".join(head.lines + body.lines + tail.lines)
-
-    def emit_extract(self) -> Tuple[str, str]:
-        """The column extractor — the only place event fields are read."""
-        name = f"_extract__{self.cls.__name__}"
-        w = _Writer()
-        w.w(f"def {name}(_events, _pfc):")
-        w.ind()
-        ncols = len(self.fmap.order) + (1 if self.needs_fields else 0)
-        for i in range(ncols):
-            w.w(f"_c{i} = []")
-            w.w(f"_a{i} = _c{i}.append")
-        w.w("for _ev in _events:")
-        w.ind()
-        packet_cls = self.cls in _UID_CLASSES
-        if packet_cls:
-            w.w("_pkt = _ev.packet")
-            w.w("_pid = id(_pkt)")
-            w.w("_pf = _pfc.get(_pid)")
-            w.w("if _pf is None:")
-            w.ind()
-            w.w(f"_pf = _pkt.fields(max_layer={self.max_layer})")
-            w.w("_pfc[_pid] = _pf")
-            w.ded()
-            w.w("_pg = _pf.get")
-        for i, fieldname in enumerate(self.fmap.order):
-            expr = self._column_expr(fieldname)
-            w.w(f"_a{i}({expr})  # {fieldname}")
-        if self.needs_fields:
-            # Predicates receive the full field Mapping; build it inline
-            # (mirroring refs.event_fields for this class) so the cached
-            # packet field map is reused instead of re-parsed.
-            w.w("_fd = {'time': _ev.time, 'switch': _ev.switch_id}")
-            if packet_cls:
-                w.w("_fd.update(_pf)")
-                w.w("_fd['in_port'] = _ev.in_port")
-                if self.cls is PacketEgress:
-                    w.w("_fd['out_port'] = _ev.out_port")
-                    w.w("_fd['egress.action'] = _ev.action")
-                elif self.cls is PacketDrop:
-                    w.w("_fd['drop.reason'] = _ev.reason")
-                w.w("_fd['uid'] = _pkt.uid")
-            elif self.cls is OutOfBandEvent:
-                w.w("_fd['oob.kind'] = _ev.oob_kind")
-                w.w("if _ev.port is not None:")
-                w.ind()
-                w.w("_fd['oob.port'] = _ev.port")
-                w.ded()
-            w.w(f"_a{ncols - 1}(_fd)  # full fields (predicate guards)")
-        w.ded()
-        cols = ", ".join(f"_c{i}" for i in range(ncols))
-        trailing = "," if ncols == 1 else ""
-        w.w(f"return ({cols}{trailing})")
-        return name, "\n".join(w.lines)
-
-    def _column_expr(self, fieldname: str) -> str:
-        """``event_fields`` for one field, specialized to the class.
-
-        Mirrors :func:`repro.core.refs.event_fields` exactly: ``time`` and
-        ``switch`` are written before the packet-field update (the packet
-        dict wins on collision), event metadata after it (the event
-        attribute wins).
-        """
-        cls = self.cls
-        if cls in _UID_CLASSES:
-            meta = {"uid": "_pkt.uid", "in_port": "_ev.in_port"}
-            if cls is PacketEgress:
-                meta["out_port"] = "_ev.out_port"
-                meta["egress.action"] = "_ev.action"
-            elif cls is PacketDrop:
-                meta["drop.reason"] = "_ev.reason"
-            if fieldname in meta:
-                return meta[fieldname]
-            if fieldname == "time":
-                return "_pg('time', _ev.time)"
-            if fieldname == "switch":
-                return "_pg('switch', _ev.switch_id)"
-            return f"_pg({fieldname!r}, _M)"
-        if cls is OutOfBandEvent:
-            return {
-                "time": "_ev.time",
-                "switch": "_ev.switch_id",
-                "oob.kind": "_ev.oob_kind",
-                "oob.port": "_M if _ev.port is None else _ev.port",
-            }.get(fieldname, "_M")
-        return "_M"  # pragma: no cover - no other class carries plans
-
-    def emit_create_batch(self) -> Optional[Tuple[str, str]]:
-        """The stage-0 prefilter: whole-column matching, hit indices out."""
-        if not self.prefiltered:
-            return None
-        name = f"_createb__{self.cls.__name__}"
-        w = _Writer()
-        w.w(f"def {name}(_events, _cols):")
-        w.ind()
-        w.w("_n = len(_events)")
-        w.w("_kf = _mon.key_filter")
-        w.w("_out = []")
-        hoisted: Dict[str, str] = {}
-        real_fmap = self.fmap
-
-        def colfx(fieldname: str) -> str:
-            local = hoisted.get(fieldname)
-            if local is None:
-                idx = real_fmap.index(fieldname)
-                local = f"_col{idx}"
-                hoisted[fieldname] = local
-                w.w(f"{local} = _cols[{idx}]")
-            return f"{local}[_i]"
-
-        for entry in self.prefiltered:
-            emission = self.emissions[entry.prop.name]
-            start = len(w.lines)
-            w.w(f"# --- property {entry.prop.name!r} (stage-0 prefilter) ---")
-            # Reroute field access through column reads for this block.
-            self.fmap = colfx  # type: ignore[assignment]
-            try:
-                cond = self._create_cond(entry, "_E")
-                env0 = self._env0_dict(entry)
-                key = self._key_tuple(entry.prop)
-            finally:
-                self.fmap = real_fmap
-            if cond == "True":
-                w.w("_hits = range(_n)")
-            else:
-                w.w(f"_hits = [_i for _i in range(_n) if {cond}]")
-            w.w("_r = [None] * _n")
-            w.w("for _i in _hits:")
-            w.ind()
-            w.w(f"_env0 = {env0}")
-            w.w(f"_key = {key}")
-            w.w(f"if _kf is None or _kf({entry.prop.name!r}, _key):")
-            w.ind()
-            w.w("_r[_i] = (_env0, _key)")
-            w.ded()
-            w.ded()
-            w.w("_out.append(_r)")
-            emission.matcher_lines += len(w.lines) - start
-        w.w("return _out")
-        return name, "\n".join(w.lines)
-
-    def emit_eval_batch(self) -> Tuple[str, str]:
-        """Per-event evaluation against the columns (state-dependent)."""
-        name = f"_evalb__{self.cls.__name__}"
-        body = _Writer()
-        body.ind()
-        touched: set = set()
-        self.fmap.record = touched
-        for entry in self.entries:
-            self._emit_prop_sections(body, entry, "_fields", batch_mode=True)
-        self.fmap.record = None
-        head = _Writer()
-        head.w(f"def {name}(_ev, _cols, _i, _creates):")
-        head.ind()
-        for fieldname in self.fmap.order:
-            if fieldname in touched:
-                idx = self.fmap.index(fieldname)
-                head.w(f"{self.fmap(fieldname)} = _cols[{idx}][_i]")
-        needs_fields_here = any(
-            _has_predicate(p)
-            for e in self.entries
-            for p in self._batch_patterns(e)
-        )
-        if needs_fields_here:
-            head.w(f"_fields = _cols[{len(self.fmap.order)}][_i]")
-        head.w("_t = _ev.time")
-        if self.has_create:
-            head.w("_kf = _mon.key_filter")
-        head.w("_ops = []")
-        if self.counts:
-            head.w("_nc = 0")
-        tail = _Writer()
-        tail.ind()
-        if self.counts:
-            tail.w("if _nc:")
-            tail.ind()
-            tail.w("_inc_cand(_nc)")
-            tail.ded()
-        tail.w("return _ops")
-        return name, "\n".join(head.lines + body.lines + tail.lines)
-
-    def _batch_patterns(self, entry: _Entry):
-        """Patterns evaluated inside ``_evalb`` (prefiltered creates are
-        matched in ``_createb``, not here)."""
-        sec = entry.sections
-        for _, _, patterns in sec.cancels:
-            yield from patterns
-        for _, pattern in sec.advances:
-            yield pattern
-        if sec.create is not None and id(entry) not in self._slots:
-            yield sec.create
 
 
 # ---------------------------------------------------------------------------
@@ -1015,7 +718,6 @@ def build_program(
     host,
     op_cls: type,
     inc_candidates: Callable[[float], None],
-    max_layer: int = 7,
 ) -> CodegenProgram:
     """Emit the full program for a monitor's properties; its functions
     are compiled and exec'd as each is first needed (:class:`_LazyFns`).
@@ -1027,7 +729,7 @@ def build_program(
 
     Each generated function is compiled on its own
     (:func:`_compile_function`): one ``compile()`` over the whole catalog
-    program (~1 900 lines) peaks several MB of transient parser/AST
+    program (~900 lines) peaks several MB of transient parser/AST
     memory, which would land in a daemon's peak RSS; per function the
     transient is a few hundred KB.
     """
@@ -1061,60 +763,25 @@ def build_program(
         "# properties: " + ", ".join(
             prop.name for prop, _, _ in entries),
     ]
-    eval_names: Dict[type, str] = {}
-    batch_names: Dict[type, Tuple[str, Optional[str], str]] = {}
+    placed: Dict[type, Tuple[str, int, str]] = {}  # (def name, line, source)
     for cls in sorted(by_class, key=lambda c: c.__name__):
-        emitter = _ClassEmitter(
-            cls, by_class[cls], pool, exec_globals, emissions, max_layer)
-        ev_name, ev_src = emitter.emit_eval()
-        ex_name, ex_src = emitter.emit_extract()
-        cb = emitter.emit_create_batch()
-        eb_name, eb_src = emitter.emit_eval_batch()
-        parts.append("")
-        parts.append(f"# ===== {cls.__name__} =====")
-        parts.append(ev_src)
-        parts.append("")
-        parts.append(ex_src)
-        if cb is not None:
-            parts.append("")
-            parts.append(cb[1])
-        parts.append("")
-        parts.append(eb_src)
-        eval_names[cls] = ev_name
-        batch_names[cls] = (ex_name, cb[0] if cb is not None else None,
-                            eb_name)
-
+        name, source = _ClassEmitter(
+            cls, by_class[cls], pool, exec_globals, emissions).emit_eval()
+        parts += ["", f"# ===== {cls.__name__} ====="]
+        placed[cls] = (name, sum(p.count("\n") + 1 for p in parts), source)
+        parts.append(source)
     exec_globals.update(pool.globals)
-    placed: Dict[str, Tuple[int, str]] = {}  # def name -> (line, source)
-    lineno = 0
-    for part in parts:
-        if part.startswith("def "):
-            placed[part[4:part.index("(")]] = (lineno, part)
-        lineno += part.count("\n") + 1
 
-    def define(name: str) -> Callable:
-        exec(_compile_function(*placed.pop(name)), exec_globals)  # noqa: S102
-        return exec_globals[name]
-
-    def eval_fn(cls: type) -> Optional[Callable]:
-        name = eval_names.get(cls)
-        return None if name is None else define(name)
-
-    def batch_fn(cls: type) -> Optional[_BatchFns]:
-        names = batch_names.get(cls)
-        if names is None:
+    def define(cls: type) -> Optional[Callable]:
+        if cls not in placed:
             return None
-        ex, cb, eb = names
-        return _BatchFns(
-            extract=define(ex),
-            create_batch=define(cb) if cb is not None else None,
-            eval_batch=define(eb),
-        )
+        name, lineno, source = placed.pop(cls)
+        exec(_compile_function(lineno, source), exec_globals)  # noqa: S102
+        return exec_globals[name]
 
     return CodegenProgram(
         source="\n".join(parts) + "\n",
-        eval_fns=_LazyFns(eval_fn),
-        batch_fns=_LazyFns(batch_fn),
+        eval_fns=_LazyFns(define),
         emissions=emissions,
         exec_globals=exec_globals,
     )

@@ -118,10 +118,10 @@ def guard_source(guard, fx, const, env_expr: str, fields_expr: str) -> str:
     ordered compares that swallow TypeError (via the :data:`CMP_HELPERS`
     functions).
 
-    ``fx`` maps a field name to its access expression — a hoisted local
-    in the per-event matcher, a column index in the batch matcher —
-    which is what makes the emitted compare straight-line: no per-event
-    dict lookups survive into the hot expression.
+    ``fx`` maps a field name to its access expression — a local the
+    evaluator hoists once per event — which is what makes the emitted
+    compare straight-line: no per-guard dict lookups survive into the
+    hot expression.
     """
     if isinstance(guard, FieldEq):
         got = fx(guard.field)

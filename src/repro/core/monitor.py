@@ -99,16 +99,7 @@ class MonitorState:
 
 #: ``"compiled"`` runs the generated program (:mod:`repro.core.codegen`);
 #: ``"interpreted"`` runs the reference walk (:mod:`repro.core.reference`).
-#: ``"codegen"`` is a deprecated spelling of ``"compiled"`` — accepted
-#: only because the frozen ``benchmarks/e2e`` harness still probes it,
-#: and it goes when a benchmark PR drops that probe.  Read at
-#: construction, so removing a name here makes ``Monitor`` reject it.
-MATCH_STRATEGIES = ("compiled", "interpreted", "codegen")
-
-#: events per columnar chunk in ``observe_batch``.  Bounds the per-chunk
-#: packet-fields cache (keyed by ``id(packet)``) so replaying a long
-#: trace never pins every packet's field map at once.
-CODEGEN_CHUNK = 1024
+MATCH_STRATEGIES = ("compiled", "interpreted")
 
 
 class MonitorStats:
@@ -195,8 +186,7 @@ class Monitor:
     ``match_strategy="interpreted"`` swaps in the reference walk
     (:mod:`repro.core.reference`) and ``store_strategy="linear"`` the
     unindexed instance store; both are Python-only oracles with no CLI
-    selector.  See :data:`MATCH_STRATEGIES` for the deprecated
-    ``"codegen"`` spelling.
+    selector.
     """
 
     def __init__(
@@ -223,8 +213,7 @@ class Monitor:
         self.scheduler = scheduler
         self.provenance = provenance
         self.store_strategy = store_strategy
-        self.match_strategy = (
-            "compiled" if match_strategy == "codegen" else match_strategy)
+        self.match_strategy = match_strategy
         self.mode = mode
         self.split_lag = split_lag
         self.max_layer = max_layer
@@ -432,22 +421,9 @@ class Monitor:
         self._track_peak()
 
     def observe_batch(self, events: Iterable[DataplaneEvent]) -> None:
-        """Process a stream of events (the replay entry point).
-
-        Semantically ``for e in events: self.observe(e)``; when the
-        monitor runs the generated program inline with telemetry disabled
-        — the configuration replay throughput is measured in — events go
-        through the columnar batch driver instead.
-        """
-        if (
-            self.mode is not ProcessingMode.INLINE
-            or self.registry.enabled
-            or self.match_strategy == "interpreted"
-        ):
-            for event in events:
-                self.observe(event)
-            return
-        self._run_codegen_batch(events)
+        """Process a stream of events in order (the replay entry point)."""
+        for event in events:
+            self.observe(event)
 
     def advance_to(self, when: float) -> None:
         """Move monitor time forward, firing due timers and pending ops.
@@ -581,7 +557,6 @@ class Monitor:
             program = self._codegen_program = build_program(
                 entries, host=self, op_cls=_Op,
                 inc_candidates=self._c_candidates.inc,
-                max_layer=self.max_layer,
             )
         return program
 
@@ -612,63 +587,6 @@ class Monitor:
         if fn is None:
             return []
         return fn(event, fields)
-
-    def _run_codegen_batch(self, events: Iterable[DataplaneEvent]) -> None:
-        """Columnar batch driver behind ``observe_batch``.
-
-        Chunks the stream (so the per-chunk packet-fields cache stays
-        bounded), transposes each same-class run into a
-        :class:`~repro.core.codegen.ColumnarBatch` — per-field columns
-        built once, stage-0 prefilters matched against whole columns —
-        then evaluates events in order against their column rows.
-        Semantically ``for e in events: self.observe(e)``.
-        """
-        program = self._program()
-        advance_to = self.advance_to
-        inc_event = self._c_events.inc
-        apply_op = self._apply
-        set_live = self._g_live.set
-        columnar = program.columnar
-        batch_fns = program.batch_fns
-        stream = iter(events)
-        while chunk := list(itertools.islice(stream, CODEGEN_CHUNK)):
-            pf_cache: Dict[int, Mapping[str, object]] = {}
-            # Partition the chunk by concrete class and transpose each
-            # class's events into columns ONCE — the stream interleaves
-            # classes, so transposing per consecutive run would rebuild
-            # columns every couple of events.  Column and prefilter
-            # contents are state-independent (stage 0 cannot reference
-            # bound variables), so hoisting them ahead of evaluation
-            # cannot change results; events are then evaluated strictly
-            # in stream order via per-class cursors.
-            by_cls: Dict[type, List[DataplaneEvent]] = {}
-            for event in chunk:
-                cls = type(event)
-                run = by_cls.get(cls)
-                if run is None:
-                    by_cls[cls] = [event]
-                else:
-                    run.append(event)
-            prepped: Dict[type, Optional[Tuple]] = {}
-            for cls, run in by_cls.items():
-                batch = columnar(cls, run, pf_cache)
-                # None: no plans watch this class (e.g. TimerFired) —
-                # such events still advance the clock and count below.
-                prepped[cls] = None if batch is None else (
-                    batch_fns[cls].eval_batch, batch.columns, batch.creates)
-            cursor = dict.fromkeys(by_cls, 0)
-            for event in chunk:
-                cls = type(event)
-                i = cursor[cls]
-                cursor[cls] = i + 1
-                advance_to(event.time)
-                inc_event()
-                prep = prepped[cls]
-                if prep is not None:
-                    eval_batch, columns, creates = prep
-                    for op in eval_batch(event, columns, i, creates):
-                        apply_op(op)
-                set_live(float(self._live_total))
 
     # -- state transitions -------------------------------------------------------
     def _apply(self, op: _Op) -> None:

@@ -34,7 +34,7 @@ Merging rules (the parts worth being careful about):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.degradation import OverflowLedger
 from ..core.monitor import Monitor, MonitorStats
@@ -195,7 +195,9 @@ class ShardedMonitor:
     def observe(self, event: DataplaneEvent) -> None:
         self.observe_batch((event,))
 
-    def observe_batch(self, events: Sequence[DataplaneEvent]) -> None:
+    def observe_batch(self, events: Iterable[DataplaneEvent]) -> None:
+        if not isinstance(events, Sequence):
+            events = list(events)  # sized and indexed below, and by split
         if not events:
             return
         batches = self.router.split(events)

@@ -92,25 +92,25 @@ def measured_cost(name: str) -> Optional[MeasuredCost]:
 #: ``python -m tests.regen_calibration`` after a codegen emission change;
 #: ``--check`` verifies this table against the live emitter.
 CALIBRATION_CODEGEN: Dict[str, Tuple[int, int, int]] = {
-    'arp-cache-preloaded': (2, 8, 148),
-    'arp-known-not-forwarded': (1, 4, 84),
-    'arp-unknown-forwarded': (2, 5, 96),
-    'cal-absent-cancel': (1, 4, 103),
-    'cal-absent-final': (1, 2, 81),
-    'cal-chain-2': (1, 1, 94),
-    'cal-chain-3': (1, 5, 155),
-    'cal-chain-cancel': (1, 7, 177),
-    'cal-observe-within': (1, 5, 155),
-    'dhcp-no-overlap': (1, 4, 84),
-    'dhcp-no-reuse': (2, 8, 132),
-    'dhcp-reply-within': (2, 3, 74),
-    'ftp-data-port-matches': (1, 5, 84),
-    'knocking-invalidated': (2, 9, 219),
-    'knocking-recognized': (2, 11, 203),
-    'lb-hashed-port': (2, 12, 116),
-    'lb-round-robin-port': (2, 12, 116),
-    'lb-sticky-port': (2, 26, 226),
-    'no-unfounded-reply': (2, 10, 132),
+    'arp-cache-preloaded': (2, 8, 74),
+    'arp-known-not-forwarded': (1, 4, 42),
+    'arp-unknown-forwarded': (2, 5, 48),
+    'cal-absent-cancel': (1, 4, 46),
+    'cal-absent-final': (1, 2, 35),
+    'cal-chain-2': (1, 1, 42),
+    'cal-chain-3': (1, 5, 72),
+    'cal-chain-cancel': (1, 7, 83),
+    'cal-observe-within': (1, 5, 72),
+    'dhcp-no-overlap': (1, 4, 42),
+    'dhcp-no-reuse': (2, 8, 66),
+    'dhcp-reply-within': (2, 3, 37),
+    'ftp-data-port-matches': (1, 5, 42),
+    'knocking-invalidated': (2, 9, 104),
+    'knocking-recognized': (2, 11, 96),
+    'lb-hashed-port': (2, 12, 58),
+    'lb-round-robin-port': (2, 12, 58),
+    'lb-sticky-port': (2, 26, 113),
+    'no-unfounded-reply': (2, 10, 66),
 }
 
 

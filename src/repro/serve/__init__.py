@@ -10,7 +10,8 @@ backpressure —
 accept/shed decisions land in the monitor's
 :class:`~repro.core.degradation.OverflowLedger`, so overload degrades
 into a detection-uncertainty interval instead of silent loss — and
-dispatches them through the compiled ``observe_batch`` hot path.  An
+dispatches them, event by event, through the monitor's generated
+evaluator.  An
 HTTP observability plane (stdlib only) exposes ``/metrics`` (Prometheus
 text), ``/stats`` (JSON), ``/healthz`` + ``/readyz`` (liveness vs.
 queue-pressure readiness), and ``/trace`` (recent spans from the

@@ -2,8 +2,8 @@
 
 One asyncio event loop owns everything: TCP ingest servers and pipe
 readers feed frames into the bounded :class:`~repro.serve.ingest.IngestQueue`;
-a dispatcher coroutine drains it in batches through the monitor's
-compiled ``observe_batch`` hot path; a poller coroutine drives
+a dispatcher coroutine drains it in batches, observing each event in
+turn with the monitor's generated evaluator; a poller coroutine drives
 :class:`~repro.telemetry.StatsPoller` on the wall clock; and the HTTP
 plane answers ``/metrics``, ``/stats``, ``/healthz``, ``/readyz`` and
 ``/trace`` between batches.  Single-loop concurrency is the point —

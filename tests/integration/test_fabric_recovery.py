@@ -221,14 +221,23 @@ class TestPoisonQuarantine:
 
             fabric.observe_batch(next_batch())
             fabric.observe_batch(next_batch(poison=True))  # kills worker
-            # subsequent batches trigger detect -> restart -> replay;
-            # the replayed poison batch kills two replacements, then is
-            # quarantined and the third replay goes through clean
+            # A cold worker may still be compiling its program when the
+            # follow-ups are written, and nothing then notices its death
+            # before stop().  heartbeat_interval=1e9 keeps tick() from
+            # pinging, so ping here: wait (bounded) for the first restart.
+            sup = fabric.supervisor
+            deadline = time.monotonic() + 5.0
+            while sup.total_restarts() < 1 and time.monotonic() < deadline:
+                sup.heartbeat()
+                sup.tick()
+            assert sup.total_restarts() >= 1
+            # subsequent batches trigger restart -> replay; the replayed
+            # poison batch kills two replacements, then is quarantined
+            # and the third replay goes through clean
             for _ in range(6):
                 fabric.observe_batch(next_batch())
             fabric.stop(now=t + 1.0)
 
-            sup = fabric.supervisor
             assert len(sup.quarantine_log) == 1
             record = sup.quarantine_log[0]
             assert record.kills == 2

@@ -5,9 +5,8 @@ emits per (property, event class) and exec's once.  It must be
 *observationally invisible*: on any event stream it must produce the
 violations and counters of the reference evaluator
 (``repro.core.reference``, ``match_strategy="interpreted"``) under either
-instance-store strategy, whether events arrive one at a time or through
-``observe_batch``'s columnar driver, alone or behind the sharded fabric,
-and under every monitor configuration that changes what evaluation sees
+instance-store strategy, alone or behind the sharded fabric, and under
+every monitor configuration that changes what evaluation sees
 (parse depth, split mode, provenance, key ownership, bounded stores).
 For the cancel path the bar is higher than counters: the *sequence* of
 applied ops must be the reference scan's, because op order feeds the
@@ -226,12 +225,9 @@ def probe_catalog():
             ),
             key_vars=("S",),
         ),
-        # Predicate guards plus ordered compare and an egress-action
-        # refinement.  A stage-0 Predicate keeps this property OFF the
-        # columnar stage-0 prefilter (predicates may consult auxiliary
-        # state, so they must run per event, in order); the stage-1
-        # Predicate reads the full field mapping, exercising the batch
-        # path's fields-dict column.
+        # Predicate guards (stage 0 sees the empty env, stage 1 the full
+        # field mapping and the bindings) plus ordered compare and an
+        # egress-action refinement.
         PropertySpec(
             name="predy", description="",
             stages=(
@@ -261,16 +257,13 @@ def fingerprint(violation):
                 (k, str(val)) for k, val in violation.bindings.items())))
 
 
-def run_config(events, store_strategy, match_strategy, batch=False):
+def run_config(events, store_strategy, match_strategy):
     monitor = Monitor(store_strategy=store_strategy,
                       match_strategy=match_strategy)
     for prop in probe_catalog():
         monitor.add_property(prop)
-    if batch:
-        monitor.observe_batch(events)
-    else:
-        for event in events:
-            monitor.observe(event)
+    for event in events:
+        monitor.observe(event)
     monitor.advance_to(events[-1].time + 100.0)
     violations = [fingerprint(v) for v in monitor.violations]
     stats = {name: getattr(monitor.stats, name) for name in STAT_FIELDS}
@@ -416,26 +409,12 @@ class TestMatchStrategyEquivalence:
         candidates it *does* examine must be the same set the interpreted
         walk reaches after its own kind/stage filters.  The generated
         program batches its counter increments (one add per event), which
-        must still land on the same totals — on the batch path too."""
+        must still land on the same totals."""
         for store in STORE_STRATEGIES:
             _, interp_stats = run_config(events, store, "interpreted")
-            for batch in (False, True):
-                _, fast_stats = run_config(events, store, "compiled", batch)
-                assert (fast_stats["candidates_examined"]
-                        == interp_stats["candidates_examined"]), (store, batch)
-
-    @settings(max_examples=30, deadline=None)
-    @given(event_streams())
-    def test_batch_equals_loop(self, events):
-        """observe_batch must be just a loop unroll: the generated program
-        transposes chunks into ColumnarBatch columns and prefilters
-        stage-0 matches, the reference falls back to per-event observe —
-        under either store both must yield the violations and counters of
-        event-at-a-time observe."""
-        for store, match in itertools.product(
-                STORE_STRATEGIES, MATCH_STRATEGIES):
-            assert (run_config(events, store, match, batch=True)
-                    == run_config(events, store, match)), (store, match)
+            _, fast_stats = run_config(events, store, "compiled")
+            assert (fast_stats["candidates_examined"]
+                    == interp_stats["candidates_examined"]), store
 
     @settings(max_examples=15, deadline=None)
     @given(event_streams())

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import Monitor
-from repro.core.compile import scan_watchers
+from repro.core.compile import dispatch_plan, scan_watchers
 from repro.lint.dispatch import HOT_KINDS
 from repro.props.catalog import build_table1
 from repro.switch.events import PacketArrival, PacketEgress, TimerFired
@@ -83,6 +83,17 @@ class TestProgramSurface:
             assert lines[fn.__code__.co_firstlineno - 1].startswith(
                 f"def {fn.__name__}(")
         assert program.eval_fns[TimerFired] is None  # unwatched class
+
+    def test_catalog_program_is_one_evaluator_per_watched_class(self):
+        monitor = Monitor()
+        watched = set()
+        for entry in build_table1():
+            monitor.add_property(entry.prop)
+            watched.update(dispatch_plan(entry.prop))
+        defs = re.findall(r"^\s*def (\w+)", monitor.codegen_source(), re.M)
+        assert sorted(defs) == sorted(
+            f"_eval__{cls.__name__}" for cls in watched)
+        assert monitor._codegen_program.eval_fns[TimerFired] is None
 
 
 class TestCatalogCancelPath:

@@ -37,6 +37,7 @@ from repro.core.compile import (
     refinement_sources,
 )
 from repro.core.instances import Instance
+from repro.fabric import ShardedMonitor
 from repro.packet import ethernet
 from repro.switch.events import (
     EgressAction,
@@ -343,8 +344,9 @@ class TestMonitorDispatch:
         with pytest.raises(ValueError):
             Monitor(match_strategy="jit")
 
-    def test_codegen_is_a_spelling_of_compiled(self):
-        assert Monitor(match_strategy="codegen").match_strategy == "compiled"
+    def test_codegen_spelling_is_gone(self):
+        with pytest.raises(ValueError):
+            Monitor(match_strategy="codegen")
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +441,11 @@ class TestObserveBatch:
         monitor.observe_batch(container(sample_events()))
         return monitor
 
+    def run_fabric_batch(self, container=list):
+        fabric = ShardedMonitor([echo_prop()], num_shards=2)
+        fabric.observe_batch(container(sample_events()))
+        return fabric
+
     def test_batch_equals_loop(self):
         looped = Monitor()
         looped.add_property(echo_prop())
@@ -448,15 +455,10 @@ class TestObserveBatch:
 
     @pytest.mark.parametrize("container", [iter, deque, tuple])
     def test_batch_takes_any_iterable(self, container):
-        assert (verdicts(self.run_batch(container))
-                == verdicts(self.run_batch()))
-
-    def test_batch_chunks_an_iterator(self, monkeypatch):
-        """A chunk boundary falling mid-stream loses and repeats nothing."""
-        from repro.core import monitor as monitor_module
         whole = verdicts(self.run_batch())
-        monkeypatch.setattr(monitor_module, "CODEGEN_CHUNK", 2)
-        assert verdicts(self.run_batch(iter)) == whole
+        assert verdicts(self.run_batch(container)) == whole
+        assert verdicts(self.run_fabric_batch()) == whole
+        assert verdicts(self.run_fabric_batch(container)) == whole
 
     def test_batch_with_registry_falls_back_identically(self):
         assert (verdicts(self.run_batch(registry=MetricsRegistry()))
