@@ -810,9 +810,9 @@ def build_parser() -> argparse.ArgumentParser:
     send.add_argument("--repeat", type=int, default=1,
                       help="stream the whole trace N times (default: 1)")
     send.add_argument("--format", default="jsonl",
-                      choices=["jsonl", "rpf1"],
+                      choices=["jsonl", "rpf2"],
                       help="wire encoding: newline-JSON lines, or the "
-                           "RPF1 framed binary codec (the daemon "
+                           "RPF2 binary batch codec (the daemon "
                            "auto-detects either; default: jsonl)")
     send.set_defaults(fn=cmd_send)
     return parser

@@ -13,8 +13,11 @@ Two execution modes share all routing and merging logic:
   isolates *partitioning* effects from *transport* effects, and the
   correctness oracle the differential suite compares against.
 * ``"mp"`` — N forked worker processes fed serialized event frames
-  (``fabric.mp``).  The parent never blocks on the data path; state
-  flows back as cursor-based snapshot deltas on explicit ``sync()``.
+  (``fabric.mp``).  Workers acknowledge nothing per event; state flows
+  back as cursor-based snapshot deltas on explicit ``sync()``.  The
+  parent can still wait on the data path — for pipe space when a worker
+  is behind, and for the supervisor's periodic checkpoint round trip
+  (see ``fabric.mp``'s module docstring).
 
 Merging rules (the parts worth being careful about):
 

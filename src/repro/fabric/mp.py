@@ -3,9 +3,10 @@
 Each shard runs a plain :class:`Monitor` in a forked worker process.
 Fork (not spawn) is required: property specs carry compiled predicate
 closures that do not pickle, and a forked child inherits them directly.
-Event batches cross the pipe as the framed encoding from
-``netsim/serialize.py`` — the same bytes a recorded trace round-trips
-through, so the IPC format is covered by the serialization tests.
+Event batches cross the pipe as the binary batch encoding from
+``netsim/serialize.py`` — the same bytes ``repro send --format rpf2``
+writes to a daemon, so the IPC format is covered by the serialization
+tests.
 
 Command channel (parent -> worker), one ``send_bytes`` per command:
 
@@ -27,11 +28,22 @@ Result channel (worker -> parent), also tagged ``send_bytes``:
 * ``b"A" + u32(seq)``      — heartbeat ack echoing the sequence number;
 * ``b"S" + pickle(snap)``  — a snapshot/checkpoint reply.
 
-Workers reply only when asked (cursor-based deltas), so the data path
-never blocks on per-event acknowledgements.  Every parent-side receive
-is bounded by a ``poll`` timeout and every send checks pipe writability
-first — a crashed or wedged worker surfaces as :class:`ShardDied` /
-:class:`ShardTimeout` instead of a deadlock, which is what the fabric
+Workers reply only when asked (cursor-based deltas): there is no
+per-event acknowledgement.  The parent does block on the data path,
+though, in two places.  ``send_bytes`` returns once the whole message is
+in the pipe, and a routed sub-batch is about as big as the pipe buffer
+(64 kB on Linux; a TCP packet event is ≈85 bytes, so 512 of them are
+≈44 kB), so a send waits for the worker to read whenever the previous
+batch is still unread.  And the supervisor's checkpoint
+(``Supervisor._checkpoint``, every ``checkpoint_interval`` events per
+shard) is a request followed by a blocking ``recv_snapshot``: the parent
+waits while the worker works through everything queued ahead of the
+request and pickles its state.  Taking both off the data path is future
+work.  What is guaranteed today is that neither wait becomes a deadlock:
+every parent-side receive is bounded by a ``poll`` timeout and every
+send checks pipe writability first (:meth:`MpShard._send` says what that
+check does and does not cover), so a crashed or wedged worker surfaces
+as :class:`ShardDied` / :class:`ShardTimeout`, which is what the fabric
 supervisor turns into a restart.
 """
 

@@ -18,8 +18,9 @@ that placement statically from the compiler's dispatch plans:
   shards.  Pinned properties lose parallelism, never correctness.
 
 The :class:`Router` folds every property's route into one per-event-class
-plan, so splitting a batch costs one ``event_fields`` call per event
-plus a handful of tuple hashes — no per-property dispatch.
+plan, so splitting a batch costs at most one ``event_fields`` call per
+event (none for a class that only pinned properties watch) plus a
+handful of tuple hashes — no per-property dispatch.
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ class Router:
 
     One event can target several shards (different properties extract
     different keys from it); an event no property watches targets none.
-    Routing reads each event's field map exactly once and reuses the
-    per-class union of all properties' pins and extractor field tuples.
+    Routing reads each event's field map at most once — not at all when
+    its class has pins only — and reuses the per-class union of all
+    properties' pins and extractor field tuples.
     """
 
     def __init__(
@@ -209,6 +211,11 @@ class Router:
             if entry is None:
                 continue  # e.g. a replayed TimerFired: no watcher anywhere
             pins, extractors = entry
+            if not extractors:
+                # Pinned properties only: no key to read off the event.
+                for shard in pins:
+                    batches[shard].append(event)
+                continue
             fields = event_fields(event, max_layer=max_layer)
             targets = set(pins)
             for key_fields in extractors:

@@ -14,20 +14,59 @@ the workload that produced it.  Readers skip the header transparently
 (``load_trace`` returns events only; use ``read_trace_with_header`` to
 get both), so headered traces stay readable by older tooling patterns.
 
-Next to the line-oriented JSONL format lives a **framed batch encoding**
-(:func:`encode_frames` / :func:`decode_frames`): a magic + count prefix
-followed by length-prefixed frames, one per event.  The sharded fabric
-uses it as the IPC wire format between the batching router and its
-``multiprocessing`` workers — length prefixes let a reader consume a
-batch without scanning for newlines, and the framing survives payloads
-that themselves contain newlines.
+Next to the line-oriented JSONL format lives a **binary batch encoding**,
+RPF2 (:func:`encode_frames` / :func:`decode_frames`) — what ``repro send
+--format rpf2`` writes to a daemon and what the sharded fabric's router
+writes down the pipe to its ``multiprocessing`` workers.  A stream is
+any number of batches back to back; all integers are big-endian::
+
+    batch   = "RPF2"  u32 record-count  u32 body-length  body
+    body    = record-count records, body-length bytes in all
+
+    packet record (PacketArrival / PacketEgress / PacketDrop), 31 bytes
+    then three byte strings:
+      u8   tag             1 arrival, 2 egress, 3 drop
+      f64  time
+      u64  packet uid
+      i32  in_port
+      i32  out_port        egress only, else 0
+      u8   egress action   index into EgressAction, egress only, else 0
+      u8   len(switch id)
+      u16  len(reason)     drop only, else 0
+      u16  len(packet)
+      switch id (ASCII) | reason (ASCII) | packet, as ``wire_encode`` wrote it
+
+    JSON record (tag 0), 5 bytes then the payload:
+      u8   tag             0
+      u32  len(payload)
+      payload              ``json.dumps(event_to_dict(event))``, UTF-8
+
+The packet record carries fields, not a re-serialised object: no JSON,
+no hex, and the decoder builds each ``Packet`` once.  Everything rare
+(``OutOfBandEvent``, ``TimerFired`` with its tagged instance key) and
+every packet event with a value the fixed widths cannot hold (a port
+outside i32, a uid outside u64, a non-ASCII or over-long string, a
+packet over 65 535 bytes) travels as a JSON record, so
+:func:`event_to_dict` / :func:`event_from_dict` stay the one definition
+of those and the two formats agree by construction.
+
+One reader, :func:`iter_records`, serves every consumer and knows two
+kinds of fault.  A record whose extent is known but whose content does
+not decode is a *record fault*: :func:`decode_frames` (and so the worker
+pipe) raises on it, the daemon counts one frame error and keeps the rest
+of the batch.  A fault that loses the record boundaries — bad magic,
+short header, unknown tag, a body that is not exactly the records it
+declares — is *structural*: :func:`decode_frames` raises, the daemon
+counts one frame error, keeps the events decoded before it and closes
+the connection.  A stream reader also refuses, before buffering any of
+it, a body declared longer than :data:`MAX_BATCH_BYTES`.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..packet.addresses import IPv4Address, MACAddress
 
@@ -140,9 +179,8 @@ def event_from_dict(data: dict, max_layer: int = 7) -> DataplaneEvent:
         raise TraceFormatError(f"trace line missing field {exc}") from exc
 
     def packet() -> Packet:
-        parsed = wire_parse(bytes.fromhex(data["packet"]), max_layer=max_layer)
-        return Packet(headers=parsed.headers, payload=parsed.payload,
-                      uid=int(data["uid"]))
+        return wire_parse(bytes.fromhex(data["packet"]), max_layer=max_layer,
+                          uid=int(data["uid"]))
 
     if kind == "PacketArrival":
         return PacketArrival(switch_id=switch_id, time=time, packet=packet(),
@@ -241,65 +279,209 @@ def read_trace_with_header(
 
 
 # ---------------------------------------------------------------------------
-# Framed batch encoding
+# Framed batch encoding (RPF2)
 
 
 #: Leading bytes of a framed batch — lets a reader reject a JSONL stream
 #: (or any other garbage) fed to :func:`decode_frames` immediately.
-FRAME_MAGIC = b"RPF1"
+FRAME_MAGIC = b"RPF2"
 
-_U32 = struct.Struct(">I")
+#: The most body bytes a stream reader buffers for one batch.  A header
+#: declaring more is refused before any of the body is read; it is a
+#: constant, not a setting — 16 MiB is ≈350 000 plain-ethernet events,
+#: three orders of magnitude above the 64-event batches senders write.
+MAX_BATCH_BYTES = 1 << 24
+
+#: magic, u32 record count, u32 body length
+_BATCH = struct.Struct(">4sII")
+BATCH_HEADER_SIZE = _BATCH.size
+
+#: Record layouts (the module docstring has the field tables): a packet
+#: event's fixed header, and a JSON record's.
+_PACKET_RECORD = struct.Struct(">BdQiiBBHH")
+_JSON_RECORD = struct.Struct(">BI")
+
+_TAG_JSON, _TAG_ARRIVAL, _TAG_EGRESS, _TAG_DROP = range(4)
+_PACKET_TAGS = {PacketArrival: _TAG_ARRIVAL, PacketEgress: _TAG_EGRESS,
+                PacketDrop: _TAG_DROP}
+_ACTIONS = tuple(EgressAction)
+_ACTION_INDEX = {action: index for index, action in enumerate(_ACTIONS)}
+
+#: What decoding one delimited record can raise on hostile bytes: every
+#: codec error is a ``ValueError`` (``TraceFormatError``, ``HeaderError``,
+#: ``UnicodeDecodeError``, ``JSONDecodeError``, a bad enum value); a
+#: tag-0 payload of the wrong shape adds the other three.
+_RECORD_FAULTS = (ValueError, KeyError, TypeError, OverflowError)
+
+
+def _packet_record(tag: int, event: DataplaneEvent) -> bytes:
+    """``event`` as a fixed-header record.
+
+    Raises ``struct.error`` or ``UnicodeEncodeError`` when a value does
+    not fit the fixed widths (a port outside i32, a uid outside u64, a
+    non-ASCII or over-long string, a packet over 65 535 bytes): the
+    caller falls back to a tag-0 record.
+    """
+    packet = event.packet
+    switch = event.switch_id.encode("ascii")
+    wire = wire_encode(packet)
+    out_port = action = 0
+    reason = b""
+    if tag == _TAG_EGRESS:
+        out_port, action = event.out_port, _ACTION_INDEX[event.action]
+    elif tag == _TAG_DROP:
+        reason = event.reason.encode("ascii")
+    return _PACKET_RECORD.pack(
+        tag, event.time, packet.uid, event.in_port, out_port, action,
+        len(switch), len(reason), len(wire)) + switch + reason + wire
 
 
 def encode_frames(events: Iterable[DataplaneEvent]) -> bytes:
     """Encode a batch of events as one framed byte string.
 
-    Layout: ``FRAME_MAGIC`` + u32 event count + per event (u32 payload
-    length + JSON payload).  The payloads are the same dicts the JSONL
-    format writes, so both formats stay round-trip compatible with each
-    other.
+    Layout: ``FRAME_MAGIC`` + u32 record count + u32 body length, then
+    one record per event.  Packet events are a fixed ``struct`` header
+    followed by the switch id, the drop reason and the raw wire bytes of
+    the packet; every other event — and any packet event whose values do
+    not fit the fixed widths — is a tag-0 record carrying the JSON
+    payload the JSONL format writes, so the two formats agree by
+    construction.
     """
-    frames = []
+    records = []
     for event in events:
+        tag = _PACKET_TAGS.get(type(event))
+        if tag is not None:
+            try:
+                records.append(_packet_record(tag, event))
+                continue
+            except (struct.error, UnicodeEncodeError):
+                pass
         payload = json.dumps(event_to_dict(event), sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
-        frames.append(_U32.pack(len(payload)))
-        frames.append(payload)
-    return FRAME_MAGIC + _U32.pack(len(frames) // 2) + b"".join(frames)
+        records.append(_JSON_RECORD.pack(_TAG_JSON, len(payload)) + payload)
+    body = b"".join(records)
+    return _BATCH.pack(FRAME_MAGIC, len(records), len(body)) + body
+
+
+def batch_header(header: bytes,
+                 max_body: Optional[int] = None) -> Tuple[int, int]:
+    """``(record count, body length)`` from a batch's leading bytes.
+
+    Raises :class:`TraceFormatError` on a bad magic, a short header, or
+    — for a reader that has yet to buffer the body — a declared body
+    length above ``max_body``.
+    """
+    if header[:4] != FRAME_MAGIC:
+        raise TraceFormatError(
+            f"bad frame magic {header[:4]!r} (expected {FRAME_MAGIC!r})")
+    if len(header) < BATCH_HEADER_SIZE:
+        raise TraceFormatError("truncated batch header")
+    _, count, size = _BATCH.unpack_from(header)
+    if max_body is not None and size > max_body:
+        raise TraceFormatError(
+            f"batch declares {size} body bytes (cap {max_body})")
+    return count, size
+
+
+def iter_records(
+    body: bytes,
+    count: int,
+    max_layer: int = 7,
+    bad_record: Optional[Callable[[TraceFormatError], None]] = None,
+) -> Iterator[DataplaneEvent]:
+    """The events of one batch body, in order — the one record reader
+    behind :func:`decode_frames`, the daemon's TCP and FIFO ingest and
+    the fabric's worker pipe.
+
+    Two kinds of fault.  A record whose extent is known but whose
+    content does not decode (corrupt packet bytes, an unknown action
+    index, bad JSON) is a **record fault**: without ``bad_record`` it
+    raises; with it, the callback gets the error and iteration goes on
+    with the next record.  A fault that loses the record boundaries (an
+    unknown tag, a record running past the body, fewer or more bytes
+    than ``count`` records carry) is **structural** and always raises
+    :class:`TraceFormatError`; what was yielded before it stands.
+    """
+    unpack_packet = _PACKET_RECORD.unpack_from
+    fixed = _PACKET_RECORD.size
+    end = len(body)
+    offset = 0
+    for index in range(count):
+        if offset >= end:
+            raise TraceFormatError(
+                f"truncated batch: record {index} of {count} missing")
+        tag = body[offset]
+        if tag == _TAG_JSON:
+            start = offset + _JSON_RECORD.size
+            if start > end:
+                raise TraceFormatError(
+                    f"truncated batch: record {index} header short")
+            offset = start + _JSON_RECORD.unpack_from(body, offset)[1]
+        elif tag <= _TAG_DROP:
+            start = offset + fixed
+            if start > end:
+                raise TraceFormatError(
+                    f"truncated batch: record {index} header short")
+            (_, time, uid, in_port, out_port, action,
+             n_switch, n_reason, n_packet) = unpack_packet(body, offset)
+            offset = start + n_switch + n_reason + n_packet
+        else:
+            raise TraceFormatError(
+                f"record {index}: unknown record tag {tag}")
+        if offset > end:
+            raise TraceFormatError(
+                f"truncated batch: record {index} runs past the body")
+        try:
+            if tag == _TAG_JSON:
+                event = event_from_dict(json.loads(body[start:offset]),
+                                        max_layer=max_layer)
+            else:
+                wire_at = offset - n_packet
+                switch_id = str(body[start:start + n_switch], "ascii")
+                packet = wire_parse(body[wire_at:offset],
+                                    max_layer=max_layer, uid=uid)
+                if tag == _TAG_ARRIVAL:
+                    event = PacketArrival(switch_id=switch_id, time=time,
+                                          packet=packet, in_port=in_port)
+                elif tag == _TAG_EGRESS:
+                    if action >= len(_ACTIONS):
+                        raise TraceFormatError(
+                            f"unknown egress-action index {action}")
+                    event = PacketEgress(
+                        switch_id=switch_id, time=time, packet=packet,
+                        in_port=in_port, out_port=out_port,
+                        action=_ACTIONS[action])
+                else:
+                    event = PacketDrop(
+                        switch_id=switch_id, time=time, packet=packet,
+                        in_port=in_port,
+                        reason=str(body[start + n_switch:wire_at], "ascii"))
+        except _RECORD_FAULTS as exc:
+            fault = TraceFormatError(f"record {index}: {exc}")
+            if bad_record is None:
+                raise fault from exc
+            bad_record(fault)
+            continue
+        yield event
+    if offset != end:
+        raise TraceFormatError(
+            f"{end - offset} trailing bytes after {count} records")
 
 
 def decode_frames(data: bytes, max_layer: int = 7) -> List[DataplaneEvent]:
-    """Decode a framed batch produced by :func:`encode_frames`.
+    """Decode one framed batch produced by :func:`encode_frames`.
 
-    Raises :class:`TraceFormatError` on a bad magic, a truncated frame,
-    or trailing bytes after the declared count — a partial IPC read must
-    never silently drop events.
+    The strict form of :func:`iter_records`: any fault raises
+    :class:`TraceFormatError` — a bad magic, a short header, a body
+    length that is not the bytes carried, a bad record — because a
+    partial IPC read must never silently drop events.
     """
-    if data[:4] != FRAME_MAGIC:
+    count, size = batch_header(data[:BATCH_HEADER_SIZE])
+    carried = len(data) - BATCH_HEADER_SIZE
+    if carried < size:
         raise TraceFormatError(
-            f"bad frame magic {data[:4]!r} (expected {FRAME_MAGIC!r})")
-    if len(data) < 8:
-        raise TraceFormatError("truncated frame header")
-    (count,) = _U32.unpack_from(data, 4)
-    events: List[DataplaneEvent] = []
-    offset = 8
-    for index in range(count):
-        if offset + 4 > len(data):
-            raise TraceFormatError(
-                f"truncated batch: frame {index} length missing")
-        (length,) = _U32.unpack_from(data, offset)
-        offset += 4
-        if offset + length > len(data):
-            raise TraceFormatError(
-                f"truncated batch: frame {index} payload short")
-        try:
-            payload = json.loads(data[offset:offset + length].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TraceFormatError(
-                f"frame {index}: invalid JSON payload: {exc}") from exc
-        events.append(event_from_dict(payload, max_layer=max_layer))
-        offset += length
-    if offset != len(data):
+            f"truncated batch: {size} body bytes declared, {carried} carried")
+    if carried > size:
         raise TraceFormatError(
-            f"{len(data) - offset} trailing bytes after {count} frames")
-    return events
+            f"{carried - size} trailing bytes after the declared body")
+    return list(iter_records(data[BATCH_HEADER_SIZE:], count, max_layer))

@@ -11,7 +11,7 @@ L7 payloads remain opaque bytes, so any property that binds ``dhcp.*`` or
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .dhcp import DHCP_CLIENT_PORT, DHCP_SERVER_PORT, Dhcp
 from .ftp import FTP_CONTROL_PORT, FtpControl
@@ -39,15 +39,25 @@ def encode(packet: Packet) -> bytes:
     return b"".join(h.encode() for h in packet.headers) + packet.payload
 
 
-def parse(data: bytes, max_layer: int = 7) -> Packet:
+def parse(data: bytes, max_layer: int = 7,
+          uid: Optional[int] = None) -> Packet:
     """Decode wire bytes into a Packet, parsing no deeper than ``max_layer``.
 
     Whatever lies beyond the parse limit (or beyond a decode failure at L7,
     where payloads may legitimately be arbitrary application bytes) is
-    preserved as opaque payload.
+    preserved as opaque payload.  ``uid`` restores a recorded packet
+    identity; without it the packet gets a fresh one.
     """
     if max_layer < 2:
         raise ParseError(f"max_layer must be >= 2, got {max_layer!r}")
+    headers, rest = _parse_headers(data, max_layer)
+    if uid is None:
+        return Packet(headers=tuple(headers), payload=rest)
+    return Packet(headers=tuple(headers), payload=rest, uid=uid)
+
+
+def _parse_headers(data: bytes, max_layer: int) -> Tuple[List[Header], bytes]:
+    """The header stack down to ``max_layer`` and the bytes left over."""
     headers: List[Header] = []
     try:
         eth, rest = Ethernet.decode(data)
@@ -61,8 +71,8 @@ def parse(data: bytes, max_layer: int = 7) -> Packet:
         headers.append(vlan)
         ethertype = vlan.ethertype
 
-    if max_layer < 3:
-        return Packet(headers=tuple(headers), payload=rest)
+    if max_layer < 3 or not rest:
+        return headers, rest
 
     # Inner headers that fail to decode are left as opaque payload — a
     # fixed-function parser stalls rather than rejecting the frame.
@@ -70,20 +80,20 @@ def parse(data: bytes, max_layer: int = 7) -> Packet:
         try:
             arp, rest = Arp.decode(rest)
         except HeaderError:
-            return Packet(headers=tuple(headers), payload=rest)
+            return headers, rest
         headers.append(arp)
-        return Packet(headers=tuple(headers), payload=rest)
+        return headers, rest
 
     if ethertype != EtherType.IPV4:
-        return Packet(headers=tuple(headers), payload=rest)
+        return headers, rest
 
     try:
         ip, rest = IPv4.decode(rest)
     except HeaderError:
-        return Packet(headers=tuple(headers), payload=rest)
+        return headers, rest
     headers.append(ip)
     if max_layer < 4:
-        return Packet(headers=tuple(headers), payload=rest)
+        return headers, rest
 
     sport: Optional[int] = None
     dport: Optional[int] = None
@@ -100,10 +110,10 @@ def parse(data: bytes, max_layer: int = 7) -> Packet:
             icmp, rest = ICMP.decode(rest)
             headers.append(icmp)
     except HeaderError:
-        return Packet(headers=tuple(headers), payload=rest)
+        return headers, rest
 
     if max_layer < 7 or not rest:
-        return Packet(headers=tuple(headers), payload=rest)
+        return headers, rest
 
     # L7: recognize by well-known port; decode failures leave opaque payload.
     try:
@@ -118,7 +128,7 @@ def parse(data: bytes, max_layer: int = 7) -> Packet:
             headers.append(ftp)
     except HeaderError:
         pass
-    return Packet(headers=tuple(headers), payload=rest)
+    return headers, rest
 
 
 def reparse(packet: Packet, max_layer: int) -> Packet:

@@ -3,8 +3,8 @@
 Everything else in the reproduction replays recorded traces on the
 virtual clock; this package is the long-running counterpart.  A
 :class:`ServeDaemon` ingests serialized event frames (the
-``netsim/serialize.py`` JSONL format, or the RPF1 framed binary codec —
-each ingest connection is sniffed for the four-byte magic) from TCP
+``netsim/serialize.py`` JSONL format, or its RPF2 binary batches — each
+ingest connection is sniffed for the four-byte magic) from TCP
 sockets and pipes into a bounded :class:`IngestQueue` with explicit
 backpressure —
 accept/shed decisions land in the monitor's
@@ -17,6 +17,17 @@ text), ``/stats`` (JSON), ``/healthz`` + ``/readyz`` (liveness vs.
 queue-pressure readiness), and ``/trace`` (recent spans from the
 tracer's ring buffer).  SIGTERM drains the queue and emits a final
 :class:`ServeDegradationReport`.
+
+A framed stream is read and decoded a batch at a time — header, body in
+one read, the codec's one record iterator; one protocol generator
+(:func:`~repro.serve.ingest.framed_reader`) for socket and FIFO alike —
+and nothing in it is fatal:
+a record that does not decode is one frame error and the rest of its
+batch is kept; a fault that loses the framing (a cut inside a batch, a
+wrong magic, a body length over ``MAX_BATCH_BYTES``) is one frame error
+and ends that connection.  A reader that finds a dispatch batch already
+queued yields to the dispatcher before taking more, so parsed events do
+not pile up in memory while their bytes could have waited in the kernel.
 
 ``stream_trace`` is the client half (``repro send``): pace a recorded
 trace at a target event rate into a running daemon, for demos,

@@ -28,7 +28,6 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-import struct
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -48,10 +47,17 @@ from ..telemetry import (
     render_prometheus,
 )
 from .http import HttpPlane, json_response, start_http
-from .ingest import FrameError, IngestQueue, parse_frame
+from .ingest import FrameError, IngestQueue, framed_reader, parse_frame
 from .report import ServeDegradationReport
 
-_U32 = struct.Struct(">I")
+
+async def _read(reader: asyncio.StreamReader, size: int) -> bytes:
+    """``size`` bytes, or whatever came before EOF — ``fp.read(size)``
+    for a stream reader."""
+    try:
+        return await reader.readexactly(size)
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
 
 
 def parse_ingest_spec(spec: str) -> Tuple[str, object]:
@@ -342,13 +348,10 @@ class ServeDaemon:
         if task is not None:
             self._conn_tasks.add(task)
         try:
-            # Sniff the first four bytes: an RPF1 magic switches the
-            # connection to the framed binary codec, anything else is
+            # Sniff the first four bytes: the frame magic switches the
+            # connection to the binary batch codec, anything else is
             # treated as the start of a JSONL stream.
-            try:
-                head = await reader.readexactly(4)
-            except asyncio.IncompleteReadError as exc:
-                head = exc.partial  # connection shorter than the magic
+            head = await _read(reader, 4)
             if head == FRAME_MAGIC:
                 await self._read_framed(reader, source)
             elif head:
@@ -360,6 +363,7 @@ class ServeDaemon:
                     if not line:
                         break
                     self._offer_line(line, source)
+                    await self._bound_run_ahead()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -383,82 +387,73 @@ class ServeDaemon:
         if self._wake is not None:
             self._wake.set()
 
+    async def _bound_run_ahead(self) -> None:
+        """Let the dispatcher drain before this reader takes more.
+
+        A reader whose bytes are already buffered never suspends in
+        ``await reader.read*()``, so without this it runs the queue up
+        to whatever the socket buffers hold — events that sit parsed in
+        memory instead of as bytes in the kernel.  One yield per read
+        (or line) while a dispatch batch is waiting is enough: the
+        dispatcher, once awake, empties the queue before it awaits.
+        """
+        if len(self.queue) >= self.config.batch_max:
+            await asyncio.sleep(0)
+
+    def _offer_batch(self, events: List, frame_errors: int,
+                     source: str) -> None:
+        """Queue one decoded batch; wake the dispatcher once."""
+        if frame_errors:
+            self._frame_errors.inc(frame_errors)
+        offer = self.queue.offer
+        for event in events:
+            offer(event, source=source)
+        if events and self._wake is not None:
+            self._wake.set()
+
     async def _read_framed(self, reader: asyncio.StreamReader,
                            source: str) -> None:
-        """Drain an RPF1 framed stream: repeated batches of
-        magic + u32 count + per-event (u32 length + JSON payload).
-
-        The payloads are the same JSON dicts the JSONL codec writes, so
-        each one goes through the ordinary frame parser.  A truncated
-        batch counts as one frame error; everything decoded before the
-        truncation still reaches the queue.
-        """
-        first = True
-        while True:
-            if not first:
-                try:
-                    magic = await reader.readexactly(4)
-                except asyncio.IncompleteReadError as exc:
-                    if exc.partial:
-                        self._frame_errors.inc()
-                    return
-                if magic != FRAME_MAGIC:
-                    self._frame_errors.inc()
-                    return
-            first = False
-            try:
-                (count,) = _U32.unpack(await reader.readexactly(4))
-                for _ in range(count):
-                    (size,) = _U32.unpack(await reader.readexactly(4))
-                    payload = await reader.readexactly(size)
-                    self._offer_line(payload, source)
-            except asyncio.IncompleteReadError:
-                self._frame_errors.inc()
-                return
+        """Drain a framed stream a batch at a time (the protocol, and
+        what each kind of fault costs, is :func:`framed_reader`)."""
+        steps = framed_reader(
+            lambda events, errors: self._offer_batch(events, errors, source),
+            self.config.max_layer)
+        try:
+            want = next(steps)
+            while True:
+                want = steps.send(await _read(reader, want))
+                await self._bound_run_ahead()
+        except StopIteration:
+            pass  # stream ended or framing lost: the caller closes it
 
     def _start_pipe_reader(self, path: str) -> None:
         loop = self._loop
         assert loop is not None
 
         source = f"pipe:{path}"
+        max_layer = self.config.max_layer
 
         def offer(data: bytes) -> None:
             loop.call_soon_threadsafe(self._offer_line, data, source)
 
-        def frame_error() -> None:
-            loop.call_soon_threadsafe(self._frame_errors.inc)
-
-        def read_exact(fp, size: int) -> Optional[bytes]:
-            chunk = fp.read(size)
-            return chunk if chunk is not None and len(chunk) == size else None
-
         def read_framed(fp) -> None:
-            # First magic was consumed by the sniff; subsequent batches
-            # each lead with their own.
-            while True:
-                raw = read_exact(fp, 4)
-                if raw is None:
-                    frame_error()
-                    return
-                (count,) = _U32.unpack(raw)
-                for _ in range(count):
-                    raw = read_exact(fp, 4)
-                    payload = raw and read_exact(fp, _U32.unpack(raw)[0])
-                    if not payload:
-                        frame_error()
-                        return
-                    offer(payload)
-                magic = fp.read(4)
-                if not magic:
-                    return  # clean EOF between batches
-                if magic != FRAME_MAGIC:
-                    frame_error()
-                    return
+            # _read_framed on blocking reads; each batch reaches the
+            # loop as one callback.
+            steps = framed_reader(
+                lambda events, errors: loop.call_soon_threadsafe(
+                    self._offer_batch, events, errors, source),
+                max_layer)
+            try:
+                want = next(steps)
+                while True:
+                    want = steps.send(fp.read(want))
+            except StopIteration:
+                pass
 
         def read_pipe() -> None:
             # Blocking reads in a daemon thread: a FIFO open blocks until
             # a writer connects, which must not stall the event loop.
-            # The same four-byte sniff as TCP ingest picks JSONL or RPF1.
+            # The same four-byte sniff as TCP ingest picks the codec.
             try:
                 with open(path, "rb") as fp:
                     head = fp.read(4)

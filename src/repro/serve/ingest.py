@@ -26,10 +26,18 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Generator, List, Optional, Tuple
 
 from ..core.degradation import IMPACT_FALSE, IMPACT_MISSED, OverflowLedger
-from ..netsim.serialize import TraceFormatError, event_from_dict
+from ..netsim.serialize import (
+    BATCH_HEADER_SIZE,
+    FRAME_MAGIC,
+    MAX_BATCH_BYTES,
+    TraceFormatError,
+    batch_header,
+    event_from_dict,
+    iter_records,
+)
 from ..switch.events import DataplaneEvent
 from ..telemetry import LATENCY_BUCKETS, MetricsRegistry, NullRegistry
 
@@ -66,6 +74,67 @@ def parse_frame(line: bytes, max_layer: int = 7) -> Optional[DataplaneEvent]:
         return event_from_dict(data, max_layer=max_layer)
     except (TraceFormatError, KeyError, ValueError) as exc:
         raise FrameError(f"invalid frame: {exc}") from exc
+
+
+def decode_batch(
+    body: bytes, count: int, size: int, max_layer: int = 7
+) -> Tuple[List[DataplaneEvent], int, bool]:
+    """The counting form of ``decode_frames``, for bytes a stranger sent:
+    ``(events, frame errors, intact)`` for one framed batch body.
+
+    ``body`` is what was read of the ``size`` bytes the batch header
+    declared.  A record that is delimited but does not decode costs one
+    frame error and the rest of the batch survives; a structural fault
+    (see :func:`~repro.netsim.serialize.iter_records`) or a short
+    ``body`` costs one frame error, keeps the events decoded before it
+    and returns ``intact=False`` — the stream's framing is lost and the
+    caller must close it.
+    """
+    events: List[DataplaneEvent] = []
+    faults: List[TraceFormatError] = []
+    try:
+        for event in iter_records(body, count, max_layer, faults.append):
+            events.append(event)
+        if len(body) != size:
+            raise TraceFormatError(
+                f"{size} body bytes declared, {len(body)} read")
+    except TraceFormatError:
+        return events, len(faults) + 1, False
+    return events, len(faults), True
+
+
+def framed_reader(
+    deliver: Callable[[List[DataplaneEvent], int], None],
+    max_layer: int = 7,
+) -> Generator[int, bytes, None]:
+    """The daemon's side of a framed stream, without the I/O — so the
+    asyncio TCP reader and the blocking FIFO thread run the same code.
+
+    A generator its transport drives: it yields how many bytes it wants
+    next and is sent what a read of that size returned (fewer bytes
+    means the stream ended there).  A batch is two reads, the 12-byte
+    header and then the whole body; each decoded batch goes to
+    ``deliver(events, frame_errors)``.  The generator returns when the
+    stream ends or its framing is lost — a cut inside a batch, a wrong
+    magic, a body length over ``MAX_BATCH_BYTES`` (refused before the
+    body is asked for), a body that is not the records it declares —
+    each of which is one frame error; the transport then closes the
+    stream.  The first batch's magic is taken as read: the sniff that
+    chose this codec consumed it.
+    """
+    header = FRAME_MAGIC + (yield BATCH_HEADER_SIZE - len(FRAME_MAGIC))
+    while header:  # b"" is a clean EOF between batches
+        try:
+            count, size = batch_header(header, MAX_BATCH_BYTES)
+        except TraceFormatError:
+            deliver([], 1)
+            return
+        events, errors, intact = decode_batch(
+            (yield size), count, size, max_layer)
+        deliver(events, errors)
+        if not intact:
+            return
+        header = yield BATCH_HEADER_SIZE
 
 
 class IngestQueue:

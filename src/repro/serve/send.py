@@ -71,20 +71,20 @@ def _build_units(path: str, format: str, chunk: int,
     """The trace as ``(payload, event_count)`` send units.
 
     ``jsonl`` keeps the file's own lines (one unit per line, headers
-    counting zero events).  ``rpf1`` parses the trace and re-encodes it
+    counting zero events).  ``rpf2`` parses the trace and re-encodes it
     as framed binary batches of up to ``chunk`` events — the daemon's
     ingest sniffs the magic and switches codec per connection.
     """
     if format == "jsonl":
         return [(line, 0 if b'"TraceHeader"' in line else 1)
                 for line in _read_lines(path)]
-    if format == "rpf1":
+    if format == "rpf2":
         events = read_trace(path, max_layer=max_layer)
         return [(encode_frames(events[i:i + chunk]),
                  len(events[i:i + chunk]))
                 for i in range(0, len(events), chunk)]
     raise ValueError(f"unknown send format {format!r}; "
-                     "choose jsonl or rpf1")
+                     "choose jsonl or rpf2")
 
 
 def stream_trace(
@@ -112,7 +112,7 @@ def stream_trace(
     — consumes one attempt and waits ``backoff * 2**consecutive_failures``
     seconds; a successful reconnect resets the consecutive count, the
     budget never refills.  ``format`` picks the wire codec: ``jsonl``
-    forwards the file's own lines; ``rpf1`` re-encodes the trace as
+    forwards the file's own lines; ``rpf2`` re-encodes the trace as
     framed binary batches (one batch per chunk).  ``monotonic``/
     ``sleep``/``connect`` are injectable for tests.
     """
@@ -129,7 +129,7 @@ def stream_trace(
     dial = (connect if connect is not None
             else lambda h, p: socket.create_connection((h, p)))
     units = _build_units(path, format, chunk)
-    # An rpf1 unit is already a whole chunk-sized batch; jsonl units are
+    # An rpf2 unit is already a whole chunk-sized batch; jsonl units are
     # single lines grouped chunk-at-a-time at send time.
     group = chunk if format == "jsonl" else 1
 

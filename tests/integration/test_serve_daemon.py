@@ -8,7 +8,12 @@ queue drains, the monitor stops, and the final report's uncertainty
 interval accounts for everything shed.
 """
 
+import collections
 import json
+import os
+import random
+import socket
+import struct
 import time
 import urllib.error
 import urllib.request
@@ -17,8 +22,17 @@ import pytest
 
 from repro.apps import LearningSwitchApp, sometimes
 from repro.netsim import TraceRecorder, single_switch_network
-from repro.netsim.serialize import save_trace, trace_header
+from repro.netsim.serialize import (
+    BATCH_HEADER_SIZE,
+    FRAME_MAGIC,
+    MAX_BATCH_BYTES,
+    encode_frames,
+    read_trace,
+    save_trace,
+    trace_header,
+)
 from repro.netsim.workload import l2_pairs, send_all
+from repro.resilience import catalog_trace
 from repro.serve import (
     ServeConfig,
     ServeDaemon,
@@ -63,12 +77,12 @@ def get(daemon, path):
         return exc.code, exc.read().decode("utf-8")
 
 
-def wait_until(predicate, timeout=5.0):
+def wait_until(predicate, timeout=5.0, interval=0.01):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if predicate():
             return True
-        time.sleep(0.01)
+        time.sleep(interval)
     return False
 
 
@@ -154,8 +168,6 @@ class TestEndToEnd:
             handle.stop()
 
     def test_garbage_frames_counted_not_fatal(self, trace_path):
-        import socket
-
         daemon, handle = boot()
         try:
             with socket.create_connection(
@@ -172,6 +184,195 @@ class TestEndToEnd:
         finally:
             report = handle.stop()
         assert report.frame_errors == 2
+
+
+def send_raw(daemon, payload):
+    """One ingest connection carrying exactly ``payload``, then EOF."""
+    with socket.create_connection(
+            ("127.0.0.1", daemon.ingest_ports[0])) as sock:
+        sock.sendall(payload)
+
+
+def frame_errors(daemon):
+    return int(daemon.registry.counter(
+        "repro_serve_frame_errors_total").value)
+
+
+def observed(daemon):
+    return int(daemon.monitor.stats.events)
+
+
+def violations_by_property(daemon):
+    return collections.Counter(
+        v.property_name for v in daemon.monitor.violations)
+
+
+def listener_errors(caplog):
+    """What asyncio logged about a connection handler that raised."""
+    return [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+
+
+class TestFramedIngest:
+    def test_framed_stream_matches_jsonl_stream(self, tmp_path):
+        # Catalog traffic, so the daemon's properties have something to
+        # fire on (the learning-switch trace raises none of them).
+        path = str(tmp_path / "catalog.jsonl")
+        save_trace(catalog_trace(seed=3, num_events=400), path)
+        outcomes = []
+        for fmt in ("jsonl", "rpf2"):
+            daemon, handle = boot()
+            try:
+                # chunk=16: the framed stream is several batches on the
+                # one connection.
+                result = stream_trace(
+                    path, "127.0.0.1", daemon.ingest_ports[0],
+                    chunk=16, format=fmt)
+                assert result.events > 3 * 16
+                assert wait_until(
+                    lambda: observed(daemon) >= result.events)
+            finally:
+                report = handle.stop()
+            assert report.frame_errors == 0
+            outcomes.append((report.events_observed, report.violations,
+                             violations_by_property(daemon)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] > 0, "the trace is supposed to raise violations"
+
+    def test_framed_fifo(self, trace_path, tmp_path):
+        events = read_trace(trace_path)[:10]
+        last = encode_frames(events[6:])
+        fifo = str(tmp_path / "ingest.fifo")
+        os.mkfifo(fifo)
+        daemon, handle = boot(ingest=(f"pipe:{fifo}",))
+        try:
+            with open(fifo, "wb") as fp:  # the reader thread is waiting
+                fp.write(encode_frames(events[:3]))
+                fp.write(encode_frames(events[3:6]))
+                fp.write(last[:-1])       # the writer dies mid-batch
+            assert wait_until(lambda: frame_errors(daemon) == 1)
+            assert wait_until(lambda: observed(daemon) == 9)
+        finally:
+            report = handle.stop()
+        assert (report.events_observed, report.frame_errors) == (9, 1)
+
+
+class TestHostileFrames:
+    """The threat model of a monitor that sits on the forwarding path:
+    whatever a sender writes is counted, never fatal."""
+
+    @pytest.fixture()
+    def batches(self, trace_path):
+        events = read_trace(trace_path)
+        return [events[0:2], events[2:4], events[4:6]]
+
+    def test_stream_cut_at_every_offset(self, batches, caplog):
+        stream = b"".join(encode_frames(batch) for batch in batches)
+        # For every cut: how many records end at or before it, and
+        # whether it falls strictly inside a batch.
+        whole_records, inside = [], []
+        records_before = offset = 0
+        for batch in batches:
+            ends = []
+            end = offset + BATCH_HEADER_SIZE
+            for event in batch:
+                end += len(encode_frames([event])) - BATCH_HEADER_SIZE
+                ends.append(end)
+            for cut in range(offset, end):
+                whole_records.append(
+                    records_before + sum(1 for e in ends if e <= cut))
+                inside.append(cut > offset)
+            records_before += len(batch)
+            offset = end
+        whole_records.append(records_before)   # the uncut stream
+        inside.append(False)
+        assert offset == len(stream) and len(inside) == len(stream) + 1
+
+        daemon, handle = boot()
+        want_events = want_errors = 0
+        try:
+            for cut in range(len(stream) + 1):
+                send_raw(daemon, stream[:cut])
+                want_events += whole_records[cut]
+                want_errors += inside[cut]
+                assert wait_until(
+                    lambda: observed(daemon) == want_events
+                    and frame_errors(daemon) >= want_errors,
+                    interval=0.0005), (cut, observed(daemon), want_events)
+        finally:
+            report = handle.stop()
+        # Exactly one error per cut inside a batch, none for a cut on a
+        # batch boundary — so the totals match only if every cut did.
+        assert report.frame_errors == want_errors == sum(inside)
+        assert report.events_observed == want_events
+        assert listener_errors(caplog) == []
+
+    def test_seeded_bit_flips(self, batches, caplog):
+        stream = b"".join(encode_frames(batch) for batch in batches)
+        total = sum(len(batch) for batch in batches)
+        rng = random.Random(18)
+        daemon, handle = boot()
+        try:
+            for _ in range(60):
+                damaged = bytearray(stream)
+                for _ in range(rng.randint(1, 3)):
+                    damaged[rng.randrange(len(damaged))] ^= 1 << rng.randrange(8)
+                send_raw(daemon, bytes(damaged))
+            # Still listening, still decoding.
+            before = observed(daemon)
+            send_raw(daemon, stream)
+            assert wait_until(lambda: observed(daemon) >= before + total)
+        finally:
+            report = handle.stop()
+        assert total <= report.events_observed <= 61 * total
+        assert report.events_observed == report.events_ingested
+        assert listener_errors(caplog) == []
+
+    def test_wrong_magic_between_batches(self, batches):
+        first, second, third = map(encode_frames, batches)
+        daemon, handle = boot()
+        try:
+            send_raw(daemon, first + b"RPF1" + second[4:] + third)
+            assert wait_until(lambda: frame_errors(daemon) == 1)
+        finally:
+            report = handle.stop()
+        # The framing is lost at the bad magic: nothing after it counts.
+        assert report.events_observed == len(batches[0])
+        assert report.frame_errors == 1
+
+    def test_corrupt_packet_in_one_record(self, batches):
+        records = [encode_frames([event])[BATCH_HEADER_SIZE:]
+                   for batch in batches for event in batch]
+        # Record 2 of 6: a packet record whose five packet bytes are no
+        # ethernet header (layout: netsim/serialize.py).
+        records[2] = struct.pack(
+            ">BdQiiBBHH", 1, 0.5, 7, 1, 0, 0, 1, 0, 5) + b"s" + b"\x00" * 5
+        body = b"".join(records)
+        damaged = FRAME_MAGIC + struct.pack(">II", 6, len(body)) + body
+        daemon, handle = boot()
+        try:
+            # The connection outlives the bad record.
+            send_raw(daemon, damaged + encode_frames(batches[0]))
+            assert wait_until(lambda: observed(daemon) == 5 + 2)
+        finally:
+            report = handle.stop()
+        assert report.events_observed == 7
+        assert report.frame_errors == 1
+
+    def test_over_cap_body_length_is_refused_unread(self, batches):
+        lying = FRAME_MAGIC + struct.pack(">II", 1, MAX_BATCH_BYTES + 1)
+        daemon, handle = boot()
+        try:
+            with socket.create_connection(
+                    ("127.0.0.1", daemon.ingest_ports[0])) as sock:
+                sock.sendall(encode_frames(batches[0]) + lying + b"x" * 64)
+                # The daemon hangs up rather than wait for 16 MiB.
+                sock.settimeout(5.0)
+                assert sock.recv(1) == b""
+            assert frame_errors(daemon) == 1
+        finally:
+            report = handle.stop()
+        assert report.events_observed == len(batches[0])
+        assert report.frame_errors == 1
 
 
 class TestBackpressure:

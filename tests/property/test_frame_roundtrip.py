@@ -1,9 +1,12 @@
 """Property-based tests: the framed batch encoding round-trips every
 recorded event kind — including the TimerFired instance keys carrying
 addresses and enums that the plain JSONL path used to flatten into
-strings (the gap the fabric's IPC transport surfaced)."""
+strings (the gap the fabric's IPC transport surfaced), and the packet
+events whose values do not fit the fixed binary record."""
 
+import dataclasses
 import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +15,13 @@ from hypothesis import strategies as st
 from repro.netsim.serialize import (
     FRAME_MAGIC,
     TraceFormatError,
+    batch_header,
     decode_frames,
     dump_trace,
     encode_frames,
     event_from_dict,
     event_to_dict,
+    iter_records,
     load_trace,
 )
 from repro.packet import IPv4Address, MACAddress, arp_request, tcp_packet
@@ -80,7 +85,44 @@ timers = st.builds(
     | st.tuples(key_scalars, key_scalars)
     | st.tuples(key_scalars, key_scalars, key_scalars))
 
-events = st.one_of(arrivals, egresses, drops, oobs, timers)
+#: packet events with one value the fixed record has no room for; they
+#: must travel as the tag-0 JSON record and come back unchanged
+misfits = st.one_of(
+    st.builds(PacketArrival, switch_id=switch_ids, time=times,
+              packet=packets, in_port=st.integers(2**31, 2**40)),
+    st.builds(PacketEgress, switch_id=switch_ids, time=times,
+              packet=packets, out_port=st.integers(-2**40, -2**31 - 1)),
+    st.builds(PacketArrival, switch_id=switch_ids, time=times,
+              packet=st.builds(dataclasses.replace, packets,
+                               uid=st.integers(2**64, 2**70))),
+    st.builds(PacketDrop, switch_id=switch_ids, time=times, packet=packets,
+              reason=st.just("r" * 70_000)),
+    st.builds(PacketArrival, time=times, packet=packets,
+              switch_id=st.text(min_size=1, max_size=8).filter(
+                  lambda text: not text.isascii())),
+    st.builds(PacketArrival, time=times, packet=packets,
+              switch_id=st.just("s" * 256)),
+)
+
+events = st.one_of(arrivals, egresses, drops, oobs, timers, misfits)
+
+#: the documented layout of one packet record and of the batch header
+PACKET_RECORD = struct.Struct(">BdQiiBBHH")
+BATCH_HEADER = struct.Struct(">4sII")
+
+
+def framed(count, body):
+    return BATCH_HEADER.pack(FRAME_MAGIC, count, len(body)) + body
+
+
+def json_record(payload):
+    return struct.pack(">BI", 0, len(payload)) + payload
+
+
+def arrival(uid=7, time=0.5):
+    packet = dataclasses.replace(arp_request(1, "10.0.0.1", "10.0.0.2"),
+                                 uid=uid)
+    return PacketArrival(switch_id="s", time=time, packet=packet, in_port=1)
 
 
 def assert_same_event(left, right):
@@ -91,6 +133,11 @@ def assert_same_event(left, right):
     if packet is not None:
         assert right.packet.uid == packet.uid
         assert right.packet.headers == packet.headers
+        assert right.in_port == left.in_port
+    if isinstance(left, PacketEgress):
+        assert (right.out_port, right.action) == (left.out_port, left.action)
+    if isinstance(left, PacketDrop):
+        assert right.reason == left.reason
     if isinstance(left, TimerFired):
         assert right.instance_key == left.instance_key
         for a, b in zip(left.instance_key, right.instance_key):
@@ -128,34 +175,117 @@ class TestFrameRoundtrip:
         assert_same_event(event, restored)
 
 
+class TestRecordLayout:
+    def test_packet_record_is_the_documented_struct(self):
+        from repro.packet.parser import encode as wire_encode
+
+        event = arrival()
+        wire = wire_encode(event.packet)
+        record = PACKET_RECORD.pack(
+            1, 0.5, 7, 1, 0, 0, 1, 0, len(wire)) + b"s" + wire
+        assert encode_frames([event]) == framed(1, record)
+
+    def test_rare_events_are_json_records(self):
+        event = OutOfBandEvent(
+            switch_id="s", time=1.0, oob_kind=OobKind.PORT_UP, port=1)
+        payload = json.dumps(event_to_dict(event), sort_keys=True,
+                             separators=(",", ":")).encode()
+        assert encode_frames([event]) == framed(1, json_record(payload))
+
+    @settings(max_examples=40, deadline=None)
+    @given(misfits)
+    def test_values_outside_the_fixed_widths_take_the_json_record(
+            self, event):
+        blob = encode_frames([event])
+        assert blob[BATCH_HEADER.size] == 0
+        (restored,) = decode_frames(blob)
+        assert_same_event(event, restored)
+
+
 class TestFrameErrors:
     def test_bad_magic_rejected(self):
         with pytest.raises(TraceFormatError, match="magic"):
             decode_frames(b'{"kind": "TraceHeader"}\n')
 
     def test_truncated_payload_rejected(self):
-        blob = encode_frames([OutOfBandEvent(
-            switch_id="s", time=1.0, oob_kind=OobKind.PORT_UP, port=1)])
+        blob = encode_frames([
+            OutOfBandEvent(switch_id="s", time=1.0,
+                           oob_kind=OobKind.PORT_UP, port=1),
+            arrival()])
+        for cut in range(len(blob)):
+            with pytest.raises(TraceFormatError, match="truncated|magic"):
+                decode_frames(blob[:cut])
+        # A header that understates the count leaves bytes unaccounted
+        # for; one that overstates it runs out of body.
+        body = blob[BATCH_HEADER.size:]
+        with pytest.raises(TraceFormatError, match="trailing"):
+            decode_frames(framed(1, body))
         with pytest.raises(TraceFormatError, match="truncated"):
-            decode_frames(blob[:-3])
+            decode_frames(framed(3, body))
 
     def test_trailing_garbage_rejected(self):
         blob = encode_frames([])
-        assert blob == FRAME_MAGIC + b"\x00\x00\x00\x00"
+        assert blob == FRAME_MAGIC + b"\x00" * 8
         with pytest.raises(TraceFormatError, match="trailing"):
             decode_frames(blob + b"xx")
+        with pytest.raises(TraceFormatError, match="trailing"):
+            decode_frames(framed(0, b"xx"))
 
     def test_unknown_key_tag_rejected(self):
         blob = json.dumps({
             "kind": "TimerFired", "switch": "s", "time": 1.0,
             "timer_id": "t", "instance_key": [{"t": "nope", "v": "x"}]})
-        framed = FRAME_MAGIC + b"\x00\x00\x00\x01" \
-            + len(blob).to_bytes(4, "big") + blob.encode()
         with pytest.raises(TraceFormatError, match="unknown key element"):
-            decode_frames(framed)
+            decode_frames(framed(1, json_record(blob.encode())))
 
     def test_unencodable_key_rejected(self):
         event = TimerFired(switch_id="s", time=1.0, timer_id="t",
                            instance_key=((1, 2),))
         with pytest.raises(TraceFormatError, match="no\\s+trace encoding"):
             encode_frames([event])
+
+    def test_unknown_record_tag_rejected(self):
+        with pytest.raises(TraceFormatError, match="unknown record tag"):
+            decode_frames(framed(1, b"\x09" + b"\x00" * 40))
+
+    @pytest.mark.parametrize("record", [
+        # five bytes are no ethernet header
+        PACKET_RECORD.pack(1, 0.5, 7, 1, 0, 0, 1, 0, 5) + b"s" + b"\x00" * 5,
+        # egress-action index 9 names no action
+        PACKET_RECORD.pack(2, 0.5, 7, 1, 2, 9, 1, 0, 14) + b"s" + b"\x00" * 14,
+        # a switch id that is not ASCII
+        PACKET_RECORD.pack(1, 0.5, 7, 1, 0, 0, 1, 0, 14) + b"\xff"
+        + b"\x00" * 14,
+        json_record(b"not json"),
+        json_record(b"[1, 2, 3]"),
+        json_record(b'{"kind": "PacketArrival", "switch": "s", "time": null}'),
+    ], ids=["short-packet", "bad-action", "non-ascii-switch", "not-json",
+            "json-array", "null-time"])
+    def test_bad_record_is_skipped_only_when_counting(self, record):
+        """A delimited record that does not decode: the strict form
+        raises; with a callback it costs one report and nothing else."""
+        good = encode_frames([arrival(uid=1)])[BATCH_HEADER.size:]
+        body = good + record + good
+        with pytest.raises(TraceFormatError, match="record 1"):
+            decode_frames(framed(3, body))
+        faults = []
+        events = list(iter_records(body, 3, bad_record=faults.append))
+        assert [e.packet.uid for e in events] == [1, 1]
+        assert len(faults) == 1
+
+    def test_structural_fault_keeps_the_decoded_prefix(self):
+        good = encode_frames([arrival(uid=1)])[BATCH_HEADER.size:]
+        events, faults = [], []
+        with pytest.raises(TraceFormatError, match="runs past the body"):
+            for event in iter_records(good + good[:-1], 2,
+                                      bad_record=faults.append):
+                events.append(event)
+        assert [e.packet.uid for e in events] == [1] and not faults
+
+    def test_declared_body_length_is_capped_before_the_body_is_read(self):
+        header = BATCH_HEADER.pack(FRAME_MAGIC, 1, 0xFFFFFFFF)
+        assert batch_header(header) == (1, 0xFFFFFFFF)
+        with pytest.raises(TraceFormatError, match="cap"):
+            batch_header(header, max_body=1 << 24)
+        with pytest.raises(TraceFormatError, match="truncated"):
+            batch_header(header[:11])

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.degradation import IMPACT_FALSE, IMPACT_MISSED, OverflowLedger
 from repro.serve import FrameError, IngestQueue, parse_frame
+from repro.serve.ingest import decode_batch, framed_reader
 from repro.serve.daemon import parse_ingest_spec
 from repro.serve.report import ServeDegradationReport, render_serve_report
 from repro.switch.events import OutOfBandEvent, OobKind
@@ -170,6 +171,92 @@ class TestParseFrame:
     def test_junk_raises_frame_error(self, junk):
         with pytest.raises(FrameError):
             parse_frame(junk)
+
+
+class TestDecodeBatch:
+    """The counting form of the frame decoder (the live-daemon hostile
+    set is in tests/integration/test_serve_daemon.py)."""
+
+    @staticmethod
+    def body(events):
+        from repro.netsim.serialize import BATCH_HEADER_SIZE, encode_frames
+
+        return encode_frames(events)[BATCH_HEADER_SIZE:]
+
+    def test_intact_batch(self):
+        body = self.body([oob(1.0), oob(2.0)])
+        events, errors, intact = decode_batch(body, 2, len(body))
+        assert [e.time for e in events] == [1.0, 2.0]
+        assert (errors, intact) == (0, True)
+
+    def test_bad_record_costs_one_error_and_nothing_else(self):
+        junk = b"\x00\x00\x00\x00\x08not json"
+        body = self.body([oob(1.0)]) + junk + self.body([oob(3.0)])
+        events, errors, intact = decode_batch(body, 3, len(body))
+        assert [e.time for e in events] == [1.0, 3.0]
+        assert (errors, intact) == (1, True)
+
+    def test_cut_body_keeps_the_prefix_and_loses_the_framing(self):
+        body = self.body([oob(1.0), oob(2.0)])
+        events, errors, intact = decode_batch(body[:-1], 2, len(body))
+        assert [e.time for e in events] == [1.0]
+        assert (errors, intact) == (1, False)
+
+    def test_body_shorter_than_declared_is_a_fault_even_if_it_decodes(self):
+        # A header that overstates the body length, on a stream cut
+        # exactly where the records end.
+        body = self.body([oob(1.0)])
+        events, errors, intact = decode_batch(body, 1, len(body) + 9)
+        assert len(events) == 1
+        assert (errors, intact) == (1, False)
+
+
+class TestFramedReader:
+    """The sans-IO stream protocol both ingest transports drive."""
+
+    @staticmethod
+    def drive(stream):
+        """Feed ``stream`` (minus the sniffed magic) the way a transport
+        does; returns the deliveries and the read sizes asked for."""
+        import io
+
+        fp = io.BytesIO(stream[4:])
+        delivered, wanted = [], []
+        steps = framed_reader(
+            lambda events, errors: delivered.append((len(events), errors)))
+        try:
+            want = next(steps)
+            while True:
+                wanted.append(want)
+                want = steps.send(fp.read(want))
+        except StopIteration:
+            pass
+        return delivered, wanted
+
+    def test_batches_until_clean_eof(self):
+        from repro.netsim.serialize import encode_frames
+
+        first, second = encode_frames([oob(1.0)]), encode_frames([oob(2.0)] * 3)
+        delivered, wanted = self.drive(first + second)
+        assert delivered == [(1, 0), (3, 0)]
+        # header, body, header, body, then the header read that hits EOF
+        assert wanted == [8, len(first) - 12, 12, len(second) - 12, 12]
+
+    def test_over_cap_length_ends_the_stream_before_the_body_is_asked_for(self):
+        from repro.netsim.serialize import FRAME_MAGIC, MAX_BATCH_BYTES
+
+        lying = FRAME_MAGIC + (1).to_bytes(4, "big") \
+            + (MAX_BATCH_BYTES + 1).to_bytes(4, "big")
+        delivered, wanted = self.drive(lying + b"x" * 100)
+        assert delivered == [(0, 1)]
+        assert wanted == [8]
+
+    def test_stream_ending_inside_a_header_is_one_error(self):
+        from repro.netsim.serialize import encode_frames
+
+        batch = encode_frames([oob(1.0)])
+        assert self.drive(batch + batch[:5])[0] == [(1, 0), (0, 1)]
+        assert self.drive(batch[:4])[0] == [(0, 1)]
 
 
 class TestIngestSpec:
