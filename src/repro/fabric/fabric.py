@@ -14,10 +14,13 @@ Two execution modes share all routing and merging logic:
   correctness oracle the differential suite compares against.
 * ``"mp"`` — N forked worker processes fed serialized event frames
   (``fabric.mp``).  Workers acknowledge nothing per event; state flows
-  back as cursor-based snapshot deltas on explicit ``sync()``.  The
-  parent can still wait on the data path — for pipe space when a worker
-  is behind, and for the supervisor's periodic checkpoint round trip
-  (see ``fabric.mp``'s module docstring).
+  back as cursor-based snapshot deltas on explicit ``sync()``, and as
+  the supervisor's periodic checkpoints, which are requested and then
+  taken in whenever their reply has arrived — no batch waits for one.
+  The only wait left on the data path is back-pressure for socket space
+  when a worker is behind, bounded by ``send_timeout``; ``sync()`` and
+  ``stop()`` are the explicit barriers (see ``fabric.mp``'s module
+  docstring).
 
 Merging rules (the parts worth being careful about):
 
@@ -286,15 +289,17 @@ class ShardedMonitor:
             self.supervisor.sync_snapshots()
         self._mirror_monitor_metrics()
 
-    def _merge(self, snapshot: ShardSnapshot) -> None:
+    def _merge(self, snapshot: ShardSnapshot, unconfirmed: int = 0) -> None:
+        """Fold one shard snapshot into the merged view; ``unconfirmed``
+        events were forwarded after the point it reflects."""
         idx = snapshot.shard
         self._snapshots[idx] = snapshot
         if snapshot.violations:
             self._violations.extend(snapshot.violations)
             self._sorted_violations = None
         self.ledger.records.extend(snapshot.sheds)
-        self._inflight[idx] = 0
-        self._g_queue[idx].set(0.0)
+        self._inflight[idx] = unconfirmed
+        self._g_queue[idx].set(float(unconfirmed))
 
     def _on_shard_down(self, idx: int) -> None:
         """Supervisor callback: bank a dead worker's merged totals.
@@ -391,6 +396,7 @@ class ShardedMonitor:
             {"shard": idx, "alive": True, "recovering": False,
              "failed": False, "pid": None, "restarts": 0,
              "journal_batches": 0, "journal_events": 0,
+             "checkpoint_pending": False,
              "quarantined_batches": 0, "down_reason": ""}
             for idx in range(self.num_shards)
         ]

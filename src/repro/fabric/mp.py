@@ -3,47 +3,57 @@
 Each shard runs a plain :class:`Monitor` in a forked worker process.
 Fork (not spawn) is required: property specs carry compiled predicate
 closures that do not pickle, and a forked child inherits them directly.
-Event batches cross the pipe as the binary batch encoding from
+Event batches cross the channel as the binary batch encoding from
 ``netsim/serialize.py`` — the same bytes ``repro send --format rpf2``
 writes to a daemon, so the IPC format is covered by the serialization
 tests.
 
-Command channel (parent -> worker), one ``send_bytes`` per command:
+The channel is one ``AF_UNIX`` stream socketpair per shard, commands
+one way and replies the other, every message a ``u32`` length then the
+tagged body.  The worker's end is blocking; the parent's end is
+non-blocking and only ever touched by :meth:`MpShard._send` and
+:meth:`MpShard.recv_reply`.
+
+Commands (parent -> worker):
 
 * ``b"B" + encode_frames(batch)`` — observe the batch;
 * ``b"A" + f64(when)``            — advance monitor time;
 * ``b"D"``                        — drain all deferred ops and timers;
 * ``b"H" + u32(seq)``             — heartbeat; reply ``b"A" + u32(seq)``;
 * ``b"S"``                        — reply with a :class:`ShardSnapshot`
-                                    delta on the result channel;
-* ``b"C"``                        — like ``S`` but the snapshot carries
-                                    a full :class:`MonitorState`
-                                    checkpoint;
-* ``b"R" + pickle(MonitorState)`` — restore a checkpoint into the
-                                    (fresh) worker monitor;
+                                    delta;
+* ``b"C"``                        — like ``S`` but the snapshot is a
+                                    checkpoint: it carries the worker's
+                                    pickled :class:`MonitorState`;
+* ``b"R" + state``                — restore those bytes, verbatim, into
+                                    the (fresh) worker monitor;
 * ``b"Q"``                        — final snapshot, then exit.
 
-Result channel (worker -> parent), also tagged ``send_bytes``:
+Replies (worker -> parent), in the order of the commands they answer:
 
 * ``b"A" + u32(seq)``      — heartbeat ack echoing the sequence number;
 * ``b"S" + pickle(snap)``  — a snapshot/checkpoint reply.
 
 Workers reply only when asked (cursor-based deltas): there is no
-per-event acknowledgement.  The parent does block on the data path,
-though, in two places.  ``send_bytes`` returns once the whole message is
-in the pipe, and a routed sub-batch is about as big as the pipe buffer
-(64 kB on Linux; a TCP packet event is ≈85 bytes, so 512 of them are
-≈44 kB), so a send waits for the worker to read whenever the previous
-batch is still unread.  And the supervisor's checkpoint
-(``Supervisor._checkpoint``, every ``checkpoint_interval`` events per
-shard) is a request followed by a blocking ``recv_snapshot``: the parent
-waits while the worker works through everything queued ahead of the
-request and pickles its state.  Taking both off the data path is future
-work.  What is guaranteed today is that neither wait becomes a deadlock:
-every parent-side receive is bounded by a ``poll`` timeout and every
-send checks pipe writability first (:meth:`MpShard._send` says what that
-check does and does not cover), so a crashed or wedged worker surfaces
-as :class:`ShardDied` / :class:`ShardTimeout`, which is what the fabric
+per-event acknowledgement, and no command waits for its reply — the
+supervisor requests a checkpoint and takes the reply in whenever it
+next looks (``fabric.supervise``).  The only wait left on the data path
+is back-pressure: a socketpair holds about 200 kB per direction
+(``SO_SNDBUF`` 212 992 on Linux; a routed 512-event sub-batch is
+≈44 kB), so a send waits for socket space once a worker is a few
+batches behind, for at most ``send_timeout``.  ``ShardedMonitor.sync()``
+and ``stop()`` are the explicit barriers.
+
+A checkpoint reply is several times larger than the socket buffer, so
+a worker blocks writing it until the parent reads.  A parent that
+blocked writing a command at the same moment would deadlock the pair —
+and the default ``send_timeout`` would then end that stall as a
+:class:`ShardTimeout`, a spurious restart.  :meth:`MpShard._send`
+therefore never waits on an unread reply: while it waits for socket
+space it also reads, parking complete replies in an inbox that
+:meth:`MpShard.recv_reply` serves first.  Every parent-side wait is a
+``select`` with a deadline, so a crashed or wedged worker surfaces as
+:class:`ShardDied` / :class:`ShardTimeout`, which is what the fabric
 supervisor turns into a restart.
 """
 
@@ -54,11 +64,12 @@ import os
 import pickle
 import select
 import signal
+import socket
 import struct
-from multiprocessing.connection import Connection
-from typing import Dict, List, Mapping, Optional, Sequence
+import time
+from collections import deque
+from typing import Deque, Dict, Mapping, Optional, Sequence
 
-from ..core.monitor import MonitorState
 from ..core.spec import PropertySpec
 from ..netsim.serialize import decode_frames, encode_frames
 from ..switch.events import DataplaneEvent
@@ -67,10 +78,11 @@ from .shard import ShardSnapshot, build_shard_monitor, take_snapshot
 
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
+_READ_CHUNK = 1 << 18
 
 
 class ShardDied(RuntimeError):
-    """The worker process is gone (crash, kill, or closed pipe)."""
+    """The worker process is gone (crash, kill, or closed channel)."""
 
 
 class ShardTimeout(RuntimeError):
@@ -86,8 +98,7 @@ def fork_available() -> bool:
 
 
 def _worker_main(
-    conn: Connection,
-    results: Connection,
+    sock: socket.socket,
     props: Sequence[PropertySpec],
     shard_idx: int,
     num_shards: int,
@@ -98,10 +109,28 @@ def _worker_main(
     monitor = build_shard_monitor(
         props, shard_idx, num_shards, routes, monitor_kwargs)
     violation_cursor = shed_cursor = 0
-    while True:
+    commands = sock.makefile("rb")
+
+    def reply(body: bytes) -> None:
+        sock.sendall(_U32.pack(len(body)))
+        sock.sendall(body)
+
+    def command() -> bytes:
+        """The next whole command; empty once the parent's end is gone."""
         try:
-            message = conn.recv_bytes()
-        except (EOFError, OSError):
+            header = commands.read(_U32.size)
+            if len(header) == _U32.size:
+                size = _U32.unpack(header)[0]
+                message = commands.read(size)
+                if len(message) == size:
+                    return message
+        except OSError:
+            pass
+        return b""
+
+    while True:
+        message = command()
+        if not message:
             break  # parent died; nothing useful left to do
         tag, payload = message[:1], message[1:]
         if tag == b"B":
@@ -111,15 +140,14 @@ def _worker_main(
         elif tag == b"D":
             monitor.drain()
         elif tag == b"H":
-            results.send_bytes(b"A" + payload)
+            reply(b"A" + payload)
         elif tag == b"R":
             monitor.restore_state(pickle.loads(payload))
         elif tag in (b"S", b"C", b"Q"):
             snapshot, violation_cursor, shed_cursor = take_snapshot(
                 monitor, shard_idx, violation_cursor, shed_cursor,
                 with_state=(tag == b"C"))
-            results.send_bytes(
-                b"S" + pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL))
+            reply(b"S" + pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL))
             if tag == b"Q":
                 break
         else:  # pragma: no cover - protocol is closed
@@ -144,21 +172,27 @@ class MpShard:
                 "fabric mode 'mp' needs the fork start method (unavailable "
                 "on this platform); use mode='inprocess'")
         ctx = multiprocessing.get_context("fork")
-        self._cmd, child_cmd = ctx.Pipe()
-        self._results, child_results = ctx.Pipe()
+        self._sock, child_sock = socket.socketpair()
+        self._sock.setblocking(False)
         self.shard_idx = shard_idx
         self.send_timeout = send_timeout
         self._closed = False
+        self._eof = False
+        #: bytes read off the socket that do not yet make a whole reply
+        self._partial = bytearray()
+        #: whole replies read (by a send that was waiting for socket
+        #: space, or by a look that found more than one) and not yet
+        #: handed out; :meth:`recv_reply` serves these first
+        self._inbox: Deque[bytes] = deque()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_cmd, child_results, props, shard_idx, num_shards,
+            args=(child_sock, props, shard_idx, num_shards,
                   routes, monitor_kwargs, max_layer),
             name=f"repro-fabric-shard-{shard_idx}",
             daemon=True,
         )
         self.process.start()
-        child_cmd.close()
-        child_results.close()
+        child_sock.close()
 
     # -- liveness ----------------------------------------------------------
     @property
@@ -168,33 +202,76 @@ class MpShard:
     def is_alive(self) -> bool:
         return not self._closed and self.process.is_alive()
 
-    # -- sends (bounded, crash-surfacing) ----------------------------------
+    # -- the channel (non-blocking, deadline-bounded) ----------------------
+    def _died(self, why: object) -> ShardDied:
+        return ShardDied(f"shard {self.shard_idx}: {why}")
+
+    def _pump(self) -> None:
+        """Read what the socket holds now; park every whole reply."""
+        partial = self._partial
+        while not self._eof:
+            try:
+                chunk = self._sock.recv(_READ_CHUNK)
+            except BlockingIOError:
+                break
+            except OSError as exc:
+                raise self._died(exc) from exc
+            if not chunk:
+                self._eof = True
+            partial += chunk
+        start = 0
+        while len(partial) - start >= _U32.size:
+            end = start + _U32.size + _U32.unpack_from(partial, start)[0]
+            if end > len(partial):
+                break
+            self._inbox.append(bytes(partial[start + _U32.size:end]))
+            start = end
+        if start:
+            del partial[:start]
+
+    def _wait(self, deadline: float, writing: bool) -> bool:
+        """Sleep until the socket is readable (or, for a sender, has
+        space); False once ``deadline`` has passed."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
+        try:
+            select.select([self._sock], [self._sock] if writing else [],
+                          [], remaining)
+        except (OSError, ValueError) as exc:
+            raise self._died(exc) from exc
+        return True
+
     def _send(self, message: bytes) -> None:
         """Send one command; raise instead of blocking or EPIPE-ing.
 
-        A dead worker raises :class:`ShardDied` (its pipe end is
-        closed); a wedged worker whose pipe buffer is full fails the
-        writability select and raises :class:`ShardTimeout` rather than
-        blocking the parent forever.  The select is a heuristic — *any*
-        buffer space counts as writable — but a stopped worker stops
-        draining the pipe, so sustained sends hit the timeout within a
-        few batches.
+        One non-blocking write loop bounded by ``send_timeout`` for the
+        whole message, however much of it fits the socket at once.  A
+        dead worker raises :class:`ShardDied` (its end is closed).  A
+        worker that has stopped reading raises :class:`ShardTimeout`,
+        and the handle closes: a message cut short leaves the stream
+        unframed, so nothing more may be written to it.  While waiting
+        for space the loop reads replies into the inbox, because the
+        worker may itself be blocked writing one (module docstring).
         """
         if self._closed:
-            raise ShardDied(f"shard {self.shard_idx}: handle closed")
-        try:
-            writable = select.select(
-                [], [self._cmd.fileno()], [], self.send_timeout)[1]
-        except (OSError, ValueError) as exc:
-            raise ShardDied(f"shard {self.shard_idx}: {exc}") from exc
-        if not writable:
-            raise ShardTimeout(
-                f"shard {self.shard_idx}: command pipe full for "
-                f"{self.send_timeout}s (worker wedged?)")
-        try:
-            self._cmd.send_bytes(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise ShardDied(f"shard {self.shard_idx}: {exc}") from exc
+            raise self._died("handle closed")
+        data = memoryview(_U32.pack(len(message)) + message)
+        deadline = time.monotonic() + self.send_timeout
+        while data:
+            try:
+                data = data[self._sock.send(data):]
+                continue
+            except BlockingIOError:
+                pass
+            except OSError as exc:
+                raise self._died(exc) from exc
+            self._pump()
+            if not self._wait(deadline, writing=True):
+                self._close_channel()
+                raise ShardTimeout(
+                    f"shard {self.shard_idx}: command channel full for "
+                    f"{self.send_timeout}s (worker wedged?)")
 
     def send_batch(self, events: Sequence[DataplaneEvent]) -> None:
         self._send(b"B" + encode_frames(events))
@@ -208,52 +285,63 @@ class MpShard:
     def ping(self, seq: int) -> None:
         self._send(b"H" + _U32.pack(seq & 0xFFFFFFFF))
 
-    def restore(self, state: MonitorState) -> None:
-        self._send(b"R" + pickle.dumps(state, pickle.HIGHEST_PROTOCOL))
+    def restore(self, state: bytes) -> None:
+        """Rehydrate from a checkpoint's ``ShardSnapshot.state`` bytes."""
+        self._send(b"R" + state)
 
     def request_snapshot(self, checkpoint: bool = False) -> None:
         self._send(b"C" if checkpoint else b"S")
 
     # -- receives (bounded) ------------------------------------------------
-    def recv_reply(self, timeout: Optional[float]) -> Optional[bytes]:
-        """One tagged reply, or None if nothing arrived in ``timeout``."""
+    def recv_reply(self, timeout: float) -> Optional[bytes]:
+        """One tagged reply, or None if none is whole within ``timeout``
+        seconds (0 looks without waiting)."""
         if self._closed:
-            raise ShardDied(f"shard {self.shard_idx}: handle closed")
-        try:
-            if not self._results.poll(timeout):
+            raise self._died("handle closed")
+        deadline = time.monotonic() + timeout
+        while True:
+            if not self._inbox:
+                self._pump()
+            if self._inbox:
+                return self._inbox.popleft()
+            if self._eof:
+                raise self._died("worker closed its end")
+            if not self._wait(deadline, writing=False):
                 return None
-            return self._results.recv_bytes()
-        except (EOFError, OSError) as exc:
-            raise ShardDied(f"shard {self.shard_idx}: {exc}") from exc
 
-    def recv_snapshot(
-        self, timeout: Optional[float] = None
-    ) -> ShardSnapshot:
-        """The next snapshot reply, skipping interleaved heartbeat acks."""
+    def recv_snapshot(self, timeout: float) -> Optional[ShardSnapshot]:
+        """The next snapshot or checkpoint reply (a checkpoint has
+        ``state`` set), or None if none arrived within ``timeout``.
+
+        Replies come in command order, so the caller knows which of the
+        two is due.  A stale heartbeat ack ahead of it is dropped — a
+        snapshot is the stronger liveness proof.  Nothing else is: any
+        other tag is a protocol breach and raises :class:`ShardDied`.
+        """
         while True:
             reply = self.recv_reply(timeout)
             if reply is None:
-                raise ShardTimeout(
-                    f"shard {self.shard_idx}: no snapshot within {timeout}s")
+                return None
             if reply[:1] == b"S":
                 return pickle.loads(reply[1:])
-            # b"A" heartbeat ack raced ahead of the snapshot: drop it —
-            # a snapshot reply is a stronger liveness proof anyway.
+            if reply[:1] != b"A":
+                raise self._died(
+                    f"unexpected reply {reply[:1]!r} while awaiting a "
+                    "snapshot")
 
-    def recv_ack(self, timeout: Optional[float]) -> Optional[int]:
+    def recv_ack(self, timeout: float) -> Optional[int]:
         """The next heartbeat ack's sequence number, or None on timeout.
 
-        Snapshot replies must not arrive here — the supervisor always
-        consumes a requested snapshot before pinging again.
+        Snapshot replies must not arrive here — the supervisor takes in
+        every snapshot it requested before it waits for an ack.
         """
         reply = self.recv_reply(timeout)
         if reply is None:
             return None
         if reply[:1] == b"A":
             return _U32.unpack(reply[1:5])[0]
-        raise ShardDied(
-            f"shard {self.shard_idx}: unexpected reply {reply[:1]!r} "
-            "while awaiting heartbeat ack")
+        raise self._died(
+            f"unexpected reply {reply[:1]!r} while awaiting heartbeat ack")
 
     # -- teardown ----------------------------------------------------------
     def quit(self, timeout: float = 30.0) -> Optional[ShardSnapshot]:
@@ -262,7 +350,8 @@ class MpShard:
         The wait is bounded (the PR-8 version blocked forever on a hung
         worker): after ``timeout`` with no reply the worker is killed
         and ``None`` returned, and the caller ledgers whatever state the
-        final snapshot would have carried.
+        final snapshot would have carried.  The caller takes in any
+        checkpoint reply still due before calling this.
         """
         snapshot: Optional[ShardSnapshot] = None
         try:
@@ -275,7 +364,7 @@ class MpShard:
         if self.process.is_alive():
             self.process.kill()
             self.process.join(timeout)
-        self._close_pipes()
+        self._close_channel()
         return snapshot
 
     def kill(self, sig: int = signal.SIGKILL) -> None:
@@ -286,10 +375,9 @@ class MpShard:
             else:
                 self.process.terminate()
             self.process.join(5.0)
-        self._close_pipes()
+        self._close_channel()
 
-    def _close_pipes(self) -> None:
+    def _close_channel(self) -> None:
         if not self._closed:
             self._closed = True
-            self._cmd.close()
-            self._results.close()
+            self._sock.close()

@@ -9,11 +9,12 @@ fabric merges into its single external view.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.degradation import ShedRecord
-from ..core.monitor import Monitor, MonitorState, MonitorStats
+from ..core.monitor import Monitor, MonitorStats
 from ..core.spec import PropertySpec
 from ..core.violations import Violation
 from .routing import PropRoute, shard_key_filter
@@ -64,8 +65,14 @@ class ShardSnapshot:
     violations: List[Violation] = field(default_factory=list)
     sheds: List[ShedRecord] = field(default_factory=list)
     #: full recoverable state, attached only on checkpoint requests —
-    #: regular syncs stay cheap deltas.
-    state: Optional[MonitorState] = None
+    #: regular syncs stay cheap deltas.  It is the shard's pickled
+    #: :class:`~repro.core.monitor.MonitorState`, pickled once where it
+    #: was exported and opaque from there on: whoever holds a checkpoint
+    #: only ever forwards these bytes to a replacement worker.
+    state: Optional[bytes] = None
+    #: ``MonitorState.lost_pending_ops`` of that state, beside the bytes
+    #: so the holder can ledger them without opening it.
+    lost_pending_ops: int = 0
 
 
 def take_snapshot(
@@ -77,9 +84,10 @@ def take_snapshot(
 ) -> Tuple[ShardSnapshot, int, int]:
     """Snapshot ``monitor``; returns (snapshot, new cursors).
 
-    ``with_state=True`` additionally exports the monitor's recoverable
-    state (:meth:`Monitor.export_state`), turning the snapshot into a
-    checkpoint a replacement worker can be rehydrated from.
+    ``with_state=True`` additionally exports and pickles the monitor's
+    recoverable state (:meth:`Monitor.export_state`), turning the
+    snapshot into a checkpoint a replacement worker can be rehydrated
+    from.
     """
     stats = monitor.stats
     snapshot = ShardSnapshot(
@@ -91,6 +99,9 @@ def take_snapshot(
         peaks={name: getattr(stats, name) for name in SNAPSHOT_GAUGES},
         violations=list(monitor.violations[violation_cursor:]),
         sheds=list(monitor.ledger.records[shed_cursor:]),
-        state=monitor.export_state() if with_state else None,
     )
+    if with_state:
+        state = monitor.export_state()
+        snapshot.state = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
+        snapshot.lost_pending_ops = state.lost_pending_ops
     return snapshot, len(monitor.violations), len(monitor.ledger.records)

@@ -10,12 +10,24 @@ death a *ledgered, recoverable* event instead:
   workers that hang between data-path calls.
 * **Recovery** — dead workers restart with exponential backoff under a
   per-shard restart budget.  The replacement is rehydrated from the
-  last periodic checkpoint (a :class:`~repro.core.monitor.MonitorState`
-  carried on a ``ShardSnapshot``) plus a bounded per-shard journal of
-  every batch delivered since that checkpoint, replayed in order, then
-  advanced to the fabric's present.  Pipe FIFO ordering makes the
-  checkpoint a consistent cut: it reflects exactly the batches sent
-  before it, and the journal holds exactly the batches sent after.
+  last checkpoint that landed (the worker's pickled
+  :class:`~repro.core.monitor.MonitorState`, carried on a
+  ``ShardSnapshot`` as bytes this process never opens) plus a bounded
+  per-shard journal of every batch delivered since that checkpoint,
+  replayed in order, then advanced to the fabric's present.
+* **Checkpoints off the data path** — every ``checkpoint_interval``
+  events the supervisor *requests* a checkpoint and keeps routing.  The
+  channel is FIFO in both directions, so the request is a consistent
+  cut (:class:`_Cut`): the state the worker exports reflects exactly
+  the batches sent before the request, whatever is sent while the reply
+  is outstanding comes after it, and the reply precedes the reply to
+  anything requested later.  So nothing waits for it: whichever receive
+  the supervisor does next — the look before a send, ``tick``, a
+  heartbeat's ack wait, a sync, ``quiesce`` — takes the reply in first
+  (:meth:`Supervisor._land_cut`), and only then is the journal cut back
+  to the batches sent after the request.  A worker that dies with a cut
+  outstanding forgets it and recovers from the previous checkpoint and
+  the whole journal.
 * **Honesty** — anything recovery cannot reconstruct (journal overflow,
   deferred split-mode ops at the checkpoint, a shard that exhausts its
   budget) is recorded in the fabric's :class:`OverflowLedger` with both
@@ -43,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from ..core.degradation import IMPACT_FALSE, IMPACT_MISSED, OverflowLedger
-from ..core.monitor import MonitorState
 from ..switch.events import DataplaneEvent
 from ..telemetry import MetricsRegistry, NullRegistry
 from ..telemetry.metrics import LATENCY_BUCKETS
@@ -121,6 +132,21 @@ class QuarantineRecord:
 
 
 @dataclass
+class _Cut:
+    """A checkpoint requested of a worker and not yet answered."""
+
+    #: journal sequence number of the first batch sent after the
+    #: request; every batch before it is in the state the reply carries
+    seq: int
+    #: events aged out of the journal that the reply will cover:
+    #: ``journal_dropped`` at the request, plus whatever batches from
+    #: before the cut age out while it is outstanding
+    dropped: int
+    #: wall clock at the request
+    requested_at: float
+
+
+@dataclass
 class _ShardState:
     """Supervisor-side bookkeeping for one shard."""
 
@@ -128,22 +154,31 @@ class _ShardState:
     #: batches delivered (or deferred while down) since the last
     #: checkpoint, oldest first; the recovery replay source.
     journal: Deque[List[DataplaneEvent]] = field(default_factory=deque)
+    #: sequence number of ``journal[0]`` (batches that have left the
+    #: journal's old end); a batch's own number is this plus its index
+    journal_head: int = 0
     journal_events: int = 0
     #: events aged out of the bounded journal since the last checkpoint
     journal_dropped: int = 0
     #: how many of ``journal_dropped`` have already been ledgered as a
     #: gap — later restarts only ledger drops newer than this mark
     dropped_ledgered: int = 0
-    checkpoint: Optional[MonitorState] = None
+    #: the last checkpoint that landed: the worker's pickled state,
+    #: never opened here, and the deferred ops it could not carry
+    checkpoint: Optional[bytes] = None
+    checkpoint_lost_ops: int = 0
     checkpoint_ops_ledgered: bool = False
+    #: the checkpoint requested and not yet answered — at most one
+    cut: Optional[_Cut] = None
     restarts: int = 0
     consecutive_failures: int = 0
     failed: bool = False
     down_reason: str = ""
     next_restart_at: float = 0.0
-    #: events sent since the last snapshot actually received (what a
+    #: events sent that no received snapshot reflects yet (what a
     #: quit-timeout loses)
     since_snapshot_events: int = 0
+    #: events sent since the last checkpoint *request* (the cadence)
     since_checkpoint_events: int = 0
     #: unique violations / shed records merged since the checkpoint —
     #: becomes the post-restore duplicate-discard count
@@ -176,7 +211,7 @@ class Supervisor:
         policy: Optional[SupervisorPolicy] = None,
         registry: Optional[MetricsRegistry] = None,
         now_fn: Callable[[], float] = lambda: 0.0,
-        merge_cb: Optional[Callable[[ShardSnapshot], None]] = None,
+        merge_cb: Optional[Callable[[ShardSnapshot, int], None]] = None,
         down_cb: Optional[Callable[[int], None]] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
@@ -219,6 +254,19 @@ class Supervisor:
                 labels={"shard": str(i)})
             for i in range(num_shards)
         ]
+        self._h_checkpoint = self.registry.histogram(
+            "repro_fabric_checkpoint_seconds",
+            help="Wall seconds from a checkpoint request to its reply "
+                 "being taken in (the data path does not wait for it)",
+            unit="seconds", buckets=LATENCY_BUCKETS)
+        self._g_checkpoint_bytes = [
+            self.registry.gauge(
+                "repro_fabric_checkpoint_bytes",
+                help="Size of the pickled state in one shard's last "
+                     "checkpoint",
+                labels={"shard": str(i)})
+            for i in range(num_shards)
+        ]
         self._g_up = [
             self.registry.gauge(
                 "repro_fabric_shard_up",
@@ -251,14 +299,15 @@ class Supervisor:
             self._maybe_restart(idx)
             return
         try:
+            self._land_cut(idx, 0.0)
             st.worker.send_batch(events)
+            st.since_snapshot_events += len(events)
+            st.since_checkpoint_events += len(events)
+            if st.cut is None and st.since_checkpoint_events \
+                    >= self.policy.checkpoint_interval:
+                self._request_cut(idx)
         except (ShardDied, ShardTimeout) as exc:
             self._on_death(idx, str(exc))
-            return
-        st.since_snapshot_events += len(events)
-        st.since_checkpoint_events += len(events)
-        if st.since_checkpoint_events >= self.policy.checkpoint_interval:
-            self._checkpoint(idx)
 
     def advance_to(self, when: float) -> None:
         for idx, st in enumerate(self.states):
@@ -295,16 +344,28 @@ class Supervisor:
         out: List[Optional[ShardSnapshot]] = [None] * self.num_shards
         for idx in requested:
             st = self.states[idx]
+            timeout = self.policy.heartbeat_timeout
             try:
-                snap = st.worker.recv_snapshot(self.policy.heartbeat_timeout)
-            except (ShardDied, ShardTimeout) as exc:
+                snap = st.worker.recv_snapshot(timeout) \
+                    if self._land_cut(idx, timeout) else None
+            except ShardDied as exc:
                 self._on_death(idx, str(exc))
+                continue
+            if snap is None:
+                self._on_death(
+                    idx, f"shard {idx}: no snapshot within {timeout}s")
                 continue
             out[idx] = self._deliver(idx, snap)
         return out
 
-    def _deliver(self, idx: int, snap: ShardSnapshot) -> ShardSnapshot:
-        """Trim replay re-detections, account, and merge one snapshot."""
+    def _deliver(self, idx: int, snap: ShardSnapshot,
+                 unconfirmed: int = 0) -> ShardSnapshot:
+        """Trim replay re-detections, account, and merge one snapshot.
+
+        ``unconfirmed`` is how many events were sent after the point
+        the snapshot reflects (non-zero only for a checkpoint reply,
+        which answers a request made some batches ago).
+        """
         st = self.states[idx]
         if st.discard_violations:
             dropped = min(st.discard_violations, len(snap.violations))
@@ -316,34 +377,59 @@ class Supervisor:
             st.discard_sheds -= dropped
         st.merged_violations += len(snap.violations)
         st.merged_sheds += len(snap.sheds)
-        st.since_snapshot_events = 0
+        st.since_snapshot_events = unconfirmed
         if self._merge_cb is not None:
-            self._merge_cb(snap)
+            self._merge_cb(snap, unconfirmed)
         return snap
 
-    def _checkpoint(self, idx: int) -> None:
-        """Cut a checkpoint: full-state snapshot, then truncate journal."""
+    # -- checkpoints -------------------------------------------------------
+    def _request_cut(self, idx: int) -> None:
+        """Ask the shard for a checkpoint and remember where the cut is."""
         st = self.states[idx]
-        if st.worker is None:
-            return
-        try:
-            st.worker.request_snapshot(checkpoint=True)
-            snap = st.worker.recv_snapshot(self.policy.heartbeat_timeout)
-        except (ShardDied, ShardTimeout) as exc:
-            self._on_death(idx, str(exc))
-            return
-        self._deliver(idx, snap)
-        st.checkpoint = snap.state
-        st.checkpoint_ops_ledgered = False
-        st.journal.clear()
-        st.journal_events = 0
-        st.journal_dropped = 0
-        st.dropped_ledgered = 0
+        st.worker.request_snapshot(checkpoint=True)
+        st.cut = _Cut(seq=st.journal_head + len(st.journal),
+                      dropped=st.journal_dropped,
+                      requested_at=self._clock())
         st.since_checkpoint_events = 0
+
+    def _land_cut(self, idx: int, timeout: float) -> bool:
+        """Take in the reply to the shard's outstanding cut, waiting at
+        most ``timeout`` for it (0 only looks).  True when no cut is
+        outstanding afterwards.
+
+        Replies are FIFO, so whoever is about to wait for an ack or a
+        snapshot requested after the cut calls this first.  Only here is
+        the journal cut back: to the batches sent after the request.
+        """
+        st = self.states[idx]
+        cut = st.cut
+        if cut is None:
+            return True
+        snap = st.worker.recv_snapshot(timeout)
+        if snap is None:
+            return False
+        if snap.state is None:
+            raise ShardDied(
+                f"shard {idx}: plain snapshot where a checkpoint was due")
+        st.cut = None
+        self._deliver(idx, snap, unconfirmed=st.since_checkpoint_events)
+        st.checkpoint = snap.state
+        st.checkpoint_lost_ops = snap.lost_pending_ops
+        st.checkpoint_ops_ledgered = False
+        while st.journal_head < cut.seq:
+            st.journal_events -= len(st.journal.popleft())
+            st.journal_head += 1
+        # Whatever was ledgered as a gap was dropped before the request,
+        # so all of it is among the drops the checkpoint now covers.
+        st.journal_dropped -= cut.dropped
+        st.dropped_ledgered = 0
         st.merged_violations = 0
         st.merged_sheds = 0
         st.kills.clear()
-        self._g_journal[idx].set(0.0)
+        self._g_journal[idx].set(float(st.journal_events))
+        self._g_checkpoint_bytes[idx].set(float(len(snap.state)))
+        self._h_checkpoint.observe(self._clock() - cut.requested_at)
+        return True
 
     # -- liveness ----------------------------------------------------------
     def tick(self) -> None:
@@ -353,9 +439,14 @@ class Supervisor:
         poll loop (the daemon); rate-limited to ``heartbeat_interval``.
         """
         for idx, st in enumerate(self.states):
-            if st.worker is None and not st.failed \
-                    and self._clock() >= st.next_restart_at:
-                self._maybe_restart(idx)
+            if st.worker is None:
+                if not st.failed and self._clock() >= st.next_restart_at:
+                    self._maybe_restart(idx)
+                continue
+            try:
+                self._land_cut(idx, 0.0)
+            except ShardDied as exc:
+                self._on_death(idx, str(exc))
         if self._clock() - self._last_hb < self.policy.heartbeat_interval:
             return
         self._last_hb = self._clock()
@@ -378,8 +469,10 @@ class Supervisor:
                 self._on_death(idx, str(exc))
         for idx in pinged:
             st = self.states[idx]
+            timeout = self.policy.heartbeat_timeout
             try:
-                ack = st.worker.recv_ack(self.policy.heartbeat_timeout)
+                ack = st.worker.recv_ack(timeout) \
+                    if self._land_cut(idx, timeout) else None
             except ShardDied as exc:
                 self._on_death(idx, str(exc))
                 continue
@@ -410,6 +503,7 @@ class Supervisor:
                 "restarts": st.restarts,
                 "journal_batches": len(st.journal),
                 "journal_events": st.journal_events,
+                "checkpoint_pending": st.cut is not None,
                 "quarantined_batches": st.quarantined,
                 "down_reason": st.down_reason,
             })
@@ -429,6 +523,9 @@ class Supervisor:
         if st.worker is not None:
             st.worker.kill()
             st.worker = None
+        # An unanswered cut dies with the worker: recovery starts from
+        # the previous checkpoint and the whole, untruncated journal.
+        st.cut = None
         st.down_reason = reason
         backoff = min(
             self.policy.backoff_max,
@@ -495,11 +592,10 @@ class Supervisor:
         assert worker is not None
         if st.checkpoint is not None:
             worker.restore(st.checkpoint)
-            if st.checkpoint.lost_pending_ops \
-                    and not st.checkpoint_ops_ledgered:
+            if st.checkpoint_lost_ops and not st.checkpoint_ops_ledgered:
                 st.checkpoint_ops_ledgered = True
                 self._ledger_events(
-                    KIND_LOST_OP, st.checkpoint.lost_pending_ops,
+                    KIND_LOST_OP, st.checkpoint_lost_ops,
                     f"shard={idx} deferred ops not in checkpoint")
         if st.journal_dropped > st.dropped_ledgered:
             fresh = st.journal_dropped - st.dropped_ledgered
@@ -581,15 +677,24 @@ class Supervisor:
                         continue
             if st.worker is None:
                 continue
-            snap = st.worker.quit(self.policy.quiesce_timeout)
+            timeout = self.policy.quiesce_timeout
+            snap = None
+            try:
+                # A cut still outstanding is answered before the final
+                # snapshot and carries violations of its own.
+                if self._land_cut(idx, timeout):
+                    snap = st.worker.quit(timeout)
+            except ShardDied:
+                pass
             if snap is None:
-                # Hung at quiesce: the worker was killed; whatever it
+                # Hung at quiesce: the worker is killed; whatever it
                 # saw since its last snapshot is unaccounted for.
+                st.worker.kill()
                 self._ledger_events(
                     KIND_QUIT_TIMEOUT, max(1, st.since_snapshot_events),
-                    f"shard={idx} no final snapshot within "
-                    f"{self.policy.quiesce_timeout}s")
+                    f"shard={idx} no final snapshot within {timeout}s")
                 st.worker = None
+                st.cut = None
                 st.down_reason = "hung at quiesce"
                 self._g_up[idx].set(0.0)
                 continue
@@ -617,6 +722,9 @@ class Supervisor:
         st.journal_events += len(events)
         while len(st.journal) > self.policy.journal_batches:
             aged = st.journal.popleft()
+            if st.cut is not None and st.journal_head < st.cut.seq:
+                st.cut.dropped += len(aged)
+            st.journal_head += 1
             st.journal_events -= len(aged)
             st.journal_dropped += len(aged)
             st.kills.pop(id(aged), None)

@@ -2,7 +2,7 @@
 mid-replay still reports the plain monitor's violation set, within the
 overflow ledger's uncertainty interval.
 
-Three fault families, all on real forked workers:
+Fault families, all on real forked workers:
 
 * SIGKILL mid-replay — the supervisor restarts the worker, rehydrates
   it from checkpoint + journal, and the merged violation set matches
@@ -13,18 +13,39 @@ Three fault families, all on real forked workers:
 * A poison batch (an event whose property predicate SIGKILLs its own
   worker) — quarantined after ``poison_threshold`` replay deaths
   instead of burning the restart budget forever.
+* Asynchronous checkpoints — replies several times the socket buffer on
+  a crash-free run (no stall, no spurious restart), a SIGKILL between a
+  checkpoint request and its reply (recovery from the previous
+  checkpoint, exact), and a stopped worker against a send larger than
+  the buffer (``ShardTimeout`` inside ``send_timeout``).
 """
 
 import os
+import random
 import signal
 import time
 
 import pytest
 
 from repro.core.monitor import Monitor
-from repro.core.refs import EventKind, EventPattern, Predicate
+from repro.core.refs import (
+    Bind,
+    Const,
+    EventKind,
+    EventPattern,
+    FieldEq,
+    Predicate,
+    Var,
+)
 from repro.core.spec import Observe, PropertySpec
-from repro.fabric import ShardedMonitor, SupervisorPolicy, fork_available
+from repro.fabric import (
+    MpShard,
+    ShardedMonitor,
+    ShardTimeout,
+    SupervisorPolicy,
+    build_routes,
+    fork_available,
+)
 from repro.fabric.supervise import KIND_QUARANTINE, KIND_QUIT_TIMEOUT
 from repro.netsim.chaos import PROFILES
 from repro.packet import tcp_packet
@@ -35,7 +56,8 @@ from repro.resilience import (
     render_crash_report,
     run_crash_chaos,
 )
-from repro.switch.events import PacketArrival
+from repro.switch.events import EgressAction, PacketArrival, PacketEgress
+from repro.telemetry import MetricsRegistry
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable")
@@ -250,3 +272,156 @@ class TestPoisonQuarantine:
             assert sum(r["quarantined_batches"] for r in rows) == 1
         finally:
             fabric.close()
+
+
+# -- asynchronous checkpoints -----------------------------------------------
+
+#: the counters a sharded run reproduces exactly (indexed stores)
+COUNTERS = ("events", "violations", "instances_created", "refreshes",
+            "candidates_examined", "ops_applied")
+
+
+def flow_props():
+    """Three keyed two-stage properties whose instances park at stage
+    1: live state — and with it a checkpoint — grows with the flows."""
+    return [
+        PropertySpec(
+            name=f"flow-parked-{i}",
+            description="an egress of the flow to a port few flows use",
+            stages=(
+                Observe("seen", EventPattern(
+                    kind=EventKind.ARRIVAL,
+                    binds=(Bind("src", "ipv4.src"),
+                           Bind("sport", "tcp.src")))),
+                Observe("tripped", EventPattern(
+                    kind=EventKind.EGRESS,
+                    guards=(FieldEq("ipv4.src", Var("src")),
+                            FieldEq("tcp.src", Var("sport")),
+                            FieldEq("tcp.dst", Const(1 + i))))),
+            ),
+            key_vars=("src", "sport"),
+        )
+        for i in range(3)
+    ]
+
+
+def flow_trace(num_events, flows):
+    """Arrivals and egresses over ``flows`` TCP flows, one flow in 16
+    aimed at a port some property waits for."""
+    packets = [
+        tcp_packet(i % 8, (i + 1) % 8,
+                   f"10.{(i >> 8) & 255}.{i & 255}.1", "198.51.100.9",
+                   1024 + i, 80 if i % 16 else 1 + (i // 16) % 3)
+        for i in range(flows)
+    ]
+    rng = random.Random(11)
+    events = []
+    for n in range(num_events):
+        flow = rng.randrange(flows)
+        t = 1.0 + n * 1e-4
+        if rng.random() < 0.6:
+            events.append(PacketArrival(
+                switch_id="s", time=t, packet=packets[flow], in_port=1))
+        else:
+            events.append(PacketEgress(
+                switch_id="s", time=t, packet=packets[flow], in_port=1,
+                out_port=2, action=EgressAction.UNICAST))
+    return events
+
+
+def plain_flow_run(events):
+    monitor = Monitor()
+    for prop in flow_props():
+        monitor.add_property(prop)
+    monitor.observe_batch(events)
+    return monitor
+
+
+def assert_equals_plain(fabric, plain):
+    assert fingerprint(fabric.violations) == fingerprint(plain.violations)
+    assert {n: getattr(fabric.stats, n) for n in COUNTERS} \
+        == {n: getattr(plain.stats, n) for n in COUNTERS}
+    assert len(fabric.ledger) == 0
+    observed = len(fabric.violations)
+    assert fabric.ledger.interval(observed) == (observed, observed)
+
+
+class TestAsyncCheckpoints:
+    def test_replies_larger_than_the_socket_never_stall_the_run(self):
+        """The run a request-then-blocking-send variant hangs on: each
+        checkpoint reply is several socket buffers long, so the worker
+        blocks writing it while the parent is writing the next batch."""
+        events = flow_trace(20_000, flows=4000)
+        plain = plain_flow_run(events)
+        assert plain.violations, "workload produced no violations — vacuous"
+        registry = MetricsRegistry()
+        fabric = ShardedMonitor(flow_props(), num_shards=2, mode="mp",
+                                registry=registry)  # default policy
+        try:
+            for i in range(0, len(events), 1024):
+                fabric.observe_batch(events[i:i + 1024])
+            fabric.sync()                      # the first barrier
+            assert fabric.supervisor.total_restarts() == 0
+            assert_equals_plain(fabric, plain)
+            sizes = [
+                sample["value"]
+                for metric in registry.snapshot()["metrics"]
+                if metric["name"] == "repro_fabric_checkpoint_bytes"
+                for sample in metric["samples"]]
+            assert len(sizes) == 2 and min(sizes) > 3 * 212_992, sizes
+            for row in fabric.shard_liveness():
+                # cuts landed and truncated while the run was going
+                assert row["journal_events"] < 2 * 2048 + 1024, row
+            fabric.stop()
+        finally:
+            fabric.close()
+
+    def test_sigkill_between_checkpoint_request_and_reply(self):
+        events = flow_trace(6000, flows=1500)
+        plain = plain_flow_run(events)
+        policy = SupervisorPolicy(checkpoint_interval=512, **FAST)
+        fabric = ShardedMonitor(flow_props(), num_shards=2, mode="mp",
+                                supervision=policy)
+        sup = fabric.supervisor
+        killed = False
+        try:
+            for i in range(0, len(events), 128):
+                fabric.observe_batch(events[i:i + 128])
+                st = sup.states[0]
+                # second cut onwards, so there is a previous checkpoint
+                if not killed and st.cut is not None \
+                        and st.checkpoint is not None:
+                    killed = True
+                    os.kill(sup.worker_pids()[0], signal.SIGKILL)
+            assert killed, "no cut was ever outstanding"
+            # The loop above is a few milliseconds a batch, so the kill
+            # may not be noticed, or the backoff not over, when it ends:
+            # wait (bounded) for the restart before the barrier.
+            deadline = time.monotonic() + 5.0
+            while sup.total_restarts() < 1 and time.monotonic() < deadline:
+                sup.heartbeat()
+                sup.tick()
+            assert sup.total_restarts() >= 1 and not sup.failed()
+            fabric.sync()
+            assert_equals_plain(fabric, plain)
+            fabric.stop()
+        finally:
+            fabric.close()
+
+    def test_stopped_worker_times_out_a_send_larger_than_the_socket(self):
+        props = flow_props()
+        big = flow_trace(6000, flows=100)     # ~0.4 MB encoded: > SO_SNDBUF
+        shard = MpShard(props, 0, 1, build_routes(props, 1), None, 7,
+                        send_timeout=0.5)
+        pid = shard.pid
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(ShardTimeout):
+                shard.send_batch(big)
+            elapsed = time.monotonic() - t0
+            assert 0.5 <= elapsed < 3.0, elapsed
+            assert not shard.is_alive()       # handle closed: unframed
+        finally:
+            os.kill(pid, signal.SIGCONT)
+            shard.kill()

@@ -2,18 +2,22 @@
 
 The supervisor only ever talks to workers through the ``MpShard``
 method surface, so these tests drive it with an in-memory fake — no
-fork, no pipes — and a hand-cranked wall clock.  The checkpoint
-round-trip tests use the real :class:`Monitor` export/restore path,
-including timer re-arming, since crash-replay equivalence depends on
-it being exact.
+fork, no sockets — and a hand-cranked wall clock.  The fake answers
+like the real worker does — one reply per request, in request order —
+and can be told to hold its replies back, which is how the
+asynchronous-checkpoint cases put batches between a request and its
+reply.  The checkpoint round-trip tests use the real :class:`Monitor`
+export/restore path, including timer re-arming, since crash-replay
+equivalence depends on it being exact.
 """
 
 import pickle
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
 
-from repro.core.monitor import Monitor, MonitorState
+from repro.core.monitor import Monitor
 from repro.core.degradation import OverflowLedger
 from repro.core.refs import Bind, EventKind, EventPattern, FieldEq, Var
 from repro.core.spec import Absent, Observe, PropertySpec
@@ -24,6 +28,7 @@ from repro.fabric.supervise import (
     KIND_GAP,
     KIND_LOST_OP,
     KIND_QUARANTINE,
+    KIND_QUIT_TIMEOUT,
     KIND_SHARD_LOST,
 )
 from repro.packet import tcp_packet
@@ -52,7 +57,16 @@ class FakeWorker:
         self.alive = True
         self.received = []   # batches delivered via send_batch
         self.restored = None
-        self._acks = []
+        self.requests = []   # "H" / "S" / "C", in the order they came
+        #: what the parent can read, oldest first: ("A", seq) or
+        #: ("S", ShardSnapshot)
+        self.replies = deque()
+        #: while True, replies pile up in ``held`` (a worker that has
+        #: not got to the request yet) until ``release()``
+        self.hold = False
+        self.held = []
+        #: violations the next snapshot reply reports (then forgotten)
+        self.fresh_violations = []
         #: predicate(batch) -> bool; True kills this worker on delivery
         self.die_on = die_on
 
@@ -76,13 +90,34 @@ class FakeWorker:
     def drain(self):
         self._check()
 
+    def _answer(self, reply):
+        (self.held if self.hold else self.replies).append(reply)
+
+    def release(self):
+        self.hold = False
+        self.replies.extend(self.held)
+        self.held = []
+
+    def _snapshot(self, checkpoint=False):
+        violations, self.fresh_violations = self.fresh_violations, []
+        return ShardSnapshot(
+            shard=self.idx, now=0.0, live_instances=0, pending_ops=0,
+            counters={}, peaks={}, violations=violations,
+            state=b"state-%d" % len(self.requests) if checkpoint else None)
+
     def ping(self, seq):
         self._check()
-        self._acks.append(seq)
+        self.requests.append("H")
+        self._answer(("A", seq))
 
     def recv_ack(self, timeout):
         self._check()
-        return self._acks.pop(0) if self._acks else None
+        if not self.replies:
+            return None
+        tag, value = self.replies.popleft()
+        if tag != "A":
+            raise ShardDied(f"shard {self.idx}: unexpected reply {tag!r}")
+        return value
 
     def restore(self, state):
         self._check()
@@ -90,20 +125,24 @@ class FakeWorker:
 
     def request_snapshot(self, checkpoint=False):
         self._check()
-        self._want_state = checkpoint
+        self.requests.append("C" if checkpoint else "S")
+        self._answer(("S", self._snapshot(checkpoint)))
 
     def recv_snapshot(self, timeout):
         self._check()
-        return ShardSnapshot(
-            shard=self.idx, now=0.0, live_instances=0, pending_ops=0,
-            counters={}, peaks={},
-            state=MonitorState(now=0.0, instances=(), lost_pending_ops=0)
-            if self._want_state else None)
+        while self.replies:
+            tag, value = self.replies.popleft()
+            if tag == "S":
+                return value
+        return None
 
     def quit(self, timeout):
+        self._check()
+        self.requests.append("Q")
+        self._answer(("S", self._snapshot()))
+        snapshot = self.recv_snapshot(timeout)  # like MpShard: first "S"
         self.alive = False
-        return ShardSnapshot(shard=self.idx, now=0.0, live_instances=0,
-                             pending_ops=0, counters={}, peaks={})
+        return snapshot
 
     def kill(self, sig=None):
         self.alive = False
@@ -289,7 +328,7 @@ class TestDuplicateSuppression:
     def test_deliver_trims_rereported_violations(self):
         sup, ledger, spawned, clock = make_supervisor()
         merged = []
-        sup._merge_cb = merged.append
+        sup._merge_cb = lambda snap, unconfirmed: merged.append(snap)
         st = sup.states[0]
         st.discard_violations = 2
         snap = ShardSnapshot(shard=0, now=0.0, live_instances=0,
@@ -305,6 +344,168 @@ class TestDuplicateSuppression:
                               violations=["v4"])
         sup._deliver(0, snap2)
         assert merged[1].violations == ["v4"]
+
+
+# -- asynchronous checkpoints -----------------------------------------------
+
+def times(batches):
+    return [[e.time for e in b] for b in batches]
+
+
+class TestAsyncCheckpoint:
+    """A checkpoint is requested, then taken in whenever its reply is
+    there; the journal is cut back only then, and only up to the cut."""
+
+    #: 2-event batches against a 4-event interval: every second batch
+    #: is due a checkpoint request
+    POLICY = dict(checkpoint_interval=4, backoff_base=0.0, backoff_max=0.0)
+
+    def _supervisor(self, **policy):
+        sup, ledger, spawned, clock = make_supervisor(
+            SupervisorPolicy(**{**self.POLICY, **policy}))
+        merged = []
+        sup._merge_cb = lambda snap, unconfirmed: merged.append(snap)
+        return sup, ledger, spawned, clock, merged
+
+    def test_late_reply_cuts_journal_at_the_request(self):
+        sup, ledger, spawned, clock, merged = self._supervisor()
+        worker, st = spawned[0], sup.states[0]
+        worker.hold = True
+        sup.send_batch(0, batch(1.0, 1.5))
+        sup.send_batch(0, batch(2.0, 2.5))       # k = 2: cut requested
+        assert worker.requests == ["C"]
+        assert sup.liveness()[0]["checkpoint_pending"]
+        clock.t = 0.25
+        for t in (3.0, 4.0, 5.0):                # k+1 .. k+3, reply held
+            sup.send_batch(0, batch(t, t + 0.5))
+            sup.tick()
+        # nothing landed: journal whole, and never a second cut
+        assert len(st.journal) == 5 and st.checkpoint is None
+        assert worker.requests == ["C"]
+        worker.release()
+        sup.tick()                               # any receive lands it
+        assert times(st.journal) == [[3.0, 3.5], [4.0, 4.5], [5.0, 5.5]]
+        assert st.journal_events == 6
+        assert st.since_checkpoint_events == 6
+        assert st.since_snapshot_events == 6
+        assert st.checkpoint == b"state-1"
+        assert not sup.liveness()[0]["checkpoint_pending"]
+        # the cadence resumed from the cut: 6 >= 4, so the next batch
+        # asks again
+        sup.send_batch(0, batch(6.0, 6.5))
+        assert worker.requests == ["C", "C"]
+
+    def test_death_with_cut_outstanding_recovers_from_previous(self):
+        sup, ledger, spawned, clock, merged = self._supervisor()
+        worker, st = spawned[0], sup.states[0]
+        sup.send_batch(0, batch(1.0, 1.5))
+        sup.send_batch(0, batch(2.0, 2.5))       # cut #1 requested ...
+        sup.send_batch(0, batch(3.0, 3.5))       # ... and landed here
+        previous = st.checkpoint
+        assert previous is not None and times(st.journal) == [[3.0, 3.5]]
+        worker.fresh_violations = ["v1", "v2"]
+        sup.sync_snapshots()                     # merged since cut #1
+        worker.hold = True
+        sup.send_batch(0, batch(4.0, 4.5))       # cut #2 requested, held
+        assert worker.requests == ["C", "S", "C"] and st.cut is not None
+        sup.send_batch(0, batch(5.0, 5.5))
+        worker.alive = False                     # dies before replying
+        sup.send_batch(0, batch(6.0, 6.5))       # death detected
+        assert st.cut is None and st.checkpoint is previous
+        sup.send_batch(0, batch(7.0, 7.5))       # restart + replay
+        replacement = spawned[-1]
+        assert replacement is not worker
+        assert replacement.restored is previous
+        assert times(replacement.received) == [
+            [3.0, 3.5], [4.0, 4.5], [5.0, 5.5], [6.0, 6.5], [7.0, 7.5]]
+        assert st.discard_violations == 2
+        assert len(ledger) == 0
+
+    def test_heartbeat_ack_behind_a_checkpoint_reply(self):
+        sup, ledger, spawned, clock, merged = self._supervisor()
+        worker, st = spawned[0], sup.states[0]
+        worker.fresh_violations = ["c1"]
+        sup.send_batch(0, batch(1.0, 1.5))
+        sup.send_batch(0, batch(2.0, 2.5))       # cut requested, answered
+        assert st.cut is not None
+        sup.heartbeat()                          # replies: [S(ckpt), A]
+        assert sup.recovering() == [] and worker.alive
+        assert st.cut is None and st.checkpoint == b"state-1"
+        assert [s.violations for s in merged] == [["c1"]]
+        assert not worker.replies
+
+    def test_quiesce_takes_in_the_cut_before_the_final_snapshot(self):
+        sup, ledger, spawned, clock, merged = self._supervisor()
+        worker, st = spawned[0], sup.states[0]
+        worker.fresh_violations = ["c1"]
+        sup.send_batch(0, batch(1.0, 1.5))
+        sup.send_batch(0, batch(2.0, 2.5))       # cut requested
+        worker.fresh_violations = ["f1"]
+        final = sup.quiesce()
+        assert [s.violations for s in merged] == [["c1"], ["f1"]]
+        assert final[0].violations == ["f1"] and final[0].state is None
+        assert st.checkpoint == b"state-1" and len(ledger) == 0
+
+    def test_quiesce_with_an_unanswered_cut_is_a_hung_worker(self):
+        sup, ledger, spawned, clock, merged = self._supervisor()
+        worker = spawned[0]
+        worker.hold = True
+        sup.send_batch(0, batch(1.0, 1.5))
+        sup.send_batch(0, batch(2.0, 2.5))
+        assert sup.quiesce() == [None]
+        assert not worker.alive and sup.states[0].cut is None
+        assert ledger.summary()["by_kind"][KIND_QUIT_TIMEOUT] == 4
+
+    def _aged_past_the_cut(self):
+        """b1 b2 | cut | b3 .. b6 through a 3-batch journal, reply held:
+        b1 and b2 (before the cut) and b3 (after it) age out."""
+        sup, ledger, spawned, clock, merged = self._supervisor(
+            journal_batches=3)
+        worker, st = spawned[0], sup.states[0]
+        worker.hold = True
+        for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+            sup.send_batch(0, batch(t, t + 0.5))
+        assert worker.requests == ["C"]
+        assert st.journal_dropped == 6 and st.cut.dropped == 4
+        return sup, ledger, spawned
+
+    def test_aging_while_outstanding_then_landing(self):
+        sup, ledger, spawned = self._aged_past_the_cut()
+        worker, st = spawned[0], sup.states[0]
+        worker.release()
+        sup.tick()
+        # what aged out from before the cut is in the checkpoint now;
+        # b3 is a gap the checkpoint does not cover
+        assert (st.journal_dropped, st.dropped_ledgered) == (2, 0)
+        assert times(st.journal) == [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]
+        worker.alive = False
+        sup.heartbeat()
+        sup.tick()                               # restart
+        assert spawned[-1].restored == b"state-1"
+        assert ledger.summary()["by_kind"][KIND_GAP] == 2
+
+    def test_aging_while_outstanding_then_death(self):
+        sup, ledger, spawned = self._aged_past_the_cut()
+        worker, st = spawned[0], sup.states[0]
+        worker.alive = False
+        sup.heartbeat()
+        sup.tick()                               # restart, no checkpoint
+        replacement = spawned[-1]
+        assert replacement.restored is None
+        assert times(replacement.received) \
+            == [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]
+        assert ledger.summary()["by_kind"][KIND_GAP] == 6
+        assert (st.journal_dropped, st.dropped_ledgered) == (6, 6)
+        # the replayed journal is due a checkpoint; once it lands the
+        # ledgered drops are behind it and a second crash adds no ink
+        sup.send_batch(0, batch(7.0, 7.5))       # ages b4 out, asks
+        assert replacement.requests[-1] == "C"
+        sup.tick()
+        assert (st.journal_dropped, st.dropped_ledgered) == (0, 0)
+        replacement.alive = False
+        sup.heartbeat()
+        sup.tick()
+        assert ledger.summary()["by_kind"][KIND_GAP] == 6
 
 
 # -- heartbeat --------------------------------------------------------------
@@ -326,7 +527,7 @@ class TestHeartbeat:
         worker = sup.states[0].worker
         pings = []
         worker.ping = lambda seq: (pings.append(seq),
-                                   worker._acks.append(seq))
+                                   worker.replies.append(("A", seq)))
         clock.t = 0.5
         sup.tick()                       # inside the interval: no ping
         assert pings == []
@@ -338,8 +539,8 @@ class TestHeartbeat:
         policy = SupervisorPolicy(backoff_base=0.0, backoff_max=0.0)
         sup, ledger, spawned, clock = make_supervisor(policy)
         st = sup.states[0]
-        st.checkpoint = MonitorState(now=0.0, instances=(),
-                                     lost_pending_ops=3)
+        st.checkpoint = b"opaque"
+        st.checkpoint_lost_ops = 3
         st.worker.alive = False
         sup.heartbeat()
         sup.tick()                       # restart restores the checkpoint
