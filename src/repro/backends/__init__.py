@@ -23,7 +23,6 @@ from .fast import FastBackend, FastStateMachine, FastTransition
 from .openflow13 import ControllerMirror, OpenFlow13Backend
 from .openstate import DEFAULT_STATE, OpenStateBackend, XfsmTable, XfsmTransition
 from .p4 import P4Backend, P4Program, P4Stage, fnv1a
-from .sketches import CountMinSketch, HeavyHitter, HeavyHitterDetector
 from .snap import SnapBackend, SnapProgram, SnapStatement
 from .varanus import (
     StaticVaranusBackend,
@@ -65,9 +64,6 @@ __all__ = [
     "P4Program",
     "P4Stage",
     "fnv1a",
-    "CountMinSketch",
-    "HeavyHitter",
-    "HeavyHitterDetector",
     "SnapBackend",
     "SnapProgram",
     "SnapStatement",

@@ -727,9 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--shards", type=int, default=2, metavar="N",
                        help="mp fabric shards for crash profiles "
                             "(worker-crash only; default: 2)")
-    chaos.add_argument("--shard-mode", default="mp", choices=["mp"],
-                       help="crash profiles always run the mp fabric "
-                            "(worker crashes need worker processes)")
     chaos.add_argument("--restart-budget", type=int, default=5, metavar="N",
                        help="worker restarts allowed per shard before the "
                             "shard is declared failed (default: 5)")
@@ -753,7 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="tcp:PORT|pipe:PATH",
                        help="event source; repeatable (default: tcp:9801). "
                             "tcp:0 picks an ephemeral port; pipe:PATH "
-                            "tails newline-JSON frames from a file or FIFO")
+                            "reads a file or FIFO once, to EOF (either "
+                            "codec, sniffed like a TCP connection)")
     serve.add_argument("--chaos-profile", default="clean",
                        choices=sorted(_chaos_profile_names()),
                        help="run the monitor under a fault profile's "

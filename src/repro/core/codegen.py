@@ -91,23 +91,6 @@ def _ge(a, b):
 # ---------------------------------------------------------------------------
 # Program-level data
 # ---------------------------------------------------------------------------
-@dataclass
-class PropEmission:
-    """What the emitter actually generated for one property.
-
-    The calibration cost model (:mod:`repro.lint.calibration`) carries an
-    *estimated* twin of the first two numbers derived analytically from
-    the dispatch plan; a test holds estimate and measurement equal.
-    ``matcher_lines`` is measured-only — it counts emitted source lines
-    attributable to the property across all generated functions.
-    """
-
-    name: str
-    event_classes: int = 0
-    inline_terms: int = 0
-    matcher_lines: int = 0
-
-
 class _LazyFns(dict):
     """Event class -> its generated function, compiled on first use.
 
@@ -133,29 +116,7 @@ class CodegenProgram:
 
     source: str
     eval_fns: Dict[type, Optional[Callable]]
-    emissions: Dict[str, PropEmission]
     exec_globals: Dict[str, object] = field(repr=False, default_factory=dict)
-
-
-def pattern_terms(pattern: EventPattern) -> int:
-    """Inline boolean terms one emitted matcher contributes.
-
-    The measured side of the calibration model's ``inline_terms``:
-    refinements and ``same_packet_as`` count one each, ``MismatchAny``
-    counts one per pair, every other guard counts one.
-    """
-    n = 0
-    if pattern.oob_kind is not None:
-        n += 1
-    if pattern.egress_action is not None:
-        n += 1
-    if pattern.not_egress_action is not None:
-        n += 1
-    if pattern.same_packet_as is not None:
-        n += 1
-    for guard in pattern.guards:
-        n += len(guard.pairs) if isinstance(guard, MismatchAny) else 1
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +267,11 @@ class _ClassEmitter:
         entries: List[_Entry],
         pool: _ConstPool,
         exec_globals: Dict[str, object],
-        emissions: Dict[str, PropEmission],
     ) -> None:
         self.cls = cls
         self.entries = entries
         self.pool = pool
         self.g = exec_globals
-        self.emissions = emissions
         self.fmap = _FieldMap()
         self.has_uid = cls in _UID_CLASSES
         self.has_create = any(e.sections.create is not None for e in entries)
@@ -321,9 +280,6 @@ class _ClassEmitter:
             or any(not is_unless for is_unless, _, _ in e.sections.cancels)
             for e in entries
         )
-        #: emission of the property ``_emit_prop_sections`` is working on;
-        #: ``_matcher`` tallies inline terms into it.
-        self._term_sink: PropEmission
 
     # -- shared expression builders -------------------------------------
     def _matcher(self, pattern: EventPattern, env_expr: str,
@@ -341,7 +297,6 @@ class _ClassEmitter:
             guard_source(g, self.fmap, self.pool, env_expr, fields_expr)
             for g in pattern.guards
         )
-        self._term_sink.inline_terms += pattern_terms(pattern)
         return " and ".join(terms) if terms else "True"
 
     @staticmethod
@@ -648,9 +603,6 @@ class _ClassEmitter:
 
     def _emit_prop_sections(self, w: _Writer, entry: _Entry,
                             fields_expr: str) -> None:
-        emission = self.emissions[entry.prop.name]
-        start = len(w.lines)
-        self._term_sink = emission
         w.w(f"# --- property {entry.prop.name!r} ---")
         w.w("_d = None")
         for is_unless, stage_idx, patterns in entry.sections.cancels:
@@ -663,7 +615,6 @@ class _ClassEmitter:
             self._emit_advance(w, entry, stage_idx, pattern, fields_expr)
         if entry.sections.create is not None:
             self._emit_create(w, entry, fields_expr)
-        emission.matcher_lines += len(w.lines) - start
 
     def emit_eval(self) -> Tuple[str, str]:
         """The class's evaluator (returns (name, source))."""
@@ -746,15 +697,11 @@ def build_program(
         "_gt": _gt,
         "_ge": _ge,
     }
-    emissions: Dict[str, PropEmission] = {}
     by_class: Dict[type, List[_Entry]] = {}
     for pidx, (prop, store, refresh_ok) in enumerate(entries):
         exec_globals[f"_prop{pidx}"] = prop
         exec_globals[f"_byk{pidx}"] = store.by_key
-        emissions[prop.name] = PropEmission(name=prop.name)
-        sections = _sections_by_class(prop)
-        emissions[prop.name].event_classes = len(sections)
-        for cls, sec in sections.items():
+        for cls, sec in _sections_by_class(prop).items():
             by_class.setdefault(cls, []).append(
                 _Entry(pidx, prop, store, refresh_ok, sec))
 
@@ -766,7 +713,7 @@ def build_program(
     placed: Dict[type, Tuple[str, int, str]] = {}  # (def name, line, source)
     for cls in sorted(by_class, key=lambda c: c.__name__):
         name, source = _ClassEmitter(
-            cls, by_class[cls], pool, exec_globals, emissions).emit_eval()
+            cls, by_class[cls], pool, exec_globals).emit_eval()
         parts += ["", f"# ===== {cls.__name__} ====="]
         placed[cls] = (name, sum(p.count("\n") + 1 for p in parts), source)
         parts.append(source)
@@ -782,6 +729,5 @@ def build_program(
     return CodegenProgram(
         source="\n".join(parts) + "\n",
         eval_fns=_LazyFns(define),
-        emissions=emissions,
         exec_globals=exec_globals,
     )

@@ -564,12 +564,6 @@ class Monitor:
         """The full generated-program source (``repro explain --codegen``)."""
         return self._program().source
 
-    def codegen_emissions(self):
-        """Per-property emission stats off the generated program — the
-        *measured* side of the lint calibration's codegen cost model
-        (``repro.lint.calibration.CALIBRATION_CODEGEN``)."""
-        return dict(self._program().emissions)
-
     def _evaluate_codegen(
         self, event: DataplaneEvent, fields: Mapping[str, object]
     ) -> List[_Op]:

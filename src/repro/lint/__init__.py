@@ -16,14 +16,6 @@ Three pass families over parsed ASTs and compiled
   pipeline/rule/register cost estimates (:mod:`repro.lint.splitmode`).
 """
 
-from .calibration import (
-    CALIBRATION,
-    CALIBRATION_CODEGEN,
-    MeasuredCodegenCost,
-    MeasuredCost,
-    measured_codegen_cost,
-    measured_cost,
-)
 from .dataflow import rule_cross_stage_contradiction, stage_environments
 from .diagnostics import Diagnostic, Related, Rule, RULES, Severity
 from .dispatch import (
@@ -85,12 +77,6 @@ from .splitmode import (
 )
 
 __all__ = [
-    "CALIBRATION",
-    "CALIBRATION_CODEGEN",
-    "MeasuredCodegenCost",
-    "MeasuredCost",
-    "measured_codegen_cost",
-    "measured_cost",
     "rule_cross_stage_contradiction",
     "stage_environments",
     "Diagnostic",

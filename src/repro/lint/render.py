@@ -83,38 +83,12 @@ def _prop_summary(prop: PropertyReport) -> List[str]:
             f"{detail}, {cost.slow_updates_per_instance} slow update(s), "
             f"{cost.state_bits_per_instance} state bit(s) per instance"
         )
-        if cost.measured is not None:
-            m = cost.measured
-            agree = (
-                m.instance_tables == cost.instance_tables
-                and m.rules_per_instance == cost.rules_per_instance
-                and m.flow_mods_per_instance == cost.slow_updates_per_instance
-            )
-            lines.append(
-                f"  {prop.name}: compiler-measured {m.instance_tables} "
-                f"instance table(s), {m.rules_per_instance} rule(s), "
-                f"{m.flow_mods_per_instance} flow-mod(s) per instance "
-                f"({'matches estimate' if agree else 'DIVERGES from estimate'})"
-            )
         if cost.codegen is not None:
             cg = cost.codegen
-            line = (
+            lines.append(
                 f"  {prop.name}: codegen ~{cg.event_classes} event "
                 f"class(es), {cg.inline_terms} inline term(s)"
             )
-            if cg.measured is not None:
-                cm = cg.measured
-                agree = (
-                    cm.event_classes == cg.event_classes
-                    and cm.inline_terms == cg.inline_terms
-                )
-                line += (
-                    f"; emitter-measured {cm.event_classes}/"
-                    f"{cm.inline_terms} over {cm.matcher_lines} "
-                    f"matcher line(s) "
-                    f"({'matches estimate' if agree else 'DIVERGES from estimate'})"
-                )
-            lines.append(line)
     if prop.dispatch is not None:
         watchers = ", ".join(
             f"{kind}={count}" for kind, count in prop.dispatch.watchers
@@ -246,27 +220,9 @@ def _prop_json(prop: PropertyReport, path: str) -> Dict[str, Any]:
                     split.cost.state_bits_per_instance,
                 "model": split.cost.model,
                 "engine_reason": split.cost.engine_reason,
-                "source": split.cost.source,
-                "measured": None if split.cost.measured is None else {
-                    "instance_tables": split.cost.measured.instance_tables,
-                    "rules_per_instance":
-                        split.cost.measured.rules_per_instance,
-                    "flow_mods_per_instance":
-                        split.cost.measured.flow_mods_per_instance,
-                },
                 "codegen": None if split.cost.codegen is None else {
                     "event_classes": split.cost.codegen.event_classes,
                     "inline_terms": split.cost.codegen.inline_terms,
-                    "source": split.cost.codegen.source,
-                    "measured": None if split.cost.codegen.measured is None
-                    else {
-                        "event_classes":
-                            split.cost.codegen.measured.event_classes,
-                        "inline_terms":
-                            split.cost.codegen.measured.inline_terms,
-                        "matcher_lines":
-                            split.cost.codegen.measured.matcher_lines,
-                    },
                 },
             },
         }

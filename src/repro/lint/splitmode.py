@@ -47,12 +47,6 @@ from ..core.compile import dispatch_plan
 from ..core.refs import EventKind, EventPattern, MismatchAny
 from ..core.spec import Absent, Observe, PropertySpec
 from ..switch.switch import DEFAULT_SPLIT_LAG
-from .calibration import (
-    MeasuredCodegenCost,
-    MeasuredCost,
-    measured_codegen_cost,
-    measured_cost,
-)
 from .diagnostics import Diagnostic, make
 from .schema import field_bits
 
@@ -152,11 +146,9 @@ class CodegenCostEstimate:
 
     Derived analytically from the dispatch plan — one generated evaluator
     per concrete event class the property watches, and one inline boolean
-    term per emitted refinement/guard — without running the emitter.  The
-    emitter's actual counts (``repro.core.codegen.PropEmission``) are
-    pinned in ``CALIBRATION_CODEGEN`` for the corpus and surfaced here as
-    ``measured``; ``tests/unit/test_calibration.py`` holds the two sides
-    equal.
+    term per emitted refinement/guard — without running the emitter.
+    ``tests/unit/test_calibration.py`` holds ``event_classes`` to the
+    section headers of the program text the emitter writes.
     """
 
     #: concrete event classes the generated program handles for this
@@ -166,14 +158,6 @@ class CodegenCostEstimate:
     #: ``same_packet_as`` one each, ``MismatchAny`` one per pair, every
     #: other guard one.
     inline_terms: int
-    #: the checked-in emitter measurement, when this property is in
-    #: ``repro.lint.calibration.CALIBRATION_CODEGEN``.
-    measured: Optional[MeasuredCodegenCost] = None
-
-    @property
-    def source(self) -> str:
-        """"calibrated" when an emitter measurement backs the estimate."""
-        return "calibrated" if self.measured is not None else "model"
 
 
 @dataclass(frozen=True)
@@ -199,18 +183,10 @@ class CostEstimate:
     #: one fresh table per instance regardless of stage count; 0 under
     #: the engine model, which keeps instances off the switch).
     instance_tables: int = 0
-    #: the checked-in compiler measurement for this property, when it is
-    #: in the calibration table (``repro.lint.calibration.CALIBRATION``).
-    measured: Optional[MeasuredCost] = None
     #: the software fast path's price: what the codegen backend would
     #: generate for this property (always present — codegen hosts every
     #: property, rule-compilable or not).
     codegen: Optional[CodegenCostEstimate] = None
-
-    @property
-    def source(self) -> str:
-        """"calibrated" when a compiler measurement backs the estimate."""
-        return "calibrated" if self.measured is not None else "model"
 
 
 @dataclass(frozen=True)
@@ -365,7 +341,6 @@ def estimate_cost(prop: PropertySpec) -> CostEstimate:
         state_bits_per_instance=state_bits,
         model=model,
         instance_tables=1,
-        measured=measured_cost(prop.name),
         codegen=codegen,
     )
 
@@ -373,12 +348,9 @@ def estimate_cost(prop: PropertySpec) -> CostEstimate:
 def estimate_codegen_cost(prop: PropertySpec) -> CodegenCostEstimate:
     """Predict the codegen backend's program shape from the dispatch plan.
 
-    Deliberately independent of the emitter: this walks
+    Independent of the emitter: this walks
     :func:`repro.core.compile.dispatch_plan` (the shared planning layer)
-    and applies the counting rule analytically, while the measured side
-    (``PropEmission``) is tallied off the source the emitter actually
-    wrote.  The two agreeing for the whole corpus is the calibration
-    invariant.
+    and applies the counting rule analytically.
     """
     plan = dispatch_plan(prop)
     terms = sum(
@@ -389,7 +361,6 @@ def estimate_codegen_cost(prop: PropertySpec) -> CodegenCostEstimate:
     return CodegenCostEstimate(
         event_classes=len(plan),
         inline_terms=terms,
-        measured=measured_codegen_cost(prop.name),
     )
 
 

@@ -18,16 +18,19 @@ queue-pressure readiness), and ``/trace`` (recent spans from the
 tracer's ring buffer).  SIGTERM drains the queue and emits a final
 :class:`ServeDegradationReport`.
 
-A framed stream is read and decoded a batch at a time — header, body in
-one read, the codec's one record iterator; one protocol generator
-(:func:`~repro.serve.ingest.framed_reader`) for socket and FIFO alike —
-and nothing in it is fatal:
-a record that does not decode is one frame error and the rest of its
-batch is kept; a fault that loses the framing (a cut inside a batch, a
-wrong magic, a body length over ``MAX_BATCH_BYTES``) is one frame error
-and ends that connection.  A reader that finds a dispatch batch already
-queued yields to the dispatcher before taking more, so parsed events do
-not pile up in memory while their bytes could have waited in the kernel.
+Every ingest stream — socket, FIFO or file — is read by one coroutine
+driving one sans-IO protocol generator
+(:func:`~repro.serve.ingest.stream_reader`); there is no reader thread.
+A framed stream is decoded a batch at a time (header, cap check, body,
+the codec's one record iterator), a JSONL stream a read at a time, and
+nothing in either is fatal: a record or line that does not decode is one
+frame error and its neighbours are kept; a fault that loses the framing
+(a cut inside a batch, a wrong magic, a body length or a line over
+``MAX_BATCH_BYTES``) is one frame error and ends that stream.  A reader
+that finds a dispatch batch already queued waits for the dispatcher
+before taking more, so parsed events do not pile up in memory while
+their bytes could have waited in the kernel — and a local writer that
+outruns the monitor blocks in its own ``write()`` instead of being shed.
 
 ``stream_trace`` is the client half (``repro send``): pace a recorded
 trace at a target event rate into a running daemon, for demos,

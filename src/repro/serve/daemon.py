@@ -1,17 +1,22 @@
 """The live controller daemon behind ``repro serve``.
 
-One asyncio event loop owns everything: TCP ingest servers and pipe
-readers feed frames into the bounded :class:`~repro.serve.ingest.IngestQueue`;
-a dispatcher coroutine drains it in batches, observing each event in
-turn with the monitor's generated evaluator; a poller coroutine drives
+One asyncio event loop owns everything: every ingest source — a TCP
+connection, a FIFO, a file — is the same coroutine (``_read_stream``)
+driving the wire-protocol generator
+(:func:`~repro.serve.ingest.stream_reader`) into the bounded
+:class:`~repro.serve.ingest.IngestQueue`; a dispatcher coroutine drains
+it in batches, observing each event in turn with the monitor's generated
+evaluator; a poller coroutine drives
 :class:`~repro.telemetry.StatsPoller` on the wall clock; and the HTTP
 plane answers ``/metrics``, ``/stats``, ``/healthz``, ``/readyz`` and
 ``/trace`` between batches.  Single-loop concurrency is the point —
 the monitor is single-threaded by design (it models one switch-local
-monitor), so nothing here needs a lock.
+monitor) and no thread reads ingest either, so nothing here needs a
+lock, and every source meets the same back-pressure.
 
 Shutdown is a drain, not a kill: SIGTERM (or :meth:`ServeDaemon.request_stop`)
-closes the ingest listeners, lets the dispatcher empty the queue, runs
+closes the ingest listeners, gives open streams ``drain_grace`` to end,
+lets the dispatcher empty the queue, runs
 ``Monitor.stop()`` (which drains deferred split-mode ops and closes
 spans), takes one final stats sample, and emits a
 :class:`~repro.serve.report.ServeDegradationReport` with the
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -36,7 +42,6 @@ from ..core.monitor import Monitor
 from ..fabric import SupervisorPolicy
 from ..netsim.chaos import PROFILES
 from ..netsim.clock import WallClock
-from ..netsim.serialize import FRAME_MAGIC
 from ..resilience import build_monitor, build_sharded_monitor
 from ..telemetry import (
     MetricsRegistry,
@@ -47,17 +52,21 @@ from ..telemetry import (
     render_prometheus,
 )
 from .http import HttpPlane, json_response, start_http
-from .ingest import FrameError, IngestQueue, framed_reader, parse_frame
+from .ingest import IngestQueue, stream_reader
 from .report import ServeDegradationReport
 
 
-async def _read(reader: asyncio.StreamReader, size: int) -> bytes:
-    """``size`` bytes, or whatever came before EOF — ``fp.read(size)``
-    for a stream reader."""
-    try:
-        return await reader.readexactly(size)
-    except asyncio.IncompleteReadError as exc:
-        return exc.partial
+class _FileReader:
+    """``read(n)`` for a regular file, which asyncio refuses to poll (it
+    is always readable): read in place, after giving the rest of the
+    loop the turn a file's reader would otherwise never yield."""
+
+    def __init__(self, fp) -> None:
+        self._fp = fp
+
+    async def read(self, size: int) -> bytes:
+        await asyncio.sleep(0)
+        return self._fp.read(size)
 
 
 def parse_ingest_spec(spec: str) -> Tuple[str, object]:
@@ -215,7 +224,6 @@ class ServeDaemon:
         self._stopping: Optional[asyncio.Event] = None
         self._wake: Optional[asyncio.Event] = None
         self._servers: List[asyncio.base_events.Server] = []
-        self._pipe_threads: List[threading.Thread] = []
         self._conn_tasks: set = set()
 
     # -- lifecycle ---------------------------------------------------------
@@ -239,7 +247,9 @@ class ServeDaemon:
                 self._servers.append(server)
                 self.ingest_ports.append(server.sockets[0].getsockname()[1])
             else:
-                self._start_pipe_reader(str(arg))
+                task = asyncio.ensure_future(self._ingest_pipe(str(arg)))
+                self._conn_tasks.add(task)
+                task.add_done_callback(self._conn_tasks.discard)
 
         installed_signals: List[int] = []
         for signum in (signal.SIGTERM, signal.SIGINT):
@@ -348,23 +358,8 @@ class ServeDaemon:
         if task is not None:
             self._conn_tasks.add(task)
         try:
-            # Sniff the first four bytes: the frame magic switches the
-            # connection to the binary batch codec, anything else is
-            # treated as the start of a JSONL stream.
-            head = await _read(reader, 4)
-            if head == FRAME_MAGIC:
-                await self._read_framed(reader, source)
-            elif head:
-                buf = head + await reader.readline()
-                for line in buf.splitlines():
-                    self._offer_line(line, source)
-                while True:
-                    line = await reader.readline()
-                    if not line:
-                        break
-                    self._offer_line(line, source)
-                    await self._bound_run_ahead()
-        except (ConnectionError, asyncio.IncompleteReadError):
+            await self._read_stream(reader, source)
+        except ConnectionError:
             pass
         finally:
             if task is not None:
@@ -375,34 +370,69 @@ class ServeDaemon:
             except ConnectionError:  # pragma: no cover - platform dependent
                 pass
 
-    def _offer_line(self, line: bytes, source: str) -> None:
+    async def _ingest_pipe(self, path: str) -> None:
+        """``pipe:PATH``: read a FIFO, character device or file once, to
+        EOF.  The open is non-blocking — a FIFO's blocking open waits
+        for its writer and would stall the loop — and the loop polls a
+        FIFO like a socket, so a writer that outruns the dispatcher
+        blocks in its own ``write()`` on a full kernel pipe.
+        """
+        source = f"pipe:{path}"
+        loop = asyncio.get_running_loop()
         try:
-            event = parse_frame(line, max_layer=self.config.max_layer)
-        except FrameError:
-            self._frame_errors.inc()
-            return
-        if event is None:
-            return  # blank line or trace header
-        self.queue.offer(event, source=source)
-        if self._wake is not None:
-            self._wake.set()
+            with open(path, "rb", buffering=0, opener=lambda name, flags:
+                      os.open(name, flags | os.O_NONBLOCK)) as fp:
+                reader = asyncio.StreamReader()
+                try:
+                    transport, _ = await loop.connect_read_pipe(
+                        lambda: asyncio.StreamReaderProtocol(reader), fp)
+                except ValueError:  # a regular file: asyncio will not poll it
+                    await self._read_stream(_FileReader(fp), source)
+                    return
+                try:
+                    await self._read_stream(reader, source)
+                finally:
+                    transport.close()
+        except OSError:
+            pass  # no such pipe, or it vanished; the daemon keeps serving
+
+    async def _read_stream(self, reader, source: str) -> None:
+        """Drive one ingest stream to its end: the only reader there is.
+
+        ``reader`` needs one method, ``async read(n)`` — at most ``n``
+        bytes, ``b""`` at EOF.  The protocol, and what each fault costs,
+        is :func:`~repro.serve.ingest.stream_reader`; when it returns,
+        the stream ended or lost its framing and the caller closes it.
+        """
+        steps = stream_reader(
+            lambda events, errors: self._offer_batch(events, errors, source),
+            self.config.max_layer)
+        try:
+            want = next(steps)
+            while True:
+                want = steps.send(await reader.read(want))
+                await self._bound_run_ahead()
+        except StopIteration:
+            pass
 
     async def _bound_run_ahead(self) -> None:
         """Let the dispatcher drain before this reader takes more.
 
         A reader whose bytes are already buffered never suspends in
-        ``await reader.read*()``, so without this it runs the queue up
+        ``await reader.read()``, so without this it runs the queue up
         to whatever the socket buffers hold — events that sit parsed in
-        memory instead of as bytes in the kernel.  One yield per read
-        (or line) while a dispatch batch is waiting is enough: the
-        dispatcher, once awake, empties the queue before it awaits.
+        memory instead of as bytes in the kernel.  The dispatcher takes
+        a few turns of the loop to wake and, once awake, empties the
+        queue before it awaits; so a reader adds at most one read's
+        worth of events to a queue that already holds a dispatch batch.
         """
-        if len(self.queue) >= self.config.batch_max:
+        while len(self.queue) >= self.config.batch_max:
             await asyncio.sleep(0)
 
     def _offer_batch(self, events: List, frame_errors: int,
                      source: str) -> None:
-        """Queue one decoded batch; wake the dispatcher once."""
+        """Queue what one read decoded — the only way into the queue;
+        wake the dispatcher once."""
         if frame_errors:
             self._frame_errors.inc(frame_errors)
         offer = self.queue.offer
@@ -410,69 +440,6 @@ class ServeDaemon:
             offer(event, source=source)
         if events and self._wake is not None:
             self._wake.set()
-
-    async def _read_framed(self, reader: asyncio.StreamReader,
-                           source: str) -> None:
-        """Drain a framed stream a batch at a time (the protocol, and
-        what each kind of fault costs, is :func:`framed_reader`)."""
-        steps = framed_reader(
-            lambda events, errors: self._offer_batch(events, errors, source),
-            self.config.max_layer)
-        try:
-            want = next(steps)
-            while True:
-                want = steps.send(await _read(reader, want))
-                await self._bound_run_ahead()
-        except StopIteration:
-            pass  # stream ended or framing lost: the caller closes it
-
-    def _start_pipe_reader(self, path: str) -> None:
-        loop = self._loop
-        assert loop is not None
-
-        source = f"pipe:{path}"
-        max_layer = self.config.max_layer
-
-        def offer(data: bytes) -> None:
-            loop.call_soon_threadsafe(self._offer_line, data, source)
-
-        def read_framed(fp) -> None:
-            # _read_framed on blocking reads; each batch reaches the
-            # loop as one callback.
-            steps = framed_reader(
-                lambda events, errors: loop.call_soon_threadsafe(
-                    self._offer_batch, events, errors, source),
-                max_layer)
-            try:
-                want = next(steps)
-                while True:
-                    want = steps.send(fp.read(want))
-            except StopIteration:
-                pass
-
-        def read_pipe() -> None:
-            # Blocking reads in a daemon thread: a FIFO open blocks until
-            # a writer connects, which must not stall the event loop.
-            # The same four-byte sniff as TCP ingest picks the codec.
-            try:
-                with open(path, "rb") as fp:
-                    head = fp.read(4)
-                    if head == FRAME_MAGIC:
-                        read_framed(fp)
-                    elif head:
-                        for line in (head + fp.readline()).splitlines():
-                            offer(line)
-                        for line in fp:
-                            offer(line)
-            except OSError:
-                pass  # pipe vanished; the daemon keeps serving
-            except RuntimeError:
-                pass  # loop shut down mid-read; remaining lines are lost
-
-        thread = threading.Thread(
-            target=read_pipe, name=f"repro-serve-pipe:{path}", daemon=True)
-        thread.start()
-        self._pipe_threads.append(thread)
 
     # -- loop bodies -------------------------------------------------------
     async def _dispatch_loop(self) -> None:

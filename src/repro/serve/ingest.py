@@ -20,6 +20,11 @@ Frame parsing (:func:`parse_frame`) wraps ``event_from_dict`` from the
 trace serializer so the wire format of the live daemon is byte-identical
 to the recorded-trace format: anything ``repro record`` wrote can be
 piped straight into a socket.
+
+The wire protocol — the codec sniff, binary batches, newline-JSON, and
+what each kind of fault costs — is one generator that does no I/O
+(:func:`stream_reader`); the daemon drives it from the one coroutine
+that reads any ingest source.
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ from ..telemetry import LATENCY_BUCKETS, MetricsRegistry, NullRegistry
 #: kinds so reports can separate "network overload" from "state
 #: overload".
 SHED_KIND = "ingest-shed"
+
+#: What the reader asks a transport for when any amount will do (a line
+#: stream has no length prefix to say how much is coming).
+READ_SIZE = 1 << 16
 
 
 class FrameError(TraceFormatError):
@@ -103,38 +112,94 @@ def decode_batch(
     return events, len(faults), True
 
 
-def framed_reader(
+def _take(size: int) -> Generator[int, bytes, bytes]:
+    """Exactly ``size`` bytes of the stream — fewer only if it ended."""
+    parts: List[bytes] = []
+    while size:
+        data = yield size
+        if not data:
+            break
+        parts.append(data)
+        size -= len(data)
+    return parts[0] if len(parts) == 1 else b"".join(parts)
+
+
+def stream_reader(
     deliver: Callable[[List[DataplaneEvent], int], None],
     max_layer: int = 7,
 ) -> Generator[int, bytes, None]:
-    """The daemon's side of a framed stream, without the I/O — so the
-    asyncio TCP reader and the blocking FIFO thread run the same code.
+    """The daemon's side of an ingest stream, without the I/O: the whole
+    wire protocol, for a socket, a FIFO and a file alike.
 
-    A generator its transport drives: it yields how many bytes it wants
-    next and is sent what a read of that size returned (fewer bytes
-    means the stream ended there).  A batch is two reads, the 12-byte
-    header and then the whole body; each decoded batch goes to
-    ``deliver(events, frame_errors)``.  The generator returns when the
-    stream ends or its framing is lost — a cut inside a batch, a wrong
-    magic, a body length over ``MAX_BATCH_BYTES`` (refused before the
-    body is asked for), a body that is not the records it declares —
-    each of which is one frame error; the transport then closes the
-    stream.  The first batch's magic is taken as read: the sniff that
-    chose this codec consumed it.
+    A generator its transport drives: it yields "at most *n* bytes,
+    please" and is sent whatever one read returned — ``b""`` once the
+    stream has ended.  Short reads are accumulated here, so a transport
+    needs only ``read(n)`` and a short read does not mean EOF.  The
+    first four bytes choose the codec: the frame magic starts binary
+    batches, anything else (a shorter stream included) is newline-JSON.
+    Decoded events go to ``deliver(events, frame_errors)``, once per
+    batch or once per read's worth of complete lines.
+
+    Batches: the 12-byte header, the cap check, then the body.  A record
+    that is delimited but does not decode is one frame error and the
+    rest of its batch is kept (:func:`decode_batch`).  The generator
+    returns when the stream ends or its framing is lost — a cut inside a
+    batch, a wrong magic, a body length over ``MAX_BATCH_BYTES``
+    (refused before the body is asked for), a body that is not the
+    records it declares — each of which is one frame error; the
+    transport then closes the stream.
+
+    Lines: each read is split on ``\n`` and the unterminated tail
+    carried into the next; a last line needs no newline.  A line that is
+    not a frame (:func:`parse_frame`) is one frame error and the stream
+    continues; a line longer than ``MAX_BATCH_BYTES`` is one frame error
+    and ends it, so no sender can make the daemon buffer more than that.
     """
-    header = FRAME_MAGIC + (yield BATCH_HEADER_SIZE - len(FRAME_MAGIC))
+    header = yield from _take(len(FRAME_MAGIC))
+    if header != FRAME_MAGIC:
+        yield from _read_lines(header, deliver, max_layer)
+        return
+    header += yield from _take(BATCH_HEADER_SIZE - len(FRAME_MAGIC))
     while header:  # b"" is a clean EOF between batches
         try:
             count, size = batch_header(header, MAX_BATCH_BYTES)
         except TraceFormatError:
             deliver([], 1)
             return
-        events, errors, intact = decode_batch(
-            (yield size), count, size, max_layer)
+        body = yield from _take(size)
+        events, errors, intact = decode_batch(body, count, size, max_layer)
         deliver(events, errors)
         if not intact:
             return
-        header = yield BATCH_HEADER_SIZE
+        header = yield from _take(BATCH_HEADER_SIZE)
+
+
+def _read_lines(
+    tail: bytes,
+    deliver: Callable[[List[DataplaneEvent], int], None],
+    max_layer: int,
+) -> Generator[int, bytes, None]:
+    """The newline-JSON half of :func:`stream_reader`; ``tail`` is what
+    the codec sniff consumed."""
+    while True:
+        data = yield READ_SIZE
+        lines = (tail + data).split(b"\n")
+        # At EOF the unterminated tail is the last line.
+        tail = lines.pop() if data else b""
+        events: List[DataplaneEvent] = []
+        errors = 0
+        for line in lines:
+            try:
+                event = parse_frame(line, max_layer)
+            except FrameError:
+                errors += 1
+                continue
+            if event is not None:  # else a blank line or a trace header
+                events.append(event)
+        overlong = len(tail) > MAX_BATCH_BYTES
+        deliver(events, errors + overlong)
+        if overlong or not data:
+            return
 
 
 class IngestQueue:

@@ -27,6 +27,7 @@ from repro.netsim.serialize import (
     FRAME_MAGIC,
     MAX_BATCH_BYTES,
     encode_frames,
+    event_to_dict,
     read_trace,
     save_trace,
     trace_header,
@@ -39,6 +40,7 @@ from repro.serve import (
     serve_in_thread,
     stream_trace,
 )
+from repro.serve.ingest import READ_SIZE
 from repro.switch.pipeline import MissPolicy
 
 
@@ -254,6 +256,77 @@ class TestFramedIngest:
         finally:
             report = handle.stop()
         assert (report.events_observed, report.frame_errors) == (9, 1)
+
+
+class TestPipeIngest:
+    """``pipe:PATH`` is the same reader as TCP: a local writer that
+    outruns the dispatcher is slowed down, not shed."""
+
+    FLOOD = 20_000
+
+    @pytest.fixture(scope="class")
+    def flood(self):
+        events = catalog_trace(seed=5, num_events=self.FLOOD)
+        lines = [json.dumps(event_to_dict(e)).encode() for e in events]
+        return {
+            "jsonl": b"".join(line + b"\n" for line in lines),
+            "rpf2": b"".join(encode_frames(events[i:i + 64])
+                             for i in range(0, len(events), 64)),
+            # The most events one read can hold.
+            "per_read": READ_SIZE // min(len(line) + 1 for line in lines),
+        }
+
+    @pytest.mark.parametrize("kind,codec", [
+        ("fifo", "jsonl"), ("file", "jsonl"), ("fifo", "rpf2")])
+    def test_flood_is_observed_whole_under_the_default_config(
+            self, flood, tmp_path, kind, codec):
+        path = str(tmp_path / f"ingest.{kind}")
+        if kind == "file":
+            with open(path, "wb") as fp:
+                fp.write(flood[codec])
+        else:
+            os.mkfifo(path)
+        daemon = ServeDaemon(ServeConfig(port=0, ingest=(f"pipe:{path}",)))
+        handle = serve_in_thread(daemon)
+        try:
+            if kind == "fifo":
+                with open(path, "wb") as fp:   # as fast as write() accepts
+                    fp.write(flood[codec])
+            assert wait_until(
+                lambda: observed(daemon) + daemon.queue.shed >= self.FLOOD,
+                timeout=60.0)
+            peak = daemon.registry.histogram(
+                "repro_serve_queue_depth_at_enqueue").max
+        finally:
+            report = handle.stop()
+        assert (report.events_shed, report.frame_errors) == (0, 0)
+        assert report.events_observed == self.FLOOD
+        assert peak <= daemon.config.batch_max + flood["per_read"]
+
+    def test_fifo_without_a_writer_stalls_nothing(self, tmp_path):
+        fifo = str(tmp_path / "ingest.fifo")
+        os.mkfifo(fifo)
+        daemon, handle = boot(ingest=(f"pipe:{fifo}",), drain_grace=0.2)
+        try:
+            # A blocking open would be sitting in the loop right now.
+            status, body = get(daemon, "/healthz")
+            assert (status, json.loads(body)["status"]) == (200, "ok")
+        finally:
+            started = time.monotonic()
+            report = handle.stop(timeout=5.0)
+        assert time.monotonic() - started < 0.2 + 1.0
+        assert report.events_observed == 0
+
+    def test_missing_pipe_is_not_fatal(self, trace_path, tmp_path):
+        daemon, handle = boot(
+            ingest=(f"pipe:{tmp_path / 'absent'}", "tcp:0"))
+        try:
+            result = stream_trace(
+                trace_path, "127.0.0.1", daemon.ingest_ports[0])
+            assert wait_until(lambda: observed(daemon) >= result.events)
+        finally:
+            report = handle.stop()
+        assert report.events_observed == result.events
 
 
 class TestHostileFrames:

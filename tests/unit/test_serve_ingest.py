@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.degradation import IMPACT_FALSE, IMPACT_MISSED, OverflowLedger
 from repro.serve import FrameError, IngestQueue, parse_frame
-from repro.serve.ingest import decode_batch, framed_reader
+from repro.serve.ingest import decode_batch, stream_reader
 from repro.serve.daemon import parse_ingest_spec
 from repro.serve.report import ServeDegradationReport, render_serve_report
 from repro.switch.events import OutOfBandEvent, OobKind
@@ -211,52 +211,128 @@ class TestDecodeBatch:
         assert (errors, intact) == (1, False)
 
 
+def drive(stream, step=None):
+    """Feed ``stream`` to ``stream_reader`` the way a transport does,
+    each read returning at most ``step`` bytes (``None``: all that was
+    asked for).  Returns the times of the events delivered, the frame
+    errors, ``(len(events), errors)`` per delivery, and how many bytes
+    of the stream were read."""
+    import io
+
+    fp = io.BytesIO(stream)
+    times, deliveries = [], []
+
+    def deliver(events, errors):
+        times.extend(event.time for event in events)
+        deliveries.append((len(events), errors))
+
+    steps = stream_reader(deliver)
+    try:
+        want = next(steps)
+        while True:
+            assert want > 0
+            want = steps.send(fp.read(want if step is None else min(want, step)))
+    except StopIteration:
+        pass
+    return times, sum(e for _, e in deliveries), deliveries, fp.tell()
+
+
+def drive_both(stream):
+    """Everything in one read, and one byte per read: same outcome."""
+    whole, trickled = drive(stream), drive(stream, step=1)
+    assert whole[:2] == trickled[:2]
+    return whole, trickled
+
+
 class TestFramedReader:
-    """The sans-IO stream protocol both ingest transports drive."""
-
-    @staticmethod
-    def drive(stream):
-        """Feed ``stream`` (minus the sniffed magic) the way a transport
-        does; returns the deliveries and the read sizes asked for."""
-        import io
-
-        fp = io.BytesIO(stream[4:])
-        delivered, wanted = [], []
-        steps = framed_reader(
-            lambda events, errors: delivered.append((len(events), errors)))
-        try:
-            want = next(steps)
-            while True:
-                wanted.append(want)
-                want = steps.send(fp.read(want))
-        except StopIteration:
-            pass
-        return delivered, wanted
+    """The batch half of the sans-IO stream protocol."""
 
     def test_batches_until_clean_eof(self):
         from repro.netsim.serialize import encode_frames
 
         first, second = encode_frames([oob(1.0)]), encode_frames([oob(2.0)] * 3)
-        delivered, wanted = self.drive(first + second)
-        assert delivered == [(1, 0), (3, 0)]
-        # header, body, header, body, then the header read that hits EOF
-        assert wanted == [8, len(first) - 12, 12, len(second) - 12, 12]
+        for times, errors, deliveries, read in drive_both(first + second):
+            assert deliveries == [(1, 0), (3, 0)]   # one per batch
+            assert (times, errors) == ([1.0, 2.0, 2.0, 2.0], 0)
+            assert read == len(first + second)
 
     def test_over_cap_length_ends_the_stream_before_the_body_is_asked_for(self):
         from repro.netsim.serialize import FRAME_MAGIC, MAX_BATCH_BYTES
 
         lying = FRAME_MAGIC + (1).to_bytes(4, "big") \
             + (MAX_BATCH_BYTES + 1).to_bytes(4, "big")
-        delivered, wanted = self.drive(lying + b"x" * 100)
-        assert delivered == [(0, 1)]
-        assert wanted == [8]
+        for _, _, deliveries, read in drive_both(lying + b"x" * 100):
+            assert deliveries == [(0, 1)]
+            assert read == len(lying)
 
     def test_stream_ending_inside_a_header_is_one_error(self):
         from repro.netsim.serialize import encode_frames
 
         batch = encode_frames([oob(1.0)])
-        assert self.drive(batch + batch[:5])[0] == [(1, 0), (0, 1)]
-        assert self.drive(batch[:4])[0] == [(0, 1)]
+        for cut in (5, 4, 2):  # inside the header, after and inside the magic
+            for times, errors, _, _ in drive_both(batch + batch[:cut]):
+                assert (times, errors) == ([1.0], 1)
+            for times, errors, _, _ in drive_both(batch[:cut]):
+                assert (times, errors) == ([], 1)
+
+    def test_stream_ending_inside_a_body_keeps_the_whole_records(self):
+        from repro.netsim.serialize import encode_frames
+
+        batch = encode_frames([oob(1.0), oob(2.0)])
+        for times, errors, _, _ in drive_both(batch + batch[:-1]):
+            assert (times, errors) == ([1.0, 2.0, 1.0], 1)
+
+    def test_empty_stream_is_no_error(self):
+        for times, errors, _, _ in drive_both(b""):
+            assert (times, errors) == ([], 0)
+
+
+class TestLineReader:
+    """The newline-JSON half of the same generator."""
+
+    @staticmethod
+    def line(time):
+        from repro.netsim.serialize import event_to_dict
+
+        return json.dumps(event_to_dict(oob(time))).encode()
+
+    def test_a_line_split_across_reads(self):
+        stream = b"".join(self.line(t) + b"\n" for t in (1.0, 2.0, 3.0))
+        for step in (None, len(stream) // 2, 7, 1):
+            times, errors, _, read = drive(stream, step)
+            assert (times, errors, read) == ([1.0, 2.0, 3.0], 0, len(stream))
+
+    def test_last_line_needs_no_newline(self):
+        stream = self.line(1.0) + b"\n" + self.line(2.0)
+        for times, errors, _, _ in drive_both(stream):
+            assert (times, errors) == ([1.0, 2.0], 0)
+
+    def test_blank_lines_and_a_trace_header_deliver_nothing(self):
+        header = json.dumps({"kind": "TraceHeader", "schema": 1}).encode()
+        for times, errors, _, _ in drive_both(header + b"\n\n  \r\n\n"):
+            assert (times, errors) == ([], 0)
+
+    def test_bad_lines_are_counted_and_the_good_ones_around_them_survive(self):
+        stream = b"\n".join([
+            self.line(1.0), b"not json", self.line(2.0), b"[1, 2]",
+            b"\xff\xfe", self.line(3.0), b'{"kind": "NoSuchEvent"}'])
+        for times, errors, _, _ in drive_both(stream):
+            assert (times, errors) == ([1.0, 2.0, 3.0], 4)
+
+    def test_a_stream_shorter_than_the_sniff_is_one_frame_error(self):
+        for times, errors, _, _ in drive_both(b"RPF"):
+            assert (times, errors) == ([], 1)
+
+    def test_a_line_over_the_cap_is_one_error_and_ends_the_stream(
+            self, monkeypatch):
+        from repro.serve import ingest
+
+        monkeypatch.setattr(ingest, "MAX_BATCH_BYTES", 64)
+        monkeypatch.setattr(ingest, "READ_SIZE", 16)
+        stream = b"\n\n" + b"x" * 200 + b"\n" + self.line(1.0) + b"\n"
+        times, errors, _, read = drive(stream)
+        assert (times, errors) == ([], 1)
+        assert read <= 2 + 64 + 16   # the generator returned, the rest unread
 
 
 class TestIngestSpec:
