@@ -7,7 +7,9 @@ The paper identifies the spectrum:
 * ``LIMITED`` — "recovered without added cost": the values already retained
   for matching (the instance's bound variables) ride along with the final
   event, plus per-stage timestamps — cheap, because the match state already
-  holds them;
+  holds them.  Each stage also keeps a reference to its (immutable) packet
+  and formats the one-line summary only when a violation is rendered; the
+  price is that a live instance pins those packets' wire bytes;
 * ``FULL``    — every event that advanced the instance is recorded
   verbatim.  Maximal debuggability, linear memory per instance — the cost
   the paper deems infeasible on switches, measurable here via
@@ -36,7 +38,14 @@ class StageRecord:
     stage_name: str
     time: float
     event: Optional[DataplaneEvent] = None  # populated only at FULL
-    summary: str = ""
+    #: LIMITED: the stage's packet, else what to say instead of one
+    subject: object = ""
+
+    @property
+    def summary(self) -> str:
+        """One line about the stage's event, formatted when read."""
+        subject = self.subject
+        return subject if isinstance(subject, str) else subject.describe()
 
     def describe(self) -> str:
         if self.event is not None:
@@ -55,10 +64,10 @@ def record_stage(
         return None
     if level is ProvenanceLevel.FULL:
         return StageRecord(stage_name=stage_name, time=time, event=event)
-    summary = ""
-    if event is not None:
-        packet = getattr(event, "packet", None)
-        summary = packet.describe() if packet is not None else event.kind
+    if event is None:
+        subject = "timer"
     else:
-        summary = "timer"
-    return StageRecord(stage_name=stage_name, time=time, summary=summary)
+        subject = getattr(event, "packet", None)
+        if subject is None:
+            subject = event.kind
+    return StageRecord(stage_name=stage_name, time=time, subject=subject)

@@ -81,17 +81,17 @@ def event_fields(event: DataplaneEvent, max_layer: int = 7) -> Dict[str, object]
     """
     fields: Dict[str, object] = {"time": event.time, "switch": event.switch_id}
     if isinstance(event, PacketArrival):
-        fields.update(event.packet.fields(max_layer=max_layer))
+        event.packet.fields(max_layer, fields)
         fields["in_port"] = event.in_port
         fields["uid"] = event.packet.uid
     elif isinstance(event, PacketEgress):
-        fields.update(event.packet.fields(max_layer=max_layer))
+        event.packet.fields(max_layer, fields)
         fields["in_port"] = event.in_port
         fields["out_port"] = event.out_port
         fields["egress.action"] = event.action
         fields["uid"] = event.packet.uid
     elif isinstance(event, PacketDrop):
-        fields.update(event.packet.fields(max_layer=max_layer))
+        event.packet.fields(max_layer, fields)
         fields["in_port"] = event.in_port
         fields["drop.reason"] = event.reason
         fields["uid"] = event.packet.uid

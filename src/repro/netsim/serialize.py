@@ -42,7 +42,8 @@ any number of batches back to back; all integers are big-endian::
       payload              ``json.dumps(event_to_dict(event))``, UTF-8
 
 The packet record carries fields, not a re-serialised object: no JSON,
-no hex, and the decoder builds each ``Packet`` once.  Everything rare
+no hex; the decoder checks a packet's L2 framing and keeps its bytes, read
+on demand and written back untouched if nobody did.  Everything rare
 (``OutOfBandEvent``, ``TimerFired`` with its tagged instance key) and
 every packet event with a value the fixed widths cannot hold (a port
 outside i32, a uid outside u64, a non-ASCII or over-long string, a

@@ -12,6 +12,8 @@ import re
 from functools import total_ordering
 from typing import Union
 
+_new = object.__new__  # bound once: from_wire runs per address per event
+
 _MAC_RE = re.compile(r"^([0-9a-fA-F]{2}[:-]){5}[0-9a-fA-F]{2}$")
 _IPV4_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
 
@@ -55,6 +57,13 @@ class MACAddress:
             self._value = int(value.replace("-", ":").replace(":", ""), 16)
         else:
             raise AddressError(f"cannot build MACAddress from {type(value).__name__}")
+
+    @classmethod
+    def from_wire(cls, raw: bytes) -> "MACAddress":
+        """From a ``struct``-unpacked ``6s`` — skips the type and length checks."""
+        self = _new(cls)
+        self._value = int.from_bytes(raw, "big")
+        return self
 
     # -- conversions ---------------------------------------------------
     def __int__(self) -> int:
@@ -142,6 +151,13 @@ class IPv4Address:
             )
         else:
             raise AddressError(f"cannot build IPv4Address from {type(value).__name__}")
+
+    @classmethod
+    def from_wire(cls, value: int) -> "IPv4Address":
+        """From a ``struct``-unpacked u32 — skips the type and range checks."""
+        self = _new(cls)
+        self._value = value
+        return self
 
     # -- conversions ---------------------------------------------------
     def __int__(self) -> int:

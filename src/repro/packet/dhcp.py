@@ -46,6 +46,15 @@ _OPT_END = 255
 DHCP_SERVER_PORT = 67
 DHCP_CLIENT_PORT = 68
 
+#: the fixed prefix: op, xid, client hardware address, yiaddr
+_HEAD = struct.Struct("!BI6sI")
+_U8 = struct.Struct("!B")  # the message-type option's value
+_U32 = struct.Struct("!I")  # the lease-time option's value
+
+
+def _option(tag: int, value: bytes) -> bytes:
+    return bytes((tag, len(value))) + value
+
 
 @dataclass(frozen=True)
 class Dhcp:
@@ -98,26 +107,21 @@ class Dhcp:
 
     # -- wire format -----------------------------------------------------
     def encode(self) -> bytes:
-        head = struct.pack("!BI", self.op, self.xid)
-        head += self.client_mac.packed()
-        head += self.yiaddr.packed()
-        opts = struct.pack("!BBB", _OPT_MSG_TYPE, 1, self.msg_type)
+        opts = _option(_OPT_MSG_TYPE, _U8.pack(self.msg_type))
         if self.requested_ip is not None:
-            opts += struct.pack("!BB", _OPT_REQUESTED_IP, 4) + self.requested_ip.packed()
+            opts += _option(_OPT_REQUESTED_IP, self.requested_ip.packed())
         if self.lease_time is not None:
-            opts += struct.pack("!BBI", _OPT_LEASE_TIME, 4, self.lease_time)
+            opts += _option(_OPT_LEASE_TIME, _U32.pack(self.lease_time))
         if self.server_id is not None:
-            opts += struct.pack("!BB", _OPT_SERVER_ID, 4) + self.server_id.packed()
-        opts += struct.pack("!B", _OPT_END)
-        return head + opts
+            opts += _option(_OPT_SERVER_ID, self.server_id.packed())
+        return _HEAD.pack(self.op, self.xid, self.client_mac.packed(),
+                          int(self.yiaddr)) + opts + bytes((_OPT_END,))
 
     @classmethod
     def decode(cls, data: bytes) -> Tuple["Dhcp", bytes]:
-        if len(data) < 15:
+        if len(data) < _HEAD.size:
             raise HeaderError(f"DHCP truncated: {len(data)} bytes")
-        op, xid = struct.unpack("!BI", data[:5])
-        client_mac = MACAddress(data[5:11])
-        yiaddr = IPv4Address(data[11:15])
+        op, xid, client_mac, yiaddr = _HEAD.unpack_from(data)
         msg_type: Optional[int] = None
         requested_ip: Optional[IPv4Address] = None
         lease_time: Optional[int] = None
@@ -139,7 +143,7 @@ class Dhcp:
             elif tag == _OPT_REQUESTED_IP and length == 4:
                 requested_ip = IPv4Address(value)
             elif tag == _OPT_LEASE_TIME and length == 4:
-                (lease_time,) = struct.unpack("!I", value)
+                (lease_time,) = _U32.unpack(value)
             elif tag == _OPT_SERVER_ID and length == 4:
                 server_id = IPv4Address(value)
             i += 2 + length
@@ -150,8 +154,8 @@ class Dhcp:
                 op=op,
                 msg_type=msg_type,
                 xid=xid,
-                client_mac=client_mac,
-                yiaddr=yiaddr,
+                client_mac=MACAddress.from_wire(client_mac),
+                yiaddr=IPv4Address.from_wire(yiaddr),
                 requested_ip=requested_ip,
                 lease_time=lease_time,
                 server_id=server_id,

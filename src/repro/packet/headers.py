@@ -7,6 +7,13 @@ wire format.  The wire format follows the real protocols closely enough that
 parse-depth limits are meaningful, but checksums are carried verbatim rather
 than validated — the reproduction studies monitoring semantics, not
 checksumming.
+
+A header states its byte layout once, as ``WIRE``, and reads it once, in
+``unpack`` (length and validity checks, then the raw values).  Everything
+else is a projection of those values: ``from_wire`` builds the object,
+``read_fields`` writes the flat dotted-name fields without building it —
+what :mod:`repro.packet.wire` walks a frame with — and ``decode`` is
+``unpack`` + ``from_wire`` + the bytes left over.
 """
 
 from __future__ import annotations
@@ -14,9 +21,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Dict, Tuple
 
 from .addresses import IPv4Address, MACAddress
+
+_mac, _ip = MACAddress.from_wire, IPv4Address.from_wire
 
 
 class HeaderError(ValueError):
@@ -55,28 +64,59 @@ class TCPFlags(IntEnum):
     URG = 0x20
 
 
+def _unpack(cls, data: bytes, at: int = 0) -> tuple:
+    """The raw ``cls.WIRE`` values at ``data[at:]``, or :class:`HeaderError`
+    when there are fewer bytes than that (Arp, IPv4 and TCP add their
+    validity checks on top)."""
+    try:
+        return cls.WIRE.unpack_from(data, at)
+    except struct.error:
+        raise HeaderError(
+            f"{cls.__name__} header truncated: {len(data) - at} bytes") from None
+
+
+class WireHeader:
+    """What the L2-L4 headers share: reading ``WIRE`` off a byte string."""
+
+    WIRE: ClassVar[struct.Struct]
+    unpack = classmethod(_unpack)
+
+    @classmethod
+    def span(cls, values: tuple) -> int:
+        """Bytes the header occupies (TCP's depends on its data offset)."""
+        return cls.WIRE.size
+
+    @classmethod
+    def decode(cls, data: bytes) -> Tuple["WireHeader", bytes]:
+        values = cls.unpack(data)
+        return cls.from_wire(values), data[cls.span(values):]
+
+
 @dataclass(frozen=True)
-class Ethernet:
+class Ethernet(WireHeader):
     """Ethernet II header (no FCS)."""
 
     LAYER: ClassVar[int] = 2
     NAME: ClassVar[str] = "eth"
+    WIRE: ClassVar[struct.Struct] = struct.Struct("!6s6sH")
 
     src: MACAddress
     dst: MACAddress
     ethertype: int
 
     def encode(self) -> bytes:
-        return self.dst.packed() + self.src.packed() + struct.pack("!H", self.ethertype)
+        return self.WIRE.pack(self.dst.packed(), self.src.packed(), self.ethertype)
 
     @classmethod
-    def decode(cls, data: bytes) -> Tuple["Ethernet", bytes]:
-        if len(data) < 14:
-            raise HeaderError(f"ethernet header truncated: {len(data)} bytes")
-        dst = MACAddress(data[0:6])
-        src = MACAddress(data[6:12])
-        (ethertype,) = struct.unpack("!H", data[12:14])
-        return cls(src=src, dst=dst, ethertype=ethertype), data[14:]
+    def from_wire(cls, values: tuple) -> "Ethernet":
+        dst, src, ethertype = values
+        return cls(src=_mac(src), dst=_mac(dst), ethertype=ethertype)
+
+    @staticmethod
+    def read_fields(values: tuple, out: Dict[str, object]) -> None:
+        out["eth.src"] = _mac(values[1])
+        out["eth.dst"] = _mac(values[0])
+        out["eth.type"] = values[2]
 
     def fields(self) -> Dict[str, object]:
         return {
@@ -87,11 +127,12 @@ class Ethernet:
 
 
 @dataclass(frozen=True)
-class Vlan:
+class Vlan(WireHeader):
     """802.1Q VLAN tag."""
 
     LAYER: ClassVar[int] = 2
     NAME: ClassVar[str] = "vlan"
+    WIRE: ClassVar[struct.Struct] = struct.Struct("!HH")
 
     vid: int
     pcp: int = 0
@@ -104,26 +145,31 @@ class Vlan:
             raise HeaderError(f"VLAN PCP out of range: {self.pcp!r}")
 
     def encode(self) -> bytes:
-        tci = (self.pcp << 13) | self.vid
-        return struct.pack("!HH", tci, self.ethertype)
+        return self.WIRE.pack((self.pcp << 13) | self.vid, self.ethertype)
 
     @classmethod
-    def decode(cls, data: bytes) -> Tuple["Vlan", bytes]:
-        if len(data) < 4:
-            raise HeaderError("VLAN tag truncated")
-        tci, ethertype = struct.unpack("!HH", data[:4])
-        return cls(vid=tci & 0x0FFF, pcp=tci >> 13, ethertype=ethertype), data[4:]
+    def from_wire(cls, values: tuple) -> "Vlan":
+        tci, ethertype = values
+        return cls(vid=tci & 0x0FFF, pcp=tci >> 13, ethertype=ethertype)
+
+    @staticmethod
+    def read_fields(values: tuple, out: Dict[str, object]) -> None:
+        out["vlan.vid"] = values[0] & 0x0FFF
+        out["vlan.pcp"] = values[0] >> 13
 
     def fields(self) -> Dict[str, object]:
         return {"vlan.vid": self.vid, "vlan.pcp": self.pcp}
 
 
 @dataclass(frozen=True)
-class Arp:
+class Arp(WireHeader):
     """ARP for IPv4 over Ethernet."""
 
     LAYER: ClassVar[int] = 3
     NAME: ClassVar[str] = "arp"
+    WIRE: ClassVar[struct.Struct] = struct.Struct("!HHBBH6sI6sI")
+    #: htype, ptype, hlen, plen of the one combination spoken here
+    ETHERNET_IPV4: ClassVar[tuple] = (1, EtherType.IPV4, 6, 4)
 
     op: int
     sender_mac: MACAddress
@@ -132,31 +178,31 @@ class Arp:
     target_ip: IPv4Address
 
     def encode(self) -> bytes:
-        return (
-            struct.pack("!HHBBH", 1, EtherType.IPV4, 6, 4, self.op)
-            + self.sender_mac.packed()
-            + self.sender_ip.packed()
-            + self.target_mac.packed()
-            + self.target_ip.packed()
-        )
+        return self.WIRE.pack(
+            *self.ETHERNET_IPV4, self.op,
+            self.sender_mac.packed(), int(self.sender_ip),
+            self.target_mac.packed(), int(self.target_ip))
 
     @classmethod
-    def decode(cls, data: bytes) -> Tuple["Arp", bytes]:
-        if len(data) < 28:
-            raise HeaderError(f"ARP truncated: {len(data)} bytes")
-        htype, ptype, hlen, plen, op = struct.unpack("!HHBBH", data[:8])
-        if (htype, ptype, hlen, plen) != (1, EtherType.IPV4, 6, 4):
+    def unpack(cls, data: bytes, at: int = 0) -> tuple:
+        values = _unpack(cls, data, at)
+        if values[:4] != cls.ETHERNET_IPV4:
             raise HeaderError("unsupported ARP hardware/protocol combination")
-        return (
-            cls(
-                op=op,
-                sender_mac=MACAddress(data[8:14]),
-                sender_ip=IPv4Address(data[14:18]),
-                target_mac=MACAddress(data[18:24]),
-                target_ip=IPv4Address(data[24:28]),
-            ),
-            data[28:],
-        )
+        return values
+
+    @classmethod
+    def from_wire(cls, values: tuple) -> "Arp":
+        return cls(op=values[4],
+                   sender_mac=_mac(values[5]), sender_ip=_ip(values[6]),
+                   target_mac=_mac(values[7]), target_ip=_ip(values[8]))
+
+    @staticmethod
+    def read_fields(values: tuple, out: Dict[str, object]) -> None:
+        out["arp.op"] = values[4]
+        out["arp.sender_mac"] = _mac(values[5])
+        out["arp.sender_ip"] = _ip(values[6])
+        out["arp.target_mac"] = _mac(values[7])
+        out["arp.target_ip"] = _ip(values[8])
 
     @property
     def is_request(self) -> bool:
@@ -177,11 +223,13 @@ class Arp:
 
 
 @dataclass(frozen=True)
-class IPv4:
+class IPv4(WireHeader):
     """IPv4 header (options unsupported; total length derived at encode)."""
 
     LAYER: ClassVar[int] = 3
     NAME: ClassVar[str] = "ipv4"
+    #: ver/ihl, tos, total length, ident, frag, ttl, proto, checksum, src, dst
+    WIRE: ClassVar[struct.Struct] = struct.Struct("!BBHHHBBHII")
 
     src: IPv4Address
     dst: IPv4Address
@@ -198,45 +246,43 @@ class IPv4:
             raise HeaderError(f"protocol out of range: {self.proto!r}")
 
     def encode(self) -> bytes:
-        total_len = 20 + self.payload_len
-        return struct.pack(
-            "!BBHHHBBH4s4s",
+        return self.WIRE.pack(
             (4 << 4) | 5,
             self.dscp << 2,
-            total_len,
+            20 + self.payload_len,
             self.ident,
             0,
             self.ttl,
             self.proto,
             0,  # checksum carried as zero; not validated
-            self.src.packed(),
-            self.dst.packed(),
+            int(self.src),
+            int(self.dst),
         )
 
     @classmethod
-    def decode(cls, data: bytes) -> Tuple["IPv4", bytes]:
-        if len(data) < 20:
-            raise HeaderError(f"IPv4 header truncated: {len(data)} bytes")
-        (ver_ihl, tos, total_len, ident, _frag, ttl, proto, _csum, src, dst) = (
-            struct.unpack("!BBHHHBBH4s4s", data[:20])
-        )
+    def unpack(cls, data: bytes, at: int = 0) -> tuple:
+        values = _unpack(cls, data, at)
+        ver_ihl = values[0]
         if ver_ihl >> 4 != 4:
             raise HeaderError(f"not IPv4: version {ver_ihl >> 4}")
-        ihl = (ver_ihl & 0x0F) * 4
-        if ihl != 20:
+        if ver_ihl & 0x0F != 5:
             raise HeaderError("IPv4 options unsupported in reproduction")
-        return (
-            cls(
-                src=IPv4Address(src),
-                dst=IPv4Address(dst),
-                proto=proto,
-                ttl=ttl,
-                dscp=tos >> 2,
-                ident=ident,
-                payload_len=max(0, total_len - 20),
-            ),
-            data[20:],
-        )
+        return values
+
+    @classmethod
+    def from_wire(cls, values: tuple) -> "IPv4":
+        _, tos, total_len, ident, _frag, ttl, proto, _csum, src, dst = values
+        return cls(src=_ip(src), dst=_ip(dst), proto=proto, ttl=ttl,
+                   dscp=tos >> 2, ident=ident,
+                   payload_len=max(0, total_len - 20))
+
+    @staticmethod
+    def read_fields(values: tuple, out: Dict[str, object]) -> None:
+        out["ipv4.src"] = _ip(values[8])
+        out["ipv4.dst"] = _ip(values[9])
+        out["ipv4.proto"] = values[6]
+        out["ipv4.ttl"] = values[5]
+        out["ipv4.dscp"] = values[1] >> 2
 
     def decremented(self) -> "IPv4":
         """Copy with TTL decreased by one (forwarding semantics)."""
@@ -255,11 +301,13 @@ class IPv4:
 
 
 @dataclass(frozen=True)
-class TCP:
+class TCP(WireHeader):
     """TCP header (no options)."""
 
     LAYER: ClassVar[int] = 4
     NAME: ClassVar[str] = "tcp"
+    #: ports, seq, ack, data offset, flags, window, checksum, urgent
+    WIRE: ClassVar[struct.Struct] = struct.Struct("!HHIIBBHHH")
 
     src_port: int
     dst_port: int
@@ -275,8 +323,7 @@ class TCP:
                 raise HeaderError(f"TCP {name} out of range: {value!r}")
 
     def encode(self) -> bytes:
-        return struct.pack(
-            "!HHIIBBHHH",
+        return self.WIRE.pack(
             self.src_port,
             self.dst_port,
             self.seq & 0xFFFFFFFF,
@@ -289,26 +336,30 @@ class TCP:
         )
 
     @classmethod
-    def decode(cls, data: bytes) -> Tuple["TCP", bytes]:
-        if len(data) < 20:
-            raise HeaderError(f"TCP header truncated: {len(data)} bytes")
-        sport, dport, seq, ack, offset, flags, window, _csum, _urg = struct.unpack(
-            "!HHIIBBHHH", data[:20]
-        )
-        doff = (offset >> 4) * 4
-        if doff < 20 or doff > len(data):
+    def span(cls, values: tuple) -> int:
+        return (values[4] >> 4) * 4
+
+    @classmethod
+    def unpack(cls, data: bytes, at: int = 0) -> tuple:
+        values = _unpack(cls, data, at)
+        doff = cls.span(values)
+        if doff < 20 or doff > len(data) - at:
             raise HeaderError(f"bad TCP data offset {doff}")
-        return (
-            cls(
-                src_port=sport,
-                dst_port=dport,
-                seq=seq,
-                ack=ack,
-                flags=flags,
-                window=window,
-            ),
-            data[doff:],
-        )
+        return values
+
+    @classmethod
+    def from_wire(cls, values: tuple) -> "TCP":
+        sport, dport, seq, ack, _offset, flags, window, _csum, _urg = values
+        return cls(src_port=sport, dst_port=dport, seq=seq, ack=ack,
+                   flags=flags, window=window)
+
+    @staticmethod
+    def read_fields(values: tuple, out: Dict[str, object]) -> None:
+        out["tcp.src"] = values[0]
+        out["tcp.dst"] = values[1]
+        out["tcp.flags"] = values[5]
+        out["tcp.seq"] = values[2]
+        out["tcp.ack"] = values[3]
 
     def has_flag(self, flag: int) -> bool:
         return bool(self.flags & flag)
@@ -336,11 +387,12 @@ class TCP:
 
 
 @dataclass(frozen=True)
-class UDP:
+class UDP(WireHeader):
     """UDP header."""
 
     LAYER: ClassVar[int] = 4
     NAME: ClassVar[str] = "udp"
+    WIRE: ClassVar[struct.Struct] = struct.Struct("!HHHH")
 
     src_port: int
     dst_port: int
@@ -353,28 +405,29 @@ class UDP:
                 raise HeaderError(f"UDP {name} out of range: {value!r}")
 
     def encode(self) -> bytes:
-        return struct.pack("!HHHH", self.src_port, self.dst_port, 8 + self.payload_len, 0)
+        return self.WIRE.pack(self.src_port, self.dst_port, 8 + self.payload_len, 0)
 
     @classmethod
-    def decode(cls, data: bytes) -> Tuple["UDP", bytes]:
-        if len(data) < 8:
-            raise HeaderError(f"UDP header truncated: {len(data)} bytes")
-        sport, dport, length, _csum = struct.unpack("!HHHH", data[:8])
-        return (
-            cls(src_port=sport, dst_port=dport, payload_len=max(0, length - 8)),
-            data[8:],
-        )
+    def from_wire(cls, values: tuple) -> "UDP":
+        sport, dport, length, _csum = values
+        return cls(src_port=sport, dst_port=dport, payload_len=max(0, length - 8))
+
+    @staticmethod
+    def read_fields(values: tuple, out: Dict[str, object]) -> None:
+        out["udp.src"] = values[0]
+        out["udp.dst"] = values[1]
 
     def fields(self) -> Dict[str, object]:
         return {"udp.src": self.src_port, "udp.dst": self.dst_port}
 
 
 @dataclass(frozen=True)
-class ICMP:
+class ICMP(WireHeader):
     """ICMP header (echo-focused)."""
 
     LAYER: ClassVar[int] = 4
     NAME: ClassVar[str] = "icmp"
+    WIRE: ClassVar[struct.Struct] = struct.Struct("!BBHHH")
 
     TYPE_ECHO_REPLY: ClassVar[int] = 0
     TYPE_ECHO_REQUEST: ClassVar[int] = 8
@@ -385,14 +438,17 @@ class ICMP:
     seq: int = 0
 
     def encode(self) -> bytes:
-        return struct.pack("!BBHHH", self.icmp_type, self.code, 0, self.ident, self.seq)
+        return self.WIRE.pack(self.icmp_type, self.code, 0, self.ident, self.seq)
 
     @classmethod
-    def decode(cls, data: bytes) -> Tuple["ICMP", bytes]:
-        if len(data) < 8:
-            raise HeaderError(f"ICMP header truncated: {len(data)} bytes")
-        itype, code, _csum, ident, seq = struct.unpack("!BBHHH", data[:8])
-        return cls(icmp_type=itype, code=code, ident=ident, seq=seq), data[8:]
+    def from_wire(cls, values: tuple) -> "ICMP":
+        itype, code, _csum, ident, seq = values
+        return cls(icmp_type=itype, code=code, ident=ident, seq=seq)
+
+    @staticmethod
+    def read_fields(values: tuple, out: Dict[str, object]) -> None:
+        out["icmp.type"] = values[0]
+        out["icmp.code"] = values[1]
 
     def fields(self) -> Dict[str, object]:
         return {"icmp.type": self.icmp_type, "icmp.code": self.code}

@@ -10,6 +10,14 @@ uid too: they are the same arrival, multiply forwarded.
 
 Field access is by dotted name (``"ipv4.src"``, ``"tcp.dst"``, …), the flat
 namespace the monitor's field extraction (Feature 1) binds from.
+
+A packet decoded from the wire (:meth:`Packet.from_wire`, which is what
+:func:`repro.packet.parser.parse` returns) **is its bytes until someone
+reads it**: :meth:`Packet.fields` reads the flat map straight from them, to
+the depth asked, and the header objects and ``payload`` exist only once
+something touches ``headers`` or ``payload`` — rendering a violation, a
+postcard, FULL provenance, a rewrite, the switch substrate.  It is the same
+frozen dataclass with the same three fields either way.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .addresses import IPv4Address, MACAddress
 from .dhcp import Dhcp
 from .ftp import FtpControl
 from .headers import ICMP, TCP, UDP, Arp, Ethernet, HeaderError, IPv4, Vlan
+from .wire import walk
 
 Header = object  # any of the frozen header dataclasses
 H = TypeVar("H")
@@ -44,10 +53,41 @@ class Packet:
     """
 
     headers: Tuple[Header, ...]
-    payload: bytes = b""
+    # a factory, not a class-level b"": that would shadow __getattr__
+    payload: bytes = field(default_factory=bytes)
     uid: int = field(default_factory=fresh_uid)
 
     # -- construction ----------------------------------------------------
+    @classmethod
+    def from_wire(cls, data: bytes, max_layer: int,
+                  uid: Optional[int] = None) -> "Packet":
+        """A packet held as the frame ``data``, readable to ``max_layer``.
+
+        The caller has checked that the L2 headers are whole
+        (:func:`repro.packet.parser.parse` does); nothing here can fail.
+        """
+        packet = object.__new__(cls)
+        state = packet.__dict__
+        state["_wire"] = data
+        state["_depth"] = max_layer
+        state["uid"] = next(_uid_counter) if uid is None else uid
+        return packet
+
+    def __getattr__(self, name: str) -> object:
+        """Reached only for an attribute not set: ``headers`` or ``payload``
+        of a :meth:`from_wire` packet, which are parsed now and kept."""
+        state = self.__dict__
+        if name not in ("headers", "payload") or "_wire" not in state:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        data = state["_wire"]
+        stack, l7, at = walk(data, state["_depth"])
+        headers = [cls.from_wire(values) for cls, values in stack]
+        if l7 is not None:
+            headers.append(l7)
+        state["headers"], state["payload"] = tuple(headers), data[at:]
+        return state[name]
+
     @classmethod
     def of(cls, *headers: Header, payload: bytes = b"") -> "Packet":
         """Build a packet from headers in outermost-first order."""
@@ -81,14 +121,28 @@ class Packet:
         return max((h.LAYER for h in self.headers), default=0)
 
     # -- field namespace ---------------------------------------------------
-    def fields(self, max_layer: int = 7) -> Dict[str, object]:
+    def fields(self, max_layer: int = 7,
+               out: Optional[Dict[str, object]] = None) -> Dict[str, object]:
         """Flat dotted-name field map, truncated at ``max_layer``.
 
         ``max_layer`` models a switch's parse-depth limit (Feature 1): a
         fixed-function switch that parses only to L4 sees no ``dhcp.*`` or
-        ``ftp.*`` fields even when the packet carries them.
+        ``ftp.*`` fields even when the packet carries them.  On a packet
+        still held as wire bytes it is literally how far the reader walks.
+        The fields are written into ``out`` when one is given.
         """
-        out: Dict[str, object] = {}
+        if out is None:
+            out = {}
+        state = self.__dict__
+        if "headers" not in state:  # still wire bytes: read, build nothing
+            depth = state["_depth"]
+            stack, l7, _ = walk(
+                state["_wire"], max_layer if max_layer < depth else depth)
+            for cls, values in stack:
+                cls.read_fields(values, out)
+            if l7 is not None:
+                out.update(l7.fields())
+            return out
         for header in self.headers:
             if header.LAYER <= max_layer:
                 out.update(header.fields())

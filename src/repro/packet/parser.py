@@ -11,22 +11,9 @@ L7 payloads remain opaque bytes, so any property that binds ``dhcp.*`` or
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .dhcp import DHCP_CLIENT_PORT, DHCP_SERVER_PORT, Dhcp
-from .ftp import FTP_CONTROL_PORT, FtpControl
-from .headers import (
-    ICMP,
-    TCP,
-    UDP,
-    Arp,
-    Ethernet,
-    EtherType,
-    HeaderError,
-    IPProto,
-    IPv4,
-    Vlan,
-)
+from .headers import Ethernet, EtherType, HeaderError, Vlan
 from .packet import Header, Packet
 
 
@@ -34,8 +21,19 @@ class ParseError(HeaderError):
     """Raised when wire bytes cannot be decoded into a packet."""
 
 
+#: A frame this long has whole L2 headers, tagged or not.
+_L2_MAX = Ethernet.WIRE.size + Vlan.WIRE.size
+
+
 def encode(packet: Packet) -> bytes:
-    """Serialize a packet's header stack and payload to wire bytes."""
+    """Serialize a packet's header stack and payload to wire bytes.
+
+    A packet nobody has materialised was never parsed, so never changed:
+    it encodes as the bytes it arrived as.
+    """
+    state = packet.__dict__
+    if "headers" not in state:
+        return state["_wire"]
     return b"".join(h.encode() for h in packet.headers) + packet.payload
 
 
@@ -47,88 +45,24 @@ def parse(data: bytes, max_layer: int = 7,
     where payloads may legitimately be arbitrary application bytes) is
     preserved as opaque payload.  ``uid`` restores a recorded packet
     identity; without it the packet gets a fresh one.
+
+    The frame is *checked* here and *read* later (:meth:`Packet.from_wire`).
+    Everything that makes bytes not a packet is decided now, at the ingest
+    boundary: a depth below L2, a frame without a whole ethernet header, a
+    cut VLAN tag.  Only a frame under 18 bytes can fail the last two, and
+    it runs the L2 readers themselves; any other malformation was never an
+    error — the inner header stays opaque payload.
     """
     if max_layer < 2:
         raise ParseError(f"max_layer must be >= 2, got {max_layer!r}")
-    headers, rest = _parse_headers(data, max_layer)
-    if uid is None:
-        return Packet(headers=tuple(headers), payload=rest)
-    return Packet(headers=tuple(headers), payload=rest, uid=uid)
-
-
-def _parse_headers(data: bytes, max_layer: int) -> Tuple[List[Header], bytes]:
-    """The header stack down to ``max_layer`` and the bytes left over."""
-    headers: List[Header] = []
-    try:
-        eth, rest = Ethernet.decode(data)
-    except HeaderError as exc:
-        raise ParseError(str(exc)) from exc
-    headers.append(eth)
-    ethertype = eth.ethertype
-
-    if ethertype == EtherType.VLAN:
-        vlan, rest = Vlan.decode(rest)
-        headers.append(vlan)
-        ethertype = vlan.ethertype
-
-    if max_layer < 3 or not rest:
-        return headers, rest
-
-    # Inner headers that fail to decode are left as opaque payload — a
-    # fixed-function parser stalls rather than rejecting the frame.
-    if ethertype == EtherType.ARP:
+    if len(data) < _L2_MAX:
         try:
-            arp, rest = Arp.decode(rest)
-        except HeaderError:
-            return headers, rest
-        headers.append(arp)
-        return headers, rest
-
-    if ethertype != EtherType.IPV4:
-        return headers, rest
-
-    try:
-        ip, rest = IPv4.decode(rest)
-    except HeaderError:
-        return headers, rest
-    headers.append(ip)
-    if max_layer < 4:
-        return headers, rest
-
-    sport: Optional[int] = None
-    dport: Optional[int] = None
-    try:
-        if ip.proto == IPProto.TCP:
-            tcp, rest = TCP.decode(rest)
-            headers.append(tcp)
-            sport, dport = tcp.src_port, tcp.dst_port
-        elif ip.proto == IPProto.UDP:
-            udp, rest = UDP.decode(rest)
-            headers.append(udp)
-            sport, dport = udp.src_port, udp.dst_port
-        elif ip.proto == IPProto.ICMP:
-            icmp, rest = ICMP.decode(rest)
-            headers.append(icmp)
-    except HeaderError:
-        return headers, rest
-
-    if max_layer < 7 or not rest:
-        return headers, rest
-
-    # L7: recognize by well-known port; decode failures leave opaque payload.
-    try:
-        if dport in (DHCP_SERVER_PORT, DHCP_CLIENT_PORT) or sport in (
-            DHCP_SERVER_PORT,
-            DHCP_CLIENT_PORT,
-        ):
-            dhcp, rest = Dhcp.decode(rest)
-            headers.append(dhcp)
-        elif FTP_CONTROL_PORT in (sport, dport):
-            ftp, rest = FtpControl.decode(rest)
-            headers.append(ftp)
-    except HeaderError:
-        pass
-    return headers, rest
+            ethertype = Ethernet.unpack(data)[2]
+        except HeaderError as exc:
+            raise ParseError(str(exc)) from exc
+        if ethertype == EtherType.VLAN:
+            Vlan.unpack(data, Ethernet.WIRE.size)
+    return Packet.from_wire(data, max_layer, uid)
 
 
 def reparse(packet: Packet, max_layer: int) -> Packet:

@@ -34,6 +34,7 @@ cannot afford to leave on is one you cannot trust when you need it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 #: Default histogram buckets for virtual-time latencies (seconds).  The
@@ -113,11 +114,8 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # le semantics: the first bound >= value, else the +Inf slot
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """Cumulative ``(le, count)`` pairs, ending with ``(inf, count)``."""

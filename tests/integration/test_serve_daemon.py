@@ -431,6 +431,34 @@ class TestHostileFrames:
         assert report.events_observed == 7
         assert report.frame_errors == 1
 
+    def test_short_packet_is_stopped_at_the_door(self, batches):
+        """A packet is read only when the matcher asks for a field, but
+        bytes that are no packet are still refused where frames are
+        counted — the monitor is never handed the record."""
+        events = [event for batch in batches for event in batch]
+        records = [encode_frames([event])[BATCH_HEADER_SIZE:]
+                   for event in events]
+        # The third record's packet: nine bytes, no ethernet header.
+        records[2] = struct.pack(
+            ">BdQiiBBHH", 1, 0.5, 7, 1, 0, 0, 1, 0, 9) + b"s" + b"\x00" * 9
+        body = b"".join(records)
+        daemon, handle = boot()
+        handed = []
+        real_observe = daemon.monitor.observe
+        daemon.monitor.observe = lambda event: (
+            handed.append(event), real_observe(event))
+        try:
+            send_raw(daemon, FRAME_MAGIC + struct.pack(">II", 6, len(body))
+                     + body)
+            assert wait_until(lambda: observed(daemon) == 5)
+        finally:
+            report = handle.stop()
+        assert report.frame_errors == 1
+        assert report.events_observed == 5
+        assert [e.time for e in handed] \
+            == [e.time for e in events[:2] + events[3:]]
+        assert all(e.packet.uid != 7 for e in handed)
+
     def test_over_cap_body_length_is_refused_unread(self, batches):
         lying = FRAME_MAGIC + struct.pack(">II", 1, MAX_BATCH_BYTES + 1)
         daemon, handle = boot()

@@ -29,6 +29,7 @@ from repro.telemetry import (
     snapshot_digest,
     validate_spans,
 )
+from repro.telemetry.metrics import COUNT_BUCKETS, LATENCY_BUCKETS, Histogram
 from tests.regen_telemetry_goldens import GOLDEN, build_scenario_registry
 
 
@@ -81,6 +82,24 @@ class TestMetricsRegistry:
         assert h.sum == 55.5
         assert (h.min, h.max) == (0.5, 50.0)
         assert h.cumulative() == [(1.0, 1), (10.0, 2), (float("inf"), 3)]
+
+    @pytest.mark.parametrize("bounds", [COUNT_BUCKETS, LATENCY_BUCKETS])
+    def test_bucket_lookup_is_the_linear_le_scan(self, bounds):
+        """The bisected lookup picks the bucket the definition does: the
+        first bound >= value, else +Inf — on every bound, every midpoint,
+        below the first and above the last."""
+        def linear(value):
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    return i
+            return len(bounds)
+
+        values = list(bounds) + [bounds[0] / 2, -1.0, 0.0, bounds[-1] * 2]
+        values += [(a + b) / 2 for a, b in zip(bounds, bounds[1:])]
+        for value in values:
+            h = Histogram(bounds)
+            h.observe(value)
+            assert h.bucket_counts.index(1) == linear(value), value
 
     def test_snapshot_carries_virtual_time(self):
         registry = MetricsRegistry(time_fn=lambda: 42.0)
