@@ -378,23 +378,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
         start = events[0].time if events else 0.0
         poller = StatsPoller(registry, args.poll_interval, start_time=start)
 
-    if poller is None and tracer is None:
-        # No per-event instrumentation requested.
+    if poller is None:
         monitor.observe_batch(events)
     else:
+        # The poller samples between events: one-event batches.
         for event in events:
-            if poller is not None:
-                poller.advance_to(event.time)
-            root = None
-            if tracer is not None:
-                packet = getattr(event, "packet", None)
-                root = tracer.start(
-                    type(event).__name__, event.time,
-                    uid=packet.uid if packet is not None else None,
-                    root=True, switch=event.switch_id)
-            monitor.observe(event)
-            if root is not None:
-                tracer.end(root, monitor.now)
+            poller.advance_to(event.time)
+            monitor.observe_batch((event,))
     if events:
         monitor.advance_to(events[-1].time + args.settle)
     if poller is not None and events:

@@ -73,6 +73,7 @@ class Instance:
         "index_bucket",
         "unless_slots",
         "stage_entry",
+        "timer_gen",
     )
 
     def __init__(
@@ -104,6 +105,9 @@ class Instance:
         #: per-store stamp of the moment this instance (re-)entered its
         #: stage population; orders instances drawn from several buckets.
         self.stage_entry = 0
+        #: bumped whenever the instance's timer is re-armed or its stage
+        #: moves; a wheel entry carrying an older value is stale.
+        self.timer_gen = 0
 
     @property
     def complete(self) -> bool:

@@ -46,6 +46,7 @@ from ..switch.registers import StateCostMeter
 from ..switch.switch import DEFAULT_SPLIT_LAG, ProcessingMode
 from ..telemetry import NULL_TRACER, MetricsRegistry, NullRegistry, Tracer
 from ..telemetry.metrics import COUNT_BUCKETS, LATENCY_BUCKETS
+from ..telemetry.tracing import open_event_root
 from .degradation import (
     IMPACT_FALSE,
     IMPACT_MISSED,
@@ -87,7 +88,8 @@ class InstanceCheckpoint:
 class MonitorState:
     """A picklable checkpoint of a monitor's recoverable state.
 
-    Covers every live instance (with its armed timer) and the clock.
+    Covers every live instance (with its armed timer), the clock, and
+    the :class:`MonitorStats` counters and gauge high-watermarks.
     Deferred split-mode ops are *not* exportable — they hold spec and
     instance references — so their count is carried instead; a restore
     path that cares (the fabric supervisor) ledgers them as lost.
@@ -96,6 +98,8 @@ class MonitorState:
     now: float
     instances: Tuple[InstanceCheckpoint, ...]
     lost_pending_ops: int = 0
+    counters: Dict[str, int] = field(default_factory=dict)
+    peaks: Dict[str, int] = field(default_factory=dict)
 
 #: ``"compiled"`` runs the generated program (:mod:`repro.core.codegen`);
 #: ``"interpreted"`` runs the reference walk (:mod:`repro.core.reference`).
@@ -148,10 +152,23 @@ class MonitorStats:
             return int(self._registry.gauge(gauge).high_watermark)
         raise AttributeError(name)
 
+    def export(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """``(counter values, gauge high-watermarks)`` by attribute name."""
+        return ({name: getattr(self, name) for name in self._COUNTERS},
+                {name: getattr(self, name) for name in self._GAUGES})
+
+    def restore(self, counters: Mapping[str, int],
+                peaks: Mapping[str, int]) -> None:
+        """Set the cells to exported values (a checkpoint restore)."""
+        for name, value in counters.items():
+            self._registry.counter(self._COUNTERS[name]).value = float(value)
+        for name, value in peaks.items():
+            self._registry.gauge(
+                self._GAUGES[name]).high_watermark = float(value)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = {name: getattr(self, name)
-                  for name in (*self._COUNTERS, *self._GAUGES)}
-        inner = ", ".join(f"{k}={v}" for k, v in fields.items())
+        counters, peaks = self.export()
+        inner = ", ".join(f"{k}={v}" for k, v in {**counters, **peaks}.items())
         return f"MonitorStats({inner})"
 
 
@@ -257,7 +274,6 @@ class Monitor:
         self._codegen_program = None
         self._wheel: List[Tuple[float, int, Instance, int]] = []
         self._wheel_seq = itertools.count()
-        self._timer_gens: Dict[int, int] = {}  # instance_id -> generation
         self._pending: List[Tuple[float, int, _Op]] = []  # split-mode queue
         self._pending_seq = itertools.count()
         #: backpressured ops awaiting a retry slot: (retry_at, seq,
@@ -421,9 +437,22 @@ class Monitor:
         self._track_peak()
 
     def observe_batch(self, events: Iterable[DataplaneEvent]) -> None:
-        """Process a stream of events in order (the replay entry point)."""
+        """Process a stream of events in order — the entry point of
+        replay, the daemon's dispatcher and the fabric workers.
+
+        With a tracer on, each event gets its root span here: nothing
+        upstream of a batch opened one (:meth:`observe`, the live tap,
+        stays rootless because a traced switch already did).
+        """
+        tracer = self.tracer
+        if not tracer.enabled:
+            for event in events:
+                self.observe(event)
+            return
         for event in events:
+            root = open_event_root(tracer, event)
             self.observe(event)
+            tracer.end(root, self._now)
 
     def advance_to(self, when: float) -> None:
         """Move monitor time forward, firing due timers and pending ops.
@@ -660,7 +689,7 @@ class Monitor:
         instance.env.update(op.binds)
         instance.stage += 1
         instance.advanced_at = op.time
-        self._bump_gen(instance)
+        instance.timer_gen += 1
         self._stage_advance_counters[op.prop.name][old_stage].inc()
         if self.tracer.enabled:
             self.tracer.event(
@@ -709,14 +738,9 @@ class Monitor:
         self._arm_timer(instance, op.time)
 
     # -- timers ---------------------------------------------------------------------
-    def _bump_gen(self, instance: Instance) -> int:
-        gen = self._timer_gens.get(instance.instance_id, 0) + 1
-        self._timer_gens[instance.instance_id] = gen
-        return gen
-
     def _arm_timer(self, instance: Instance, now: float) -> None:
         stage = instance.current_stage()
-        gen = self._bump_gen(instance)
+        instance.timer_gen += 1  # whatever the wheel holds is stale now
         if stage is None:
             return
         if isinstance(stage, Absent):
@@ -731,7 +755,9 @@ class Monitor:
             instance.deadline = None
             instance.deadline_kind = ""
             return
-        heapq.heappush(self._wheel, (deadline, next(self._wheel_seq), instance, gen))
+        heapq.heappush(
+            self._wheel,
+            (deadline, next(self._wheel_seq), instance, instance.timer_gen))
         if self.scheduler is not None and instance.deadline_kind == "advance":
             # Only negative observations need a live wakeup: their firing
             # produces externally-visible behaviour (possibly a violation)
@@ -742,7 +768,7 @@ class Monitor:
             )
 
     def _fire_timer(self, instance: Instance, gen: int, deadline: float) -> None:
-        if not instance.alive or self._timer_gens.get(instance.instance_id) != gen:
+        if not instance.alive or instance.timer_gen != gen:
             return  # stale wheel entry (lazy cancellation)
         store = self._stores[instance.prop.name]
         if instance.deadline_kind == "expire":
@@ -761,7 +787,7 @@ class Monitor:
                 property=instance.prop.name, stage=stage.name)
         instance.stage += 1
         instance.advanced_at = deadline
-        self._bump_gen(instance)
+        instance.timer_gen += 1
         record = record_stage(self.provenance, stage.name, deadline, None)
         if record is not None:
             instance.provenance.append(record)
@@ -901,23 +927,27 @@ class Monitor:
                     deadline_kind=inst.deadline_kind,
                     provenance=tuple(inst.provenance),
                 ))
+        counters, peaks = self.stats.export()
         return MonitorState(
             now=self._now,
             instances=tuple(instances),
             lost_pending_ops=self.pending_op_count(),
+            counters=counters,
+            peaks=peaks,
         )
 
     def restore_state(self, state: MonitorState) -> None:
         """Rebuild instances (and their timers) from a checkpoint.
 
-        The monitor must have the same properties registered as the one
-        that exported ``state``.  Restored instances do not re-increment
-        the ``instances_created`` counter — the exporter already counted
-        them; fabric merging accounts for counters across worker
-        generations separately.  Timers re-arm at their saved absolute
-        deadlines: a deadline in a checkpoint is always strictly in the
-        checkpoint's future (an elapsed timer would have fired before
-        the export), so nothing fires during restore.
+        The monitor must be fresh and have the same properties
+        registered as the one that exported ``state``.  The exporter's
+        counters and gauge high-watermarks are taken over as they were
+        (restoring an instance counts nothing), so from here on this
+        monitor reports what the exporter would have.  Timers re-arm at
+        their saved absolute deadlines: a deadline in a checkpoint is
+        always strictly in the checkpoint's future (an elapsed timer
+        would have fired before the export), so nothing fires during
+        restore.
         """
         for snap in state.instances:
             prop = self._props.get(snap.prop)
@@ -934,10 +964,10 @@ class Monitor:
             if snap.deadline is not None:
                 instance.deadline = snap.deadline
                 instance.deadline_kind = snap.deadline_kind
-                gen = self._bump_gen(instance)
                 heapq.heappush(
                     self._wheel,
-                    (snap.deadline, next(self._wheel_seq), instance, gen))
+                    (snap.deadline, next(self._wheel_seq), instance,
+                     instance.timer_gen))
                 if self.scheduler is not None \
                         and snap.deadline_kind == "advance":
                     self.scheduler.call_at(
@@ -947,6 +977,7 @@ class Monitor:
         if state.now > self._now:
             self._now = state.now
         self._track_peak()
+        self.stats.restore(state.counters, state.peaks)
 
     # -- conveniences ------------------------------------------------------------------
     def attach(self, switch) -> None:

@@ -29,9 +29,11 @@ Merging rules (the parts worth being careful about):
 * All other counters sum across shards.  With the default indexed
   stores this reproduces the single-monitor counts exactly: every
   candidate probe touches instances sharing the event's full key, all
-  of which live on the shard the event routed to.
-* Peak gauges sum per-shard peaks — an upper bound on the true global
-  peak (shards may peak at different times), documented as such.
+  of which live on the shard the event routed to.  A worker's counters
+  ride its checkpoint, so the sum stays exact across a crash whose
+  ledger is empty.
+* Peak gauges are the sum of shard peaks: shards peak at different
+  moments, so this is at least the true global peak.
 * Violations merge into one list ordered by (time, property, bindings);
   shed records append to one fabric-owned :class:`OverflowLedger`, so
   the uncertainty interval spans all shards plus anything the serve
@@ -48,10 +50,10 @@ from ..core.spec import PropertySpec
 from ..core.violations import Violation
 from ..switch.events import DataplaneEvent
 from ..telemetry import NULL_TRACER, MetricsRegistry, NullRegistry, Tracer
+from ..telemetry.tracing import open_event_root
 from .mp import MpShard
 from .routing import Router, build_routes
-from .shard import SNAPSHOT_COUNTERS, SNAPSHOT_GAUGES, ShardSnapshot, \
-    build_shard_monitor, take_snapshot
+from .shard import ShardSnapshot, build_shard_monitor, take_snapshot
 from .supervise import Supervisor, SupervisorPolicy
 
 FABRIC_MODES = ("inprocess", "mp")
@@ -69,9 +71,8 @@ class FabricStats:
     """A :class:`MonitorStats`-shaped view over the merged shard state.
 
     ``events`` reads the router; counters sum across shards; peak
-    gauges sum per-shard peaks (an upper bound — shards peak
-    independently).  Reads trigger a fabric sync, which is a no-op
-    unless events or time advanced since the last one.
+    gauges are the sum of shard peaks.  Reads trigger a fabric sync,
+    which is a no-op unless events or time advanced since the last one.
     """
 
     def __init__(self, fabric: "ShardedMonitor") -> None:
@@ -83,15 +84,10 @@ class FabricStats:
             return int(fabric.router.events_total)
         if name in MonitorStats._COUNTERS:
             fabric.sync()
-            return int(sum(
-                snap.counters[name] + base[name]
-                for snap, base in zip(fabric._snapshots,
-                                      fabric._counter_base)))
+            return int(sum(s.counters[name] for s in fabric._snapshots))
         if name in MonitorStats._GAUGES:
             fabric.sync()
-            return int(sum(
-                max(snap.peaks[name], base[name])
-                for snap, base in zip(fabric._snapshots, fabric._peak_base)))
+            return int(sum(s.peaks[name] for s in fabric._snapshots))
         raise AttributeError(name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -141,22 +137,13 @@ class ShardedMonitor:
         self._sorted_violations: Optional[List[Violation]] = None
         self._snapshots: List[ShardSnapshot] = [
             ShardSnapshot(shard=i, now=0.0, live_instances=0, pending_ops=0,
-                          counters={n: 0.0 for n in SNAPSHOT_COUNTERS},
-                          peaks={n: 0.0 for n in SNAPSHOT_GAUGES})
+                          counters=dict.fromkeys(MonitorStats._COUNTERS, 0),
+                          peaks=dict.fromkeys(MonitorStats._GAUGES, 0))
             for i in range(num_shards)
         ]
         self._dirty = False
         self._stopped = False
         self._inflight = [0] * num_shards
-        # Folded-in totals from dead workers: a restarted shard's
-        # counters restart near zero, so the supervisor's down callback
-        # banks the last merged totals here.  Replayed journal events
-        # are counted again by the replacement, making post-crash
-        # counters an upper bound (documented in ROBUSTNESS.md).
-        self._counter_base: List[Dict[str, float]] = [
-            {n: 0.0 for n in SNAPSHOT_COUNTERS} for _ in range(num_shards)]
-        self._peak_base: List[Dict[str, float]] = [
-            {n: 0.0 for n in SNAPSHOT_GAUGES} for _ in range(num_shards)]
         self._g_queue = [
             self.registry.gauge(
                 "repro_fabric_shard_queue_depth",
@@ -195,7 +182,7 @@ class ShardedMonitor:
             self.supervisor = Supervisor(
                 spawn, num_shards, self.ledger, policy=policy,
                 registry=self.registry, now_fn=lambda: self._now,
-                merge_cb=self._merge, down_cb=self._on_shard_down)
+                merge_cb=self._merge)
 
     # -- event intake ------------------------------------------------------
     def observe(self, event: DataplaneEvent) -> None:
@@ -207,6 +194,15 @@ class ShardedMonitor:
         if not events:
             return
         batches = self.router.split(events)
+        tracer = self._tracer
+        if tracer.enabled:
+            # Arrival roots only: the shards' own spans stay in their
+            # processes.  Each closes at the fabric's time as of its event.
+            now = self._now
+            for event in events:
+                if event.time > now:
+                    now = event.time
+                tracer.end(open_event_root(tracer, event), now)
         last = events[-1].time
         if last > self._now:
             self._now = last
@@ -265,8 +261,8 @@ class ShardedMonitor:
     @tracer.setter
     def tracer(self, tracer: Tracer) -> None:
         # Shards keep their null tracers: spans are a single-process
-        # debug instrument, and serve's per-event root spans are opened
-        # by the daemon around fabric calls, not inside the engine.
+        # debug instrument.  The fabric records each event's root span
+        # as it routes the batch (observe_batch), and nothing under it.
         self._tracer = tracer
 
     def sync(self) -> None:
@@ -301,26 +297,6 @@ class ShardedMonitor:
         self._inflight[idx] = unconfirmed
         self._g_queue[idx].set(float(unconfirmed))
 
-    def _on_shard_down(self, idx: int) -> None:
-        """Supervisor callback: bank a dead worker's merged totals.
-
-        The replacement's cumulative counters restart near zero, so the
-        last merged snapshot's totals fold into a per-shard base before
-        the stored snapshot is zeroed out; the merged view never goes
-        backwards.
-        """
-        snap = self._snapshots[idx]
-        base = self._counter_base[idx]
-        for name in SNAPSHOT_COUNTERS:
-            base[name] += snap.counters[name]
-            snap.counters[name] = 0.0
-        peaks = self._peak_base[idx]
-        for name in SNAPSHOT_GAUGES:
-            peaks[name] = max(peaks[name], snap.peaks[name])
-            snap.peaks[name] = 0.0
-        snap.live_instances = 0
-        snap.pending_ops = 0
-
     def _mirror_monitor_metrics(self) -> None:
         """Reflect shard totals into the fabric's registry.
 
@@ -336,13 +312,12 @@ class ShardedMonitor:
                 total = float(self.router.events_total)
             else:
                 total = float(sum(
-                    snap.counters[attr] + base[attr]
-                    for snap, base in zip(self._snapshots,
-                                          self._counter_base)))
+                    s.counters[attr] for s in self._snapshots))
             delta = total - self._mirrored.get(name, 0.0)
-            # Only positive deltas: mid-recovery a replacement shard
-            # briefly reports less than its predecessor did, and a
-            # Prometheus counter must never decrease.
+            # Only positive deltas: a replacement that lost events to a
+            # ledgered gap or a quarantine can report less than its
+            # predecessor did, and a Prometheus counter must never
+            # decrease.
             if delta > 0:
                 self.registry.counter(name).inc(delta)
                 self._mirrored[name] = total

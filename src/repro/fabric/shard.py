@@ -14,14 +14,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.degradation import ShedRecord
-from ..core.monitor import Monitor, MonitorStats
+from ..core.monitor import Monitor
 from ..core.spec import PropertySpec
 from ..core.violations import Violation
 from .routing import PropRoute, shard_key_filter
-
-#: MonitorStats attributes a snapshot carries (counter name -> metric).
-SNAPSHOT_COUNTERS = tuple(MonitorStats._COUNTERS)
-SNAPSHOT_GAUGES = tuple(MonitorStats._GAUGES)
 
 
 def build_shard_monitor(
@@ -89,14 +85,14 @@ def take_snapshot(
     snapshot into a checkpoint a replacement worker can be rehydrated
     from.
     """
-    stats = monitor.stats
+    counters, peaks = monitor.stats.export()
     snapshot = ShardSnapshot(
         shard=shard_idx,
         now=monitor.now,
         live_instances=monitor.live_instances(),
         pending_ops=monitor.pending_op_count(),
-        counters={name: getattr(stats, name) for name in SNAPSHOT_COUNTERS},
-        peaks={name: getattr(stats, name) for name in SNAPSHOT_GAUGES},
+        counters=counters,
+        peaks=peaks,
         violations=list(monitor.violations[violation_cursor:]),
         sheds=list(monitor.ledger.records[shed_cursor:]),
     )

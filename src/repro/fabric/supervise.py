@@ -11,10 +11,13 @@ death a *ledgered, recoverable* event instead:
 * **Recovery** — dead workers restart with exponential backoff under a
   per-shard restart budget.  The replacement is rehydrated from the
   last checkpoint that landed (the worker's pickled
-  :class:`~repro.core.monitor.MonitorState`, carried on a
-  ``ShardSnapshot`` as bytes this process never opens) plus a bounded
-  per-shard journal of every batch delivered since that checkpoint,
-  replayed in order, then advanced to the fabric's present.
+  :class:`~repro.core.monitor.MonitorState` — instances, timers and
+  counters — carried on a ``ShardSnapshot`` as bytes this process never
+  opens) plus a per-shard journal of every batch delivered since that
+  checkpoint, replayed in order, then advanced to the fabric's present;
+  the replacement then reports what the dead worker would have.
+* **One unit** — the journal is bounded in *events*, like the
+  checkpoint interval it is a multiple of (``JOURNAL_INTERVALS``).
 * **Checkpoints off the data path** — every ``checkpoint_interval``
   events the supervisor *requests* a checkpoint and keeps routing.  The
   channel is FIFO in both directions, so the request is a consistent
@@ -28,11 +31,12 @@ death a *ledgered, recoverable* event instead:
   to the batches sent after the request.  A worker that dies with a cut
   outstanding forgets it and recovers from the previous checkpoint and
   the whole journal.
-* **Honesty** — anything recovery cannot reconstruct (journal overflow,
-  deferred split-mode ops at the checkpoint, a shard that exhausts its
-  budget) is recorded in the fabric's :class:`OverflowLedger` with both
-  impact kinds, so crashes *widen the detection-uncertainty interval*
-  instead of silently dropping violations.
+* **Honesty** — anything recovery cannot reconstruct (events aged out
+  of the journal, deferred split-mode ops at the checkpoint, a shard
+  that exhausts its budget) is recorded in the fabric's
+  :class:`OverflowLedger` with both impact kinds, so crashes *widen the
+  detection-uncertainty interval* instead of silently dropping
+  violations.
 * **Quarantine** — a batch whose replay kills the replacement worker
   ``poison_threshold`` times is set aside: removed from the journal,
   ledgered event by event, counted in
@@ -73,6 +77,17 @@ KIND_QUIT_TIMEOUT = "shard-quit-timeout"
 _BOTH = (IMPACT_MISSED, IMPACT_FALSE)
 _FABRIC_PROP = "(fabric)"
 
+#: A shard's journal holds at most this many checkpoint intervals of
+#: events (and always its newest batch); older batches drop into the
+#: ledger as an unrecoverable gap.  Counted in events, the unit of
+#: ``checkpoint_interval``, so the journal reaches back to the last
+#: landed checkpoint whatever size the batches are.  A healthy shard
+#: peaks near two intervals (one behind an outstanding cut, one being
+#: counted towards the next) plus what its worker is behind by — at most
+#: a socket buffer, a few thousand events — so the bound bites only
+#: while a worker is down or its cuts do not land.
+JOURNAL_INTERVALS = 8
+
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
@@ -87,11 +102,9 @@ class SupervisorPolicy:
     #: backoff before restart attempt k is ``base * 2**k`` (capped)
     backoff_base: float = 0.05
     backoff_max: float = 2.0
-    #: events per shard between checkpoints (``--checkpoint-interval``)
+    #: events per shard between checkpoints (``--checkpoint-interval``);
+    #: the journal bound is ``JOURNAL_INTERVALS`` times this
     checkpoint_interval: int = 2048
-    #: journal bound, in *batches* per shard; older batches drop into
-    #: the ledger as an unrecoverable gap
-    journal_batches: int = 512
     #: replay deaths attributed to one batch before it is quarantined
     poison_threshold: int = 2
     #: wall seconds ``quiesce`` waits for a final snapshot per shard
@@ -107,9 +120,6 @@ class SupervisorPolicy:
             raise ValueError(
                 f"checkpoint_interval must be >= 1, "
                 f"got {self.checkpoint_interval}")
-        if self.journal_batches < 1:
-            raise ValueError(
-                f"journal_batches must be >= 1, got {self.journal_batches}")
         if self.poison_threshold < 1:
             raise ValueError(
                 f"poison_threshold must be >= 1, got {self.poison_threshold}")
@@ -212,7 +222,6 @@ class Supervisor:
         registry: Optional[MetricsRegistry] = None,
         now_fn: Callable[[], float] = lambda: 0.0,
         merge_cb: Optional[Callable[[ShardSnapshot, int], None]] = None,
-        down_cb: Optional[Callable[[int], None]] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -223,7 +232,6 @@ class Supervisor:
         self._spawn = spawn
         self._now_fn = now_fn      # fabric/monitor (virtual) time
         self._merge_cb = merge_cb  # fabric._merge
-        self._down_cb = down_cb    # fabric counter-base fold
         self._clock = clock        # wall time for backoff/heartbeats
         self._sleep = sleep
         self._hb_seq = 0
@@ -533,8 +541,6 @@ class Supervisor:
         st.consecutive_failures += 1
         st.next_restart_at = self._clock() + backoff
         self._g_up[idx].set(0.0)
-        if self._down_cb is not None:
-            self._down_cb(idx)
 
     def _maybe_restart(self, idx: int, block: bool = False) -> bool:
         """Restart + rehydrate a down shard; True when it is live again.
@@ -720,7 +726,8 @@ class Supervisor:
                         events: List[DataplaneEvent]) -> None:
         st.journal.append(list(events))
         st.journal_events += len(events)
-        while len(st.journal) > self.policy.journal_batches:
+        bound = JOURNAL_INTERVALS * self.policy.checkpoint_interval
+        while st.journal_events > bound and len(st.journal) > 1:
             aged = st.journal.popleft()
             if st.cut is not None and st.journal_head < st.cut.seq:
                 st.cut.dropped += len(aged)

@@ -5,8 +5,11 @@ connection, a FIFO, a file — is the same coroutine (``_read_stream``)
 driving the wire-protocol generator
 (:func:`~repro.serve.ingest.stream_reader`) into the bounded
 :class:`~repro.serve.ingest.IngestQueue`; a dispatcher coroutine drains
-it in batches, observing each event in turn with the monitor's generated
-evaluator; a poller coroutine drives
+it in batches and hands each one, whole, to ``monitor.observe_batch`` —
+the one door into the monitor, the same for a plain
+:class:`~repro.core.monitor.Monitor` and a sharded fabric, tracing on or
+off (the observer opens each event's root span, not the daemon); a
+poller coroutine drives
 :class:`~repro.telemetry.StatsPoller` on the wall clock; and the HTTP
 plane answers ``/metrics``, ``/stats``, ``/healthz``, ``/readyz`` and
 ``/trace`` between batches.  Single-loop concurrency is the point —
@@ -172,7 +175,7 @@ class ServeDaemon:
             self.monitor if hasattr(self.monitor, "shard_liveness")
             else None)
         # trace_buffer 0 disables span emission entirely: /trace serves
-        # nothing and dispatch takes the plain observe_batch path.
+        # nothing and the observer opens no root spans.
         self.tracer: Tracer = (
             Tracer(max_spans=self.config.trace_buffer)
             if self.config.trace_buffer > 0 else NullTracer())
@@ -447,7 +450,10 @@ class ServeDaemon:
         while True:
             batch = self.queue.take_batch(self.config.batch_max)
             if batch:
-                self._dispatch(batch)
+                # The one door in, the one replay uses: a batch, whole.
+                # Whoever observes it opens each event's root span, so
+                # ``/trace`` can answer "what happened to packet uid N?".
+                self.monitor.observe_batch(batch)
                 continue
             if self._stopping.is_set() and not self._conn_tasks:
                 return  # stopped, ingest quiesced, and drained
@@ -456,27 +462,6 @@ class ServeDaemon:
                 await asyncio.wait_for(self._wake.wait(), timeout=0.05)
             except asyncio.TimeoutError:
                 pass
-
-    def _dispatch(self, batch: List) -> None:
-        """Feed one batch to the monitor, wrapping each event in a root
-        span so ``/trace`` can answer "what happened to packet uid N?".
-
-        With tracing disabled (``trace_buffer=0``) this is a straight
-        ``observe_batch`` call — the same entry point replay uses.
-        """
-        if not self.tracer.enabled:
-            self.monitor.observe_batch(batch)
-            return
-        tracer = self.tracer
-        monitor = self.monitor
-        for event in batch:
-            packet = getattr(event, "packet", None)
-            root = tracer.start(
-                type(event).__name__, event.time,
-                uid=packet.uid if packet is not None else None,
-                root=True, switch=event.switch_id)
-            monitor.observe(event)
-            tracer.end(root, monitor.now)
 
     async def _poll_loop(self) -> None:
         assert self._stopping is not None

@@ -34,7 +34,6 @@ from .tracing import (
     Tracer,
     dump_spans,
     load_spans,
-    replay_with_trace,
     save_spans,
     validate_spans,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Tracer",
     "dump_spans",
     "load_spans",
-    "replay_with_trace",
     "save_spans",
     "validate_spans",
     "render_json",

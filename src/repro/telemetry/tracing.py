@@ -20,11 +20,16 @@ Hypothesis property in the test suite):
   child.span_id``);
 * span ids strictly increase in emission order.
 
-Correlation across decoupled layers works through the packet uid: the
-switch opens a root span *before* emitting ``PacketArrival`` to its taps,
-so when the monitor (a tap, synchronous) emits its own spans for the same
-uid they attach under that root.  :class:`NullTracer` is the default and
-costs one attribute check per call site.
+Correlation across decoupled layers works through the packet uid, and a
+root span is opened by whoever first holds the event.  Live, that is the
+switch: it opens ``switch.receive`` *before* emitting ``PacketArrival``
+to its taps, so when the monitor (a tap, synchronous, ``observe``) emits
+its own spans for the same uid they attach under that root.  For a batch
+— replay, ``repro stats``, the serve dispatcher — it is the observer:
+``Monitor.observe_batch`` opens :func:`open_event_root` around each
+event, and a sharded monitor records the same root as it routes (its
+shards' spans stay in their processes).  :class:`NullTracer` is the
+default and costs one attribute check per call site.
 """
 
 from __future__ import annotations
@@ -135,7 +140,7 @@ class Tracer:
 
         With no explicit ``parent``, a span carrying a ``uid`` attaches
         under the current root span for that uid (if one is open).
-        ``root=True`` registers this span as that root.
+        ``root`` registers this span as that root.
         """
         if parent is None and uid is not None and not root:
             current = self._root_by_uid.get(uid)
@@ -388,20 +393,19 @@ def validate_spans(spans: Sequence[Span]) -> List[str]:
     return problems
 
 
-def replay_with_trace(monitor, events, tracer: Tracer) -> None:
-    """Feed recorded events into ``monitor`` with one root span per event.
+def open_event_root(tracer: Tracer, event) -> Span:
+    """Open the observer-side root span of one event.
 
-    This is the offline analogue of the switch's live tracing: each trace
-    event gets a root span (named after its type, keyed by the packet uid
-    when it has one) under which the monitor's instance spans nest.  Used
-    by ``repro stats`` and the span well-formedness tests.
+    The root of a batch-fed event: named after the event type, keyed by
+    the packet uid when it has one, carrying the switch id; whatever the
+    observer emits for that uid until it closes the span nests under it.
+    ``Monitor.observe_batch`` and ``ShardedMonitor.observe_batch`` are
+    the callers — the offline and daemon analogue of the ``switch.receive``
+    root a traced :class:`~repro.switch.switch.Switch` opens before its
+    taps run.
     """
-    for event in events:
-        packet = getattr(event, "packet", None)
-        uid = packet.uid if packet is not None else None
-        root = tracer.start(
-            type(event).__name__, event.time, uid=uid, root=True,
-            switch=event.switch_id,
-        )
-        monitor.observe(event)
-        tracer.end(root, monitor.now)
+    packet = getattr(event, "packet", None)
+    return tracer.start(
+        type(event).__name__, event.time,
+        uid=packet.uid if packet is not None else None,
+        root=True, switch=event.switch_id)

@@ -8,6 +8,10 @@ Fault families, all on real forked workers:
   it from checkpoint + journal, and the merged violation set matches
   the clean single-monitor baseline (exactly, when the ledger is
   empty).
+* The same crash at every batch size — batch size is not a semantic
+  input: the journal is counted in events, and a worker's counters ride
+  its checkpoint, so violations, ledger and counters equal the plain
+  monitor's whether events arrive one at a time or 1024 at once.
 * A hung worker at shutdown (SIGSTOP) — ``stop()`` stays bounded, the
   unrecovered tail is ledgered as ``shard-quit-timeout`` ink.
 * A poison batch (an event whose property predicate SIGKILLs its own
@@ -27,7 +31,7 @@ import time
 
 import pytest
 
-from repro.core.monitor import Monitor
+from repro.core.monitor import Monitor, MonitorStats
 from repro.core.refs import (
     Bind,
     Const,
@@ -145,6 +149,56 @@ class TestSigkillEquivalence:
         b = crash_schedule(profile, 4000, 2, 256)
         assert a == b
         assert sum(len(v) for v in a.values()) == 2  # one kill per shard
+
+
+class TestBatchSizeIsNotSemantic:
+    """One event list, one SIGKILL, four ways of cutting it up."""
+
+    EVENTS = 6000
+    KILL_AT = 4500   # shard 0 is a checkpoint and some thousand events in
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        events = catalog_trace(seed=7, num_events=self.EVENTS)
+        plain = run_plain(events)
+        assert plain.violations, "workload produced no violations — vacuous"
+        return events, plain
+
+    @pytest.mark.parametrize("size", [1, 3, 64, 1024])
+    def test_crash_recovery_is_exact_at_every_batch_size(
+            self, reference, size):
+        events, plain = reference
+        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
+                                supervision=SupervisorPolicy(**FAST))
+        sup = fabric.supervisor
+        killed = False
+        try:
+            for i in range(0, len(events), size):
+                if not killed and i >= self.KILL_AT:
+                    killed = True
+                    # Someone read the stats since the checkpoint: what
+                    # the dead worker had reported must not count twice.
+                    fabric.sync()
+                    assert sup.states[0].checkpoint is not None
+                    os.kill(sup.worker_pids()[0], signal.SIGKILL)
+                fabric.observe_batch(events[i:i + size])
+            deadline = time.monotonic() + 5.0
+            while sup.total_restarts() < 1 and time.monotonic() < deadline:
+                sup.heartbeat()
+                sup.tick()
+            fabric.advance_to(events[-1].time + SETTLE)
+            fabric.sync()
+            assert sup.total_restarts() >= 1 and not sup.failed()
+            assert fabric.ledger.summary()["by_kind"] == {}
+            assert fingerprint(fabric.violations) \
+                == fingerprint(plain.violations)
+            assert {n: getattr(fabric.stats, n)
+                    for n in MonitorStats._COUNTERS} \
+                == {n: getattr(plain.stats, n)
+                    for n in MonitorStats._COUNTERS}
+            fabric.stop()
+        finally:
+            fabric.close()
 
 
 class TestQuiesceTimeout:

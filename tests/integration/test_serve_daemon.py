@@ -12,6 +12,7 @@ import collections
 import json
 import os
 import random
+import signal
 import socket
 import struct
 import time
@@ -32,8 +33,10 @@ from repro.netsim.serialize import (
     save_trace,
     trace_header,
 )
+from repro.fabric import fork_available
+from repro.netsim.chaos import PROFILES
 from repro.netsim.workload import l2_pairs, send_all
-from repro.resilience import catalog_trace
+from repro.resilience import build_monitor, catalog_trace
 from repro.serve import (
     ServeConfig,
     ServeDaemon,
@@ -474,6 +477,89 @@ class TestHostileFrames:
             report = handle.stop()
         assert report.events_observed == len(batches[0])
         assert report.frame_errors == 1
+
+
+@pytest.mark.skipif(
+    not fork_available(), reason="fork start method unavailable")
+class TestShardedDaemon:
+    """``repro serve --shards 2`` with every other field default, one
+    worker SIGKILLed mid-stream: however the events arrive, the journal
+    reaches back to the last landed checkpoint, so nothing is lost and
+    the report is exact."""
+
+    EVENTS = 3000
+    KILL_AT = 2000
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        events = catalog_trace(seed=7, num_events=self.EVENTS)
+        plain = build_monitor(PROFILES["clean"])
+        plain.observe_batch(events)
+        plain.stop()
+        assert plain.violations, "workload produced no violations — vacuous"
+        return events, len(plain.violations)
+
+    def _serve_and_kill(self, catalog, writes, lockstep):
+        """Stream ``writes`` — ``(events so far, bytes)`` pairs — into a
+        default sharded daemon and SIGKILL shard 0's worker (pid read
+        from ``/healthz``) at ``KILL_AT``.  ``lockstep`` holds each
+        write back until the dispatcher is within two events of the
+        sender."""
+        events, reference = catalog
+        daemon = ServeDaemon(ServeConfig(shards=2))
+        handle = serve_in_thread(daemon)
+        killed = None
+        try:
+            with socket.create_connection(
+                    ("127.0.0.1", daemon.ingest_ports[0])) as sock:
+                for sent, payload in writes:
+                    if killed is None and sent >= self.KILL_AT:
+                        _, body = get(daemon, "/healthz")
+                        killed = json.loads(body)["shards"][0]["pid"]
+                        os.kill(killed, signal.SIGKILL)
+                    sock.sendall(payload)
+                    if lockstep:
+                        assert wait_until(
+                            lambda: observed(daemon) >= sent - 2,
+                            timeout=30.0, interval=0.0001)
+            assert killed is not None
+            assert wait_until(
+                lambda: observed(daemon) >= self.EVENTS, timeout=30.0)
+            # a just-sent packet's root span, recorded by the fabric
+            last = next(e for e in reversed(events)
+                        if getattr(e, "packet", None) is not None)
+            status, body = get(daemon, f"/trace?uid={last.packet.uid}")
+            assert status == 200
+            assert any(
+                span["name"] == type(last).__name__
+                and span["start"] == last.time
+                and span["parent_id"] is None
+                and span["uid"] == last.packet.uid
+                and span["attrs"] == {"switch": last.switch_id}
+                for span in json.loads(body)["spans"]), body
+        finally:
+            report = handle.stop()
+        assert report.events_observed == report.events_ingested \
+            == self.EVENTS
+        assert report.shard_restarts >= 1 and not report.failed_shards
+        assert "crash-gap" not in report.ledger["by_kind"], report.ledger
+        assert report.violations == reference
+        assert report.interval == (reference, reference)
+
+    def test_rpf2_batches_with_a_worker_killed(self, catalog):
+        events = catalog[0]
+        writes = [(start + 64, encode_frames(events[start:start + 64]))
+                  for start in range(0, len(events), 64)]
+        self._serve_and_kill(catalog, writes, lockstep=False)
+
+    def test_trickled_jsonl_with_a_worker_killed(self, catalog):
+        # One line per write, each held until the dispatcher has caught
+        # up: every dispatch is one to three events, which is what a
+        # journal counted in batches could not hold an interval of.
+        events = catalog[0]
+        writes = [(n, json.dumps(event_to_dict(event)).encode() + b"\n")
+                  for n, event in enumerate(events, 1)]
+        self._serve_and_kill(catalog, writes, lockstep=True)
 
 
 class TestBackpressure:

@@ -3,8 +3,13 @@
 The heavyweight one is store equivalence: the hash-indexed instance store
 must produce exactly the same violations as the brute-force linear store on
 arbitrary event streams — the indexed store is an optimization, never a
-semantic change.
+semantic change.  The other is checkpoint/restore: a fresh monitor
+restored from ``export_state`` is observationally the exporter — same
+violations, counters and ledger on every suffix — which is what lets a
+replacement fabric worker stand in for the one that died.
 """
+
+import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +25,8 @@ from repro.core import (
     PropertySpec,
     Var,
 )
+from repro.core.degradation import EVICTION_POLICIES, DegradationPolicy
+from repro.core.monitor import MonitorStats
 from repro.netsim.scheduler import EventScheduler
 from repro.packet import MACAddress, ethernet
 from repro.switch.events import (
@@ -227,6 +234,57 @@ class TestEngineInvariants:
         for event in events:
             monitor.observe(event)
         assert monitor.violations == []
+
+
+def violation_prints(violations):
+    return sorted(
+        (v.property_name, round(v.time, 9), tuple(sorted(
+            (k, str(val)) for k, val in v.bindings.items())))
+        for v in violations)
+
+
+class TestCheckpointRestore:
+    """``restore_state(export_state(m))`` into a fresh monitor is ``m``."""
+
+    #: None = unbounded; otherwise two instances per property, so the
+    #: ledger (rejections, evictions) has something in it
+    POLICIES = st.one_of(st.none(), st.sampled_from(EVICTION_POLICIES))
+
+    @staticmethod
+    def _monitor(eviction):
+        monitor = Monitor(degradation=None if eviction is None else
+                          DegradationPolicy(max_instances=2,
+                                            eviction=eviction))
+        for prop in catalog_of_probe_properties():
+            monitor.add_property(prop)
+        return monitor
+
+    @staticmethod
+    def _observables(monitor, violations_from=0, ledger_from=0):
+        return (violation_prints(monitor.violations[violations_from:]),
+                monitor.stats.export(),
+                sorted((r.kind, r.prop, r.detail, r.time)
+                       for r in monitor.ledger.records[ledger_from:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(event_streams(max_events=20), POLICIES)
+    def test_restored_monitor_matches_on_every_suffix(self, events, eviction):
+        original = self._monitor(eviction)
+        cuts = []   # (pickled state, violations so far, ledger so far)
+        for event in events:
+            cuts.append((pickle.dumps(original.export_state()),
+                         len(original.violations),
+                         len(original.ledger.records)))
+            original.observe(event)
+        horizon = events[-1].time + 100.0
+        original.advance_to(horizon)
+        for k, (state, violations, sheds) in enumerate(cuts):
+            restored = self._monitor(eviction)
+            restored.restore_state(pickle.loads(state))
+            restored.observe_batch(events[k:])
+            restored.advance_to(horizon)
+            assert self._observables(restored) \
+                == self._observables(original, violations, sheds), k
 
 
 class TestSchedulerProperties:

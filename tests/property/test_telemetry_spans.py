@@ -5,6 +5,11 @@ span forest: ids strictly increase, every parent exists and precedes its
 child, every span is closed.  ``validate_spans`` is the single contract
 that ``repro stats --trace-out`` relies on; these tests prove it holds on
 arbitrary inputs, not just the hand-written smoke traces.
+
+Root spans are opened by whoever observes a batch
+(``Monitor.observe_batch``, ``ShardedMonitor.observe_batch``); the
+oracle here opens them by hand around the rootless tap ``observe`` and
+the two must agree span for span.
 """
 
 import io
@@ -22,6 +27,7 @@ from repro.core import (
     PropertySpec,
     Var,
 )
+from repro.fabric import ShardedMonitor
 from repro.packet import ethernet
 from repro.switch.events import EgressAction, PacketArrival, PacketEgress
 from repro.switch.switch import ProcessingMode
@@ -29,7 +35,6 @@ from repro.telemetry import (
     Tracer,
     dump_spans,
     load_spans,
-    replay_with_trace,
     validate_spans,
 )
 
@@ -74,11 +79,33 @@ def replay(events, mode=ProcessingMode.INLINE):
     tracer = Tracer()
     monitor = Monitor(mode=mode, split_lag=0.5, tracer=tracer)
     monitor.add_property(traced_property())
-    replay_with_trace(monitor, events, tracer)
+    monitor.observe_batch(events)
     if events:
         monitor.advance_to(events[-1].time + 10.0)
     tracer.close_all(monitor.now)
     return tracer
+
+
+def replay_rooted_by_hand(events, mode=ProcessingMode.INLINE):
+    """The oracle: one root per event (named after its type, keyed by
+    the packet uid, carrying the switch id, closed at the monitor's
+    time) opened around the tap entry point."""
+    tracer = Tracer()
+    monitor = Monitor(mode=mode, split_lag=0.5, tracer=tracer)
+    monitor.add_property(traced_property())
+    for event in events:
+        root = tracer.start(
+            type(event).__name__, event.time, uid=event.packet.uid,
+            root=True, switch=event.switch_id)
+        monitor.observe(event)
+        tracer.end(root, monitor.now)
+    monitor.advance_to(events[-1].time + 10.0)
+    tracer.close_all(monitor.now)
+    return tracer
+
+
+def span_dicts(tracer):
+    return [span.to_dict() for span in tracer.spans]
 
 
 class TestSpanWellFormedness:
@@ -108,6 +135,31 @@ class TestSpanWellFormedness:
             assert span.parent_id in by_id
             assert by_id[span.parent_id].span_id in roots or (
                 by_id[span.parent_id].parent_id is not None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(event_streams(), st.sampled_from(list(ProcessingMode)))
+    def test_observer_roots_equal_hand_opened_roots(self, events, mode):
+        assert span_dicts(replay(events, mode)) \
+            == span_dicts(replay_rooted_by_hand(events, mode))
+
+    @settings(max_examples=20, deadline=None)
+    @given(event_streams())
+    def test_fabric_records_the_monitor_s_roots_and_nothing_else(
+            self, events):
+        # Sharded: arrival roots only (shard spans stay in the shards),
+        # one per event, identical to the plain monitor's roots however
+        # the events are batched.
+        # (parentless ``monitor.*`` spans are uid-less timer events)
+        roots = [dict(d, span_id=None) for d in span_dicts(replay(events))
+                 if d["parent_id"] is None
+                 and not d["name"].startswith("monitor.")]
+        tracer = Tracer()
+        fabric = ShardedMonitor([traced_property()], num_shards=2)
+        fabric.tracer = tracer
+        fabric.observe_batch(events[:3])
+        for event in events[3:]:
+            fabric.observe_batch((event,))
+        assert [dict(d, span_id=None) for d in span_dicts(tracer)] == roots
 
     @settings(max_examples=30, deadline=None)
     @given(event_streams())

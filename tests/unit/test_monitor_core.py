@@ -255,6 +255,23 @@ class TestTimeouts:
         assert len(m.violations) == 1
         assert str(m.violations[0].bindings["S"]) == "00:00:00:00:00:02"
 
+    def test_timer_bookkeeping_is_bounded_by_live_instances(self):
+        # A daemon creates and expires instances forever: nothing the
+        # monitor keeps per timer may outlive the instance it was for.
+        m = fresh(two_stage(within=1.0))
+        rounds, keys = 300, 8
+        for n in range(rounds):
+            for k in range(1, keys + 1):
+                m.observe(arr(ethernet(k, 99), 2.0 * n + k / 100))
+        assert m.stats.instances_created == rounds * keys
+        assert m.stats.instances_expired == (rounds - 1) * keys
+        assert m.live_instances() == keys
+        sized = {name: len(value) for name, value in vars(m).items()
+                 if hasattr(value, "__len__")}
+        assert max(sized.values()) <= keys, sized
+        m.advance_to(1e6)
+        assert m.live_instances() == 0 and not m._wheel
+
 
 class TestObligation:
     def _close_pattern(self):

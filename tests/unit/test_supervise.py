@@ -25,6 +25,7 @@ from repro.fabric import Supervisor, SupervisorPolicy
 from repro.fabric.mp import ShardDied
 from repro.fabric.shard import ShardSnapshot
 from repro.fabric.supervise import (
+    JOURNAL_INTERVALS,
     KIND_GAP,
     KIND_LOST_OP,
     KIND_QUARANTINE,
@@ -152,6 +153,11 @@ def batch(*times):
     return [SimpleNamespace(time=t) for t in times]
 
 
+def run_of(first, count):
+    """A batch of ``count`` events from time ``first``, 1/64 s apart."""
+    return batch(*(first + k / 64 for k in range(count)))
+
+
 def make_supervisor(policy=None, die_on=None, num_shards=1):
     """(supervisor, ledger, spawned-workers list, clock)."""
     clock = FakeClock()
@@ -177,7 +183,6 @@ class TestPolicyValidation:
     @pytest.mark.parametrize("field,value", [
         ("restart_budget", -1),
         ("checkpoint_interval", 0),
-        ("journal_batches", 0),
         ("poison_threshold", 0),
         ("heartbeat_interval", -0.1),
         ("heartbeat_timeout", -1.0),
@@ -192,48 +197,82 @@ class TestPolicyValidation:
 # -- journal ----------------------------------------------------------------
 
 class TestJournal:
+    """The journal is bounded in events: ``JOURNAL_INTERVALS`` checkpoint
+    intervals.  At ``checkpoint_interval=1`` that is ``BOUND`` events."""
+
+    BOUND = JOURNAL_INTERVALS
+    HALF = JOURNAL_INTERVALS // 2
+
     def test_truncation_drops_oldest_and_ledgers_gap(self):
-        policy = SupervisorPolicy(journal_batches=2, backoff_base=1.0,
+        policy = SupervisorPolicy(checkpoint_interval=1, backoff_base=1.0,
                                   backoff_max=1.0, restart_budget=5)
         sup, ledger, spawned, clock = make_supervisor(policy)
         spawned[0].alive = False  # crash before any delivery
-        batches = [batch(1.0, 2.0), batch(3.0), batch(4.0, 5.0, 6.0),
-                   batch(7.0)]
-        for b in batches:
+        half = self.HALF
+        for b in (run_of(1.0, half), run_of(2.0, half), batch(3.0),
+                  batch(4.0)):
             sup.send_batch(0, b)  # first send detects the death; rest queue
         st = sup.states[0]
-        # bounded at 2 batches: the two oldest aged out (3 events)
-        assert len(st.journal) == 2
-        assert st.journal_events == 4
-        assert st.journal_dropped == 3
+        # the third batch took it over the bound: the oldest batch aged
+        # out, whole
+        assert len(st.journal) == 3
+        assert st.journal_events == half + 2
+        assert st.journal_dropped == half
         # clock still inside the backoff window: no restart yet
         assert sup.recovering() == [0]
         assert len(spawned) == 1
         # past the backoff the next send restarts; its own journal
-        # append ages out one more batch (3 events) first
+        # append ages out the next-oldest batch first
         clock.t = 10.0
-        sup.send_batch(0, batch(8.0))
+        sup.send_batch(0, run_of(5.0, half))
         assert len(spawned) == 2
         replacement = spawned[1]
-        assert [
-            [e.time for e in b] for b in replacement.received
-        ] == [[7.0], [8.0]]
+        assert [b[0].time for b in replacement.received] == [3.0, 4.0, 5.0]
+        assert [len(b) for b in replacement.received] == [1, 1, half]
         # every aged-out event is an unrecoverable, ledgered gap
-        assert ledger.summary()["by_kind"][KIND_GAP] == 6
+        assert ledger.summary()["by_kind"][KIND_GAP] == 2 * half
 
     def test_only_fresh_drops_ledgered_per_restart(self):
-        policy = SupervisorPolicy(journal_batches=1, backoff_base=0.0,
+        policy = SupervisorPolicy(checkpoint_interval=1, backoff_base=0.0,
                                   backoff_max=0.0)
         sup, ledger, spawned, clock = make_supervisor(policy)
+        bound = self.BOUND  # each batch fills the journal by itself
         spawned[0].alive = False
-        sup.send_batch(0, batch(1.0))
-        sup.send_batch(0, batch(2.0))   # restart #1 replays; b1 is a gap
-        assert ledger.summary()["by_kind"][KIND_GAP] == 1
+        sup.send_batch(0, run_of(1.0, bound))
+        sup.send_batch(0, run_of(2.0, bound))  # restart #1 replays; b1 a gap
+        assert ledger.summary()["by_kind"][KIND_GAP] == bound
         spawned[-1].alive = False
-        sup.send_batch(0, batch(3.0))   # journals b3, ages out b2
-        sup.send_batch(0, batch(4.0))   # ages out b3, restart #2 replays b4
+        sup.send_batch(0, run_of(3.0, bound))  # journals b3, ages out b2
+        sup.send_batch(0, run_of(4.0, bound))  # ages out b3, restart #2
         # drops 2 and 3 are new ink; drop 1 is never re-ledgered
-        assert ledger.summary()["by_kind"][KIND_GAP] == 3
+        assert ledger.summary()["by_kind"][KIND_GAP] == 3 * bound
+        assert [b[0].time for b in spawned[-1].received] == [4.0]
+
+    def test_newest_batch_is_kept_whatever_its_size(self):
+        policy = SupervisorPolicy(checkpoint_interval=1)
+        sup, ledger, spawned, clock = make_supervisor(policy)
+        spawned[0].hold = True               # no cut ever lands
+        st = sup.states[0]
+        sup.send_batch(0, run_of(1.0, 2 * self.BOUND))
+        assert (len(st.journal), st.journal_dropped) == (1, 0)
+        sup.send_batch(0, batch(2.0))
+        assert [b[0].time for b in st.journal] == [2.0]
+        assert st.journal_dropped == 2 * self.BOUND
+
+    def test_batch_size_does_not_move_the_bound(self):
+        # the same events as 1-event and as 4-event batches reach back
+        # the same distance: one knob, one unit
+        reach = []
+        for size in (1, 4):
+            policy = SupervisorPolicy(checkpoint_interval=4)
+            sup, ledger, spawned, clock = make_supervisor(policy)
+            spawned[0].hold = True
+            for n in range(0, 64, size):
+                sup.send_batch(0, run_of(float(n), size))
+            st = sup.states[0]
+            assert st.journal_events == JOURNAL_INTERVALS * 4
+            reach.append(st.journal[0][0].time)
+        assert reach[0] == reach[1] == 32.0
 
 
 # -- backoff and budget -----------------------------------------------------
@@ -457,16 +496,18 @@ class TestAsyncCheckpoint:
         assert ledger.summary()["by_kind"][KIND_QUIT_TIMEOUT] == 4
 
     def _aged_past_the_cut(self):
-        """b1 b2 | cut | b3 .. b6 through a 3-batch journal, reply held:
-        b1 and b2 (before the cut) and b3 (after it) age out."""
+        """b1 | cut | b2 .. b6, two events each, through a journal of
+        ``JOURNAL_INTERVALS`` events (``checkpoint_interval=1``), reply
+        held: b1 (before the cut) and b2 (after it) age out."""
+        assert JOURNAL_INTERVALS == 8, "sized for an 8-event journal"
         sup, ledger, spawned, clock, merged = self._supervisor(
-            journal_batches=3)
+            checkpoint_interval=1)
         worker, st = spawned[0], sup.states[0]
         worker.hold = True
         for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
             sup.send_batch(0, batch(t, t + 0.5))
-        assert worker.requests == ["C"]
-        assert st.journal_dropped == 6 and st.cut.dropped == 4
+        assert worker.requests == ["C"] and st.cut.seq == 1
+        assert st.journal_dropped == 4 and st.cut.dropped == 2
         return sup, ledger, spawned
 
     def test_aging_while_outstanding_then_landing(self):
@@ -475,9 +516,10 @@ class TestAsyncCheckpoint:
         worker.release()
         sup.tick()
         # what aged out from before the cut is in the checkpoint now;
-        # b3 is a gap the checkpoint does not cover
+        # b2 is a gap the checkpoint does not cover
         assert (st.journal_dropped, st.dropped_ledgered) == (2, 0)
-        assert times(st.journal) == [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]
+        assert times(st.journal) == [[3.0, 3.5], [4.0, 4.5], [5.0, 5.5],
+                                     [6.0, 6.5]]
         worker.alive = False
         sup.heartbeat()
         sup.tick()                               # restart
@@ -493,19 +535,19 @@ class TestAsyncCheckpoint:
         replacement = spawned[-1]
         assert replacement.restored is None
         assert times(replacement.received) \
-            == [[4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]
-        assert ledger.summary()["by_kind"][KIND_GAP] == 6
-        assert (st.journal_dropped, st.dropped_ledgered) == (6, 6)
+            == [[3.0, 3.5], [4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]
+        assert ledger.summary()["by_kind"][KIND_GAP] == 4
+        assert (st.journal_dropped, st.dropped_ledgered) == (4, 4)
         # the replayed journal is due a checkpoint; once it lands the
         # ledgered drops are behind it and a second crash adds no ink
-        sup.send_batch(0, batch(7.0, 7.5))       # ages b4 out, asks
+        sup.send_batch(0, batch(7.0, 7.5))       # ages b3 out, asks
         assert replacement.requests[-1] == "C"
         sup.tick()
         assert (st.journal_dropped, st.dropped_ledgered) == (0, 0)
         replacement.alive = False
         sup.heartbeat()
         sup.tick()
-        assert ledger.summary()["by_kind"][KIND_GAP] == 6
+        assert ledger.summary()["by_kind"][KIND_GAP] == 4
 
 
 # -- heartbeat --------------------------------------------------------------
@@ -626,9 +668,10 @@ class TestCheckpointRoundTrip:
         restored = Monitor()
         restored.add_property(timed_prop())
         restored.restore_state(source.export_state())
-        assert restored.stats.instances_created == 0
+        # the exporter's count rides the checkpoint: carried over, and
+        # restoring the two instances adds nothing to it
+        assert restored.stats.instances_created == created == 2
         assert restored.live_instances() == 2
-        assert created == 2
 
     def test_restore_unknown_property_rejected(self):
         source = Monitor()
