@@ -18,7 +18,7 @@
                                         #   plan summary, or the generated
                                         #   matcher source the monitor
                                         #   exec's
-    python -m repro stats TRACE FILE... [--json|--prom] [--trace-out S.jsonl]
+    python -m repro stats TRACE FILE... [--json] [--trace-out S.jsonl]
                                         #   [--poll-interval S]
                                         # replay with full telemetry: metrics
                                         #   snapshot, spans, gauge time series
@@ -254,6 +254,18 @@ def cmd_record(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lacks_fork(what: str) -> bool:
+    """True, after one line on stderr, where ``what`` cannot run: fabric
+    shards are forked worker processes."""
+    from .fabric import fork_available
+
+    if fork_available():
+        return False
+    print(f"error: {what} runs forked worker processes, and this platform "
+          "lacks the fork start method", file=sys.stderr)
+    return True
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     from .netsim.serialize import read_trace
     from .telemetry import MetricsRegistry, render_json
@@ -267,9 +279,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.shards > 0:
         from .fabric import ShardedMonitor
 
+        if _lacks_fork("replay --shards"):
+            return 2
         monitor = ShardedMonitor(
-            props, num_shards=args.shards, mode=args.shard_mode,
-            registry=registry)
+            props, num_shards=args.shards, mode="mp", registry=registry)
     else:
         monitor = Monitor(registry=registry)
         for prop in props:
@@ -283,7 +296,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         monitor.stop()  # reap fabric workers; merges the final deltas
     print(f"replayed {len(events)} events against "
           f"{len(props)} propert{'y' if len(props) == 1 else 'ies'}"
-          + (f" across {args.shards} {args.shard_mode} shard(s)"
+          + (f" across {args.shards} mp shard(s)"
              if args.shards > 0 else ""))
     print(f"violations: {len(monitor.violations)}")
     for violation in monitor.violations:
@@ -476,13 +489,10 @@ def _run_crash_profile(args: argparse.Namespace, profile) -> int:
     """`repro chaos --profile worker-crash`: SIGKILL workers mid-run."""
     import json
 
-    from .fabric import SupervisorPolicy, fork_available
+    from .fabric import SupervisorPolicy
     from .resilience import render_crash_report, run_crash_chaos
 
-    if not fork_available():
-        print("error: the worker-crash profile needs mp fabric workers, "
-              "and this platform lacks the fork start method",
-              file=sys.stderr)
+    if _lacks_fork("the worker-crash profile"):
         return 2
     supervision = SupervisorPolicy(
         heartbeat_interval=0.2, heartbeat_timeout=10.0,
@@ -532,18 +542,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             ingest=tuple(args.ingest or ["tcp:9801"]),
             max_queue=args.max_queue,
-            poll_interval=args.poll_interval,
             chaos_profile=args.chaos_profile,
             trace_buffer=args.trace_buffer,
             spans_path=args.spans,
             report_path=args.report,
             shards=args.shards,
-            shard_mode=args.shard_mode,
             restart_budget=args.restart_budget,
             checkpoint_interval=args.checkpoint_interval,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if config.shards > 0 and _lacks_fork("serve --shards"):
         return 2
     daemon = ServeDaemon(config)
 
@@ -652,13 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--metrics", default=None, metavar="OUT",
                         help="write a JSON metrics snapshot to OUT")
     replay.add_argument("--shards", type=int, default=0, metavar="N",
-                        help="partition monitor instances by key hash into "
-                             "N shards (0 = plain single monitor)")
-    replay.add_argument("--shard-mode", default="inprocess",
-                        choices=["inprocess", "mp"],
-                        help="fabric execution mode: N in-process shards "
-                             "(ablation/oracle) or N forked worker "
-                             "processes fed serialized event frames")
+                        help="partition monitor instances by key hash over "
+                             "N forked worker processes fed serialized "
+                             "event frames (0 = plain single monitor)")
     replay.set_defaults(fn=cmd_replay)
 
     explain = sub.add_parser(
@@ -679,11 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("trace")
     stats.add_argument("properties", nargs="+",
                        help="one or more DSL property files")
-    fmt = stats.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true",
-                     help="JSON snapshot (default: Prometheus text)")
-    fmt.add_argument("--prom", action="store_true",
-                     help="Prometheus text exposition (the default)")
+    stats.add_argument("--json", action="store_true",
+                       help="JSON snapshot (default: Prometheus text)")
     stats.add_argument("--trace-out", default=None, metavar="SPANS.jsonl",
                        help="also write per-packet trace spans as JSONL")
     stats.add_argument("--poll-interval", type=float, default=None,
@@ -749,9 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue", type=int, default=4096,
                        help="ingest queue bound; frames beyond it are shed "
                             "into the overflow ledger (default: 4096)")
-    serve.add_argument("--poll-interval", type=float, default=1.0,
-                       help="gauge sampling period in wall seconds "
-                            "(default: 1.0)")
     serve.add_argument("--trace-buffer", type=int, default=512,
                        help="spans kept for /trace, newest first "
                             "(default: 512)")
@@ -760,18 +760,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "file (crash-safe, one line per span)")
     serve.add_argument("--shards", type=int, default=0, metavar="N",
                        help="drain the ingest queue into a sharded monitor "
-                            "fabric of N shards (0 = single monitor)")
-    serve.add_argument("--shard-mode", default="mp",
-                       choices=["inprocess", "mp"],
-                       help="fabric execution mode behind the ingest queue "
-                            "(mp forks one worker process per shard)")
+                            "fabric of N forked, supervised worker "
+                            "processes (0 = single monitor)")
     serve.add_argument("--restart-budget", type=int, default=5, metavar="N",
-                       help="mp fabric: worker restarts allowed per shard "
+                       help="with --shards: worker restarts allowed per shard "
                             "before the shard is declared failed "
                             "(default: 5)")
     serve.add_argument("--checkpoint-interval", type=int, default=2048,
                        metavar="EVENTS",
-                       help="mp fabric: events per shard between recovery "
+                       help="with --shards: events per shard between recovery "
                             "checkpoints (default: 2048)")
     serve.add_argument("--report", default=None, metavar="OUT",
                        help="write the final degradation report as JSON "

@@ -106,7 +106,7 @@ class Instance:
         #: stage population; orders instances drawn from several buckets.
         self.stage_entry = 0
         #: bumped whenever the instance's timer is re-armed or its stage
-        #: moves; a wheel entry carrying an older value is stale.
+        #: moves; an agenda entry carrying an older value is stale.
         self.timer_gen = 0
 
     @property

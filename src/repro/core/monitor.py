@@ -26,10 +26,16 @@ Sec. 2:
                             (observable monitor errors, per the paper);
 * F10 provenance          — NONE / LIMITED / FULL per-stage recording.
 
-Timer ordering: when an event at time *t* arrives, all timers with deadline
-``<= t`` fire first.  This is what makes "a drop that comes after a valid
-timeout will still trigger a violation" come out *false* once the property
-carries its timeout — the instance is gone before the late drop is seen.
+F3, F7 and F9 are one mechanism — *something the monitor must do later,
+in time order* — so the engine keeps one **agenda**: a single heap of
+``(time, rank, seq, payload…)`` entries that :meth:`Monitor.advance_to` pops
+and dispatches.  At one instant a due backpressure retry (rank 0) re-enters
+the queue before a deferred op (rank 1) applies before a timer (rank 2)
+fires; within a rank, push order.  When an event at time *t* arrives,
+everything due ``<= t`` runs first.  This is what makes "a drop that comes
+after a valid timeout will still trigger a violation" come out *false* once
+the property carries its timeout — the instance is gone before the late
+drop is seen.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from ..switch.events import DataplaneEvent
 from ..switch.registers import StateCostMeter
 from ..switch.switch import DEFAULT_SPLIT_LAG, ProcessingMode
 from ..telemetry import NULL_TRACER, MetricsRegistry, NullRegistry, Tracer
-from ..telemetry.metrics import COUNT_BUCKETS, LATENCY_BUCKETS
+from ..telemetry.metrics import COUNT_BUCKETS, LATENCY_BUCKETS, StatsView
 from ..telemetry.tracing import open_event_root
 from .degradation import (
     IMPACT_FALSE,
@@ -105,71 +111,80 @@ class MonitorState:
 #: ``"interpreted"`` runs the reference walk (:mod:`repro.core.reference`).
 MATCH_STRATEGIES = ("compiled", "interpreted")
 
+#: Agenda ranks — the tie-break between entries due at the same instant.
+#: A due retry re-enters the queue before any later work runs (it was
+#: already perturbed, it is only waiting for a slot); ops apply before
+#: timers fire, so a deferred creation arms its timer first.
+_RETRY, _OP, _TIMER = 0, 1, 2
 
-class MonitorStats:
-    """The counters the benchmarks read — a thin view over the registry.
 
-    Historically a dataclass of loose ints; every field is now backed by
-    a registry instrument, so ``monitor.stats.events`` and the exported
-    ``repro_monitor_events_total`` sample are the SAME cell (no double
-    counting, one source of truth).  Works against the default
-    :class:`~repro.telemetry.NullRegistry` too: its counters still count,
-    they just export nothing.
-    """
+#: Every unlabelled instrument of the engine, named once: (Monitor handle
+#: attribute, registry method, metric name, help, MonitorStats attribute
+#: or None, registry options).
+_INSTRUMENTS = (
+    ("_c_events", "counter", "repro_monitor_events_total",
+     "Dataplane events the monitor observed", "events", {}),
+    ("_c_violations", "counter", "repro_monitor_violations_total",
+     "Violations raised", "violations", {}),
+    ("_c_created", "counter", "repro_monitor_instances_created_total",
+     "Monitor instances created (stage-0 matches)", "instances_created", {}),
+    ("_c_expired", "counter", "repro_monitor_instances_expired_total",
+     "Instances expired by a within deadline (F3)", "instances_expired", {}),
+    ("_c_discharged", "counter", "repro_monitor_instances_discharged_total",
+     "Absent stages discharged by the awaited event (F7)",
+     "instances_discharged", {}),
+    ("_c_cancelled", "counter", "repro_monitor_instances_cancelled_total",
+     "Instances cancelled by an unless pattern (F4)",
+     "instances_cancelled", {}),
+    ("_c_timer_advances", "counter", "repro_monitor_timer_advances_total",
+     "Stage advances driven by timeout actions (F7)", "timer_advances", {}),
+    ("_c_refreshes", "counter", "repro_monitor_refreshes_total",
+     "Stage-0 refreshes of existing instances", "refreshes", {}),
+    ("_c_candidates", "counter", "repro_monitor_candidates_examined_total",
+     "Instances examined as advance/discharge candidates",
+     "candidates_examined", {}),
+    ("_c_ops", "counter", "repro_monitor_ops_applied_total",
+     "State transitions applied (inline or after split lag)",
+     "ops_applied", {}),
+    ("_c_evicted", "counter", "repro_monitor_instances_evicted_total",
+     "Instances evicted by a bounded store's eviction policy",
+     "instances_evicted", {}),
+    ("_c_rejected", "counter", "repro_monitor_instances_rejected_total",
+     "Creations rejected by a full bounded store (reject-new)",
+     "instances_rejected", {}),
+    ("_c_shed_ops", "counter", "repro_monitor_ops_shed_total",
+     "Split-mode ops shed: control-channel drops plus backpressure give-ups",
+     "ops_shed", {}),
+    ("_c_op_retries", "counter", "repro_monitor_op_retries_total",
+     "Split-mode ops deferred by pending-queue backpressure",
+     "op_retries", {}),
+    ("_g_live", "gauge", "repro_monitor_live_instances",
+     "Live instances across all monitored properties",
+     "peak_live_instances", {}),
+    ("_g_pending", "gauge", "repro_monitor_pending_ops",
+     "Split-mode state transitions still in flight", "peak_pending_ops", {}),
+    ("_h_candidates", "histogram", "repro_monitor_candidates_per_event",
+     "Candidate-scan width per observed event", None,
+     {"buckets": COUNT_BUCKETS}),
+    ("_h_pending_depth", "histogram", "repro_monitor_pending_queue_depth",
+     "Pending-op queue depth sampled at each split-mode enqueue", None,
+     {"buckets": COUNT_BUCKETS}),
+    ("_h_backoff", "histogram", "repro_monitor_retry_backoff_seconds",
+     "Backoff applied to backpressured split-mode ops", None,
+     {"unit": "seconds", "buckets": LATENCY_BUCKETS}),
+)
 
-    _COUNTERS = {
-        "events": "repro_monitor_events_total",
-        "violations": "repro_monitor_violations_total",
-        "instances_created": "repro_monitor_instances_created_total",
-        "instances_expired": "repro_monitor_instances_expired_total",
-        "instances_discharged": "repro_monitor_instances_discharged_total",
-        "instances_cancelled": "repro_monitor_instances_cancelled_total",
-        "timer_advances": "repro_monitor_timer_advances_total",
-        "refreshes": "repro_monitor_refreshes_total",
-        "candidates_examined": "repro_monitor_candidates_examined_total",
-        "ops_applied": "repro_monitor_ops_applied_total",
-        "instances_evicted": "repro_monitor_instances_evicted_total",
-        "instances_rejected": "repro_monitor_instances_rejected_total",
-        "ops_shed": "repro_monitor_ops_shed_total",
-        "op_retries": "repro_monitor_op_retries_total",
-    }
-    _GAUGES = {
-        "peak_live_instances": "repro_monitor_live_instances",
-        "peak_pending_ops": "repro_monitor_pending_ops",
-    }
 
-    __slots__ = ("_registry",)
+class MonitorStats(StatsView):
+    """The counters the benchmarks read — ``monitor.stats.events`` and the
+    exported ``repro_monitor_events_total`` sample are the SAME cell (see
+    :class:`~repro.telemetry.StatsView`); gauges read as their peaks."""
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._registry = registry if registry is not None else NullRegistry()
-
-    def __getattr__(self, name: str) -> int:
-        counter = self._COUNTERS.get(name)
-        if counter is not None:
-            return int(self._registry.counter(counter).value)
-        gauge = self._GAUGES.get(name)
-        if gauge is not None:
-            return int(self._registry.gauge(gauge).high_watermark)
-        raise AttributeError(name)
-
-    def export(self) -> Tuple[Dict[str, int], Dict[str, int]]:
-        """``(counter values, gauge high-watermarks)`` by attribute name."""
-        return ({name: getattr(self, name) for name in self._COUNTERS},
-                {name: getattr(self, name) for name in self._GAUGES})
-
-    def restore(self, counters: Mapping[str, int],
-                peaks: Mapping[str, int]) -> None:
-        """Set the cells to exported values (a checkpoint restore)."""
-        for name, value in counters.items():
-            self._registry.counter(self._COUNTERS[name]).value = float(value)
-        for name, value in peaks.items():
-            self._registry.gauge(
-                self._GAUGES[name]).high_watermark = float(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        counters, peaks = self.export()
-        inner = ", ".join(f"{k}={v}" for k, v in {**counters, **peaks}.items())
-        return f"MonitorStats({inner})"
+    _COUNTERS = {stat: name for _, kind, name, _, stat, _ in _INSTRUMENTS
+                 if stat and kind == "counter"}
+    _GAUGES = {stat: name for _, kind, name, _, stat, _ in _INSTRUMENTS
+               if stat and kind == "gauge"}
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +203,9 @@ class _Op:
     time: float = 0.0
 
 
-def _op_uid(op: _Op) -> Optional[int]:
-    """Packet uid of the event behind an op, for trace-span correlation."""
-    packet = getattr(op.event, "packet", None)
+def _uid(event: Optional[DataplaneEvent]) -> Optional[int]:
+    """Packet uid of an op's or violation's event, for span correlation."""
+    packet = getattr(event, "packet", None)
     return packet.uid if packet is not None else None
 
 
@@ -272,82 +287,22 @@ class Monitor:
         #: (off the set-up path) and invalidated whenever a property is
         #: added.
         self._codegen_program = None
-        self._wheel: List[Tuple[float, int, Instance, int]] = []
-        self._wheel_seq = itertools.count()
-        self._pending: List[Tuple[float, int, _Op]] = []  # split-mode queue
-        self._pending_seq = itertools.count()
-        #: backpressured ops awaiting a retry slot: (retry_at, seq,
-        #: next_attempt, ideal_apply_at, op)
-        self._retry: List[Tuple[float, int, int, float, _Op]] = []
-        self._retry_seq = itertools.count()
+        #: everything the monitor must do later, in ``(time, rank, seq)``
+        #: order: ``(retry_at, _RETRY, seq, op, ideal_apply_at, attempt)``,
+        #: ``(apply_at, _OP, seq, op)``, ``(deadline, _TIMER, seq, instance,
+        #: timer_gen)``.  ``_queued[rank]`` counts the entries of each rank.
+        self._agenda: List[Tuple] = []
+        self._seq = itertools.count()
+        self._queued = [0, 0, 0]
         self._now = 0.0
         #: set by start(); None for replay monitors that never start()
         self.started_at: Optional[float] = None
 
     def _init_instruments(self) -> None:
         """Cache hot-path instrument handles (no per-event dict lookups)."""
-        r = self.registry
-        self._c_events = r.counter(
-            "repro_monitor_events_total",
-            help="Dataplane events the monitor observed")
-        self._c_violations = r.counter(
-            "repro_monitor_violations_total", help="Violations raised")
-        self._c_created = r.counter(
-            "repro_monitor_instances_created_total",
-            help="Monitor instances created (stage-0 matches)")
-        self._c_expired = r.counter(
-            "repro_monitor_instances_expired_total",
-            help="Instances expired by a within deadline (F3)")
-        self._c_discharged = r.counter(
-            "repro_monitor_instances_discharged_total",
-            help="Absent stages discharged by the awaited event (F7)")
-        self._c_cancelled = r.counter(
-            "repro_monitor_instances_cancelled_total",
-            help="Instances cancelled by an unless pattern (F4)")
-        self._c_timer_advances = r.counter(
-            "repro_monitor_timer_advances_total",
-            help="Stage advances driven by timeout actions (F7)")
-        self._c_refreshes = r.counter(
-            "repro_monitor_refreshes_total",
-            help="Stage-0 refreshes of existing instances")
-        self._c_candidates = r.counter(
-            "repro_monitor_candidates_examined_total",
-            help="Instances examined as advance/discharge candidates")
-        self._c_ops = r.counter(
-            "repro_monitor_ops_applied_total",
-            help="State transitions applied (inline or after split lag)")
-        self._g_live = r.gauge(
-            "repro_monitor_live_instances",
-            help="Live instances across all monitored properties")
-        self._g_pending = r.gauge(
-            "repro_monitor_pending_ops",
-            help="Split-mode state transitions still in flight")
-        self._h_candidates = r.histogram(
-            "repro_monitor_candidates_per_event",
-            help="Candidate-scan width per observed event",
-            buckets=COUNT_BUCKETS)
-        self._h_pending_depth = r.histogram(
-            "repro_monitor_pending_queue_depth",
-            help="Pending-op queue depth sampled at each split-mode enqueue",
-            buckets=COUNT_BUCKETS)
-        self._c_evicted = r.counter(
-            "repro_monitor_instances_evicted_total",
-            help="Instances evicted by a bounded store's eviction policy")
-        self._c_rejected = r.counter(
-            "repro_monitor_instances_rejected_total",
-            help="Creations rejected by a full bounded store (reject-new)")
-        self._c_shed_ops = r.counter(
-            "repro_monitor_ops_shed_total",
-            help="Split-mode ops shed: control-channel drops plus "
-                 "backpressure give-ups")
-        self._c_op_retries = r.counter(
-            "repro_monitor_op_retries_total",
-            help="Split-mode ops deferred by pending-queue backpressure")
-        self._h_backoff = r.histogram(
-            "repro_monitor_retry_backoff_seconds",
-            help="Backoff applied to backpressured split-mode ops",
-            unit="seconds",
-            buckets=LATENCY_BUCKETS)
+        for handle, kind, name, help, _, options in _INSTRUMENTS:
+            setattr(self, handle, getattr(self.registry, kind)(
+                name, help=help, **options))
         # Per-property handles, filled in by add_property.
         self._stage_advance_counters: Dict[str, Tuple] = {}
         self._prop_violation_counters: Dict[str, object] = {}
@@ -407,29 +362,20 @@ class Monitor:
         if self.mode is ProcessingMode.INLINE:
             for op in ops:
                 self._apply(op)
-        elif self.op_faults is None and self.degradation is None:
-            apply_at = event.time + self.split_lag
-            for op in ops:
-                heapq.heappush(
-                    self._pending, (apply_at, next(self._pending_seq), op)
-                )
-            self._g_pending.set(len(self._pending))
-            if telemetry and ops:
-                self._h_pending_depth.observe(len(self._pending))
-            if self.scheduler is not None:
-                self.scheduler.call_at(
-                    apply_at, lambda t=apply_at: self.advance_to(t),
-                    label="monitor-split-apply",
-                )
         else:
-            # Degraded split path: each op individually traverses the
-            # (possibly faulty) control channel and the bounded queue.
             apply_at = event.time + self.split_lag
-            for op in ops:
-                self._enqueue_split(op, apply_at, attempt=0)
-            self._g_pending.set(len(self._pending))
+            if self.op_faults is None and self.degradation is None:
+                for op in ops:
+                    self._push(apply_at, _OP, op)
+                self._wake(apply_at, "monitor-split-apply")
+            else:
+                # Degraded split path: each op individually traverses the
+                # (possibly faulty) control channel and the bounded queue.
+                for op in ops:
+                    self._enqueue_split(op, apply_at, attempt=0)
+            self._g_pending.set(self._queued[_OP])
             if telemetry and ops:
-                self._h_pending_depth.observe(len(self._pending))
+                self._h_pending_depth.observe(self._queued[_OP])
         if telemetry:
             self._h_candidates.observe(
                 self._c_candidates.value - candidates_before
@@ -455,56 +401,41 @@ class Monitor:
             tracer.end(root, self._now)
 
     def advance_to(self, when: float) -> None:
-        """Move monitor time forward, firing due timers and pending ops.
-
-        Pending split-mode ops, backpressure retries, and timer deadlines
-        are interleaved in time order, so a deferred creation still arms
-        its timer before a later deadline fires.
-        """
+        """Move monitor time forward, running every agenda entry —
+        retry, deferred op or timer — due by ``when``, in agenda order."""
         if when < self._now:
             return  # events carry non-decreasing times; tolerate equal
-        pending = self._pending
-        wheel = self._wheel
-        retry = self._retry
-        while pending or wheel or retry:
-            next_pending = pending[0][0] if pending else None
-            next_timer = wheel[0][0] if wheel else None
-            next_retry = retry[0][0] if retry else None
-            # A due retry re-enters the queue before any later work runs:
-            # it was already perturbed, it is only waiting for a slot.
-            if next_retry is not None and (
-                (next_pending is None or next_retry <= next_pending)
-                and (next_timer is None or next_retry <= next_timer)
-            ):
-                if next_retry > when:
-                    break
-                retry_at, _, attempt, ideal_at, op = heapq.heappop(retry)
-                if retry_at > self._now:
-                    self._now = retry_at
-                self._enqueue_split(op, ideal_at, attempt)
-                continue
-            if next_pending is not None and (
-                next_timer is None or next_pending <= next_timer
-            ):
-                if next_pending > when:
-                    break
-                _, _, op = heapq.heappop(pending)
-                if next_pending > self._now:
-                    self._now = next_pending
+        agenda = self._agenda
+        queued = self._queued
+        while agenda and agenda[0][0] <= when:
+            due, rank, _, *payload = heapq.heappop(agenda)
+            queued[rank] -= 1
+            if due > self._now:
+                self._now = due
+            if rank == _TIMER:
+                self._fire_timer(due, *payload)
+            elif rank == _OP:
                 # Drains go through Gauge.set like every other call site,
                 # keeping the watermark bookkeeping in one place (a drain
                 # only lowers the value, so the peak is unaffected).
-                self._g_pending.set(float(len(pending)))
-                self._apply(op)
-                continue
-            if next_timer is None or next_timer > when:
-                break
-            deadline, _, instance, gen = heapq.heappop(wheel)
-            if deadline > self._now:
-                self._now = deadline
-            self._fire_timer(instance, gen, deadline)
+                self._g_pending.set(float(queued[_OP]))
+                self._apply(*payload)
+            else:
+                self._enqueue_split(*payload)
         if when > self._now:
             self._now = when
+
+    def _push(self, when: float, rank: int, *payload: object) -> None:
+        """Put one entry on the agenda — the only way onto it."""
+        self._queued[rank] += 1
+        heapq.heappush(self._agenda, (when, rank, next(self._seq), *payload))
+
+    def _wake(self, when: float, label: str) -> None:
+        """Have a live simulation's scheduler run the agenda at ``when``
+        (replay and the daemon have none: events and ticks drive time)."""
+        if self.scheduler is not None:
+            self.scheduler.call_at(
+                when, lambda: self.advance_to(when), label=label)
 
     def _enqueue_split(self, op: _Op, apply_at: float, attempt: int) -> None:
         """Route one deferred op through the control channel and the
@@ -519,23 +450,17 @@ class Monitor:
             extra = self.op_faults.perturb()
             if extra is None:
                 self._c_shed_ops.inc()
-                self.ledger.record(
-                    "op-dropped", op.prop.name, op.kind, op.time,
-                    classify_op(op.kind, "dropped"))
+                self._ledger_op("op-dropped", op, "dropped")
                 return
             if extra > 0.0:
                 apply_at += extra
-                self.ledger.record(
-                    "op-delayed", op.prop.name, op.kind, op.time,
-                    classify_op(op.kind, "delayed"))
+                self._ledger_op("op-delayed", op, "delayed")
         policy = self.degradation
         limit = policy.max_pending_ops if policy is not None else None
-        if limit is not None and len(self._pending) >= limit:
+        if limit is not None and self._queued[_OP] >= limit:
             if attempt >= policy.max_retries:
                 self._c_shed_ops.inc()
-                self.ledger.record(
-                    "op-shed", op.prop.name, op.kind, op.time,
-                    classify_op(op.kind, "dropped"))
+                self._ledger_op("op-shed", op, "dropped")
                 return
             backoff = policy.retry_backoff * (2.0 ** attempt)
             retry_at = max(self._now, op.time) + backoff
@@ -543,28 +468,20 @@ class Monitor:
             self._h_backoff.observe(backoff)
             if retry_at > apply_at:
                 # The op cannot possibly apply on time any more.
-                self.ledger.record(
-                    "op-retried", op.prop.name, op.kind, op.time,
-                    classify_op(op.kind, "delayed"))
-            heapq.heappush(
-                self._retry,
-                (retry_at, next(self._retry_seq), attempt + 1, apply_at, op))
-            if self.scheduler is not None:
-                self.scheduler.call_at(
-                    retry_at, lambda t=retry_at: self.advance_to(t),
-                    label="monitor-split-retry")
+                self._ledger_op("op-retried", op, "delayed")
+            self._push(retry_at, _RETRY, op, apply_at, attempt + 1)
+            self._wake(retry_at, "monitor-split-retry")
             return
-        heapq.heappush(
-            self._pending, (apply_at, next(self._pending_seq), op))
-        if self.scheduler is not None:
-            wake_at = max(apply_at, self._now)
-            self.scheduler.call_at(
-                wake_at, lambda t=wake_at: self.advance_to(t),
-                label="monitor-split-apply")
+        self._push(apply_at, _OP, op)
+        self._wake(max(apply_at, self._now), "monitor-split-apply")
+
+    def _ledger_op(self, kind: str, op: _Op, outcome: str) -> None:
+        self.ledger.record(kind, op.prop.name, op.kind, op.time,
+                           classify_op(op.kind, outcome))
 
     def pending_op_count(self) -> int:
         """Deferred ops still in flight (queued plus awaiting retry)."""
-        return len(self._pending) + len(self._retry)
+        return self._queued[_OP] + self._queued[_RETRY]
 
     # -- evaluation (read-only against current state) ---------------------------
     def _program(self):
@@ -669,7 +586,7 @@ class Monitor:
         self._c_created.inc()
         if self.tracer.enabled:
             self.tracer.event(
-                "monitor.create", op.time, uid=_op_uid(op),
+                "monitor.create", op.time, uid=_uid(op.event),
                 property=op.prop.name, key=repr(op.key))
         if instance.complete:  # single-stage property: immediate violation
             self._violate(instance, op.event, op.time)
@@ -683,29 +600,38 @@ class Monitor:
         assert instance is not None
         if not instance.alive:
             return  # split-mode race: advanced after expiry
-        store = self._stores[op.prop.name]
-        old_stage = instance.stage
-        stage = op.prop.stages[old_stage]
         instance.env.update(op.binds)
-        instance.stage += 1
-        instance.advanced_at = op.time
-        instance.timer_gen += 1
-        self._stage_advance_counters[op.prop.name][old_stage].inc()
         if self.tracer.enabled:
             self.tracer.event(
-                "monitor.advance", op.time, uid=_op_uid(op),
-                property=op.prop.name, stage=stage.name,
-                to_stage=instance.stage)
-        record = record_stage(self.provenance, stage.name, op.time, op.event)
+                "monitor.advance", op.time, uid=_uid(op.event),
+                property=op.prop.name,
+                stage=op.prop.stages[instance.stage].name,
+                to_stage=instance.stage + 1)
+        self._advance(instance, op.time, op.event)
+
+    def _advance(self, instance: Instance, when: float,
+                 event: Optional[DataplaneEvent]) -> None:
+        """Move a live instance one stage on — the one place a stage
+        advances, for the event path (an ``advance`` op, ``event`` its
+        trigger) and the timer path (a timeout action, no event) alike."""
+        name = instance.prop.name
+        old_stage = instance.stage
+        instance.stage += 1
+        instance.advanced_at = when
+        instance.timer_gen += 1
+        self._stage_advance_counters[name][old_stage].inc()
+        record = record_stage(
+            self.provenance, instance.prop.stages[old_stage].name, when, event)
         if record is not None:
             instance.provenance.append(record)
+        store = self._stores[name]
         if instance.complete:
-            self._violate(instance, op.event, op.time)
+            self._violate(instance, event, when)
             store.remove(instance)
-            self._live_changed(op.prop.name, -1)
+            self._live_changed(name, -1)
             return
         store.reindex(instance, old_stage)
-        self._arm_timer(instance, op.time)
+        self._arm_timer(instance, when)
 
     def _apply_kill(self, op: _Op) -> None:
         instance = op.instance
@@ -720,7 +646,7 @@ class Monitor:
             self._c_cancelled.inc()
         if self.tracer.enabled:
             self.tracer.event(
-                "monitor.kill", op.time, uid=_op_uid(op),
+                "monitor.kill", op.time, uid=_uid(op.event),
                 property=op.prop.name, reason=op.reason)
 
     def _apply_refresh(self, op: _Op) -> None:
@@ -740,64 +666,45 @@ class Monitor:
     # -- timers ---------------------------------------------------------------------
     def _arm_timer(self, instance: Instance, now: float) -> None:
         stage = instance.current_stage()
-        instance.timer_gen += 1  # whatever the wheel holds is stale now
+        instance.timer_gen += 1  # whatever the agenda holds is stale now
         if stage is None:
             return
         if isinstance(stage, Absent):
-            deadline = now + stage.within
-            instance.deadline = deadline
-            instance.deadline_kind = "advance"
+            self._set_deadline(instance, now + stage.within, "advance")
         elif stage.within is not None:
-            deadline = now + stage.within
-            instance.deadline = deadline
-            instance.deadline_kind = "expire"
+            self._set_deadline(instance, now + stage.within, "expire")
         else:
             instance.deadline = None
             instance.deadline_kind = ""
-            return
-        heapq.heappush(
-            self._wheel,
-            (deadline, next(self._wheel_seq), instance, instance.timer_gen))
-        if self.scheduler is not None and instance.deadline_kind == "advance":
+
+    def _set_deadline(self, instance: Instance, deadline: float,
+                      kind: str) -> None:
+        instance.deadline = deadline
+        instance.deadline_kind = kind
+        self._push(deadline, _TIMER, instance, instance.timer_gen)
+        if kind == "advance":
             # Only negative observations need a live wakeup: their firing
             # produces externally-visible behaviour (possibly a violation)
             # even if no further packets arrive.  Expiry is lazy.
-            self.scheduler.call_at(
-                deadline, lambda d=deadline: self.advance_to(d),
-                label="monitor-timeout-action",
-            )
+            self._wake(deadline, "monitor-timeout-action")
 
-    def _fire_timer(self, instance: Instance, gen: int, deadline: float) -> None:
+    def _fire_timer(self, deadline: float, instance: Instance,
+                    gen: int) -> None:
         if not instance.alive or instance.timer_gen != gen:
-            return  # stale wheel entry (lazy cancellation)
-        store = self._stores[instance.prop.name]
+            return  # stale agenda entry (lazy cancellation)
+        name = instance.prop.name
         if instance.deadline_kind == "expire":
-            store.remove(instance)
-            self._live_changed(instance.prop.name, -1)
+            self._stores[name].remove(instance)
+            self._live_changed(name, -1)
             self._c_expired.inc()
             return
         # Timeout action (Feature 7): the negative observation is satisfied.
         self._c_timer_advances.inc()
-        old_stage = instance.stage
-        stage = instance.prop.stages[old_stage]
-        self._stage_advance_counters[instance.prop.name][old_stage].inc()
         if self.tracer.enabled:
             self.tracer.event(
-                "monitor.timer_advance", deadline,
-                property=instance.prop.name, stage=stage.name)
-        instance.stage += 1
-        instance.advanced_at = deadline
-        instance.timer_gen += 1
-        record = record_stage(self.provenance, stage.name, deadline, None)
-        if record is not None:
-            instance.provenance.append(record)
-        if instance.complete:
-            self._violate(instance, None, deadline)
-            store.remove(instance)
-            self._live_changed(instance.prop.name, -1)
-            return
-        store.reindex(instance, old_stage)
-        self._arm_timer(instance, deadline)
+                "monitor.timer_advance", deadline, property=name,
+                stage=instance.current_stage().name)
+        self._advance(instance, deadline, None)
 
     # -- violations ------------------------------------------------------------------
     def _violate(
@@ -822,11 +729,8 @@ class Monitor:
         self._c_violations.inc()
         self._prop_violation_counters[instance.prop.name].inc()
         if self.tracer.enabled:
-            uid = trigger.packet.uid if (
-                trigger is not None and getattr(trigger, "packet", None) is not None
-            ) else None
             self.tracer.event(
-                "monitor.violation", when, uid=uid,
+                "monitor.violation", when, uid=_uid(trigger),
                 property=instance.prop.name)
         for sink in self._sinks:
             sink(violation)
@@ -866,18 +770,16 @@ class Monitor:
         """Apply every deferred op and due timer; returns ops left.
 
         With no horizon, time advances just far enough to flush the
-        split-mode pending queue and retry queue (retries may re-enqueue
-        with backoff, so this loops until both are empty).  A nonzero
-        return means ``until`` cut the drain short.
+        agenda's deferred ops and retries (a retry may re-enqueue with
+        backoff, so this loops until none is left); a later timer stays
+        armed.  A nonzero return means ``until`` cut the drain short.
         """
         if until is not None:
             self.advance_to(until)
             return self.pending_op_count()
-        while self._pending or self._retry:
+        while self.pending_op_count():
             horizon = max(
-                [t for t, _, _ in self._pending]
-                + [t for t, _, _, _, _ in self._retry]
-            )
+                entry[0] for entry in self._agenda if entry[1] != _TIMER)
             self.advance_to(max(horizon, self._now))
         return 0
 
@@ -889,8 +791,6 @@ class Monitor:
         the uncertainty interval around the observed violation count.
         """
         remaining = self.drain(until=None if now is None else max(now, self._now))
-        if now is not None and now > self._now:
-            self.advance_to(now)
         self.tracer.close_all(self._now)
         observed = len(self.violations)
         return {
@@ -962,18 +862,8 @@ class Monitor:
             self._stores[snap.prop].add(instance)
             self._live_changed(snap.prop, +1)
             if snap.deadline is not None:
-                instance.deadline = snap.deadline
-                instance.deadline_kind = snap.deadline_kind
-                heapq.heappush(
-                    self._wheel,
-                    (snap.deadline, next(self._wheel_seq), instance,
-                     instance.timer_gen))
-                if self.scheduler is not None \
-                        and snap.deadline_kind == "advance":
-                    self.scheduler.call_at(
-                        snap.deadline,
-                        lambda d=snap.deadline: self.advance_to(d),
-                        label="monitor-timeout-action")
+                self._set_deadline(
+                    instance, snap.deadline, snap.deadline_kind)
         if state.now > self._now:
             self._now = state.now
         self._track_peak()

@@ -11,7 +11,8 @@ Two execution modes share all routing and merging logic:
 * ``"inprocess"`` — N shard monitors in this process, called
   synchronously.  No IPC, no parallelism: the ablation twin that
   isolates *partitioning* effects from *transport* effects, and the
-  correctness oracle the differential suite compares against.
+  correctness oracle the differential suite compares against — a
+  Python-only oracle: no CLI flag or daemon option selects it.
 * ``"mp"`` — N forked worker processes fed serialized event frames
   (``fabric.mp``).  Workers acknowledge nothing per event; state flows
   back as cursor-based snapshot deltas on explicit ``sync()``, and as
@@ -108,7 +109,6 @@ class ShardedMonitor:
         mode: str = "inprocess",
         registry: Optional[MetricsRegistry] = None,
         max_layer: int = 7,
-        monitor_kwargs: Optional[Dict[str, object]] = None,
         monitor_kwargs_fn: Optional[
             Callable[[int], Dict[str, object]]] = None,
         supervision: Optional[SupervisorPolicy] = None,
@@ -155,9 +155,7 @@ class ShardedMonitor:
         self._mirrored: Dict[str, float] = {}
 
         def shard_kwargs(idx: int) -> Dict[str, object]:
-            if monitor_kwargs_fn is not None:
-                return dict(monitor_kwargs_fn(idx))
-            return dict(monitor_kwargs or {})
+            return dict(monitor_kwargs_fn(idx)) if monitor_kwargs_fn else {}
 
         self.supervisor: Optional[Supervisor] = None
         if mode == "inprocess":

@@ -1,7 +1,7 @@
 """Virtual time for deterministic simulation — and its wall-clock twin.
 
 Every component in the reproduction — the switch pipeline, the monitor's
-timer wheel, workload generators — reads time from a :class:`VirtualClock`
+agenda, workload generators — reads time from a :class:`VirtualClock`
 rather than the wall clock.  This makes timeout semantics (Features 3 and 7
 of the paper) exactly testable: a test can advance time to one tick before a
 deadline and assert nothing fired, then cross the deadline and assert the

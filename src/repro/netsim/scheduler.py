@@ -2,7 +2,7 @@
 
 The scheduler owns a :class:`~repro.netsim.clock.VirtualClock` and a priority
 queue of timestamped callbacks.  Components (links, hosts, the monitor's
-timer wheel, workload generators) schedule work at absolute or relative
+agenda, workload generators) schedule work at absolute or relative
 times; :meth:`EventScheduler.run` drains the queue in timestamp order,
 advancing the clock to each event as it fires.
 

@@ -9,10 +9,11 @@ it in batches and hands each one, whole, to ``monitor.observe_batch`` —
 the one door into the monitor, the same for a plain
 :class:`~repro.core.monitor.Monitor` and a sharded fabric, tracing on or
 off (the observer opens each event's root span, not the daemon); a
-poller coroutine drives
-:class:`~repro.telemetry.StatsPoller` on the wall clock; and the HTTP
-plane answers ``/metrics``, ``/stats``, ``/healthz``, ``/readyz`` and
-``/trace`` between batches.  Single-loop concurrency is the point —
+poll coroutine keeps the uptime gauge current and heartbeats a fabric's
+workers while ingest is idle; and the HTTP plane answers ``/metrics``,
+``/stats``, ``/healthz``, ``/readyz`` and ``/trace`` between batches.
+The daemon samples nothing itself — ``/metrics`` is the time series, and
+whoever scrapes it keeps the history.  Single-loop concurrency is the point —
 the monitor is single-threaded by design (it models one switch-local
 monitor) and no thread reads ingest either, so nothing here needs a
 lock, and every source meets the same back-pressure.
@@ -21,7 +22,7 @@ Shutdown is a drain, not a kill: SIGTERM (or :meth:`ServeDaemon.request_stop`)
 closes the ingest listeners, gives open streams ``drain_grace`` to end,
 lets the dispatcher empty the queue, runs
 ``Monitor.stop()`` (which drains deferred split-mode ops and closes
-spans), takes one final stats sample, and emits a
+spans), and emits a
 :class:`~repro.serve.report.ServeDegradationReport` with the
 detection-uncertainty interval for everything that was shed along the
 way.
@@ -50,7 +51,6 @@ from ..telemetry import (
     MetricsRegistry,
     NullTracer,
     SpanWriter,
-    StatsPoller,
     Tracer,
     render_prometheus,
 )
@@ -96,7 +96,6 @@ class ServeConfig:
     ingest: Tuple[str, ...] = ("tcp:0",)
     max_queue: int = 4096
     batch_max: int = 256
-    poll_interval: float = 1.0
     chaos_profile: str = "clean"
     trace_buffer: int = 512
     spans_path: Optional[str] = None
@@ -111,10 +110,9 @@ class ServeConfig:
     #: hold the drain open.
     drain_grace: float = 1.0
     #: 0 = one monitor; N > 0 = drain the queue into a ShardedMonitor
-    #: fabric of N shards (``--shards``).
+    #: fabric of N forked worker processes (``--shards``).
     shards: int = 0
-    shard_mode: str = "mp"
-    #: mp fabric supervision: worker restarts allowed per shard before
+    #: fabric supervision: worker restarts allowed per shard before
     #: the shard is declared failed (``--restart-budget``).
     restart_budget: int = 5
     #: events per shard between recovery checkpoints
@@ -128,10 +126,6 @@ class ServeConfig:
                 f"choose from {sorted(PROFILES)}")
         if self.shards < 0:
             raise ValueError(f"shards must be >= 0, got {self.shards}")
-        if self.shard_mode not in ("inprocess", "mp"):
-            raise ValueError(
-                f"unknown shard mode {self.shard_mode!r}; "
-                "choose inprocess or mp")
         if self.restart_budget < 0:
             raise ValueError(
                 f"restart_budget must be >= 0, got {self.restart_budget}")
@@ -161,7 +155,7 @@ class ServeDaemon:
             self.monitor = build_sharded_monitor(
                 PROFILES[self.config.chaos_profile],
                 num_shards=self.config.shards,
-                mode=self.config.shard_mode,
+                mode="mp",
                 registry=self.registry,
                 supervision=SupervisorPolicy(
                     restart_budget=self.config.restart_budget,
@@ -192,11 +186,6 @@ class ServeDaemon:
             high_mark=self.config.high_mark,
             low_mark=self.config.low_mark,
             shed_window=self.config.shed_window,
-        )
-        self.poller = StatsPoller(
-            self.registry,
-            interval=self.config.poll_interval,
-            clock=self.clock.now,
         )
         self._frame_errors = self.registry.counter(
             "repro_serve_frame_errors_total",
@@ -315,8 +304,6 @@ class ServeDaemon:
         for row in shard_rows:
             if not row.get("failed"):
                 row["recovering"] = False
-        # One last sample so the poller's tail reflects the drained state.
-        self.poller.sample(now)
         if self._span_writer is not None:
             self._span_writer.close()
         observed = int(summary["events"])
@@ -472,10 +459,8 @@ class ServeDaemon:
                 # so a crashed worker is noticed and restarted before the
                 # next batch arrives.
                 self._fabric.tick()
-            self.poller.poll()
-            delay = max(0.01, min(self.poller.seconds_until_due(), 0.25))
             try:
-                await asyncio.wait_for(self._stopping.wait(), timeout=delay)
+                await asyncio.wait_for(self._stopping.wait(), timeout=0.25)
             except asyncio.TimeoutError:
                 pass
 
@@ -554,7 +539,6 @@ class ServeDaemon:
                 "live_instances": self.monitor.live_instances(),
                 "pending_ops": self.monitor.pending_op_count(),
             },
-            "poller_samples": len(self.poller.samples),
             "http_requests": self.plane.requests_served,
         }
         if self._fabric is not None:

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Protocol, Sequence, 
 from ..netsim.scheduler import EventScheduler
 from ..packet.packet import Packet
 from ..telemetry import NULL_TRACER, MetricsRegistry, NullRegistry, Tracer
-from ..telemetry.metrics import LATENCY_BUCKETS
+from ..telemetry.metrics import LATENCY_BUCKETS, StatsView
 from .actions import (
     Action,
     DeleteRules,
@@ -90,16 +90,10 @@ Tap = Callable[[DataplaneEvent], None]
 Receiver = Callable[[Packet], None]
 
 
-class SwitchStats:
-    """Aggregate forwarding statistics — a thin view over the registry.
-
-    Historically a dataclass of loose fields; each one is now backed by a
-    registry instrument, so ``switch.stats.arrivals`` and the exported
-    ``repro_switch_arrivals_total`` sample are the SAME cell (no double
-    counting).  Works against the default
-    :class:`~repro.telemetry.NullRegistry` too: its counters still count,
-    they just export nothing.
-    """
+class SwitchStats(StatsView):
+    """Aggregate forwarding statistics — ``switch.stats.arrivals`` and the
+    exported ``repro_switch_arrivals_total`` sample are the SAME cell (see
+    :class:`~repro.telemetry.StatsView`)."""
 
     _COUNTERS = {
         "arrivals": "repro_switch_arrivals_total",
@@ -110,16 +104,7 @@ class SwitchStats:
         "alerts": "repro_switch_alerts_total",
     }
 
-    __slots__ = ("_registry",)
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._registry = registry if registry is not None else NullRegistry()
-
-    def __getattr__(self, name: str) -> int:
-        counter = self._COUNTERS.get(name)
-        if counter is not None:
-            return int(self._registry.counter(counter).value)
-        raise AttributeError(name)
+    __slots__ = ()
 
     @property
     def total_forward_latency(self) -> float:
@@ -130,12 +115,6 @@ class SwitchStats:
     def mean_forward_latency(self) -> float:
         done = self.unicasts + self.floods
         return self.total_forward_latency / done if done else 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = {name: getattr(self, name) for name in self._COUNTERS}
-        fields["mean_forward_latency"] = self.mean_forward_latency
-        inner = ", ".join(f"{k}={v}" for k, v in fields.items())
-        return f"SwitchStats({inner})"
 
 
 class Switch:

@@ -24,6 +24,7 @@ from .metrics import (
     MetricsRegistry,
     NULL_HISTOGRAM,
     NullRegistry,
+    StatsView,
 )
 from .poller import StatsPoller
 from .tracing import (
@@ -47,6 +48,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_HISTOGRAM",
     "NullRegistry",
+    "StatsView",
     "StatsPoller",
     "NULL_TRACER",
     "NullTracer",

@@ -304,6 +304,54 @@ class NullRegistry(MetricsRegistry):
         return {"time": None, "metrics": []}
 
 
+class StatsView:
+    """Legacy ``x.stats.name`` reads — a thin view over registry cells.
+
+    A subclass maps attribute names to metric names: a ``_COUNTERS``
+    attribute reads that counter's value, a ``_GAUGES`` attribute that
+    gauge's high watermark.  The view and the exported sample are the
+    SAME cell (no double counting, one source of truth), and it works
+    against the default :class:`NullRegistry` too: its counters still
+    count, they just export nothing.
+    """
+
+    _COUNTERS: Mapping[str, str] = {}
+    _GAUGES: Mapping[str, str] = {}
+
+    __slots__ = ("_registry",)
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        self._registry = registry if registry is not None else NullRegistry()
+
+    def __getattr__(self, name: str) -> int:
+        counter = self._COUNTERS.get(name)
+        if counter is not None:
+            return int(self._registry.counter(counter).value)
+        gauge = self._GAUGES.get(name)
+        if gauge is not None:
+            return int(self._registry.gauge(gauge).high_watermark)
+        raise AttributeError(name)
+
+    def export(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """``(counter values, gauge high-watermarks)`` by attribute name."""
+        return ({name: getattr(self, name) for name in self._COUNTERS},
+                {name: getattr(self, name) for name in self._GAUGES})
+
+    def restore(self, counters: Mapping[str, int],
+                peaks: Mapping[str, int]) -> None:
+        """Set the cells to exported values (a checkpoint restore)."""
+        for name, value in counters.items():
+            self._registry.counter(self._COUNTERS[name]).value = float(value)
+        for name, value in peaks.items():
+            self._registry.gauge(
+                self._GAUGES[name]).high_watermark = float(value)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        counters, peaks = self.export()
+        inner = ", ".join(f"{k}={v}" for k, v in {**counters, **peaks}.items())
+        return f"{type(self).__name__}({inner})"
+
+
 def _jsonable(value):
     """Floats that carry integral values export as ints (stable goldens)."""
     if value is None:

@@ -6,7 +6,8 @@ needs no threads: a :class:`StatsPoller` either (a) rides the discrete-
 event :class:`~repro.netsim.scheduler.EventScheduler` with pre-scheduled
 ticks up to a horizon, or (b) is driven directly from a replay loop via
 :meth:`StatsPoller.advance_to` — the same virtual-time-driven style as
-``Monitor.advance_to``.
+``Monitor.advance_to`` (``repro stats --poll-interval`` does this and
+returns the rows under ``"samples"``).
 
 Each tick invokes the configured ``sources`` (callables that refresh
 gauges whose producers do not update them continuously — e.g. collector
@@ -15,21 +16,14 @@ memory) and then samples **every gauge** in the registry, appending one
 is what turns point-in-time gauges (live instances, pending split-mode
 ops, stored postcards) into the growth curves Sec. 3.3 talks about.
 
-``repro serve`` adds a third driving mode: **wall clock**.  Construct
-the poller with a ``clock`` (any zero-argument monotonic-seconds
-callable; the daemon passes its :class:`~repro.netsim.clock.WallClock`)
-and call :meth:`StatsPoller.poll` from a periodic task.  Ticks still
-fire at their nominal deadlines — a late ``poll()`` fires every missed
-tick, stamped with the deadline it *should* have fired at, and records
-the lateness in the row's ``"jitter"`` field — so wall-clock series
-stay aligned to the interval grid exactly like virtual-clock ones
-(replay parity: rows produced by ``advance_to`` carry no jitter field
-and are byte-identical to pre-wall-clock output).
+There is no wall-clock mode: ``samples`` grows by a row per tick, which
+a bounded replay can afford and a daemon cannot — ``repro serve`` exposes
+``/metrics`` and the scraper keeps the history.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from .metrics import MetricsRegistry, _jsonable
 
@@ -50,14 +44,12 @@ class StatsPoller:
         interval: float,
         sources: Sequence[Callable[[], None]] = (),
         start_time: float = 0.0,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"poll interval must be positive, got {interval!r}")
         self.registry = registry
         self.interval = interval
         self.sources = list(sources)
-        self.clock = clock
         self.samples: List[dict] = []
         self._next_tick = start_time + interval
 
@@ -71,36 +63,6 @@ class StatsPoller:
             fired += 1
         return fired
 
-    # -- wall-clock driven (repro serve) -----------------------------------
-    def poll(self) -> int:
-        """Fire every tick due at ``clock()`` now; returns ticks fired.
-
-        Each fired row is stamped with its nominal deadline (keeping the
-        series on the interval grid regardless of scheduling delay) and
-        carries ``"jitter"``: how many real seconds after the deadline
-        the sample was actually taken.  Calling ``poll()`` on schedule
-        bounds jitter below one interval; a stalled loop catches up with
-        one row per missed tick, jitter revealing the stall.
-        """
-        if self.clock is None:
-            raise ValueError("poll() needs a clock; pass clock= or use "
-                             "advance_to()/attach()")
-        now = self.clock()
-        fired = 0
-        while self._next_tick <= now:
-            deadline = self._next_tick
-            row = self.sample(deadline)
-            row["jitter"] = _jsonable(max(0.0, now - deadline))
-            self._next_tick = deadline + self.interval
-            fired += 1
-        return fired
-
-    def seconds_until_due(self) -> float:
-        """Wall seconds until the next tick (sleep hint; >= 0)."""
-        if self.clock is None:
-            raise ValueError("seconds_until_due() needs a clock")
-        return max(0.0, self._next_tick - self.clock())
-
     # -- scheduler driven (live simulations) -------------------------------
     def attach(self, scheduler, until: float) -> int:
         """Pre-schedule ticks on ``scheduler`` up to the ``until`` horizon.
@@ -112,16 +74,11 @@ class StatsPoller:
         scheduled = 0
         t = self._next_tick
         while t <= until:
-            scheduler.call_at(
-                t, lambda t=t: self._scheduled_sample(t), label="stats-poll"
-            )
+            scheduler.call_at(t, lambda t=t: self.sample(t), label="stats-poll")
             t += self.interval
             scheduled += 1
         self._next_tick = t
         return scheduled
-
-    def _scheduled_sample(self, t: float) -> None:
-        self.sample(t)
 
     # -- the tick ----------------------------------------------------------
     def sample(self, t: float) -> dict:

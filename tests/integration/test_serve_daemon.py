@@ -65,7 +65,7 @@ def trace_path(tmp_path_factory):
 
 
 def boot(**config_overrides):
-    fields = dict(port=0, ingest=("tcp:0",), poll_interval=0.05)
+    fields = dict(port=0, ingest=("tcp:0",))
     fields.update(config_overrides)
     config = ServeConfig(**fields)
     daemon = ServeDaemon(config)
@@ -80,6 +80,33 @@ def get(daemon, path):
             return response.status, response.read().decode("utf-8")
     except urllib.error.HTTPError as exc:
         return exc.code, exc.read().decode("utf-8")
+
+
+def sized_attributes(root):
+    """``{attribute path: len}`` of everything sized that ``root`` holds,
+    followed through repro's own objects and the builtin containers
+    (not into asyncio, threading or socket internals, which churn)."""
+    sizes, seen = {}, set()
+
+    def walk(obj, path):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, (dict, list, tuple, set, frozenset,
+                            collections.deque)):
+            sizes[path] = len(obj)
+            values = obj.values() if isinstance(obj, dict) else obj
+            for n, value in enumerate(values):
+                walk(value, f"{path}[{n}]")
+        elif type(obj).__module__.startswith("repro."):
+            names = list(getattr(obj, "__dict__", ()))
+            for cls in type(obj).__mro__:
+                names.extend(getattr(cls, "__slots__", ()))
+            for name in names:
+                walk(getattr(obj, name, None), f"{path}.{name}")
+
+    walk(root, type(root).__name__)
+    return sizes
 
 
 def wait_until(predicate, timeout=5.0, interval=0.01):
@@ -139,16 +166,28 @@ class TestEndToEnd:
         assert report.exact
         assert report.pending_ops == 0
 
-    def test_wall_clock_poller_collects_samples(self, trace_path):
-        daemon, handle = boot(poll_interval=0.02)
+    def test_idle_daemon_holds_nothing_that_grows(self):
+        # A daemon runs for months between restarts: idling (and being
+        # scraped) must not make anything it holds longer.  It once kept
+        # a row of every gauge per second that no endpoint ever served.
+        daemon = ServeDaemon()
+        handle = serve_in_thread(daemon)
         try:
-            stream_trace(trace_path, "127.0.0.1", daemon.ingest_ports[0])
-            assert wait_until(lambda: len(daemon.poller.samples) >= 3)
-            row = daemon.poller.samples[-1]
-            assert "jitter" in row
-            assert "repro_serve_queue_depth" in row["values"]
+            for path in ("/stats", "/metrics"):   # first hits: warm-up
+                assert get(daemon, path)[0] == 200
+            before = sized_attributes(daemon)
+            deadline = time.monotonic() + 2.6     # a few 1 s periods
+            while time.monotonic() < deadline:
+                assert get(daemon, "/stats")[0] == 200
+                assert get(daemon, "/metrics")[0] == 200
+                time.sleep(0.2)
+            after = sized_attributes(daemon)
         finally:
             handle.stop()
+        grew = {path: (before.get(path, 0), size)
+                for path, size in after.items()
+                if size > before.get(path, 0)}
+        assert not grew, grew
 
     def test_repeat_streams_multiply_events(self, trace_path):
         daemon, handle = boot()

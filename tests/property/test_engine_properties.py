@@ -219,7 +219,7 @@ class TestEngineInvariants:
         for event in events:
             monitor.observe(event)
         monitor.advance_to(events[-1].time + 100.0)
-        assert monitor._pending == []
+        assert monitor.pending_op_count() == 0
 
     @settings(max_examples=40, deadline=None)
     @given(event_streams())

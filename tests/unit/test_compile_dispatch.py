@@ -468,7 +468,7 @@ class TestObserveBatch:
         monitor = self.run_batch(mode=ProcessingMode.SPLIT, split_lag=0.01)
         monitor.advance_to(100.0)
         assert monitor.stats.events == len(sample_events())
-        assert monitor._pending == []
+        assert monitor.pending_op_count() == 0
 
 
 class TestAdvanceToGauge:
@@ -481,9 +481,9 @@ class TestAdvanceToGauge:
         monitor.add_property(echo_prop())
         monitor.observe(arrival(1, 2, t=1.0))
         monitor.observe(arrival(5, 6, t=1.1))
-        assert len(monitor._pending) == 2
+        assert monitor.pending_op_count() == 2
         monitor.advance_to(50.0)
-        assert monitor._pending == []
+        assert monitor.pending_op_count() == 0
         gauge = registry.gauge("repro_monitor_pending_ops")
         assert gauge.value == 0.0
         assert monitor.stats.peak_pending_ops >= 2

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     Bind,
+    Const,
     DegradationPolicy,
     EventKind,
     EventPattern,
@@ -200,3 +201,73 @@ class TestBackpressure:
         shed = [r for r in monitor.ledger.records if r.kind == "op-shed"]
         assert len(shed) == 2
         assert all(r.primary == IMPACT_MISSED for r in shed)  # creates
+
+
+def gated_two_stage(within):
+    """frame from S on port 1, then — within ``within`` — a frame to S.
+
+    Only port-1 arrivals create, so a port-2 reply plans one advance and
+    nothing else."""
+    return PropertySpec(
+        name="p",
+        description="test property",
+        stages=(
+            Observe("seen", EventPattern(
+                kind=EventKind.ARRIVAL,
+                guards=(FieldEq("in_port", Const(1)),),
+                binds=(Bind("S", "eth.src"),))),
+            Observe("answered", EventPattern(
+                kind=EventKind.ARRIVAL,
+                guards=(FieldEq("eth.dst", Var("S")),)), within=within),
+        ),
+        key_vars=("S",),
+    )
+
+
+class TestAgendaOrder:
+    """Retries, deferred ops and timers are one time-ordered agenda."""
+
+    def split_monitor(self, within):
+        policy = DegradationPolicy(max_pending_ops=1, retry_backoff=1.0,
+                                   max_retries=5)
+        monitor = Monitor(mode=ProcessingMode.SPLIT, split_lag=1.0,
+                          degradation=policy)
+        monitor.add_property(gated_two_stage(within))
+        return monitor
+
+    def test_same_instant_retry_then_op_then_timer(self):
+        monitor = self.split_monitor(within=3.0)
+        # S=1 is created at 1.0 (the lag) and expires at 0.0 + 3.0.
+        monitor.observe(arr(ethernet(1, 9), 0.0))
+        # Both due at 3.0 too: the advance of S=1 takes the queue's one
+        # slot (2.0 + lag); the create of S=3 backs off (2.0 + backoff).
+        monitor.observe(arr(ethernet(2, 1), 2.0, port=2))
+        monitor.observe(arr(ethernet(3, 9), 2.0))
+        assert monitor.live_instances() == 1
+        assert monitor.pending_op_count() == 2
+        assert monitor.stats.op_retries == 1
+        monitor.advance_to(3.0)
+        # The retry came first: the advance still held the slot, so the
+        # create backed off again — now past its ideal time, hence the ink.
+        assert monitor.stats.op_retries == 2
+        assert monitor.ledger.by_kind() == {"op-retried": 1}
+        assert monitor.pending_op_count() == 1
+        # The op came before the timer: the advance found S=1 alive at
+        # its own deadline and completed it; the expiry found it gone.
+        assert len(monitor.violations) == 1
+        assert monitor.stats.instances_expired == 0
+
+    def test_drain_flushes_ops_and_retries_not_later_timers(self):
+        monitor = self.split_monitor(within=100.0)
+        monitor.observe(arr(ethernet(1, 9), 0.0))   # queued for 1.0
+        monitor.observe(arr(ethernet(2, 9), 0.0))   # backs off to 1.0
+        assert monitor.pending_op_count() == 2
+        assert monitor.drain() == 0
+        assert monitor.pending_op_count() == 0
+        # The second create got in on its second retry (1.0, then 3.0);
+        # nothing ran the clock on to the expiries at 100.0.
+        assert monitor.now == 3.0
+        assert monitor.stats.instances_created == 2
+        assert monitor.live_instances() == 2
+        monitor.advance_to(100.0)
+        assert monitor.stats.instances_expired == 2

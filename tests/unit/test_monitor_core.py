@@ -270,7 +270,7 @@ class TestTimeouts:
                  if hasattr(value, "__len__")}
         assert max(sized.values()) <= keys, sized
         m.advance_to(1e6)
-        assert m.live_instances() == 0 and not m._wheel
+        assert m.live_instances() == 0 and m.pending_op_count() == 0
 
 
 class TestObligation:

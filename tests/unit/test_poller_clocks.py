@@ -1,29 +1,11 @@
-"""StatsPoller under both clocks: virtual-replay parity and wall-clock
-firing with a fake monotonic source.
+"""StatsPoller rows on virtual time.
 
-The wall-clock mode (``clock=`` + ``poll()``) is what ``repro serve``
-drives; the virtual mode (``advance_to``/``attach``) is what replay
-drives.  The parity tests pin that adding the wall-clock path changed
-nothing about virtual rows, and the jitter tests pin the lateness
-accounting against a controllable fake time source.
+``advance_to``/``attach`` are the only ways to drive the poller — what
+replay and ``repro stats --poll-interval`` do; a row is ``time`` and
+``values``, nothing else.
 """
 
-import pytest
-
 from repro.telemetry import MetricsRegistry, StatsPoller
-
-
-class FakeMonotonic:
-    """A manually-advanced stand-in for time.monotonic."""
-
-    def __init__(self, start=0.0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, delta):
-        self.now += delta
 
 
 def gauge_registry():
@@ -40,83 +22,12 @@ class TestVirtualClockParity:
         assert [set(row) for row in poller.samples] \
             == [{"time", "values"}] * 2
 
-    def test_wallclock_rows_match_virtual_rows_modulo_jitter(self):
+    def test_sources_refresh_before_each_sample(self):
         registry, g = gauge_registry()
-        virtual = StatsPoller(registry, interval=0.5)
-        fake = FakeMonotonic()
-        wall = StatsPoller(registry, interval=0.5, clock=fake)
-        g.set(7)
-        virtual.advance_to(2.0)
-        fake.advance(2.0)
-        wall.poll()
-        stripped = [{k: v for k, v in row.items() if k != "jitter"}
-                    for row in wall.samples]
-        assert stripped == virtual.samples
-
-    def test_poll_without_clock_is_an_error(self):
-        registry, _ = gauge_registry()
-        poller = StatsPoller(registry, interval=1.0)
-        with pytest.raises(ValueError):
-            poller.poll()
-        with pytest.raises(ValueError):
-            poller.seconds_until_due()
-
-
-class TestWallClockMode:
-    def test_on_schedule_polling_bounds_jitter_below_interval(self):
-        registry, g = gauge_registry()
-        fake = FakeMonotonic()
-        poller = StatsPoller(registry, interval=1.0, clock=fake)
-        g.set(1)
-        # Poll once per interval, each poll 0.25s past the deadline.
-        fake.advance(1.25)
-        for _ in range(5):
-            assert poller.poll() == 1
-            fake.advance(1.0)
-        assert [row["time"] for row in poller.samples[:3]] \
-            == [1.0, 2.0, 3.0]
-        for row in poller.samples:
-            assert 0.0 <= row["jitter"] < poller.interval
-            assert row["jitter"] == 0.25
-
-    def test_stalled_loop_catches_up_one_row_per_missed_tick(self):
-        registry, g = gauge_registry()
-        fake = FakeMonotonic()
-        poller = StatsPoller(registry, interval=1.0, clock=fake)
-        g.set(4)
-        fake.advance(3.7)  # three ticks overdue
-        assert poller.poll() == 3
-        times = [row["time"] for row in poller.samples]
-        jitters = [row["jitter"] for row in poller.samples]
-        assert times == [1.0, 2.0, 3.0]  # deadlines, not poll times
-        assert jitters == pytest.approx([2.7, 1.7, 0.7])  # lateness/tick
-
-    def test_early_poll_fires_nothing(self):
-        registry, _ = gauge_registry()
-        fake = FakeMonotonic()
-        poller = StatsPoller(registry, interval=1.0, clock=fake)
-        fake.advance(0.9)
-        assert poller.poll() == 0
-        assert poller.samples == []
-
-    def test_seconds_until_due_is_a_sleep_hint(self):
-        registry, _ = gauge_registry()
-        fake = FakeMonotonic()
-        poller = StatsPoller(registry, interval=2.0, clock=fake)
-        assert poller.seconds_until_due() == 2.0
-        fake.advance(0.5)
-        assert poller.seconds_until_due() == 1.5
-        fake.advance(5.0)  # overdue: clamp at zero, never negative
-        assert poller.seconds_until_due() == 0.0
-
-    def test_sources_refresh_before_each_wallclock_sample(self):
-        registry, g = gauge_registry()
-        fake = FakeMonotonic()
         calls = []
         poller = StatsPoller(
-            registry, interval=1.0, clock=fake,
+            registry, interval=1.0,
             sources=[lambda: calls.append(len(calls)) or g.set(len(calls))])
-        fake.advance(2.0)
-        poller.poll()
+        assert poller.advance_to(2.0) == 2
         assert calls == [0, 1]
         assert [row["values"]["depth"] for row in poller.samples] == [1, 2]

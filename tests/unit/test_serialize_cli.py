@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.fabric import fork_available
 from repro.netsim.serialize import (
     TraceFormatError,
     dump_trace,
@@ -182,6 +183,42 @@ class TestCli:
                      "--fault-rate", "0.0"]) == 0
         assert main(["replay", str(trace), str(props)]) == 0
         assert "violations: 0" in capsys.readouterr().out
+
+
+    @pytest.mark.skipif(not fork_available(),
+                        reason="fork start method unavailable")
+    def test_replay_shards_matches_unsharded(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        props = tmp_path / "p.prop"
+        props.write_text(DSL)
+        assert main(["record", str(trace), "--packets", "30",
+                     "--fault-rate", "1.0"]) == 0
+        capsys.readouterr()
+
+        def replay(*flags):
+            assert main(["replay", str(trace), str(props), *flags]) == 0
+            head, count, *rest = capsys.readouterr().out.split("\n", 2)
+            return head, count, sorted("".join(rest).split("\n\n"))
+
+        plain_head, plain_count, plain = replay()
+        head, count, sharded = replay("--shards", "2")
+        assert head == plain_head + " across 2 mp shard(s)"
+        assert count == plain_count != "violations: 0"
+        assert sharded == plain
+
+    @pytest.mark.parametrize("argv", [
+        ["replay", "t.jsonl", "p.prop", "--shards", "2"],
+        ["serve", "--shards", "2"],
+    ])
+    def test_shards_without_fork_exits_2(self, argv, tmp_path, capsys,
+                                         monkeypatch):
+        (tmp_path / "t.jsonl").write_text("")
+        (tmp_path / "p.prop").write_text(DSL)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("repro.fabric.fork_available", lambda: False)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fork start method" in err
 
 
 class TestTraceHeader:
