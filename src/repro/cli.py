@@ -433,10 +433,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
+    from dataclasses import replace
 
     from .netsim.chaos import PROFILES
-    from .resilience import render_report, run_soak
+    from .resilience import (
+        SOAK_SUPERVISION,
+        render_crash_report,
+        render_report,
+        run_crash_chaos,
+        run_soak,
+    )
 
     if args.attack:
         from .adversarial import render_attack_report, run_attacks
@@ -444,10 +450,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         report = run_attacks(rounds=args.rounds)
         print(render_attack_report(report))
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                json.dump(report.to_dict(), fp, indent=2, sort_keys=True)
-                fp.write("\n")
-            print(f"wrote {args.json}")
+            _write_json(args.json, report.to_dict())
         if report.failed:
             print("attack sweep FAILED: a flagged property did not degrade "
                   "as the lint predicted", file=sys.stderr)
@@ -455,80 +458,54 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 0
 
     profile = PROFILES[args.profile]
-    if not profile.worker_crash.is_null:
-        return _run_crash_profile(args, profile)
-    reports = run_soak(profile, seed=args.seed, rounds=args.rounds,
-                       num_events=args.events, settle=args.settle)
-    failed = False
-    for index, report in enumerate(reports):
-        if args.rounds > 1:
-            print(f"--- round {index + 1}/{args.rounds} "
-                  f"(seed {report.seed}) ---")
-        print(render_report(report))
-        if report.invariant_failures:
-            failed = True
-        if report.bounded is False:
-            failed = True
-    if args.json:
-        payload = {
-            "profile": profile.name,
-            "rounds": [report.to_dict() for report in reports],
-        }
-        with open(args.json, "w", encoding="utf-8") as fp:
-            json.dump(payload, fp, indent=2, sort_keys=True)
-            fp.write("\n")
-        print(f"wrote {args.json}")
-    if failed:
-        print("chaos run FAILED: invariant violation or clean count "
-              "outside the ledgered uncertainty interval", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _run_crash_profile(args: argparse.Namespace, profile) -> int:
-    """`repro chaos --profile worker-crash`: SIGKILL workers mid-run."""
-    import json
-
-    from .fabric import SupervisorPolicy
-    from .resilience import render_crash_report, run_crash_chaos
-
-    if _lacks_fork("the worker-crash profile"):
-        return 2
-    supervision = SupervisorPolicy(
-        heartbeat_interval=0.2, heartbeat_timeout=10.0,
-        backoff_base=0.01, backoff_max=0.5,
-        restart_budget=args.restart_budget,
-        checkpoint_interval=args.checkpoint_interval)
-    reports = []
-    for offset in range(args.rounds):
-        reports.append(run_crash_chaos(
+    if profile.worker_crash.is_null:
+        reports = run_soak(profile, seed=args.seed, rounds=args.rounds,
+                           num_events=args.events, settle=args.settle)
+        render = render_report
+        broken = lambda r: r.invariant_failures or r.bounded is False  # noqa: E731
+        verdict = ("chaos run FAILED: invariant violation or clean count "
+                   "outside the ledgered uncertainty interval")
+    else:  # SIGKILL fabric workers mid-run
+        if _lacks_fork("the worker-crash profile"):
+            return 2
+        supervision = replace(
+            SOAK_SUPERVISION, restart_budget=args.restart_budget,
+            checkpoint_interval=args.checkpoint_interval)
+        reports = [run_crash_chaos(
             profile, seed=args.seed + offset, num_events=args.events,
             settle=args.settle, num_shards=args.shards or 2,
-            supervision=supervision))
+            supervision=supervision) for offset in range(args.rounds)]
+        render = render_crash_report
+        broken = lambda r: (not r.bounded or r.invariant_failures  # noqa: E731
+                            or r.failed_shards)
+        verdict = ("crash chaos FAILED: clean count outside the uncertainty "
+                   "interval, an invariant broke, or a shard exhausted its "
+                   "restart budget")
     failed = False
     for index, report in enumerate(reports):
         if args.rounds > 1:
             print(f"--- round {index + 1}/{args.rounds} "
                   f"(seed {report.seed}) ---")
-        print(render_crash_report(report))
-        if not report.bounded or report.invariant_failures \
-                or report.failed_shards:
-            failed = True
+        print(render(report))
+        failed = failed or bool(broken(report))
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "profile": profile.name,
             "rounds": [report.to_dict() for report in reports],
-        }
-        with open(args.json, "w", encoding="utf-8") as fp:
-            json.dump(payload, fp, indent=2, sort_keys=True)
-            fp.write("\n")
-        print(f"wrote {args.json}")
+        })
     if failed:
-        print("crash chaos FAILED: clean count outside the uncertainty "
-              "interval, an invariant broke, or a shard exhausted its "
-              "restart budget", file=sys.stderr)
+        print(verdict, file=sys.stderr)
         return 1
     return 0
+
+
+def _write_json(path: str, payload: dict) -> None:
+    import json
+
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(payload, fp, indent=2, sort_keys=True)
+        fp.write("\n")
+    print(f"wrote {path}")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

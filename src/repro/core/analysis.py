@@ -5,7 +5,8 @@ This is the machinery that regenerates **Table 1**: given a
 semantic features monitoring it requires.  The rules (documented per
 function) are purely structural — they read the specification, never run
 it — so the derived columns are a function of how the property is *stated*,
-exactly as in the paper.
+exactly as in the paper.  Table 1's Fields column (F1) is the deepest
+``LAYER`` among the headers that declare the fields a property reads.
 
 Classification of instance identification (Feature 8) follows the paper's
 definitions:
@@ -27,25 +28,17 @@ neutral.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable
 
+from ..packet.wire import HEADERS
 from .features import FeatureRequirements, MatchKind
 from .instances import stage_index_plan
 from .refs import EventKind, EventPattern, Predicate
 from .spec import Absent, Observe, PropertySpec
 
-#: dotted-field prefix -> OSI layer the switch parser must reach
-_LAYER_BY_PREFIX: Dict[str, int] = {
-    "eth": 2,
-    "vlan": 2,
-    "arp": 3,
-    "ipv4": 3,
-    "tcp": 4,
-    "udp": 4,
-    "icmp": 4,
-    "dhcp": 7,
-    "ftp": 7,
-}
+#: dotted-field prefix (a header's ``NAME``) -> OSI layer the switch
+#: parser must reach (that header's ``LAYER``)
+_LAYER_BY_PREFIX: Dict[str, int] = {h.NAME: h.LAYER for h in HEADERS}
 
 #: dotted-field prefix -> protocol family for match-kind classification
 _FAMILY_BY_PREFIX: Dict[str, str] = {

@@ -4,7 +4,8 @@ Sec. 2 of the paper distills ten features a switch must provide to host
 stateful property monitoring.  Eight are *per-property* (a given property
 needs them or not — the columns of Table 1); side-effect control (F9) and
 provenance (F10) are intrinsic to the monitoring implementation and
-"independent of the property" (Table 1's caption).
+"independent of the property" (Table 1's caption).  Also here: who controls
+a field's value, the label the taint pass starts from.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
+
+from .refs import METADATA_FIELDS
 
 
 class Feature(Enum):
@@ -86,20 +89,9 @@ class FeatureRequirements:
 ATTACKER_CONTROLLED = "attacker-controlled"
 TRUSTED = "trusted"
 
-#: Event-metadata fields whose values the switch, not the sender, supplies
-#: (see :func:`repro.core.refs.event_fields` for where each is populated).
-TRUSTED_FIELDS = frozenset({
-    "time",
-    "switch",
-    "uid",
-    "in_port",
-    "out_port",
-    "egress.action",
-    "drop.reason",
-    "oob.kind",
-    "oob.port",
-    "timer.id",
-})
+#: Fields whose values the switch, not the sender, supplies: the event
+#: metadata (:data:`repro.core.refs.METADATA_FIELDS`).
+TRUSTED_FIELDS = frozenset(row.name for row in METADATA_FIELDS)
 
 
 def field_provenance(name: str) -> str:

@@ -17,6 +17,10 @@ observation matches a dataplane event via an :class:`EventPattern`:
 Negative match (Feature 6) appears as :class:`FieldNe` and
 :class:`MismatchAny` (the NAT property's "destination not equal to A, P",
 which is a disjunction of inequalities).
+
+The field map a guard reads is :func:`event_fields`: the packet's own
+fields, which its headers declare (:data:`repro.packet.HEADERS`), plus the
+event metadata declared here, in :data:`METADATA_FIELDS`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
+from ..packet.headers import Field
 from ..switch.events import (
     DataplaneEvent,
     EgressAction,
@@ -71,13 +76,29 @@ def kind_event_classes(kind: EventKind) -> Tuple[type, ...]:
     return _KIND_TYPES[kind]
 
 
+#: The event metadata :func:`event_fields` adds to a packet's own fields —
+#: every value supplied by the switch, none by the sender.  ``attr`` is the
+#: event attribute it is read from (the packet's, for ``uid``).
+METADATA_FIELDS: Tuple[Field, ...] = (
+    Field("in_port", "in_port", "int", 32),
+    Field("out_port", "out_port", "int", 32),
+    Field("oob.port", "port", "int", 32),
+    Field("uid", "uid", "int", 64),
+    Field("time", "time", "float", 0),
+    Field("switch", "switch_id", "str", 0),
+    Field("egress.action", "action", "enum", 0),
+    Field("drop.reason", "reason", "str", 0),
+    Field("oob.kind", "oob_kind", "enum", 0),
+    Field("timer.id", "timer_id", "str", 0),
+)
+
+
 def event_fields(event: DataplaneEvent, max_layer: int = 7) -> Dict[str, object]:
     """Flatten a dataplane event into the field map guards evaluate over.
 
     Packet events expose the packet's dotted fields (to ``max_layer`` — the
-    parse-depth limit of Feature 1), plus event metadata: ``in_port``,
-    ``out_port``, ``egress.action``, ``drop.reason``, ``oob.kind``,
-    ``oob.port``, ``uid``, and ``time``.
+    parse-depth limit of Feature 1); every event adds its rows of
+    :data:`METADATA_FIELDS`.
     """
     fields: Dict[str, object] = {"time": event.time, "switch": event.switch_id}
     if isinstance(event, PacketArrival):

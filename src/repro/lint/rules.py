@@ -31,7 +31,6 @@ from .dataflow import rule_cross_stage_contradiction
 from .diagnostics import Diagnostic, make
 from .schema import (
     FIELD_SCHEMA,
-    field_type,
     kinds_compatible,
     literal_mismatch,
     literal_overflow,
@@ -412,8 +411,8 @@ def rule_type_mismatch(prop: PropertyAst) -> Iterator[Diagnostic]:
                     bound_from = origin.get(value.name)
                     if bound_from is None:
                         continue
-                    ftype = field_type(field_name)
-                    btype = field_type(bound_from)
+                    ftype = FIELD_SCHEMA.get(field_name)
+                    btype = FIELD_SCHEMA.get(bound_from)
                     if ftype and btype and not kinds_compatible(
                             ftype.kind, btype.kind):
                         yield make(

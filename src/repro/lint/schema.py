@@ -1,15 +1,16 @@
 """The header-field schema the type/width lints check against.
 
 Field names in the property language are dotted paths into the flat event
-field map (:func:`repro.core.refs.event_fields`).  This module gives each
-known field a *kind* (``ip``, ``mac``, ``int``, ``str``, ``enum``,
-``float``) and, for integer fields, the register width in bits — the
-widths a switch would burn per instance to carry the value (see the
-split-mode cost estimate).
+field map (:func:`repro.core.refs.event_fields`).  Each known field has a
+*kind* (``ip``, ``mac``, ``int``, ``str``, ``enum``, ``float``) and, for
+integer fields, the register width in bits — the widths a switch would burn
+per instance to carry the value (see the split-mode cost estimate).
 
-A unit test builds one packet of every protocol the reproduction parses
-and asserts each emitted field name appears here, so the schema cannot
-silently fall behind :mod:`repro.packet`.
+Nothing here is written out: :data:`FIELD_SCHEMA` is read off the rows the
+headers declare (:data:`repro.packet.HEADERS`) and the event metadata rows
+(:data:`repro.core.refs.METADATA_FIELDS`).  ``tests/unit/test_field_table.py``
+builds one packet of every protocol the reproduction builds and checks that
+every field either projection emits is declared, with its declared kind.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..core.refs import METADATA_FIELDS
 from ..packet.addresses import IPv4Address, MACAddress
+from ..packet.wire import HEADERS
 
 
 @dataclass(frozen=True)
@@ -28,73 +31,16 @@ class FieldType:
     bits: int  # register width; 0 for unsized kinds (str, float, enum)
 
 
-_I = FieldType  # local shorthand for the table below
-
-#: dotted field name -> static type.  Widths follow the wire formats in
-#: :mod:`repro.packet.headers` / :mod:`repro.packet.dhcp` /
-#: :mod:`repro.packet.ftp`.
+#: dotted field name -> static type: every declared packet field, outermost
+#: header first, then the event metadata.
 FIELD_SCHEMA: Dict[str, FieldType] = {
-    # L2
-    "eth.src": _I("mac", 48),
-    "eth.dst": _I("mac", 48),
-    "eth.type": _I("int", 16),
-    "vlan.vid": _I("int", 12),
-    "vlan.pcp": _I("int", 3),
-    # ARP
-    "arp.op": _I("int", 16),
-    "arp.sender_mac": _I("mac", 48),
-    "arp.sender_ip": _I("ip", 32),
-    "arp.target_mac": _I("mac", 48),
-    "arp.target_ip": _I("ip", 32),
-    # IPv4
-    "ipv4.src": _I("ip", 32),
-    "ipv4.dst": _I("ip", 32),
-    "ipv4.proto": _I("int", 8),
-    "ipv4.ttl": _I("int", 8),
-    "ipv4.dscp": _I("int", 6),
-    # L4
-    "tcp.src": _I("int", 16),
-    "tcp.dst": _I("int", 16),
-    "tcp.flags": _I("int", 8),
-    "tcp.seq": _I("int", 32),
-    "tcp.ack": _I("int", 32),
-    "udp.src": _I("int", 16),
-    "udp.dst": _I("int", 16),
-    "icmp.type": _I("int", 8),
-    "icmp.code": _I("int", 8),
-    # DHCP (L7)
-    "dhcp.op": _I("int", 8),
-    "dhcp.msg_type": _I("int", 8),
-    "dhcp.xid": _I("int", 32),
-    "dhcp.client_mac": _I("mac", 48),
-    "dhcp.yiaddr": _I("ip", 32),
-    "dhcp.requested_ip": _I("ip", 32),
-    "dhcp.lease_time": _I("int", 32),
-    "dhcp.server_id": _I("ip", 32),
-    # FTP (L7)
-    "ftp.line": _I("str", 0),
-    "ftp.data_ip": _I("ip", 32),
-    "ftp.data_port": _I("int", 16),
-    # event metadata (repro.core.refs.event_fields)
-    "in_port": _I("int", 32),
-    "out_port": _I("int", 32),
-    "oob.port": _I("int", 32),
-    "uid": _I("int", 64),
-    "time": _I("float", 0),
-    "switch": _I("str", 0),
-    "egress.action": _I("enum", 0),
-    "drop.reason": _I("str", 0),
-    "oob.kind": _I("enum", 0),
-    "timer.id": _I("str", 0),
+    row.name: FieldType(row.kind, row.bits)
+    for rows in [h.FIELDS for h in HEADERS] + [METADATA_FIELDS]
+    for row in rows
 }
 
 #: width assumed for fields outside the schema (cost estimates only).
 DEFAULT_FIELD_BITS = 32
-
-
-def field_type(name: str) -> Optional[FieldType]:
-    """The schema entry for a field, or None if unknown."""
-    return FIELD_SCHEMA.get(name)
 
 
 def field_bits(name: str) -> int:

@@ -16,8 +16,9 @@ contradiction rule (L016, :mod:`repro.lint.dataflow`) uses:
 * ``constant`` — the bind's field is guarded equal to a literal, so the
   variable holds one value in every instance; nobody controls it.
 * ``trusted`` — the field's value is supplied by the switch, not the
-  sender (``in_port``, ``egress.action``, …; see
-  :data:`repro.core.features.TRUSTED_FIELDS`).
+  sender (``in_port``, ``egress.action``, …: the event-metadata rows,
+  :data:`repro.core.refs.METADATA_FIELDS`, that
+  :data:`repro.core.features.TRUSTED_FIELDS` is read from).
 * ``attacker-controlled`` — everything else, packet headers above all.
 
 Labels are ranked ``constant < trusted < attacker-controlled`` and only
@@ -53,7 +54,6 @@ from ..core.features import (
 from ..lang.ast import (
     AnyDiffers,
     Comparison,
-    Literal,
     NamedPredicate,
     PatternAst,
     PropertyAst,
@@ -128,16 +128,6 @@ class TaintReport:
     attacker_matchable: Tuple[bool, ...] = ()
     #: cap a DegradationPolicy should impose (None when the key is safe)
     suggested_max_instances: Optional[int] = None
-
-
-def _pattern_fields(pattern: PatternAst) -> Iterator[Tuple[str, object]]:
-    """(field, anchor-node) for every field a pattern reads."""
-    for condition in pattern.conditions:
-        if isinstance(condition, Comparison):
-            yield condition.field, condition
-        elif isinstance(condition, AnyDiffers):
-            for name, _ in condition.pairs:
-                yield name, condition
 
 
 def _is_attacker_matchable(

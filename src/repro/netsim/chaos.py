@@ -142,14 +142,57 @@ def corrupt_packet(packet: Packet) -> Packet:
                   uid=packet.uid)
 
 
-class FaultInjector:
-    """Applies a :class:`LinkFaultProfile` to a delivery callable.
+class _FaultRoll:
+    """A :class:`LinkFaultProfile` rolled per offered item, streams
+    ``{stream}:{fault}`` in a fixed order — drop, corrupt, jitter, reorder,
+    then (once the caller has delivered) duplicate — so enabling one fault
+    never reshuffles another.  Delivery is the subclass's."""
 
-    Wraps the ``deliver(packet)`` function a switch port or host uplink
-    calls, rolling per-fault RNG streams in a fixed order (drop, corrupt,
-    jitter, reorder, duplicate) so the decision sequence depends only on
-    the packet arrival order, never on which faults are enabled.
-    """
+    def __init__(self, profile: LinkFaultProfile, stream: str) -> None:
+        self.profile = profile
+        self._rngs = {
+            fault: random.Random(f"{stream}:{fault}")
+            for fault in ("drop", "corrupt", "jitter", "reorder", "duplicate")
+        }
+        self.counters: Dict[str, int] = dict.fromkeys((
+            "offered", "delivered", "dropped", "duplicated", "reordered",
+            "corrupted", "delayed"), 0)
+
+    def _fires(self, fault: str, rate: float) -> bool:
+        return rate > 0.0 and self._rngs[fault].random() < rate
+
+    def _roll(self, corruptible: bool) -> Optional[Tuple[bool, float]]:
+        """``None`` if dropped, else ``(corrupt?, extra delay)``."""
+        p, counters = self.profile, self.counters
+        counters["offered"] += 1
+        if self._fires("drop", p.drop):
+            counters["dropped"] += 1
+            return None
+        corrupt = self._fires("corrupt", p.corrupt) and corruptible
+        if corrupt:
+            counters["corrupted"] += 1
+        delay = 0.0
+        if p.jitter > 0.0:
+            delay += self._rngs["jitter"].uniform(0.0, p.jitter)
+        if self._fires("reorder", p.reorder):
+            counters["reordered"] += 1
+            delay += self._rngs["reorder"].uniform(0.0, p.reorder_window)
+        counters["delivered"] += 1
+        if delay > 0.0:
+            counters["delayed"] += 1
+        return corrupt, delay
+
+    def _duplicates(self) -> bool:
+        """The last roll, made once the original has been delivered."""
+        if self._fires("duplicate", self.profile.duplicate):
+            self.counters["duplicated"] += 1
+            return True
+        return False
+
+
+class FaultInjector(_FaultRoll):
+    """Applies a :class:`LinkFaultProfile` to the ``deliver(packet)`` a
+    switch port or host uplink calls (streams ``{seed}:{name}:{fault}``)."""
 
     def __init__(
         self,
@@ -157,21 +200,9 @@ class FaultInjector:
         scheduler: EventScheduler,
         name: str = "",
     ) -> None:
-        self.profile = profile
+        super().__init__(profile, f"{profile.seed}:{name}")
         self.scheduler = scheduler
         self.name = name
-        seed = profile.seed
-        self._rngs = {
-            fault: random.Random(f"{seed}:{name}:{fault}")
-            for fault in ("drop", "corrupt", "jitter", "reorder", "duplicate")
-        }
-        self.counters: Dict[str, int] = {
-            "offered": 0, "delivered": 0, "dropped": 0, "duplicated": 0,
-            "reordered": 0, "corrupted": 0, "delayed": 0,
-        }
-
-    def _fires(self, fault: str, rate: float) -> bool:
-        return rate > 0.0 and self._rngs[fault].random() < rate
 
     def wrap(self, deliver: Callable[[Packet], None]) -> Callable[[Packet], None]:
         """The chaos-wrapped version of a delivery callable."""
@@ -180,29 +211,18 @@ class FaultInjector:
         return deliver_with_faults
 
     def send(self, packet: Packet, deliver: Callable[[Packet], None]) -> None:
-        p = self.profile
-        self.counters["offered"] += 1
-        if self._fires("drop", p.drop):
-            self.counters["dropped"] += 1
+        rolled = self._roll(corruptible=True)
+        if rolled is None:
             return
-        if self._fires("corrupt", p.corrupt):
-            self.counters["corrupted"] += 1
+        corrupt, delay = rolled
+        if corrupt:
             packet = corrupt_packet(packet)
-        delay = 0.0
-        if p.jitter > 0.0:
-            delay += self._rngs["jitter"].uniform(0.0, p.jitter)
-        if self._fires("reorder", p.reorder):
-            self.counters["reordered"] += 1
-            delay += self._rngs["reorder"].uniform(0.0, p.reorder_window)
-        self.counters["delivered"] += 1
         if delay > 0.0:
-            self.counters["delayed"] += 1
             self.scheduler.call_after(
                 delay, lambda pk=packet: deliver(pk), label="chaos-delay")
         else:
             deliver(packet)
-        if self._fires("duplicate", p.duplicate):
-            self.counters["duplicated"] += 1
+        if self._duplicates():
             self.scheduler.call_after(
                 delay + DUPLICATE_GAP, lambda pk=packet: deliver(pk),
                 label="chaos-duplicate")
@@ -230,7 +250,7 @@ def install_host_chaos(host, profile: LinkFaultProfile) -> FaultInjector:
     return injector
 
 
-class FaultyEventChannel:
+class FaultyEventChannel(_FaultRoll):
     """Applies a :class:`LinkFaultProfile` to a recorded event stream.
 
     Models a lossy monitoring tap: the switch saw every event, but the
@@ -239,50 +259,28 @@ class FaultyEventChannel:
     (frozen dataclasses) — perturbed copies are made with
     ``dataclasses.replace`` and the result is re-sorted by perturbed
     time, which is exactly how reordering becomes visible to the
-    monitor.  Deterministic for a given (profile.seed, name, stream).
+    monitor.  Deterministic for a given (profile.seed, name, stream):
+    streams ``{seed}:{name}:events:{fault}``.
     """
 
     def __init__(self, profile: LinkFaultProfile, name: str = "") -> None:
-        self.profile = profile
+        super().__init__(profile, f"{profile.seed}:{name}:events")
         self.name = name
-        seed = profile.seed
-        self._rngs = {
-            fault: random.Random(f"{seed}:{name}:events:{fault}")
-            for fault in ("drop", "corrupt", "jitter", "reorder", "duplicate")
-        }
-        self.counters: Dict[str, int] = {
-            "offered": 0, "delivered": 0, "dropped": 0, "duplicated": 0,
-            "reordered": 0, "corrupted": 0, "delayed": 0,
-        }
-
-    def _fires(self, fault: str, rate: float) -> bool:
-        return rate > 0.0 and self._rngs[fault].random() < rate
 
     def transform(self, events: Sequence) -> List:
-        p = self.profile
         out: List[Tuple[float, int, int, object]] = []
         for idx, event in enumerate(events):
-            self.counters["offered"] += 1
-            if self._fires("drop", p.drop):
-                self.counters["dropped"] += 1
+            packet = getattr(event, "packet", None)
+            rolled = self._roll(corruptible=packet is not None)
+            if rolled is None:
                 continue
-            if self._fires("corrupt", p.corrupt) and \
-                    getattr(event, "packet", None) is not None:
-                self.counters["corrupted"] += 1
-                event = replace(event, packet=corrupt_packet(event.packet))
-            delay = 0.0
-            if p.jitter > 0.0:
-                delay += self._rngs["jitter"].uniform(0.0, p.jitter)
-            if self._fires("reorder", p.reorder):
-                self.counters["reordered"] += 1
-                delay += self._rngs["reorder"].uniform(0.0, p.reorder_window)
+            corrupt, delay = rolled
+            if corrupt:
+                event = replace(event, packet=corrupt_packet(packet))
             if delay > 0.0:
-                self.counters["delayed"] += 1
                 event = replace(event, time=event.time + delay)
-            self.counters["delivered"] += 1
             out.append((event.time, idx, 0, event))
-            if self._fires("duplicate", p.duplicate):
-                self.counters["duplicated"] += 1
+            if self._duplicates():
                 dup = replace(event, time=event.time + DUPLICATE_GAP)
                 out.append((dup.time, idx, 1, dup))
         out.sort(key=lambda item: (item[0], item[1], item[2]))

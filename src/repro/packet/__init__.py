@@ -1,9 +1,10 @@
 """Packet model: addresses, L2–L7 headers, wire codecs, builders.
 
 Public surface of the packet subpackage.  The monitor's field extraction
-(paper Feature 1) reads the flat dotted-name namespace these types expose
-via ``fields()``; the ``uid`` on :class:`Packet` carries packet identity
-(Feature 5) across rewrites and flooding.
+(paper Feature 1) reads the flat dotted-name namespace these types declare
+in their ``FIELDS`` (all of them: :data:`HEADERS`); the ``uid`` on
+:class:`Packet` carries packet identity (Feature 5) across rewrites and
+flooding.
 """
 
 from .addresses import AddressError, IPv4Address, MACAddress
@@ -38,6 +39,7 @@ from .headers import (
 )
 from .packet import Packet, fresh_uid
 from .parser import ParseError, encode, parse, reparse
+from .wire import HEADERS
 
 __all__ = [
     "AddressError",
@@ -69,6 +71,7 @@ __all__ = [
     "ArpOp",
     "Ethernet",
     "EtherType",
+    "HEADERS",
     "HeaderError",
     "IPProto",
     "IPv4",

@@ -8,6 +8,7 @@ address, offered/requested address, lease time, and server identifier.
 
 The wire format is a compact subset of RFC 2131: the fixed BOOTP-style
 prefix plus a TLV options region carrying the fields the properties read.
+``Dhcp.FIELDS`` declares them; an option the message lacks is no field.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 from .addresses import IPv4Address, MACAddress
-from .headers import HeaderError
+from .headers import Field, Header, HeaderError
 
 
 class DhcpMessageType(IntEnum):
@@ -57,7 +58,7 @@ def _option(tag: int, value: bytes) -> bytes:
 
 
 @dataclass(frozen=True)
-class Dhcp:
+class Dhcp(Header):
     """A DHCP message.
 
     ``yiaddr`` ("your address") carries the offered/acknowledged lease;
@@ -68,6 +69,16 @@ class Dhcp:
 
     LAYER: ClassVar[int] = 7
     NAME: ClassVar[str] = "dhcp"
+    FIELDS: ClassVar[Tuple[Field, ...]] = (
+        Field("dhcp.op", "op", "int", 8),
+        Field("dhcp.msg_type", "msg_type", "int", 8),
+        Field("dhcp.xid", "xid", "int", 32),
+        Field("dhcp.client_mac", "client_mac", "mac", 48),
+        Field("dhcp.yiaddr", "yiaddr", "ip", 32, settable=True),
+        Field("dhcp.requested_ip", "requested_ip", "ip", 32),
+        Field("dhcp.lease_time", "lease_time", "int", 32),
+        Field("dhcp.server_id", "server_id", "ip", 32, settable=True),
+    )
 
     op: int
     msg_type: int
@@ -162,19 +173,3 @@ class Dhcp:
             ),
             data[i:],
         )
-
-    def fields(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "dhcp.op": self.op,
-            "dhcp.msg_type": self.msg_type,
-            "dhcp.xid": self.xid,
-            "dhcp.client_mac": self.client_mac,
-            "dhcp.yiaddr": self.yiaddr,
-        }
-        if self.requested_ip is not None:
-            out["dhcp.requested_ip"] = self.requested_ip
-        if self.lease_time is not None:
-            out["dhcp.lease_time"] = self.lease_time
-        if self.server_id is not None:
-            out["dhcp.server_id"] = self.server_id
-        return out

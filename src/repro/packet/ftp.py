@@ -4,17 +4,19 @@ The FTP property of Table 1 (taken by the paper from FAST) is "Data L4 port
 matches L4 port given in control stream": the monitor must parse PORT
 commands (and PASV replies) out of the TCP control connection, bind the
 advertised data port, and later match the data connection's actual port
-against it — a negative match at L7 parse depth.
+against it — a negative match at L7 parse depth.  ``FtpControl.FIELDS``
+declares the ``ftp.*`` fields; a line advertising no endpoint has no
+``ftp.data_ip`` / ``ftp.data_port``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 from .addresses import IPv4Address
-from .headers import HeaderError
+from .headers import Field, Header, HeaderError
 
 FTP_CONTROL_PORT = 21
 
@@ -28,7 +30,7 @@ _PASV_REPLY_RE = re.compile(
 
 
 @dataclass(frozen=True)
-class FtpControl:
+class FtpControl(Header):
     """One line of an FTP control conversation.
 
     ``data_ip``/``data_port`` are populated when the line advertises a data
@@ -38,6 +40,11 @@ class FtpControl:
 
     LAYER: ClassVar[int] = 7
     NAME: ClassVar[str] = "ftp"
+    FIELDS: ClassVar[Tuple[Field, ...]] = (
+        Field("ftp.line", "line", "str", 0),
+        Field("ftp.data_ip", "data_ip", "ip", 32),
+        Field("ftp.data_port", "data_port", "int", 16),
+    )
 
     line: str
     data_ip: Optional[IPv4Address] = None
@@ -83,14 +90,6 @@ class FtpControl:
         if not sep:
             raise HeaderError("FTP control line missing CRLF terminator")
         return cls.from_line(line), rest.encode("ascii")
-
-    def fields(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"ftp.line": self.line}
-        if self.data_ip is not None:
-            out["ftp.data_ip"] = self.data_ip
-        if self.data_port is not None:
-            out["ftp.data_port"] = self.data_port
-        return out
 
 
 def encode_port_command(ip: IPv4Address, port: int) -> str:

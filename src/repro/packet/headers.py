@@ -1,27 +1,34 @@
-"""Protocol header types, L2 through L4.
+"""Protocol header types, L2 through L4, and the field namespace.
 
 Each header is a frozen dataclass with a ``LAYER`` class attribute (the OSI
-layer it belongs to), field accessors used by the monitor's field-extraction
-machinery (the paper's Feature 1), and ``encode``/``decode`` for a simple
-wire format.  The wire format follows the real protocols closely enough that
-parse-depth limits are meaningful, but checksums are carried verbatim rather
-than validated — the reproduction studies monitoring semantics, not
-checksumming.
+layer it belongs to), a ``NAME`` (the prefix of its dotted fields), and
+``encode``/``decode`` for a simple wire format.  The wire format follows the
+real protocols closely enough that parse-depth limits are meaningful, but
+checksums are carried verbatim rather than validated — the reproduction
+studies monitoring semantics, not checksumming.
+
+Each header also declares the dotted fields it carries, once, as ``FIELDS``:
+one :class:`Field` row per name, with the attribute that holds it, its kind,
+its width and whether Set-Field may target it.  That table *is* the flat
+namespace the monitor matches on (the paper's Feature 1): the object
+projection (:meth:`Header.fields`), the Set-Field map, the lint schema and
+the parse depth a field needs are all read from it.
 
 A header states its byte layout once, as ``WIRE``, and reads it once, in
 ``unpack`` (length and validity checks, then the raw values).  Everything
 else is a projection of those values: ``from_wire`` builds the object,
 ``read_fields`` writes the flat dotted-name fields without building it —
-what :mod:`repro.packet.wire` walks a frame with — and ``decode`` is
-``unpack`` + ``from_wire`` + the bytes left over.
+what :mod:`repro.packet.wire` walks a frame with; hand-written for speed,
+tests hold it to ``FIELDS`` — and ``decode`` is ``unpack`` + ``from_wire`` +
+the bytes left over.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import ClassVar, Dict, Tuple
+from typing import ClassVar, Dict, NamedTuple, Optional, Tuple
 
 from .addresses import IPv4Address, MACAddress
 
@@ -75,7 +82,44 @@ def _unpack(cls, data: bytes, at: int = 0) -> tuple:
             f"{cls.__name__} header truncated: {len(data) - at} bytes") from None
 
 
-class WireHeader:
+class Field(NamedTuple):
+    """One declared dotted field."""
+
+    name: str  # "ipv4.src"
+    attr: str  # the attribute holding the value
+    kind: str  # "ip" | "mac" | "int" | "str" | "enum" | "float"
+    bits: int  # register width; 0 for unsized kinds (str, float, enum)
+    settable: bool = False  # a Set-Field target
+
+
+class Header:
+    """What every header shares: its field table and the projection of it."""
+
+    LAYER: ClassVar[int]
+    NAME: ClassVar[str]
+    FIELDS: ClassVar[Tuple[Field, ...]] = ()
+    #: ``(name, attr)`` per row — a plain pair unpacks faster than a row
+    PROJECTION: ClassVar[Tuple[Tuple[str, str], ...]] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.PROJECTION = tuple((row.name, row.attr) for row in cls.FIELDS)
+
+    def fields(self, out: Optional[Dict[str, object]] = None
+               ) -> Dict[str, object]:
+        """The declared fields in declared order, written into ``out`` when
+        one is given; an attribute that is None (an L7 option the message
+        did not carry) is left out."""
+        if out is None:
+            out = {}
+        for name, attr in self.PROJECTION:
+            value = getattr(self, attr)
+            if value is not None:
+                out[name] = value
+        return out
+
+
+class WireHeader(Header):
     """What the L2-L4 headers share: reading ``WIRE`` off a byte string."""
 
     WIRE: ClassVar[struct.Struct]
@@ -99,6 +143,11 @@ class Ethernet(WireHeader):
     LAYER: ClassVar[int] = 2
     NAME: ClassVar[str] = "eth"
     WIRE: ClassVar[struct.Struct] = struct.Struct("!6s6sH")
+    FIELDS: ClassVar[Tuple[Field, ...]] = (
+        Field("eth.src", "src", "mac", 48, settable=True),
+        Field("eth.dst", "dst", "mac", 48, settable=True),
+        Field("eth.type", "ethertype", "int", 16, settable=True),
+    )
 
     src: MACAddress
     dst: MACAddress
@@ -118,13 +167,6 @@ class Ethernet(WireHeader):
         out["eth.dst"] = _mac(values[0])
         out["eth.type"] = values[2]
 
-    def fields(self) -> Dict[str, object]:
-        return {
-            "eth.src": self.src,
-            "eth.dst": self.dst,
-            "eth.type": self.ethertype,
-        }
-
 
 @dataclass(frozen=True)
 class Vlan(WireHeader):
@@ -133,6 +175,10 @@ class Vlan(WireHeader):
     LAYER: ClassVar[int] = 2
     NAME: ClassVar[str] = "vlan"
     WIRE: ClassVar[struct.Struct] = struct.Struct("!HH")
+    FIELDS: ClassVar[Tuple[Field, ...]] = (
+        Field("vlan.vid", "vid", "int", 12, settable=True),
+        Field("vlan.pcp", "pcp", "int", 3, settable=True),
+    )
 
     vid: int
     pcp: int = 0
@@ -157,9 +203,6 @@ class Vlan(WireHeader):
         out["vlan.vid"] = values[0] & 0x0FFF
         out["vlan.pcp"] = values[0] >> 13
 
-    def fields(self) -> Dict[str, object]:
-        return {"vlan.vid": self.vid, "vlan.pcp": self.pcp}
-
 
 @dataclass(frozen=True)
 class Arp(WireHeader):
@@ -170,6 +213,13 @@ class Arp(WireHeader):
     WIRE: ClassVar[struct.Struct] = struct.Struct("!HHBBH6sI6sI")
     #: htype, ptype, hlen, plen of the one combination spoken here
     ETHERNET_IPV4: ClassVar[tuple] = (1, EtherType.IPV4, 6, 4)
+    FIELDS: ClassVar[Tuple[Field, ...]] = (
+        Field("arp.op", "op", "int", 16, settable=True),
+        Field("arp.sender_mac", "sender_mac", "mac", 48, settable=True),
+        Field("arp.sender_ip", "sender_ip", "ip", 32, settable=True),
+        Field("arp.target_mac", "target_mac", "mac", 48, settable=True),
+        Field("arp.target_ip", "target_ip", "ip", 32, settable=True),
+    )
 
     op: int
     sender_mac: MACAddress
@@ -212,15 +262,6 @@ class Arp(WireHeader):
     def is_reply(self) -> bool:
         return self.op == ArpOp.REPLY
 
-    def fields(self) -> Dict[str, object]:
-        return {
-            "arp.op": self.op,
-            "arp.sender_mac": self.sender_mac,
-            "arp.sender_ip": self.sender_ip,
-            "arp.target_mac": self.target_mac,
-            "arp.target_ip": self.target_ip,
-        }
-
 
 @dataclass(frozen=True)
 class IPv4(WireHeader):
@@ -230,6 +271,13 @@ class IPv4(WireHeader):
     NAME: ClassVar[str] = "ipv4"
     #: ver/ihl, tos, total length, ident, frag, ttl, proto, checksum, src, dst
     WIRE: ClassVar[struct.Struct] = struct.Struct("!BBHHHBBHII")
+    FIELDS: ClassVar[Tuple[Field, ...]] = (
+        Field("ipv4.src", "src", "ip", 32, settable=True),
+        Field("ipv4.dst", "dst", "ip", 32, settable=True),
+        Field("ipv4.proto", "proto", "int", 8),
+        Field("ipv4.ttl", "ttl", "int", 8, settable=True),
+        Field("ipv4.dscp", "dscp", "int", 6, settable=True),
+    )
 
     src: IPv4Address
     dst: IPv4Address
@@ -290,15 +338,6 @@ class IPv4(WireHeader):
             raise HeaderError("TTL already zero")
         return replace(self, ttl=self.ttl - 1)
 
-    def fields(self) -> Dict[str, object]:
-        return {
-            "ipv4.src": self.src,
-            "ipv4.dst": self.dst,
-            "ipv4.proto": self.proto,
-            "ipv4.ttl": self.ttl,
-            "ipv4.dscp": self.dscp,
-        }
-
 
 @dataclass(frozen=True)
 class TCP(WireHeader):
@@ -308,6 +347,13 @@ class TCP(WireHeader):
     NAME: ClassVar[str] = "tcp"
     #: ports, seq, ack, data offset, flags, window, checksum, urgent
     WIRE: ClassVar[struct.Struct] = struct.Struct("!HHIIBBHHH")
+    FIELDS: ClassVar[Tuple[Field, ...]] = (
+        Field("tcp.src", "src_port", "int", 16, settable=True),
+        Field("tcp.dst", "dst_port", "int", 16, settable=True),
+        Field("tcp.flags", "flags", "int", 8, settable=True),
+        Field("tcp.seq", "seq", "int", 32),
+        Field("tcp.ack", "ack", "int", 32),
+    )
 
     src_port: int
     dst_port: int
@@ -376,15 +422,6 @@ class TCP(WireHeader):
     def is_rst(self) -> bool:
         return self.has_flag(TCPFlags.RST)
 
-    def fields(self) -> Dict[str, object]:
-        return {
-            "tcp.src": self.src_port,
-            "tcp.dst": self.dst_port,
-            "tcp.flags": self.flags,
-            "tcp.seq": self.seq,
-            "tcp.ack": self.ack,
-        }
-
 
 @dataclass(frozen=True)
 class UDP(WireHeader):
@@ -393,6 +430,10 @@ class UDP(WireHeader):
     LAYER: ClassVar[int] = 4
     NAME: ClassVar[str] = "udp"
     WIRE: ClassVar[struct.Struct] = struct.Struct("!HHHH")
+    FIELDS: ClassVar[Tuple[Field, ...]] = (
+        Field("udp.src", "src_port", "int", 16, settable=True),
+        Field("udp.dst", "dst_port", "int", 16, settable=True),
+    )
 
     src_port: int
     dst_port: int
@@ -417,9 +458,6 @@ class UDP(WireHeader):
         out["udp.src"] = values[0]
         out["udp.dst"] = values[1]
 
-    def fields(self) -> Dict[str, object]:
-        return {"udp.src": self.src_port, "udp.dst": self.dst_port}
-
 
 @dataclass(frozen=True)
 class ICMP(WireHeader):
@@ -428,6 +466,10 @@ class ICMP(WireHeader):
     LAYER: ClassVar[int] = 4
     NAME: ClassVar[str] = "icmp"
     WIRE: ClassVar[struct.Struct] = struct.Struct("!BBHHH")
+    FIELDS: ClassVar[Tuple[Field, ...]] = (
+        Field("icmp.type", "icmp_type", "int", 8, settable=True),
+        Field("icmp.code", "code", "int", 8, settable=True),
+    )
 
     TYPE_ECHO_REPLY: ClassVar[int] = 0
     TYPE_ECHO_REQUEST: ClassVar[int] = 8
@@ -449,6 +491,3 @@ class ICMP(WireHeader):
     def read_fields(values: tuple, out: Dict[str, object]) -> None:
         out["icmp.type"] = values[0]
         out["icmp.code"] = values[1]
-
-    def fields(self) -> Dict[str, object]:
-        return {"icmp.type": self.icmp_type, "icmp.code": self.code}

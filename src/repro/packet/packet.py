@@ -9,7 +9,8 @@ even when every header field changed.  Copies made for flooding share the
 uid too: they are the same arrival, multiply forwarded.
 
 Field access is by dotted name (``"ipv4.src"``, ``"tcp.dst"``, …), the flat
-namespace the monitor's field extraction (Feature 1) binds from.
+namespace the monitor's field extraction (Feature 1) binds from; each header
+declares its part of it as ``FIELDS``.
 
 A packet decoded from the wire (:meth:`Packet.from_wire`, which is what
 :func:`repro.packet.parser.parse` returns) **is its bytes until someone
@@ -24,15 +25,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, TypeVar
+from typing import Dict, Iterator, Optional, Tuple, Type, TypeVar
 
-from .addresses import IPv4Address, MACAddress
-from .dhcp import Dhcp
-from .ftp import FtpControl
-from .headers import ICMP, TCP, UDP, Arp, Ethernet, HeaderError, IPv4, Vlan
+from .addresses import IPv4Address
+from .headers import TCP, UDP, Ethernet, Header, IPv4
 from .wire import walk
 
-Header = object  # any of the frozen header dataclasses
 H = TypeVar("H")
 
 _uid_counter = itertools.count(1)
@@ -141,22 +139,19 @@ class Packet:
             for cls, values in stack:
                 cls.read_fields(values, out)
             if l7 is not None:
-                out.update(l7.fields())
+                l7.fields(out)
             return out
-        for header in self.headers:
+        for header in self.headers:  # Header.fields, inlined: a hot path
             if header.LAYER <= max_layer:
-                out.update(header.fields())
+                for name, attr in header.PROJECTION:
+                    value = getattr(header, attr)
+                    if value is not None:
+                        out[name] = value
         return out
 
     def field(self, name: str, max_layer: int = 7) -> object:
         """Look up one dotted field name; raises KeyError if absent."""
-        for header in self.headers:
-            if header.LAYER > max_layer:
-                continue
-            values = header.fields()
-            if name in values:
-                return values[name]
-        raise KeyError(name)
+        return self.fields(max_layer)[name]
 
     # -- rewriting ---------------------------------------------------------
     def with_header(self, new_header: Header) -> "Packet":
@@ -167,9 +162,6 @@ class Packet:
                 headers[i] = new_header
                 return replace(self, headers=tuple(headers))
         raise KeyError(f"packet has no {type(new_header).__name__} header to replace")
-
-    def with_payload(self, payload: bytes) -> "Packet":
-        return replace(self, payload=payload)
 
     def duplicate(self) -> "Packet":
         """Copy sharing the uid — models flooding the same arrival."""

@@ -11,7 +11,9 @@ projection (``from_wire`` per header, on first touch of ``headers`` or
 monitor matches on — the paper's Feature 1: a parser hands the match tables
 fields, not objects — and constructs only the address values.  L7 is rare
 and variable-length: both projections share the one decoded ``Dhcp`` /
-``FtpControl`` object rather than a second option parser.
+``FtpControl`` object rather than a second option parser.  :data:`HEADERS`
+lists every header the walk can produce: between them, their ``FIELDS``
+tables declare the whole dotted-field namespace.
 
 Only the L2 readers can raise, and :func:`repro.packet.parser.parse` has
 run them before any ``Packet`` holds the bytes; an inner header that does
@@ -42,6 +44,9 @@ from .headers import (
 _VLAN, _ARP, _IPV4 = int(EtherType.VLAN), int(EtherType.ARP), int(EtherType.IPV4)
 _L4 = {int(IPProto.TCP): TCP, int(IPProto.UDP): UDP, int(IPProto.ICMP): ICMP}
 _DHCP_PORTS = (DHCP_SERVER_PORT, DHCP_CLIENT_PORT)
+
+#: every header class, outermost first
+HEADERS = (Ethernet, Vlan, Arp, IPv4, TCP, UDP, ICMP, Dhcp, FtpControl)
 
 
 def walk(data: bytes, depth: int) -> Tuple[List[Tuple[type, tuple]], Optional[object], int]:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .core import DegradationPolicy, Monitor
+from .fabric import ShardedMonitor, SupervisorPolicy
 from .netsim.chaos import PROFILES, ChaosProfile, FaultyEventChannel
 from .props import build_table1
 from .switch.events import (
@@ -36,6 +37,12 @@ from .telemetry import MetricsRegistry
 
 DEFAULT_EVENTS = 2000
 DEFAULT_SETTLE = 600.0
+
+#: How crash-chaos runs supervise their workers: fast detection and
+#: restart, so a virtual-time replay does not stall on wall-clock backoff.
+SOAK_SUPERVISION = SupervisorPolicy(
+    heartbeat_interval=0.2, heartbeat_timeout=10.0,
+    backoff_base=0.01, backoff_max=0.5)
 
 
 def catalog_trace(seed: int, num_events: int = DEFAULT_EVENTS) -> List:
@@ -176,8 +183,6 @@ def build_sharded_monitor(
     monitor's global bound).  ``supervision`` is an optional
     :class:`~repro.fabric.SupervisorPolicy` for mp-mode crash recovery.
     """
-    from .fabric import ShardedMonitor
-
     props = [entry.prop for entry in build_table1()]
     return ShardedMonitor(
         props,
@@ -543,7 +548,7 @@ def run_crash_chaos(
     settle: float = DEFAULT_SETTLE,
     num_shards: int = 2,
     batch: int = 256,
-    supervision=None,
+    supervision: SupervisorPolicy = SOAK_SUPERVISION,
     with_telemetry: bool = True,
 ) -> CrashRecoveryReport:
     """One crash-chaos round: clean baseline vs a SIGKILLed mp fabric.
@@ -557,18 +562,10 @@ def run_crash_chaos(
     import os
     import signal as _signal
 
-    from .fabric import SupervisorPolicy
-
     if profile.worker_crash.is_null:
         raise ValueError(
             f"profile {profile.name!r} has no worker-crash plan; "
             "use run_chaos for stream/monitor faults")
-    if supervision is None:
-        # Soak-friendly defaults: fast detection and restart so a
-        # virtual-time replay does not stall on wall-clock backoff.
-        supervision = SupervisorPolicy(
-            heartbeat_interval=0.2, heartbeat_timeout=10.0,
-            backoff_base=0.01, backoff_max=0.5)
     events = catalog_trace(seed, num_events)
     clean = run_events(None, events, settle=settle)
     registry = MetricsRegistry() if with_telemetry else None
@@ -706,6 +703,7 @@ __all__ = [
     "DEFAULT_EVENTS",
     "DEFAULT_SETTLE",
     "PROFILES",
+    "SOAK_SUPERVISION",
     "CrashRecoveryReport",
     "DegradationReport",
     "PropertyDegradation",

@@ -1,9 +1,10 @@
 """Header field rewriting.
 
 Maps the flat dotted field namespace back onto header dataclass attributes
-so Set-Field actions (and NAT) can rewrite packets.  Rewrites preserve the
-packet ``uid`` — the rewritten departure is "the same packet" as the arrival
-for the purposes of the paper's Feature 5.
+so Set-Field actions (and NAT) can rewrite packets: the targets are the
+header ``FIELDS`` rows marked ``settable``.  Rewrites preserve the packet
+``uid`` — the rewritten departure is "the same packet" as the arrival for
+the purposes of the paper's Feature 5.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Tuple, Type
 
-from ..packet.dhcp import Dhcp
-from ..packet.headers import ICMP, TCP, UDP, Arp, Ethernet, IPv4, Vlan
+from ..packet.headers import TCP, UDP
 from ..packet.packet import Packet
+from ..packet.wire import HEADERS
 
 
 class RewriteError(KeyError):
@@ -22,29 +23,8 @@ class RewriteError(KeyError):
 
 # dotted field name -> (header class, attribute name)
 _FIELD_MAP: Dict[str, Tuple[Type, str]] = {
-    "eth.src": (Ethernet, "src"),
-    "eth.dst": (Ethernet, "dst"),
-    "eth.type": (Ethernet, "ethertype"),
-    "vlan.vid": (Vlan, "vid"),
-    "vlan.pcp": (Vlan, "pcp"),
-    "arp.op": (Arp, "op"),
-    "arp.sender_mac": (Arp, "sender_mac"),
-    "arp.sender_ip": (Arp, "sender_ip"),
-    "arp.target_mac": (Arp, "target_mac"),
-    "arp.target_ip": (Arp, "target_ip"),
-    "ipv4.src": (IPv4, "src"),
-    "ipv4.dst": (IPv4, "dst"),
-    "ipv4.ttl": (IPv4, "ttl"),
-    "ipv4.dscp": (IPv4, "dscp"),
-    "tcp.src": (TCP, "src_port"),
-    "tcp.dst": (TCP, "dst_port"),
-    "tcp.flags": (TCP, "flags"),
-    "udp.src": (UDP, "src_port"),
-    "udp.dst": (UDP, "dst_port"),
-    "icmp.type": (ICMP, "icmp_type"),
-    "icmp.code": (ICMP, "code"),
-    "dhcp.yiaddr": (Dhcp, "yiaddr"),
-    "dhcp.server_id": (Dhcp, "server_id"),
+    row.name: (header, row.attr)
+    for header in HEADERS for row in header.FIELDS if row.settable
 }
 
 

@@ -1,6 +1,9 @@
 """Integration tests: ``repro chaos`` — the acceptance-criteria runs."""
 
+import dataclasses
 import json
+
+import pytest
 
 from repro.cli import main
 from repro.netsim.chaos import PROFILES
@@ -61,3 +64,28 @@ class TestChaosCommand:
         out = capsys.readouterr().out
         assert "recall only" in out
         assert "INVARIANT" not in out
+
+
+class TestWorkerCrashSupervision:
+    def test_cli_hands_over_the_soak_policy_with_its_two_flags(
+            self, monkeypatch):
+        """``--restart-budget`` and ``--checkpoint-interval`` are the only
+        differences from the policy ``run_crash_chaos`` defaults to."""
+        handed = []
+
+        class Stop(Exception):
+            pass
+
+        def fake_run(profile, supervision, **kwargs):
+            handed.append(supervision)
+            raise Stop
+
+        monkeypatch.setattr("repro.cli._lacks_fork", lambda what: False)
+        monkeypatch.setattr(resilience, "run_crash_chaos", fake_run)
+        with pytest.raises(Stop):
+            main(["chaos", "--profile", "worker-crash",
+                  "--restart-budget", "9", "--checkpoint-interval", "77"])
+        assert handed == [dataclasses.replace(
+            resilience.SOAK_SUPERVISION, restart_budget=9,
+            checkpoint_interval=77)]
+        assert handed[0] != resilience.SOAK_SUPERVISION

@@ -8,6 +8,13 @@ then eyeball the diff before committing.  ``--check`` regenerates into a
 temp directory and diffs against the checked-in fixtures instead of
 overwriting them (exit 1 on drift) — CI runs this so the goldens cannot
 go stale silently.
+
+Besides the two hand-written inputs, the catalog itself is pinned: all
+``src/repro/props/sources/*.prop``, linted as ``repro lint`` lints them
+(with the catalog's named predicates), as ``catalog.txt`` /
+``catalog.json``.  Every field kind, width and trust label the linter
+reads shows up there — L008–L010, the L017–L019 bounds, the split-mode
+state-bit costs.
 """
 
 import argparse
@@ -16,9 +23,12 @@ import os
 import sys
 import tempfile
 
+import repro.props
 from repro.lint import lint_source, render_json, render_text
+from repro.props import catalog_predicates
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "lint", "golden")
+CATALOG = os.path.join(os.path.dirname(repro.props.__file__), "sources")
 
 #: golden input -> the stem its two renderings are written under
 INPUTS = {
@@ -27,14 +37,24 @@ INPUTS = {
 }
 
 
+def _lint(directory: str, names, predicates=None) -> list:
+    reports = []
+    for name in names:
+        with open(os.path.join(directory, name)) as fp:
+            reports.append(lint_source(fp.read(), predicates, path=name))
+    return reports
+
+
 def generate(out_dir: str) -> list:
+    runs = [(stem, _lint(GOLDEN, [source])) for source, stem in INPUTS.items()]
+    runs.append(("catalog", _lint(CATALOG, sorted(
+        n for n in os.listdir(CATALOG) if n.endswith(".prop")),
+        catalog_predicates())))
     outputs = []
-    for source, stem in INPUTS.items():
-        with open(os.path.join(GOLDEN, source)) as fp:
-            report = lint_source(fp.read(), path=source)
+    for stem, reports in runs:
         outputs += [
-            (stem + ".txt", render_text([report]) + "\n"),
-            (stem + ".json", render_json([report]) + "\n"),
+            (stem + ".txt", render_text(reports) + "\n"),
+            (stem + ".json", render_json(reports) + "\n"),
         ]
     paths = []
     for name, text in outputs:
