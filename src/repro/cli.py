@@ -435,17 +435,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .netsim.chaos import PROFILES
-    from .resilience import (
-        SOAK_SUPERVISION,
-        render_crash_report,
-        render_report,
-        run_crash_chaos,
-        run_soak,
-    )
+    from .faults import rounds
+    from .faults.profiles import PROFILES
 
     if args.attack:
-        from .adversarial import render_attack_report, run_attacks
+        from .faults.attacks import render_attack_report, run_attacks
 
         report = run_attacks(rounds=args.rounds)
         print(render_attack_report(report))
@@ -458,43 +452,28 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 0
 
     profile = PROFILES[args.profile]
-    if profile.worker_crash.is_null:
-        reports = run_soak(profile, seed=args.seed, rounds=args.rounds,
-                           num_events=args.events, settle=args.settle)
-        render = render_report
-        broken = lambda r: r.invariant_failures or r.bounded is False  # noqa: E731
-        verdict = ("chaos run FAILED: invariant violation or clean count "
-                   "outside the ledgered uncertainty interval")
-    else:  # SIGKILL fabric workers mid-run
-        if _lacks_fork("the worker-crash profile"):
-            return 2
-        supervision = replace(
-            SOAK_SUPERVISION, restart_budget=args.restart_budget,
-            checkpoint_interval=args.checkpoint_interval)
-        reports = [run_crash_chaos(
-            profile, seed=args.seed + offset, num_events=args.events,
-            settle=args.settle, num_shards=args.shards or 2,
-            supervision=supervision) for offset in range(args.rounds)]
-        render = render_crash_report
-        broken = lambda r: (not r.bounded or r.invariant_failures  # noqa: E731
-                            or r.failed_shards)
-        verdict = ("crash chaos FAILED: clean count outside the uncertainty "
-                   "interval, an invariant broke, or a shard exhausted its "
-                   "restart budget")
-    failed = False
+    if not profile.worker_crash.is_null \
+            and _lacks_fork("the worker-crash profile"):
+        return 2
+    reports = rounds.run_rounds(
+        profile, args.seed, args.rounds, num_events=args.events,
+        settle=args.settle, num_shards=args.shards or 2,
+        supervision=replace(
+            rounds.SOAK_SUPERVISION, restart_budget=args.restart_budget,
+            checkpoint_interval=args.checkpoint_interval))
+    failed = [report for report in reports if report.failed]
     for index, report in enumerate(reports):
         if args.rounds > 1:
             print(f"--- round {index + 1}/{args.rounds} "
                   f"(seed {report.seed}) ---")
-        print(render(report))
-        failed = failed or bool(broken(report))
+        print(report.render())
     if args.json:
         _write_json(args.json, {
             "profile": profile.name,
             "rounds": [report.to_dict() for report in reports],
         })
     if failed:
-        print(verdict, file=sys.stderr)
+        print(failed[0].FAILURE, file=sys.stderr)
         return 1
     return 0
 
@@ -781,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _chaos_profile_names() -> List[str]:
-    from .netsim.chaos import PROFILES
+    from .faults.profiles import PROFILES
 
     return list(PROFILES)
 

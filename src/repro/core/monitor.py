@@ -255,7 +255,7 @@ class Monitor:
         self.degradation = degradation
         #: control-channel fault source for deferred ops: any object with
         #: ``perturb() -> Optional[float]`` (None = drop the update, float
-        #: = extra lag); see ControlFaultProfile.channel() in netsim.chaos.
+        #: = extra lag); see ControlFaultProfile.channel() in faults.profiles.
         self.op_faults = op_faults
         #: ownership predicate ``(prop_name, key) -> bool`` consulted before
         #: creating an instance.  The sharded fabric (repro.fabric) installs

@@ -1,17 +1,5 @@
 """Network simulation substrate: virtual time, scheduling, topology, traces."""
 
-from .chaos import (
-    PROFILES,
-    ChaosProfile,
-    ControlChannel,
-    ControlFaultProfile,
-    FaultInjector,
-    FaultyEventChannel,
-    LinkFaultProfile,
-    corrupt_packet,
-    install_host_chaos,
-    install_link_chaos,
-)
 from .clock import ClockError, VirtualClock, WallClock
 from .scheduler import EventScheduler, ScheduledEvent, SchedulerTruncationError
 from .topology import Host, Network, SwitchLink, single_switch_network
@@ -36,16 +24,6 @@ from .workload import (
 )
 
 __all__ = [
-    "PROFILES",
-    "ChaosProfile",
-    "ControlChannel",
-    "ControlFaultProfile",
-    "FaultInjector",
-    "FaultyEventChannel",
-    "LinkFaultProfile",
-    "corrupt_packet",
-    "install_host_chaos",
-    "install_link_chaos",
     "ClockError",
     "VirtualClock",
     "WallClock",

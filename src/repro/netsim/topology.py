@@ -48,7 +48,6 @@ class Host:
         self._switch: Optional["Switch"] = None
         self._port: Optional[int] = None
         self._link_delay = 0.0
-        self._uplink: Optional[Callable[[Packet], None]] = None
         self.on_receive: Optional[Callable[["Host", Packet], None]] = None
 
     def attach(self, switch: "Switch", port: int, link_delay: float = 1e-6) -> None:
@@ -56,21 +55,10 @@ class Host:
         self._switch = switch
         self._port = port
         self._link_delay = link_delay
-        self._uplink = lambda packet: switch.receive(packet, port)
         switch.attach(port, self._deliver)
 
-    def wrap_uplink(
-        self,
-        wrapper: Callable[[Callable[[Packet], None]], Callable[[Packet], None]],
-    ) -> None:
-        """Interpose on host->switch delivery (chaos fault injection).
-
-        Applies to packets already in flight too: ``send`` resolves the
-        uplink at delivery time, not at call time.
-        """
-        if self._uplink is None:
-            raise RuntimeError(f"host {self.name} is not attached to a switch")
-        self._uplink = wrapper(self._uplink)
+    def _uplink(self, packet: Packet) -> None:
+        self._switch.receive(packet, self._port)
 
     def _deliver(self, packet: Packet) -> None:
         self.received.append(ReceivedPacket(time=self.scheduler.clock.now(), packet=packet))

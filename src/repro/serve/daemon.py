@@ -44,9 +44,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.monitor import Monitor
 from ..fabric import SupervisorPolicy
-from ..netsim.chaos import PROFILES
+from ..faults.profiles import PROFILES
+from ..faults.rounds import build_monitor, build_sharded_monitor
 from ..netsim.clock import WallClock
-from ..resilience import build_monitor, build_sharded_monitor
 from ..telemetry import (
     MetricsRegistry,
     NullTracer,

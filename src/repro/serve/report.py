@@ -2,7 +2,7 @@
 
 A live monitor that sheds under load is only honest if it says so on the
 way out.  :class:`ServeDegradationReport` is the serve-mode analogue of
-``resilience.DegradationReport``: it folds the monitor's own shutdown
+``faults.rounds.DegradationReport``: it folds the monitor's own shutdown
 summary (``Monitor.stop()``) together with the ingest queue's
 accept/shed accounting and reports the **detection-uncertainty
 interval** — the range the true violation count could occupy given

@@ -1,4 +1,4 @@
-"""Attack synthesis closes the taint-lint loop (repro.adversarial).
+"""Attack synthesis closes the taint-lint loop (repro.faults.attacks).
 
 The contract under test: a property the taint pass *flags* really does
 degrade under the synthesized attack (shed counters above zero, ledger
@@ -9,8 +9,9 @@ the lint is crying wolf or sleeping through one.
 
 import json
 
-from repro.adversarial import (
-    AttackFinding,
+from repro.cli import main
+from repro.faults.attacks import (
+    _key_value,
     catalog_findings,
     findings_for,
     render_attack_report,
@@ -19,8 +20,8 @@ from repro.adversarial import (
     run_exhaustion,
     synthesize_flood,
 )
-from repro.cli import main
 from repro.lint import lint_source
+from repro.lint.schema import FIELD_SCHEMA, literal_kind, literal_overflow
 
 FLOODABLE_KEY = "knocking-invalidated"  # predicate-free stage 0, L017
 
@@ -80,6 +81,25 @@ class TestExhaustionFlood:
         # and the key field cycles: all sources distinct
         sources = {str(_ipv4_src(event.packet)) for event in flood}
         assert len(sources) == 16
+
+
+class TestForgedKeys:
+    def test_every_declared_field_forges_a_value_of_its_kind(self):
+        """A forged key takes its kind from the field table, and an int
+        fits the declared width: ``dhcp.yiaddr`` is an address, not
+        ``1024 + salt``."""
+        forged = [name for name, ftype in FIELD_SCHEMA.items()
+                  if ftype.kind in ("ip", "mac", "int")]
+        assert {"dhcp.yiaddr", "dhcp.server_id", "dhcp.requested_ip",
+                "vlan.pcp", "in_port"} <= set(forged)
+        for name in forged:
+            ftype = FIELD_SCHEMA[name]
+            values = {_key_value(name, salt) for salt in (0, 1, 7, 300, 70000)}
+            assert len(values) > 1, name
+            for value in values:
+                assert literal_kind(value) == ftype.kind, (name, value)
+                if ftype.kind == "int":
+                    assert literal_overflow(name, value) is None, (name, value)
 
 
 def _tcp_dst(packet):

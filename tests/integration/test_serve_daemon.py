@@ -34,9 +34,9 @@ from repro.netsim.serialize import (
     trace_header,
 )
 from repro.fabric import fork_available
-from repro.netsim.chaos import PROFILES
+from repro.faults.profiles import PROFILES
+from repro.faults.rounds import build_monitor, catalog_trace
 from repro.netsim.workload import l2_pairs, send_all
-from repro.resilience import build_monitor, catalog_trace
 from repro.serve import (
     ServeConfig,
     ServeDaemon,

@@ -13,8 +13,8 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import resilience
-from repro.netsim.chaos import (
+from repro.faults import rounds
+from repro.faults.profiles import (
     PROFILES,
     ControlFaultProfile,
     FaultyEventChannel,
@@ -40,9 +40,9 @@ NUM_EVENTS = 150  # small traces: each example runs the full catalog
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds)
 def test_clean_profile_identical_to_no_chaos(seed):
-    events = resilience.catalog_trace(seed, NUM_EVENTS)
-    plain = resilience.run_events(None, events)
-    clean = resilience.run_events(PROFILES["clean"], events)
+    events = rounds.catalog_trace(seed, NUM_EVENTS)
+    plain = rounds.run_events(None, events)
+    clean = rounds.run_events(PROFILES["clean"], events)
     assert plain.fingerprint() == clean.fingerprint()
     assert len(clean.monitor.ledger) == 0
 
@@ -51,10 +51,10 @@ def test_clean_profile_identical_to_no_chaos(seed):
 @given(seed=seeds)
 def test_identical_seeds_identical_overloaded_runs(seed):
     profile = PROFILES["overloaded"]
-    a = resilience.run_chaos(profile, seed, num_events=NUM_EVENTS,
-                             with_telemetry=False)
-    b = resilience.run_chaos(profile, seed, num_events=NUM_EVENTS,
-                             with_telemetry=False)
+    a = rounds.run_chaos(profile, seed, num_events=NUM_EVENTS,
+                         with_telemetry=False)
+    b = rounds.run_chaos(profile, seed, num_events=NUM_EVENTS,
+                         with_telemetry=False)
     assert a.to_dict() == b.to_dict()
 
 
@@ -62,17 +62,17 @@ def test_identical_seeds_identical_overloaded_runs(seed):
 @given(seed=seeds)
 def test_identical_seeds_identical_adversarial_runs(seed):
     profile = PROFILES["adversarial"]
-    a = resilience.run_chaos(profile, seed, num_events=NUM_EVENTS,
-                             with_telemetry=False)
-    b = resilience.run_chaos(profile, seed, num_events=NUM_EVENTS,
-                             with_telemetry=False)
+    a = rounds.run_chaos(profile, seed, num_events=NUM_EVENTS,
+                         with_telemetry=False)
+    b = rounds.run_chaos(profile, seed, num_events=NUM_EVENTS,
+                         with_telemetry=False)
     assert a.to_dict() == b.to_dict()
 
 
 @settings(max_examples=15, deadline=None)
 @given(profile=link_profiles, seed=seeds)
 def test_event_channel_deterministic_and_sorted(profile, seed):
-    events = resilience.catalog_trace(seed, 60)
+    events = rounds.catalog_trace(seed, 60)
     a = FaultyEventChannel(profile, name="x").transform(events)
     b = FaultyEventChannel(profile, name="x").transform(events)
     assert a == b
@@ -106,18 +106,6 @@ def test_control_channel_deterministic(drop, extra, jitter, seed):
 
 
 @settings(max_examples=6, deadline=None)
-@given(seed=seeds)
-def test_invariants_hold_under_every_profile(seed):
-    for profile in PROFILES.values():
-        report = resilience.run_chaos(profile, seed, num_events=NUM_EVENTS,
-                                      with_telemetry=False)
-        assert report.invariant_failures == []
-        if profile.ledgered:
-            lo, hi = report.interval
-            assert lo <= report.clean_total <= hi
-
-
-@settings(max_examples=6, deadline=None)
 @given(seed=seeds, offset=st.integers(min_value=1, max_value=50))
 def test_different_seeds_can_differ(seed, offset):
     # Not a strict requirement per-pair, but the stream must depend on
@@ -125,7 +113,7 @@ def test_different_seeds_can_differ(seed, offset):
     profile = dataclasses.replace(PROFILES["lossy"],
                                   link=dataclasses.replace(
                                       PROFILES["lossy"].link, drop=0.5))
-    events = resilience.catalog_trace(seed, 60)
+    events = rounds.catalog_trace(seed, 60)
     out_a = FaultyEventChannel(profile.link).transform(events)
     # Same events, different fault seed: drops land elsewhere (almost
     # surely, at 50% drop over 60 events).

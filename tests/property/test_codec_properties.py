@@ -39,7 +39,7 @@ from repro.packet import (
     udp_packet,
 )
 from repro.packet.headers import Arp, ArpOp, Ethernet, IPv4
-from repro.resilience import build_monitor, catalog_trace
+from repro.faults.rounds import build_monitor, catalog_trace
 from repro.switch.events import EgressAction, PacketArrival, PacketEgress
 
 macs = st.integers(min_value=0, max_value=(1 << 48) - 1).map(MACAddress)

@@ -45,10 +45,10 @@ from repro.core import (
 from repro.core.degradation import EVICTION_POLICIES, DegradationPolicy
 from repro.core.provenance import ProvenanceLevel
 from repro.fabric.routing import stable_hash
-from repro.netsim.chaos import ControlFaultProfile
+from repro.faults.profiles import ControlFaultProfile
+from repro.faults.rounds import catalog_trace
 from repro.packet import ethernet
 from repro.props.catalog import build_table1
-from repro.resilience import catalog_trace
 from repro.switch.events import (
     EgressAction,
     OobKind,

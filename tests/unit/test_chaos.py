@@ -1,28 +1,20 @@
-"""Unit tests: the netsim chaos layer (fault profiles and injectors)."""
+"""Unit tests: fault profiles and the channels that apply them."""
 
 import warnings
 
 import pytest
 
-from repro.netsim import (
-    EventScheduler,
-    Network,
-    SchedulerTruncationError,
-    single_switch_network,
-)
-from repro.netsim.chaos import (
+from repro.faults.profiles import (
     DUPLICATE_GAP,
     PROFILES,
     ChaosProfile,
     ControlFaultProfile,
-    FaultInjector,
     FaultyEventChannel,
     LinkFaultProfile,
     corrupt_packet,
-    install_host_chaos,
-    install_link_chaos,
 )
-from repro.packet import ethernet, tcp_packet
+from repro.netsim import EventScheduler, SchedulerTruncationError
+from repro.packet import tcp_packet
 from repro.switch.events import PacketArrival
 
 
@@ -39,7 +31,7 @@ class TestProfiles:
         with pytest.raises(ValueError):
             ControlFaultProfile(extra_lag=float("inf"))
         with pytest.raises(ValueError):
-            ChaosProfile(name="x", description="", mode="both")
+            ChaosProfile(name="x", description="", split_lag=-1.0)
 
     def test_is_null(self):
         assert LinkFaultProfile().is_null
@@ -52,11 +44,11 @@ class TestProfiles:
                                  "adversarial", "worker-crash"}
         clean = PROFILES["clean"]
         assert clean.link.is_null and clean.control.is_null
-        assert not clean.degraded() and clean.ledgered
+        assert clean.degradation is None and clean.ledgered
         assert PROFILES["overloaded"].ledgered  # perfect tap
         assert not PROFILES["lossy"].ledgered
         assert not PROFILES["adversarial"].ledgered
-        assert PROFILES["overloaded"].degraded()
+        assert PROFILES["overloaded"].degradation.max_instances == 24
         crash = PROFILES["worker-crash"]
         assert crash.link.is_null and crash.control.is_null
         assert crash.ledgered  # perfect tap: all loss is monitor-side
@@ -94,58 +86,6 @@ class TestCorruptPacket:
         assert bad.payload == b"\xde\xad"
 
 
-def _drive(profile, num_packets=60, seed_packets=3):
-    """Send traffic across a host attachment under chaos; return injector."""
-    net, switch, hosts = single_switch_network(2)
-    injector = install_host_chaos(hosts[0], profile)
-    for i in range(num_packets):
-        hosts[0].send_at(0.001 * (i + 1), ethernet(1, 2))
-    net.run()
-    return injector
-
-
-class TestFaultInjector:
-    def test_clean_profile_delivers_everything(self):
-        counters = _drive(LinkFaultProfile()).counters
-        assert counters["offered"] == counters["delivered"] == 60
-        assert counters["dropped"] == 0
-
-    def test_drop_all(self):
-        counters = _drive(LinkFaultProfile(drop=1.0)).counters
-        assert counters["dropped"] == 60
-        assert counters["delivered"] == 0
-
-    def test_deterministic_for_seed(self):
-        profile = LinkFaultProfile(drop=0.2, duplicate=0.1, jitter=1e-4,
-                                   corrupt=0.1, seed=3)
-        a = _drive(profile).counters
-        b = _drive(profile).counters
-        assert a == b
-        assert a["dropped"] > 0 and a["duplicated"] > 0
-
-    def test_fault_streams_independent(self):
-        # Enabling duplication must not change which packets drop.
-        base = _drive(LinkFaultProfile(drop=0.3, seed=3)).counters
-        both = _drive(LinkFaultProfile(drop=0.3, duplicate=0.5,
-                                       seed=3)).counters
-        assert base["dropped"] == both["dropped"]
-
-    def test_install_link_chaos_wraps_both_directions(self):
-        net = Network()
-        a = net.add_switch("a", num_ports=2)
-        b = net.add_switch("b", num_ports=2)
-        link = net.link(a, 2, b, 2)
-        injector = install_link_chaos(link, LinkFaultProfile(drop=1.0,
-                                                             seed=1))
-        a.receive(ethernet(1, 2), in_port=1)
-        b.receive(ethernet(2, 1), in_port=1)
-        net.run()
-        # Default pipeline floods the inter-switch port in both directions;
-        # the injector saw and dropped traffic from each side.
-        assert injector.counters["offered"] >= 2
-        assert injector.counters["dropped"] == injector.counters["offered"]
-
-
 def _arrivals(n=40, gap=0.01):
     return [
         PacketArrival(switch_id="s", time=(i + 1) * gap,
@@ -156,11 +96,52 @@ def _arrivals(n=40, gap=0.01):
     ]
 
 
+def _counters(profile, num_events=60):
+    channel = FaultyEventChannel(profile, name="t")
+    channel.transform(_arrivals(num_events))
+    return channel.counters
+
+
 class TestFaultyEventChannel:
     def test_null_profile_is_identity(self):
         events = _arrivals()
         out = FaultyEventChannel(LinkFaultProfile()).transform(events)
         assert out == events
+
+    def test_clean_profile_delivers_everything(self):
+        counters = _counters(LinkFaultProfile())
+        assert counters["offered"] == counters["delivered"] == 60
+        assert counters["dropped"] == 0
+
+    def test_drop_all(self):
+        counters = _counters(LinkFaultProfile(drop=1.0))
+        assert counters["dropped"] == 60
+        assert counters["delivered"] == 0
+
+    def test_deterministic_for_seed(self):
+        profile = LinkFaultProfile(drop=0.2, duplicate=0.1, jitter=1e-4,
+                                   corrupt=0.1, seed=3)
+        a = _counters(profile)
+        assert a == _counters(profile)
+        assert a["dropped"] > 0 and a["duplicated"] > 0
+
+    def test_fault_streams_independent(self):
+        # Enabling duplication must not change which events drop.
+        base = FaultyEventChannel(LinkFaultProfile(drop=0.3, seed=3))
+        both = FaultyEventChannel(LinkFaultProfile(drop=0.3, duplicate=0.5,
+                                                   seed=3))
+        events = _arrivals(60)
+        kept = {e.packet.uid for e in base.transform(events)}
+        assert kept == {e.packet.uid for e in both.transform(events)}
+        assert base.counters["dropped"] == both.counters["dropped"] > 0
+
+    def test_successive_batches_continue_the_streams(self):
+        profile = LinkFaultProfile(drop=0.3, seed=5)
+        events = _arrivals(40)
+        whole = FaultyEventChannel(profile).transform(events)
+        split = FaultyEventChannel(profile)
+        assert split.transform(events[:15]) + split.transform(events[15:]) \
+            == whole
 
     def test_deterministic(self):
         profile = LinkFaultProfile(drop=0.1, duplicate=0.1, reorder=0.3,

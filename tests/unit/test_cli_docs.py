@@ -82,7 +82,7 @@ class TestCliDocs:
                 f"subcommand defines")
 
     def test_chaos_profiles_listed_match_the_registry(self):
-        from repro.netsim.chaos import PROFILES
+        from repro.faults.profiles import PROFILES
 
         section = doc_text().split("## `repro chaos")[1]
         for profile in PROFILES:
