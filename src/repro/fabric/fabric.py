@@ -33,8 +33,8 @@ Merging rules (the parts worth being careful about):
   of which live on the shard the event routed to.  A worker's counters
   ride its checkpoint, so the sum stays exact across a crash whose
   ledger is empty.
-* Peak gauges are the sum of shard peaks: shards peak at different
-  moments, so this is at least the true global peak.
+* There are no merged peak gauges: shards peak at different moments,
+  and no exact global peak can be rebuilt from theirs.
 * Violations merge into one list ordered by (time, property, bindings);
   shed records append to one fabric-owned :class:`OverflowLedger`, so
   the uncertainty interval spans all shards plus anything the serve
@@ -71,9 +71,9 @@ def _violation_order(violation: Violation) -> Tuple:
 class FabricStats:
     """A :class:`MonitorStats`-shaped view over the merged shard state.
 
-    ``events`` reads the router; counters sum across shards; peak
-    gauges are the sum of shard peaks.  Reads trigger a fabric sync,
-    which is a no-op unless events or time advanced since the last one.
+    ``events`` reads the router; counters sum across shards; there are
+    no ``peak_*`` gauges.  Reads trigger a fabric sync, which is a no-op
+    unless events or time advanced since the last one.
     """
 
     def __init__(self, fabric: "ShardedMonitor") -> None:
@@ -86,15 +86,11 @@ class FabricStats:
         if name in MonitorStats._COUNTERS:
             fabric.sync()
             return int(sum(s.counters[name] for s in fabric._snapshots))
-        if name in MonitorStats._GAUGES:
-            fabric.sync()
-            return int(sum(s.peaks[name] for s in fabric._snapshots))
         raise AttributeError(name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fields = {name: getattr(self, name)
-                  for name in (*MonitorStats._COUNTERS,
-                               *MonitorStats._GAUGES)}
+                  for name in MonitorStats._COUNTERS}
         inner = ", ".join(f"{k}={v}" for k, v in fields.items())
         return f"FabricStats({inner})"
 
@@ -137,8 +133,7 @@ class ShardedMonitor:
         self._sorted_violations: Optional[List[Violation]] = None
         self._snapshots: List[ShardSnapshot] = [
             ShardSnapshot(shard=i, now=0.0, live_instances=0, pending_ops=0,
-                          counters=dict.fromkeys(MonitorStats._COUNTERS, 0),
-                          peaks=dict.fromkeys(MonitorStats._GAUGES, 0))
+                          counters=dict.fromkeys(MonitorStats._COUNTERS, 0))
             for i in range(num_shards)
         ]
         self._dirty = False

@@ -45,7 +45,7 @@ def build_shard_monitor(
 class ShardSnapshot:
     """A shard's state delta since the previous snapshot.
 
-    Counters and gauges are cumulative (cheap, idempotent to re-read);
+    Counters are cumulative (cheap, idempotent to re-read);
     violations and shed records are deltas past a cursor so the fabric
     appends each exactly once.  Everything here pickles — violations
     carry events and provenance records, which are plain dataclasses —
@@ -57,7 +57,6 @@ class ShardSnapshot:
     live_instances: int
     pending_ops: int
     counters: Dict[str, float]
-    peaks: Dict[str, float]
     violations: List[Violation] = field(default_factory=list)
     sheds: List[ShedRecord] = field(default_factory=list)
     #: full recoverable state, attached only on checkpoint requests —
@@ -85,14 +84,13 @@ def take_snapshot(
     snapshot into a checkpoint a replacement worker can be rehydrated
     from.
     """
-    counters, peaks = monitor.stats.export()
+    counters, _ = monitor.stats.export()
     snapshot = ShardSnapshot(
         shard=shard_idx,
         now=monitor.now,
         live_instances=monitor.live_instances(),
         pending_ops=monitor.pending_op_count(),
         counters=counters,
-        peaks=peaks,
         violations=list(monitor.violations[violation_cursor:]),
         sheds=list(monitor.ledger.records[shed_cursor:]),
     )
