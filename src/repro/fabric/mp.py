@@ -347,24 +347,26 @@ class MpShard:
     def quit(self, timeout: float = 30.0) -> Optional[ShardSnapshot]:
         """Quiesce: final snapshot then reap; None if the worker hung.
 
-        The wait is bounded (the PR-8 version blocked forever on a hung
-        worker): after ``timeout`` with no reply the worker is killed
-        and ``None`` returned, and the caller ledgers whatever state the
-        final snapshot would have carried.  The caller takes in any
-        checkpoint reply still due before calling this.
+        The wait is bounded: after ``timeout`` with no reply the worker
+        is killed and ``None`` returned, and the caller ledgers whatever
+        state the final snapshot would have carried.  A worker that is
+        already dead raises :class:`ShardDied` instead, so the caller
+        can recover it.  Either way the process is reaped.  The caller
+        takes in any checkpoint reply still due before calling this.
         """
         snapshot: Optional[ShardSnapshot] = None
         try:
             self._send(b"Q")
             snapshot = self.recv_snapshot(timeout)
-        except (ShardDied, ShardTimeout):
-            snapshot = None
-        if snapshot is not None:
-            self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout)
-        self._close_channel()
+        except ShardTimeout:
+            pass  # wedged: reaped below, like a hung worker
+        finally:
+            if snapshot is not None:
+                self.process.join(timeout)
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join(timeout)
+            self._close_channel()
         return snapshot
 
     def kill(self, sig: int = signal.SIGKILL) -> None:

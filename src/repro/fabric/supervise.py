@@ -667,31 +667,36 @@ class Supervisor:
 
     # -- teardown ----------------------------------------------------------
     def quiesce(self) -> List[Optional[ShardSnapshot]]:
-        """Final snapshots: force down shards live, then bounded quits."""
+        """Final snapshots: recover dead shards, then bounded quits.
+
+        A shard that is down, or whose worker turns out dead at its final
+        snapshot, is restarted — blocking through the backoff, so
+        end-of-run state is not lost to unlucky timing — and asked
+        again.  The restart budget still bounds this, and exhausting it
+        ledgers the shard as lost.  Only a worker that does not answer
+        within ``quiesce_timeout`` is ledgered as hung.
+        """
         out: List[Optional[ShardSnapshot]] = [None] * self.num_shards
         horizon = self._now_fn()
+        timeout = self.policy.quiesce_timeout
         for idx, st in enumerate(self.states):
-            if st.worker is None and not st.failed:
-                # Block through the backoff so end-of-run state is not
-                # lost to unlucky timing; failure is still terminal.
-                if self._maybe_restart(idx, block=True):
-                    try:
+            snap = None
+            while not st.failed:
+                try:
+                    if st.worker is None:
+                        if not self._maybe_restart(idx, block=True):
+                            break
                         st.worker.advance_to(horizon)
                         st.worker.drain()
-                    except (ShardDied, ShardTimeout) as exc:
-                        self._on_death(idx, str(exc))
-                        continue
+                    # A cut still outstanding is answered before the
+                    # final snapshot and carries violations of its own.
+                    if self._land_cut(idx, timeout):
+                        snap = st.worker.quit(timeout)
+                    break
+                except (ShardDied, ShardTimeout) as exc:
+                    self._on_death(idx, str(exc))
             if st.worker is None:
                 continue
-            timeout = self.policy.quiesce_timeout
-            snap = None
-            try:
-                # A cut still outstanding is answered before the final
-                # snapshot and carries violations of its own.
-                if self._land_cut(idx, timeout):
-                    snap = st.worker.quit(timeout)
-            except ShardDied:
-                pass
             if snap is None:
                 # Hung at quiesce: the worker is killed; whatever it
                 # saw since its last snapshot is unaccounted for.
