@@ -14,11 +14,13 @@ silent failure:
   violation count as ``degraded - potential_false <= true <= degraded +
   potential_missed`` instead of a confidently wrong number.
 
-The interval is an *estimate*, not a proof: one lost state transition can
-cascade (a never-killed instance shadows future creations at its key),
-so each record counts toward both bounds.  The per-kind primary
-classification is what you read to diagnose *which* failure mode a
-profile produces; ``docs/ROBUSTNESS.md`` walks through the semantics.
+One lost state transition can cascade (a never-killed instance shadows
+future creations at its key), so each record counts toward both bounds;
+``tests/property/test_fault_machine.py`` checks that a fault-free run's
+count lies in the interval under any schedule of the faults ``repro
+chaos`` injects.  The per-kind primary classification is what you read
+to diagnose *which* failure mode a profile produces;
+``docs/ROBUSTNESS.md`` walks through the semantics.
 """
 
 from __future__ import annotations
