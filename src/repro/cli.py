@@ -50,6 +50,7 @@ from typing import List, Optional
 
 from .core import Monitor, analyze
 from .lang import compile_source
+from .telemetry import TRACE_SAMPLE_EVERY
 
 
 def _predicates():
@@ -709,11 +710,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ingest queue bound; frames beyond it are shed "
                             "into the overflow ledger (default: 4096)")
     serve.add_argument("--trace-buffer", type=int, default=512,
-                       help="spans kept for /trace, newest first "
-                            "(default: 512)")
+                       help="spans kept for /trace, newest first: one "
+                            f"packet uid in {TRACE_SAMPLE_EVERY} traced "
+                            "whole, plus every violation; 0 disables "
+                            "tracing (default: 512)")
     serve.add_argument("--spans", default=None, metavar="SPANS.jsonl",
-                       help="also append every closed span to this JSONL "
-                            "file (crash-safe, one line per span)")
+                       help="also append every span the /trace ring "
+                            "records to this JSONL file as it closes "
+                            "(crash-safe, one line per span)")
     serve.add_argument("--shards", type=int, default=0, metavar="N",
                        help="drain the ingest queue into a sharded monitor "
                             "fabric of N forked, supervised worker "

@@ -350,6 +350,17 @@ class Monitor:
     def now(self) -> float:
         return self._now
 
+    @property
+    def tracer(self) -> Tracer:
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Tracer) -> None:
+        # ``_spans`` is where the current event's spans go: the tracer,
+        # or NULL_TRACER while observe_batch runs an event its sampling
+        # tracer does not keep.
+        self._tracer = self._spans = tracer
+
     # -- event intake ----------------------------------------------------------
     def observe(self, event: DataplaneEvent) -> None:
         """Process one dataplane event (the tap entry point)."""
@@ -386,19 +397,30 @@ class Monitor:
         """Process a stream of events in order — the entry point of
         replay, the daemon's dispatcher and the fabric workers.
 
-        With a tracer on, each event gets its root span here: nothing
-        upstream of a batch opened one (:meth:`observe`, the live tap,
-        stays rootless because a traced switch already did).
+        With a tracer on, each event it keeps gets its root span here:
+        nothing upstream of a batch opened one (:meth:`observe`, the live
+        tap, stays rootless because a traced switch already did).  An
+        event a sampling tracer does not keep runs untraced — no span,
+        no attrs — but for its violations (see :meth:`_violate`).
         """
-        tracer = self.tracer
+        tracer = self._tracer
         if not tracer.enabled:
             for event in events:
                 self.observe(event)
             return
-        for event in events:
-            root = open_event_root(tracer, event)
-            self.observe(event)
-            tracer.end(root, self._now)
+        keeps = tracer.keeps
+        try:
+            for event in events:
+                if keeps(event):
+                    self._spans = tracer
+                    root = open_event_root(tracer, event)
+                    self.observe(event)
+                    tracer.end(root, self._now)
+                else:
+                    self._spans = NULL_TRACER
+                    self.observe(event)
+        finally:
+            self._spans = tracer
 
     def advance_to(self, when: float) -> None:
         """Move monitor time forward, running every agenda entry —
@@ -571,8 +593,8 @@ class Monitor:
             self.ledger.record(
                 "instance-evicted", op.prop.name, f"key={victim.key!r}",
                 op.time, (IMPACT_MISSED, IMPACT_FALSE))
-            if self.tracer.enabled:
-                self.tracer.event(
+            if self._spans.enabled:
+                self._spans.event(
                     "monitor.evict", op.time, property=op.prop.name,
                     key=repr(victim.key))
         instance = Instance(op.prop, op.key, dict(op.env), created_at=op.time)
@@ -584,8 +606,8 @@ class Monitor:
         store.add(instance)
         self._live_changed(op.prop.name, +1)
         self._c_created.inc()
-        if self.tracer.enabled:
-            self.tracer.event(
+        if self._spans.enabled:
+            self._spans.event(
                 "monitor.create", op.time, uid=_uid(op.event),
                 property=op.prop.name, key=repr(op.key))
         if instance.complete:  # single-stage property: immediate violation
@@ -601,8 +623,8 @@ class Monitor:
         if not instance.alive:
             return  # split-mode race: advanced after expiry
         instance.env.update(op.binds)
-        if self.tracer.enabled:
-            self.tracer.event(
+        if self._spans.enabled:
+            self._spans.event(
                 "monitor.advance", op.time, uid=_uid(op.event),
                 property=op.prop.name,
                 stage=op.prop.stages[instance.stage].name,
@@ -644,8 +666,8 @@ class Monitor:
             self._c_discharged.inc()
         else:
             self._c_cancelled.inc()
-        if self.tracer.enabled:
-            self.tracer.event(
+        if self._spans.enabled:
+            self._spans.event(
                 "monitor.kill", op.time, uid=_uid(op.event),
                 property=op.prop.name, reason=op.reason)
 
@@ -700,8 +722,8 @@ class Monitor:
             return
         # Timeout action (Feature 7): the negative observation is satisfied.
         self._c_timer_advances.inc()
-        if self.tracer.enabled:
-            self.tracer.event(
+        if self._spans.enabled:
+            self._spans.event(
                 "monitor.timer_advance", deadline, property=name,
                 stage=instance.current_stage().name)
         self._advance(instance, deadline, None)
@@ -728,8 +750,11 @@ class Monitor:
         self.violations.append(violation)
         self._c_violations.inc()
         self._prop_violation_counters[instance.prop.name].inc()
-        if self.tracer.enabled:
-            self.tracer.event(
+        # Always, sampled trigger or not: a violation is what the ring
+        # is for, and its uid must answer ``GET /trace?uid=``.
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.event(
                 "monitor.violation", when, uid=_uid(trigger),
                 property=instance.prop.name)
         for sink in self._sinks:

@@ -189,13 +189,16 @@ class ShardedMonitor:
         batches = self.router.split(events)
         tracer = self._tracer
         if tracer.enabled:
-            # Arrival roots only: the shards' own spans stay in their
-            # processes.  Each closes at the fabric's time as of its event.
+            # Arrival roots only, of the events the tracer keeps: the
+            # shards' own spans stay in their processes.  Each closes at
+            # the fabric's time as of its event.
+            keeps = tracer.keeps
             now = self._now
             for event in events:
                 if event.time > now:
                     now = event.time
-                tracer.end(open_event_root(tracer, event), now)
+                if keeps(event):
+                    tracer.end(open_event_root(tracer, event), now)
         last = events[-1].time
         if last > self._now:
             self._now = last
@@ -254,8 +257,9 @@ class ShardedMonitor:
     @tracer.setter
     def tracer(self, tracer: Tracer) -> None:
         # Shards keep their null tracers: spans are a single-process
-        # debug instrument.  The fabric records each event's root span
-        # as it routes the batch (observe_batch), and nothing under it.
+        # debug instrument.  The fabric records the root span of each
+        # event the tracer keeps as it routes the batch (observe_batch),
+        # and nothing under it.
         self._tracer = tracer
 
     def sync(self) -> None:

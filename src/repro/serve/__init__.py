@@ -15,7 +15,8 @@ evaluator.  An
 HTTP observability plane (stdlib only) exposes ``/metrics`` (Prometheus
 text), ``/stats`` (JSON), ``/healthz`` + ``/readyz`` (liveness vs.
 queue-pressure readiness), and ``/trace`` (recent spans from the
-tracer's ring buffer).  SIGTERM drains the queue and emits a final
+tracer's ring buffer: a uid-sampled share of packets, every violation).
+SIGTERM drains the queue and emits a final
 :class:`ServeDegradationReport`.
 
 Every ingest stream — socket, FIFO or file — is read by one coroutine

@@ -12,8 +12,12 @@ off (the observer opens each event's root span, not the daemon); a
 poll coroutine keeps the uptime gauge current and heartbeats a fabric's
 workers while ingest is idle; and the HTTP plane answers ``/metrics``,
 ``/stats``, ``/healthz``, ``/readyz`` and ``/trace`` between batches.
-The daemon samples nothing itself — ``/metrics`` is the time series, and
-whoever scrapes it keeps the history.  Single-loop concurrency is the point —
+The ``/trace`` ring is a sampling :class:`~repro.telemetry.Tracer`: it
+holds the spans of one packet uid in
+:data:`~repro.telemetry.TRACE_SAMPLE_EVERY` and of every violation, not
+a record of every packet.  The daemon keeps no gauge rows — ``/metrics``
+is the time series, and whoever scrapes it keeps the history.
+Single-loop concurrency is the point —
 the monitor is single-threaded by design (it models one switch-local
 monitor) and no thread reads ingest either, so nothing here needs a
 lock, and every source meets the same back-pressure.
@@ -126,6 +130,11 @@ class ServeConfig:
                 f"choose from {sorted(PROFILES)}")
         if self.shards < 0:
             raise ValueError(f"shards must be >= 0, got {self.shards}")
+        if self.batch_max < 1:
+            raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
+        if self.trace_buffer < 0:
+            raise ValueError(
+                f"trace_buffer must be >= 0, got {self.trace_buffer}")
         if self.restart_budget < 0:
             raise ValueError(
                 f"restart_budget must be >= 0, got {self.restart_budget}")
@@ -171,7 +180,7 @@ class ServeDaemon:
         # trace_buffer 0 disables span emission entirely: /trace serves
         # nothing and the observer opens no root spans.
         self.tracer: Tracer = (
-            Tracer(max_spans=self.config.trace_buffer)
+            Tracer(max_spans=self.config.trace_buffer, sampled=True)
             if self.config.trace_buffer > 0 else NullTracer())
         self.monitor.tracer = self.tracer
         self._span_writer: Optional[SpanWriter] = None
@@ -517,6 +526,8 @@ class ServeDaemon:
             uid = int(query["uid"]) if "uid" in query else None
         except ValueError:
             return json_response(400, {"error": "limit/uid must be integers"})
+        if limit < 0:
+            return json_response(400, {"error": "limit must be >= 0"})
         spans = self.tracer.recent(limit=limit, uid=uid)
         return json_response(200, {
             "count": len(spans),

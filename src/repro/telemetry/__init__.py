@@ -29,6 +29,7 @@ from .metrics import (
 from .poller import StatsPoller
 from .tracing import (
     NULL_TRACER,
+    TRACE_SAMPLE_EVERY,
     NullTracer,
     Span,
     SpanWriter,
@@ -36,6 +37,7 @@ from .tracing import (
     dump_spans,
     load_spans,
     save_spans,
+    uid_sampled,
     validate_spans,
 )
 
@@ -51,6 +53,7 @@ __all__ = [
     "StatsView",
     "StatsPoller",
     "NULL_TRACER",
+    "TRACE_SAMPLE_EVERY",
     "NullTracer",
     "Span",
     "SpanWriter",
@@ -58,6 +61,7 @@ __all__ = [
     "dump_spans",
     "load_spans",
     "save_spans",
+    "uid_sampled",
     "validate_spans",
     "render_json",
     "render_prometheus",

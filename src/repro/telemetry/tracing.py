@@ -30,6 +30,14 @@ its own spans for the same uid they attach under that root.  For a batch
 event, and a sharded monitor records the same root as it routes (its
 shards' spans stay in their processes).  :class:`NullTracer` is the
 default and costs one attribute check per call site.
+
+A tracer keeps every event unless it is built with ``sampled=True`` —
+``repro serve``'s ring is.  A sampling tracer keeps the events whose
+packet uid passes :func:`uid_sampled`, one uid in
+:data:`TRACE_SAMPLE_EVERY`; the observer runs every other event as if
+tracing were off, except that a violation always records its
+``monitor.violation`` span, tagged with its trigger's uid.  The ring
+then holds a sample of whole packet stories plus every violation.
 """
 
 from __future__ import annotations
@@ -48,6 +56,26 @@ from typing import (
     Sequence,
     Union,
 )
+
+#: A sampling tracer keeps one packet uid in this many.
+TRACE_SAMPLE_EVERY = 64
+
+_FIB64 = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, rounded to odd
+_MASK64 = (1 << 64) - 1
+_SAMPLE_BELOW = (1 << 64) // TRACE_SAMPLE_EVERY
+
+
+def uid_sampled(uid: int) -> bool:
+    """Whether a sampling tracer keeps packet ``uid`` — the one decision.
+
+    Fibonacci hashing: the uid times 2**64/φ, modulo 2**64, must land
+    in the lowest 1/:data:`TRACE_SAMPLE_EVERY` of the range.  Integer
+    arithmetic only, so every process agrees (``hash()`` is salted per
+    interpreter) and no event is formatted; and consecutive uids — how
+    packets are numbered — spread evenly, so any run of them keeps close
+    to one in :data:`TRACE_SAMPLE_EVERY`.
+    """
+    return (uid * _FIB64) & _MASK64 < _SAMPLE_BELOW
 
 
 class Span:
@@ -106,6 +134,9 @@ class Tracer:
     ``on_close`` fires once per span, at the moment it closes
     (``end``/``event``/``close_all``).
 
+    ``sampled`` asks the observers to trace only the events
+    :meth:`keeps` (see the module docstring); the default traces all.
+
     A tracer is also a context manager: leaving the ``with`` block closes
     any span still open at the latest time the tracer has seen, so a
     scope that raises cannot leave dangling spans behind.
@@ -117,14 +148,27 @@ class Tracer:
         self,
         max_spans: Optional[int] = None,
         on_close: Optional[Callable[[Span], None]] = None,
+        sampled: bool = False,
     ) -> None:
         self.spans: Union[List[Span], Deque[Span]] = (
             [] if max_spans is None else deque(maxlen=max_spans)
         )
         self.on_close = on_close
+        self.sampled = sampled
         self._next_id = 1
         self._root_by_uid: Dict[int, Span] = {}
         self._latest = 0.0
+
+    def keeps(self, event) -> bool:
+        """Whether an observer traces ``event``: always, unless this
+        tracer samples — then when its packet uid passes
+        :func:`uid_sampled`.  An event with no packet (a link-down, a
+        timer) has no uid to sample by, so a sampling tracer passes it
+        over."""
+        if not self.sampled:
+            return True
+        packet = getattr(event, "packet", None)
+        return packet is not None and uid_sampled(packet.uid)
 
     # -- span lifecycle ----------------------------------------------------
     def start(
@@ -208,11 +252,14 @@ class Tracer:
 
     def recent(self, limit: int = 100, uid: Optional[int] = None) -> List[Span]:
         """The most recent ``limit`` spans in span-id order, optionally
-        filtered to one packet uid (the ``GET /trace`` query)."""
+        filtered to one packet uid (the ``GET /trace`` query); a limit
+        of 0 or less is none."""
+        if limit <= 0:
+            return []
         spans: Iterable[Span] = self.spans
         if uid is not None:
             spans = [s for s in spans if s.uid == uid]
-        tail = list(spans)[-max(0, limit):]
+        tail = list(spans)[-limit:]
         return sorted(tail, key=lambda s: s.span_id)
 
     def reset(self) -> None:

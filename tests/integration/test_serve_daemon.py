@@ -45,6 +45,7 @@ from repro.serve import (
 )
 from repro.serve.ingest import READ_SIZE
 from repro.switch.pipeline import MissPolicy
+from repro.telemetry import uid_sampled
 
 
 @pytest.fixture(scope="module")
@@ -564,9 +565,11 @@ class TestShardedDaemon:
             assert killed is not None
             assert wait_until(
                 lambda: observed(daemon) >= self.EVENTS, timeout=30.0)
-            # a just-sent packet's root span, recorded by the fabric
+            # the root span of the last packet the sampler keeps,
+            # recorded by the fabric
             last = next(e for e in reversed(events)
-                        if getattr(e, "packet", None) is not None)
+                        if getattr(e, "packet", None) is not None
+                        and uid_sampled(e.packet.uid))
             status, body = get(daemon, f"/trace?uid={last.packet.uid}")
             assert status == 200
             assert any(

@@ -1,4 +1,5 @@
-"""IngestQueue backpressure, frame parsing, and the serve report.
+"""IngestQueue backpressure, frame parsing, config bounds, and the serve
+report.
 
 The queue is the daemon's honesty mechanism: every shed must be
 ledgered with both impact kinds, readiness must flap conservatively
@@ -10,8 +11,9 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.degradation import IMPACT_FALSE, IMPACT_MISSED, OverflowLedger
-from repro.serve import FrameError, IngestQueue, parse_frame
+from repro.serve import FrameError, IngestQueue, ServeConfig, parse_frame
 from repro.serve.ingest import decode_batch, stream_reader
 from repro.serve.daemon import parse_ingest_spec
 from repro.serve.report import ServeDegradationReport, render_serve_report
@@ -346,6 +348,25 @@ class TestIngestSpec:
     def test_bad_specs_raise(self, bad):
         with pytest.raises(ValueError):
             parse_ingest_spec(bad)
+
+
+class TestServeConfigBounds:
+    # batch_max 0 once had the dispatcher take empty batches forever,
+    # and a negative trace_buffer silently turned tracing off.
+    @pytest.mark.parametrize("field, value", [
+        ("batch_max", 0), ("batch_max", -1), ("trace_buffer", -1),
+    ])
+    def test_out_of_range_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**{field: value})
+
+    def test_smallest_legal_values_are_accepted(self):
+        config = ServeConfig(batch_max=1, trace_buffer=0)
+        assert (config.batch_max, config.trace_buffer) == (1, 0)
+
+    def test_cli_negative_trace_buffer_exits_2(self, capsys):
+        assert main(["serve", "--trace-buffer", "-1"]) == 2
+        assert "trace_buffer must be >= 0" in capsys.readouterr().err
 
 
 class TestServeReport:

@@ -15,6 +15,7 @@ import sys
 import textwrap
 import time
 
+from repro.serve import ServeDaemon
 from repro.telemetry import SpanWriter, Tracer, load_spans, validate_spans
 
 SRC = os.path.abspath(
@@ -35,6 +36,27 @@ class TestTracerRing:
         assert [s.name for s in tracer.recent(2)] == ["e4", "e5"]
         assert [s.name for s in tracer.recent(10, uid=1)] \
             == ["e1", "e3", "e5"]
+
+    def test_limit_zero_or_less_is_no_spans(self):
+        # ``list(spans)[-0:]`` is every span: a limit of 0 once dumped
+        # the whole ring.
+        tracer = Tracer(max_spans=10)
+        for i in range(6):
+            tracer.event(f"e{i}", float(i), uid=1)
+        assert tracer.recent(0) == []
+        assert tracer.recent(0, uid=1) == []
+        assert tracer.recent(-3) == []
+
+    def test_trace_endpoint_limit_zero_is_empty_and_negative_is_400(self):
+        daemon = ServeDaemon()
+        for i in range(3):
+            daemon.tracer.event(f"e{i}", float(i), uid=i)
+        status, _, body = daemon._ep_trace({"limit": "0"})
+        assert (status, json.loads(body)["count"]) == (200, 0)
+        status, _, body = daemon._ep_trace({"limit": "2"})
+        assert (status, json.loads(body)["count"]) == (200, 2)
+        status, _, body = daemon._ep_trace({"limit": "-1"})
+        assert status == 400 and "limit" in json.loads(body)["error"]
 
     def test_ending_an_evicted_span_still_fires_on_close(self):
         closed = []
