@@ -541,8 +541,15 @@ class _ClassEmitter:
         self._emit_candidates(w, entry, stage_idx, body)
 
     def _emit_refresh_or_create(self, w: _Writer, entry: _Entry) -> None:
-        """The by-key half of create (runs against current state)."""
+        """The by-key half of create (runs against current state).
+
+        Ownership (``_kf``) is asked on the create branch only: a live
+        instance under ``_key`` exists because this monitor's filter
+        admitted it (``restore_state`` restores a shard's own instances
+        only), so a refresh needs no second answer.
+        """
         p = entry.pidx
+        owned = f"_kf is None or _kf({entry.prop.name!r}, _key)"
         w.w(f"_ex = _byk{p}(_key)")
         if entry.refresh_ok:
             w.w("if _ex is not None and _ex.alive:")
@@ -554,18 +561,14 @@ class _ClassEmitter:
                 'binds=_env0, event=_ev, time=_t))')
             w.ded()
             w.ded()
-            w.w("else:")
-            w.ind()
-            w.w(f'_ops.append(_Op("create", _prop{p}, key=_key, env=_env0, '
-                'event=_ev, time=_t))')
-            w.ded()
+            w.w(f"elif {owned}:")
         else:
             # Sound Absent timing: a repeat stage-0 match never refreshes.
-            w.w("if _ex is None or not _ex.alive:")
-            w.ind()
-            w.w(f'_ops.append(_Op("create", _prop{p}, key=_key, env=_env0, '
-                'event=_ev, time=_t))')
-            w.ded()
+            w.w(f"if (_ex is None or not _ex.alive) and ({owned}):")
+        w.ind()
+        w.w(f'_ops.append(_Op("create", _prop{p}, key=_key, env=_env0, '
+            'event=_ev, time=_t))')
+        w.ded()
 
     def _create_cond(self, entry: _Entry, fields_expr: str) -> str:
         pattern = entry.sections.create
@@ -594,10 +597,7 @@ class _ClassEmitter:
             w.ind()
         w.w(f"_env0 = {self._env0_dict(entry)}")
         w.w(f"_key = {self._key_tuple(entry.prop)}")
-        w.w(f"if _kf is None or _kf({entry.prop.name!r}, _key):")
-        w.ind()
         self._emit_refresh_or_create(w, entry)
-        w.ded()
         if guarded:
             w.ded()
 
@@ -700,7 +700,7 @@ def build_program(
     by_class: Dict[type, List[_Entry]] = {}
     for pidx, (prop, store, refresh_ok) in enumerate(entries):
         exec_globals[f"_prop{pidx}"] = prop
-        exec_globals[f"_byk{pidx}"] = store.by_key
+        exec_globals[f"_byk{pidx}"] = store._by_key.get
         for cls, sec in _sections_by_class(prop).items():
             by_class.setdefault(cls, []).append(
                 _Entry(pidx, prop, store, refresh_ok, sec))

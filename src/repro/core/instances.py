@@ -40,6 +40,7 @@ population, so one bucket iterates in scan order, and
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .degradation import EVICT_LRU, EVICT_OLDEST, EVICT_REJECT
@@ -161,6 +162,13 @@ def merge_by_stage_entry(
     }
 
 
+def _key_getter(env_vars: Tuple[str, ...]):
+    """``env -> tuple(env[v] for v in env_vars)``: one C call for two or
+    more variables (``itemgetter`` returns a lone value bare)."""
+    get = itemgetter(*env_vars)
+    return get if len(env_vars) > 1 else lambda env: (get(env),)
+
+
 #: shared empty dict backing ``at_stage`` misses (never written to).
 _EMPTY_STAGE: Dict[int, Instance] = {}
 
@@ -181,6 +189,8 @@ class InstanceStore:
         #: monitor's degradation layer, not by ``add`` itself, so the
         #: eviction decision (and its ledger entry) stays in one place.
         self.capacity = capacity
+        #: key -> instance; never replaced, so the generated program binds
+        #: its ``get`` directly.
         self._by_key: Dict[Tuple, Instance] = {}
         self._live = 0
         #: stage -> {instance_id: instance}.  The per-stage dicts are
@@ -234,6 +244,11 @@ class InstanceStore:
         bucket[instance.instance_id] = instance
         instance.stage_bucket = bucket
         self._index_move(instance, old_stage)
+
+    def touch(self, instance: Instance) -> None:
+        """Called after a refresh: the instance re-enters its own stage
+        (at the back), exactly as ``reindex`` leaves it."""
+        self.reindex(instance, instance.stage)
 
     def candidates(
         self, stage_idx: int, fields: Mapping[str, object]
@@ -338,6 +353,19 @@ class IndexedInstanceStore(InstanceStore):
             if (plans := unless_index_plans(stage))
         }
         self._stage_entries = itertools.count(1)
+        #: stage -> env -> its index key, for stages with a plan.
+        self._plan_keys = {
+            i: _key_getter(tuple(var for _, var in plan))
+            for i, plan in self._plans.items() if plan
+        }
+        # A refresh keeps its key by construction; where every index of
+        # the stage reads key variables only, it cannot change a bucket.
+        key_vars = set(prop.key_vars)
+        self._touch_in_place = frozenset(
+            i for i, plan in self._plans.items()
+            if key_vars.issuperset(var for _, var in plan)
+            and all(key_vars.issuperset(env_vars)
+                    for _, _, env_vars in self._unless.get(i, ())))
 
     def unless_index(
         self, stage_idx: int, pattern_idx: int
@@ -349,12 +377,33 @@ class IndexedInstanceStore(InstanceStore):
                 return index
         return None
 
+    def touch(self, instance: Instance) -> None:
+        """After a refresh: move the instance to the back of its stage
+        population, index bucket and ``unless`` buckets in place — the
+        order ``reindex`` gives, with no key built or hashed — where
+        ``_touch_in_place`` says the refresh cannot re-key it.  Elsewhere
+        (a ``samepacket`` uid plan, an ``unless`` on a non-key binding)
+        the refreshed bindings may file it elsewhere: ``reindex``."""
+        if instance.stage not in self._touch_in_place:
+            self.reindex(instance, instance.stage)
+            return
+        iid = instance.instance_id
+        for bucket in (instance.stage_bucket, instance.index_bucket):
+            del bucket[iid]
+            bucket[iid] = instance
+        if instance.unless_slots:
+            for index, key in instance.unless_slots:
+                bucket = index[key]
+                del bucket[iid]
+                bucket[iid] = instance
+            instance.stage_entry = next(self._stage_entries)
+
     def _instance_index_key(self, instance: Instance) -> Optional[Tuple]:
-        plan = self._plans.get(instance.stage, ())
-        if not plan:
+        key_of = self._plan_keys.get(instance.stage)
+        if key_of is None:
             return None
         try:
-            return tuple(instance.env[var] for _, var in plan)
+            return key_of(instance.env)
         except KeyError:
             # A plan variable is not bound (possible only for patterns whose
             # binding stage was skipped — spec validation prevents it, but a

@@ -271,6 +271,10 @@ class Monitor:
         self._sinks: List[ViolationSink] = []
         self._props: Dict[str, PropertySpec] = {}
         self._stores: Dict[str, InstanceStore] = {}
+        #: property -> per stage, the timer an instance arms on entering
+        #: it: ("advance", within) for an Absent stage (F7), ("expire",
+        #: within) for an Observe deadline (F3), ("", None) for none.
+        self._timer_rows: Dict[str, Tuple[Tuple[str, Optional[float]], ...]] = {}
         #: live instances across all stores, maintained incrementally so
         #: the telemetry-disabled path never iterates stores per event.
         self._live_total = 0
@@ -319,6 +323,11 @@ class Monitor:
         )
         self._stores[prop.name] = make_store(
             prop, self.store_strategy, capacity=capacity)
+        self._timer_rows[prop.name] = tuple(
+            ("advance", stage.within) if isinstance(stage, Absent)
+            else ("expire", stage.within) if stage.within is not None
+            else ("", None)
+            for stage in prop.stages)
         r = self.registry
         self._stage_advance_counters[prop.name] = tuple(
             r.counter(
@@ -553,21 +562,21 @@ class Monitor:
     # -- state transitions -------------------------------------------------------
     def _apply(self, op: _Op) -> None:
         self._c_ops.inc()
-        self._charge()
-        if op.kind == "create":
-            self._apply_create(op)
-        elif op.kind == "advance":
-            self._apply_advance(op)
-        elif op.kind == "kill":
-            self._apply_kill(op)
-        elif op.kind == "refresh":
+        if self.meter is not None:
+            self._charge()
+        kind = op.kind
+        if kind == "refresh":  # the commonest op on keyed traffic
             self._apply_refresh(op)
+        elif kind == "create":
+            self._apply_create(op)
+        elif kind == "advance":
+            self._apply_advance(op)
+        elif kind == "kill":
+            self._apply_kill(op)
         else:  # pragma: no cover - internal invariant
-            raise ValueError(f"unknown op kind {op.kind!r}")
+            raise ValueError(f"unknown op kind {kind!r}")
 
     def _charge(self) -> None:
-        if self.meter is None:
-            return
         if self.slow_path_updates:
             self.meter.charge_slow_update()
         else:
@@ -681,20 +690,18 @@ class Monitor:
         # Re-binding may change indexed values (a re-learned port, or the
         # stage-0 packet uid that a same_packet stage keys on): the store's
         # index must follow, or the refreshed instance becomes unfindable.
-        self._stores[op.prop.name].reindex(instance, instance.stage)
+        # ``touch`` does that, or moves it in place where it cannot happen.
+        self._stores[op.prop.name].touch(instance)
         self._c_refreshes.inc()
         self._arm_timer(instance, op.time)
 
     # -- timers ---------------------------------------------------------------------
     def _arm_timer(self, instance: Instance, now: float) -> None:
-        stage = instance.current_stage()
+        """Arm the timer of the stage a live, incomplete instance waits at."""
         instance.timer_gen += 1  # whatever the agenda holds is stale now
-        if stage is None:
-            return
-        if isinstance(stage, Absent):
-            self._set_deadline(instance, now + stage.within, "advance")
-        elif stage.within is not None:
-            self._set_deadline(instance, now + stage.within, "expire")
+        kind, within = self._timer_rows[instance.prop.name][instance.stage]
+        if kind:
+            self._set_deadline(instance, now + within, kind)
         else:
             instance.deadline = None
             instance.deadline_kind = ""

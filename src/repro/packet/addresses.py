@@ -106,7 +106,10 @@ class MACAddress:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("mac", self._value))
+        # The integer itself: no tuple per hash, and no PYTHONHASHSEED
+        # salt.  It equals an IPv4Address's hash of the same value; __eq__
+        # still tells the two apart.
+        return self._value
 
 
 MACAddress.BROADCAST = MACAddress((1 << 48) - 1)
@@ -216,7 +219,7 @@ class IPv4Address:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("ipv4", self._value))
+        return self._value  # see MACAddress.__hash__
 
 
 IPv4Address.ZERO = IPv4Address(0)

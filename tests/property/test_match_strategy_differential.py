@@ -347,11 +347,61 @@ def cancel_prop():
     )
 
 
-def applied_ops(events, store_strategy, match_strategy, **monitor_kwargs):
-    """The ops a monitor over :func:`cancel_prop` applied, in order."""
+def keyed_refresh_props():
+    """Keyed properties whose arrivals mostly refresh: one whose indexes
+    read only its key (a refresh moves it in place), one whose stage-1
+    plan is the stage-0 packet uid and one whose ``unless`` reads a
+    non-key binding (a refresh may re-key both), and :func:`cancel_prop`."""
+    return [
+        PropertySpec(
+            name="pair", description="",
+            stages=(
+                Observe("a", EventPattern(
+                    kind=EventKind.ARRIVAL,
+                    binds=(Bind("S", "eth.src"), Bind("D", "eth.dst")))),
+                Observe("b", EventPattern(
+                    kind=EventKind.EGRESS,
+                    guards=(FieldEq("eth.src", Var("S")),
+                            FieldEq("eth.dst", Var("D")))), within=3.0),
+            ),
+            key_vars=("S", "D"),
+        ),
+        PropertySpec(
+            name="ident", description="",
+            stages=(
+                Observe("a", EventPattern(kind=EventKind.ARRIVAL,
+                                          binds=(Bind("S", "eth.src"),))),
+                Observe("b", EventPattern(kind=EventKind.DROP,
+                                          same_packet_as="a")),
+            ),
+            key_vars=("S",),
+        ),
+        PropertySpec(
+            name="loose", description="",
+            stages=(
+                Observe("a", EventPattern(
+                    kind=EventKind.ARRIVAL,
+                    binds=(Bind("S", "eth.src"), Bind("D", "eth.dst")))),
+                Observe("b", EventPattern(
+                    kind=EventKind.EGRESS,
+                    guards=(FieldEq("eth.dst", Var("S")),)),
+                    unless=(EventPattern(kind=EventKind.DROP, guards=(
+                        FieldEq("eth.src", Var("D")),)),)),
+            ),
+            key_vars=("S",),
+        ),
+        cancel_prop(),
+    ]
+
+
+def applied_ops(events, store_strategy, match_strategy, props=None,
+                **monitor_kwargs):
+    """The ops a monitor over ``props`` (default :func:`cancel_prop`)
+    applied, in order."""
     monitor = Monitor(store_strategy=store_strategy,
                       match_strategy=match_strategy, **monitor_kwargs)
-    monitor.add_property(cancel_prop())
+    for prop in props if props is not None else [cancel_prop()]:
+        monitor.add_property(prop)
     applied = []
     apply_op = monitor._apply
 
@@ -379,6 +429,18 @@ def _arrival(src, dst, t):
 REORDERED_DOUBLE_HIT = [
     _arrival(1, 2, 0.1), _arrival(3, 4, 0.2), _arrival(1, 2, 0.3),
     _arrival(2, 3, 0.4),
+]
+
+#: one shard of two: owns the keys whose stable hash is odd (most
+#: one-address keys, half of the address pairs)
+HALF_THE_KEYS = lambda name, key: stable_hash(key) % 2 == 1  # noqa: E731
+
+#: three flows that cancel none of one another, each arriving again and
+#: again: mostly refreshes
+REFRESH_STORM = [
+    _arrival(src, dst, 0.1 * (3 * n + i))
+    for n in range(5)
+    for i, (src, dst) in enumerate(((1, 3), (2, 3), (1, 4)))
 ]
 
 
@@ -474,3 +536,31 @@ class TestMatchStrategyEquivalence:
                                  ("linear", "interpreted")):
                 assert indexed == applied_ops(
                     events, store, match, **kwargs()), (mode, store, match)
+
+    @settings(max_examples=30, deadline=None)
+    @given(event_streams(max_events=40), st.integers(0, 3))
+    @example(events=REFRESH_STORM, fault_seed=1)
+    def test_keyed_refresh_ops_agree_under_a_key_filter(
+            self, events, fault_seed):
+        """A refresh-heavy keyed property set behind one shard's
+        ownership filter: the generated program asks the filter on its
+        create branch only, the reference walk before every stage-0
+        probe, and the two must still apply one op sequence — inline,
+        and in SPLIT mode behind a seeded lossy control channel."""
+        profile = ControlFaultProfile(
+            drop=0.3, extra_lag=0.01, jitter=0.05, seed=fault_seed)
+        modes = {
+            "inline": lambda: {},
+            "split-faults": lambda: dict(
+                mode=ProcessingMode.SPLIT, split_lag=0.02,
+                op_faults=profile.channel()),
+        }
+        for mode, kwargs in modes.items():
+            compiled, interpreted = (
+                applied_ops(events, "indexed", match, keyed_refresh_props(),
+                            key_filter=HALF_THE_KEYS, **kwargs())
+                for match in MATCH_STRATEGIES)
+            assert compiled == interpreted, mode
+            if events is REFRESH_STORM and mode == "inline":
+                kinds = [kind for kind, *_ in compiled[0]]
+                assert kinds.count("refresh") > kinds.count("create") > 0

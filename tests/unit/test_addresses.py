@@ -1,8 +1,15 @@
 """Unit tests: MAC and IPv4 address value types."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.packet.addresses import AddressError, IPv4Address, MACAddress
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 class TestMACAddress:
@@ -130,7 +137,22 @@ class TestIPv4Address:
         assert IPv4Address("10.0.0.1") < IPv4Address("10.0.0.2")
         assert len({IPv4Address("1.1.1.1"), IPv4Address("1.1.1.1")}) == 1
 
-    def test_mac_and_ip_hash_distinctly(self):
-        # Same underlying integer must not collide semantically.
+    def test_mac_and_ip_of_one_integer_stay_distinct(self):
+        # An address hashes as its integer, so these two collide; equality
+        # still tells them apart, and a set keeps both.
+        assert hash(MACAddress(5)) == hash(IPv4Address(5))
         assert MACAddress(5) != IPv4Address(5)
         assert len({MACAddress(5), IPv4Address(5)}) == 2
+
+    def test_hash_is_the_same_under_another_hash_seed(self):
+        """No PYTHONHASHSEED salt: a forked or restarted process files an
+        address under the same hash."""
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        script = ("from repro.packet.addresses import IPv4Address, MACAddress;"
+                  "print(hash(IPv4Address('10.1.2.3')), hash(MACAddress(7)))")
+        out = subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=SRC,
+                                PYTHONHASHSEED=seed)).stdout.split()
+        assert out == [str(hash(IPv4Address("10.1.2.3"))),
+                       str(hash(MACAddress(7)))]
