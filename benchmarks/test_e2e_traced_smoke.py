@@ -1,12 +1,13 @@
-"""Traced-run smoke test of ``benchmarks/e2e`` with the probes PR 17 retired.
+"""Traced-run smoke test of ``benchmarks/e2e`` with its retired probes.
 
 ``e2e/test_e2e_smoke.py::test_traced_run_emits_every_layer_and_writes_nested_spans``
 asserts that no probe degrades, and ``benchmarks/e2e`` is frozen to
 non-benchmark PRs.  PR 17 deleted the targets of three probes (the
-``"codegen"`` strategy spelling and ``CodegenProgram.columnar``), so CI
-deselects that test and runs this twin instead: the same call, the same
-assertions, with the degraded set pinned to exactly those three.  Both
-go when a benchmark PR drops the probes.
+``"codegen"`` strategy spelling and ``CodegenProgram.columnar``), and
+the in-process fabric mode that ``fabric.fabric.inprocess2`` timed is
+gone too, so CI deselects that test and runs this twin instead: the same
+call, the same assertions, with the degraded set pinned to exactly those
+four.  Both go when a benchmark PR drops the probes.
 """
 
 import json
@@ -24,7 +25,9 @@ TINY = 384
 SEED = 3
 
 RETIRED_PROBES = {"core.codegen.extract", "core.monitor.codegen",
-                  "core.codegen.build_ms"}
+                  "core.codegen.build_ms",
+                  # ShardedMonitor(mode="inprocess") now raises ValueError
+                  "fabric.fabric.inprocess2"}
 
 
 def test_traced_run_degrades_only_the_retired_probes():

@@ -654,12 +654,12 @@ def _compile_function(lineno: int, source: str):
     """One generated ``def`` -> its code object, placed at ``lineno``.
 
     ``compile()`` is ~70 % of a program build, and monitors over the same
-    properties (in-process shards, a test's many short-lived monitors)
-    emit identical text: everything monitor-specific is bound through the
-    exec globals, never baked into the source, so the code object is a
-    pure function of the arguments and safe to share.  The newline
-    padding keeps traceback line numbers pointing into the program text
-    as ``repro explain --codegen`` prints it.
+    properties (a test's many short-lived monitors, the two sides of a
+    differential) emit identical text: everything monitor-specific is
+    bound through the exec globals, never baked into the source, so the
+    code object is a pure function of the arguments and safe to share.
+    The newline padding keeps traceback line numbers pointing into the
+    program text as ``repro explain --codegen`` prints it.
     """
     return compile("\n" * lineno + source, "<repro-codegen>", "exec")
 

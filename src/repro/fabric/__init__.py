@@ -1,12 +1,14 @@
 """Sharded monitor fabric: key-partitioned multi-core execution.
 
-See :mod:`repro.fabric.fabric` for the :class:`ShardedMonitor` facade,
+Every shard is a forked worker process under a supervisor.  See
+:mod:`repro.fabric.fabric` for the :class:`ShardedMonitor` facade,
 :mod:`repro.fabric.routing` for the key-partitioning analysis,
+:mod:`repro.fabric.shard` for the key-filtered monitor each worker runs,
 :mod:`repro.fabric.mp` for the forked-worker transport, and
 :mod:`repro.fabric.supervise` for crash detection and recovery.
 """
 
-from .fabric import FABRIC_MODES, FabricStats, ShardedMonitor
+from .fabric import FabricStats, ShardedMonitor
 from .mp import MpShard, ShardDied, ShardTimeout, fork_available
 from .routing import PropRoute, Router, build_route, build_routes, \
     shard_key_filter, stable_hash
@@ -14,7 +16,6 @@ from .shard import ShardSnapshot, build_shard_monitor, take_snapshot
 from .supervise import QuarantineRecord, Supervisor, SupervisorPolicy
 
 __all__ = [
-    "FABRIC_MODES",
     "FabricStats",
     "MpShard",
     "PropRoute",

@@ -6,22 +6,17 @@ system uses — ``observe``/``observe_batch``, ``advance_to``/``flush``,
 ``live_instances``/``pending_op_count`` — so ``repro replay``,
 ``repro serve``, and the stats plane are shard-transparent.
 
-Two execution modes share all routing and merging logic:
-
-* ``"inprocess"`` — N shard monitors in this process, called
-  synchronously.  No IPC, no parallelism: the ablation twin that
-  isolates *partitioning* effects from *transport* effects, and the
-  correctness oracle the differential suite compares against — a
-  Python-only oracle: no CLI flag or daemon option selects it.
-* ``"mp"`` — N forked worker processes fed serialized event frames
-  (``fabric.mp``).  Workers acknowledge nothing per event; state flows
-  back as cursor-based snapshot deltas on explicit ``sync()``, and as
-  the supervisor's periodic checkpoints, which are requested and then
-  taken in whenever their reply has arrived — no batch waits for one.
-  The only wait left on the data path is back-pressure for socket space
-  when a worker is behind, bounded by ``send_timeout``; ``sync()`` and
-  ``stop()`` are the explicit barriers (see ``fabric.mp``'s module
-  docstring).
+Every shard is a forked worker process fed serialized event frames
+(``fabric.mp``), owned by a :class:`~repro.fabric.supervise.Supervisor`
+that turns worker deaths into restarts and ledger entries.  Workers
+acknowledge nothing per event; state flows back as cursor-based snapshot
+deltas on explicit ``sync()``, and as the supervisor's periodic
+checkpoints, which are requested and then taken in whenever their reply
+has arrived — no batch waits for one.  The only wait left on the data
+path is back-pressure for socket space when a worker is behind, bounded
+by ``send_timeout``; ``sync()`` and ``stop()`` are the explicit barriers
+(see ``fabric.mp``'s module docstring).  After ``stop()`` the workers are
+gone for good: intake raises, and no shard reads as recovering.
 
 Merging rules (the parts worth being careful about):
 
@@ -43,10 +38,10 @@ Merging rules (the parts worth being careful about):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.degradation import OverflowLedger
-from ..core.monitor import Monitor, MonitorStats
+from ..core.monitor import MonitorStats
 from ..core.spec import PropertySpec
 from ..core.violations import Violation
 from ..switch.events import DataplaneEvent
@@ -54,10 +49,8 @@ from ..telemetry import NULL_TRACER, MetricsRegistry, NullRegistry, Tracer
 from ..telemetry.tracing import open_event_root
 from .mp import MpShard
 from .routing import Router, build_routes
-from .shard import ShardSnapshot, build_shard_monitor, take_snapshot
+from .shard import ShardSnapshot
 from .supervise import Supervisor, SupervisorPolicy
-
-FABRIC_MODES = ("inprocess", "mp")
 
 
 def _violation_order(violation: Violation) -> Tuple:
@@ -102,21 +95,19 @@ class ShardedMonitor:
         self,
         props: Sequence[PropertySpec],
         num_shards: int = 2,
-        mode: str = "inprocess",
+        mode: str = "mp",
         registry: Optional[MetricsRegistry] = None,
         max_layer: int = 7,
-        monitor_kwargs_fn: Optional[
-            Callable[[int], Dict[str, object]]] = None,
+        monitor_kwargs: Optional[Mapping[str, object]] = None,
         supervision: Optional[SupervisorPolicy] = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-        if mode not in FABRIC_MODES:
+        if mode != "mp":
             raise ValueError(
-                f"unknown fabric mode {mode!r} "
-                f"(expected one of {FABRIC_MODES})")
+                f"unknown fabric mode {mode!r}: shards are always forked "
+                f"workers (mode='mp')")
         self.num_shards = num_shards
-        self.mode = mode
         self.max_layer = max_layer
         self.registry = registry if registry is not None else NullRegistry()
         self._props = list(props)
@@ -143,45 +134,35 @@ class ShardedMonitor:
             self.registry.gauge(
                 "repro_fabric_shard_queue_depth",
                 help="Events forwarded to one shard and not yet confirmed "
-                     "by a snapshot sync (always 0 for in-process shards)",
+                     "by a snapshot sync",
                 labels={"shard": str(i)})
             for i in range(num_shards)
         ]
         self._mirrored: Dict[str, float] = {}
 
-        def shard_kwargs(idx: int) -> Dict[str, object]:
-            return dict(monitor_kwargs_fn(idx)) if monitor_kwargs_fn else {}
+        policy = supervision if supervision is not None \
+            else SupervisorPolicy()
+        # Every worker, replacements included, is forked from this
+        # process, which never touches these objects: each one starts
+        # from the same pristine copy (a control channel's RNG included).
+        shard_kwargs = dict(monitor_kwargs or {})
 
-        self.supervisor: Optional[Supervisor] = None
-        if mode == "inprocess":
-            self._shards: List[Monitor] = [
-                build_shard_monitor(self._props, i, num_shards, self.routes,
-                                    shard_kwargs(i))
-                for i in range(num_shards)
-            ]
-            self._cursors = [(0, 0)] * num_shards
-        else:
-            self._shards = []
-            self._cursors = []
-            policy = supervision if supervision is not None \
-                else SupervisorPolicy()
+        def spawn(idx: int) -> MpShard:
+            return MpShard(
+                self._props, idx, num_shards, self.routes, shard_kwargs,
+                max_layer, send_timeout=policy.send_timeout)
 
-            def spawn(idx: int) -> MpShard:
-                return MpShard(
-                    self._props, idx, num_shards, self.routes,
-                    shard_kwargs(idx), max_layer,
-                    send_timeout=policy.send_timeout)
-
-            self.supervisor = Supervisor(
-                spawn, num_shards, self.ledger, policy=policy,
-                registry=self.registry, now_fn=lambda: self._now,
-                merge_cb=self._merge)
+        self.supervisor = Supervisor(
+            spawn, num_shards, self.ledger, policy=policy,
+            registry=self.registry, now_fn=lambda: self._now,
+            merge_cb=self._merge)
 
     # -- event intake ------------------------------------------------------
     def observe(self, event: DataplaneEvent) -> None:
         self.observe_batch((event,))
 
     def observe_batch(self, events: Iterable[DataplaneEvent]) -> None:
+        supervisor = self._running()
         if not isinstance(events, Sequence):
             events = list(events)  # sized and indexed below, and by split
         if not events:
@@ -202,27 +183,19 @@ class ShardedMonitor:
         last = events[-1].time
         if last > self._now:
             self._now = last
-        if self.mode == "inprocess":
-            for idx, batch in enumerate(batches):
-                if batch:
-                    self._shards[idx].observe_batch(batch)
-        else:
-            for idx, batch in enumerate(batches):
-                if batch:
-                    self.supervisor.send_batch(idx, batch)
-                    self._inflight[idx] += len(batch)
-                    self._g_queue[idx].set(float(self._inflight[idx]))
-            self.supervisor.tick()
+        for idx, batch in enumerate(batches):
+            if batch:
+                supervisor.send_batch(idx, batch)
+                self._inflight[idx] += len(batch)
+                self._g_queue[idx].set(float(self._inflight[idx]))
+        supervisor.tick()
         self._dirty = True
 
     def advance_to(self, when: float) -> None:
+        supervisor = self._running()
         if when > self._now:
             self._now = when
-        if self.mode == "inprocess":
-            for shard in self._shards:
-                shard.advance_to(when)
-        else:
-            self.supervisor.advance_to(when)
+        supervisor.advance_to(when)
         self._dirty = True
 
     def flush(self, until: float) -> None:
@@ -235,15 +208,16 @@ class ShardedMonitor:
     def drain(self, until: Optional[float] = None) -> int:
         if until is not None:
             self.advance_to(until)
-        elif self.mode == "inprocess":
-            for shard in self._shards:
-                shard.drain()
-            self._dirty = True
         else:
-            self.supervisor.drain()
+            self._running().drain()
             self._dirty = True
         self.sync()
         return self.pending_op_count()
+
+    def _running(self) -> Supervisor:
+        if self._stopped:
+            raise RuntimeError("fabric is stopped: its workers are gone")
+        return self.supervisor
 
     # -- merged state ------------------------------------------------------
     @property
@@ -267,19 +241,11 @@ class ShardedMonitor:
         if not self._dirty:
             return
         self._dirty = False
-        if self.mode == "inprocess":
-            for idx, shard in enumerate(self._shards):
-                viol_cursor, shed_cursor = self._cursors[idx]
-                snapshot, viol_cursor, shed_cursor = take_snapshot(
-                    shard, idx, viol_cursor, shed_cursor)
-                self._cursors[idx] = (viol_cursor, shed_cursor)
-                self._merge(snapshot)
-        else:
-            # The supervisor delivers each shard's snapshot through
-            # self._merge (after trimming replay duplicates); shards
-            # that are down this round simply skip a beat and their
-            # state arrives with a later sync.
-            self.supervisor.sync_snapshots()
+        # The supervisor delivers each shard's snapshot through
+        # self._merge (after trimming replay duplicates); shards that
+        # are down this round simply skip a beat and their state
+        # arrives with a later sync.
+        self.supervisor.sync_snapshots()
         self._mirror_monitor_metrics()
 
     def _merge(self, snapshot: ShardSnapshot, unconfirmed: int = 0) -> None:
@@ -339,11 +305,6 @@ class ShardedMonitor:
         self.sync()
         return sum(s.pending_ops for s in self._snapshots)
 
-    @property
-    def shard_monitors(self) -> List[Monitor]:
-        """In-process shard monitors (tests, invariant checks); [] in mp."""
-        return list(self._shards)
-
     # -- supervision surface ----------------------------------------------
     def tick(self) -> None:
         """Periodic supervision duty (heartbeats, due restarts).
@@ -351,27 +312,15 @@ class ShardedMonitor:
         The data path already ticks per batch; poll loops (the serve
         daemon) call this so an idle fabric still notices dead workers.
         """
-        if self.supervisor is not None:
-            self.supervisor.tick()
+        self.supervisor.tick()
 
     def recovering_shards(self) -> List[int]:
         """Shards currently down and rebuilding (readiness degrades)."""
-        if self.supervisor is not None:
-            return self.supervisor.recovering()
-        return []
+        return self.supervisor.recovering()
 
     def shard_liveness(self) -> List[Dict[str, object]]:
         """Per-shard health rows for /healthz, /stats, and reports."""
-        if self.supervisor is not None:
-            return self.supervisor.liveness()
-        return [
-            {"shard": idx, "alive": True, "recovering": False,
-             "failed": False, "pid": None, "restarts": 0,
-             "journal_batches": 0, "journal_events": 0,
-             "checkpoint_pending": False,
-             "quarantined_batches": 0, "down_reason": ""}
-            for idx in range(self.num_shards)
-        ]
+        return self.supervisor.liveness()
 
     # -- lifecycle ---------------------------------------------------------
     def stop(self, now: Optional[float] = None) -> Dict[str, object]:
@@ -380,26 +329,16 @@ class ShardedMonitor:
             self._stopped = True
             if now is not None and now > self._now:
                 self._now = now
-            if self.mode == "inprocess":
-                for shard in self._shards:
-                    remaining = shard.drain(until=now)
-                    if remaining and now is None:  # pragma: no cover
-                        shard.drain()
-            else:
-                horizon = self._now if now is None else max(now, self._now)
-                self.supervisor.advance_to(horizon)
-                if now is None:
-                    self.supervisor.drain()
-                # quiesce() forces down shards through recovery first,
-                # then bounded-quits each worker; snapshots arrive via
-                # self._merge, and a hung worker is killed + ledgered
-                # instead of deadlocking this call.
-                self.supervisor.quiesce()
-                self._dirty = False
-                self._mirror_monitor_metrics()
-            if self.mode == "inprocess":
-                self._dirty = True
-                self.sync()
+            self.supervisor.advance_to(self._now)
+            if now is None:
+                self.supervisor.drain()
+            # quiesce() forces down shards through recovery first, then
+            # bounded-quits each worker; snapshots arrive via
+            # self._merge, and a hung worker is killed + ledgered
+            # instead of deadlocking this call.
+            self.supervisor.quiesce()
+            self._dirty = False
+            self._mirror_monitor_metrics()
             self._tracer.close_all(self._now)
         observed = len(self.violations)
         return {
@@ -415,5 +354,5 @@ class ShardedMonitor:
 
     def close(self) -> None:
         """Tear down workers without draining (error paths, __del__)."""
-        if self.supervisor is not None:
-            self.supervisor.close()
+        self._stopped = True
+        self.supervisor.close()

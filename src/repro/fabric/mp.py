@@ -169,8 +169,8 @@ class MpShard:
     ) -> None:
         if not fork_available():
             raise RuntimeError(
-                "fabric mode 'mp' needs the fork start method (unavailable "
-                "on this platform); use mode='inprocess'")
+                "the fabric needs the fork start method, which this "
+                "platform lacks; there is no fallback mode")
         ctx = multiprocessing.get_context("fork")
         self._sock, child_sock = socket.socketpair()
         self._sock.setblocking(False)

@@ -200,6 +200,12 @@ class _ShardState:
     #: stable while the journal holds the reference)
     kills: Dict[int, int] = field(default_factory=dict)
     quarantined: int = 0
+    #: shut down by ``quiesce``/``close``: gone for good, not rebuilding
+    stopped: bool = False
+
+    @property
+    def recovering(self) -> bool:
+        return self.worker is None and not self.failed and not self.stopped
 
 
 class Supervisor:
@@ -340,7 +346,7 @@ class Supervisor:
         """One snapshot per shard; None for shards down this round."""
         requested: List[int] = []
         for idx, st in enumerate(self.states):
-            if st.worker is None and not st.failed:
+            if st.recovering:
                 self._maybe_restart(idx)
             if st.worker is None:
                 continue
@@ -448,7 +454,7 @@ class Supervisor:
         """
         for idx, st in enumerate(self.states):
             if st.worker is None:
-                if not st.failed and self._clock() >= st.next_restart_at:
+                if st.recovering and self._clock() >= st.next_restart_at:
                     self._maybe_restart(idx)
                 continue
             try:
@@ -492,7 +498,7 @@ class Supervisor:
     def recovering(self) -> List[int]:
         """Shards currently down awaiting (or mid-) restart."""
         return [idx for idx, st in enumerate(self.states)
-                if st.worker is None and not st.failed]
+                if st.recovering]
 
     def failed(self) -> List[int]:
         return [idx for idx, st in enumerate(self.states) if st.failed]
@@ -505,7 +511,7 @@ class Supervisor:
             out.append({
                 "shard": idx,
                 "alive": worker is not None and worker.is_alive(),
-                "recovering": worker is None and not st.failed,
+                "recovering": st.recovering,
                 "failed": st.failed,
                 "pid": worker.pid if worker is not None else None,
                 "restarts": st.restarts,
@@ -550,7 +556,7 @@ class Supervisor:
         sleeps through the backoff and retries until live or failed.
         """
         st = self.states[idx]
-        while st.worker is None and not st.failed:
+        while st.recovering:
             delay = st.next_restart_at - self._clock()
             if delay > 0:
                 if not block:
@@ -674,7 +680,8 @@ class Supervisor:
         end-of-run state is not lost to unlucky timing — and asked
         again.  The restart budget still bounds this, and exhausting it
         ledgers the shard as lost.  Only a worker that does not answer
-        within ``quiesce_timeout`` is ledgered as hung.
+        within ``quiesce_timeout`` is ledgered as hung.  Every shard
+        ends stopped: neither recovering nor restarted again.
         """
         out: List[Optional[ShardSnapshot]] = [None] * self.num_shards
         horizon = self._now_fn()
@@ -695,6 +702,7 @@ class Supervisor:
                     break
                 except (ShardDied, ShardTimeout) as exc:
                     self._on_death(idx, str(exc))
+            st.stopped = True
             if st.worker is None:
                 continue
             if snap is None:
@@ -717,6 +725,7 @@ class Supervisor:
     def close(self) -> None:
         """Hard teardown of every worker (error paths, ``__del__``)."""
         for st in self.states:
+            st.stopped = True
             if st.worker is not None:
                 st.worker.kill()
                 st.worker = None

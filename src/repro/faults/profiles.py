@@ -283,9 +283,9 @@ def monitor_profile_kwargs(
 ) -> Dict[str, object]:
     """The ``Monitor(...)`` kwargs a chaos profile implies.
 
-    Called once per monitor (or per fabric shard): a control channel
-    carries RNG state, so every call mints a fresh one rather than
-    sharing.
+    Called once per monitor: a control channel carries RNG state, so
+    every call mints a fresh one rather than sharing.  A fabric calls it
+    once; each forked worker starts from its own copy of that one.
     """
     if profile is None:
         return {}

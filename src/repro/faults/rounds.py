@@ -137,25 +137,23 @@ def build_monitor(
 def build_sharded_monitor(
     profile: Optional[ChaosProfile] = None,
     num_shards: int = 2,
-    mode: str = "inprocess",
     registry: Optional[MetricsRegistry] = None,
     supervision=None,
 ):
     """A catalog :class:`~repro.fabric.ShardedMonitor` for a profile.
 
-    Each shard gets its own profile-derived kwargs — in particular its
-    own control-channel fault source and its own bounded-store budget
-    (per-shard capacity, a documented difference from the single
-    monitor's global bound).  ``supervision`` is an optional
-    :class:`~repro.fabric.SupervisorPolicy` for mp-mode crash recovery.
+    Each shard worker gets its own copy of the profile-derived kwargs —
+    in particular its own control-channel fault source and its own
+    bounded-store budget (per-shard capacity, a documented difference
+    from the single monitor's global bound).  ``supervision`` is an
+    optional :class:`~repro.fabric.SupervisorPolicy` for crash recovery.
     """
     props = [entry.prop for entry in build_table1()]
     return ShardedMonitor(
         props,
         num_shards=num_shards,
-        mode=mode,
         registry=registry,
-        monitor_kwargs_fn=lambda idx: monitor_profile_kwargs(profile),
+        monitor_kwargs=monitor_profile_kwargs(profile),
         supervision=supervision,
     )
 
@@ -595,7 +593,7 @@ def run_crash_chaos(
     clean = run_events(None, events, settle=settle)
     registry = MetricsRegistry() if with_telemetry else None
     fabric = build_sharded_monitor(
-        profile, num_shards=num_shards, mode="mp", registry=registry,
+        profile, num_shards=num_shards, registry=registry,
         supervision=supervision)
     if registry is not None:
         registry.time_fn = lambda: fabric.now

@@ -36,6 +36,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 from ..lang.ast import BindAst, Comparison, PatternAst, PropertyAst, StageAst
 from ..lang.format import format_ast
 from ..lang.parser import ParseError, parse
+from .rules import _comparison_key, _has_named_predicates, _var_refs
 
 #: The rule codes ``--fix`` knows how to repair.
 FIXABLE = ("L002", "L003", "L004")
@@ -85,12 +86,6 @@ class FixResult:
 # ---------------------------------------------------------------------------
 # AST-level transformations
 # ---------------------------------------------------------------------------
-def _has_named_predicates(prop: PropertyAst) -> bool:
-    from .rules import _has_named_predicates as impl
-
-    return impl(prop)
-
-
 def _all_patterns(prop: PropertyAst) -> Iterator[PatternAst]:
     for stage in prop.stages:
         yield stage.pattern
@@ -98,15 +93,7 @@ def _all_patterns(prop: PropertyAst) -> Iterator[PatternAst]:
 
 
 def _refs(pattern: PatternAst) -> Set[str]:
-    from .rules import _var_refs
-
     return {ref.name for ref in _var_refs(pattern)}
-
-
-def _comparison_token(condition: Comparison):
-    from .rules import _comparison_key
-
-    return _comparison_key(condition)
 
 
 def _fix_duplicate_guards(
@@ -120,7 +107,7 @@ def _fix_duplicate_guards(
         kept = []
         for condition in stage.pattern.conditions:
             if isinstance(condition, Comparison):
-                key = _comparison_token(condition)
+                key = _comparison_key(condition)
                 if key in seen and allowed("L004", condition.line):
                     fixes.append(AppliedFix(
                         "L004", prop.name, condition.line,

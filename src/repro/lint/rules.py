@@ -27,7 +27,7 @@ from ..lang.ast import (
     VarRef,
 )
 from ..core.refs import CMP_FNS
-from .dataflow import rule_cross_stage_contradiction
+from .dataflow import _render_value, _token, rule_cross_stage_contradiction
 from .diagnostics import Diagnostic, make
 from .schema import (
     FIELD_SCHEMA,
@@ -154,14 +154,8 @@ def rule_shadowed_bind(prop: PropertyAst) -> Iterator[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Guard consistency (L004, L005, L006)
 # ---------------------------------------------------------------------------
-def _value_token(value) -> Tuple[str, object]:
-    if isinstance(value, VarRef):
-        return ("var", value.name)
-    return ("lit", value.value)
-
-
 def _comparison_key(condition: Comparison) -> Tuple[str, str, Tuple[str, object]]:
-    return (condition.field, condition.op, _value_token(condition.value))
+    return (condition.field, condition.op, _token(condition.value))
 
 
 def _duplicate_guards(pattern: PatternAst) -> Iterator[Comparison]:
@@ -200,7 +194,7 @@ def _contradictions(pattern: PatternAst) -> Iterator[Tuple[Comparison, str]]:
             continue
         if condition.op == "==":
             prior = eq_by_field.get(condition.field)
-            if prior is not None and _value_token(prior.value) != _value_token(
+            if prior is not None and _token(prior.value) != _token(
                     condition.value):
                 yield (condition,
                        f"{condition.field} cannot equal both "
@@ -214,7 +208,7 @@ def _contradictions(pattern: PatternAst) -> Iterator[Tuple[Comparison, str]]:
             ord_by_field.setdefault(condition.field, []).append(condition)
     for field_name, eq in eq_by_field.items():
         for ne in ne_by_field.get(field_name, []):
-            if _value_token(eq.value) == _value_token(ne.value):
+            if _token(eq.value) == _token(ne.value):
                 yield (ne,
                        f"{field_name} == {_render_value(eq.value)} and "
                        f"{field_name} != {_render_value(ne.value)} can never "
@@ -242,12 +236,6 @@ def _contradictions(pattern: PatternAst) -> Iterator[Tuple[Comparison, str]]:
                            f"{field_name} {second.op} "
                            f"{_render_value(second.value)} can never both "
                            "hold")
-
-
-def _render_value(value) -> str:
-    if isinstance(value, VarRef):
-        return f"${value.name}"
-    return repr(value.value)
 
 
 def rule_duplicate_guard(prop: PropertyAst) -> Iterator[Diagnostic]:

@@ -164,7 +164,6 @@ class ServeDaemon:
             self.monitor = build_sharded_monitor(
                 PROFILES[self.config.chaos_profile],
                 num_shards=self.config.shards,
-                mode="mp",
                 registry=self.registry,
                 supervision=SupervisorPolicy(
                     restart_budget=self.config.restart_budget,
@@ -304,15 +303,10 @@ class ServeDaemon:
         self._uptime_gauge.set(now)
         summary = self.monitor.stop(now=now)
         # Shard rows are read after stop() so restarts that happened
-        # during the final drain are counted.  The quiesce quits every
-        # healthy worker, so post-stop "down but not failed" means
-        # "shut down", not "rebuilding".
+        # during the final drain are counted.
         shard_rows = (
             self._fabric.shard_liveness() if self._fabric is not None
             else [])
-        for row in shard_rows:
-            if not row.get("failed"):
-                row["recovering"] = False
         if self._span_writer is not None:
             self._span_writer.close()
         observed = int(summary["events"])

@@ -4,11 +4,13 @@ to one plain :class:`Monitor` on unbounded (clean) configurations.
 This is the fabric's correctness contract — partitioning by key must
 never change *what* is monitored, only *where*.  Equality is asserted on
 violation fingerprints, the full counter set, live/pending state, and
-ledger emptiness, across shard counts and both execution modes.  Chaos
-profiles with bounded stores split one global budget into per-shard
-budgets (a documented difference), so for those the suite checks the
-per-shard soak invariants and ledger-interval arithmetic instead of
-exact equality.
+ledger emptiness, across shard counts: for the in-process partition
+reference (``tests/partition.py``: the router's split into key-filtered
+shard monitors), which is fast enough for Hypothesis, and for the forked
+fabric itself.  Chaos profiles with bounded stores split one global
+budget into per-shard budgets (a documented difference), so for those
+the suite checks the per-shard soak invariants on the reference, and
+that the fabric merges exactly the reference's shard ledgers.
 """
 
 import pytest
@@ -25,6 +27,7 @@ from repro.faults.rounds import (
     check_invariants,
     fingerprint as emission_fingerprint,
 )
+from tests.partition import Partitioned
 
 SETTLE = 600.0
 COUNTERS = tuple(MonitorStats._COUNTERS)
@@ -49,18 +52,36 @@ def run_plain(events):
     return monitor
 
 
-def run_sharded(events, num_shards, mode, batch=256):
-    fabric = ShardedMonitor(
-        catalog_props(), num_shards=num_shards, mode=mode)
+def feed(monitor, events, batch):
+    for i in range(0, len(events), batch):
+        monitor.observe_batch(events[i:i + batch])
+    monitor.advance_to(events[-1].time + SETTLE)
+    return monitor
+
+
+def run_partitioned(events, num_shards, batch=256):
+    return feed(Partitioned(catalog_props(), num_shards), events, batch)
+
+
+def run_sharded(events, num_shards, batch=256):
+    fabric = ShardedMonitor(catalog_props(), num_shards=num_shards)
     try:
-        for i in range(0, len(events), batch):
-            fabric.observe_batch(events[i:i + batch])
-        fabric.advance_to(events[-1].time + SETTLE)
-        fabric.sync()
+        feed(fabric, events, batch).sync()
     finally:
-        if mode == "mp":
-            fabric.stop()
+        fabric.stop()
     return fabric
+
+
+def assert_reference_equivalent(plain, ref):
+    assert fingerprint(ref.violations) == fingerprint(plain.violations)
+    for name in COUNTERS:
+        assert ref.counter(name) == getattr(plain.stats, name), name
+    for attr in ("live_instances", "pending_op_count"):
+        assert sum(getattr(s, attr)() for s in ref.shards) \
+            == getattr(plain, attr)()
+    assert plain.pending_op_count() == 0
+    assert not any(s.ledger.records for s in ref.shards)
+    assert not plain.ledger.records
 
 
 def assert_equivalent(plain, fabric):
@@ -74,31 +95,22 @@ def assert_equivalent(plain, fabric):
 
 
 class TestInprocessDifferential:
+    """The in-process partition reference against one plain monitor."""
+
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_matches_plain_monitor(self, num_shards):
         events = catalog_trace(seed=7, num_events=2000)
         plain = run_plain(events)
-        fabric = run_sharded(events, num_shards, "inprocess")
-        assert fabric.violations, "workload produced no violations — vacuous"
-        assert_equivalent(plain, fabric)
-
-    def test_no_peak_gauges(self):
-        """Shards peak at different moments: a fabric reports no merged
-        peak rather than a bound on one."""
-        fabric = run_sharded(catalog_trace(seed=7, num_events=200), 2,
-                             "inprocess")
-        for name in MonitorStats._GAUGES:
-            with pytest.raises(AttributeError):
-                getattr(fabric.stats, name)
-        with pytest.raises(AttributeError):
-            fabric.stats.peak_live_instances
+        ref = run_partitioned(events, num_shards)
+        assert ref.violations, "workload produced no violations — vacuous"
+        assert_reference_equivalent(plain, ref)
 
     def test_every_shard_contributes(self):
         # The catalog has keyed and pinned properties on several shards;
         # a partitioning bug that starves one shard would shift work.
         events = catalog_trace(seed=7, num_events=2000)
-        fabric = run_sharded(events, 4, "inprocess")
-        per_shard = [m.stats.events for m in fabric.shard_monitors]
+        ref = run_partitioned(events, 4)
+        per_shard = [m.stats.events for m in ref.shards]
         assert all(count > 0 for count in per_shard), per_shard
 
 
@@ -109,9 +121,22 @@ class TestMpDifferential:
     def test_matches_plain_monitor(self, num_shards):
         events = catalog_trace(seed=7, num_events=2000)
         plain = run_plain(events)
-        fabric = run_sharded(events, num_shards, "mp")
+        fabric = run_sharded(events, num_shards)
         assert fabric.violations, "workload produced no violations — vacuous"
         assert_equivalent(plain, fabric)
+        # Every shard got work, by the fabric's own router.
+        assert all(n > 0 for n in fabric.router.shard_events), \
+            fabric.router.shard_events
+
+    def test_no_peak_gauges(self):
+        """Shards peak at different moments: a fabric reports no merged
+        peak rather than a bound on one."""
+        fabric = run_sharded(catalog_trace(seed=7, num_events=200), 2)
+        for name in MonitorStats._GAUGES:
+            with pytest.raises(AttributeError):
+                getattr(fabric.stats, name)
+        with pytest.raises(AttributeError):
+            fabric.stats.peak_live_instances
 
 
 class TestHypothesisWorkloads:
@@ -121,26 +146,32 @@ class TestHypothesisWorkloads:
     def test_random_workload_equivalence(self, seed, num_shards):
         events = catalog_trace(seed=seed, num_events=400)
         plain = run_plain(events)
-        fabric = run_sharded(events, num_shards, "inprocess", batch=64)
-        assert_equivalent(plain, fabric)
+        ref = run_partitioned(events, num_shards, batch=64)
+        assert_reference_equivalent(plain, ref)
 
 
 class TestChaosProfilesPerShard:
+    @pytest.mark.skipif(not fork_available(),
+                        reason="fork start method unavailable")
     @pytest.mark.parametrize("profile_name", sorted(PROFILES))
     def test_invariants_hold_on_every_shard(self, profile_name):
         events = catalog_trace(seed=13, num_events=1500)
-        fabric = build_sharded_monitor(
-            PROFILES[profile_name], num_shards=2, mode="inprocess")
-        for i in range(0, len(events), 256):
-            fabric.observe_batch(events[i:i + 256])
-        assert fabric.drain(until=events[-1].time + SETTLE) == 0
-        for shard in fabric.shard_monitors:
+        profile = PROFILES[profile_name]
+        ref = feed(Partitioned(catalog_props(), 2, profile), events, 256)
+        for shard in ref.shards:
             assert check_invariants(shard) == []
-        # Shed records from every shard land in the one fabric ledger,
-        # and the interval stays well-formed around the observed count.
+        # The fabric runs the same shards in its workers: shed records
+        # from every shard land in the one fabric ledger, and the
+        # interval stays well-formed around the observed count.
+        fabric = build_sharded_monitor(profile, num_shards=2)
+        try:
+            feed(fabric, events, 256)
+            assert fabric.drain() == 0
+        finally:
+            fabric.stop()
+        assert fingerprint(fabric.violations) == fingerprint(ref.violations)
+        assert len(fabric.ledger.records) \
+            == sum(len(m.ledger.records) for m in ref.shards)
         observed = len(fabric.violations)
         lo, hi = fabric.ledger.interval(observed)
         assert lo <= observed <= hi
-        shard_sheds = sum(
-            len(m.ledger.records) for m in fabric.shard_monitors)
-        assert len(fabric.ledger.records) == shard_sheds

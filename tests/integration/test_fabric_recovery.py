@@ -255,6 +255,31 @@ class TestQuiesceTimeout:
             fabric.close()
 
 
+class TestStoppedFabric:
+    def test_a_stopped_fabric_stays_stopped(self):
+        """After stop() no shard reads as rebuilding, intake raises, and
+        nothing — a tick, a read — forks a worker again."""
+        events = catalog_trace(seed=5, num_events=400)
+        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp")
+        try:
+            fabric.observe_batch(events)
+            summary = fabric.stop()
+            assert fabric.recovering_shards() == []
+            assert not any(row["recovering"]
+                           for row in fabric.shard_liveness())
+            fabric.tick()
+            for call in (lambda: fabric.observe_batch(events),
+                         lambda: fabric.advance_to(events[-1].time + SETTLE),
+                         fabric.drain):
+                with pytest.raises(RuntimeError):
+                    call()
+            assert fabric.stop() == summary
+            assert fabric.supervisor.worker_pids() == [None, None]
+            assert fabric.supervisor.total_restarts() == 0
+        finally:
+            fabric.close()
+
+
 # -- poison batch -----------------------------------------------------------
 
 POISON_PORT = 31337

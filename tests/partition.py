@@ -1,0 +1,40 @@
+"""The fabric's partition semantics in one process, as a test reference.
+
+The router's split feeds one key-filtered shard monitor per shard, and
+the shards' violations merge the way the fabric merges them.  What the
+forked fabric adds on top — transport, supervision, the facade — is
+tested against this, as ``core/reference.py`` is for the matcher.
+"""
+
+from repro.fabric import Router, build_routes, build_shard_monitor
+from repro.fabric.fabric import _violation_order
+from repro.faults.profiles import monitor_profile_kwargs
+
+
+class Partitioned:
+    def __init__(self, props, num_shards, profile=None):
+        routes = build_routes(props, num_shards)
+        self.router = Router(routes, num_shards)
+        self.shards = [
+            build_shard_monitor(props, i, num_shards, routes,
+                                monitor_profile_kwargs(profile))
+            for i in range(num_shards)]
+
+    def observe_batch(self, events):
+        for shard, batch in zip(self.shards, self.router.split(events)):
+            if batch:
+                shard.observe_batch(batch)
+
+    def advance_to(self, when):
+        for shard in self.shards:
+            shard.advance_to(when)
+
+    def counter(self, name):
+        if name == "events":
+            return self.router.events_total
+        return sum(getattr(shard.stats, name) for shard in self.shards)
+
+    @property
+    def violations(self):
+        return sorted((v for shard in self.shards for v in shard.violations),
+                      key=_violation_order)

@@ -482,18 +482,16 @@ class TestMatchStrategyEquivalence:
     @given(event_streams())
     def test_codegen_under_shards(self, events):
         """The generated program composes with the fabric's per-shard
-        ``key_filter``: a 2-shard fabric produces the single-monitor
-        reference violation set (order-insensitive: the fabric may
+        ``key_filter``: a 2-way partition produces the single-monitor
+        reference violation set (order-insensitive: the merge may
         interleave same-timestamp violations differently)."""
-        from repro.fabric import ShardedMonitor
+        from tests.partition import Partitioned
 
         reference, _ = run_config(events, "indexed", "interpreted")
 
-        sharded = ShardedMonitor(
-            probe_catalog(), num_shards=2, mode="inprocess")
+        sharded = Partitioned(probe_catalog(), num_shards=2)
         sharded.observe_batch(events)
         sharded.advance_to(events[-1].time + 100.0)
-        sharded.stop()
         assert sorted(map(fingerprint, sharded.violations)) == sorted(reference)
 
     @pytest.mark.parametrize("config", sorted(MONITOR_CONFIGS))

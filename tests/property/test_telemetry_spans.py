@@ -156,10 +156,14 @@ class TestSpanWellFormedness:
         tracer = Tracer()
         fabric = ShardedMonitor([traced_property()], num_shards=2)
         fabric.tracer = tracer
-        fabric.observe_batch(events[:3])
-        for event in events[3:]:
-            fabric.observe_batch((event,))
-        assert [dict(d, span_id=None) for d in span_dicts(tracer)] == roots
+        try:
+            fabric.observe_batch(events[:3])
+            for event in events[3:]:
+                fabric.observe_batch((event,))
+            assert [dict(d, span_id=None) for d in span_dicts(tracer)] \
+                == roots
+        finally:
+            fabric.stop()
 
     @settings(max_examples=30, deadline=None)
     @given(event_streams())

@@ -98,7 +98,7 @@ def build_scenario_registry():
         registry.gauge(
             "repro_fabric_shard_queue_depth",
             "Events forwarded to one shard and not yet confirmed "
-            "by a snapshot sync (always 0 for in-process shards)",
+            "by a snapshot sync",
             labels={"shard": shard}).set(0)
     registry.gauge(
         "repro_fabric_router_imbalance",

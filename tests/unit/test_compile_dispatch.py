@@ -441,10 +441,13 @@ class TestObserveBatch:
         monitor.observe_batch(container(sample_events()))
         return monitor
 
-    def run_fabric_batch(self, container=list):
+    def fabric_verdicts(self, container=list):
         fabric = ShardedMonitor([echo_prop()], num_shards=2)
-        fabric.observe_batch(container(sample_events()))
-        return fabric
+        try:
+            fabric.observe_batch(container(sample_events()))
+            return verdicts(fabric)
+        finally:
+            fabric.stop()
 
     def test_batch_equals_loop(self):
         looped = Monitor()
@@ -457,8 +460,8 @@ class TestObserveBatch:
     def test_batch_takes_any_iterable(self, container):
         whole = verdicts(self.run_batch())
         assert verdicts(self.run_batch(container)) == whole
-        assert verdicts(self.run_fabric_batch()) == whole
-        assert verdicts(self.run_fabric_batch(container)) == whole
+        assert self.fabric_verdicts() == whole
+        assert self.fabric_verdicts(container) == whole
 
     def test_batch_with_registry_falls_back_identically(self):
         assert (verdicts(self.run_batch(registry=MetricsRegistry()))

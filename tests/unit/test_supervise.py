@@ -582,6 +582,17 @@ class TestQuiesce:
         assert len(ledger) == 0
         assert sup.liveness()[0]["down_reason"] == ""
 
+    def test_a_quiesced_shard_is_stopped_not_recovering(self):
+        sup, ledger, spawned, merged = self._supervisor()
+        spawned[0].die_at_quit = False
+        sup.quiesce()
+        assert sup.recovering() == [] and sup.failed() == []
+        assert not sup.liveness()[0]["recovering"]
+        sup.tick()
+        sup.sync_snapshots()
+        assert sup.quiesce() == [None]
+        assert len(spawned) == 1 and sup.total_restarts() == 0
+
     def test_dead_at_quit_with_no_budget_left_is_a_lost_shard(self):
         sup, ledger, spawned, merged = self._supervisor(restart_budget=0)
         assert sup.quiesce() == [None]
