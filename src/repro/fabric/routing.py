@@ -11,7 +11,9 @@ that placement statically from the compiler's dispatch plans:
   fields — stage-0 creates via their binds (``key_vars`` is always a
   subset of stage-0 binds, enforced by ``PropertySpec``), later stages
   via ``FieldEq(field, Var)`` guards (``EventPattern.env_guards``).
-  Events then route by ``stable_hash(key) % num_shards``.
+  Events then route by ``stable_hash(key) % num_shards``: an integer
+  hash of the key's values, so the parent and every forked worker place
+  a key on the same shard in every run.
 * Any gap — an unless scan, a stage matching on fewer than all key
   variables, an empty key — makes the property **pinned**: all of its
   events go to one deterministic shard and its instances never span
@@ -19,8 +21,11 @@ that placement statically from the compiler's dispatch plans:
 
 The :class:`Router` folds every property's route into one per-event-class
 plan, so splitting a batch costs at most one ``event_fields`` call per
-event (none for a class that only pinned properties watch) plus a
-handful of tuple hashes — no per-property dispatch.
+event (none for a class that only pinned properties watch) plus one
+:func:`stable_hash` per distinct extractor — no per-property dispatch.
+The partition only has to be deterministic (the blueprint paper's point
+is which events share state, not how keys are spelled), so the hash
+multiplies the key's integer values rather than formatting them.
 """
 
 from __future__ import annotations
@@ -35,17 +40,36 @@ from ..core.spec import PropertySpec
 from ..switch.events import DataplaneEvent
 from ..telemetry import MetricsRegistry, NullRegistry
 from ..telemetry.metrics import COUNT_BUCKETS
+from ..telemetry.tracing import FIB64, MASK64
 
 
 def stable_hash(key: Tuple[object, ...]) -> int:
-    """Deterministic hash of a key tuple, stable across processes.
+    """Deterministic 32-bit hash of a key tuple, stable across processes.
 
-    ``hash()`` is salted per interpreter (PYTHONHASHSEED), which would
-    scatter one key across shards between the router and a forked
-    worker; CRC32 over the tuple's repr is not.  Every key element type
-    (ints, strings, addresses, enums) has a deterministic repr.
+    ``hash()`` is salted per interpreter (PYTHONHASHSEED), so a
+    partition built on it would move between runs, and between a router
+    and any process it did not fork.  Instead each value folds in as an
+    integer, by the Fibonacci multiply
+    :func:`~repro.telemetry.tracing.uid_sampled` uses: ints, bools,
+    IntEnums and addresses (which are integers underneath) as
+    ``int(value)``; strings as the CRC32 of their UTF-8 bytes; anything
+    with no ``int`` (``None``, a plain enum) as the CRC32 of its repr,
+    which is deterministic for every key type a property binds.  Equal
+    keys hash equal (``(True,)`` and ``(1,)`` alike).  The high half of
+    the product is returned: a multiply mixes upward, so its low bits —
+    which ``% num_shards`` would read — are the input's own.
     """
-    return zlib.crc32(repr(key).encode("utf-8"))
+    h = 0
+    for value in key:
+        if isinstance(value, str):
+            x = zlib.crc32(value.encode("utf-8"))
+        else:
+            try:
+                x = int(value)
+            except (TypeError, ValueError, OverflowError):
+                x = zlib.crc32(repr(value).encode("utf-8"))
+        h = (h ^ x) * FIB64 & MASK64
+    return h >> 32
 
 
 @dataclass(frozen=True)

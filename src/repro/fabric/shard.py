@@ -10,6 +10,7 @@ fabric merges into its single external view.
 from __future__ import annotations
 
 import pickle
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -68,6 +69,10 @@ class ShardSnapshot:
     #: ``MonitorState.lost_pending_ops`` of that state, beside the bytes
     #: so the holder can ledger them without opening it.
     lost_pending_ops: int = 0
+    #: CPU seconds the exporting process spent on ``export_state`` plus
+    #: the pickle — what the checkpoint cost the worker, off the clock
+    #: of whoever waits for the reply.
+    export_seconds: float = 0.0
 
 
 def take_snapshot(
@@ -82,7 +87,7 @@ def take_snapshot(
     ``with_state=True`` additionally exports and pickles the monitor's
     recoverable state (:meth:`Monitor.export_state`), turning the
     snapshot into a checkpoint a replacement worker can be rehydrated
-    from.
+    from, and times that work (``export_seconds``).
     """
     counters, _ = monitor.stats.export()
     snapshot = ShardSnapshot(
@@ -95,7 +100,9 @@ def take_snapshot(
         sheds=list(monitor.ledger.records[shed_cursor:]),
     )
     if with_state:
+        started = time.process_time()
         state = monitor.export_state()
         snapshot.state = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
+        snapshot.export_seconds = time.process_time() - started
         snapshot.lost_pending_ops = state.lost_pending_ops
     return snapshot, len(monitor.violations), len(monitor.ledger.records)

@@ -281,6 +281,14 @@ class Supervisor:
                 labels={"shard": str(i)})
             for i in range(num_shards)
         ]
+        self._g_checkpoint_export = [
+            self.registry.gauge(
+                "repro_fabric_checkpoint_export_seconds",
+                help="Worker CPU seconds spent exporting and pickling "
+                     "the state in one shard's last checkpoint",
+                unit="seconds", labels={"shard": str(i)})
+            for i in range(num_shards)
+        ]
         self._g_up = [
             self.registry.gauge(
                 "repro_fabric_shard_up",
@@ -442,6 +450,7 @@ class Supervisor:
         st.kills.clear()
         self._g_journal[idx].set(float(st.journal_events))
         self._g_checkpoint_bytes[idx].set(float(len(snap.state)))
+        self._g_checkpoint_export[idx].set(snap.export_seconds)
         self._h_checkpoint.observe(self._clock() - cut.requested_at)
         return True
 

@@ -60,8 +60,10 @@ from typing import (
 #: A sampling tracer keeps one packet uid in this many.
 TRACE_SAMPLE_EVERY = 64
 
-_FIB64 = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, rounded to odd
-_MASK64 = (1 << 64) - 1
+#: Fibonacci hashing's multiplier, 2**64 / golden ratio rounded to odd;
+#: :func:`repro.fabric.routing.stable_hash` mixes shard keys with it too.
+FIB64 = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
 _SAMPLE_BELOW = (1 << 64) // TRACE_SAMPLE_EVERY
 
 
@@ -75,7 +77,7 @@ def uid_sampled(uid: int) -> bool:
     packets are numbered — spread evenly, so any run of them keeps close
     to one in :data:`TRACE_SAMPLE_EVERY`.
     """
-    return (uid * _FIB64) & _MASK64 < _SAMPLE_BELOW
+    return (uid * FIB64) & MASK64 < _SAMPLE_BELOW
 
 
 class Span:

@@ -454,7 +454,7 @@ class TestAsyncCheckpoints:
         """The run a request-then-blocking-send variant hangs on: each
         checkpoint reply is several socket buffers long, so the worker
         blocks writing it while the parent is writing the next batch."""
-        events = flow_trace(20_000, flows=4000)
+        events = flow_trace(20_000, flows=6000)
         plain = plain_flow_run(events)
         assert plain.violations, "workload produced no violations — vacuous"
         registry = MetricsRegistry()
@@ -466,12 +466,16 @@ class TestAsyncCheckpoints:
             fabric.sync()                      # the first barrier
             assert fabric.supervisor.total_restarts() == 0
             assert_equals_plain(fabric, plain)
-            sizes = [
-                sample["value"]
+            samples = {
+                metric["name"]: [sample["value"]
+                                 for sample in metric["samples"]]
                 for metric in registry.snapshot()["metrics"]
-                if metric["name"] == "repro_fabric_checkpoint_bytes"
-                for sample in metric["samples"]]
+                if metric["kind"] == "gauge"}
+            sizes = samples["repro_fabric_checkpoint_bytes"]
             assert len(sizes) == 2 and min(sizes) > 3 * 212_992, sizes
+            # each worker timed the export it did
+            costs = samples["repro_fabric_checkpoint_export_seconds"]
+            assert len(costs) == 2 and min(costs) > 0.0, costs
             for row in fabric.shard_liveness():
                 # cuts landed and truncated while the run was going
                 assert row["journal_events"] < 2 * 2048 + 1024, row

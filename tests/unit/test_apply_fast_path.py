@@ -11,8 +11,8 @@ the keys belong to the other shard):
 * a refresh of a flow property, whose index plan reads key variables only,
   moves its instance in place and builds no index key.
 
-The counters and violations are pinned to what the matcher produced
-before either change: the fast path changes no op.
+The counters and violations are held to the interpreted reference walk
+under the same key filter: the fast path changes no op.
 """
 
 import random
@@ -135,10 +135,21 @@ def test_a_refresh_builds_no_index_key(shard_run):
 
 
 def test_ops_and_violations_are_the_parents(shard_run):
+    """The same shard, run by the interpreted reference walk under the
+    same key filter, plans and applies the same ops and raises the same
+    violations."""
     monitor, _, _ = shard_run
-    stats = monitor.stats
-    assert (stats.ops_applied, stats.instances_created,
-            stats.refreshes) == (2973, 654, 2304)
-    assert Counter(v.property_name for v in monitor.violations) == {
-        "flow-0": 3, "flow-1": 2, "flow-2": 3, "flow-3": 3, "flow-4": 3,
-        "flow-5": 1}
+    props = flow_props()
+    reference = build_shard_monitor(
+        props, 0, 2, build_routes(props, 2),
+        {"match_strategy": "interpreted"})
+    reference.observe_batch(flow_events())
+
+    def observed(m):
+        return ((m.stats.ops_applied, m.stats.instances_created,
+                 m.stats.refreshes),
+                Counter(v.property_name for v in m.violations))
+
+    counts, violations = observed(reference)
+    assert counts[1] and counts[2] and sum(violations.values())
+    assert observed(monitor) == (counts, violations)

@@ -1,8 +1,13 @@
 """Unit tests for the fabric's key-partitioned routing layer."""
 
-import zlib
+import os
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
+
+import repro
 
 from repro.core.refs import Bind, Const, EventKind, EventPattern, FieldEq, Var
 from repro.core.spec import Observe, PropertySpec
@@ -13,7 +18,7 @@ from repro.fabric import (
     shard_key_filter,
     stable_hash,
 )
-from repro.packet import IPv4Address, tcp_packet
+from repro.packet import EtherType, IPv4Address, MACAddress, tcp_packet
 from repro.props import build_table1
 from repro.switch.events import (
     EgressAction,
@@ -35,6 +40,8 @@ EXPECTED_KEYED = {
     "knocking-invalidated",
     "knocking-recognized",
 }
+
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def keyed_prop(name="flow", dst_port=99):
@@ -94,10 +101,63 @@ def flow_event(src, sport, egress=False, t=1.0):
     return PacketArrival(switch_id="s", time=t, packet=packet, in_port=1)
 
 
+#: Keys of every value type a property can bind, as source, so a second
+#: interpreter can build the very same keys.
+HASH_KEYS = """[
+    (0,), (4242, -7, 1 << 70), (True, False), ("sw-1", ""), ("caf\\u00e9",),
+    (IPv4Address("10.0.0.1"), 4242), (MACAddress(5), MACAddress(6)),
+    (EtherType.IPV4,), (EgressAction.UNICAST,), (None,),
+    ("ftp", IPv4Address("198.51.100.9"), 21, None, EgressAction.DROP),
+]"""
+HASH_IMPORTS = ("from repro.packet import EtherType, IPv4Address, MACAddress\n"
+                "from repro.switch.events import EgressAction\n")
+
+
+def hash_keys():
+    namespace = {}
+    exec(HASH_IMPORTS + "keys = " + HASH_KEYS, namespace)
+    return namespace["keys"]
+
+
+def benchmark_flow_keys(flows=1536):
+    """(source address, source port) of the benchmark's flow traffic."""
+    return [(IPv4Address(f"10.{(i >> 8) & 255}.{i & 255}.1"),
+             1024 + (i % 16384)) for i in range(flows)]
+
+
 class TestStableHash:
-    def test_is_crc32_of_repr(self):
-        key = (IPv4Address("10.0.0.1"), 4242)
-        assert stable_hash(key) == zlib.crc32(repr(key).encode("utf-8"))
+    def test_is_the_same_under_another_hash_seed(self):
+        """``hash()`` of a str is salted per interpreter; the partition
+        must not be, or two runs (or a router and a process it did not
+        fork) would disagree about who owns a key."""
+        seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+        script = (HASH_IMPORTS + "from repro.fabric import stable_hash\n"
+                  "print([stable_hash(k) for k in " + HASH_KEYS + "])")
+        out = subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=SRC,
+                                PYTHONHASHSEED=seed)).stdout
+        assert out.strip() == str([stable_hash(k) for k in hash_keys()])
+
+    def test_equal_keys_hash_equal(self):
+        assert stable_hash((True,)) == stable_hash((1,))
+        assert stable_hash((False, 1.0)) == stable_hash((0, 1))
+        assert stable_hash((EtherType.IPV4,)) == stable_hash((0x0800,))
+
+    def test_is_a_32_bit_value_sensitive_to_order(self):
+        for key in hash_keys():
+            assert 0 <= stable_hash(key) < 1 << 32
+        assert stable_hash((1, 2)) != stable_hash((2, 1))
+        assert stable_hash(("ab",)) != stable_hash(("ba",))
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_benchmark_flows_spread_evenly(self, shards):
+        keys = benchmark_flow_keys()
+        counts = Counter(stable_hash(k) % shards for k in keys)
+        mean = len(keys) / shards
+        assert sorted(counts) == list(range(shards))
+        assert all(abs(n - mean) <= 0.1 * mean for n in counts.values()), \
+            counts
 
     def test_deterministic_across_calls(self):
         key = ("a", 1, None)

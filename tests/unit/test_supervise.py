@@ -23,7 +23,7 @@ from repro.core.refs import Bind, EventKind, EventPattern, FieldEq, Var
 from repro.core.spec import Absent, Observe, PropertySpec
 from repro.fabric import Supervisor, SupervisorPolicy
 from repro.fabric.mp import ShardDied
-from repro.fabric.shard import ShardSnapshot
+from repro.fabric.shard import ShardSnapshot, take_snapshot
 from repro.fabric.supervise import (
     JOURNAL_INTERVALS,
     KIND_GAP,
@@ -34,6 +34,7 @@ from repro.fabric.supervise import (
 )
 from repro.packet import tcp_packet
 from repro.switch.events import PacketArrival
+from repro.telemetry import MetricsRegistry
 
 
 # -- fakes ------------------------------------------------------------------
@@ -106,7 +107,8 @@ class FakeWorker:
         return ShardSnapshot(
             shard=self.idx, now=0.0, live_instances=0, pending_ops=0,
             counters={}, violations=violations,
-            state=b"state-%d" % len(self.requests) if checkpoint else None)
+            state=b"state-%d" % len(self.requests) if checkpoint else None,
+            export_seconds=0.125 if checkpoint else 0.0)
 
     def ping(self, seq):
         self._check()
@@ -163,7 +165,7 @@ def run_of(first, count):
     return batch(*(first + k / 64 for k in range(count)))
 
 
-def make_supervisor(policy=None, die_on=None, num_shards=1):
+def make_supervisor(policy=None, die_on=None, num_shards=1, registry=None):
     """(supervisor, ledger, spawned-workers list, clock)."""
     clock = FakeClock()
     ledger = OverflowLedger()
@@ -175,7 +177,7 @@ def make_supervisor(policy=None, die_on=None, num_shards=1):
         return worker
 
     sup = Supervisor(spawn, num_shards, ledger, policy=policy,
-                     clock=clock, sleep=clock.sleep)
+                     registry=registry, clock=clock, sleep=clock.sleep)
     return sup, ledger, spawned, clock
 
 
@@ -439,6 +441,21 @@ class TestAsyncCheckpoint:
         sup.send_batch(0, batch(6.0, 6.5))
         assert worker.requests == ["C", "C"]
 
+    def test_landed_checkpoint_gauges_its_size_and_export_cost(self):
+        registry = MetricsRegistry()
+        sup, _, _, _ = make_supervisor(
+            SupervisorPolicy(**self.POLICY), registry=registry)
+        sup.send_batch(0, batch(1.0, 1.5))
+        sup.send_batch(0, batch(2.0, 2.5))       # cut requested
+        sup.tick()                               # and landed
+        assert sup.states[0].checkpoint == b"state-1"
+        gauges = {
+            metric["name"]: [sample["value"] for sample in metric["samples"]]
+            for metric in registry.snapshot()["metrics"]
+            if metric["kind"] == "gauge"}
+        assert gauges["repro_fabric_checkpoint_bytes"] == [len(b"state-1")]
+        assert gauges["repro_fabric_checkpoint_export_seconds"] == [0.125]
+
     def test_death_with_cut_outstanding_recovers_from_previous(self):
         sup, ledger, spawned, clock, merged = self._supervisor()
         worker, st = spawned[0], sup.states[0]
@@ -647,10 +664,10 @@ class TestHeartbeat:
 
 # -- checkpoint round-trip (real Monitor) -----------------------------------
 
-def timed_prop(within=5.0):
+def timed_prop(within=5.0, name="answered-in-time"):
     """No reply from S within the window -> timer-fired violation."""
     return PropertySpec(
-        name="answered-in-time",
+        name=name,
         description="a reply must arrive within the window",
         stages=(
             Observe("asked", EventPattern(
@@ -731,3 +748,45 @@ class TestCheckpointRoundTrip:
         empty = Monitor()
         with pytest.raises(ValueError):
             empty.restore_state(state)
+
+    def test_rejected_restore_adds_nothing(self):
+        """A property the restorer lacks is found before any instance is
+        added — not after the known property's rows are already in."""
+        source = Monitor()
+        for name in ("answered-in-time", "second"):
+            source.add_property(timed_prop(name=name))
+        for ev in self._events():
+            source.observe(ev)
+        state = source.export_state()
+        assert source.live_instances() == 4
+        partial = Monitor()
+        partial.add_property(timed_prop())
+        with pytest.raises(ValueError, match="second"):
+            partial.restore_state(state)
+        assert partial.live_instances() == 0
+        assert partial.stats.export() == Monitor().stats.export()
+        partial.advance_to(100.0)  # no timer was armed either
+        assert partial.violations == []
+
+    def test_checkpoint_snapshot_times_its_export(self):
+        monitor = Monitor()
+        monitor.add_property(timed_prop())
+        for ev in self._events():
+            monitor.observe(ev)
+        plain, _, _ = take_snapshot(monitor, 0, 0, 0)
+        checkpoint, _, _ = take_snapshot(monitor, 0, 0, 0, with_state=True)
+        assert plain.state is None and plain.export_seconds == 0.0
+        assert checkpoint.export_seconds > 0.0
+        assert pickle.loads(checkpoint.state) == monitor.export_state()
+
+    def test_restore_into_a_used_monitor_rejected(self):
+        source = Monitor()
+        source.add_property(timed_prop())
+        source.observe(arrival("00:00:00:00:00:01", 1.0))
+        used = Monitor()
+        used.add_property(timed_prop())
+        used.observe(arrival("00:00:00:00:00:02", 2.0))
+        with pytest.raises(ValueError, match="fresh"):
+            used.restore_state(source.export_state())
+        assert used.live_instances() == 1
+        assert used.stats.instances_created == 1
