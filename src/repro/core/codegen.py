@@ -12,9 +12,33 @@ call is made at run time.
 One generated function exists per watched concrete event class:
 ``_eval__<Cls>(event, fields)`` takes the flat field map
 :func:`repro.core.refs.event_fields` built for the event — the only
-place an event becomes fields — and returns the ops it plans.  One
-function call per event, zero per guard.  ``Monitor.observe`` is its only
-caller; ``observe_batch`` is a loop over ``observe``.
+place an event becomes fields.  One function call per event, zero per
+guard.  ``Monitor.observe`` is its only caller; ``observe_batch`` is a
+loop over ``observe``.
+
+What the function does with the ops it plans depends on the monitor's
+mode, fixed when the program is built (the op sink,
+:meth:`_ClassEmitter._emit_state_op`):
+
+* SPLIT: it plans every op of the event and returns them all; the
+  monitor defers each across the agenda and the control channel.
+* INLINE: kills and advances are planned; at a property's refresh/create
+  point the function applies the ops planned so far (``_flush``, through
+  ``Monitor._apply``, in order), then counts the refresh or create and
+  applies it itself through ``Monitor._refresh`` / ``Monitor._create``.
+  It returns the ops planned after the last such point.
+
+Applying property p's ops before property q is planned is the reference
+order, not an approximation of it.  A property's section reads only its
+own store, the field map and the key filter, which is a pure ownership
+predicate; applying p's ops writes only p's store, the counters, the
+agenda and the violation list, none of which q's section reads.  So the
+state, the counters, the agenda sequence numbers (hence same-instant
+timer order) and the violation order are the same as planning the whole
+event first.  One visible difference: a violation sink runs before the
+later properties of the same event are planned.  Properties whose
+stage-0 condition, env and key read the same (a create group) build the
+env and the key once per event and share them.
 
 Equivalence is the design invariant, not an aspiration: the generated
 code follows the reference walk (:mod:`repro.core.reference`) phase for
@@ -22,10 +46,9 @@ phase — cancels in stage order with unless before discharge, then
 advances, then create; the same candidate iteration order, the same
 ``candidates_examined`` increments (batched into one counter add per
 event), the same doomed-set and key-filter semantics — and the
-Hypothesis differential suite holds the two to identical violations,
-counters, and ledgers.
+Hypothesis differential suite holds the two to identical applied ops,
+violations, counters, and ledgers.
 """
-
 from __future__ import annotations
 
 import functools
@@ -267,11 +290,18 @@ class _ClassEmitter:
         entries: List[_Entry],
         pool: _ConstPool,
         exec_globals: Dict[str, object],
+        inline: bool,
     ) -> None:
         self.cls = cls
         self.entries = entries
         self.pool = pool
         self.g = exec_globals
+        #: the op sink: INLINE refreshes and creates in place, SPLIT plans
+        self.inline = inline
+        #: property index -> the (env, key) names of its create group
+        self.group_vars: Dict[int, Tuple[str, str]] = {}
+        #: whether a section emitted so far can plan a kill or an advance
+        self.plans = False
         self.fmap = _FieldMap()
         self.has_uid = cls in _UID_CLASSES
         self.has_create = any(e.sections.create is not None for e in entries)
@@ -469,6 +499,7 @@ class _ClassEmitter:
         w.w("_d.add(_inst.instance_id)")
         w.w(f'_ops.append(_Op("kill", _prop{p}, instance=_inst, '
             'reason="unless", time=_t))')
+        self.plans = True
         w.ded()
         w.ded()
         w.ded()
@@ -500,6 +531,7 @@ class _ClassEmitter:
             w.ded()
 
         self._emit_candidates(w, entry, stage_idx, body)
+        self.plans = True
 
     def _emit_advance(self, w: _Writer, entry: _Entry, stage_idx: int,
                       pattern: EventPattern, fields_expr: str) -> None:
@@ -539,26 +571,29 @@ class _ClassEmitter:
                 'binds=_b, event=_ev, time=_t))')
 
         self._emit_candidates(w, entry, stage_idx, body)
+        self.plans = True
 
-    def _emit_refresh_or_create(self, w: _Writer, entry: _Entry) -> None:
-        """The by-key half of create (runs against current state).
+    def _emit_refresh_or_create(self, w: _Writer, entry: _Entry,
+                                env: str, key: str) -> None:
+        """The by-key half of create (decided against current state).
 
         Ownership (``_kf``) is asked on the create branch only: a live
-        instance under ``_key`` exists because this monitor's filter
+        instance under ``key`` exists because this monitor's filter
         admitted it (``restore_state`` restores a shard's own instances
         only), so a refresh needs no second answer.
         """
         p = entry.pidx
-        owned = f"_kf is None or _kf({entry.prop.name!r}, _key)"
-        w.w(f"_ex = _byk{p}(_key)")
+        owned = f"_kf is None or _kf({entry.prop.name!r}, {key})"
+        w.w(f"_ex = _byk{p}({key})")
         if entry.refresh_ok:
             w.w("if _ex is not None and _ex.alive:")
             w.ind()
             w.w("if _ex.stage == 1 and "
                 "(_d is None or _ex.instance_id not in _d):")
             w.ind()
-            w.w(f'_ops.append(_Op("refresh", _prop{p}, instance=_ex, '
-                'binds=_env0, event=_ev, time=_t))')
+            self._emit_state_op(
+                w, f'"refresh", _prop{p}, instance=_ex, binds={env}',
+                f"_refresh(_ex, {env}, _t)")
             w.ded()
             w.ded()
             w.w(f"elif {owned}:")
@@ -566,9 +601,26 @@ class _ClassEmitter:
             # Sound Absent timing: a repeat stage-0 match never refreshes.
             w.w(f"if (_ex is None or not _ex.alive) and ({owned}):")
         w.ind()
-        w.w(f'_ops.append(_Op("create", _prop{p}, key=_key, env=_env0, '
-            'event=_ev, time=_t))')
+        self._emit_state_op(
+            w, f'"create", _prop{p}, key={key}, env={env}',
+            f"_create(_prop{p}, {key}, {env}, _ev, _t)")
         w.ded()
+
+    def _emit_state_op(self, w: _Writer, op_args: str, leaf: str) -> None:
+        """The op sink for a refresh or a create.  SPLIT plans it like
+        every other op; INLINE applies the kills and advances planned so
+        far (if an earlier section can plan any), counts the op as
+        ``Monitor._apply`` would, and calls the leaf."""
+        if not self.inline:
+            w.w(f"_ops.append(_Op({op_args}, event=_ev, time=_t))")
+            return
+        if self.plans:
+            w.w("if _ops:")
+            w.ind()
+            w.w("_flush(_ops)")
+            w.ded()
+        w.w("_cop()")
+        w.w(leaf)
 
     def _create_cond(self, entry: _Entry, fields_expr: str) -> str:
         pattern = entry.sections.create
@@ -590,6 +642,14 @@ class _ClassEmitter:
 
     def _emit_create(self, w: _Writer, entry: _Entry,
                      fields_expr: str) -> None:
+        group = self.group_vars.get(entry.pidx)
+        if group is not None:
+            env, key = group
+            w.w(f"if {key} is not None:")
+            w.ind()
+            self._emit_refresh_or_create(w, entry, env, key)
+            w.ded()
+            return
         cond = self._create_cond(entry, fields_expr)
         guarded = cond != "True"
         if guarded:
@@ -597,9 +657,49 @@ class _ClassEmitter:
             w.ind()
         w.w(f"_env0 = {self._env0_dict(entry)}")
         w.w(f"_key = {self._key_tuple(entry.prop)}")
-        self._emit_refresh_or_create(w, entry)
+        self._emit_refresh_or_create(w, entry, "_env0", "_key")
         if guarded:
             w.ded()
+
+    def _create_groups(self) -> List[List[_Entry]]:
+        """Properties whose stage-0 condition, ``_env0`` and ``_key``
+        read as the same source, in groups of two or more.  The source
+        is compared as a throwaway emitter writes it, so that grouping
+        numbers no constant and orders no field load of the real one."""
+        scratch = _ClassEmitter(
+            self.cls, self.entries, _ConstPool(), {}, self.inline)
+        by_source: Dict[Tuple[str, str, str], List[_Entry]] = {}
+        for entry in self.entries:
+            if entry.sections.create is not None:
+                source = (scratch._create_cond(entry, "_fields"),
+                          scratch._env0_dict(entry),
+                          scratch._key_tuple(entry.prop))
+                by_source.setdefault(source, []).append(entry)
+        return [group for group in by_source.values() if len(group) > 1]
+
+    def _emit_groups(self, w: _Writer, fields_expr: str) -> None:
+        """Build each group's stage-0 env and key once per event; its
+        members' create sections read them (``_key_g<n>`` is None when
+        the condition fails)."""
+        for n, group in enumerate(self._create_groups()):
+            first = group[0]
+            env, key = f"_env0_g{n}", f"_key_g{n}"
+            w.w("# one stage-0 env and key for " + ", ".join(
+                repr(entry.prop.name) for entry in group))
+            cond = self._create_cond(first, fields_expr)
+            if cond != "True":
+                w.w(f"if {cond}:")
+                w.ind()
+            w.w(f"{env} = {self._env0_dict(first)}")
+            w.w(f"{key} = {self._key_tuple(first.prop)}")
+            if cond != "True":
+                w.ded()
+                w.w("else:")
+                w.ind()
+                w.w(f"{key} = None")
+                w.ded()
+            for entry in group:
+                self.group_vars[entry.pidx] = (env, key)
 
     def _emit_prop_sections(self, w: _Writer, entry: _Entry,
                             fields_expr: str) -> None:
@@ -617,10 +717,12 @@ class _ClassEmitter:
             self._emit_create(w, entry, fields_expr)
 
     def emit_eval(self) -> Tuple[str, str]:
-        """The class's evaluator (returns (name, source))."""
+        """The class's evaluator (returns (name, source)): the create
+        groups, then each property's sections in registration order."""
         name = f"_eval__{self.cls.__name__}"
         body = _Writer()
         body.ind()
+        self._emit_groups(body, "_fields")
         for entry in self.entries:
             self._emit_prop_sections(body, entry, "_fields")
         head = _Writer()
@@ -669,6 +771,7 @@ def build_program(
     host,
     op_cls: type,
     inc_candidates: Callable[[float], None],
+    inline: bool,
 ) -> CodegenProgram:
     """Emit the full program for a monitor's properties; its functions
     are compiled and exec'd as each is first needed (:class:`_LazyFns`).
@@ -683,6 +786,11 @@ def build_program(
     program (~900 lines) peaks several MB of transient parser/AST
     memory, which would land in a daemon's peak RSS; per function the
     transient is a few hundred KB.
+
+    ``inline`` picks the op sink (:meth:`_ClassEmitter._emit_state_op`):
+    True refreshes and creates through ``host``'s ``_refresh`` and
+    ``_create`` as they are decided, False plans every op for ``host``
+    to defer.
     """
     pool = _ConstPool()
     exec_globals: Dict[str, object] = {
@@ -697,6 +805,10 @@ def build_program(
         "_gt": _gt,
         "_ge": _ge,
     }
+    if inline:
+        exec_globals.update(
+            _flush=host._flush_ops, _cop=host._count_op,
+            _refresh=host._refresh, _create=host._create)
     by_class: Dict[type, List[_Entry]] = {}
     for pidx, (prop, store, refresh_ok) in enumerate(entries):
         exec_globals[f"_prop{pidx}"] = prop
@@ -713,7 +825,7 @@ def build_program(
     placed: Dict[type, Tuple[str, int, str]] = {}  # (def name, line, source)
     for cls in sorted(by_class, key=lambda c: c.__name__):
         name, source = _ClassEmitter(
-            cls, by_class[cls], pool, exec_globals).emit_eval()
+            cls, by_class[cls], pool, exec_globals, inline).emit_eval()
         parts += ["", f"# ===== {cls.__name__} ====="]
         placed[cls] = (name, sum(p.count("\n") + 1 for p in parts), source)
         parts.append(source)

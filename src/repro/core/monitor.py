@@ -335,6 +335,13 @@ class Monitor:
         self._codegen_program = None  # stale: rebuilt on next evaluation
 
     def on_violation(self, sink: ViolationSink) -> None:
+        """Call ``sink`` with each violation as it is raised.
+
+        An INLINE monitor applies one property's ops before it plans the
+        next property's (see :mod:`repro.core.codegen`), so a sink can run
+        before the later properties of the same event are planned.  A
+        sink must not change the monitor.
+        """
         self._sinks.append(sink)
 
     def store(self, prop_name: str) -> InstanceStore:
@@ -368,6 +375,7 @@ class Monitor:
         fields = event_fields(event, max_layer=self.max_layer)
         ops = self._evaluate(event, fields)
         if self.mode is ProcessingMode.INLINE:
+            # what the program left unapplied (see ``_program``)
             for op in ops:
                 self._apply(op)
         else:
@@ -502,7 +510,13 @@ class Monitor:
         """Deferred ops still in flight (queued plus awaiting retry)."""
         return self._queued[_OP] + self._queued[_RETRY]
 
-    # -- evaluation (read-only against current state) ---------------------------
+    # -- evaluation --------------------------------------------------------------
+    # The generated program plans against current state.  In INLINE mode
+    # it also applies: at a property's refresh/create point it first
+    # applies the kills and advances that event has planned so far, then
+    # refreshes or creates through the leaves below, so it returns only
+    # the ops it planned after the last such point.  The interpreted walk
+    # and SPLIT mode plan the whole event and apply nothing.
     def _program(self):
         """The generated program for the current properties.
 
@@ -522,6 +536,7 @@ class Monitor:
             program = self._codegen_program = build_program(
                 entries, host=self, op_cls=_Op,
                 inc_candidates=self._c_candidates.inc,
+                inline=self.mode is ProcessingMode.INLINE,
             )
         return program
 
@@ -532,14 +547,17 @@ class Monitor:
     def _evaluate_codegen(
         self, event: DataplaneEvent, fields: Mapping[str, object]
     ) -> List[_Op]:
-        """Plan one event's ops with the generated program.
+        """Run one event through the generated program; return the ops
+        it planned and left for the caller to apply or defer.
 
         One exec'd function per concrete event class: field reads are
         hoisted to locals, constants folded into compares, store probes
-        inlined.  Produces exactly the ops the reference walk
-        (:mod:`repro.core.reference`) would — the differential property
-        suite holds the two to identical violations, counters, and
-        ledgers.
+        inlined.  In SPLIT mode it returns exactly the ops the reference
+        walk (:mod:`repro.core.reference`) would; in INLINE mode it has
+        applied a prefix of them already (see the comment above
+        :meth:`_program`).  Either way the differential property suite
+        holds the two to identical applied ops, violations, counters
+        and ledgers.
         """
         program = self._codegen_program or self._program()
         fn = program.eval_fns[type(event)]
@@ -549,14 +567,15 @@ class Monitor:
 
     # -- state transitions -------------------------------------------------------
     def _apply(self, op: _Op) -> None:
-        self._c_ops.inc()
-        if self.meter is not None:
-            self._charge()
+        """Apply one planned op: the deferred (SPLIT) path, the
+        interpreted walk's, and a kill or an advance of the generated
+        INLINE program."""
+        self._count_op()
         kind = op.kind
         if kind == "refresh":  # the commonest op on keyed traffic
-            self._apply_refresh(op)
+            self._refresh(op.instance, op.binds, op.time)
         elif kind == "create":
-            self._apply_create(op)
+            self._create(op.prop, op.key, op.env, op.event, op.time)
         elif kind == "advance":
             self._apply_advance(op)
         elif kind == "kill":
@@ -564,15 +583,30 @@ class Monitor:
         else:  # pragma: no cover - internal invariant
             raise ValueError(f"unknown op kind {kind!r}")
 
-    def _charge(self) -> None:
-        if self.slow_path_updates:
-            self.meter.charge_slow_update()
-        else:
-            self.meter.charge_fast_update()
+    def _count_op(self) -> None:
+        """Count one applied op — through ``_apply``, or where the
+        generated INLINE program refreshes or creates directly."""
+        self._c_ops.inc()
+        if self.meter is not None:
+            if self.slow_path_updates:
+                self.meter.charge_slow_update()
+            else:
+                self.meter.charge_fast_update()
 
-    def _apply_create(self, op: _Op) -> None:
-        store = self._stores[op.prop.name]
-        existing = store.by_key(op.key)
+    def _flush_ops(self, ops: List[_Op]) -> None:
+        """Apply, in order, and clear the kills and advances an INLINE
+        program planned this event before it refreshes or creates."""
+        for op in ops:
+            self._apply(op)
+        ops.clear()
+
+    def _create(self, prop: PropertySpec, key: Tuple, env: Dict[str, object],
+                event: Optional[DataplaneEvent], time: float) -> None:
+        """Create ``prop``'s instance under ``key`` (the op is counted by
+        the caller).  A leaf: the generated INLINE program calls it
+        directly, ``_apply`` for every other path."""
+        store = self._stores[prop.name]
+        existing = store.by_key(key)
         if existing is not None and existing.alive:
             return  # split-mode race: created twice before first applied
         policy = self.degradation
@@ -581,38 +615,53 @@ class Monitor:
             if victim is None:  # reject-new: the full table refuses entry
                 self._c_rejected.inc()
                 self.ledger.record(
-                    "instance-rejected", op.prop.name, f"key={op.key!r}",
-                    op.time, classify_op("create", "dropped"))
+                    "instance-rejected", prop.name, f"key={key!r}",
+                    time, classify_op("create", "dropped"))
                 return
             store.remove(victim)
-            self._live_changed(op.prop.name, -1)
+            self._live_changed(prop.name, -1)
             self._c_evicted.inc()
             self.ledger.record(
-                "instance-evicted", op.prop.name, f"key={victim.key!r}",
-                op.time, (IMPACT_MISSED, IMPACT_FALSE))
+                "instance-evicted", prop.name, f"key={victim.key!r}",
+                time, (IMPACT_MISSED, IMPACT_FALSE))
             if self._spans.enabled:
                 self._spans.event(
-                    "monitor.evict", op.time, property=op.prop.name,
+                    "monitor.evict", time, property=prop.name,
                     key=repr(victim.key))
-        instance = Instance(op.prop, op.key, dict(op.env), created_at=op.time)
+        instance = Instance(prop, key, dict(env), created_at=time)
         record = record_stage(
-            self.provenance, op.prop.stages[0].name, op.time, op.event
-        )
+            self.provenance, prop.stages[0].name, time, event)
         if record is not None:
             instance.provenance.append(record)
         store.add(instance)
-        self._live_changed(op.prop.name, +1)
+        self._live_changed(prop.name, +1)
         self._c_created.inc()
         if self._spans.enabled:
             self._spans.event(
-                "monitor.create", op.time, uid=_uid(op.event),
-                property=op.prop.name, key=repr(op.key))
+                "monitor.create", time, uid=_uid(event),
+                property=prop.name, key=repr(key))
         if instance.complete:  # single-stage property: immediate violation
-            self._violate(instance, op.event, op.time)
+            self._violate(instance, event, time)
             store.remove(instance)
-            self._live_changed(op.prop.name, -1)
+            self._live_changed(prop.name, -1)
             return
-        self._arm_timer(instance, op.time)
+        self._arm_timer(instance, time)
+
+    def _refresh(self, instance: Instance, binds: Dict[str, object],
+                 time: float) -> None:
+        """Restart a stage-1 instance's clock with a repeat stage-0 match
+        (the op is counted by the caller).  A leaf, like :meth:`_create`."""
+        if not instance.alive or instance.stage != 1:
+            return
+        instance.advanced_at = time  # a refresh is a touch for evict-lru
+        instance.env.update(binds)
+        # Re-binding may change indexed values (a re-learned port, or the
+        # stage-0 packet uid that a same_packet stage keys on): the store's
+        # index must follow, or the refreshed instance becomes unfindable.
+        # ``touch`` does that, or moves it in place where it cannot happen.
+        self._stores[instance.prop.name].touch(instance)
+        self._c_refreshes.inc()
+        self._arm_timer(instance, time)
 
     def _apply_advance(self, op: _Op) -> None:
         instance = op.instance
@@ -667,21 +716,6 @@ class Monitor:
             self._spans.event(
                 "monitor.kill", op.time, uid=_uid(op.event),
                 property=op.prop.name, reason=op.reason)
-
-    def _apply_refresh(self, op: _Op) -> None:
-        instance = op.instance
-        assert instance is not None
-        if not instance.alive or instance.stage != 1:
-            return
-        instance.advanced_at = op.time  # a refresh is a touch for evict-lru
-        instance.env.update(op.binds)
-        # Re-binding may change indexed values (a re-learned port, or the
-        # stage-0 packet uid that a same_packet stage keys on): the store's
-        # index must follow, or the refreshed instance becomes unfindable.
-        # ``touch`` does that, or moves it in place where it cannot happen.
-        self._stores[op.prop.name].touch(instance)
-        self._c_refreshes.inc()
-        self._arm_timer(instance, op.time)
 
     # -- timers ---------------------------------------------------------------------
     def _arm_timer(self, instance: Instance, now: float) -> None:

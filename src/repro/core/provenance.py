@@ -18,9 +18,8 @@ The paper identifies the spectrum:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import NamedTuple, Optional
 
 from ..switch.events import DataplaneEvent
 
@@ -31,9 +30,13 @@ class ProvenanceLevel(Enum):
     FULL = "full"
 
 
-@dataclass(frozen=True)
-class StageRecord:
-    """One stage's contribution to an instance's history."""
+class StageRecord(NamedTuple):
+    """One stage's contribution to an instance's history.
+
+    A named tuple, not a frozen dataclass: one is built on every create
+    and every advance, and a frozen dataclass pays an
+    ``object.__setattr__`` per field to build.
+    """
 
     stage_name: str
     time: float

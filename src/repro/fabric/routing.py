@@ -149,13 +149,26 @@ def shard_key_filter(routes, shard_idx, num_shards):
     refuse to create instances for keys (or pinned properties) it does
     not own — without this, one event fanned out for property P would
     also seed property Q's instance on P's shard.
+
+    A keyed answer depends on the key alone, and the generated program
+    hands every property of one create group the same key tuple, so the
+    last keyed answer is kept, matched by the key object's identity (the
+    kept reference stops that id from being reused): a new flow's creates
+    hash its key once, not once per property.  Pinned answers are a
+    lookup already and are not kept.
     """
+    last_key: object = None
+    last_owned = False
 
     def key_filter(prop_name: str, key: Tuple[object, ...]) -> bool:
+        nonlocal last_key, last_owned
         route = routes[prop_name]
-        if route.keyed:
-            return stable_hash(key) % num_shards == shard_idx
-        return route.pin == shard_idx
+        if not route.keyed:
+            return route.pin == shard_idx
+        if key is not last_key:
+            last_owned = stable_hash(key) % num_shards == shard_idx
+            last_key = key
+        return last_owned
 
     return key_filter
 

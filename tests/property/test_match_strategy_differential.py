@@ -58,6 +58,7 @@ from repro.switch.events import (
     PacketEgress,
 )
 from repro.switch.switch import ProcessingMode
+from tests.applied_ops import record_applied
 
 addr = st.integers(min_value=1, max_value=4)
 
@@ -397,24 +398,18 @@ def keyed_refresh_props():
 def applied_ops(events, store_strategy, match_strategy, props=None,
                 **monitor_kwargs):
     """The ops a monitor over ``props`` (default :func:`cancel_prop`)
-    applied, in order."""
+    applied, in order (recorded at the op leaves, see
+    :mod:`tests.applied_ops`)."""
     monitor = Monitor(store_strategy=store_strategy,
                       match_strategy=match_strategy, **monitor_kwargs)
     for prop in props if props is not None else [cancel_prop()]:
         monitor.add_property(prop)
-    applied = []
-    apply_op = monitor._apply
-
-    def recording_apply(op):
-        key = op.instance.key if op.instance is not None else op.key
-        applied.append((op.kind, op.prop.name, key, op.reason))
-        apply_op(op)
-
-    monitor._apply = recording_apply
+    applied = record_applied(monitor)
     for event in events:
         monitor.observe(event)
     monitor.advance_to(events[-1].time + 100.0)
     return applied, [fingerprint(v) for v in monitor.violations]
+
 
 
 def _arrival(src, dst, t):
@@ -442,6 +437,48 @@ REFRESH_STORM = [
     for n in range(5)
     for i, (src, dst) in enumerate(((1, 3), (2, 3), (1, 4)))
 ]
+
+
+def timed_pair_props():
+    """Two timed properties whose violations fall due at equal deadlines.
+
+    ``advancer`` moves an instance on when an arrival is addressed to its
+    source, into an ``Absent`` stage that violates ``within`` 1 s later;
+    the same arrival creates ``advancer`` and ``waiter`` instances for its
+    own source, and ``waiter``'s ``Absent`` stage also violates 1 s
+    later.  Timers due at one instant fire in push order, so the
+    violation order records the order the three ops were applied in.
+    """
+    def reply(within):
+        return Absent("reply", EventPattern(
+            kind=EventKind.EGRESS,
+            guards=(FieldEq("eth.dst", Var("S")),)), within=within)
+
+    seen = Observe("a", EventPattern(kind=EventKind.ARRIVAL,
+                                     binds=(Bind("S", "eth.src"),)))
+    return [
+        PropertySpec(
+            name="advancer", description="",
+            stages=(
+                seen,
+                Observe("b", EventPattern(
+                    kind=EventKind.ARRIVAL,
+                    guards=(FieldEq("eth.dst", Var("S")),))),
+                reply(1.0),
+            ),
+            key_vars=("S",),
+        ),
+        PropertySpec(name="waiter", description="",
+                     stages=(seen, reply(1.0)), key_vars=("S",)),
+    ]
+
+
+#: 1->2 creates both properties' S == 1.  2->1 then makes ``advancer``
+#: plan an advance (S == 1) and a create (S == 2) on one event, and
+#: ``waiter`` a create (S == 2).  At 1.5 ``advancer``'s S == 1 and
+#: ``waiter``'s S == 2 fall due together, in that order only if the
+#: advance was applied before ``waiter``'s create.
+ADVANCE_THEN_CREATE = [_arrival(1, 2, 0.1), _arrival(2, 1, 0.5)]
 
 
 class TestMatchStrategyEquivalence:
@@ -562,3 +599,38 @@ class TestMatchStrategyEquivalence:
             if events is REFRESH_STORM and mode == "inline":
                 kinds = [kind for kind, *_ in compiled[0]]
                 assert kinds.count("refresh") > kinds.count("create") > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(event_streams(max_events=40))
+    @example(events=ADVANCE_THEN_CREATE)
+    def test_inline_application_keeps_the_planning_order(self, events):
+        """The generated INLINE program applies each property's kills
+        and advances, then its refresh or create, before it plans the
+        next property; the reference walk plans the whole event first.
+        Each section reads only its own store, so the two apply one op
+        sequence and raise the same violations, in the same order, with
+        the same counters and ledger."""
+        def run(match_strategy):
+            monitor = Monitor(match_strategy=match_strategy)
+            for prop in timed_pair_props():
+                monitor.add_property(prop)
+            applied = record_applied(monitor)
+            monitor.observe_batch(events)
+            monitor.advance_to(events[-1].time + 100.0)
+            stats = {name: getattr(monitor.stats, name)
+                     for name in STAT_FIELDS}
+            return (applied, [fingerprint(v) for v in monitor.violations],
+                    stats, monitor.ledger.summary())
+
+        compiled = run("compiled")
+        assert compiled == run("interpreted")
+        if events is ADVANCE_THEN_CREATE:
+            applied, violations, _, _ = compiled
+            assert [(kind, name, tuple(map(int, key)), reason)
+                    for kind, name, key, reason in applied[2:]] == [
+                ("advance", "advancer", (1,), ""),
+                ("create", "advancer", (2,), ""),
+                ("create", "waiter", (2,), ""),
+            ]
+            assert [(name, time) for name, time, *_ in violations] == [
+                ("waiter", 1.1), ("advancer", 1.5), ("waiter", 1.5)]

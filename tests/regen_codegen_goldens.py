@@ -7,11 +7,12 @@ Run after a deliberate change to the source emitted by
 
 then eyeball the diff before committing — the goldens pin the exact
 straight-line program the monitor executes for two representative
-Table-1 properties, so any emission change is reviewable as a
-plain-text diff.  ``--check`` regenerates into a temp
-directory and diffs against the checked-in fixtures instead of
-overwriting them (exit 1 on drift) — CI runs this so the goldens cannot
-go stale silently.
+Table-1 properties (and, for one of them, the SPLIT-mode program, which
+plans every op instead of refreshing and creating in place), so any
+emission change is reviewable as a plain-text diff.  ``--check``
+regenerates into a temp directory and diffs against the checked-in
+fixtures instead of overwriting them (exit 1 on drift) — CI runs this so
+the goldens cannot go stale silently.
 """
 
 import argparse
@@ -22,29 +23,42 @@ import tempfile
 
 from repro.core import Monitor
 from repro.props.catalog import build_table1
+from repro.switch.switch import ProcessingMode
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "codegen")
 
-#: properties whose generated programs are pinned.  One indexed-probe
-#: multi-stage property with an ``unless`` watcher, one deadline (Feature
-#: 7 ``within``) property — between them they cover candidate discharge,
-#: advance, unless kills, refresh-vs-create, and deadline arming.
-PINNED = ("knocking-invalidated", "dhcp-reply-within")
+#: (property, monitor mode) pairs whose generated programs are pinned.
+#: One indexed-probe multi-stage property with an ``unless`` watcher, one
+#: deadline (Feature 7 ``within``) property — between them they cover
+#: candidate discharge, advance, unless kills, refresh-vs-create, and
+#: deadline arming — plus the first one's SPLIT program, whose refresh
+#: and create are planned ops like the rest.
+PINNED = (
+    ("knocking-invalidated", ProcessingMode.INLINE),
+    ("dhcp-reply-within", ProcessingMode.INLINE),
+    ("knocking-invalidated", ProcessingMode.SPLIT),
+)
 
 
-def generated_source(prop_name: str) -> str:
+def fixture_name(prop_name: str, mode: ProcessingMode) -> str:
+    suffix = "_split" if mode is ProcessingMode.SPLIT else ""
+    return prop_name.replace("-", "_") + suffix + ".py.txt"
+
+
+def generated_source(prop_name: str,
+                     mode: ProcessingMode = ProcessingMode.INLINE) -> str:
     props = {entry.prop.name: entry.prop for entry in build_table1()}
-    monitor = Monitor()
+    monitor = Monitor(mode=mode)
     monitor.add_property(props[prop_name])
     return monitor.codegen_source()
 
 
 def generate(out_dir: str) -> list:
     names = []
-    for prop_name in PINNED:
-        name = prop_name.replace("-", "_") + ".py.txt"
+    for prop_name, mode in PINNED:
+        name = fixture_name(prop_name, mode)
         with open(os.path.join(out_dir, name), "w") as fp:
-            fp.write(generated_source(prop_name))
+            fp.write(generated_source(prop_name, mode))
         names.append(name)
     return names
 

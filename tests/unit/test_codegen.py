@@ -21,21 +21,39 @@ from repro.core.compile import dispatch_plan, scan_watchers
 from repro.lint.dispatch import HOT_KINDS
 from repro.props.catalog import build_table1
 from repro.switch.events import PacketArrival, PacketEgress, TimerFired
-from tests.regen_codegen_goldens import GOLDEN, PINNED, generated_source
+from repro.switch.switch import ProcessingMode
+from tests.regen_codegen_goldens import (
+    GOLDEN,
+    PINNED,
+    fixture_name,
+    generated_source,
+)
 
 CATALOG = {entry.prop.name: entry.prop for entry in build_table1()}
 
 
 class TestGoldenSources:
-    @pytest.mark.parametrize("prop_name", PINNED)
-    def test_generated_source_matches_golden(self, prop_name):
-        fixture = os.path.join(
-            GOLDEN, prop_name.replace("-", "_") + ".py.txt")
-        with open(fixture) as fp:
+    @pytest.mark.parametrize(
+        "prop_name,mode", PINNED,
+        ids=[name + ("-split" if mode is ProcessingMode.SPLIT else "")
+             for name, mode in PINNED])
+    def test_generated_source_matches_golden(self, prop_name, mode):
+        with open(os.path.join(GOLDEN, fixture_name(prop_name, mode))) as fp:
             want = fp.read()
-        assert generated_source(prop_name) == want, (
+        assert generated_source(prop_name, mode) == want, (
             "generated matcher drifted from the golden; if deliberate, "
             "rerun PYTHONPATH=src python -m tests.regen_codegen_goldens")
+
+    def test_performance_doc_listing_is_the_golden(self):
+        """docs/PERFORMANCE.md prints the dhcp-reply-within program
+        whole; it must be the pinned golden, so it cannot go stale."""
+        with open(os.path.join(os.path.dirname(__file__), "..", "..",
+                               "docs", "PERFORMANCE.md")) as fp:
+            doc = fp.read()
+        with open(os.path.join(GOLDEN, "dhcp_reply_within.py.txt")) as fp:
+            golden = fp.read()
+        start = doc.index("```\n# repro codegen program") + len("```\n")
+        assert doc[start:doc.index("```\n", start)] == golden
 
     def test_source_header_names_all_properties(self):
         monitor = Monitor()

@@ -149,7 +149,9 @@ class TestCompiledGuards:
 class TestCompiledPattern:
     """What the generated program does with a whole pattern — event-class
     dispatch, refinements, the ``same_packet_as`` link, binds — probed
-    through ``Monitor._evaluate`` with hand-made field maps."""
+    through ``Monitor._evaluate`` with hand-made field maps.  Plans are
+    read off SPLIT-mode monitors, whose program returns every op it
+    plans; an INLINE program refreshes and creates as it goes."""
 
     def test_matches_checks_event_class(self):
         monitor = Monitor()
@@ -184,7 +186,7 @@ class TestCompiledPattern:
         )
         # the linear store offers every waiting instance as a candidate,
         # so the emitted uid comparison alone decides
-        monitor = Monitor(store_strategy="linear")
+        monitor = Monitor(store_strategy="linear", mode=ProcessingMode.SPLIT)
         monitor.add_property(prop)
         store = monitor.store("p")
         store.add(Instance(prop, ("k",), {"S": "k", uid_var("a"): 42}, 0.0))
@@ -200,8 +202,7 @@ class TestCompiledPattern:
         assert advanced(43) == []
 
     def test_capture_and_bindable(self):
-        monitor = Monitor()
-        monitor.add_property(PropertySpec(
+        prop = PropertySpec(
             name="p", description="",
             stages=(
                 Observe("a", EventPattern(
@@ -209,14 +210,22 @@ class TestCompiledPattern:
                     binds=(Bind("S", "eth.src"), Bind("P", "in_port")))),
                 Observe("b", EventPattern(kind=EventKind.EGRESS)),
             ),
-            key_vars=("S",)))
+            key_vars=("S",))
+        split, inline = Monitor(mode=ProcessingMode.SPLIT), Monitor()
+        for monitor in (split, inline):
+            monitor.add_property(prop)
         event = arrival(1, 2)
-        (op,) = monitor._evaluate(
-            event, {"eth.src": "m", "in_port": 3, "uid": 9})
-        assert (op.kind, op.key, op.env) == (
-            "create", ("m",), {"S": "m", "P": 3, uid_var("a"): 9})
+        fields = {"eth.src": "m", "in_port": 3, "uid": 9}
+        env = {"S": "m", "P": 3, uid_var("a"): 9}
+        (op,) = split._evaluate(event, fields)
+        assert (op.kind, op.key, op.env) == ("create", ("m",), env)
+        # INLINE: the program created the instance itself, nothing is left
+        assert inline._evaluate(event, fields) == []
+        created = inline.store("p").by_key(("m",))
+        assert (created.stage, created.env) == (1, env)
+        assert inline.stats.ops_applied == inline.stats.instances_created == 1
         # a bind whose field is absent blocks the match, it never raises
-        assert monitor._evaluate(event, {"eth.src": "m", "uid": 9}) == []
+        assert split._evaluate(event, {"eth.src": "m", "uid": 9}) == []
         # the bind-free fast path emits no presence check at all
         assert bindable_source(
             EventPattern(kind=EventKind.ARRIVAL), field_access) == "True"
