@@ -16,7 +16,7 @@ Three pass families over parsed ASTs and compiled
   pipeline/rule/register cost estimates (:mod:`repro.lint.splitmode`).
 """
 
-from .dataflow import rule_cross_stage_contradiction, stage_environments
+from .dataflow import rule_contradictions, stage_environments
 from .diagnostics import Diagnostic, Related, Rule, RULES, Severity
 from .dispatch import (
     DispatchReport,
@@ -77,7 +77,7 @@ from .splitmode import (
 )
 
 __all__ = [
-    "rule_cross_stage_contradiction",
+    "rule_contradictions",
     "stage_environments",
     "Diagnostic",
     "Related",

@@ -1,8 +1,12 @@
-"""Cross-stage dataflow analysis (rule L016).
+"""Contradictory guard pairs (rules L005, L006, L016) and the cross-stage
+dataflow facts behind them.
 
-L005 reasons about one pattern at a time, so it cannot see that a guard
-is unsatisfiable because of what *earlier* stages guarantee.  The classic
-miss::
+One pass finds every pair of guards on one field that can never hold
+together (``==``/``==``, ``==``/``!=``, ``==``/ordered, ordered/ordered)
+and classifies it once: **L005** (**L006** in an ``unless``) when the
+guards contradict *as written* — two literals, or one variable on both
+sides (``ipv4.ttl == $B and ipv4.ttl > $B``) — and **L016** when only
+what *earlier* stages guarantee makes them contradict::
 
     observe knock : arrival
         where tcp.dst == 7001
@@ -10,38 +14,33 @@ miss::
     observe open : arrival
         where tcp.dst == $P and tcp.dst != 7001   # can never both hold
 
-Within the ``open`` pattern the two guards compare different *tokens*
-(``$P`` vs ``7001``), so L005 stays quiet — but stage ``knock`` only
-fires when ``tcp.dst == 7001``, and binding ``P`` off the same field in
-the same pattern pins ``P`` to that constant for every instance.
+A variable no earlier stage says anything about is an unknown, and never
+makes an ``==`` pair contradictory: ``tcp.dst == $p and tcp.dst == 80``
+holds whenever ``$p`` is 80.
 
-This pass runs an abstract interpretation over the stage sequence,
-propagating two kinds of facts into each later stage's guard
-environment:
+The facts come from an abstract interpretation over the stage sequence,
+propagating three kinds into each later stage's guard environment:
 
 * **pins** — ``bind V = f`` in a pattern that also guards ``f == lit``
   makes ``V == lit`` in every reachable instance;
 * **aliases** — ``bind V = f`` alongside ``f == $X`` makes ``V == X``
   (and transitively inherits X's pin, if any);
 * **ranges** — ``bind V = f`` alongside ordered guards (``f >= 7000 and
-  f < 8000``) confines ``V`` to an interval, so a later ``$V``-guarded
-  field contradicting the interval is just as dead as a pinned one.
+  f < 8000``) confines ``V`` to an interval.
 
 Rebinding a variable (L003's shadowing) conservatively invalidates its
 facts; aliases pointing at the rebound variable are materialised into
 pins first when possible, severed otherwise — the analysis only ever
 *loses* facts at merge points, so every finding it reports is a genuine
-contradiction, never a may-alias guess.
-
-Each finding carries :class:`~repro.lint.diagnostics.Related` positions
-pointing at **both** conflicting sites: the other guard in the pattern
-and the earlier-stage bind/guard pair the pinned value traces back to.
+contradiction, never a may-alias guess.  Each L016 finding carries
+:class:`~repro.lint.diagnostics.Related` positions at the other guard and
+at the earlier-stage binds and guards its facts trace back to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.refs import CMP_FNS
 from ..lang.ast import (
@@ -53,6 +52,7 @@ from ..lang.ast import (
     VarRef,
 )
 from .diagnostics import Diagnostic, Related, make, related_to
+from .schema import FIELD_SCHEMA
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +149,6 @@ class StageEnv:
         self.pins: Dict[str, Pin] = {}
         self.aliases: Dict[str, Alias] = {}
         self.ranges: Dict[str, Range] = {}
-
-    def range_of(self, name: str) -> Optional[Range]:
-        """The interval fact for a variable, following aliases."""
-        norm, _ = self.resolve(VarRef(name))
-        if norm[0] != "var":
-            return None
-        return self.ranges.get(norm[1])
 
     # -- resolution ---------------------------------------------------------
     def resolve(self, value: object) -> Tuple[Tuple[str, object], List[object]]:
@@ -312,170 +305,150 @@ def _range_related(rng: Range) -> List[Related]:
     return out
 
 
-def _check_pattern(
-    stage: StageAst, pattern: PatternAst, env: StageEnv, prop_name: str,
-    in_unless: bool,
-) -> Iterator[Diagnostic]:
-    eqs: Dict[str, List[Comparison]] = {}
-    nes: Dict[str, List[Comparison]] = {}
-    ords: Dict[str, List[Comparison]] = {}
-    for condition in pattern.conditions:
-        if not isinstance(condition, Comparison):
-            continue
-        if condition.op == "==":
-            target = eqs
-        elif condition.op == "!=":
-            target = nes
-        else:
-            target = ords
-        target.setdefault(condition.field, []).append(condition)
-    where = (f"unless pattern on stage {stage.name!r} is unreachable"
-             if in_unless else f"stage {stage.name!r} can never match")
-    for field_name, eq_list in eqs.items():
-        for eq in eq_list:
-            for ne in nes.get(field_name, []):
-                # Token-identical eq/ne pairs are L005's (or L006's, in
-                # unless) within-pattern contradiction; L016 owns only
-                # the pairs a cross-stage fact is needed to expose.
-                if _token(eq.value) == _token(ne.value):
-                    continue
-                eq_norm, eq_trail = env.resolve(eq.value)
-                ne_norm, ne_trail = env.resolve(ne.value)
-                if eq_trail == [] and ne_trail == []:
-                    continue  # nothing cross-stage involved
-                if eq_norm != ne_norm:
-                    continue
-                explanation = _explain(eq_trail + ne_trail)
-                related = tuple(
-                    [related_to(
-                        f"conflicts with the guard {field_name} == "
-                        f"{_render_value(eq.value)} here", eq)]
-                    + _trail_related(eq_trail) + _trail_related(ne_trail))
-                yield make(
-                    "L016",
-                    f"{where}: {field_name} == {_render_value(eq.value)} "
-                    f"and {field_name} != {_render_value(ne.value)} can "
-                    f"never both hold — {explanation}",
-                    ne, prop=prop_name, related=related,
-                )
-            for cmp_cond in ords.get(field_name, []):
-                yield from _check_eq_vs_ordered(
-                    where, field_name, eq, cmp_cond, env, prop_name)
-    for field_name, cmp_list in ords.items():
-        resolved = []
-        for cond in cmp_list:
-            norm, trail = env.resolve(cond.value)
-            if norm[0] == "lit":
-                resolved.append((cond, norm[1], trail))
-        for i, (first, first_val, first_trail) in enumerate(resolved):
-            for second, second_val, second_trail in resolved[i + 1:]:
-                if not (first_trail or second_trail):
-                    continue  # both literal in-pattern: L005's case
-                try:
-                    met = intersect(interval_of(first.op, first_val),
-                                    interval_of(second.op, second_val))
-                except TypeError:
-                    continue
-                if met is not None:
-                    continue
-                explanation = _explain(first_trail + second_trail)
-                related = tuple(
-                    [related_to(
-                        f"conflicts with the guard {field_name} "
-                        f"{first.op} {_render_value(first.value)} here",
-                        first)]
-                    + _trail_related(first_trail)
-                    + _trail_related(second_trail))
-                yield make(
-                    "L016",
-                    f"{where}: {field_name} {first.op} "
-                    f"{_render_value(first.value)} and {field_name} "
-                    f"{second.op} {_render_value(second.value)} can never "
-                    f"both hold — {explanation}",
-                    second, prop=prop_name, related=related,
-                )
+# ---------------------------------------------------------------------------
+# Contradictory guard pairs (L005, L006, L016)
+# ---------------------------------------------------------------------------
+#: What proves a pair contradictory: the facts both guards' values were
+#: resolved through, and the range of an ``==`` variable, when one was used.
+Conflict = Tuple[List[object], Optional[Range]]
 
 
-def _check_eq_vs_ordered(
-    where: str, field_name: str, eq: Comparison, cmp_cond: Comparison,
-    env: StageEnv, prop_name: str,
-) -> Iterator[Diagnostic]:
-    eq_norm, eq_trail = env.resolve(eq.value)
-    bound_norm, bound_trail = env.resolve(cmp_cond.value)
-    if bound_norm[0] != "lit":
-        return
-    if eq_norm[0] == "lit":
-        if not (eq_trail or bound_trail):
-            return  # both literal in-pattern: L005's case
-        try:
-            satisfied = CMP_FNS[cmp_cond.op](eq_norm[1], bound_norm[1])
-        except TypeError:
-            return
-        if satisfied:
-            return
-        explanation = _explain(eq_trail + bound_trail)
-        related = tuple(
-            [related_to(
-                f"conflicts with the guard {field_name} == "
-                f"{_render_value(eq.value)} here", eq)]
-            + _trail_related(eq_trail) + _trail_related(bound_trail))
-        yield make(
-            "L016",
-            f"{where}: {field_name} == {_render_value(eq.value)} and "
-            f"{field_name} {cmp_cond.op} {_render_value(cmp_cond.value)} "
-            f"can never both hold — {explanation}",
-            cmp_cond, prop=prop_name, related=related,
-        )
-        return
-    # eq resolves to a variable: contradiction provable when the
-    # variable carries a range fact disjoint from the ordered guard
-    rng = env.ranges.get(eq_norm[1])
-    if rng is None:
-        return
+def _closed(field_name: str, interval: Interval) -> Interval:
+    """``interval`` with strict integer bounds made inclusive when the field
+    holds integers, so ``> 5 and < 6`` reads as the empty ``[6, 5]``."""
+    ftype = FIELD_SCHEMA.get(field_name)
+    if ftype is None or ftype.kind != "int":
+        return interval
+    lo, lo_strict, hi, hi_strict = interval
+    if lo_strict and type(lo) is int:
+        lo, lo_strict = lo + 1, False
+    if hi_strict and type(hi) is int:
+        hi, hi_strict = hi - 1, False
+    return (lo, lo_strict, hi, hi_strict)
+
+
+def _conflict(
+    a: Comparison, b: Comparison, env: StageEnv,
+) -> Optional[Conflict]:
+    """Why guards ``a`` and ``b`` on one field cannot both hold under
+    ``env``, or ``None`` when ``env`` proves nothing.  ``a`` is the ``==``
+    guard when exactly one of the two is."""
+    (a_kind, a_val), a_trail = env.resolve(a.value)
+    (b_kind, b_val), b_trail = env.resolve(b.value)
+    if a_kind == b_kind == "var" and a_val == b_val:
+        # one unknown on both sides: the operators alone decide the pair,
+        # so any single value stands in for it
+        a_kind = b_kind = "lit"
+        a_val = b_val = 0
+    rng: Optional[Range] = None
     try:
-        met = intersect(rng.interval, interval_of(cmp_cond.op, bound_norm[1]))
+        if a_kind == b_kind == "lit":
+            if a.op == "==" and b.op == "==":
+                disjoint = a_val != b_val
+            elif a.op == "==" and b.op == "!=":
+                disjoint = a_val == b_val
+            elif a.op == "==":
+                disjoint = not CMP_FNS[b.op](a_val, b_val)
+            elif "!=" in (a.op, b.op):
+                disjoint = False
+            else:
+                disjoint = intersect(
+                    _closed(a.field, interval_of(a.op, a_val)),
+                    _closed(b.field, interval_of(b.op, b_val))) is None
+        elif (a.op == "==" and a_kind == "var" and b_kind == "lit"
+              and b.op in ORDERED_OPS):
+            # an unknown == value still has the interval an earlier
+            # stage confined it to
+            rng = env.ranges.get(a_val)
+            disjoint = rng is not None and intersect(
+                _closed(a.field, rng.interval),
+                _closed(b.field, interval_of(b.op, b_val))) is None
+        else:
+            disjoint = False
     except TypeError:
-        return
-    if met is not None:
-        return
-    explanation = "; ".join(filter(None, [
-        _explain(eq_trail + bound_trail),
-        f"stage {rng.stage!r} confines ${rng.var} to "
-        f"{render_interval(rng.interval)}",
-    ]))
-    related = tuple(
-        [related_to(
-            f"conflicts with the guard {field_name} == "
-            f"{_render_value(eq.value)} here", eq)]
-        + _trail_related(eq_trail) + _trail_related(bound_trail)
-        + _range_related(rng))
-    yield make(
-        "L016",
-        f"{where}: {field_name} == {_render_value(eq.value)} and "
-        f"{field_name} {cmp_cond.op} {_render_value(cmp_cond.value)} "
-        f"can never both hold — {explanation}",
-        cmp_cond, prop=prop_name, related=related,
-    )
+        return None  # unorderable values: nothing provable
+    if not disjoint:
+        return None
+    return list(dict.fromkeys(a_trail + b_trail)), rng  # a shared fact once
 
 
-def _token(value) -> Tuple[str, object]:
-    if isinstance(value, VarRef):
-        return ("var", value.name)
-    return ("lit", value.value)
+def contradictions(
+    pattern: PatternAst, env: StageEnv,
+) -> Iterator[Tuple[Comparison, Comparison, Optional[Conflict]]]:
+    """Every pair of guards on one field of ``pattern`` that cannot hold
+    together given ``env``, as ``(a, b, conflict)``.
+
+    ``conflict`` is ``None`` when the pair contradicts as written, else
+    the earlier stages' facts it takes.  ``a`` is the ``==`` guard when
+    exactly one of the two is, otherwise the earlier one; findings anchor
+    at ``b``.
+    """
+    as_written = StageEnv()  # no fact about any $var
+    guards = [c for c in pattern.conditions if isinstance(c, Comparison)]
+    for index, second in enumerate(guards):
+        for first in guards[:index]:
+            if first.field != second.field:
+                continue
+            a, b = first, second
+            if second.op == "==" and first.op != "==":
+                a, b = second, first
+            if _conflict(a, b, as_written) is not None:
+                yield a, b, None
+                continue
+            conflict = _conflict(a, b, env)
+            if conflict is not None:
+                yield a, b, conflict
 
 
-def rule_cross_stage_contradiction(prop: PropertyAst) -> Iterator[Diagnostic]:
-    """L016 — guards unsatisfiable under earlier stages' guarantees."""
+def rule_contradictions(prop: PropertyAst) -> Iterator[Diagnostic]:
+    """L005/L006/L016 — two guards on one field that can never both hold:
+    as written (L005; L006 in an ``unless``), or only given what earlier
+    stages guarantee (L016)."""
     env = StageEnv()
+    seen: Set[Diagnostic] = set()
     for stage in prop.stages:
         # A stage's guards see facts from strictly earlier stages (its
         # own binds take effect only once the pattern matches).
-        yield from _check_pattern(stage, stage.pattern, env, prop.name,
-                                  in_unless=False)
-        for unless in stage.unless:
-            yield from _check_pattern(stage, unless, env, prop.name,
-                                      in_unless=True)
+        for index, pattern in enumerate((stage.pattern,) + stage.unless):
+            for a, b, conflict in contradictions(pattern, env):
+                diag = _contradiction_diagnostic(
+                    prop.name, stage, index > 0, a, b, conflict)
+                if diag not in seen:  # a repeated guard repeats its pairs
+                    seen.add(diag)
+                    yield diag
         env.absorb(stage)
+
+
+def _contradiction_diagnostic(
+    prop_name: str, stage: StageAst, in_unless: bool,
+    a: Comparison, b: Comparison, conflict: Optional[Conflict],
+) -> Diagnostic:
+    where = (f"unless pattern on stage {stage.name!r} is unreachable"
+             if in_unless else f"stage {stage.name!r} can never match")
+    field_name = a.field
+    if a.op == b.op == "==":
+        why = (f"{field_name} cannot equal both {_render_value(a.value)} "
+               f"and {_render_value(b.value)}")
+    else:
+        why = (f"{field_name} {a.op} {_render_value(a.value)} and "
+               f"{field_name} {b.op} {_render_value(b.value)} can never "
+               "both hold")
+    if conflict is None:
+        return make("L006" if in_unless else "L005", f"{where}: {why}", b,
+                    prop=prop_name)
+    trail, rng = conflict
+    explanation = "; ".join(filter(None, [
+        _explain(trail),
+        rng and (f"stage {rng.stage!r} confines ${rng.var} to "
+                 f"{render_interval(rng.interval)}"),
+    ]))
+    related = [related_to(
+        f"conflicts with the guard {field_name} {a.op} "
+        f"{_render_value(a.value)} here", a)] + _trail_related(trail)
+    if rng is not None:
+        related += _range_related(rng)
+    return make("L016", f"{where}: {why} — {explanation}", b,
+                prop=prop_name, related=tuple(related))
 
 
 def stage_environments(prop: PropertyAst) -> List[Dict[str, object]]:

@@ -1,8 +1,11 @@
-"""Correctness lints over parsed property ASTs (rules L001–L014).
+"""Correctness lints over parsed property ASTs (rules L001–L014 and L016).
 
 Each rule is a generator over one :class:`~repro.lang.ast.PropertyAst`,
 yielding :class:`~repro.lint.diagnostics.Diagnostic` objects anchored at
-the offending node's source position.  The rules deliberately mirror —
+the offending node's source position.  Contradictory guards — L005, an
+unsatisfiable ``unless`` under L006, and L016 — come from one pass over
+each guard pair, :func:`~repro.lint.dataflow.rule_contradictions`, which
+runs here with the rest.  The rules deliberately mirror —
 and fire *before* — the hard errors the elaborator and
 :class:`~repro.core.spec.PropertySpec` raise, so a malformed property
 fails with positions and explanations instead of a bare exception deep in
@@ -13,11 +16,10 @@ overflow).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from ..lang.ast import (
     AnyDiffers,
-    BindAst,
     Comparison,
     Literal,
     NamedPredicate,
@@ -26,8 +28,7 @@ from ..lang.ast import (
     StageAst,
     VarRef,
 )
-from ..core.refs import CMP_FNS
-from .dataflow import _render_value, _token, rule_cross_stage_contradiction
+from .dataflow import _render_value, rule_contradictions
 from .diagnostics import Diagnostic, make
 from .schema import (
     FIELD_SCHEMA,
@@ -152,10 +153,12 @@ def rule_shadowed_bind(prop: PropertyAst) -> Iterator[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# Guard consistency (L004, L005, L006)
+# Guard consistency (L004, L006; L005/L006/L016 contradictions are
+# :func:`~repro.lint.dataflow.rule_contradictions`)
 # ---------------------------------------------------------------------------
-def _comparison_key(condition: Comparison) -> Tuple[str, str, Tuple[str, object]]:
-    return (condition.field, condition.op, _token(condition.value))
+def _comparison_key(condition: Comparison) -> Tuple[str, str, object]:
+    # value nodes compare by content, not by source position
+    return (condition.field, condition.op, condition.value)
 
 
 def _duplicate_guards(pattern: PatternAst) -> Iterator[Comparison]:
@@ -167,75 +170,6 @@ def _duplicate_guards(pattern: PatternAst) -> Iterator[Comparison]:
         if key in seen:
             yield condition
         seen.add(key)
-
-
-def _ordered_pair_empty(a: Comparison, b: Comparison) -> bool:
-    """True when two literal ordered guards on one field exclude each other."""
-    lo, hi = (a, b) if a.op in (">", ">=") else (b, a)
-    if lo.op not in (">", ">=") or hi.op not in ("<", "<="):
-        return False  # same-direction bounds always intersect
-    try:
-        if lo.value.value > hi.value.value:
-            return True
-        if lo.value.value == hi.value.value:
-            return lo.op == ">" or hi.op == "<"
-    except TypeError:
-        pass  # unorderable bounds: nothing provable
-    return False
-
-
-def _contradictions(pattern: PatternAst) -> Iterator[Tuple[Comparison, str]]:
-    """(node, explanation) for every internally unsatisfiable guard set."""
-    eq_by_field: Dict[str, Comparison] = {}
-    ne_by_field: Dict[str, List[Comparison]] = {}
-    ord_by_field: Dict[str, List[Comparison]] = {}
-    for condition in pattern.conditions:
-        if not isinstance(condition, Comparison):
-            continue
-        if condition.op == "==":
-            prior = eq_by_field.get(condition.field)
-            if prior is not None and _token(prior.value) != _token(
-                    condition.value):
-                yield (condition,
-                       f"{condition.field} cannot equal both "
-                       f"{_render_value(prior.value)} and "
-                       f"{_render_value(condition.value)}")
-            eq_by_field.setdefault(condition.field, condition)
-        elif condition.op == "!=":
-            ne_by_field.setdefault(condition.field, []).append(condition)
-        elif isinstance(condition.value, Literal):
-            # ordered guards with Var bounds carry no static interval
-            ord_by_field.setdefault(condition.field, []).append(condition)
-    for field_name, eq in eq_by_field.items():
-        for ne in ne_by_field.get(field_name, []):
-            if _token(eq.value) == _token(ne.value):
-                yield (ne,
-                       f"{field_name} == {_render_value(eq.value)} and "
-                       f"{field_name} != {_render_value(ne.value)} can never "
-                       "both hold")
-        if not isinstance(eq.value, Literal):
-            continue
-        for cmp_cond in ord_by_field.get(field_name, []):
-            try:
-                satisfied = CMP_FNS[cmp_cond.op](
-                    eq.value.value, cmp_cond.value.value)
-            except TypeError:
-                continue
-            if not satisfied:
-                yield (cmp_cond,
-                       f"{field_name} == {_render_value(eq.value)} and "
-                       f"{field_name} {cmp_cond.op} "
-                       f"{_render_value(cmp_cond.value)} can never both hold")
-    for field_name, conds in ord_by_field.items():
-        for i, first in enumerate(conds):
-            for second in conds[i + 1:]:
-                if _ordered_pair_empty(first, second):
-                    yield (second,
-                           f"{field_name} {first.op} "
-                           f"{_render_value(first.value)} and "
-                           f"{field_name} {second.op} "
-                           f"{_render_value(second.value)} can never both "
-                           "hold")
 
 
 def rule_duplicate_guard(prop: PropertyAst) -> Iterator[Diagnostic]:
@@ -251,30 +185,12 @@ def rule_duplicate_guard(prop: PropertyAst) -> Iterator[Diagnostic]:
             )
 
 
-def rule_contradictory_guards(prop: PropertyAst) -> Iterator[Diagnostic]:
-    """L005 — a stage pattern that can never match (main patterns only;
-    unsatisfiable unless patterns are L006's unreachable case)."""
-    for stage in prop.stages:
-        for condition, why in _contradictions(stage.pattern):
-            yield make(
-                "L005",
-                f"stage {stage.name!r} can never match: {why}",
-                condition, prop=prop.name,
-            )
-
-
-def rule_unreachable_unless(prop: PropertyAst) -> Iterator[Diagnostic]:
-    """L006 — an unless pattern that can never cancel anything."""
+def rule_duplicate_unless(prop: PropertyAst) -> Iterator[Diagnostic]:
+    """L006 — an unless pattern that repeats an earlier one on its stage
+    (an unless whose guards contradict is :func:`rule_contradictions`')."""
     for stage in prop.stages:
         seen: List[PatternAst] = []
         for unless in stage.unless:
-            for condition, why in _contradictions(unless):
-                yield make(
-                    "L006",
-                    f"unless pattern on stage {stage.name!r} is unreachable: "
-                    f"{why}",
-                    condition, prop=prop.name,
-                )
             if any(unless == prior for prior in seen):
                 yield make(
                     "L006",
@@ -454,8 +370,8 @@ _AST_RULES = (
     rule_unused_variable,
     rule_shadowed_bind,
     rule_duplicate_guard,
-    rule_contradictory_guards,
-    rule_unreachable_unless,
+    rule_contradictions,
+    rule_duplicate_unless,
     rule_bad_within,
     rule_type_mismatch,
     rule_literal_overflow,
@@ -464,5 +380,4 @@ _AST_RULES = (
     rule_bad_first_stage,
     rule_duplicate_stage,
     rule_unknown_samepacket,
-    rule_cross_stage_contradiction,
 )

@@ -10,8 +10,8 @@ switch's state budget (the paper's Sec. 4 resource concern, turned
 adversarial).
 
 This pass assigns each bound variable a provenance label and propagates
-labels through the same pin/alias/range machinery the cross-stage
-contradiction rule (L016, :mod:`repro.lint.dataflow`) uses:
+labels through the same pin/alias/range machinery the contradiction
+rules (L005/L006/L016, :mod:`repro.lint.dataflow`) use:
 
 * ``constant`` — the bind's field is guarded equal to a literal, so the
   variable holds one value in every instance; nobody controls it.

@@ -7,14 +7,14 @@ from repro.lint import lint_source
 from repro.lint.dataflow import (
     Alias,
     Pin,
-    rule_cross_stage_contradiction,
+    rule_contradictions,
     stage_environments,
 )
 
 
 def findings(source):
     prop = parse(source)[0]
-    return list(rule_cross_stage_contradiction(prop))
+    return list(rule_contradictions(prop))
 
 
 PINNED_EQ_NE = """\
@@ -64,6 +64,43 @@ observe open : arrival
         assert "pinned here" in pin_site.message
 
 
+class TestPairsThroughFacts:
+    def test_pinned_variable_against_a_literal(self):
+        (diag,) = findings("""\
+property p "P is 22, never 80"
+observe a : arrival
+    where tcp.dst == 22
+    bind p = tcp.dst
+observe b : arrival
+    where tcp.dst == $p and tcp.dst == 80
+""")
+        assert (diag.code, diag.line, diag.column) == ("L016", 6, 29)
+        assert diag.message == (
+            "stage 'b' can never match: tcp.dst cannot equal both $p and "
+            "80 — stage 'a' pins $p to 22")
+        assert [(r.line, r.column, r.message) for r in diag.related] == [
+            (4, 10, "$p is pinned here: bound from a field stage 'a' "
+                    "guards == 22"),
+            (6, 11, "conflicts with the guard tcp.dst == $p here"),
+        ]
+
+    def test_one_variable_on_both_sides_needs_no_pin(self):
+        report = lint_source("""\
+property p "A against itself"
+key A
+observe a : arrival
+    where tcp.src == 22
+    bind A = tcp.src
+observe b : arrival
+    where tcp.src == $A and tcp.src > $A
+""")
+        (diag,) = [d for d in report.all_diagnostics()
+                   if d.code in ("L005", "L006", "L016")]
+        assert diag.code == "L005"
+        assert diag.related == ()
+        assert "pins" not in diag.message
+
+
 class TestAliases:
     def test_aliased_vars_contradict(self):
         (diag,) = findings("""\
@@ -94,6 +131,26 @@ observe third : arrival
     where tcp.dst == $Y and tcp.dst != 22
 """)
         assert diag.code == "L016"
+
+
+    def test_a_pin_reached_twice_is_explained_once(self):
+        (diag,) = findings("""\
+property p "$Q is $P, and $P is 22"
+key P
+observe first : arrival
+    where tcp.dst == 22
+    bind P = tcp.dst
+observe second : arrival
+    where tcp.src == $P
+    bind Q = tcp.src
+observe third : arrival
+    where tcp.dst == $P and tcp.dst != $Q
+""")
+        assert diag.code == "L016"
+        assert diag.message.endswith(
+            "— stage 'first' pins $P to 22; stage 'second' binds $Q equal "
+            "to $P")
+        assert len(diag.related) == 3
 
 
 class TestInvalidation:

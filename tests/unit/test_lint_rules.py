@@ -220,6 +220,70 @@ class TestCliLint:
         assert main(["check", fixture_for("L005")]) == 1
 
 
+def contradiction_findings(source):
+    return [(d.code, d.line, d.column, d.message)
+            for d in lint_source(source).all_diagnostics()
+            if d.code in ("L005", "L006", "L016")]
+
+
+class TestContradictoryPairs:
+    """L005 judges every guard pair on a field, and an unbound-fact
+    variable never makes an ``==`` pair contradictory."""
+
+    VAR_AND_LITERAL = """\
+property eq_var_and_literal "tcp.dst is both $p and 80"
+observe first : arrival
+    bind p = tcp.dst
+observe second : arrival
+    where tcp.dst == $p and tcp.dst == 80
+"""
+
+    def test_equal_to_a_variable_and_a_literal_is_satisfiable(
+            self, tmp_path, capsys):
+        from repro.core import Monitor
+        from repro.lang import compile_one
+        from repro.packet import tcp_syn
+        from repro.switch.events import PacketArrival
+
+        assert contradiction_findings(self.VAR_AND_LITERAL) == []
+        path = tmp_path / "eq_var_and_literal.prop"
+        path.write_text(self.VAR_AND_LITERAL)
+        assert main(["check", str(path)]) == 0
+        monitor = Monitor()
+        monitor.add_property(compile_one(self.VAR_AND_LITERAL))
+        for time in (0.0, 1.0):
+            monitor.observe(PacketArrival(
+                switch_id="s", time=time, in_port=1,
+                packet=tcp_syn(1, 2, "10.0.0.1", "10.0.0.2", 5000, 80)))
+        assert [v.bindings for v in monitor.violations] == [{"p": 80}]
+
+    def test_two_literals_conflict_past_a_variable(self):
+        (finding,) = contradiction_findings("""\
+property three_equalities "5 vs 7001, not $A vs either"
+observe first : arrival
+    bind A = tcp.src
+observe second : arrival
+    where tcp.src == $A and tcp.src == 5 and tcp.src == 7001
+""")
+        assert finding == (
+            "L005", 5, 46,
+            "stage 'second' can never match: tcp.src cannot equal both 5 "
+            "and 7001")
+
+    def test_a_variable_cannot_exceed_itself(self):
+        (finding,) = contradiction_findings("""\
+property above_itself "ttl is $B and above $B"
+observe first : arrival
+    bind B = ipv4.ttl
+observe second : arrival
+    where ipv4.ttl == $B and ipv4.ttl > $B
+""")
+        assert finding == (
+            "L005", 5, 30,
+            "stage 'second' can never match: ipv4.ttl == $B and "
+            "ipv4.ttl > $B can never both hold")
+
+
 class TestRuleRegistry:
     def test_codes_are_partitioned_by_family(self):
         for code in RULES:
