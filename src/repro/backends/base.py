@@ -134,13 +134,11 @@ class BackendMonitor:
         depth_fn: Callable[["BackendMonitor"], int],
         provenance: ProvenanceLevel = ProvenanceLevel.LIMITED,
         split_lag: float = DEFAULT_SPLIT_LAG,
-        store_strategy: str = "indexed",
     ) -> None:
         self.backend_name = backend_name
         self.meter = StateCostMeter()
         self.monitor = Monitor(
             provenance=provenance,
-            store_strategy=store_strategy,
             mode=mode,
             split_lag=split_lag,
             max_layer=max_layer,
@@ -183,10 +181,6 @@ class BackendMonitor:
     @property
     def live_instances(self) -> int:
         return self.monitor.live_instances()
-
-    @property
-    def processing_ticks(self) -> int:
-        return self.meter.total_ticks
 
 
 class Backend:

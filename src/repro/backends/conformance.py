@@ -20,8 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.refs import Bind, Const, EventKind, EventPattern, FieldEq, FieldNe, Var
 from ..core.spec import Absent, Observe, PropertySpec
-from ..packet.builder import arp_request, dhcp_packet, ethernet
-from ..packet.dhcp import DhcpMessageType
+from ..packet.builder import arp_request, ethernet
 from ..switch.events import (
     DataplaneEvent,
     EgressAction,
@@ -93,31 +92,6 @@ def identity_probe() -> PropertySpec:
             ),
         ),
         key_vars=("S",),
-    )
-
-
-def fields_probe() -> PropertySpec:
-    """Guards on L7 (DHCP) fields: dynamic parsing (F1)."""
-    return PropertySpec(
-        name="probe-fields",
-        description="two DHCP ACKs for the same address",
-        stages=(
-            Observe(
-                "ack",
-                EventPattern(
-                    kind=EventKind.ARRIVAL,
-                    binds=(Bind("ip", "dhcp.yiaddr"),),
-                ),
-            ),
-            Observe(
-                "ack2",
-                EventPattern(
-                    kind=EventKind.ARRIVAL,
-                    guards=(FieldEq("dhcp.yiaddr", Var("ip")),),
-                ),
-            ),
-        ),
-        key_vars=("ip",),
     )
 
 
@@ -299,12 +273,6 @@ def history_trace() -> List[DataplaneEvent]:
 def identity_trace() -> List[DataplaneEvent]:
     p = ethernet(1, 2)
     return [_arr(p, 0.0), _egr(p, 0.001)]
-
-
-def fields_trace() -> List[DataplaneEvent]:
-    a1 = dhcp_packet(5, DhcpMessageType.ACK, yiaddr="10.0.0.9", xid=1)
-    a2 = dhcp_packet(6, DhcpMessageType.ACK, yiaddr="10.0.0.9", xid=2)
-    return [_arr(a1, 0.0), _arr(a2, 0.1)]
 
 
 def negative_trace() -> List[DataplaneEvent]:

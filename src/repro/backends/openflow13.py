@@ -90,7 +90,3 @@ class ControllerMirror:
     @property
     def violations(self) -> List[Violation]:
         return self.monitor.violations
-
-    @property
-    def mirroring_ticks(self) -> int:
-        return self.meter.total_ticks

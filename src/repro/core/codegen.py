@@ -64,7 +64,6 @@ from .compile import (
     refinement_sources,
 )
 from .instances import (
-    IndexedInstanceStore,
     InstanceStore,
     merge_by_stage_entry,
     stage_index_plan,
@@ -376,62 +375,52 @@ class _ClassEmitter:
 
     def _emit_candidates(self, w: _Writer, entry: _Entry, stage_idx: int,
                          body: Callable[[], None]) -> None:
-        """Inline the store's ``candidates(stage_idx, fields)`` probe.
+        """Inline the store's index probe for one stage: the key bucket
+        the event's plan fields hit, then the scan bucket (the whole
+        population of a stage with an empty plan).
 
         The bucket dictionaries referenced here are created once in the
         store's ``__init__`` and never replaced, so binding them as exec
         globals stays correct across instance churn and
         ``restore_state``.
         """
-        p = entry.pidx
-        store = entry.store
-        if isinstance(store, IndexedInstanceStore):
-            bk_name = f"_bk{p}_{stage_idx}"
-            if bk_name not in self.g:
-                self.g[bk_name] = store._buckets[stage_idx]
-            plan = stage_index_plan(entry.prop.stages[stage_idx])
-            if plan:
-                presence = " and ".join(
-                    f"{self.fmap(f)} is not _M" for f, _ in plan)
-                parts = [self.fmap(f) for f, _ in plan]
-                key = (
-                    f"({parts[0]},)" if len(parts) == 1
-                    else "(" + ", ".join(parts) + ")"
-                )
-                w.w(f"_bkt = {bk_name}")
-                w.w("if _bkt:")
-                w.ind()
-                w.w(f"_hit = _bkt.get({key}) if {presence} else None")
-                w.w("_scan = _bkt.get(None)")
-                w.w("if _hit:")
-                w.ind()
-                w.w("for _inst in _hit.values():")
-                w.ind()
-                body()
-                w.ded()
-                w.ded()
-                w.w("if _scan:")
-                w.ind()
-                w.w("for _inst in _scan.values():")
-                w.ind()
-                body()
-                w.ded()
-                w.ded()
-                w.ded()
-            else:
-                w.w(f"_scan = {bk_name}.get(None)")
-                w.w("if _scan:")
-                w.ind()
-                w.w("for _inst in _scan.values():")
-                w.ind()
-                body()
-                w.ded()
-                w.ded()
-        else:  # linear store: candidates == at_stage
-            sp = self._stage_pop_ref(entry, stage_idx)
-            w.w(f"if {sp}:")
+        bk_name = f"_bk{entry.pidx}_{stage_idx}"
+        if bk_name not in self.g:
+            self.g[bk_name] = entry.store._buckets[stage_idx]
+        plan = stage_index_plan(entry.prop.stages[stage_idx])
+        if plan:
+            presence = " and ".join(
+                f"{self.fmap(f)} is not _M" for f, _ in plan)
+            parts = [self.fmap(f) for f, _ in plan]
+            key = (
+                f"({parts[0]},)" if len(parts) == 1
+                else "(" + ", ".join(parts) + ")"
+            )
+            w.w(f"_bkt = {bk_name}")
+            w.w("if _bkt:")
             w.ind()
-            w.w(f"for _inst in {sp}.values():")
+            w.w(f"_hit = _bkt.get({key}) if {presence} else None")
+            w.w("_scan = _bkt.get(None)")
+            w.w("if _hit:")
+            w.ind()
+            w.w("for _inst in _hit.values():")
+            w.ind()
+            body()
+            w.ded()
+            w.ded()
+            w.w("if _scan:")
+            w.ind()
+            w.w("for _inst in _scan.values():")
+            w.ind()
+            body()
+            w.ded()
+            w.ded()
+            w.ded()
+        else:
+            w.w(f"_scan = {bk_name}.get(None)")
+            w.w("if _scan:")
+            w.ind()
+            w.w("for _inst in _scan.values():")
             w.ind()
             body()
             w.ded()
@@ -454,8 +443,8 @@ class _ClassEmitter:
         candidate counting).  When the store has a cancel index for every
         pattern the candidates are the bucket hits — two patterns hitting
         at once are merged back into stage-population order, the order
-        the scan emits kills in — otherwise (a linear store, a pattern
-        with no ``field == $var`` guard) the stage population is scanned.
+        the scan emits kills in — otherwise (a pattern with no
+        ``field == $var`` guard) the stage population is scanned.
         The index dicts are bound as stable exec globals like the advance
         buckets in ``_emit_candidates``."""
         p = entry.pidx

@@ -7,26 +7,24 @@ which instances it advances — the instance-identification problem whose
 variants (exact / symmetric / wandering / multiple match) Table 1
 catalogues.
 
-Two store implementations share one interface:
+One store, :class:`InstanceStore`, answers it.  Per stage it builds an
+*index plan* from the stage's variable-referencing equality guards (plus
+the packet-uid linkage of ``same_packet_as``) and hashes waiting
+instances by their bound values for those variables, so an event yields
+candidates by direct lookup.  Stages with no indexable guards (e.g. an
+out-of-band link-down, which must advance *every* instance — multiple
+match) keep their whole population in one scan bucket.  The same
+treatment covers the cancel path: every ``unless`` pattern (Feature 4)
+with a ``field == $var`` guard gets its own hash index over the
+instances waiting at its stage (:func:`unless_index_plans`), so a
+cancelling event probes one bucket instead of walking the stage
+population; an ``unless`` with no such guard still scans.
 
-* :class:`IndexedInstanceStore` — builds, per stage, an *index plan* from
-  the stage's variable-referencing equality guards (plus the packet-uid
-  linkage of ``same_packet_as``), and hashes waiting instances by their
-  bound values for those variables.  An event yields candidates by direct
-  lookup.  Stages with no indexable guards (e.g. an out-of-band link-down,
-  which must advance *every* instance — multiple match) fall back to
-  scanning that stage's population.  The same treatment covers the
-  cancel path: every ``unless`` pattern (Feature 4) with a
-  ``field == $var`` guard gets its own hash index over the instances
-  waiting at its stage (:func:`unless_index_plans`), so a cancelling
-  event probes one bucket instead of walking the stage population; an
-  ``unless`` with no such guard still scans.
-
-* :class:`LinearInstanceStore` — always scans, advances and cancels
-  alike.  It exists as the ablation baseline for
-  ``benchmarks/bench_instance_index.py``, quantifying why instance
-  identification is a switch-design axis and not a lookup detail, and as
-  the oracle the differential suite holds the indexed store to.
+Only the generated program (:mod:`repro.core.codegen`) reads the
+indexes.  The reference walk (:mod:`repro.core.reference`) scans each
+stage's population and applies the index's rules by definition, so
+every compiled-versus-interpreted comparison holds the indexes against a
+scan.
 
 Order is part of the contract.  The scan visits a stage's population in
 stage-entry order (a refresh re-inserts, so this is not instance-id
@@ -41,10 +39,9 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .degradation import EVICT_LRU, EVICT_OLDEST, EVICT_REJECT
-from .refs import EventPattern
 from .spec import PropertySpec, Stage
 
 _instance_ids = itertools.count(1)
@@ -95,13 +92,13 @@ class Instance:
         self.advanced_at = created_at
         self.alive = True
         self.instance_id = next(_instance_ids)
-        # Store back-pointers: the per-stage population dict and (for the
-        # indexed store) the index bucket currently holding this instance.
+        # Store back-pointers: the per-stage population dict and the index
+        # bucket currently holding this instance.
         # They make removal O(1) instead of a walk over stages × buckets.
         self.stage_bucket: Optional[Dict[int, "Instance"]] = None
         self.index_bucket: Optional[Dict[int, "Instance"]] = None
         #: (unless index, key) per indexed ``unless`` pattern of the
-        #: current stage — where the indexed store filed this instance.
+        #: current stage — where the store filed this instance.
         self.unless_slots: Tuple[Tuple[Dict, Tuple], ...] = ()
         #: per-store stamp of the moment this instance (re-)entered its
         #: stage population; orders instances drawn from several buckets.
@@ -174,13 +171,13 @@ _EMPTY_STAGE: Dict[int, Instance] = {}
 
 
 class InstanceStore:
-    """Interface: tracks live instances of ONE property.
+    """Hash-indexed live instances of ONE property.
 
-    Beyond the key map, the base class maintains one dict per stage
-    holding exactly the live instances waiting there, so ``at_stage`` —
-    the linear store's candidate lookup, and the scan behind any
-    ``unless`` pattern with nothing to hash on — is O(stage population)
-    and allocates nothing per event.
+    Beside the key map it keeps one dict per stage holding exactly the
+    live instances waiting there, so ``at_stage`` — the scan behind any
+    stage or ``unless`` pattern with nothing to hash on, and the
+    reference walk's candidate source — is O(stage population) and
+    allocates nothing per event.
     """
 
     def __init__(self, prop: PropertySpec, capacity: Optional[int] = None) -> None:
@@ -200,132 +197,6 @@ class InstanceStore:
         self._stage_pop: Dict[int, Dict[int, Instance]] = {
             i: {} for i in range(1, prop.num_stages + 1)
         }
-
-    # -- shared key-based access ------------------------------------------
-    def by_key(self, key: Tuple) -> Optional[Instance]:
-        return self._by_key.get(key)
-
-    @property
-    def live_count(self) -> int:
-        """Live instances, maintained incrementally: the telemetry gauges
-        (and ``Monitor.live_instances``) read this O(1) counter instead of
-        scanning the population on every event."""
-        return self._live
-
-    def add(self, instance: Instance) -> None:
-        existing = self._by_key.get(instance.key)
-        if existing is not None and existing.alive:
-            raise ValueError(f"duplicate live instance for key {instance.key!r}")
-        self._by_key[instance.key] = instance
-        self._live += 1
-        bucket = self._stage_pop.setdefault(instance.stage, {})
-        bucket[instance.instance_id] = instance
-        instance.stage_bucket = bucket
-        self._index_add(instance)
-
-    def remove(self, instance: Instance) -> None:
-        if instance.alive:
-            self._live -= 1
-        instance.alive = False
-        if self._by_key.get(instance.key) is instance:
-            del self._by_key[instance.key]
-        bucket = instance.stage_bucket
-        if bucket is not None:
-            bucket.pop(instance.instance_id, None)
-            instance.stage_bucket = None
-        self._index_remove(instance)
-
-    def reindex(self, instance: Instance, old_stage: int) -> None:
-        """Called after an instance advances stages (or rebinds in place)."""
-        bucket = instance.stage_bucket
-        if bucket is not None:
-            bucket.pop(instance.instance_id, None)
-        bucket = self._stage_pop.setdefault(instance.stage, {})
-        bucket[instance.instance_id] = instance
-        instance.stage_bucket = bucket
-        self._index_move(instance, old_stage)
-
-    def touch(self, instance: Instance) -> None:
-        """Called after a refresh: the instance re-enters its own stage
-        (at the back), exactly as ``reindex`` leaves it."""
-        self.reindex(instance, instance.stage)
-
-    def candidates(
-        self, stage_idx: int, fields: Mapping[str, object]
-    ) -> Iterable[Instance]:
-        raise NotImplementedError
-
-    def unless_index(
-        self, stage_idx: int, pattern_idx: int
-    ) -> Optional[Dict[Tuple, Dict[int, Instance]]]:
-        """The cancel index of ``stages[stage_idx].unless[pattern_idx]``
-        (index_key -> waiting instances), or None when there is none:
-        that pattern is answered by scanning ``at_stage``."""
-        return None
-
-    def at_stage(self, stage_idx: int) -> Iterable[Instance]:
-        """Live instances waiting at a stage — a view, no allocation."""
-        return self._stage_pop.get(stage_idx, _EMPTY_STAGE).values()
-
-    # -- bounded-store support (static-Varanus style tables) ---------------
-    def at_capacity(self) -> bool:
-        return self.capacity is not None and self._live >= self.capacity
-
-    def choose_victim(self, policy: str) -> Optional[Instance]:
-        """The live instance an eviction policy would shed, or None.
-
-        ``reject-new`` never evicts (the *new* creation is refused);
-        ``evict-oldest`` sheds the earliest-created live instance;
-        ``evict-lru`` the least-recently-advanced/refreshed one.  Ties
-        break on instance id, keeping eviction order deterministic.
-        """
-        if policy == EVICT_REJECT:
-            return None
-        if policy not in (EVICT_OLDEST, EVICT_LRU):
-            raise ValueError(f"unknown eviction policy {policy!r}")
-        by_age = policy == EVICT_OLDEST
-        best: Optional[Instance] = None
-        best_rank: Optional[Tuple[float, int]] = None
-        for instance in self._by_key.values():
-            if not instance.alive:
-                continue
-            stamp = instance.created_at if by_age else instance.advanced_at
-            rank = (stamp, instance.instance_id)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = instance, rank
-        return best
-
-    def all(self) -> Iterable[Instance]:
-        return [i for i in self._by_key.values() if i.alive]
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    # -- hooks --------------------------------------------------------------
-    def _index_add(self, instance: Instance) -> None:
-        pass
-
-    def _index_remove(self, instance: Instance) -> None:
-        pass
-
-    def _index_move(self, instance: Instance, old_stage: int) -> None:
-        pass
-
-
-class LinearInstanceStore(InstanceStore):
-    """Ablation baseline: candidate lookup is a full scan of the stage."""
-
-    def candidates(
-        self, stage_idx: int, fields: Mapping[str, object]
-    ) -> Iterable[Instance]:
-        return self.at_stage(stage_idx)
-
-
-class IndexedInstanceStore(InstanceStore):
-    """Hash-indexed store keyed on each stage's index plan."""
-
-    def __init__(self, prop: PropertySpec, capacity: Optional[int] = None) -> None:
-        super().__init__(prop, capacity=capacity)
         self._plans: Dict[int, Tuple[Tuple[str, str], ...]] = {
             i: stage_index_plan(stage)
             for i, stage in enumerate(prop.stages)
@@ -367,15 +238,49 @@ class IndexedInstanceStore(InstanceStore):
             and all(key_vars.issuperset(env_vars)
                     for _, _, env_vars in self._unless.get(i, ())))
 
-    def unless_index(
-        self, stage_idx: int, pattern_idx: int
-    ) -> Optional[Dict[Tuple, Dict[int, Instance]]]:
-        """None when the pattern has no ``field == $var`` guard to hash
-        on."""
-        for j, index, _ in self._unless.get(stage_idx, ()):
-            if j == pattern_idx:
-                return index
-        return None
+    def by_key(self, key: Tuple) -> Optional[Instance]:
+        return self._by_key.get(key)
+
+    @property
+    def live_count(self) -> int:
+        """Live instances, maintained incrementally: the telemetry gauges
+        (and ``Monitor.live_instances``) read this O(1) counter instead of
+        scanning the population on every event."""
+        return self._live
+
+    def add(self, instance: Instance) -> None:
+        existing = self._by_key.get(instance.key)
+        if existing is not None and existing.alive:
+            raise ValueError(f"duplicate live instance for key {instance.key!r}")
+        self._by_key[instance.key] = instance
+        self._live += 1
+        bucket = self._stage_pop.setdefault(instance.stage, {})
+        bucket[instance.instance_id] = instance
+        instance.stage_bucket = bucket
+        self._index_add(instance)
+
+    def remove(self, instance: Instance) -> None:
+        if instance.alive:
+            self._live -= 1
+        instance.alive = False
+        if self._by_key.get(instance.key) is instance:
+            del self._by_key[instance.key]
+        bucket = instance.stage_bucket
+        if bucket is not None:
+            bucket.pop(instance.instance_id, None)
+            instance.stage_bucket = None
+        self._index_remove(instance)
+
+    def reindex(self, instance: Instance, old_stage: int) -> None:
+        """Called after an instance advances stages (or rebinds in place)."""
+        bucket = instance.stage_bucket
+        if bucket is not None:
+            bucket.pop(instance.instance_id, None)
+        bucket = self._stage_pop.setdefault(instance.stage, {})
+        bucket[instance.instance_id] = instance
+        instance.stage_bucket = bucket
+        self._index_remove(instance)
+        self._index_add(instance)
 
     def touch(self, instance: Instance) -> None:
         """After a refresh: move the instance to the back of its stage
@@ -398,6 +303,58 @@ class IndexedInstanceStore(InstanceStore):
                 bucket[iid] = instance
             instance.stage_entry = next(self._stage_entries)
 
+    def unless_index(
+        self, stage_idx: int, pattern_idx: int
+    ) -> Optional[Dict[Tuple, Dict[int, Instance]]]:
+        """The cancel index of ``stages[stage_idx].unless[pattern_idx]``
+        (index_key -> waiting instances), or None when the pattern has no
+        ``field == $var`` guard to hash on: it is answered by scanning
+        ``at_stage``."""
+        for j, index, _ in self._unless.get(stage_idx, ()):
+            if j == pattern_idx:
+                return index
+        return None
+
+    def at_stage(self, stage_idx: int) -> Iterable[Instance]:
+        """Live instances waiting at a stage, in stage-entry order — a
+        view, no allocation."""
+        return self._stage_pop.get(stage_idx, _EMPTY_STAGE).values()
+
+    # -- bounded-store support (static-Varanus style tables) ---------------
+    def at_capacity(self) -> bool:
+        return self.capacity is not None and self._live >= self.capacity
+
+    def choose_victim(self, policy: str) -> Optional[Instance]:
+        """The live instance an eviction policy would shed, or None.
+
+        ``reject-new`` never evicts (the *new* creation is refused);
+        ``evict-oldest`` sheds the earliest-created live instance;
+        ``evict-lru`` the least-recently-advanced/refreshed one.  Ties
+        break on instance id, keeping eviction order deterministic.
+        """
+        if policy == EVICT_REJECT:
+            return None
+        if policy not in (EVICT_OLDEST, EVICT_LRU):
+            raise ValueError(f"unknown eviction policy {policy!r}")
+        by_age = policy == EVICT_OLDEST
+        best: Optional[Instance] = None
+        best_rank: Optional[Tuple[float, int]] = None
+        for instance in self._by_key.values():
+            if not instance.alive:
+                continue
+            stamp = instance.created_at if by_age else instance.advanced_at
+            rank = (stamp, instance.instance_id)
+            if best_rank is None or rank < best_rank:
+                best, best_rank = instance, rank
+        return best
+
+    def all(self) -> Iterable[Instance]:
+        return [i for i in self._by_key.values() if i.alive]
+
+    def __len__(self) -> int:
+        return len(self._by_key)
+
+    # -- index maintenance ------------------------------------------------
     def _instance_index_key(self, instance: Instance) -> Optional[Tuple]:
         key_of = self._plan_keys.get(instance.stage)
         if key_of is None:
@@ -445,52 +402,9 @@ class IndexedInstanceStore(InstanceStore):
                     del index[key]
             instance.unless_slots = ()
 
-    def _index_move(self, instance: Instance, old_stage: int) -> None:
-        self._index_remove(instance)
-        self._index_add(instance)
-
-    def candidates(
-        self, stage_idx: int, fields: Mapping[str, object]
-    ) -> Iterable[Instance]:
-        """Candidates for a stage — dict views where one bucket suffices.
-
-        Buckets hold only live instances (removal always goes through the
-        back-pointer), so no alive filter — and usually no copy — is
-        needed; a list is built only when both an indexed hit and the
-        scan bucket contribute.
-        """
-        buckets = self._buckets.get(stage_idx)
-        if not buckets:
-            return ()
-        plan = self._plans[stage_idx]
-        hit = None
-        if plan:
-            try:
-                key = tuple(fields[field] for field, _ in plan)
-            except KeyError:
-                key = None  # event lacks an indexed field: equality can't hold
-            if key is not None:
-                hit = buckets.get(key)
-        # The scan bucket holds instances whose stage is unindexable; for an
-        # empty plan this is the whole stage population (multiple match).
-        scan = buckets.get(None)
-        if scan is None:
-            return hit.values() if hit is not None else ()
-        if hit is None:
-            return scan.values()
-        out: List[Instance] = list(hit.values())
-        out.extend(scan.values())
-        return out
-
 
 def make_store(
-    prop: PropertySpec,
-    strategy: str = "indexed",
-    capacity: Optional[int] = None,
+    prop: PropertySpec, capacity: Optional[int] = None
 ) -> InstanceStore:
-    """Factory: ``"indexed"`` (default) or ``"linear"`` (ablation)."""
-    if strategy == "indexed":
-        return IndexedInstanceStore(prop, capacity=capacity)
-    if strategy == "linear":
-        return LinearInstanceStore(prop, capacity=capacity)
-    raise ValueError(f"unknown instance store strategy {strategy!r}")
+    """The instance store for one property."""
+    return InstanceStore(prop, capacity=capacity)

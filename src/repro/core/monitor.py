@@ -201,19 +201,18 @@ class Monitor:
     """Cross-packet property monitor over a dataplane event stream.
 
     One production evaluator: the program :mod:`repro.core.codegen`
-    generates from the properties' dispatch plans.  The two ``*_strategy``
-    parameters exist for tests and ablation benchmarks only —
-    ``match_strategy="interpreted"`` swaps in the reference walk
-    (:mod:`repro.core.reference`) and ``store_strategy="linear"`` the
-    unindexed instance store; both are Python-only oracles with no CLI
-    selector.
+    generates from the properties' dispatch plans, probing each
+    property's hash-indexed :class:`~repro.core.instances.InstanceStore`.
+    ``match_strategy="interpreted"`` exists for tests and benchmarks only:
+    it swaps in the reference walk (:mod:`repro.core.reference`), which
+    scans the stage populations instead of probing the indexes — a
+    Python-only oracle with no CLI selector.
     """
 
     def __init__(
         self,
         scheduler: Optional[EventScheduler] = None,
         provenance: ProvenanceLevel = ProvenanceLevel.LIMITED,
-        store_strategy: str = "indexed",
         match_strategy: str = "compiled",
         mode: ProcessingMode = ProcessingMode.INLINE,
         split_lag: float = DEFAULT_SPLIT_LAG,
@@ -232,7 +231,6 @@ class Monitor:
                 f"(expected one of {MATCH_STRATEGIES})")
         self.scheduler = scheduler
         self.provenance = provenance
-        self.store_strategy = store_strategy
         self.match_strategy = match_strategy
         self.mode = mode
         self.split_lag = split_lag
@@ -309,8 +307,7 @@ class Monitor:
             self.degradation.max_instances
             if self.degradation is not None else None
         )
-        self._stores[prop.name] = make_store(
-            prop, self.store_strategy, capacity=capacity)
+        self._stores[prop.name] = make_store(prop, capacity=capacity)
         self._timer_rows[prop.name] = tuple(
             ("advance", stage.within) if isinstance(stage, Absent)
             else ("expire", stage.within) if stage.within is not None

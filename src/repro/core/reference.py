@@ -2,10 +2,14 @@
 
 A direct transcription of the matching semantics in DESIGN.md: for every
 event, walk every property and every stage and evaluate the guard trees
-through ``EventPattern.matches``.  No dispatch plans, no generated source.
-It is never the production path; it exists so the generated program
-(:mod:`repro.core.codegen`) has something independent to be held equal
-to — ``tests/property/test_match_strategy_differential.py`` requires
+through ``EventPattern.matches``.  No dispatch plans, no generated source,
+and no instance index: each stage's candidates come from scanning its
+population (``InstanceStore.at_stage``) in stage-entry order, keeping the
+instances an index probe would yield by the index's own rules
+(:func:`_probe_hits`).  It is never the production path; it exists so
+the generated program (:mod:`repro.core.codegen`) and the store's hash
+indexes have something independent to be held equal to —
+``tests/property/test_match_strategy_differential.py`` requires
 identical violations, counters and ledgers from the two — and
 ``benchmarks/e2e`` pins its expected violation counts against it.
 
@@ -17,10 +21,10 @@ shared by both strategies.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Set
+from typing import Dict, List, Mapping, Set, Tuple
 
 from ..switch.events import DataplaneEvent
-from .instances import Instance, uid_var
+from .instances import Instance, stage_index_plan, uid_var
 from .monitor import Monitor, _Op
 from .refs import EventPattern, kind_matches
 from .spec import Absent, refresh_applies
@@ -54,8 +58,10 @@ def evaluate_interpreted(
             if isinstance(stage, Absent) and kind_matches(
                 stage.pattern.kind, event
             ):
-                for inst in store.candidates(stage_idx, fields):
-                    if inst.stage != stage_idx or inst.instance_id in doomed:
+                plan = stage_index_plan(stage)
+                for inst in store.at_stage(stage_idx):
+                    if inst.instance_id in doomed or not _probe_hits(
+                            plan, fields, inst.env):
                         continue
                     monitor._c_candidates.inc()
                     if _pattern_matches(stage.pattern, event, fields, inst):
@@ -70,8 +76,10 @@ def evaluate_interpreted(
                 continue
             if not kind_matches(stage.pattern.kind, event):
                 continue
-            for inst in store.candidates(stage_idx, fields):
-                if inst.stage != stage_idx or inst.instance_id in doomed:
+            plan = stage_index_plan(stage)
+            for inst in store.at_stage(stage_idx):
+                if inst.instance_id in doomed or not _probe_hits(
+                        plan, fields, inst.env):
                     continue
                 monitor._c_candidates.inc()
                 if not _pattern_matches(stage.pattern, event, fields, inst):
@@ -124,3 +132,19 @@ def _pattern_matches(
         if expected is None or fields.get("uid") != expected:
             return False
     return pattern.matches(event, fields, instance.env)
+
+
+def _probe_hits(
+    plan: Tuple[Tuple[str, str], ...],
+    fields: Mapping[str, object],
+    env: Dict[str, object],
+) -> bool:
+    """Whether an index probe for an event would yield an instance
+    waiting at a stage with this index plan: always when the plan is
+    empty or leaves one of its variables unbound (the scan bucket),
+    otherwise when the event has every plan field and each equals the
+    instance's binding (its key bucket)."""
+    if not all(var in env for _, var in plan):
+        return True
+    return all(
+        field in fields and fields[field] == env[var] for field, var in plan)

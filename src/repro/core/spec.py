@@ -193,12 +193,6 @@ class PropertySpec:
                 return i
         raise KeyError(name)
 
-    def bound_vars(self) -> Tuple[str, ...]:
-        out = []
-        for stage in self.stages:
-            out.extend(b.var for b in stage.pattern.binds)
-        return tuple(out)
-
     def var_origin(self) -> Dict[str, str]:
         """Map each variable to the field it was bound from (first binding).
 

@@ -21,7 +21,7 @@ O(live instances).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..core.compile import dispatch_summary, scan_watchers
 from ..core.spec import PropertySpec
@@ -44,9 +44,6 @@ class DispatchReport:
     @property
     def hot_scans(self) -> Tuple[Tuple[str, str, str], ...]:
         return tuple(s for s in self.scans if s[0] in HOT_KINDS)
-
-    def watchers_by_kind(self) -> Dict[str, int]:
-        return dict(self.watchers)
 
 
 def analyze_dispatch(spec: PropertySpec) -> DispatchReport:

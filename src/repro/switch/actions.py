@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .match import MatchSpec
-
 
 @dataclass(frozen=True)
 class Action:
@@ -148,17 +146,6 @@ class Learn(Action):
     #: own table_id is ignored) — how Varanus lands a timer rule and its
     #: discharge watcher in one freshly-unrolled instance table together.
     extra: Tuple["Learn", ...] = ()
-
-    def build_match(self, fields: Mapping[str, object]) -> MatchSpec:
-        """Instantiate the match template against the triggering packet."""
-        spec = MatchSpec()
-        for name, template in self.match:
-            value = resolve_value(template, fields)
-            if name in self.negate:
-                spec = spec.neq(name, value)
-            else:
-                spec = spec.eq(name, value)
-        return spec
 
     def build_actions(self, fields: Mapping[str, object]) -> Tuple[Action, ...]:
         """Resolve FieldRefs inside the installed rule's actions."""

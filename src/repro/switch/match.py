@@ -106,9 +106,6 @@ class MatchSpec:
     def has_negation(self) -> bool:
         return any(p.negate for p in self._predicates)
 
-    def field_names(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in self._predicates)
-
     def matches_fields(self, fields: Mapping[str, object]) -> bool:
         """Evaluate against a flat field map (packet fields + metadata)."""
         if self.in_port is not None and fields.get("in_port") != self.in_port:

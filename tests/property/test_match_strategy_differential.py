@@ -4,10 +4,12 @@ The monitor's production evaluator is the program ``repro.core.codegen``
 emits per (property, event class) and exec's once.  It must be
 *observationally invisible*: on any event stream it must produce the
 violations and counters of the reference evaluator
-(``repro.core.reference``, ``match_strategy="interpreted"``) under either
-instance-store strategy, alone or behind the sharded fabric, and under
-every monitor configuration that changes what evaluation sees
-(parse depth, split mode, provenance, key ownership, bounded stores).
+(``repro.core.reference``, ``match_strategy="interpreted"``), alone or
+behind the sharded fabric, and under every monitor configuration that
+changes what evaluation sees (parse depth, split mode, provenance, key
+ownership, bounded stores).  The generated program probes the instance
+store's hash indexes; the reference walk scans each stage's population,
+so every comparison here also holds the indexes to a scan.
 For the cancel path the bar is higher than counters: the *sequence* of
 applied ops must be the reference scan's, because op order feeds the
 seeded per-op control-channel faults in SPLIT mode.
@@ -19,8 +21,6 @@ events, constant guards (the emitter folds these), and a
 refresh-on-prior timer, so every branch of the emitter is exercised
 against the reference.
 """
-
-import itertools
 
 import pytest
 from hypothesis import example, given, settings
@@ -62,7 +62,6 @@ from tests.applied_ops import record_applied
 
 addr = st.integers(min_value=1, max_value=4)
 
-STORE_STRATEGIES = ("indexed", "linear")
 MATCH_STRATEGIES = ("compiled", "interpreted")
 
 STAT_FIELDS = (
@@ -258,9 +257,8 @@ def fingerprint(violation):
                 (k, str(val)) for k, val in violation.bindings.items())))
 
 
-def run_config(events, store_strategy, match_strategy):
-    monitor = Monitor(store_strategy=store_strategy,
-                      match_strategy=match_strategy)
+def run_config(events, match_strategy):
+    monitor = Monitor(match_strategy=match_strategy)
     for prop in probe_catalog():
         monitor.add_property(prop)
     for event in events:
@@ -314,7 +312,7 @@ def cancel_prop():
     An arrival x->y creates or refreshes (x, y) — a refresh re-inserts,
     so stage-population order drifts away from instance-id order — and
     cancels waiting instances with D == x (first pattern) and with
-    S == y (second): two buckets of the indexed store hit at once, their
+    S == y (second): two cancel-index buckets hit at once, their
     members interleaved in the stage population.  The in_port guards
     keep some of each bucket alive, and the third stage carries the
     instances (and their index entries) one stage further.
@@ -395,13 +393,11 @@ def keyed_refresh_props():
     ]
 
 
-def applied_ops(events, store_strategy, match_strategy, props=None,
-                **monitor_kwargs):
+def applied_ops(events, match_strategy, props=None, **monitor_kwargs):
     """The ops a monitor over ``props`` (default :func:`cancel_prop`)
     applied, in order (recorded at the op leaves, see
     :mod:`tests.applied_ops`)."""
-    monitor = Monitor(store_strategy=store_strategy,
-                      match_strategy=match_strategy, **monitor_kwargs)
+    monitor = Monitor(match_strategy=match_strategy, **monitor_kwargs)
     for prop in props if props is not None else [cancel_prop()]:
         monitor.add_property(prop)
     applied = record_applied(monitor)
@@ -485,35 +481,45 @@ class TestMatchStrategyEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(event_streams())
     def test_all_configs_agree(self, events):
-        """Violations (name, time, message, bindings) are identical across
-        {compiled, interpreted} x {indexed, linear}; the full counter set
-        is identical across match strategies within each store (different
-        stores may legitimately examine different candidate counts)."""
-        results = {
-            (store, match): run_config(events, store, match)
-            for store, match in itertools.product(
-                STORE_STRATEGIES, MATCH_STRATEGIES)
-        }
-        violation_sets = [v for v, _ in results.values()]
-        for other in violation_sets[1:]:
-            assert other == violation_sets[0]
-        for store in STORE_STRATEGIES:
-            assert (results[(store, "compiled")][1]
-                    == results[(store, "interpreted")][1]), store
+        """Violations (name, time, message, bindings) and the full counter
+        set are identical across match strategies.  That includes
+        ``candidates_examined``: dispatch planning skips whole (property,
+        stage) pairs and the generated program batches its increments
+        (one add per event), yet it must examine exactly the instances
+        the reference scan offers after its own kind/stage filters."""
+        compiled, interpreted = (
+            run_config(events, match) for match in MATCH_STRATEGIES)
+        assert compiled == interpreted
 
-    @settings(max_examples=30, deadline=None)
-    @given(event_streams())
-    def test_candidate_counts_match_within_store(self, events):
-        """Dispatch planning skips whole (property, stage) pairs, but the
-        candidates it *does* examine must be the same set the interpreted
-        walk reaches after its own kind/stage filters.  The generated
-        program batches its counter increments (one add per event), which
-        must still land on the same totals."""
-        for store in STORE_STRATEGIES:
-            _, interp_stats = run_config(events, store, "interpreted")
-            _, fast_stats = run_config(events, store, "compiled")
-            assert (fast_stats["candidates_examined"]
-                    == interp_stats["candidates_examined"]), store
+    def test_reference_scans_instead_of_reading_the_index(self):
+        """The oracle is independent of the index: with one waiting
+        instance taken out of its key bucket but left in its stage
+        population, the generated program (a bucket probe) misses the
+        advance and the reference walk (a scan) still makes it."""
+        echo = PropertySpec(
+            name="echo", description="",
+            stages=(
+                Observe("a", EventPattern(kind=EventKind.ARRIVAL,
+                                          binds=(Bind("S", "eth.src"),))),
+                Observe("b", EventPattern(
+                    kind=EventKind.ARRIVAL,
+                    guards=(FieldEq("eth.dst", Var("S")),))),
+            ),
+            key_vars=("S",),
+        )
+
+        def run(match_strategy):
+            monitor = Monitor(match_strategy=match_strategy)
+            monitor.add_property(echo)
+            monitor.observe(_arrival(1, 2, 0.1))
+            (waiting,) = monitor.store("echo").at_stage(1)
+            del waiting.index_bucket[waiting.instance_id]
+            monitor.observe(_arrival(2, 1, 0.2))
+            return (len(monitor.violations),
+                    monitor.stats.candidates_examined)
+
+        assert run("compiled") == (0, 0)
+        assert run("interpreted") == (1, 1)
 
     @settings(max_examples=15, deadline=None)
     @given(event_streams())
@@ -524,7 +530,7 @@ class TestMatchStrategyEquivalence:
         interleave same-timestamp violations differently)."""
         from tests.partition import Partitioned
 
-        reference, _ = run_config(events, "indexed", "interpreted")
+        reference, _ = run_config(events, "interpreted")
 
         sharded = Partitioned(probe_catalog(), num_shards=2)
         sharded.observe_batch(events)
@@ -548,10 +554,10 @@ class TestMatchStrategyEquivalence:
     @example(events=REORDERED_DOUBLE_HIT, fault_seed=0)
     def test_cancel_order_is_the_scan_order(self, events, fault_seed):
         """The indexed cancel path applies the ops of the reference scan
-        (``interpreted``, and ``compiled`` over the linear store) in the
-        same order — kind, property, instance key, reason — inline, and
-        in SPLIT mode behind a seeded lossy control channel, where a
-        different order would hand the seeded drops to different ops."""
+        in the same order — kind, property, instance key, reason —
+        inline, and in SPLIT mode behind a seeded lossy control channel,
+        where a different order would hand the seeded drops to different
+        ops."""
         profile = ControlFaultProfile(
             drop=0.3, extra_lag=0.01, jitter=0.05, seed=fault_seed)
         modes = {
@@ -562,15 +568,13 @@ class TestMatchStrategyEquivalence:
         }
         if events is REORDERED_DOUBLE_HIT:
             kills = [key for kind, _, key, _ in applied_ops(
-                events, "indexed", "compiled")[0] if kind == "kill"]
+                events, "compiled")[0] if kind == "kill"]
             assert [tuple(map(int, key)) for key in kills] == [(3, 4), (1, 2)]
         for mode, kwargs in modes.items():
-            indexed = applied_ops(events, "indexed", "compiled", **kwargs())
-            for store, match in (("indexed", "interpreted"),
-                                 ("linear", "compiled"),
-                                 ("linear", "interpreted")):
-                assert indexed == applied_ops(
-                    events, store, match, **kwargs()), (mode, store, match)
+            compiled, interpreted = (
+                applied_ops(events, match, **kwargs())
+                for match in MATCH_STRATEGIES)
+            assert compiled == interpreted, mode
 
     @settings(max_examples=30, deadline=None)
     @given(event_streams(max_events=40), st.integers(0, 3))
@@ -592,7 +596,7 @@ class TestMatchStrategyEquivalence:
         }
         for mode, kwargs in modes.items():
             compiled, interpreted = (
-                applied_ops(events, "indexed", match, keyed_refresh_props(),
+                applied_ops(events, match, keyed_refresh_props(),
                             key_filter=HALF_THE_KEYS, **kwargs())
                 for match in MATCH_STRATEGIES)
             assert compiled == interpreted, mode

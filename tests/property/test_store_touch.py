@@ -1,4 +1,4 @@
-"""``IndexedInstanceStore.touch`` is ``reindex`` without the re-keying.
+"""``InstanceStore.touch`` is ``reindex`` without the re-keying.
 
 Twin stores over one property take the same random add / advance /
 refresh / remove sequence; a refresh is ``touch`` on one twin and
@@ -26,7 +26,7 @@ from repro.core import (
     PropertySpec,
     Var,
 )
-from repro.core.instances import IndexedInstanceStore, Instance, uid_var
+from repro.core.instances import Instance, InstanceStore, uid_var
 from test_match_strategy_differential import cancel_prop
 
 
@@ -138,7 +138,7 @@ def layout(store):
 @example(script=[("add", 0, 0), ("add", 3, 0), ("refresh", 0, 1)])
 def test_touch_orders_like_reindex(name, script):
     prop = PROPS[name]()
-    touched, reindexed = IndexedInstanceStore(prop), IndexedInstanceStore(prop)
+    touched, reindexed = InstanceStore(prop), InstanceStore(prop)
     twins = {}  # key -> (instance in touched, instance in reindexed)
     uids = iter(range(10**6))
     for op, pick, value in script:
@@ -183,7 +183,7 @@ def test_touch_orders_like_reindex(name, script):
 
 
 def test_fast_path_only_where_no_index_reads_a_non_key_variable():
-    assert IndexedInstanceStore(flow_prop(0))._touch_in_place == {1}
-    assert IndexedInstanceStore(cancel_prop())._touch_in_place == {1, 2}
-    assert IndexedInstanceStore(samepacket_prop())._touch_in_place == set()
-    assert IndexedInstanceStore(loose_unless_prop())._touch_in_place == set()
+    assert InstanceStore(flow_prop(0))._touch_in_place == {1}
+    assert InstanceStore(cancel_prop())._touch_in_place == {1, 2}
+    assert InstanceStore(samepacket_prop())._touch_in_place == set()
+    assert InstanceStore(loose_unless_prop())._touch_in_place == set()

@@ -184,9 +184,9 @@ class TestCompiledPattern:
             ),
             key_vars=("S",),
         )
-        # the linear store offers every waiting instance as a candidate,
-        # so the emitted uid comparison alone decides
-        monitor = Monitor(store_strategy="linear", mode=ProcessingMode.SPLIT)
+        # the uid-less instance sits in the scan bucket, offered to every
+        # event, so the emitted uid comparison decides for it
+        monitor = Monitor(mode=ProcessingMode.SPLIT)
         monitor.add_property(prop)
         store = monitor.store("p")
         store.add(Instance(prop, ("k",), {"S": "k", uid_var("a"): 42}, 0.0))
@@ -362,7 +362,7 @@ class TestMonitorDispatch:
 # Store buckets and back-pointers
 # ---------------------------------------------------------------------------
 class TestStoreBackpointers:
-    def make(self, strategy):
+    def make(self):
         prop = PropertySpec(
             name="p", description="",
             stages=(
@@ -377,13 +377,12 @@ class TestStoreBackpointers:
             ),
             key_vars=("S",),
         )
-        store = make_store(prop, strategy)
+        store = make_store(prop)
         inst = Instance(prop, ("m",), {"S": "m"}, 0.0)
         return store, inst
 
-    @pytest.mark.parametrize("strategy", ["indexed", "linear"])
-    def test_add_remove_maintains_buckets(self, strategy):
-        store, inst = self.make(strategy)
+    def test_add_remove_maintains_buckets(self):
+        store, inst = self.make()
         store.add(inst)
         assert inst.stage_bucket is not None
         assert list(store.at_stage(1)) == [inst]
@@ -393,24 +392,24 @@ class TestStoreBackpointers:
         assert list(store.at_stage(1)) == []
         assert store.live_count == 0
 
-    @pytest.mark.parametrize("strategy", ["indexed", "linear"])
-    def test_reindex_moves_between_stage_buckets(self, strategy):
-        store, inst = self.make(strategy)
+    def test_reindex_moves_between_stage_buckets(self):
+        store, inst = self.make()
         store.add(inst)
         inst.stage = 2
         store.reindex(inst, old_stage=1)
         assert list(store.at_stage(1)) == []
         assert list(store.at_stage(2)) == [inst]
-        assert list(store.candidates(2, {"eth.dst": "m"})) == [inst]
+        assert store._buckets[1] == {("m",): {}}
+        assert store._buckets[2] == {("m",): {inst.instance_id: inst}}
+        assert inst.index_bucket is store._buckets[2][("m",)]
 
     def test_indexed_candidates_probe_not_scan(self):
-        store, inst = self.make("indexed")
+        store, inst = self.make()
         store.add(inst)
-        assert inst.index_bucket is not None
-        assert list(store.candidates(1, {"eth.src": "m"})) == [inst]
-        assert list(store.candidates(1, {"eth.src": "other"})) == []
-        # a field-less event can never satisfy the indexed equality
-        assert list(store.candidates(1, {})) == []
+        assert inst.index_bucket is store._buckets[1][("m",)]
+        # filed under its binding, not in the scan bucket
+        assert None not in store._buckets[1]
+        assert list(store._buckets[1][("m",)].values()) == [inst]
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,8 @@ from repro.core import (
 )
 from repro.core.degradation import EVICTION_POLICIES, DegradationPolicy
 from repro.core.instances import (
-    IndexedInstanceStore,
     Instance,
-    LinearInstanceStore,
+    InstanceStore,
     make_store,
     unless_index_plans,
 )
@@ -51,6 +50,11 @@ def simple_prop():
         ),
         key_vars=("S",),
     )
+
+
+def arrival(src, dst, t):
+    return PacketArrival(switch_id="s", time=t, in_port=1,
+                         packet=ethernet(src, dst))
 
 
 class TestInstanceStores:
@@ -81,39 +85,53 @@ class TestInstanceStores:
         store.add(second)
         assert store.by_key(("k",)) is second
 
+    @staticmethod
+    def _examined(prop, events):
+        """``candidates_examined`` after ``events``, equal under both match
+        strategies: the generated program probes the index, the reference
+        walk scans."""
+        counts = set()
+        for match_strategy in ("compiled", "interpreted"):
+            monitor = Monitor(match_strategy=match_strategy)
+            monitor.add_property(prop)
+            monitor.observe_batch(events)
+            counts.add(monitor.stats.candidates_examined)
+        (count,) = counts
+        return count
+
     def test_indexed_candidates_hit(self):
         prop = simple_prop()
-        store = IndexedInstanceStore(prop)
+        store = InstanceStore(prop)
         inst = self._instance(prop, env={"S": "mac1"})
         store.add(inst)
-        hits = list(store.candidates(1, {"eth.dst": "mac1"}))
-        assert hits == [inst]
+        assert store._buckets[1] == {("mac1",): {inst.instance_id: inst}}
+        assert self._examined(prop, [arrival(1, 2, 0.1),
+                                     arrival(3, 1, 0.2)]) == 1
 
     def test_indexed_candidates_miss(self):
         prop = simple_prop()
-        store = IndexedInstanceStore(prop)
+        store = InstanceStore(prop)
         store.add(self._instance(prop, env={"S": "mac1"}))
-        assert list(store.candidates(1, {"eth.dst": "other"})) == []
+        assert ("other",) not in store._buckets[1]
+        assert self._examined(prop, [arrival(1, 2, 0.1),
+                                     arrival(3, 4, 0.2)]) == 0
 
     def test_indexed_candidates_event_missing_field(self):
-        prop = simple_prop()
-        store = IndexedInstanceStore(prop)
-        store.add(self._instance(prop, env={"S": "mac1"}))
-        assert list(store.candidates(1, {})) == []
-
-    def test_linear_candidates_scan_everything(self):
-        prop = simple_prop()
-        store = LinearInstanceStore(prop)
-        store.add(self._instance(prop, key=("a",), env={"S": "a"}))
-        store.add(self._instance(prop, key=("b",), env={"S": "b"}))
-        assert len(list(store.candidates(1, {"eth.dst": "a"}))) == 2
-
-    def test_make_store_strategies(self):
-        prop = simple_prop()
-        assert isinstance(make_store(prop, "indexed"), IndexedInstanceStore)
-        assert isinstance(make_store(prop, "linear"), LinearInstanceStore)
-        with pytest.raises(ValueError):
-            make_store(prop, "quantum")
+        # stage b hashes on ipv4.dst, which a plain ethernet frame lacks:
+        # the equality cannot hold, so nothing is examined
+        prop = PropertySpec(
+            name="ip", description="",
+            stages=(
+                Observe("a", EventPattern(kind=EventKind.ARRIVAL,
+                                          binds=(Bind("S", "eth.src"),))),
+                Observe("b", EventPattern(
+                    kind=EventKind.ARRIVAL,
+                    guards=(FieldEq("ipv4.dst", Var("S")),))),
+            ),
+            key_vars=("S",),
+        )
+        assert self._examined(prop, [arrival(1, 2, 0.1),
+                                     arrival(3, 1, 0.2)]) == 0
 
     def test_stage_index_plan_from_env_guards(self):
         prop = simple_prop()
@@ -130,12 +148,14 @@ class TestInstanceStores:
 
     def test_reindex_moves_instance(self):
         prop = simple_prop()
-        store = IndexedInstanceStore(prop)
+        store = InstanceStore(prop)
         inst = self._instance(prop, env={"S": "m"})
         store.add(inst)
         inst.stage = 2  # completes; no longer waits anywhere
         store.reindex(inst, old_stage=1)
-        assert list(store.candidates(1, {"eth.dst": "m"})) == []
+        assert store._buckets[1] == {("m",): {}}
+        assert inst.index_bucket is None
+        assert list(store.at_stage(1)) == []
 
 
 def cancel_prop():
@@ -206,13 +226,13 @@ class TestUnlessIndex:
         assert unless_index_plans(prop.stages[0]) == ()
         assert unless_index_plans(prop.stages[1]) == (
             (0, (("eth.src", "D"),)), (1, (("eth.dst", "S"),)))
-        store = IndexedInstanceStore(prop)
+        store = InstanceStore(prop)
         assert store.unless_index(1, 2) is None  # constant guards only
         assert store.unless_index(2, 0) == {}
 
     def test_add_and_remove(self):
         prop = cancel_prop()
-        store = IndexedInstanceStore(prop)
+        store = InstanceStore(prop)
         one, two = self._instance(prop, "s", "d"), self._instance(prop, "t", "d")
         store.add(one)
         store.add(two)
@@ -233,7 +253,7 @@ class TestUnlessIndex:
 
     def test_refresh_rebinds_and_moves_to_the_back(self):
         prop = cancel_prop()
-        store = IndexedInstanceStore(prop)
+        store = InstanceStore(prop)
         one, two = self._instance(prop, "s", "d"), self._instance(prop, "t", "d")
         store.add(one)
         store.add(two)
@@ -250,7 +270,7 @@ class TestUnlessIndex:
 
     def test_advance_moves_to_the_next_stage_index(self):
         prop = cancel_prop()
-        store = IndexedInstanceStore(prop)
+        store = InstanceStore(prop)
         inst = self._instance(prop, "s", "d")
         store.add(inst)
         inst.stage = 2
@@ -261,22 +281,10 @@ class TestUnlessIndex:
         store.reindex(inst, old_stage=2)
         assert unless_contents(store) == {(1, 0): {}, (1, 1): {}, (2, 0): {}}
 
-    def test_linear_store_keeps_no_index(self):
-        prop = cancel_prop()
-        store = LinearInstanceStore(prop)
-        inst = self._instance(prop, "s", "d")
-        store.add(inst)
-        assert inst.unless_slots == ()
-        assert store.unless_index(1, 0) is None
-
     @staticmethod
     def _events():
         """Creates, refreshes, cancels by each pattern, an advance, and a
         violation."""
-        def arrival(src, dst, t):
-            return PacketArrival(switch_id="s", time=t, in_port=1,
-                                 packet=ethernet(src, dst))
-
         def egress(src, dst, t):
             return PacketEgress(
                 switch_id="s", time=t, packet=ethernet(src, dst), out_port=2,
