@@ -88,15 +88,6 @@ class LearningSwitchApp:
     def learned_port(self, mac: MACAddress) -> Optional[int]:
         return self.table.get(mac)
 
-    def table_size(self) -> int:
-        """Entries currently learned.
-
-        Deliberately not ``__len__``: an app object must never be falsy
-        (an empty-table switch is still a switch), or ``app or default``
-        idioms silently swap it out.
-        """
-        return len(self.table)
-
 
 def install_dataplane_learning(
     switch: Switch, idle_timeout: Optional[float] = None

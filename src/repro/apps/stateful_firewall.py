@@ -134,11 +134,3 @@ class StatefulFirewallApp:
     def _is_close(packet: Packet) -> bool:
         tcp = packet.find(TCP)
         return tcp is not None and (tcp.is_fin or tcp.is_rst)
-
-    # -- introspection ----------------------------------------------------------------
-    def live_pinholes(self, now: float) -> int:
-        return sum(
-            1
-            for hole in self.pinholes.values()
-            if not hole.closed and not self._expired(hole, now)
-        )

@@ -46,11 +46,36 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from .core import Monitor, analyze
-from .lang import compile_source
+from .core.spec import SpecError
+from .lang import CompileError, LexError, ParseError, compile_source
+from .netsim.serialize import TraceFormatError
 from .telemetry import TRACE_SAMPLE_EVERY
+
+#: What an unreadable input raises: a file that cannot be opened, a trace
+#: that is not JSON lines, a property source that does not compile.
+#: ``main`` reports one as a single ``error:`` line and exit status 1.
+_BAD_INPUT = (OSError, TraceFormatError, LexError, ParseError, CompileError,
+              SpecError)
+
+
+class UsageError(Exception):
+    """A flag value the command refuses: ``main`` exits 2."""
+
+
+@contextmanager
+def _flag_values() -> Iterator[None]:
+    """Around the code that turns flags into objects: the ``ValueError``
+    their checks raise is a flag value out of range, a usage error."""
+    try:
+        yield
+    except _BAD_INPUT:
+        raise
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _predicates():
@@ -237,8 +262,9 @@ def cmd_record(args: argparse.Namespace) -> int:
     from .netsim.workload import l2_pairs, send_all
     from .switch.pipeline import MissPolicy
 
-    net, switch, hosts = single_switch_network(
-        args.hosts, switch_kwargs={"miss_policy": MissPolicy.CONTROLLER})
+    with _flag_values():
+        net, switch, hosts = single_switch_network(
+            args.hosts, switch_kwargs={"miss_policy": MissPolicy.CONTROLLER})
     faults = sometimes("wrong_port", args.fault_rate, seed=args.seed)
     switch.set_app(LearningSwitchApp(faults=faults))
     recorder = TraceRecorder()
@@ -378,19 +404,21 @@ def cmd_stats(args: argparse.Namespace) -> int:
         with open(path, "r", encoding="utf-8") as fp:
             props.extend(compile_source(fp.read(), _predicates()))
     header, events = read_trace_with_header(args.trace)
-    _echo_provenance(header, args.trace, sys.stderr)
 
     registry = MetricsRegistry()
+    poller = None
+    if args.poll_interval:
+        start = events[0].time if events else 0.0
+        with _flag_values():
+            poller = StatsPoller(registry, args.poll_interval,
+                                 start_time=start)
+    _echo_provenance(header, args.trace, sys.stderr)
+
     tracer = Tracer() if args.trace_out else None
     monitor = Monitor(registry=registry, tracer=tracer)
     registry.time_fn = lambda: monitor.now
     for prop in props:
         monitor.add_property(prop)
-
-    poller = None
-    if args.poll_interval:
-        start = events[0].time if events else 0.0
-        poller = StatsPoller(registry, args.poll_interval, start_time=start)
 
     if poller is None:
         monitor.observe_batch(events)
@@ -456,12 +484,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if not profile.worker_crash.is_null \
             and _lacks_fork("the worker-crash profile"):
         return 2
+    with _flag_values():
+        supervision = replace(
+            rounds.SOAK_SUPERVISION, restart_budget=args.restart_budget,
+            checkpoint_interval=args.checkpoint_interval)
     reports = rounds.run_rounds(
         profile, args.seed, args.rounds, num_events=args.events,
         settle=args.settle, num_shards=args.shards or 2,
-        supervision=replace(
-            rounds.SOAK_SUPERVISION, restart_budget=args.restart_budget,
-            checkpoint_interval=args.checkpoint_interval))
+        supervision=supervision)
     failed = [report for report in reports if report.failed]
     for index, report in enumerate(reports):
         if args.rounds > 1:
@@ -493,7 +523,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .serve import ServeConfig, ServeDaemon, render_serve_report
 
-    try:
+    with _flag_values():
         config = ServeConfig(
             host=args.host,
             port=args.port,
@@ -507,9 +537,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             restart_budget=args.restart_budget,
             checkpoint_interval=args.checkpoint_interval,
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if config.shards > 0 and _lacks_fork("serve --shards"):
         return 2
     daemon = ServeDaemon(config)
@@ -534,10 +561,11 @@ def cmd_send(args: argparse.Namespace) -> int:
     from .serve import stream_trace
 
     try:
-        result = stream_trace(args.trace, args.host, args.port,
-                              rate=args.rate, repeat=args.repeat,
-                              retry=args.retry, backoff=args.backoff,
-                              format=args.format)
+        with _flag_values():
+            result = stream_trace(args.trace, args.host, args.port,
+                                  rate=args.rate, repeat=args.repeat,
+                                  retry=args.retry, backoff=args.backoff,
+                                  format=args.format)
     except ConnectionRefusedError:
         print(f"error: nothing listening on {args.host}:{args.port} "
               "(is `repro serve` running?"
@@ -782,6 +810,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         except BrokenPipeError:
             pass
         os._exit(0)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except _BAD_INPUT as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -97,7 +97,6 @@ class ShardedMonitor:
         num_shards: int = 2,
         mode: str = "mp",
         registry: Optional[MetricsRegistry] = None,
-        max_layer: int = 7,
         monitor_kwargs: Optional[Mapping[str, object]] = None,
         supervision: Optional[SupervisorPolicy] = None,
     ) -> None:
@@ -108,13 +107,10 @@ class ShardedMonitor:
                 f"unknown fabric mode {mode!r}: shards are always forked "
                 f"workers (mode='mp')")
         self.num_shards = num_shards
-        self.max_layer = max_layer
         self.registry = registry if registry is not None else NullRegistry()
         self._props = list(props)
         self.routes = build_routes(self._props, num_shards)
-        self.router = Router(
-            self.routes, num_shards, max_layer=max_layer,
-            registry=self.registry)
+        self.router = Router(self.routes, num_shards, registry=self.registry)
         self.ledger = OverflowLedger()
         self.stats = FabricStats(self)
         self.started_at: Optional[float] = None
@@ -150,7 +146,7 @@ class ShardedMonitor:
         def spawn(idx: int) -> MpShard:
             return MpShard(
                 self._props, idx, num_shards, self.routes, shard_kwargs,
-                max_layer, send_timeout=policy.send_timeout)
+                send_timeout=policy.send_timeout)
 
         self.supervisor = Supervisor(
             spawn, num_shards, self.ledger, policy=policy,

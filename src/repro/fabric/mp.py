@@ -104,7 +104,6 @@ def _worker_main(
     num_shards: int,
     routes: Mapping[str, PropRoute],
     monitor_kwargs: Optional[Dict[str, object]],
-    max_layer: int,
 ) -> None:
     monitor = build_shard_monitor(
         props, shard_idx, num_shards, routes, monitor_kwargs)
@@ -134,7 +133,7 @@ def _worker_main(
             break  # parent died; nothing useful left to do
         tag, payload = message[:1], message[1:]
         if tag == b"B":
-            monitor.observe_batch(decode_frames(payload, max_layer=max_layer))
+            monitor.observe_batch(decode_frames(payload))
         elif tag == b"A":
             monitor.advance_to(_F64.unpack(payload)[0])
         elif tag == b"D":
@@ -164,7 +163,6 @@ class MpShard:
         num_shards: int,
         routes: Mapping[str, PropRoute],
         monitor_kwargs: Optional[Dict[str, object]],
-        max_layer: int,
         send_timeout: float = 30.0,
     ) -> None:
         if not fork_available():
@@ -187,7 +185,7 @@ class MpShard:
         self.process = ctx.Process(
             target=_worker_main,
             args=(child_sock, props, shard_idx, num_shards,
-                  routes, monitor_kwargs, max_layer),
+                  routes, monitor_kwargs),
             name=f"repro-fabric-shard-{shard_idx}",
             daemon=True,
         )

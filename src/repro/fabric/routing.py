@@ -187,12 +187,10 @@ class Router:
         self,
         routes: Mapping[str, PropRoute],
         num_shards: int,
-        max_layer: int = 7,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.routes = dict(routes)
         self.num_shards = num_shards
-        self.max_layer = max_layer
         registry = registry if registry is not None else NullRegistry()
         # Per event class: (static pin shards, deduped extractor tuples).
         plan: Dict[Type[DataplaneEvent],
@@ -242,7 +240,6 @@ class Router:
         ]
         plan = self._plan
         num_shards = self.num_shards
-        max_layer = self.max_layer
         for event in events:
             entry = plan.get(type(event))
             if entry is None:
@@ -253,7 +250,7 @@ class Router:
                 for shard in pins:
                     batches[shard].append(event)
                 continue
-            fields = event_fields(event, max_layer=max_layer)
+            fields = event_fields(event)
             targets = set(pins)
             for key_fields in extractors:
                 try:

@@ -12,7 +12,7 @@ from .serialize import (
     read_trace,
     save_trace,
 )
-from .trace import TraceRecorder, TraceReplayer
+from .trace import TraceRecorder
 from .workload import (
     TimedPacket,
     arp_request_storm,
@@ -42,7 +42,6 @@ __all__ = [
     "read_trace",
     "save_trace",
     "TraceRecorder",
-    "TraceReplayer",
     "TimedPacket",
     "arp_request_storm",
     "l2_pairs",

@@ -170,7 +170,7 @@ def event_to_dict(event: DataplaneEvent) -> dict:
     return base
 
 
-def event_from_dict(data: dict, max_layer: int = 7) -> DataplaneEvent:
+def event_from_dict(data: dict) -> DataplaneEvent:
     """Rebuild one event from its dict form."""
     try:
         kind = data["kind"]
@@ -180,8 +180,7 @@ def event_from_dict(data: dict, max_layer: int = 7) -> DataplaneEvent:
         raise TraceFormatError(f"trace line missing field {exc}") from exc
 
     def packet() -> Packet:
-        return wire_parse(bytes.fromhex(data["packet"]), max_layer=max_layer,
-                          uid=int(data["uid"]))
+        return wire_parse(bytes.fromhex(data["packet"]), uid=int(data["uid"]))
 
     if kind == "PacketArrival":
         return PacketArrival(switch_id=switch_id, time=time, packet=packet(),
@@ -229,9 +228,7 @@ def dump_trace(
     return count
 
 
-def _load(
-    fp: IO[str], max_layer: int = 7
-) -> Tuple[Optional[dict], List[DataplaneEvent]]:
+def _load(fp: IO[str]) -> Tuple[Optional[dict], List[DataplaneEvent]]:
     header: Optional[dict] = None
     events: List[DataplaneEvent] = []
     for lineno, line in enumerate(fp, start=1):
@@ -248,13 +245,13 @@ def _load(
                 continue
             raise TraceFormatError(
                 f"line {lineno}: TraceHeader only allowed on line 1")
-        events.append(event_from_dict(data, max_layer=max_layer))
+        events.append(event_from_dict(data))
     return header, events
 
 
-def load_trace(fp: IO[str], max_layer: int = 7) -> List[DataplaneEvent]:
+def load_trace(fp: IO[str]) -> List[DataplaneEvent]:
     """Read a JSONL trace; returns events in file order (header skipped)."""
-    return _load(fp, max_layer=max_layer)[1]
+    return _load(fp)[1]
 
 
 def save_trace(
@@ -266,17 +263,17 @@ def save_trace(
         return dump_trace(events, fp, header=header)
 
 
-def read_trace(path: str, max_layer: int = 7) -> List[DataplaneEvent]:
+def read_trace(path: str) -> List[DataplaneEvent]:
     with open(path, "r", encoding="utf-8") as fp:
-        return load_trace(fp, max_layer=max_layer)
+        return load_trace(fp)
 
 
 def read_trace_with_header(
-    path: str, max_layer: int = 7
+    path: str,
 ) -> Tuple[Optional[dict], List[DataplaneEvent]]:
     """Like :func:`read_trace` but also returns the header (or ``None``)."""
     with open(path, "r", encoding="utf-8") as fp:
-        return _load(fp, max_layer=max_layer)
+        return _load(fp)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +384,6 @@ def batch_header(header: bytes,
 def iter_records(
     body: bytes,
     count: int,
-    max_layer: int = 7,
     bad_record: Optional[Callable[[TraceFormatError], None]] = None,
 ) -> Iterator[DataplaneEvent]:
     """The events of one batch body, in order — the one record reader
@@ -434,13 +430,11 @@ def iter_records(
                 f"truncated batch: record {index} runs past the body")
         try:
             if tag == _TAG_JSON:
-                event = event_from_dict(json.loads(body[start:offset]),
-                                        max_layer=max_layer)
+                event = event_from_dict(json.loads(body[start:offset]))
             else:
                 wire_at = offset - n_packet
                 switch_id = str(body[start:start + n_switch], "ascii")
-                packet = wire_parse(body[wire_at:offset],
-                                    max_layer=max_layer, uid=uid)
+                packet = wire_parse(body[wire_at:offset], uid=uid)
                 if tag == _TAG_ARRIVAL:
                     event = PacketArrival(switch_id=switch_id, time=time,
                                           packet=packet, in_port=in_port)
@@ -469,7 +463,7 @@ def iter_records(
             f"{end - offset} trailing bytes after {count} records")
 
 
-def decode_frames(data: bytes, max_layer: int = 7) -> List[DataplaneEvent]:
+def decode_frames(data: bytes) -> List[DataplaneEvent]:
     """Decode one framed batch produced by :func:`encode_frames`.
 
     The strict form of :func:`iter_records`: any fault raises
@@ -485,4 +479,4 @@ def decode_frames(data: bytes, max_layer: int = 7) -> List[DataplaneEvent]:
     if carried > size:
         raise TraceFormatError(
             f"{carried - size} trailing bytes after the declared body")
-    return list(iter_records(data[BATCH_HEADER_SIZE:], count, max_layer))
+    return list(iter_records(data[BATCH_HEADER_SIZE:], count))

@@ -89,9 +89,6 @@ class Host:
     def port(self) -> Optional[int]:
         return self._port
 
-    def packets_received(self) -> List[Packet]:
-        return [r.packet for r in self.received]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Host({self.name!r}, {self.mac}, {self.ip})"
 

@@ -1,16 +1,14 @@
-"""Event traces: recording, replay, and inspection.
+"""Event traces: recording and inspection.
 
 A :class:`TraceRecorder` is a tap that appends every dataplane event to a
-list; tests and benchmarks assert over the recorded sequences, and
-:class:`TraceReplayer` feeds a recorded (or synthesized) event stream
-directly into a monitor without a live switch — the harness used to
-exercise monitor semantics in isolation.
+list; tests and benchmarks assert over the recorded sequences.  A recorded
+(or synthesized) stream goes into a monitor through its one door,
+``observe_batch``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Type
+from typing import Iterator, List, Type
 
 from ..switch.events import (
     DataplaneEvent,
@@ -18,7 +16,6 @@ from ..switch.events import (
     PacketArrival,
     PacketDrop,
     PacketEgress,
-    TimerFired,
 )
 
 
@@ -59,29 +56,3 @@ class TraceRecorder:
     def __iter__(self) -> Iterator[DataplaneEvent]:
         return iter(self.events)
 
-
-class TraceReplayer:
-    """Feed a pre-built event sequence into monitor-like consumers."""
-
-    def __init__(self, events: Sequence[DataplaneEvent]) -> None:
-        self.events = list(events)
-        self._validate()
-
-    def _validate(self) -> None:
-        last = float("-inf")
-        for event in self.events:
-            if event.time < last:
-                raise ValueError(
-                    f"trace events out of time order at t={event.time}"
-                )
-            last = event.time
-
-    def replay(self, *sinks: Callable[[DataplaneEvent], None]) -> int:
-        """Deliver every event, in order, to each sink.  Returns count."""
-        for event in self.events:
-            for sink in sinks:
-                sink(event)
-        return len(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)

@@ -38,7 +38,7 @@ from .headers import (
     Vlan,
 )
 from .packet import Packet, fresh_uid
-from .parser import ParseError, encode, parse, reparse
+from .parser import ParseError, encode, parse
 from .wire import HEADERS
 
 __all__ = [
@@ -82,5 +82,4 @@ __all__ = [
     "ParseError",
     "encode",
     "parse",
-    "reparse",
 ]

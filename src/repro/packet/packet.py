@@ -57,9 +57,8 @@ class Packet:
 
     # -- construction ----------------------------------------------------
     @classmethod
-    def from_wire(cls, data: bytes, max_layer: int,
-                  uid: Optional[int] = None) -> "Packet":
-        """A packet held as the frame ``data``, readable to ``max_layer``.
+    def from_wire(cls, data: bytes, uid: Optional[int] = None) -> "Packet":
+        """A packet held as the frame ``data``.
 
         The caller has checked that the L2 headers are whole
         (:func:`repro.packet.parser.parse` does); nothing here can fail.
@@ -67,7 +66,6 @@ class Packet:
         packet = object.__new__(cls)
         state = packet.__dict__
         state["_wire"] = data
-        state["_depth"] = max_layer
         state["uid"] = next(_uid_counter) if uid is None else uid
         return packet
 
@@ -79,7 +77,7 @@ class Packet:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         data = state["_wire"]
-        stack, l7, at = walk(data, state["_depth"])
+        stack, l7, at = walk(data, 7)
         headers = [cls.from_wire(values) for cls, values in stack]
         if l7 is not None:
             headers.append(l7)
@@ -133,9 +131,7 @@ class Packet:
             out = {}
         state = self.__dict__
         if "headers" not in state:  # still wire bytes: read, build nothing
-            depth = state["_depth"]
-            stack, l7, _ = walk(
-                state["_wire"], max_layer if max_layer < depth else depth)
+            stack, l7, _ = walk(state["_wire"], max_layer)
             for cls, values in stack:
                 cls.read_fields(values, out)
             if l7 is not None:

@@ -107,7 +107,6 @@ class ServeConfig:
     high_mark: float = 0.9
     low_mark: float = 0.5
     shed_window: float = 1.0
-    max_layer: int = 7
     #: Seconds shutdown waits for in-flight ingest connections to finish
     #: sending before they are forcibly closed.  Already-received frames
     #: are always dispatched; this bounds how long a slow sender can
@@ -130,6 +129,8 @@ class ServeConfig:
                 f"choose from {sorted(PROFILES)}")
         if self.shards < 0:
             raise ValueError(f"shards must be >= 0, got {self.shards}")
+        if self.max_queue < 1:
+            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.batch_max < 1:
             raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
         if self.trace_buffer < 0:
@@ -398,8 +399,7 @@ class ServeDaemon:
         the stream ended or lost its framing and the caller closes it.
         """
         steps = stream_reader(
-            lambda events, errors: self._offer_batch(events, errors, source),
-            self.config.max_layer)
+            lambda events, errors: self._offer_batch(events, errors, source))
         try:
             want = next(steps)
             while True:

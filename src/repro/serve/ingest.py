@@ -61,7 +61,7 @@ class FrameError(TraceFormatError):
     """Raised on a line that is neither a frame nor a trace header."""
 
 
-def parse_frame(line: bytes, max_layer: int = 7) -> Optional[DataplaneEvent]:
+def parse_frame(line: bytes) -> Optional[DataplaneEvent]:
     """Decode one newline-JSON frame into a dataplane event.
 
     Returns ``None`` for blank lines and ``TraceHeader`` lines (senders
@@ -80,14 +80,13 @@ def parse_frame(line: bytes, max_layer: int = 7) -> Optional[DataplaneEvent]:
     if data.get("kind") == "TraceHeader":
         return None
     try:
-        return event_from_dict(data, max_layer=max_layer)
+        return event_from_dict(data)
     except (TraceFormatError, KeyError, ValueError) as exc:
         raise FrameError(f"invalid frame: {exc}") from exc
 
 
-def decode_batch(
-    body: bytes, count: int, size: int, max_layer: int = 7
-) -> Tuple[List[DataplaneEvent], int, bool]:
+def decode_batch(body: bytes, count: int,
+                 size: int) -> Tuple[List[DataplaneEvent], int, bool]:
     """The counting form of ``decode_frames``, for bytes a stranger sent:
     ``(events, frame errors, intact)`` for one framed batch body.
 
@@ -102,7 +101,7 @@ def decode_batch(
     events: List[DataplaneEvent] = []
     faults: List[TraceFormatError] = []
     try:
-        for event in iter_records(body, count, max_layer, faults.append):
+        for event in iter_records(body, count, faults.append):
             events.append(event)
         if len(body) != size:
             raise TraceFormatError(
@@ -126,7 +125,6 @@ def _take(size: int) -> Generator[int, bytes, bytes]:
 
 def stream_reader(
     deliver: Callable[[List[DataplaneEvent], int], None],
-    max_layer: int = 7,
 ) -> Generator[int, bytes, None]:
     """The daemon's side of an ingest stream, without the I/O: the whole
     wire protocol, for a socket, a FIFO and a file alike.
@@ -157,7 +155,7 @@ def stream_reader(
     """
     header = yield from _take(len(FRAME_MAGIC))
     if header != FRAME_MAGIC:
-        yield from _read_lines(header, deliver, max_layer)
+        yield from _read_lines(header, deliver)
         return
     header += yield from _take(BATCH_HEADER_SIZE - len(FRAME_MAGIC))
     while header:  # b"" is a clean EOF between batches
@@ -167,7 +165,7 @@ def stream_reader(
             deliver([], 1)
             return
         body = yield from _take(size)
-        events, errors, intact = decode_batch(body, count, size, max_layer)
+        events, errors, intact = decode_batch(body, count, size)
         deliver(events, errors)
         if not intact:
             return
@@ -177,7 +175,6 @@ def stream_reader(
 def _read_lines(
     tail: bytes,
     deliver: Callable[[List[DataplaneEvent], int], None],
-    max_layer: int,
 ) -> Generator[int, bytes, None]:
     """The newline-JSON half of :func:`stream_reader`; ``tail`` is what
     the codec sniff consumed."""
@@ -190,7 +187,7 @@ def _read_lines(
         errors = 0
         for line in lines:
             try:
-                event = parse_frame(line, max_layer)
+                event = parse_frame(line)
             except FrameError:
                 errors += 1
                 continue

@@ -66,8 +66,7 @@ def _read_lines(path: str) -> List[bytes]:
                 for line in fp if line.strip()]
 
 
-def _build_units(path: str, format: str, chunk: int,
-                 max_layer: int = 7) -> List[Tuple[bytes, int]]:
+def _build_units(path: str, format: str, chunk: int) -> List[Tuple[bytes, int]]:
     """The trace as ``(payload, event_count)`` send units.
 
     ``jsonl`` keeps the file's own lines (one unit per line, headers
@@ -79,7 +78,7 @@ def _build_units(path: str, format: str, chunk: int,
         return [(line, 0 if b'"TraceHeader"' in line else 1)
                 for line in _read_lines(path)]
     if format == "rpf2":
-        events = read_trace(path, max_layer=max_layer)
+        events = read_trace(path)
         return [(encode_frames(events[i:i + chunk]),
                  len(events[i:i + chunk]))
                 for i in range(0, len(events), chunk)]

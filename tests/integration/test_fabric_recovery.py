@@ -518,7 +518,7 @@ class TestAsyncCheckpoints:
     def test_stopped_worker_times_out_a_send_larger_than_the_socket(self):
         props = flow_props()
         big = flow_trace(6000, flows=100)     # ~0.4 MB encoded: > SO_SNDBUF
-        shard = MpShard(props, 0, 1, build_routes(props, 1), None, 7,
+        shard = MpShard(props, 0, 1, build_routes(props, 1), None,
                         send_timeout=0.5)
         pid = shard.pid
         os.kill(pid, signal.SIGSTOP)

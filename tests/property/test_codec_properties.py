@@ -34,7 +34,6 @@ from repro.packet import (
     ftp_control_packet,
     icmp_echo,
     parse,
-    reparse,
     tcp_packet,
     udp_packet,
 )
@@ -139,18 +138,6 @@ class TestFullPacketRoundtrips:
         line = FtpControl.from_line(encode_port_command(ip, port))
         assert line.data_ip == ip and line.data_port == port
 
-    @given(macs, macs, ips, ips, ports, ports)
-    def test_parse_depth_monotone(self, smac, dmac, sip, dip, sport, dport):
-        """Parsing shallower never invents headers: the header stacks are
-        prefixes of each other."""
-        raw = encode(tcp_packet(smac, dmac, sip, dip, sport, dport))
-        deep = parse(raw, max_layer=7)
-        for layer in (2, 3, 4):
-            shallow = parse(raw, max_layer=layer)
-            assert len(shallow.headers) <= len(deep.headers)
-            for a, b in zip(shallow.headers, deep.headers):
-                assert a == b
-
 
 # -- parse on demand ----------------------------------------------------------
 DEPTHS = (2, 3, 4, 7)
@@ -211,9 +198,9 @@ def eager(packet):
                   uid=packet.uid)
 
 
-def parses(raw, depth=7):
+def parses(raw):
     try:
-        return parse(raw, depth, uid=1)
+        return parse(raw, uid=1)
     except HeaderError:
         return None
 
@@ -223,27 +210,14 @@ class TestTwoProjections:
     @settings(max_examples=300)
     def test_fields_from_bytes_equal_fields_from_objects(self, raw):
         for depth in DEPTHS:
-            packet = parses(raw, depth)
+            packet = parses(raw)
             if packet is None:
                 return  # TestFaultsStayAtTheDoor has these
             flat = packet.fields(depth)
             assert is_lazy(packet)
             # equal values under equal keys in equal order
             assert list(flat.items()) == list(
-                eager(parses(raw, depth)).fields(depth).items())
-
-    @given(frames())
-    @settings(max_examples=300)
-    def test_depth_is_how_far_the_reader_walks(self, raw):
-        if parses(raw) is None:
-            return
-        for depth in DEPTHS:
-            deep, shallow = parses(raw, 7), parses(raw, depth)
-            assert list(deep.fields(depth).items()) \
-                == list(shallow.fields(depth).items())
-            assert is_lazy(deep) and is_lazy(shallow)
-            assert shallow.headers == tuple(
-                h for h in deep.headers if h.LAYER <= depth)
+                eager(parses(raw)).fields(depth).items())
 
 
 class TestLazyPacketIsAPacket:
@@ -271,7 +245,7 @@ class TestLazyPacketIsAPacket:
         assert moved.payload == b"hi"
 
     def test_pickle_before_and_after_materialisation(self):
-        packet = parse(self.RAW, max_layer=4, uid=5)
+        packet = parse(self.RAW, uid=5)
         copy = pickle.loads(pickle.dumps(packet))
         assert is_lazy(packet) and is_lazy(copy)
         assert copy.fields() == packet.fields()
@@ -288,8 +262,6 @@ class TestLazyPacketIsAPacket:
         rewritten = parse(self.RAW, uid=5).with_header(new_ip)
         assert rewritten == reference.with_header(new_ip)
         assert rewritten.uid == 5
-        assert reparse(parse(self.RAW, uid=5), 3) == reparse(reference, 3)
-        assert parse(self.RAW, max_layer=3, uid=5) == reparse(reference, 3)
 
     def test_unread_packet_encodes_as_its_bytes_a_read_one_as_today(self):
         # TCP options: a parse -> encode round trip drops them
@@ -361,25 +333,24 @@ class TestFaultsStayAtTheDoor:
     """Bytes are rejected by ``parse`` — the ingest boundary, where a
     fault is a counted frame error — or never."""
 
-    #: (bytes, depth) -> what ``parse`` raised before it went lazy
+    #: bytes -> what ``parse`` raised before it went lazy
     PINNED = [
-        (b"\x00" * 13, 7, ParseError),                          # no ethernet
-        (b"\x00" * 12 + b"\x81\x00" + b"\x00" * 3, 7, HeaderError),  # cut tag
-        (b"\x00" * 64, 1, ParseError),                          # below L2
-        (b"", 2, ParseError),
+        (b"\x00" * 13, ParseError),                             # no ethernet
+        (b"\x00" * 12 + b"\x81\x00" + b"\x00" * 3, HeaderError),  # cut tag
+        (b"", ParseError),
     ]
 
-    @pytest.mark.parametrize("raw,depth,error", PINNED)
-    def test_pinned_rejections(self, raw, depth, error):
+    @pytest.mark.parametrize("raw,error", PINNED)
+    def test_pinned_rejections(self, raw, error):
         with pytest.raises(error) as caught:
-            parse(raw, depth)
+            parse(raw)
         assert type(caught.value) is error
 
-    @given(steered | frames(), st.sampled_from(DEPTHS))
+    @given(steered | frames())
     @settings(max_examples=500)
-    def test_what_parse_accepts_never_raises_later(self, raw, depth):
+    def test_what_parse_accepts_never_raises_later(self, raw):
         try:
-            packet = parse(raw, depth, uid=1)
+            packet = parse(raw, uid=1)
         except HeaderError as exc:
             # exactly the two frames a fixed-function parser cannot start on
             assert len(raw) < 14 and type(exc) is ParseError \

@@ -613,7 +613,15 @@ class TestSideEffectControl:
 
 class TestParseDepthLimit:
     def test_l7_invisible_to_l4_monitor(self):
+        """The monitor alone limits the depth: packets decoded from a
+        framed batch or read back from a JSONL trace are as unreadable
+        past L4 as the ones built in memory."""
+        import io
+
+        from repro.netsim.serialize import (
+            decode_frames, dump_trace, encode_frames)
         from repro.packet import dhcp_packet, DhcpMessageType
+        from repro.serve import parse_frame
 
         prop = PropertySpec(
             name="l7", description="",
@@ -626,16 +634,25 @@ class TestParseDepthLimit:
             ),
             key_vars=("ip",),
         )
-        deep = Monitor(max_layer=7)
-        deep.add_property(prop)
-        shallow = Monitor(max_layer=4)
-        shallow.add_property(prop)
-        events = [
+        built = [
             arr(dhcp_packet(5, DhcpMessageType.ACK, yiaddr="10.0.0.9"), 0.0),
             arr(dhcp_packet(6, DhcpMessageType.ACK, yiaddr="10.0.0.9"), 1.0),
         ]
-        for e in events:
-            deep.observe(e)
-            shallow.observe(e)
-        assert len(deep.violations) == 1
-        assert shallow.violations == []  # fields never bound
+        jsonl = io.StringIO()
+        dump_trace(built, jsonl)
+        inputs = {
+            "built": built,
+            "rpf2": decode_frames(encode_frames(built)),
+            "jsonl": [parse_frame(line.encode())
+                      for line in jsonl.getvalue().splitlines()],
+        }
+        for name, events in inputs.items():
+            deep = Monitor()
+            deep.add_property(prop)
+            shallow = Monitor(max_layer=4)
+            shallow.add_property(prop)
+            for e in events:
+                deep.observe(e)
+                shallow.observe(e)
+            assert len(deep.violations) == 1, name
+            assert shallow.violations == [], name  # fields never bound

@@ -1,4 +1,4 @@
-"""Unit tests: topology wiring, trace recording/replay, workloads."""
+"""Unit tests: topology wiring, trace recording, workloads."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.netsim import (
     EventScheduler,
     Network,
     TraceRecorder,
-    TraceReplayer,
     arp_request_storm,
     l2_pairs,
     poisson_arrivals,
@@ -16,7 +15,6 @@ from repro.netsim import (
     udp_flows,
 )
 from repro.packet import IPv4Address, MACAddress, ethernet
-from repro.switch.events import PacketArrival
 from repro.switch.match import MatchSpec
 from repro.switch.actions import Output
 
@@ -103,23 +101,6 @@ class TestTraces:
         assert len(rec) == 2
         rec.clear()
         assert len(rec) == 0
-
-    def test_replayer_validates_order(self):
-        p = ethernet(1, 2)
-        good = [
-            PacketArrival(switch_id="s", time=0.0, packet=p, in_port=1),
-            PacketArrival(switch_id="s", time=1.0, packet=p, in_port=1),
-        ]
-        TraceReplayer(good)
-        with pytest.raises(ValueError):
-            TraceReplayer(list(reversed(good)))
-
-    def test_replayer_delivers_to_all_sinks(self):
-        p = ethernet(1, 2)
-        events = [PacketArrival(switch_id="s", time=0.0, packet=p, in_port=1)]
-        a, b = [], []
-        assert TraceReplayer(events).replay(a.append, b.append) == 1
-        assert len(a) == 1 and len(b) == 1
 
 
 class TestWorkloads:

@@ -1,4 +1,4 @@
-"""Unit tests: Packet container, builders, wire parsing with depth limits."""
+"""Unit tests: Packet container, builders, wire parsing, read-time depth limits."""
 
 import pytest
 
@@ -25,7 +25,6 @@ from repro.packet import (
     ftp_control_packet,
     icmp_echo,
     parse,
-    reparse,
     tcp_packet,
     tcp_syn,
     udp_packet,
@@ -173,23 +172,6 @@ class TestWireParsing:
         q = parse(encode(p))
         assert q.get(FtpControl).data_port == 1025
 
-    def test_parse_depth_stops_at_l3(self):
-        raw = encode(tcp_packet(1, 2, "10.0.0.1", "10.0.0.2", 1, 2))
-        q = parse(raw, max_layer=3)
-        assert q.has(IPv4)
-        assert not q.has(TCP)
-        assert len(q.payload) == 20  # the TCP header stays opaque
-
-    def test_parse_depth_stops_at_l4(self):
-        raw = encode(dhcp_packet(5, DhcpMessageType.REQUEST))
-        q = parse(raw, max_layer=4)
-        assert q.has(UDP)
-        assert not q.has(Dhcp)
-
-    def test_parse_depth_below_l2_rejected(self):
-        with pytest.raises(ParseError):
-            parse(b"\x00" * 20, max_layer=1)
-
     def test_truncated_frame_rejected(self):
         with pytest.raises(ParseError):
             parse(b"\x00" * 10)
@@ -212,14 +194,3 @@ class TestWireParsing:
         assert not q.has(Dhcp)
         assert q.payload == b"xx"
 
-    def test_reparse_shallows_and_keeps_uid(self):
-        p = dhcp_packet(5, DhcpMessageType.REQUEST)
-        q = reparse(p, max_layer=4)
-        assert q.uid == p.uid
-        assert not q.has(Dhcp)
-        # The DHCP message is re-serialized into the opaque payload.
-        assert len(q.payload) > 0
-
-    def test_reparse_noop_when_shallow(self):
-        p = ethernet(1, 2)
-        assert reparse(p, max_layer=4) is p

@@ -94,15 +94,6 @@ class TestTraceSerialization:
         assert save_trace(sample_events(), path) == 5
         assert len(read_trace(path)) == 5
 
-    def test_parse_depth_limit_on_load(self):
-        buf = io.StringIO()
-        dump_trace(sample_events(), buf)
-        buf.seek(0)
-        loaded = load_trace(buf, max_layer=3)
-        from repro.packet import TCP
-
-        assert not loaded[0].packet.has(TCP)
-
     def test_blank_lines_skipped(self):
         buf = io.StringIO()
         dump_trace(sample_events()[:1], buf)

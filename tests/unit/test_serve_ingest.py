@@ -355,6 +355,7 @@ class TestServeConfigBounds:
     # and a negative trace_buffer silently turned tracing off.
     @pytest.mark.parametrize("field, value", [
         ("batch_max", 0), ("batch_max", -1), ("trace_buffer", -1),
+        ("max_queue", 0),
     ])
     def test_out_of_range_is_refused(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -367,6 +368,42 @@ class TestServeConfigBounds:
     def test_cli_negative_trace_buffer_exits_2(self, capsys):
         assert main(["serve", "--trace-buffer", "-1"]) == 2
         assert "trace_buffer must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, status", [
+        ("serve --max-queue 0", 2),
+        ("send {trace} --repeat 0", 2),
+        ("send {trace} --rate -5", 2),
+        ("stats {trace} {prop} --poll-interval -1", 2),
+        ("chaos --profile worker-crash --checkpoint-interval 0", 2),
+        ("record {out} --hosts 0", 2),
+        ("replay {not_json} {prop}", 1),
+        ("replay {trace} {no_lex}", 1),
+        ("replay {trace} {no_parse}", 1),
+        ("replay {missing} {prop}", 1),
+        ("stats {not_json} {prop}", 1),
+        ("stats {trace} {no_lex}", 1),
+        ("stats {trace} {no_parse}", 1),
+        ("stats {trace} {missing}", 1),
+    ])
+    def test_cli_bad_input_is_one_error_line(self, argv, status, tmp_path,
+                                             capsys):
+        from importlib import resources
+
+        from repro.netsim.serialize import save_trace
+
+        files = {name: str(tmp_path / name) for name in (
+            "trace", "not_json", "no_lex", "no_parse", "missing", "out")}
+        save_trace([oob()], files["trace"])
+        (tmp_path / "not_json").write_text("{not json\n")
+        (tmp_path / "no_lex").write_text('property p "x" $$$\n')
+        (tmp_path / "no_parse").write_text("property p:\n")
+        files["prop"] = str(resources.files("repro.props") / "sources"
+                            / "arp_reply_within.prop")
+        assert main(argv.format(**files).split()) == status
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [err.strip()]
 
 
 class TestServeReport:
