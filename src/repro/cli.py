@@ -407,7 +407,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     registry = MetricsRegistry()
     poller = None
-    if args.poll_interval:
+    if args.poll_interval is not None:
         start = events[0].time if events else 0.0
         with _flag_values():
             poller = StatsPoller(registry, args.poll_interval,
@@ -573,6 +573,8 @@ def cmd_send(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     except OSError as exc:
+        if exc.filename is not None:  # the trace, not the socket
+            raise
         print(f"error: connection to {args.host}:{args.port} lost and "
               f"retry budget exhausted: {exc}", file=sys.stderr)
         return 1

@@ -37,8 +37,6 @@ from .degradation import (
     DEFAULT_INSTANCE_CAP,
     DegradationPolicy,
     OverflowLedger,
-    ShedRecord,
-    classify_op,
     suggested_policy,
 )
 from .features import (
@@ -102,8 +100,6 @@ __all__ = [
     "DEFAULT_INSTANCE_CAP",
     "DegradationPolicy",
     "OverflowLedger",
-    "ShedRecord",
-    "classify_op",
     "suggested_policy",
     "ATTACKER_CONTROLLED",
     "TRUSTED",

@@ -8,14 +8,13 @@ silent failure:
 * :class:`DegradationPolicy` bounds each property's instance store
   (``max_instances`` + an eviction policy) and the split-mode pending
   queue (``max_pending_ops`` + retry/backoff before shedding);
-* :class:`OverflowLedger` records every shed instance and op with a
-  *primary* classification — the likeliest error direction — plus the
-  conservative both-sided impact set, so a degraded run can report its
-  violation count as ``degraded - potential_false <= true <= degraded +
-  potential_missed`` instead of a confidently wrong number.
+* :class:`OverflowLedger` counts every shed instance and op under its
+  *primary* impact — the likeliest error direction — so a degraded run
+  can report its violation count as ``degraded - n <= true <= degraded
+  + n`` instead of a confidently wrong number.
 
 One lost state transition can cascade (a never-killed instance shadows
-future creations at its key), so each record counts toward both bounds;
+future creations at its key), so each shed counts toward both bounds;
 ``tests/property/test_fault_machine.py`` checks that a fault-free run's
 count lies in the interval under any schedule of the faults ``repro
 chaos`` injects.  The per-kind primary classification is what you read
@@ -26,7 +25,7 @@ to diagnose *which* failure mode a profile produces;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Eviction policies for bounded instance stores.
 EVICT_REJECT = "reject-new"    # static tables: a full store refuses creations
@@ -73,29 +72,18 @@ class DegradationPolicy:
             raise ValueError(f"max_retries={self.max_retries!r} must be >= 0")
 
 
-#: Primary impact per (op kind, disposition): the direction the error
+#: Primary impact of a lost op, by op kind: the direction the error
 #: *usually* takes.  A lost create/advance usually hides a violation; a
-#: lost kill usually lets a discharged instance complete anyway.
+#: lost kill usually lets a discharged instance complete anyway.  Either
+#: can flip (a dropped create suppresses a refresh, so a *later*
+#: re-creation completes where the clean run's instance had expired),
+#: which is why every shed counts toward both sides of the interval.
 _PRIMARY = {
     "create": IMPACT_MISSED,
     "advance": IMPACT_MISSED,
     "refresh": IMPACT_MISSED,
     "kill": IMPACT_FALSE,
 }
-
-
-def classify_op(kind: str, disposition: str) -> Tuple[str, ...]:
-    """Impact set for a shed or delayed op, primary impact first.
-
-    Every record carries both impacts — a diverged instance population
-    can flip the error either way (e.g. a dropped create suppresses a
-    refresh, so a *later* re-creation completes where the clean run's
-    instance had already expired) — but the primary (first) element
-    encodes the dominant direction for the ledger breakdown.
-    """
-    primary = _PRIMARY.get(kind, IMPACT_MISSED)
-    other = IMPACT_FALSE if primary == IMPACT_MISSED else IMPACT_MISSED
-    return (primary, other)
 
 
 #: default ceiling :func:`suggested_policy` clamps instance caps to —
@@ -126,92 +114,71 @@ def suggested_policy(
     )
 
 
-@dataclass(frozen=True)
-class ShedRecord:
-    """One unit of work the degraded monitor did not perform faithfully."""
-
-    #: "instance-rejected" | "instance-evicted" | "op-dropped" |
-    #: "op-delayed" | "op-retried" | "op-shed"
-    kind: str
-    prop: str
-    detail: str
-    time: float
-    impacts: Tuple[str, ...]
-
-    @property
-    def primary(self) -> str:
-        return self.impacts[0]
+#: A ledger row: (kind, property, primary impact).  Kinds are
+#: "instance-rejected" | "instance-evicted" | "op-dropped" |
+#: "op-delayed" | "op-retried" | "op-shed", plus the ingest and fabric
+#: supervisor kinds.
+ShedKey = Tuple[str, str, str]
 
 
 class OverflowLedger:
-    """Append-only record of everything shed, with impact accounting."""
+    """Counts of everything shed, one per (kind, property, primary).
+
+    A count is all the interval needs: every shed can hide one real
+    violation or make one reported violation spurious, so ``n`` sheds
+    bound both sides by ``n``.  Memory and ``interval()`` cost grow
+    with the number of distinct rows, never with the number of sheds.
+    """
 
     def __init__(self) -> None:
-        self.records: List[ShedRecord] = []
+        self.counts: Dict[ShedKey, int] = {}
 
-    def record(
-        self,
-        kind: str,
-        prop: str,
-        detail: str,
-        time: float,
-        impacts: Tuple[str, ...],
-    ) -> None:
-        self.records.append(ShedRecord(kind, prop, detail, time, impacts))
+    def record(self, kind: str, prop: str, primary: str,
+               count: int = 1) -> None:
+        key = (kind, prop, primary)
+        self.counts[key] = self.counts.get(key, 0) + count
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.count()
 
-    # -- impact accounting ------------------------------------------------
-    def potential_missed(self, prop: Optional[str] = None) -> int:
-        """Records that could each hide one (or more) real violations."""
-        return sum(
-            1 for r in self.records
-            if IMPACT_MISSED in r.impacts and (prop is None or r.prop == prop)
-        )
-
-    def potential_false(self, prop: Optional[str] = None) -> int:
-        """Records that could each make one reported violation spurious."""
-        return sum(
-            1 for r in self.records
-            if IMPACT_FALSE in r.impacts and (prop is None or r.prop == prop)
-        )
+    def count(self, prop: Optional[str] = None) -> int:
+        """Sheds (of ``prop``, or of all properties) — each could hide
+        one real violation or make one reported violation spurious."""
+        return sum(n for (_, p, _), n in self.counts.items()
+                   if prop is None or p == prop)
 
     def interval(
         self, observed: int, prop: Optional[str] = None
     ) -> Tuple[int, int]:
         """The uncertainty interval around an observed violation count."""
-        lo = observed - self.potential_false(prop)
-        hi = observed + self.potential_missed(prop)
-        return (max(0, lo), hi)
+        n = self.count(prop)
+        return (max(0, observed - n), observed + n)
 
     # -- breakdowns -------------------------------------------------------
-    def by_kind(self) -> Dict[str, int]:
+    def _by(self, column: int) -> Dict[str, int]:
         out: Dict[str, int] = {}
-        for r in self.records:
-            out[r.kind] = out.get(r.kind, 0) + 1
+        for key, n in self.counts.items():
+            out[key[column]] = out.get(key[column], 0) + n
         return dict(sorted(out.items()))
+
+    def by_kind(self) -> Dict[str, int]:
+        return self._by(0)
 
     def by_primary(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for r in self.records:
-            out[r.primary] = out.get(r.primary, 0) + 1
-        return dict(sorted(out.items()))
+        return self._by(2)
 
     def properties(self) -> Tuple[str, ...]:
-        return tuple(sorted({r.prop for r in self.records}))
+        return tuple(self._by(1))
 
     def summary(self) -> Dict[str, object]:
         """A JSON-able digest for degradation reports."""
+        per_property = self._by(1)
         return {
-            "records": len(self.records),
+            "records": sum(per_property.values()),
             "by_kind": self.by_kind(),
             "by_primary": self.by_primary(),
             "per_property": {
-                prop: {
-                    "potential_missed": self.potential_missed(prop),
-                    "potential_false": self.potential_false(prop),
-                }
-                for prop in self.properties()
+                prop: {"potential_missed": n, "potential_false": n}
+                for prop, n in per_property.items()
             },
         }

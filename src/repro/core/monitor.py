@@ -54,11 +54,11 @@ from ..telemetry import NULL_TRACER, MetricsRegistry, NullRegistry, Tracer
 from ..telemetry.metrics import COUNT_BUCKETS, LATENCY_BUCKETS, StatsView
 from ..telemetry.tracing import open_event_root
 from .degradation import (
-    IMPACT_FALSE,
+    _PRIMARY,
     IMPACT_MISSED,
     DegradationPolicy,
     OverflowLedger,
-    classify_op,
+    ShedKey,
 )
 from .instances import Instance, InstanceStore, make_store
 from .provenance import ProvenanceLevel, StageRecord, record_stage
@@ -73,8 +73,10 @@ ViolationSink = Callable[[Violation], None]
 class MonitorState:
     """A picklable checkpoint of a monitor's recoverable state.
 
-    Covers every live instance (with its armed timer), the clock, and
-    the :class:`MonitorStats` counters and gauge high-watermarks.
+    Covers every live instance (with its armed timer), the clock, the
+    :class:`MonitorStats` counters and gauge high-watermarks, and the
+    overflow ledger's count table (``sheds``), so a restored monitor's
+    interval is the exporter's.
     Deferred split-mode ops are *not* exportable — they hold spec and
     instance references — so their count is carried instead; a restore
     path that cares (the fabric supervisor) ledgers them as lost.
@@ -94,6 +96,7 @@ class MonitorState:
     lost_pending_ops: int = 0
     counters: Dict[str, int] = field(default_factory=dict)
     peaks: Dict[str, int] = field(default_factory=dict)
+    sheds: Dict[ShedKey, int] = field(default_factory=dict)
 
 #: ``"compiled"`` runs the generated program (:mod:`repro.core.codegen`);
 #: ``"interpreted"`` runs the reference walk (:mod:`repro.core.reference`).
@@ -474,17 +477,17 @@ class Monitor:
             extra = self.op_faults.perturb()
             if extra is None:
                 self._c_shed_ops.inc()
-                self._ledger_op("op-dropped", op, "dropped")
+                self._ledger_op("op-dropped", op)
                 return
             if extra > 0.0:
                 apply_at += extra
-                self._ledger_op("op-delayed", op, "delayed")
+                self._ledger_op("op-delayed", op)
         policy = self.degradation
         limit = policy.max_pending_ops if policy is not None else None
         if limit is not None and self._queued[_OP] >= limit:
             if attempt >= policy.max_retries:
                 self._c_shed_ops.inc()
-                self._ledger_op("op-shed", op, "dropped")
+                self._ledger_op("op-shed", op)
                 return
             backoff = policy.retry_backoff * (2.0 ** attempt)
             retry_at = max(self._now, op.time) + backoff
@@ -492,16 +495,15 @@ class Monitor:
             self._h_backoff.observe(backoff)
             if retry_at > apply_at:
                 # The op cannot possibly apply on time any more.
-                self._ledger_op("op-retried", op, "delayed")
+                self._ledger_op("op-retried", op)
             self._push(retry_at, _RETRY, op, apply_at, attempt + 1)
             self._wake(retry_at, "monitor-split-retry")
             return
         self._push(apply_at, _OP, op)
         self._wake(max(apply_at, self._now), "monitor-split-apply")
 
-    def _ledger_op(self, kind: str, op: _Op, outcome: str) -> None:
-        self.ledger.record(kind, op.prop.name, op.kind, op.time,
-                           classify_op(op.kind, outcome))
+    def _ledger_op(self, kind: str, op: _Op) -> None:
+        self.ledger.record(kind, op.prop.name, _PRIMARY[op.kind])
 
     def pending_op_count(self) -> int:
         """Deferred ops still in flight (queued plus awaiting retry)."""
@@ -612,15 +614,13 @@ class Monitor:
             if victim is None:  # reject-new: the full table refuses entry
                 self._c_rejected.inc()
                 self.ledger.record(
-                    "instance-rejected", prop.name, f"key={key!r}",
-                    time, classify_op("create", "dropped"))
+                    "instance-rejected", prop.name, IMPACT_MISSED)
                 return
             store.remove(victim)
             self._live_changed(prop.name, -1)
             self._c_evicted.inc()
             self.ledger.record(
-                "instance-evicted", prop.name, f"key={victim.key!r}",
-                time, (IMPACT_MISSED, IMPACT_FALSE))
+                "instance-evicted", prop.name, IMPACT_MISSED)
             if self._spans.enabled:
                 self._spans.event(
                     "monitor.evict", time, property=prop.name,
@@ -879,6 +879,7 @@ class Monitor:
             lost_pending_ops=self.pending_op_count(),
             counters=counters,
             peaks=peaks,
+            sheds=dict(self.ledger.counts),
         )
 
     def restore_state(self, state: MonitorState) -> None:
@@ -887,11 +888,11 @@ class Monitor:
         The monitor must be fresh (no live instance) and have every
         property registered that the exporter had; both are checked
         before anything is added, so a rejected checkpoint leaves the
-        monitor as it was.  The exporter's counters and gauge
-        high-watermarks are taken over as they were (restoring an
-        instance counts nothing), so from here on this monitor reports
-        what the exporter would have.  Timers re-arm at their saved
-        absolute deadlines: a deadline in a checkpoint is always
+        monitor as it was.  The exporter's counters, gauge
+        high-watermarks and ledger counts are taken over as they were
+        (restoring an instance counts nothing), so from here on this
+        monitor reports what the exporter would have.  Timers re-arm at
+        their saved absolute deadlines: a deadline in a checkpoint is always
         strictly in the checkpoint's future (an elapsed timer would have
         fired before the export), so nothing fires during restore.
         """
@@ -922,6 +923,7 @@ class Monitor:
             self._now = state.now
         self._track_peak()
         self.stats.restore(state.counters, state.peaks)
+        self.ledger.counts = dict(state.sheds)
 
     # -- conveniences ------------------------------------------------------------------
     def attach(self, switch) -> None:

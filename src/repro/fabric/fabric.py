@@ -30,17 +30,21 @@ Merging rules (the parts worth being careful about):
   ledger is empty.
 * There are no merged peak gauges: shards peak at different moments,
   and no exact global peak can be rebuilt from theirs.
-* Violations merge into one list ordered by (time, property, bindings);
-  shed records append to one fabric-owned :class:`OverflowLedger`, so
-  the uncertainty interval spans all shards plus anything the serve
-  ingest queue sheds into the same ledger.
+* Violations merge into one list ordered by (time, property, bindings).
+* Each shard reports its ledger as a cumulative count table, and the
+  fabric-owned :class:`OverflowLedger` takes in only what a row grew
+  by over the highest count seen from that shard.  A replacement
+  worker restores the checkpoint's counts and replays, so its
+  re-detected sheds add nothing.  The interval spans all shards plus
+  the supervisor's own ink and anything the serve ingest queue sheds
+  into the same ledger.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.degradation import OverflowLedger
+from ..core.degradation import OverflowLedger, ShedKey
 from ..core.monitor import MonitorStats
 from ..core.spec import PropertySpec
 from ..core.violations import Violation
@@ -135,6 +139,9 @@ class ShardedMonitor:
             for i in range(num_shards)
         ]
         self._mirrored: Dict[str, float] = {}
+        #: per shard, the highest count seen for each ledger row
+        self._sheds_seen: List[Dict[ShedKey, int]] = [
+            {} for _ in range(num_shards)]
 
         policy = supervision if supervision is not None \
             else SupervisorPolicy()
@@ -238,7 +245,7 @@ class ShardedMonitor:
             return
         self._dirty = False
         # The supervisor delivers each shard's snapshot through
-        # self._merge (after trimming replay duplicates); shards that
+        # self._merge (after trimming replayed violations); shards that
         # are down this round simply skip a beat and their state
         # arrives with a later sync.
         self.supervisor.sync_snapshots()
@@ -252,7 +259,12 @@ class ShardedMonitor:
         if snapshot.violations:
             self._violations.extend(snapshot.violations)
             self._sorted_violations = None
-        self.ledger.records.extend(snapshot.sheds)
+        seen = self._sheds_seen[idx]
+        for key, count in snapshot.sheds.items():
+            grown = count - seen.get(key, 0)
+            if grown > 0:
+                self.ledger.record(*key, count=grown)
+                seen[key] = count
         self._inflight[idx] = unconfirmed
         self._g_queue[idx].set(float(unconfirmed))
 

@@ -107,7 +107,7 @@ def _worker_main(
 ) -> None:
     monitor = build_shard_monitor(
         props, shard_idx, num_shards, routes, monitor_kwargs)
-    violation_cursor = shed_cursor = 0
+    violation_cursor = 0
     commands = sock.makefile("rb")
 
     def reply(body: bytes) -> None:
@@ -143,8 +143,8 @@ def _worker_main(
         elif tag == b"R":
             monitor.restore_state(pickle.loads(payload))
         elif tag in (b"S", b"C", b"Q"):
-            snapshot, violation_cursor, shed_cursor = take_snapshot(
-                monitor, shard_idx, violation_cursor, shed_cursor,
+            snapshot, violation_cursor = take_snapshot(
+                monitor, shard_idx, violation_cursor,
                 with_state=(tag == b"C"))
             reply(b"S" + pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL))
             if tag == b"Q":

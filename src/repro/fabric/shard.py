@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.degradation import ShedRecord
+from ..core.degradation import ShedKey
 from ..core.monitor import Monitor
 from ..core.spec import PropertySpec
 from ..core.violations import Violation
@@ -46,9 +46,9 @@ def build_shard_monitor(
 class ShardSnapshot:
     """A shard's state delta since the previous snapshot.
 
-    Counters are cumulative (cheap, idempotent to re-read);
-    violations and shed records are deltas past a cursor so the fabric
-    appends each exactly once.  Everything here pickles — violations
+    Counters and the ledger's shed counts are cumulative (cheap,
+    idempotent to re-read); violations are a delta past a cursor so the
+    fabric appends each exactly once.  Everything here pickles — violations
     carry events and provenance records, which are plain dataclasses —
     so the same type crosses the multiprocessing result channel.
     """
@@ -59,7 +59,7 @@ class ShardSnapshot:
     pending_ops: int
     counters: Dict[str, float]
     violations: List[Violation] = field(default_factory=list)
-    sheds: List[ShedRecord] = field(default_factory=list)
+    sheds: Dict[ShedKey, int] = field(default_factory=dict)
     #: full recoverable state, attached only on checkpoint requests —
     #: regular syncs stay cheap deltas.  It is the shard's pickled
     #: :class:`~repro.core.monitor.MonitorState`, pickled once where it
@@ -79,10 +79,9 @@ def take_snapshot(
     monitor: Monitor,
     shard_idx: int,
     violation_cursor: int,
-    shed_cursor: int,
     with_state: bool = False,
-) -> Tuple[ShardSnapshot, int, int]:
-    """Snapshot ``monitor``; returns (snapshot, new cursors).
+) -> Tuple[ShardSnapshot, int]:
+    """Snapshot ``monitor``; returns (snapshot, new violation cursor).
 
     ``with_state=True`` additionally exports and pickles the monitor's
     recoverable state (:meth:`Monitor.export_state`), turning the
@@ -97,7 +96,7 @@ def take_snapshot(
         pending_ops=monitor.pending_op_count(),
         counters=counters,
         violations=list(monitor.violations[violation_cursor:]),
-        sheds=list(monitor.ledger.records[shed_cursor:]),
+        sheds=dict(monitor.ledger.counts),
     )
     if with_state:
         started = time.process_time()
@@ -105,4 +104,4 @@ def take_snapshot(
         snapshot.state = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
         snapshot.export_seconds = time.process_time() - started
         snapshot.lost_pending_ops = state.lost_pending_ops
-    return snapshot, len(monitor.violations), len(monitor.ledger.records)
+    return snapshot, len(monitor.violations)

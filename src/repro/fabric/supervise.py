@@ -33,10 +33,9 @@ death a *ledgered, recoverable* event instead:
   the whole journal.
 * **Honesty** — anything recovery cannot reconstruct (events aged out
   of the journal, deferred split-mode ops at the checkpoint, a shard
-  that exhausts its budget) is recorded in the fabric's
-  :class:`OverflowLedger` with both impact kinds, so crashes *widen the
-  detection-uncertainty interval* instead of silently dropping
-  violations.
+  that exhausts its budget) is counted in the fabric's
+  :class:`OverflowLedger`, so crashes *widen the detection-uncertainty
+  interval* instead of silently dropping violations.
 * **Quarantine** — a batch whose replay kills the replacement worker
   ``poison_threshold`` times is set aside: removed from the journal,
   ledgered event by event, counted in
@@ -47,8 +46,10 @@ death a *ledgered, recoverable* event instead:
 Duplicate suppression: a regular sync between a checkpoint and a crash
 already reported some post-checkpoint violations.  Replay re-detects
 them — deterministically, in the same order — so the supervisor trims
-that many violations (and shed records) from the replacement's first
-snapshots before handing them to the fabric's merge.
+that many violations from the replacement's first snapshots before
+handing them to the fabric's merge.  Sheds need no trim: they are
+cumulative counts that ride the checkpoint, and the merge takes in
+only what a count grew by.
 """
 
 from __future__ import annotations
@@ -58,23 +59,22 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from ..core.degradation import IMPACT_FALSE, IMPACT_MISSED, OverflowLedger
+from ..core.degradation import IMPACT_MISSED, OverflowLedger
 from ..switch.events import DataplaneEvent
 from ..telemetry import MetricsRegistry, NullRegistry
 from ..telemetry.metrics import LATENCY_BUCKETS
 from .mp import MpShard, ShardDied, ShardTimeout
 from .shard import ShardSnapshot
 
-#: ledger kinds the supervisor writes (both impact kinds each: a lost
-#: event could hide a real violation or leave a stale instance that
-#: later completes spuriously).
+#: ledger kinds the supervisor writes (each count bounds both sides: a
+#: lost event could hide a real violation or leave a stale instance
+#: that later completes spuriously).
 KIND_GAP = "crash-gap"              # journal overflow: events unreplayable
 KIND_LOST_OP = "crash-lost-op"      # deferred split ops at the checkpoint
 KIND_QUARANTINE = "quarantined-batch"
 KIND_SHARD_LOST = "shard-lost"      # restart budget exhausted
 KIND_QUIT_TIMEOUT = "shard-quit-timeout"
 
-_BOTH = (IMPACT_MISSED, IMPACT_FALSE)
 _FABRIC_PROP = "(fabric)"
 
 #: A shard's journal holds at most this many checkpoint intervals of
@@ -190,12 +190,10 @@ class _ShardState:
     since_snapshot_events: int = 0
     #: events sent since the last checkpoint *request* (the cadence)
     since_checkpoint_events: int = 0
-    #: unique violations / shed records merged since the checkpoint —
-    #: becomes the post-restore duplicate-discard count
+    #: unique violations merged since the checkpoint — becomes the
+    #: post-restore duplicate-discard count
     merged_violations: int = 0
-    merged_sheds: int = 0
     discard_violations: int = 0
-    discard_sheds: int = 0
     #: replay deaths per journal batch (key: id() of the batch list,
     #: stable while the journal holds the reference)
     kills: Dict[int, int] = field(default_factory=dict)
@@ -310,8 +308,7 @@ class Supervisor:
         """Journal + deliver one routed batch; absorb worker death."""
         st = self.states[idx]
         if st.failed:
-            self._ledger_events(KIND_SHARD_LOST, len(events),
-                               f"shard={idx} budget exhausted")
+            self._ledger_events(KIND_SHARD_LOST, len(events))
             return
         self._journal_append(st, idx, events)
         if st.worker is None:
@@ -393,12 +390,7 @@ class Supervisor:
             dropped = min(st.discard_violations, len(snap.violations))
             snap.violations = snap.violations[dropped:]
             st.discard_violations -= dropped
-        if st.discard_sheds:
-            dropped = min(st.discard_sheds, len(snap.sheds))
-            snap.sheds = snap.sheds[dropped:]
-            st.discard_sheds -= dropped
         st.merged_violations += len(snap.violations)
-        st.merged_sheds += len(snap.sheds)
         st.since_snapshot_events = unconfirmed
         if self._merge_cb is not None:
             self._merge_cb(snap, unconfirmed)
@@ -446,7 +438,6 @@ class Supervisor:
         st.journal_dropped -= cut.dropped
         st.dropped_ledgered = 0
         st.merged_violations = 0
-        st.merged_sheds = 0
         st.kills.clear()
         self._g_journal[idx].set(float(st.journal_events))
         self._g_checkpoint_bytes[idx].set(float(len(snap.state)))
@@ -595,7 +586,6 @@ class Supervisor:
             st.consecutive_failures = 0
             st.down_reason = ""
             st.discard_violations = st.merged_violations
-            st.discard_sheds = st.merged_sheds
             # The replay delivered everything journaled since the last
             # checkpoint; resume cadence counters from there.
             st.since_checkpoint_events = st.journal_events
@@ -615,15 +605,11 @@ class Supervisor:
             worker.restore(st.checkpoint)
             if st.checkpoint_lost_ops and not st.checkpoint_ops_ledgered:
                 st.checkpoint_ops_ledgered = True
-                self._ledger_events(
-                    KIND_LOST_OP, st.checkpoint_lost_ops,
-                    f"shard={idx} deferred ops not in checkpoint")
+                self._ledger_events(KIND_LOST_OP, st.checkpoint_lost_ops)
         if st.journal_dropped > st.dropped_ledgered:
             fresh = st.journal_dropped - st.dropped_ledgered
             st.dropped_ledgered = st.journal_dropped
-            self._ledger_events(
-                KIND_GAP, fresh,
-                f"shard={idx} journal overflow: events lost to replay")
+            self._ledger_events(KIND_GAP, fresh)
         for batch in list(st.journal):
             try:
                 worker.send_batch(batch)
@@ -657,9 +643,7 @@ class Supervisor:
             first_time=batch[0].time if batch else 0.0,
             last_time=batch[-1].time if batch else 0.0,
             kills=kills))
-        self._ledger_events(
-            KIND_QUARANTINE, len(batch),
-            f"shard={idx} poison batch after {kills} worker deaths")
+        self._ledger_events(KIND_QUARANTINE, len(batch))
 
     def _fail_shard(self, idx: int) -> None:
         """Budget exhausted: give up, ledger everything unrecovered."""
@@ -670,9 +654,7 @@ class Supervisor:
         lost = st.journal_events \
             + (st.journal_dropped - st.dropped_ledgered)
         if lost:
-            self._ledger_events(
-                KIND_SHARD_LOST, lost,
-                f"shard={idx} unrecovered at budget exhaustion")
+            self._ledger_events(KIND_SHARD_LOST, lost)
         st.journal.clear()
         st.journal_events = 0
         st.journal_dropped = 0
@@ -719,8 +701,7 @@ class Supervisor:
                 # saw since its last snapshot is unaccounted for.
                 st.worker.kill()
                 self._ledger_events(
-                    KIND_QUIT_TIMEOUT, max(1, st.since_snapshot_events),
-                    f"shard={idx} no final snapshot within {timeout}s")
+                    KIND_QUIT_TIMEOUT, max(1, st.since_snapshot_events))
                 st.worker = None
                 st.cut = None
                 st.down_reason = "hung at quiesce"
@@ -740,10 +721,9 @@ class Supervisor:
                 st.worker = None
 
     # -- ledger ------------------------------------------------------------
-    def _ledger_events(self, kind: str, count: int, detail: str) -> None:
-        now = self._now_fn()
-        for _ in range(count):
-            self.ledger.record(kind, _FABRIC_PROP, detail, now, _BOTH)
+    def _ledger_events(self, kind: str, count: int) -> None:
+        if count:
+            self.ledger.record(kind, _FABRIC_PROP, IMPACT_MISSED, count)
 
     def _journal_append(self, st: _ShardState, idx: int,
                         events: List[DataplaneEvent]) -> None:

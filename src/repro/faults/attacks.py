@@ -314,9 +314,10 @@ def _capped_monitor(finding: AttackFinding, cap: int) -> Monitor:
     return monitor
 
 
-def _sheds(monitor: Monitor, prop: str) -> int:
-    return sum(1 for r in monitor.ledger.records
-               if r.prop == prop and r.kind in SHED_KINDS)
+def _sheds(monitor: Monitor) -> int:
+    """Instances the capped monitor (one property) shed."""
+    by_kind = monitor.ledger.by_kind()
+    return sum(by_kind.get(kind, 0) for kind in SHED_KINDS)
 
 
 def run_exhaustion(
@@ -344,8 +345,8 @@ def run_exhaustion(
     for event in benign:
         control.observe(event)
 
-    attack_sheds = _sheds(attacked, finding.prop)
-    control_sheds = _sheds(control, finding.prop)
+    attack_sheds = _sheds(attacked)
+    control_sheds = _sheds(control)
     return AttackOutcome(
         prop=finding.prop, code=finding.code, kind="exhaustion-flood",
         succeeded=attack_sheds > 0, clean_control=control_sheds == 0,

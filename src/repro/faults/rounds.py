@@ -4,8 +4,8 @@ This is the harness behind ``repro chaos``: replay a seeded mixed workload
 against the full property catalog twice — once clean, once under a named
 :class:`~repro.faults.profiles.ChaosProfile` — and compare.  The degraded
 run's overflow ledger turns its raw violation count into an uncertainty
-interval (``degraded - potential_false <= true <= degraded +
-potential_missed``); for profiles whose only divergence sources are
+interval (``degraded - n <= true <= degraded + n`` for ``n`` ledgered
+sheds); for profiles whose only divergence sources are
 monitor-side (``profile.ledgered``), the clean count is checked against
 that interval.  Profiles with link faults perturb the event stream before
 the monitor sees it, so they report detection recall instead.  A profile
@@ -260,8 +260,8 @@ class PropertyDegradation:
     name: str
     clean: int
     degraded: int
-    potential_missed: int
-    potential_false: int
+    #: ledgered sheds of this property: each bounds both sides
+    potential: int
     interval: Tuple[int, int]
     #: whether the clean count falls inside the interval; None when the
     #: profile has unledgered divergence sources (link faults)
@@ -315,8 +315,8 @@ class DegradationReport:
                     "name": p.name,
                     "clean": p.clean,
                     "degraded": p.degraded,
-                    "potential_missed": p.potential_missed,
-                    "potential_false": p.potential_false,
+                    "potential_missed": p.potential,
+                    "potential_false": p.potential,
                     "interval": list(p.interval),
                     "bounded": p.bounded,
                     "recall": p.recall,
@@ -348,8 +348,7 @@ class DegradationReport:
             f"interval=[{lo}, {hi}] recall={self.recall:.3f} ({bound})")
         lines.append(_render_ledger(self.ledger))
         for p in self.properties:
-            if p.clean == 0 and p.degraded == 0 and p.potential_missed == 0 \
-                    and p.potential_false == 0:
+            if p.clean == 0 and p.degraded == 0 and p.potential == 0:
                 continue
             mark = ""
             if p.bounded is True:
@@ -392,8 +391,7 @@ def compare_runs(
             name=name,
             clean=c,
             degraded=d,
-            potential_missed=ledger.potential_missed(name),
-            potential_false=ledger.potential_false(name),
+            potential=ledger.count(name),
             interval=interval,
             bounded=(interval[0] <= c <= interval[1])
             if profile.ledgered else None,

@@ -131,6 +131,8 @@ class Packet:
             out = {}
         state = self.__dict__
         if "headers" not in state:  # still wire bytes: read, build nothing
+            if max_layer < 2:
+                return out
             stack, l7, _ = walk(state["_wire"], max_layer)
             for cls, values in stack:
                 cls.read_fields(values, out)

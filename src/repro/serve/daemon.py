@@ -346,13 +346,11 @@ class ServeDaemon:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        peer = writer.get_extra_info("peername")
-        source = f"tcp:{peer[1]}" if isinstance(peer, tuple) else "tcp:?"
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
         try:
-            await self._read_stream(reader, source)
+            await self._read_stream(reader)
         except ConnectionError:
             pass
         finally:
@@ -371,7 +369,6 @@ class ServeDaemon:
         FIFO like a socket, so a writer that outruns the dispatcher
         blocks in its own ``write()`` on a full kernel pipe.
         """
-        source = f"pipe:{path}"
         loop = asyncio.get_running_loop()
         try:
             with open(path, "rb", buffering=0, opener=lambda name, flags:
@@ -381,16 +378,16 @@ class ServeDaemon:
                     transport, _ = await loop.connect_read_pipe(
                         lambda: asyncio.StreamReaderProtocol(reader), fp)
                 except ValueError:  # a regular file: asyncio will not poll it
-                    await self._read_stream(_FileReader(fp), source)
+                    await self._read_stream(_FileReader(fp))
                     return
                 try:
-                    await self._read_stream(reader, source)
+                    await self._read_stream(reader)
                 finally:
                     transport.close()
         except OSError:
             pass  # no such pipe, or it vanished; the daemon keeps serving
 
-    async def _read_stream(self, reader, source: str) -> None:
+    async def _read_stream(self, reader) -> None:
         """Drive one ingest stream to its end: the only reader there is.
 
         ``reader`` needs one method, ``async read(n)`` — at most ``n``
@@ -398,8 +395,7 @@ class ServeDaemon:
         is :func:`~repro.serve.ingest.stream_reader`; when it returns,
         the stream ended or lost its framing and the caller closes it.
         """
-        steps = stream_reader(
-            lambda events, errors: self._offer_batch(events, errors, source))
+        steps = stream_reader(self._offer_batch)
         try:
             want = next(steps)
             while True:
@@ -422,15 +418,14 @@ class ServeDaemon:
         while len(self.queue) >= self.config.batch_max:
             await asyncio.sleep(0)
 
-    def _offer_batch(self, events: List, frame_errors: int,
-                     source: str) -> None:
+    def _offer_batch(self, events: List, frame_errors: int) -> None:
         """Queue what one read decoded — the only way into the queue;
         wake the dispatcher once."""
         if frame_errors:
             self._frame_errors.inc(frame_errors)
         offer = self.queue.offer
         for event in events:
-            offer(event, source=source)
+            offer(event)
         if events and self._wake is not None:
             self._wake.set()
 
@@ -507,7 +502,7 @@ class ServeDaemon:
             reasons = [f"shard_failed:{idx}" for idx in failed] + reasons
         if self._stopping is not None and self._stopping.is_set():
             reasons = ["shutting down"] + reasons
-        ready = not reasons and self.queue.ready()
+        ready = not reasons
         return json_response(200 if ready else 503, {
             "ready": ready,
             "reasons": reasons,

@@ -33,7 +33,7 @@ import json
 from collections import deque
 from typing import Callable, Deque, Generator, List, Optional, Tuple
 
-from ..core.degradation import IMPACT_FALSE, IMPACT_MISSED, OverflowLedger
+from ..core.degradation import IMPACT_MISSED, OverflowLedger
 from ..netsim.serialize import (
     BATCH_HEADER_SIZE,
     FRAME_MAGIC,
@@ -259,7 +259,7 @@ class IngestQueue:
             buckets=LATENCY_BUCKETS)
 
     # -- producer side ----------------------------------------------------
-    def offer(self, event: DataplaneEvent, source: str = "?") -> bool:
+    def offer(self, event: DataplaneEvent) -> bool:
         """Accept ``event`` into the queue, or shed it (ledgered)."""
         now = self.clock()
         if len(self._frames) >= self.max_depth:
@@ -267,9 +267,7 @@ class IngestQueue:
             self.last_shed_at = now
             self._saturated = True
             self._shed_total.inc()
-            self.ledger.record(
-                SHED_KIND, "(ingest)", f"source={source}", now,
-                (IMPACT_MISSED, IMPACT_FALSE))
+            self.ledger.record(SHED_KIND, "(ingest)", IMPACT_MISSED)
             return False
         self._depth_hist.observe(float(len(self._frames)))
         self._frames.append((event, now))
@@ -301,23 +299,17 @@ class IngestQueue:
         return len(self._frames)
 
     def ready(self) -> bool:
-        """Backpressure-aware readiness (with hysteresis).
+        """Backpressure-aware readiness (with hysteresis): see
+        :meth:`unready_reasons`."""
+        return not self.unready_reasons()
+
+    def unready_reasons(self) -> List[str]:
+        """Human-readable reasons the queue is not ready (empty if ready).
 
         Not-ready while saturated; ready again only once depth is back
         under ``low_mark * max_depth`` and the last shed is older than
-        ``shed_window`` seconds.
+        ``shed_window`` seconds, which clears the latch.
         """
-        if self._saturated:
-            if len(self._frames) > self.low_mark * self.max_depth:
-                return False
-            if self.last_shed_at is not None \
-                    and self.clock() - self.last_shed_at < self.shed_window:
-                return False
-            self._saturated = False
-        return True
-
-    def unready_reasons(self) -> List[str]:
-        """Human-readable reasons ``ready()`` is False (empty if ready)."""
         reasons: List[str] = []
         if self._saturated:
             if len(self._frames) > self.low_mark * self.max_depth:
@@ -329,6 +321,7 @@ class IngestQueue:
                 if since < self.shed_window:
                     reasons.append(
                         f"shed {since:.3f}s ago (window {self.shed_window:g}s)")
+            self._saturated = bool(reasons)
         return reasons
 
     def stats(self) -> dict:

@@ -80,8 +80,8 @@ def assert_reference_equivalent(plain, ref):
         assert sum(getattr(s, attr)() for s in ref.shards) \
             == getattr(plain, attr)()
     assert plain.pending_op_count() == 0
-    assert not any(s.ledger.records for s in ref.shards)
-    assert not plain.ledger.records
+    assert not any(len(s.ledger) for s in ref.shards)
+    assert not len(plain.ledger)
 
 
 def assert_equivalent(plain, fabric):
@@ -90,8 +90,8 @@ def assert_equivalent(plain, fabric):
         assert getattr(fabric.stats, name) == getattr(plain.stats, name), name
     assert fabric.live_instances() == plain.live_instances()
     assert fabric.pending_op_count() == plain.pending_op_count() == 0
-    assert not fabric.ledger.records
-    assert not plain.ledger.records
+    assert not len(fabric.ledger)
+    assert not len(plain.ledger)
 
 
 class TestInprocessDifferential:
@@ -160,7 +160,7 @@ class TestChaosProfilesPerShard:
         ref = feed(Partitioned(catalog_props(), 2, profile), events, 256)
         for shard in ref.shards:
             assert check_invariants(shard) == []
-        # The fabric runs the same shards in its workers: shed records
+        # The fabric runs the same shards in its workers: shed counts
         # from every shard land in the one fabric ledger, and the
         # interval stays well-formed around the observed count.
         fabric = build_sharded_monitor(profile, num_shards=2)
@@ -170,8 +170,7 @@ class TestChaosProfilesPerShard:
         finally:
             fabric.stop()
         assert fingerprint(fabric.violations) == fingerprint(ref.violations)
-        assert len(fabric.ledger.records) \
-            == sum(len(m.ledger.records) for m in ref.shards)
+        assert len(fabric.ledger) == sum(len(m.ledger) for m in ref.shards)
         observed = len(fabric.violations)
         lo, hi = fabric.ledger.interval(observed)
         assert lo <= observed <= hi

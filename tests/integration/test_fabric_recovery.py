@@ -12,6 +12,8 @@ Fault families, all on real forked workers:
   input: the journal is counted in events, and a worker's counters ride
   its checkpoint, so violations, ledger and counters equal the plain
   monitor's whether events arrive one at a time or 1024 at once.
+* The same crash under a bounded store — a worker's shed counts ride
+  its checkpoint, so the fabric's ledger equals an uncrashed run's.
 * A hung worker at shutdown (SIGSTOP) — ``stop()`` stays bounded, the
   unrecovered tail is ledgered as ``shard-quit-timeout`` ink.
 * A poison batch (an event whose property predicate SIGKILLs its own
@@ -31,6 +33,7 @@ import time
 
 import pytest
 
+from repro.core.degradation import DegradationPolicy
 from repro.core.monitor import Monitor, MonitorStats
 from repro.core.refs import (
     Bind,
@@ -61,6 +64,7 @@ from repro.faults.rounds import (
 from repro.packet import tcp_packet
 from repro.props import build_table1
 from repro.switch.events import EgressAction, PacketArrival, PacketEgress
+from repro.switch.switch import ProcessingMode
 from repro.telemetry import MetricsRegistry
 
 pytestmark = pytest.mark.skipif(
@@ -118,7 +122,7 @@ class TestSigkillEquivalence:
             lo, hi = fabric.ledger.interval(observed)
             assert lo <= len(plain.violations) <= hi, (
                 lo, len(plain.violations), hi)
-            if not fabric.ledger.records:
+            if not len(fabric.ledger):
                 # nothing was lost: recovery must be *exact*
                 assert fingerprint(fabric.violations) \
                     == fingerprint(plain.violations)
@@ -195,6 +199,52 @@ class TestBatchSizeIsNotSemantic:
             fabric.stop()
         finally:
             fabric.close()
+
+
+class TestShedsAcrossACrash:
+    """A replacement restores the checkpoint's shed counts and replays
+    the journal, re-detecting sheds the dead worker already reported;
+    none of them may count twice, and none may go missing."""
+
+    EVENTS = 4000
+    KILL_AT = 3072
+    BOUNDED = dict(mode=ProcessingMode.INLINE, degradation=DegradationPolicy(
+        max_instances=8, eviction="evict-oldest"))
+
+    def ledger_after(self, events, kill):
+        # The journal holds eight intervals, more than the whole run: no
+        # event ages out of it, so the crash costs no ledgered gap.
+        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
+                                monitor_kwargs=self.BOUNDED,
+                                supervision=SupervisorPolicy(
+                                    checkpoint_interval=1024, **FAST))
+        sup = fabric.supervisor
+        try:
+            for i in range(0, len(events), 128):
+                if kill and i >= self.KILL_AT:
+                    kill = False
+                    # The sync lands the first checkpoint and merges
+                    # what the worker shed after it, which the
+                    # replacement's replay sheds again.
+                    fabric.sync()
+                    assert sup.states[0].checkpoint is not None
+                    os.kill(sup.worker_pids()[0], signal.SIGKILL)
+                fabric.observe_batch(events[i:i + 128])
+            fabric.advance_to(events[-1].time + SETTLE)
+            fabric.stop()
+            assert not sup.failed()
+            return sup.total_restarts(), fabric.ledger.summary()
+        finally:
+            fabric.close()
+
+    def test_ledger_equals_the_uncrashed_run(self):
+        events = catalog_trace(seed=7, num_events=self.EVENTS)
+        restarts, clean = self.ledger_after(events, kill=False)
+        assert restarts == 0
+        assert clean["by_kind"].get("instance-evicted", 0) > 0, clean
+        restarts, crashed = self.ledger_after(events, kill=True)
+        assert restarts >= 1
+        assert crashed == clean
 
 
 class TestDeathAtQuiesce:

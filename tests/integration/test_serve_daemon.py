@@ -624,7 +624,7 @@ class TestBackpressure:
 
             ledger = daemon.monitor.ledger
             assert len(ledger) == daemon.queue.shed
-            assert all(r.kind == "ingest-shed" for r in ledger.records)
+            assert ledger.by_kind() == {"ingest-shed": daemon.queue.shed}
         finally:
             daemon.queue.take_batch = real_take
             report = handle.stop()

@@ -140,7 +140,7 @@ class TestFullPacketRoundtrips:
 
 
 # -- parse on demand ----------------------------------------------------------
-DEPTHS = (2, 3, 4, 7)
+DEPTHS = (0, 1, 2, 3, 4, 7)
 
 small = st.integers(0, 7)
 built = st.one_of(

@@ -21,11 +21,12 @@ in-flight ops and are brought to the same time, then:
 * the reference count lies in the ledger's ``[lo, hi]``, in total and
   per property;
 * an empty ledger means identical violation fingerprints;
-* ``hi - lo <= potential_missed + potential_false``;
+* ``hi - lo <= 2 * len(ledger)``;
 * :func:`~repro.faults.rounds.check_invariants` passes.
 
-A restore carries the old monitor's violations and ledger records
-forward, the way the fabric keeps them across a worker restart.
+A restore carries the old monitor's violations forward, the way the
+fabric keeps them across a worker restart; the ledger's counts ride the
+checkpoint itself.
 """
 
 from dataclasses import replace
@@ -39,11 +40,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.degradation import (
-    EVICTION_POLICIES,
-    DegradationPolicy,
-    OverflowLedger,
-)
+from repro.core.degradation import EVICTION_POLICIES, DegradationPolicy
 from repro.core.monitor import Monitor
 from repro.faults.profiles import (
     ControlFaultProfile,
@@ -123,7 +120,6 @@ class FaultMachine(RuleBasedStateMachine):
         self.tap = FaultyEventChannel(link, name="machine")
         #: what monitors replaced by a restore reported
         self.carried_violations = []
-        self.carried_records = []
 
     def _now(self) -> float:
         return max(self.monitor.now, self.oracle.now)
@@ -151,7 +147,6 @@ class FaultMachine(RuleBasedStateMachine):
         fresh = catalog_monitor(**self.kwargs)
         fresh.restore_state(state)
         self.carried_violations.extend(self.monitor.violations)
-        self.carried_records.extend(self.monitor.ledger.records)
         self.monitor = fresh
 
     @invariant()
@@ -161,13 +156,12 @@ class FaultMachine(RuleBasedStateMachine):
         self.monitor.advance_to(when)
         self.oracle.advance_to(when)
 
-        ledger = OverflowLedger()
-        ledger.records = self.carried_records + self.monitor.ledger.records
+        ledger = self.monitor.ledger
         observed = self.carried_violations + self.monitor.violations
         reference = self.oracle.violations
         lo, hi = ledger.interval(len(observed))
         assert lo <= len(reference) <= hi, (lo, len(reference), hi)
-        assert hi - lo <= ledger.potential_missed() + ledger.potential_false()
+        assert hi - lo <= 2 * len(ledger)
 
         observed_by, reference_by = (count_by_property(observed),
                                      count_by_property(reference))
@@ -175,7 +169,7 @@ class FaultMachine(RuleBasedStateMachine):
                 | set(ledger.properties()):
             lo, hi = ledger.interval(observed_by.get(name, 0), name)
             assert lo <= reference_by.get(name, 0) <= hi, (name, lo, hi)
-        if not ledger.records:
+        if not len(ledger):
             assert fingerprint(observed) == fingerprint(reference)
         assert check_invariants(self.monitor) == []
 

@@ -1,8 +1,11 @@
 """Unit tests: bounded monitor state, backpressure, the overflow ledger."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core import (
+    Absent,
     Bind,
     Const,
     DegradationPolicy,
@@ -16,10 +19,10 @@ from repro.core import (
     OverflowLedger,
     PropertySpec,
     Var,
-    classify_op,
 )
 from repro.packet import MACAddress, ethernet
-from repro.switch.events import PacketArrival
+from repro.serve import IngestQueue
+from repro.switch.events import OobKind, OutOfBandEvent, PacketArrival
 from repro.switch.switch import ProcessingMode
 
 
@@ -63,44 +66,128 @@ class TestPolicyValidation:
             DegradationPolicy(max_retries=-1)
 
 
+class DropAfter:
+    """Control channel that applies the first ``n`` ops on time and
+    drops every later one."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def perturb(self):
+        self.n -= 1
+        return 0.0 if self.n >= 0 else None
+
+
 class TestClassifyOp:
+    """A lost op's primary impact, as a monitor's ledger records it."""
+
+    @staticmethod
+    def drop_kill_and_create():
+        """Split-mode monitor whose control channel applies one create,
+        then drops a kill (S=1) and a create (S=2)."""
+        monitor = Monitor(mode=ProcessingMode.SPLIT, split_lag=1.0,
+                          op_faults=DropAfter(1))
+        monitor.add_property(PropertySpec(
+            name="p",
+            description="frame from S, then no frame to S for 5s",
+            stages=(
+                Observe("seen", EventPattern(
+                    kind=EventKind.ARRIVAL, binds=(Bind("S", "eth.src"),))),
+                Absent("unanswered", EventPattern(
+                    kind=EventKind.ARRIVAL,
+                    guards=(FieldEq("eth.dst", Var("S")),)), within=5.0),
+            ),
+            key_vars=("S",),
+        ))
+        monitor.observe(arr(ethernet(1, 9), 0.0))   # create S=1: applied
+        monitor.observe(arr(ethernet(2, 1), 2.0))   # kill S=1, create S=2
+        monitor.advance_to(20.0)
+        return monitor
+
     def test_primary_direction(self):
-        assert classify_op("create", "dropped")[0] == IMPACT_MISSED
-        assert classify_op("advance", "dropped")[0] == IMPACT_MISSED
-        assert classify_op("refresh", "dropped")[0] == IMPACT_MISSED
-        assert classify_op("kill", "dropped")[0] == IMPACT_FALSE
+        """A lost kill usually lets a discharged obligation complete
+        (false positive); a lost create usually hides a violation."""
+        monitor = self.drop_kill_and_create()
+        assert monitor.ledger.by_kind() == {"op-dropped": 2}
+        assert monitor.ledger.by_primary() == {
+            IMPACT_FALSE: 1, IMPACT_MISSED: 1}
 
     def test_both_sides_always_present(self):
-        for kind in ("create", "advance", "refresh", "kill"):
-            impacts = classify_op(kind, "dropped")
-            assert set(impacts) == {IMPACT_MISSED, IMPACT_FALSE}
+        """Each shed bounds both sides, whatever its primary direction."""
+        monitor = self.drop_kill_and_create()
+        assert monitor.ledger.interval(len(monitor.violations)) == (0, 3)
+        assert monitor.ledger.summary()["per_property"]["p"] == {
+            "potential_missed": 2, "potential_false": 2}
 
 
 class TestLedger:
     def test_interval_clamps_at_zero(self):
         ledger = OverflowLedger()
-        ledger.record("op-dropped", "p", "kill", 1.0,
-                      classify_op("kill", "dropped"))
-        ledger.record("op-dropped", "p", "create", 2.0,
-                      classify_op("create", "dropped"))
+        ledger.record("op-dropped", "p", IMPACT_FALSE)
+        ledger.record("op-dropped", "p", IMPACT_MISSED)
         assert ledger.interval(0) == (0, 2)
         assert ledger.interval(5) == (3, 7)
-        assert ledger.potential_missed() == 2
-        assert ledger.potential_false() == 2
+        assert len(ledger) == ledger.count() == 2
 
     def test_per_property_filtering(self):
         ledger = OverflowLedger()
-        ledger.record("instance-evicted", "a", "", 1.0,
-                      (IMPACT_MISSED, IMPACT_FALSE))
-        ledger.record("op-shed", "b", "advance", 2.0,
-                      classify_op("advance", "dropped"))
-        assert ledger.potential_missed("a") == 1
-        assert ledger.potential_missed("b") == 1
-        assert ledger.potential_missed() == 2
+        ledger.record("instance-evicted", "a", IMPACT_MISSED)
+        ledger.record("op-shed", "b", IMPACT_MISSED, count=3)
+        assert ledger.count("a") == 1
+        assert ledger.count("b") == 3
+        assert ledger.interval(4, "b") == (1, 7)
+        assert ledger.count() == 4
         assert ledger.properties() == ("a", "b")
         summary = ledger.summary()
-        assert summary["records"] == 2
-        assert summary["by_kind"] == {"instance-evicted": 1, "op-shed": 1}
+        assert summary["records"] == 4
+        assert summary["by_kind"] == {"instance-evicted": 1, "op-shed": 3}
+        assert summary["per_property"]["b"] == {
+            "potential_missed": 3, "potential_false": 3}
+
+
+class TestLedgerMemory:
+    """The ledger counts sheds; it keeps no record of each one, so a
+    sender that mints sheds cannot grow it."""
+
+    N = 1000
+
+    @staticmethod
+    def growth(shed, n):
+        """Bytes still allocated after sheds n..5n that were not after
+        sheds n..2n (sheds 0..n create the ledger's rows)."""
+        shed(0, n)
+        tracemalloc.start()
+        try:
+            shed(n, 2 * n)
+            low = tracemalloc.get_traced_memory()[0]
+            shed(2 * n, 5 * n)
+            return tracemalloc.get_traced_memory()[0] - low
+        finally:
+            tracemalloc.stop()
+
+    def test_ingest_sheds_retain_nothing(self):
+        queue = IngestQueue(max_depth=1)
+        event = OutOfBandEvent(switch_id="s", time=0.0,
+                               oob_kind=OobKind.PORT_UP, port=1)
+
+        def shed(start, stop):
+            for _ in range(start, stop):
+                queue.offer(event)
+
+        assert self.growth(shed, self.N) < 1024
+        assert len(queue.ledger) == 5 * self.N - 1
+
+    def test_rejected_creations_retain_nothing(self):
+        monitor = degraded_monitor(
+            DegradationPolicy(max_instances=1, eviction="reject-new"))
+
+        def shed(start, stop):
+            for i in range(start, stop):
+                monitor.observe(arr(ethernet(i + 1, 1 << 40), 1e-3 * i))
+
+        assert self.growth(shed, self.N) < 1024
+        assert monitor.ledger.by_kind() == {
+            "instance-rejected": 5 * self.N - 1}
 
 
 class TestBoundedStores:
@@ -198,9 +285,8 @@ class TestBackpressure:
         for i in range(3):
             monitor.observe(arr(ethernet(i + 1, 100 + i), 0.01))
         monitor.advance_to(20.0)
-        shed = [r for r in monitor.ledger.records if r.kind == "op-shed"]
-        assert len(shed) == 2
-        assert all(r.primary == IMPACT_MISSED for r in shed)  # creates
+        assert monitor.ledger.by_kind() == {"op-shed": 2}
+        assert monitor.ledger.by_primary() == {IMPACT_MISSED: 2}  # creates
 
 
 def gated_two_stage(within):

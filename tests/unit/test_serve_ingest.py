@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.degradation import IMPACT_FALSE, IMPACT_MISSED, OverflowLedger
+from repro.core.degradation import IMPACT_MISSED, OverflowLedger
 from repro.serve import FrameError, IngestQueue, ServeConfig, parse_frame
 from repro.serve.ingest import decode_batch, stream_reader
 from repro.serve.daemon import parse_ingest_spec
@@ -45,18 +45,11 @@ class TestOfferAndShed:
 
     def test_sheds_are_ledgered_with_both_impacts(self):
         ledger = OverflowLedger()
-        clock = FakeClock()
-        q = IngestQueue(max_depth=1, ledger=ledger, clock=clock)
-        q.offer(oob(), source="tcp:1234")
-        clock.now = 2.5
-        q.offer(oob(), source="tcp:1234")
-        assert len(ledger) == 1
-        record = ledger.records[0]
-        assert record.kind == "ingest-shed"
-        assert record.prop == "(ingest)"
-        assert record.detail == "source=tcp:1234"
-        assert record.time == 2.5
-        assert set(record.impacts) == {IMPACT_MISSED, IMPACT_FALSE}
+        q = IngestQueue(max_depth=1, ledger=ledger)
+        q.offer(oob())
+        q.offer(oob())
+        assert ledger.counts == {("ingest-shed", "(ingest)", IMPACT_MISSED): 1}
+        assert ledger.interval(3) == (2, 4)
 
     def test_shed_widens_uncertainty_interval_both_ways(self):
         ledger = OverflowLedger()
@@ -384,6 +377,8 @@ class TestServeConfigBounds:
         ("stats {trace} {no_lex}", 1),
         ("stats {trace} {no_parse}", 1),
         ("stats {trace} {missing}", 1),
+        ("send {missing}", 1),
+        ("stats {trace} {prop} --poll-interval 0", 2),
     ])
     def test_cli_bad_input_is_one_error_line(self, argv, status, tmp_path,
                                              capsys):
@@ -404,6 +399,8 @@ class TestServeConfigBounds:
         assert "Traceback" not in err
         assert [line for line in err.splitlines()
                 if line.startswith("error:")] == [err.strip()]
+        if "{missing}" in argv:
+            assert files["missing"] in err and "connection" not in err
 
 
 class TestServeReport:

@@ -773,8 +773,8 @@ class TestCheckpointRoundTrip:
         monitor.add_property(timed_prop())
         for ev in self._events():
             monitor.observe(ev)
-        plain, _, _ = take_snapshot(monitor, 0, 0, 0)
-        checkpoint, _, _ = take_snapshot(monitor, 0, 0, 0, with_state=True)
+        plain, _ = take_snapshot(monitor, 0, 0)
+        checkpoint, _ = take_snapshot(monitor, 0, 0, with_state=True)
         assert plain.state is None and plain.export_seconds == 0.0
         assert checkpoint.export_seconds > 0.0
         assert pickle.loads(checkpoint.state) == monitor.export_state()
