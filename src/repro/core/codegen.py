@@ -10,11 +10,16 @@ its class first needs it.  No plan tuples are walked and no per-guard
 call is made at run time.
 
 One generated function exists per watched concrete event class:
-``_eval__<Cls>(event, fields)`` takes the flat field map
-:func:`repro.core.refs.event_fields` built for the event — the only
-place an event becomes fields.  One function call per event, zero per
-guard.  ``Monitor.observe`` is its only caller; ``observe_batch`` is a
-loop over ``observe``.
+``_eval__<Cls>(_ev)`` first unpacks its class's field loader
+(:func:`repro.core.refs.field_loader`, bound as ``_ld_<Cls>``) into its
+``_f_*`` locals.  The loader reads exactly the fields the class's
+sections read plus every predicate's declared ``fields_used``, to the
+monitor's ``max_layer``, and builds no map.  Only a class whose watchers
+hold a :class:`~repro.core.refs.Predicate` builds ``_fields``, once per
+event: the map of the predicates' declared fields that are present,
+which is all a predicate sees.  One function call per event, zero per guard.
+``Monitor.observe`` is its only caller; ``observe_batch`` is a loop over
+``observe``.
 
 What the function does with the ops it plans depends on the monitor's
 mode, fixed when the program is built (the op sink,
@@ -30,7 +35,7 @@ mode, fixed when the program is built (the op sink,
 
 Applying property p's ops before property q is planned is the reference
 order, not an approximation of it.  A property's section reads only its
-own store, the field map and the key filter, which is a pure ownership
+own store, the loaded fields and the key filter, which is a pure ownership
 predicate; applying p's ops writes only p's store, the counters, the
 agenda and the violation list, none of which q's section reads.  So the
 state, the counters, the agenda sequence numbers (hence same-instant
@@ -57,7 +62,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..switch.events import PacketArrival, PacketDrop, PacketEgress
 from .compile import (
-    _MISSING,
     bindable_source,
     dispatch_plan,
     guard_source,
@@ -69,7 +73,7 @@ from .instances import (
     stage_index_plan,
     uid_var,
 )
-from .refs import EventPattern, MismatchAny, Predicate
+from .refs import MISSING, EventPattern, MismatchAny, Predicate, field_loader
 from .spec import PropertySpec
 
 #: event classes whose field map always carries a packet ``uid``.
@@ -302,6 +306,10 @@ class _ClassEmitter:
         #: whether a section emitted so far can plan a kill or an advance
         self.plans = False
         self.fmap = _FieldMap()
+        #: whether a predicate reads ``_fields``, and the fields that map
+        #: holds (when present): every predicate's ``fields_used``
+        self.builds_map = False
+        self.map_names: List[str] = []
         self.has_uid = cls in _UID_CLASSES
         self.has_create = any(e.sections.create is not None for e in entries)
         self.counts = any(
@@ -311,8 +319,7 @@ class _ClassEmitter:
         )
 
     # -- shared expression builders -------------------------------------
-    def _matcher(self, pattern: EventPattern, env_expr: str,
-                 fields_expr: str) -> str:
+    def _matcher(self, pattern: EventPattern, env_expr: str) -> str:
         """``match_instance`` (or ``guards_match``) as one expression."""
         terms: List[str] = []
         if pattern.same_packet_as is not None:
@@ -322,10 +329,15 @@ class _ClassEmitter:
                 f"(_xp := {env_expr}.get({uid_key!r})) is not None")
             terms.append(f"{got} is not _M and {got} == _xp")
         terms.extend(refinement_sources(pattern, self.fmap, self.pool))
-        terms.extend(
-            guard_source(g, self.fmap, self.pool, env_expr, fields_expr)
-            for g in pattern.guards
-        )
+        for guard in pattern.guards:
+            if isinstance(guard, Predicate):
+                self.builds_map = True
+                for fieldname in guard.fields_used:
+                    self.fmap(fieldname)
+                    if fieldname not in self.map_names:
+                        self.map_names.append(fieldname)
+            terms.append(guard_source(
+                guard, self.fmap, self.pool, env_expr, "_fields"))
         return " and ".join(terms) if terms else "True"
 
     @staticmethod
@@ -437,8 +449,7 @@ class _ClassEmitter:
         return f"{name}.get({key}) if {name} and {presence} else None"
 
     def _emit_unless(self, w: _Writer, entry: _Entry, stage_idx: int,
-                     patterns: Tuple[EventPattern, ...],
-                     fields_expr: str) -> None:
+                     patterns: Tuple[EventPattern, ...]) -> None:
         """Feature 4: cancel every waiting instance a pattern matches (no
         candidate counting).  When the store has a cancel index for every
         pattern the candidates are the bucket hits — two patterns hitting
@@ -476,7 +487,7 @@ class _ClassEmitter:
         if self._needs_env(patterns):
             w.w("_env = _inst.env")
         cond = " or ".join(
-            f"({self._matcher(pat, '_env', fields_expr)})"
+            f"({self._matcher(pat, '_env')})"
             for pat in patterns
         )
         w.w(f"if {cond}:")
@@ -494,9 +505,9 @@ class _ClassEmitter:
         w.ded()
 
     def _emit_discharge(self, w: _Writer, entry: _Entry, stage_idx: int,
-                        pattern: EventPattern, fields_expr: str) -> None:
+                        pattern: EventPattern) -> None:
         p = entry.pidx
-        matcher = self._matcher(pattern, "_env", fields_expr)
+        matcher = self._matcher(pattern, "_env")
         needs_env = self._needs_env((pattern,))
 
         def body() -> None:
@@ -523,10 +534,10 @@ class _ClassEmitter:
         self.plans = True
 
     def _emit_advance(self, w: _Writer, entry: _Entry, stage_idx: int,
-                      pattern: EventPattern, fields_expr: str) -> None:
+                      pattern: EventPattern) -> None:
         p = entry.pidx
         stage = entry.prop.stages[stage_idx]
-        matcher = self._matcher(pattern, "_env", fields_expr)
+        matcher = self._matcher(pattern, "_env")
         bindable = bindable_source(pattern, self.fmap)
         binds = self._binds_dict(pattern, uid_var(stage.name))
         needs_env = self._needs_env((pattern,))
@@ -611,11 +622,11 @@ class _ClassEmitter:
         w.w("_cop()")
         w.w(leaf)
 
-    def _create_cond(self, entry: _Entry, fields_expr: str) -> str:
+    def _create_cond(self, entry: _Entry) -> str:
         pattern = entry.sections.create
         assert pattern is not None
         terms = []
-        matcher = self._matcher(pattern, "_E", fields_expr)
+        matcher = self._matcher(pattern, "_E")
         if matcher != "True":
             terms.append(matcher)
         bindable = bindable_source(pattern, self.fmap)
@@ -629,8 +640,7 @@ class _ClassEmitter:
         return self._binds_dict(
             pattern, uid_var(entry.prop.stages[0].name))
 
-    def _emit_create(self, w: _Writer, entry: _Entry,
-                     fields_expr: str) -> None:
+    def _emit_create(self, w: _Writer, entry: _Entry) -> None:
         group = self.group_vars.get(entry.pidx)
         if group is not None:
             env, key = group
@@ -639,7 +649,7 @@ class _ClassEmitter:
             self._emit_refresh_or_create(w, entry, env, key)
             w.ded()
             return
-        cond = self._create_cond(entry, fields_expr)
+        cond = self._create_cond(entry)
         guarded = cond != "True"
         if guarded:
             w.w(f"if {cond}:")
@@ -660,13 +670,13 @@ class _ClassEmitter:
         by_source: Dict[Tuple[str, str, str], List[_Entry]] = {}
         for entry in self.entries:
             if entry.sections.create is not None:
-                source = (scratch._create_cond(entry, "_fields"),
+                source = (scratch._create_cond(entry),
                           scratch._env0_dict(entry),
                           scratch._key_tuple(entry.prop))
                 by_source.setdefault(source, []).append(entry)
         return [group for group in by_source.values() if len(group) > 1]
 
-    def _emit_groups(self, w: _Writer, fields_expr: str) -> None:
+    def _emit_groups(self, w: _Writer) -> None:
         """Build each group's stage-0 env and key once per event; its
         members' create sections read them (``_key_g<n>`` is None when
         the condition fails)."""
@@ -675,7 +685,7 @@ class _ClassEmitter:
             env, key = f"_env0_g{n}", f"_key_g{n}"
             w.w("# one stage-0 env and key for " + ", ".join(
                 repr(entry.prop.name) for entry in group))
-            cond = self._create_cond(first, fields_expr)
+            cond = self._create_cond(first)
             if cond != "True":
                 w.w(f"if {cond}:")
                 w.ind()
@@ -690,36 +700,46 @@ class _ClassEmitter:
             for entry in group:
                 self.group_vars[entry.pidx] = (env, key)
 
-    def _emit_prop_sections(self, w: _Writer, entry: _Entry,
-                            fields_expr: str) -> None:
+    def _emit_prop_sections(self, w: _Writer, entry: _Entry) -> None:
         w.w(f"# --- property {entry.prop.name!r} ---")
         w.w("_d = None")
         for is_unless, stage_idx, patterns in entry.sections.cancels:
             if is_unless:
-                self._emit_unless(w, entry, stage_idx, patterns, fields_expr)
+                self._emit_unless(w, entry, stage_idx, patterns)
             else:
-                self._emit_discharge(
-                    w, entry, stage_idx, patterns[0], fields_expr)
+                self._emit_discharge(w, entry, stage_idx, patterns[0])
         for stage_idx, pattern in entry.sections.advances:
-            self._emit_advance(w, entry, stage_idx, pattern, fields_expr)
+            self._emit_advance(w, entry, stage_idx, pattern)
         if entry.sections.create is not None:
-            self._emit_create(w, entry, fields_expr)
+            self._emit_create(w, entry)
 
-    def emit_eval(self) -> Tuple[str, str]:
-        """The class's evaluator (returns (name, source)): the create
-        groups, then each property's sections in registration order."""
-        name = f"_eval__{self.cls.__name__}"
+    def emit_eval(self) -> Tuple[str, str, Tuple[str, ...]]:
+        """The class's evaluator (returns (name, source, the field names
+        its loader ``_ld_<Cls>`` reads)): the create groups, then each
+        property's sections in registration order."""
+        cls_name = self.cls.__name__
+        name = f"_eval__{cls_name}"
         body = _Writer()
         body.ind()
-        self._emit_groups(body, "_fields")
+        self._emit_groups(body)
         for entry in self.entries:
-            self._emit_prop_sections(body, entry, "_fields")
+            self._emit_prop_sections(body, entry)
+        names = tuple(self.fmap.order)
         head = _Writer()
-        head.w(f"def {name}(_ev, _fields):")
+        head.w(f"def {name}(_ev):")
         head.ind()
-        head.w("_fg = _fields.get")
-        for fieldname in self.fmap.order:
-            head.w(f"{self.fmap(fieldname)} = _fg({fieldname!r}, _M)")
+        if names:
+            unpack = ", ".join(map(self.fmap, names))
+            if len(names) == 1:
+                unpack += ","
+            head.w(f"{unpack} = _ld_{cls_name}(_ev)")
+        if self.builds_map:
+            head.w("_fields = {}")
+            for fieldname in self.map_names:
+                head.w(f"if {self.fmap(fieldname)} is not _M:")
+                head.ind()
+                head.w(f"_fields[{fieldname!r}] = {self.fmap(fieldname)}")
+                head.ded()
         head.w("_t = _ev.time")
         if self.has_create:
             head.w("_kf = _mon.key_filter")
@@ -734,7 +754,7 @@ class _ClassEmitter:
             tail.w("_inc_cand(_nc)")
             tail.ded()
         tail.w("return _ops")
-        return name, "\n".join(head.lines + body.lines + tail.lines)
+        return name, "\n".join(head.lines + body.lines + tail.lines), names
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +781,7 @@ def build_program(
     op_cls: type,
     inc_candidates: Callable[[float], None],
     inline: bool,
+    max_layer: int,
 ) -> CodegenProgram:
     """Emit the full program for a monitor's properties; its functions
     are compiled and exec'd as each is first needed (:class:`_LazyFns`).
@@ -779,11 +800,12 @@ def build_program(
     ``inline`` picks the op sink (:meth:`_ClassEmitter._emit_state_op`):
     True refreshes and creates through ``host``'s ``_refresh`` and
     ``_create`` as they are decided, False plans every op for ``host``
-    to defer.
+    to defer.  ``max_layer`` is the parse depth every class's field
+    loader (:func:`repro.core.refs.field_loader`) reads to.
     """
     pool = _ConstPool()
     exec_globals: Dict[str, object] = {
-        "_M": _MISSING,
+        "_M": MISSING,
         "_Op": op_cls,
         "_E": {},   # the empty env stage-0 predicates see (never written)
         "_mon": host,
@@ -811,19 +833,23 @@ def build_program(
         "# properties: " + ", ".join(
             prop.name for prop, _, _ in entries),
     ]
-    placed: Dict[type, Tuple[str, int, str]] = {}  # (def name, line, source)
+    #: class -> (def name, line, source, loaded field names)
+    placed: Dict[type, Tuple[str, int, str, Tuple[str, ...]]] = {}
     for cls in sorted(by_class, key=lambda c: c.__name__):
-        name, source = _ClassEmitter(
+        name, source, names = _ClassEmitter(
             cls, by_class[cls], pool, exec_globals, inline).emit_eval()
         parts += ["", f"# ===== {cls.__name__} ====="]
-        placed[cls] = (name, sum(p.count("\n") + 1 for p in parts), source)
+        placed[cls] = (name, sum(p.count("\n") + 1 for p in parts), source,
+                       names)
         parts.append(source)
     exec_globals.update(pool.globals)
 
     def define(cls: type) -> Optional[Callable]:
         if cls not in placed:
             return None
-        name, lineno, source = placed.pop(cls)
+        name, lineno, source, names = placed.pop(cls)
+        exec_globals[f"_ld_{cls.__name__}"] = field_loader(
+            cls, names, max_layer)
         exec(_compile_function(lineno, source), exec_globals)  # noqa: S102
         return exec_globals[name]
 

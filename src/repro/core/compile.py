@@ -47,9 +47,6 @@ from .refs import (
 )
 from .spec import Absent, PropertySpec
 
-#: Sentinel distinguishing "field absent" from any real field value.
-_MISSING = object()
-
 
 # ---------------------------------------------------------------------------
 # Dispatch planning
@@ -113,7 +110,7 @@ def guard_source(guard, fx, const, env_expr: str, fields_expr: str) -> str:
     """One guard dataclass -> one inline boolean expression.
 
     Same verdicts as the guard's interpreted ``holds``: the same absence
-    semantics (``_M`` is the missing-field sentinel), constants folded
+    semantics (``_M`` is :data:`~repro.core.refs.MISSING`), constants folded
     (literals inline, other values bound as exec globals via ``const``),
     ordered compares that swallow TypeError (via the :data:`CMP_HELPERS`
     functions).

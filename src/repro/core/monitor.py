@@ -6,8 +6,9 @@ into it) and tracks, per property, a population of instances — partially
 completed violation witnesses.  It implements all the semantic features of
 Sec. 2:
 
-* F1  field access        — guards read the flat event field map, truncated
-                            at the monitor's ``max_layer`` parse capability;
+* F1  field access        — guards read the fields the properties demand,
+                            loaded to the monitor's ``max_layer`` parse
+                            capability (``refs.field_loader``);
 * F2  event history       — instances persist across packets;
 * F3  timeouts            — ``Observe.within`` expires stale instances, and
                             re-seeing stage 0 for an existing key refreshes;
@@ -44,7 +45,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..netsim.scheduler import EventScheduler
 from ..switch.events import DataplaneEvent
@@ -62,7 +63,6 @@ from .degradation import (
 )
 from .instances import Instance, InstanceStore, make_store
 from .provenance import ProvenanceLevel, StageRecord, record_stage
-from .refs import event_fields
 from .spec import Absent, PropertySpec, refresh_applies
 from .violations import Violation
 
@@ -372,8 +372,7 @@ class Monitor:
         self._c_events.inc()
         telemetry = self.registry.enabled
         candidates_before = self._c_candidates.value if telemetry else 0.0
-        fields = event_fields(event, max_layer=self.max_layer)
-        ops = self._evaluate(event, fields)
+        ops = self._evaluate(event)
         if self.mode is ProcessingMode.INLINE:
             # what the program left unapplied (see ``_program``)
             for op in ops:
@@ -536,6 +535,7 @@ class Monitor:
                 entries, host=self, op_cls=_Op,
                 inc_candidates=self._c_candidates.inc,
                 inline=self.mode is ProcessingMode.INLINE,
+                max_layer=self.max_layer,
             )
         return program
 
@@ -543,18 +543,16 @@ class Monitor:
         """The full generated-program source (``repro explain --codegen``)."""
         return self._program().source
 
-    def _evaluate_codegen(
-        self, event: DataplaneEvent, fields: Mapping[str, object]
-    ) -> List[_Op]:
+    def _evaluate_codegen(self, event: DataplaneEvent) -> List[_Op]:
         """Run one event through the generated program; return the ops
         it planned and left for the caller to apply or defer.
 
-        One exec'd function per concrete event class: field reads are
-        hoisted to locals, constants folded into compares, store probes
-        inlined.  In SPLIT mode it returns exactly the ops the reference
-        walk (:mod:`repro.core.reference`) would; in INLINE mode it has
-        applied a prefix of them already (see the comment above
-        :meth:`_program`).  Either way the differential property suite
+        One exec'd function per concrete event class: its field loader
+        reads the fields it demands into locals, constants are folded
+        into compares, store probes inlined.  In SPLIT mode it returns
+        exactly the ops the reference walk (:mod:`repro.core.reference`)
+        would; in INLINE mode it has applied a prefix of them already
+        (see the comment above :meth:`_program`).  Either way the differential property suite
         holds the two to identical applied ops, violations, counters
         and ledgers.
         """
@@ -562,7 +560,7 @@ class Monitor:
         fn = program.eval_fns[type(event)]
         if fn is None:
             return []
-        return fn(event, fields)
+        return fn(event)
 
     # -- state transitions -------------------------------------------------------
     def _apply(self, op: _Op) -> None:

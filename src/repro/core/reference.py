@@ -26,14 +26,14 @@ from typing import Dict, List, Mapping, Set, Tuple
 from ..switch.events import DataplaneEvent
 from .instances import Instance, stage_index_plan, uid_var
 from .monitor import Monitor, _Op
-from .refs import EventPattern, kind_matches
+from .refs import EventPattern, event_fields, kind_matches
 from .spec import Absent, refresh_applies
 
 
-def evaluate_interpreted(
-    monitor: Monitor, event: DataplaneEvent, fields: Mapping[str, object]
-) -> List[_Op]:
-    """The ops one event plans against ``monitor``'s current state."""
+def evaluate_interpreted(monitor: Monitor, event: DataplaneEvent) -> List[_Op]:
+    """The ops one event plans against ``monitor``'s current state, read
+    off the event's whole field map (:func:`event_fields`)."""
+    fields = event_fields(event, max_layer=monitor.max_layer)
     ops: List[_Op] = []
     t = event.time
     for prop in monitor._props.values():

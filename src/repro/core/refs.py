@@ -20,16 +20,21 @@ which is a disjunction of inequalities).
 
 The field map a guard reads is :func:`event_fields`: the packet's own
 fields, which its headers declare (:data:`repro.packet.HEADERS`), plus the
-event metadata declared here, in :data:`METADATA_FIELDS`.
+event metadata declared here, in :data:`METADATA_FIELDS`.  The monitor's
+generated program and the fabric router read no map: each reads an
+event through a :func:`field_loader`, which returns just the fields it
+was asked for, as the map would hold them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..packet.headers import Field
+from ..packet.headers import WIRE_NAMES, Field, WireHeader
+from ..packet.wire import HEADERS, walk
 from ..switch.events import (
     DataplaneEvent,
     EgressAction,
@@ -123,6 +128,94 @@ def event_fields(event: DataplaneEvent, max_layer: int = 7) -> Dict[str, object]
     elif isinstance(event, TimerFired):
         fields["timer.id"] = event.timer_id
     return fields
+
+
+#: The missing-field sentinel: what a loader yields for a name the
+#: event's field map would not hold.
+MISSING = object()
+
+#: dotted packet field -> (the header declaring it, its row)
+_PACKET_ROWS = {row.name: (header, row)
+                for header in HEADERS for row in header.FIELDS}
+_METADATA_ROWS = {row.name: row for row in METADATA_FIELDS}
+
+
+def field_loader(cls: type, names: Sequence[str], max_layer: int = 7
+                 ) -> Callable[[DataplaneEvent], tuple]:
+    """The reader of ``names`` off events of class ``cls``.
+
+    It returns one tuple, in ``names`` order: each field's value as
+    ``event_fields(event, max_layer)`` holds it, or :data:`MISSING` where
+    that map would not hold the name.  It builds no map.  A frame still
+    held as bytes is walked once (:func:`repro.packet.wire.walk`), only
+    to the deepest layer a demanded name needs, and only the demanded
+    values are built from it (each by its row's ``wire`` expression);
+    nothing is walked when only metadata is demanded.  A packet built
+    from headers is read attribute by attribute, as ``Packet.fields``
+    reads it: a None attribute is absent, and a later header wins.
+    Loaders are compiled once per ``(cls, names, max_layer)``.
+    """
+    return _compile_loader(cls, tuple(names), max_layer)
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_loader(cls: type, names: Tuple[str, ...], max_layer: int):
+    attrs = getattr(cls, "__dataclass_fields__", {})
+    has_packet = "packet" in attrs
+    values = ["_M"] * len(names)
+    reads: Dict[type, List[Tuple[str, Field]]] = {}
+    for i, name in enumerate(names):
+        meta = _METADATA_ROWS.get(name)
+        header, row = _PACKET_ROWS.get(name, (None, None))
+        if meta is not None and meta.attr == "uid":
+            if has_packet:
+                values[i] = "_ev.packet.uid"
+        elif meta is not None and meta.attr in attrs:
+            # an optional attribute that is None is not in the map
+            values[i] = (f"(_M if (_x := _ev.{meta.attr}) is None else _x)"
+                         if attrs[meta.attr].default is None
+                         else f"_ev.{meta.attr}")
+        elif header is not None and has_packet and header.LAYER <= max_layer:
+            values[i] = f"_v{i}"
+            reads.setdefault(header, []).append((values[i], row))
+    namespace = {"_M": MISSING, "_walk": walk, **WIRE_NAMES}
+    namespace.update((f"_{header.__name__}", header) for header in reads)
+    lines = ["def _load(_ev):"]
+    if reads:
+        wire = [h for h in reads if issubclass(h, WireHeader)]
+        whole = [h for h in reads if h not in wire]
+        lines += [
+            "    " + " = ".join(slot for rows in reads.values()
+                                for slot, _ in rows) + " = _M",
+            "    _p = _ev.packet",
+            "    _h = _p.__dict__.get('headers')",
+            "    if _h is None:",
+            f"        _s, _l7, _ = _walk(_p._wire, "
+            f"{max(h.LAYER for h in reads)})",
+        ]
+        if wire:
+            lines.append("        for _c, v in _s:")
+            for n, header in enumerate(wire):
+                lines.append(f"            {'el' * bool(n)}if "
+                             f"_c is _{header.__name__}:")
+                lines += [f"                {slot} = {row.wire}"
+                          for slot, row in reads[header]]
+        for header in whole:
+            lines.append(f"        if _l7.__class__ is _{header.__name__}:")
+            for slot, row in reads[header]:
+                lines += [f"            if (_x := _l7.{row.attr}) is not None:",
+                          f"                {slot} = _x"]
+        lines += ["    else:", "        for _x in _h:",
+                  "            _c = _x.__class__"]
+        for n, header in enumerate(reads):
+            lines.append(f"            {'el' * bool(n)}if "
+                         f"_c is _{header.__name__}:")
+            for slot, row in reads[header]:
+                lines += [f"                if (_y := _x.{row.attr}) is not None:",
+                          f"                    {slot} = _y"]
+    lines.append(f"    return ({''.join(v + ', ' for v in values)})")
+    exec("\n".join(lines), namespace)  # noqa: S102
+    return namespace["_load"]
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +335,12 @@ class Predicate:
     """An arbitrary boolean over (event fields, environment).
 
     The escape hatch for conditions the structured guards cannot express
-    (e.g. "requested address within the DHCP pool").  ``fields_used`` feeds
-    the static analyzer so parse-depth requirements stay derivable.
+    (e.g. "requested address within the DHCP pool").  ``fields_used`` is
+    the contract: the monitor's generated program hands a predicate the
+    map of the declared fields that are present (the declarations of
+    every predicate watching the same event class), so a predicate sees
+    exactly its declared ``fields_used``.  The static analyzer reads the
+    same declaration, so parse-depth requirements stay derivable.
     """
 
     fn: Callable[[Mapping[str, object], Mapping[str, object]], bool]

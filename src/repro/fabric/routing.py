@@ -20,9 +20,11 @@ that placement statically from the compiler's dispatch plans:
   shards.  Pinned properties lose parallelism, never correctness.
 
 The :class:`Router` folds every property's route into one per-event-class
-plan, so splitting a batch costs at most one ``event_fields`` call per
-event (none for a class that only pinned properties watch) plus one
-:func:`stable_hash` per distinct extractor — no per-property dispatch.
+plan, so splitting a batch costs at most one field-loader call per event
+— a :func:`~repro.core.refs.field_loader` over the union of the class's
+key fields, so nothing but key fields is read, and nothing at all for a
+class that only pinned properties watch — plus one :func:`stable_hash`
+per distinct extractor: no per-property dispatch and no field map.
 The partition only has to be deterministic (the blueprint paper's point
 is which events share state, not how keys are spelled), so the hash
 multiplies the key's integer values rather than formatting them.
@@ -32,10 +34,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type)
 
 from ..core.compile import Watcher, dispatch_plan
-from ..core.refs import event_fields
+from ..core.refs import MISSING, field_loader
 from ..core.spec import PropertySpec
 from ..switch.events import DataplaneEvent
 from ..telemetry import MetricsRegistry, NullRegistry
@@ -178,9 +181,10 @@ class Router:
 
     One event can target several shards (different properties extract
     different keys from it); an event no property watches targets none.
-    Routing reads each event's field map at most once — not at all when
-    its class has pins only — and reuses the per-class union of all
-    properties' pins and extractor field tuples.
+    Routing loads each event's key fields once — nothing when its class
+    has pins only — and reuses the per-class union of all properties'
+    pins and extractors, each extractor held as the positions of its
+    fields in the class's loader tuple.
     """
 
     def __init__(
@@ -204,10 +208,17 @@ class Router:
                             extractors.append(key_fields)
                 elif route.pin not in pins:
                     pins.append(route.pin)
-        self._plan = {
-            cls: (tuple(pins), tuple(extractors))
-            for cls, (pins, extractors) in plan.items()
-        }
+        # Per event class: (pins, its key-field loader or None, each
+        # extractor as positions in the loaded tuple).
+        self._plan: Dict[Type[DataplaneEvent], Tuple[
+            Tuple[int, ...], Optional[Callable],
+            Tuple[Tuple[int, ...], ...]]] = {}
+        for cls, (pins, extractors) in plan.items():
+            names = list(dict.fromkeys(f for key in extractors for f in key))
+            self._plan[cls] = (
+                tuple(pins),
+                field_loader(cls, names) if names else None,
+                tuple(tuple(map(names.index, key)) for key in extractors))
         self.events_total = 0
         self.shard_events = [0] * num_shards
         self._c_events = registry.counter(
@@ -244,20 +255,21 @@ class Router:
             entry = plan.get(type(event))
             if entry is None:
                 continue  # e.g. a replayed TimerFired: no watcher anywhere
-            pins, extractors = entry
-            if not extractors:
+            pins, load, extractors = entry
+            if load is None:
                 # Pinned properties only: no key to read off the event.
                 for shard in pins:
                     batches[shard].append(event)
                 continue
-            fields = event_fields(event)
+            values = load(event)
             targets = set(pins)
-            for key_fields in extractors:
-                try:
-                    key = tuple(fields[f] for f in key_fields)
-                except KeyError:
-                    continue  # field absent: the guarded match would fail
-                targets.add(stable_hash(key) % num_shards)
+            for positions in extractors:
+                key = tuple([values[i] for i in positions])
+                for value in key:  # by identity: no address __eq__ runs
+                    if value is MISSING:
+                        break  # field absent: the guarded match would fail
+                else:
+                    targets.add(stable_hash(key) % num_shards)
             for shard in targets:
                 batches[shard].append(event)
         self.events_total += len(events)

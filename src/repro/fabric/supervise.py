@@ -17,7 +17,11 @@ death a *ledgered, recoverable* event instead:
   checkpoint, replayed in order, then advanced to the fabric's present;
   the replacement then reports what the dead worker would have.
 * **One unit** — the journal is bounded in *events*, like the
-  checkpoint interval it is a multiple of (``JOURNAL_INTERVALS``).
+  checkpoint interval it is a multiple of (``JOURNAL_INTERVALS``).  A
+  batch an outstanding checkpoint covers is never aged out while that
+  checkpoint can still land: the supervisor waits for the reply
+  (back-pressure on the sender) and ages events out only when it does
+  not come within ``heartbeat_timeout``.
 * **Checkpoints off the data path** — every ``checkpoint_interval``
   events the supervisor *requests* a checkpoint and keeps routing.  The
   channel is FIFO in both directions, so the request is a consistent
@@ -81,11 +85,13 @@ _FABRIC_PROP = "(fabric)"
 #: events (and always its newest batch); older batches drop into the
 #: ledger as an unrecoverable gap.  Counted in events, the unit of
 #: ``checkpoint_interval``, so the journal reaches back to the last
-#: landed checkpoint whatever size the batches are.  A healthy shard
-#: peaks near two intervals (one behind an outstanding cut, one being
-#: counted towards the next) plus what its worker is behind by — at most
-#: a socket buffer, a few thousand events — so the bound bites only
-#: while a worker is down or its cuts do not land.
+#: landed checkpoint whatever size the batches are.  A healthy worker
+#: can lag by a socket buffer — a few thousand events, more than the
+#: bound at a small interval — so before a batch that an outstanding
+#: cut covers ages out, the supervisor waits (up to
+#: ``heartbeat_timeout``) for that cut to land, which trims the journal
+#: instead.  The bound bites only while a worker is down or a cut does
+#: not land in time.
 JOURNAL_INTERVALS = 8
 
 
@@ -730,7 +736,19 @@ class Supervisor:
         st.journal.append(list(events))
         st.journal_events += len(events)
         bound = JOURNAL_INTERVALS * self.policy.checkpoint_interval
+        waited = False
         while st.journal_events > bound and len(st.journal) > 1:
+            if not waited and st.cut is not None \
+                    and st.journal_head < st.cut.seq:
+                # Back-pressure before loss: a batch the outstanding cut
+                # covers waits (once per append) for that cut to land,
+                # which trims it.
+                waited = True
+                try:
+                    if self._land_cut(idx, self.policy.heartbeat_timeout):
+                        continue
+                except (ShardDied, ShardTimeout) as exc:
+                    self._on_death(idx, str(exc))
             aged = st.journal.popleft()
             if st.cut is not None and st.journal_head < st.cut.seq:
                 st.cut.dropped += len(aged)

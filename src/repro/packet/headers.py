@@ -18,9 +18,11 @@ A header states its byte layout once, as ``WIRE``, and reads it once, in
 ``unpack`` (length and validity checks, then the raw values).  Everything
 else is a projection of those values: ``from_wire`` builds the object,
 ``read_fields`` writes the flat dotted-name fields without building it —
-what :mod:`repro.packet.wire` walks a frame with; hand-written for speed,
-tests hold it to ``FIELDS`` — and ``decode`` is ``unpack`` + ``from_wire`` +
-the bytes left over.
+what :mod:`repro.packet.wire` walks a frame with — and ``decode`` is
+``unpack`` + ``from_wire`` + the bytes left over.  Where a field sits in
+those raw values is stated once, as its row's ``wire`` expression:
+``read_fields`` is compiled from the rows, and so is every field loader
+(:func:`repro.core.refs.field_loader`) that reads the field.
 """
 
 from __future__ import annotations
@@ -90,6 +92,14 @@ class Field(NamedTuple):
     kind: str  # "ip" | "mac" | "int" | "str" | "enum" | "float"
     bits: int  # register width; 0 for unsized kinds (str, float, enum)
     settable: bool = False  # a Set-Field target
+    #: the value as an expression over the header's raw ``WIRE`` values
+    #: ``v`` (names from :data:`WIRE_NAMES`); "" for an L7 header, which
+    #: is read whole
+    wire: str = ""
+
+
+#: what a ``Field.wire`` expression may call
+WIRE_NAMES = {"_mac": _mac, "_ip": _ip}
 
 
 class Header:
@@ -125,6 +135,15 @@ class WireHeader(Header):
     WIRE: ClassVar[struct.Struct]
     unpack = classmethod(_unpack)
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        body = "".join(f"\n    out[{row.name!r}] = {row.wire}"
+                       for row in cls.FIELDS)
+        namespace = dict(WIRE_NAMES)
+        exec(f"def read_fields(v, out):{body}", namespace)  # noqa: S102
+        #: ``read_fields(values, out)``: every row of ``FIELDS``, in order
+        cls.read_fields = staticmethod(namespace["read_fields"])
+
     @classmethod
     def span(cls, values: tuple) -> int:
         """Bytes the header occupies (TCP's depends on its data offset)."""
@@ -144,9 +163,9 @@ class Ethernet(WireHeader):
     NAME: ClassVar[str] = "eth"
     WIRE: ClassVar[struct.Struct] = struct.Struct("!6s6sH")
     FIELDS: ClassVar[Tuple[Field, ...]] = (
-        Field("eth.src", "src", "mac", 48, settable=True),
-        Field("eth.dst", "dst", "mac", 48, settable=True),
-        Field("eth.type", "ethertype", "int", 16, settable=True),
+        Field("eth.src", "src", "mac", 48, settable=True, wire="_mac(v[1])"),
+        Field("eth.dst", "dst", "mac", 48, settable=True, wire="_mac(v[0])"),
+        Field("eth.type", "ethertype", "int", 16, settable=True, wire="v[2]"),
     )
 
     src: MACAddress
@@ -161,12 +180,6 @@ class Ethernet(WireHeader):
         dst, src, ethertype = values
         return cls(src=_mac(src), dst=_mac(dst), ethertype=ethertype)
 
-    @staticmethod
-    def read_fields(values: tuple, out: Dict[str, object]) -> None:
-        out["eth.src"] = _mac(values[1])
-        out["eth.dst"] = _mac(values[0])
-        out["eth.type"] = values[2]
-
 
 @dataclass(frozen=True)
 class Vlan(WireHeader):
@@ -176,8 +189,9 @@ class Vlan(WireHeader):
     NAME: ClassVar[str] = "vlan"
     WIRE: ClassVar[struct.Struct] = struct.Struct("!HH")
     FIELDS: ClassVar[Tuple[Field, ...]] = (
-        Field("vlan.vid", "vid", "int", 12, settable=True),
-        Field("vlan.pcp", "pcp", "int", 3, settable=True),
+        Field("vlan.vid", "vid", "int", 12, settable=True,
+              wire="v[0] & 0x0FFF"),
+        Field("vlan.pcp", "pcp", "int", 3, settable=True, wire="v[0] >> 13"),
     )
 
     vid: int
@@ -198,11 +212,6 @@ class Vlan(WireHeader):
         tci, ethertype = values
         return cls(vid=tci & 0x0FFF, pcp=tci >> 13, ethertype=ethertype)
 
-    @staticmethod
-    def read_fields(values: tuple, out: Dict[str, object]) -> None:
-        out["vlan.vid"] = values[0] & 0x0FFF
-        out["vlan.pcp"] = values[0] >> 13
-
 
 @dataclass(frozen=True)
 class Arp(WireHeader):
@@ -214,11 +223,15 @@ class Arp(WireHeader):
     #: htype, ptype, hlen, plen of the one combination spoken here
     ETHERNET_IPV4: ClassVar[tuple] = (1, EtherType.IPV4, 6, 4)
     FIELDS: ClassVar[Tuple[Field, ...]] = (
-        Field("arp.op", "op", "int", 16, settable=True),
-        Field("arp.sender_mac", "sender_mac", "mac", 48, settable=True),
-        Field("arp.sender_ip", "sender_ip", "ip", 32, settable=True),
-        Field("arp.target_mac", "target_mac", "mac", 48, settable=True),
-        Field("arp.target_ip", "target_ip", "ip", 32, settable=True),
+        Field("arp.op", "op", "int", 16, settable=True, wire="v[4]"),
+        Field("arp.sender_mac", "sender_mac", "mac", 48, settable=True,
+              wire="_mac(v[5])"),
+        Field("arp.sender_ip", "sender_ip", "ip", 32, settable=True,
+              wire="_ip(v[6])"),
+        Field("arp.target_mac", "target_mac", "mac", 48, settable=True,
+              wire="_mac(v[7])"),
+        Field("arp.target_ip", "target_ip", "ip", 32, settable=True,
+              wire="_ip(v[8])"),
     )
 
     op: int
@@ -246,14 +259,6 @@ class Arp(WireHeader):
                    sender_mac=_mac(values[5]), sender_ip=_ip(values[6]),
                    target_mac=_mac(values[7]), target_ip=_ip(values[8]))
 
-    @staticmethod
-    def read_fields(values: tuple, out: Dict[str, object]) -> None:
-        out["arp.op"] = values[4]
-        out["arp.sender_mac"] = _mac(values[5])
-        out["arp.sender_ip"] = _ip(values[6])
-        out["arp.target_mac"] = _mac(values[7])
-        out["arp.target_ip"] = _ip(values[8])
-
     @property
     def is_request(self) -> bool:
         return self.op == ArpOp.REQUEST
@@ -272,11 +277,11 @@ class IPv4(WireHeader):
     #: ver/ihl, tos, total length, ident, frag, ttl, proto, checksum, src, dst
     WIRE: ClassVar[struct.Struct] = struct.Struct("!BBHHHBBHII")
     FIELDS: ClassVar[Tuple[Field, ...]] = (
-        Field("ipv4.src", "src", "ip", 32, settable=True),
-        Field("ipv4.dst", "dst", "ip", 32, settable=True),
-        Field("ipv4.proto", "proto", "int", 8),
-        Field("ipv4.ttl", "ttl", "int", 8, settable=True),
-        Field("ipv4.dscp", "dscp", "int", 6, settable=True),
+        Field("ipv4.src", "src", "ip", 32, settable=True, wire="_ip(v[8])"),
+        Field("ipv4.dst", "dst", "ip", 32, settable=True, wire="_ip(v[9])"),
+        Field("ipv4.proto", "proto", "int", 8, wire="v[6]"),
+        Field("ipv4.ttl", "ttl", "int", 8, settable=True, wire="v[5]"),
+        Field("ipv4.dscp", "dscp", "int", 6, settable=True, wire="v[1] >> 2"),
     )
 
     src: IPv4Address
@@ -324,14 +329,6 @@ class IPv4(WireHeader):
                    dscp=tos >> 2, ident=ident,
                    payload_len=max(0, total_len - 20))
 
-    @staticmethod
-    def read_fields(values: tuple, out: Dict[str, object]) -> None:
-        out["ipv4.src"] = _ip(values[8])
-        out["ipv4.dst"] = _ip(values[9])
-        out["ipv4.proto"] = values[6]
-        out["ipv4.ttl"] = values[5]
-        out["ipv4.dscp"] = values[1] >> 2
-
     def decremented(self) -> "IPv4":
         """Copy with TTL decreased by one (forwarding semantics)."""
         if self.ttl <= 0:
@@ -348,11 +345,11 @@ class TCP(WireHeader):
     #: ports, seq, ack, data offset, flags, window, checksum, urgent
     WIRE: ClassVar[struct.Struct] = struct.Struct("!HHIIBBHHH")
     FIELDS: ClassVar[Tuple[Field, ...]] = (
-        Field("tcp.src", "src_port", "int", 16, settable=True),
-        Field("tcp.dst", "dst_port", "int", 16, settable=True),
-        Field("tcp.flags", "flags", "int", 8, settable=True),
-        Field("tcp.seq", "seq", "int", 32),
-        Field("tcp.ack", "ack", "int", 32),
+        Field("tcp.src", "src_port", "int", 16, settable=True, wire="v[0]"),
+        Field("tcp.dst", "dst_port", "int", 16, settable=True, wire="v[1]"),
+        Field("tcp.flags", "flags", "int", 8, settable=True, wire="v[5]"),
+        Field("tcp.seq", "seq", "int", 32, wire="v[2]"),
+        Field("tcp.ack", "ack", "int", 32, wire="v[3]"),
     )
 
     src_port: int
@@ -399,14 +396,6 @@ class TCP(WireHeader):
         return cls(src_port=sport, dst_port=dport, seq=seq, ack=ack,
                    flags=flags, window=window)
 
-    @staticmethod
-    def read_fields(values: tuple, out: Dict[str, object]) -> None:
-        out["tcp.src"] = values[0]
-        out["tcp.dst"] = values[1]
-        out["tcp.flags"] = values[5]
-        out["tcp.seq"] = values[2]
-        out["tcp.ack"] = values[3]
-
     def has_flag(self, flag: int) -> bool:
         return bool(self.flags & flag)
 
@@ -431,8 +420,8 @@ class UDP(WireHeader):
     NAME: ClassVar[str] = "udp"
     WIRE: ClassVar[struct.Struct] = struct.Struct("!HHHH")
     FIELDS: ClassVar[Tuple[Field, ...]] = (
-        Field("udp.src", "src_port", "int", 16, settable=True),
-        Field("udp.dst", "dst_port", "int", 16, settable=True),
+        Field("udp.src", "src_port", "int", 16, settable=True, wire="v[0]"),
+        Field("udp.dst", "dst_port", "int", 16, settable=True, wire="v[1]"),
     )
 
     src_port: int
@@ -453,11 +442,6 @@ class UDP(WireHeader):
         sport, dport, length, _csum = values
         return cls(src_port=sport, dst_port=dport, payload_len=max(0, length - 8))
 
-    @staticmethod
-    def read_fields(values: tuple, out: Dict[str, object]) -> None:
-        out["udp.src"] = values[0]
-        out["udp.dst"] = values[1]
-
 
 @dataclass(frozen=True)
 class ICMP(WireHeader):
@@ -467,8 +451,8 @@ class ICMP(WireHeader):
     NAME: ClassVar[str] = "icmp"
     WIRE: ClassVar[struct.Struct] = struct.Struct("!BBHHH")
     FIELDS: ClassVar[Tuple[Field, ...]] = (
-        Field("icmp.type", "icmp_type", "int", 8, settable=True),
-        Field("icmp.code", "code", "int", 8, settable=True),
+        Field("icmp.type", "icmp_type", "int", 8, settable=True, wire="v[0]"),
+        Field("icmp.code", "code", "int", 8, settable=True, wire="v[1]"),
     )
 
     TYPE_ECHO_REPLY: ClassVar[int] = 0
@@ -486,8 +470,3 @@ class ICMP(WireHeader):
     def from_wire(cls, values: tuple) -> "ICMP":
         itype, code, _csum, ident, seq = values
         return cls(icmp_type=itype, code=code, ident=ident, seq=seq)
-
-    @staticmethod
-    def read_fields(values: tuple, out: Dict[str, object]) -> None:
-        out["icmp.type"] = values[0]
-        out["icmp.code"] = values[1]

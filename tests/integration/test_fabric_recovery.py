@@ -14,6 +14,9 @@ Fault families, all on real forked workers:
   monitor's whether events arrive one at a time or 1024 at once.
 * The same crash under a bounded store — a worker's shed counts ride
   its checkpoint, so the fabric's ledger equals an uncrashed run's.
+* A worker that lags by more than the journal bound — the supervisor
+  waits for the outstanding checkpoint instead of ageing out what it
+  covers, so healthy shards drop nothing and a crash is exact.
 * A hung worker at shutdown (SIGSTOP) — ``stop()`` stays bounded, the
   unrecovered tail is ledgered as ``shard-quit-timeout`` ink.
 * A poison batch (an event whose property predicate SIGKILLs its own
@@ -28,11 +31,13 @@ Fault families, all on real forked workers:
 
 import os
 import random
+from collections import Counter
 import signal
 import time
 
 import pytest
 
+from repro.core import codegen
 from repro.core.degradation import DegradationPolicy
 from repro.core.monitor import Monitor, MonitorStats
 from repro.core.refs import (
@@ -245,6 +250,42 @@ class TestShedsAcrossACrash:
         restarts, crashed = self.ledger_after(events, kill=True)
         assert restarts >= 1
         assert crashed == clean
+
+
+class TestJournalWaitsForTheCut:
+    """A healthy worker lags by a socket buffer, more than the journal
+    bound at a small checkpoint interval.  The supervisor waits for the
+    outstanding cut instead of ageing out what it covers, so a crash
+    after that costs no ledgered gap."""
+
+    def test_healthy_shards_drop_nothing_and_a_crash_is_exact(self):
+        events = catalog_trace(seed=7, num_events=3000)
+        # The workers fork with no generated code cached, so they start
+        # behind, as a fresh daemon's do, whatever ran before this test.
+        codegen._compile_function.cache_clear()
+        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
+                                supervision=SupervisorPolicy(
+                                    checkpoint_interval=256))
+        sup = fabric.supervisor
+        try:
+            for i in range(0, len(events), 128):
+                fabric.observe_batch(events[i:i + 128])
+            assert [st.journal_dropped for st in sup.states] == [0, 0]
+            os.kill(sup.worker_pids()[0], signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while sup.total_restarts() < 1 and time.monotonic() < deadline:
+                sup.heartbeat()
+                sup.tick()
+            fabric.advance_to(events[-1].time + SETTLE)
+            fabric.sync()
+            assert sup.total_restarts() >= 1 and not sup.failed()
+            assert "crash-gap" not in fabric.ledger.summary()["by_kind"]
+            plain = run_plain(events)
+            assert Counter(v.property_name for v in fabric.violations) \
+                == Counter(v.property_name for v in plain.violations)
+            fabric.stop()
+        finally:
+            fabric.close()
 
 
 class TestDeathAtQuiesce:

@@ -7,14 +7,19 @@ builds no header object at all."""
 import dataclasses
 import pickle
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Bind, Const, EventKind, EventPattern, FieldEq, Monitor, Observe, PropertySpec, Var
+from repro.core import refs
+from repro.core.refs import METADATA_FIELDS, MISSING, event_fields, field_loader
+from repro.fabric import Router, build_routes
 from repro.netsim.serialize import decode_frames, encode_frames
 from repro.packet import (
+    HEADERS,
     Dhcp,
     DhcpMessageType,
     FtpControl,
@@ -39,7 +44,15 @@ from repro.packet import (
 )
 from repro.packet.headers import Arp, ArpOp, Ethernet, IPv4
 from repro.faults.rounds import build_monitor, catalog_trace
-from repro.switch.events import EgressAction, PacketArrival, PacketEgress
+from repro.switch.events import (
+    EgressAction,
+    OobKind,
+    OutOfBandEvent,
+    PacketArrival,
+    PacketDrop,
+    PacketEgress,
+    TimerFired,
+)
 
 macs = st.integers(min_value=0, max_value=(1 << 48) - 1).map(MACAddress)
 ips = st.integers(min_value=0, max_value=(1 << 32) - 1).map(IPv4Address)
@@ -218,6 +231,49 @@ class TestTwoProjections:
             # equal values under equal keys in equal order
             assert list(flat.items()) == list(
                 eager(parses(raw)).fields(depth).items())
+
+
+#: every declared dotted name: the headers' rows, then the metadata rows
+NAMESPACE = [row.name for header in HEADERS for row in header.FIELDS] \
+    + [row.name for row in METADATA_FIELDS]
+
+
+def five_events(packet, port):
+    """One event of each class, the packet ones carrying ``packet``."""
+    return [
+        PacketArrival(switch_id="s", time=1.0, packet=packet, in_port=3),
+        PacketEgress(switch_id="s", time=2.0, packet=packet, in_port=3,
+                     out_port=4, action=EgressAction.FLOOD),
+        PacketDrop(switch_id="s", time=3.0, packet=packet, in_port=3,
+                   reason="acl"),
+        OutOfBandEvent(switch_id="s", time=4.0,
+                       oob_kind=OobKind.LINK_DOWN, port=port),
+        TimerFired(switch_id="s", time=5.0, timer_id="t"),
+    ]
+
+
+class TestLoaderIsTheFlatten:
+    """A field loader reads what ``event_fields`` would map, name by
+    name, on any frame ``parse`` takes — cut, bit-flipped or VLAN-tagged,
+    held as bytes or built from headers — and builds no header object."""
+
+    @given(frames(), st.lists(st.sampled_from(NAMESPACE), unique=True),
+           st.none() | st.integers(0, 64))
+    @settings(max_examples=300)
+    def test_loaded_values_equal_the_field_map(self, raw, names, port):
+        lazy = parses(raw)
+        if lazy is None:
+            return  # TestFaultsStayAtTheDoor has these
+        for depth in DEPTHS:
+            for packet in (lazy, eager(parses(raw))):
+                for event in five_events(packet, port):
+                    loaded = field_loader(type(event), names, depth)(event)
+                    flat = event_fields(event, depth)
+                    assert loaded \
+                        == tuple(flat.get(n, MISSING) for n in names)
+                    assert [v is MISSING for v in loaded] \
+                        == [n not in flat for n in names]
+        assert is_lazy(lazy)
 
 
 class TestLazyPacketIsAPacket:
@@ -441,3 +497,47 @@ class TestHotPathStaysLazy:
         reference.drain()
         assert [v.describe() for v in lazy.violations] \
             == [v.describe() for v in reference.violations]
+
+
+def count_flattens(monkeypatch):
+    """Count every ``event_fields`` call made through any ``repro``
+    module that holds the function."""
+    calls = []
+    real = refs.event_fields
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") \
+                and getattr(module, "event_fields", None) is real:
+            monkeypatch.setattr(module, "event_fields", counting)
+    return calls
+
+
+class TestNoFieldMapOnTheHotPath:
+    """The generated program and the fabric router read events through
+    field loaders: on decoded traffic neither builds a field map."""
+
+    @pytest.mark.parametrize("trace,build", [
+        (catalog_trace(seed=5, num_events=1500), build_monitor),
+        (flow_trace(), flow_monitor),
+    ], ids=["catalog", "flows"])
+    def test_compiled_observe_batch(self, trace, build, monkeypatch):
+        monitor = build()
+        batches = [decode_frames(encode_frames(trace[i:i + 64]))
+                   for i in range(0, len(trace), 64)]
+        calls = count_flattens(monkeypatch)
+        for batch in batches:
+            monitor.observe_batch(batch)
+        monitor.drain()
+        assert monitor.violations
+        assert calls == []
+
+    def test_router_split(self, monkeypatch):
+        router = Router(build_routes(flow_monitor()._props.values(), 2), 2)
+        calls = count_flattens(monkeypatch)
+        batches = router.split(flow_trace())
+        assert all(batches)
+        assert calls == []

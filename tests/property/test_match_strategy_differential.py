@@ -235,7 +235,7 @@ def probe_catalog():
                     kind=EventKind.ARRIVAL,
                     guards=(Predicate(
                         lambda fields, env: fields.get("in_port", 0) != 3,
-                        "in_port != 3"),),
+                        "in_port != 3", fields_used=("in_port",)),),
                     binds=(Bind("S", "eth.src"),))),
                 Observe("b", EventPattern(
                     kind=EventKind.EGRESS,
@@ -243,7 +243,7 @@ def probe_catalog():
                             Predicate(
                                 lambda fields, env:
                                 fields.get("eth.dst") == env.get("S"),
-                                "dst == $S")),
+                                "dst == $S", fields_used=("eth.dst",))),
                     egress_action=EgressAction.UNICAST)),
             ),
             key_vars=("S",),

@@ -4,6 +4,7 @@ per-stage store buckets with O(1) back-pointer removal, observe_batch,
 and the incrementally maintained live counter."""
 
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +30,6 @@ from repro.core import (
 )
 from repro.core import codegen
 from repro.core.compile import (
-    _MISSING,
     CMP_HELPERS,
     bindable_source,
     event_class_label,
@@ -37,8 +37,9 @@ from repro.core.compile import (
     refinement_sources,
 )
 from repro.core.instances import Instance
+from repro.core.refs import MISSING
 from repro.fabric import ShardedMonitor
-from repro.packet import ethernet
+from repro.packet import IPv4Address, MACAddress, ethernet, tcp_packet
 from repro.switch.events import (
     EgressAction,
     OobKind,
@@ -74,7 +75,7 @@ def emitted_match(pattern, fields, env):
     terms = refinement_sources(pattern, field_access, pool)
     terms += [guard_source(g, field_access, pool, "_env", "_F")
               for g in pattern.guards]
-    scope = {"_M": _MISSING, "_F": fields, "_env": env, **pool.globals,
+    scope = {"_M": MISSING, "_F": fields, "_env": env, **pool.globals,
              **{name: getattr(codegen, name) for name in CMP_HELPERS.values()}}
     return eval(" and ".join(terms) or "True", scope)
 
@@ -149,7 +150,7 @@ class TestCompiledGuards:
 class TestCompiledPattern:
     """What the generated program does with a whole pattern — event-class
     dispatch, refinements, the ``same_packet_as`` link, binds — probed
-    through ``Monitor._evaluate`` with hand-made field maps.  Plans are
+    through ``Monitor._evaluate`` with hand-made events.  Plans are
     read off SPLIT-mode monitors, whose program returns every op it
     plans; an INLINE program refreshes and creates as it goes."""
 
@@ -194,8 +195,8 @@ class TestCompiledPattern:
         store.add(Instance(prop, ("k2",), {"S": "k2"}, 0.0))
 
         def advanced(uid):
-            return [op.instance.key
-                    for op in monitor._evaluate(egress(1, 2), {"uid": uid})
+            event = egress(1, 2, packet=replace(ethernet(1, 2), uid=uid))
+            return [op.instance.key for op in monitor._evaluate(event)
                     if op.kind == "advance"]
 
         assert advanced(42) == [("k",)]
@@ -207,25 +208,28 @@ class TestCompiledPattern:
             stages=(
                 Observe("a", EventPattern(
                     kind=EventKind.ARRIVAL,
-                    binds=(Bind("S", "eth.src"), Bind("P", "in_port")))),
+                    binds=(Bind("S", "eth.src"), Bind("P", "ipv4.src")))),
                 Observe("b", EventPattern(kind=EventKind.EGRESS)),
             ),
             key_vars=("S",))
         split, inline = Monitor(mode=ProcessingMode.SPLIT), Monitor()
         for monitor in (split, inline):
             monitor.add_property(prop)
-        event = arrival(1, 2)
-        fields = {"eth.src": "m", "in_port": 3, "uid": 9}
-        env = {"S": "m", "P": 3, uid_var("a"): 9}
-        (op,) = split._evaluate(event, fields)
-        assert (op.kind, op.key, op.env) == ("create", ("m",), env)
+        packet = replace(tcp_packet(1, 2, "10.0.0.1", "10.0.0.2", 5, 6),
+                         uid=9)
+        event = PacketArrival(switch_id="s", time=1.0, packet=packet,
+                              in_port=3)
+        m = MACAddress(1)
+        env = {"S": m, "P": IPv4Address("10.0.0.1"), uid_var("a"): 9}
+        (op,) = split._evaluate(event)
+        assert (op.kind, op.key, op.env) == ("create", (m,), env)
         # INLINE: the program created the instance itself, nothing is left
-        assert inline._evaluate(event, fields) == []
-        created = inline.store("p").by_key(("m",))
+        assert inline._evaluate(event) == []
+        created = inline.store("p").by_key((m,))
         assert (created.stage, created.env) == (1, env)
         assert inline.stats.ops_applied == inline.stats.instances_created == 1
         # a bind whose field is absent blocks the match, it never raises
-        assert split._evaluate(event, {"eth.src": "m", "uid": 9}) == []
+        assert split._evaluate(arrival(1, 2)) == []
         # the bind-free fast path emits no presence check at all
         assert bindable_source(
             EventPattern(kind=EventKind.ARRIVAL), field_access) == "True"

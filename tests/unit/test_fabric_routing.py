@@ -227,14 +227,14 @@ class TestRouterSplit:
     def test_pinned_event_goes_to_pin(self, monkeypatch):
         num_shards = 4
         routes = build_routes([unkeyed_prop()], num_shards)
-        router = Router(routes, num_shards)
         event = OutOfBandEvent(switch_id="s", time=1.0,
                                oob_kind=OobKind.PORT_UP, port=3)
 
-        def no_field_map(*args, **kwargs):
-            raise AssertionError("a pins-only class has no key to extract")
+        def no_loader(*args, **kwargs):
+            raise AssertionError("a pins-only class has no key to load")
 
-        monkeypatch.setattr("repro.fabric.routing.event_fields", no_field_map)
+        monkeypatch.setattr("repro.fabric.routing.field_loader", no_loader)
+        router = Router(routes, num_shards)
         batches = router.split([event])
         assert [len(b) for b in batches] == [
             1 if i == routes["global"].pin else 0 for i in range(num_shards)]
