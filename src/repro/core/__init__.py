@@ -51,7 +51,6 @@ from .features import (
 from .instances import (
     Instance,
     InstanceStore,
-    make_store,
     stage_index_plan,
     uid_var,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "field_provenance",
     "Instance",
     "InstanceStore",
-    "make_store",
     "stage_index_plan",
     "uid_var",
     "Monitor",

@@ -387,67 +387,42 @@ class _ClassEmitter:
 
     def _emit_candidates(self, w: _Writer, entry: _Entry, stage_idx: int,
                          body: Callable[[], None]) -> None:
-        """Inline the store's index probe for one stage: the key bucket
-        the event's plan fields hit, then the scan bucket (the whole
-        population of a stage with an empty plan).
+        """Inline the store's candidates for one stage's own pattern: the
+        bucket its index yields for the event's plan fields, or the whole
+        stage population where the plan is empty.
 
-        The bucket dictionaries referenced here are created once in the
-        store's ``__init__`` and never replaced, so binding them as exec
-        globals stays correct across instance churn and
+        The index and population dicts referenced here are created once
+        in the store's ``__init__`` and never replaced, so binding them as
+        exec globals stays correct across instance churn and
         ``restore_state``.
         """
-        bk_name = f"_bk{entry.pidx}_{stage_idx}"
-        if bk_name not in self.g:
-            self.g[bk_name] = entry.store._buckets[stage_idx]
-        plan = stage_index_plan(entry.prop.stages[stage_idx])
-        if plan:
-            presence = " and ".join(
-                f"{self.fmap(f)} is not _M" for f, _ in plan)
-            parts = [self.fmap(f) for f, _ in plan]
-            key = (
-                f"({parts[0]},)" if len(parts) == 1
-                else "(" + ", ".join(parts) + ")"
-            )
-            w.w(f"_bkt = {bk_name}")
-            w.w("if _bkt:")
-            w.ind()
-            w.w(f"_hit = _bkt.get({key}) if {presence} else None")
-            w.w("_scan = _bkt.get(None)")
-            w.w("if _hit:")
-            w.ind()
-            w.w("for _inst in _hit.values():")
-            w.ind()
-            body()
-            w.ded()
-            w.ded()
-            w.w("if _scan:")
-            w.ind()
-            w.w("for _inst in _scan.values():")
-            w.ind()
-            body()
-            w.ded()
-            w.ded()
-            w.ded()
+        stage = entry.prop.stages[stage_idx]
+        index = entry.store.index(stage_idx, stage.pattern)
+        if index is None:
+            w.w(f"_c = {self._stage_pop_ref(entry, stage_idx)}")
         else:
-            w.w(f"_scan = {bk_name}.get(None)")
-            w.w("if _scan:")
-            w.ind()
-            w.w("for _inst in _scan.values():")
-            w.ind()
-            body()
-            w.ded()
-            w.ded()
+            name = f"_bk{entry.pidx}_{stage_idx}"
+            self.g[name] = index
+            w.w(f"_c = {self._index_probe(name, stage_index_plan(stage))}")
+        w.w("if _c:")
+        w.ind()
+        w.w("for _inst in _c.values():")
+        w.ind()
+        body()
+        w.ded()
+        w.ded()
 
-    # -- section emitters -------------------------------------------------
-    def _unless_probe(self, name: str, pattern: EventPattern) -> str:
-        """One ``unless`` pattern's cancel-index lookup as an expression:
-        the bucket dict, or None on a miss.  An absent field never equals
-        a binding, hence the presence check before the probe."""
-        parts = [self.fmap(f) for f, _ in pattern.env_guards()]
+    def _index_probe(self, name: str, plan: Tuple[Tuple[str, str], ...]) -> str:
+        """One index lookup as an expression: the bucket the event's
+        values of the plan's fields hit, or None on a miss.  An absent
+        field never equals a binding, hence the presence check before the
+        probe."""
+        parts = [self.fmap(f) for f, _ in plan]
         key = f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
         presence = " and ".join(f"{part} is not _M" for part in parts)
         return f"{name}.get({key}) if {name} and {presence} else None"
 
+    # -- section emitters -------------------------------------------------
     def _emit_unless(self, w: _Writer, entry: _Entry, stage_idx: int,
                      patterns: Tuple[EventPattern, ...]) -> None:
         """Feature 4: cancel every waiting instance a pattern matches (no
@@ -457,18 +432,20 @@ class _ClassEmitter:
         the scan emits kills in — otherwise (a pattern with no
         ``field == $var`` guard) the stage population is scanned.
         The index dicts are bound as stable exec globals like the advance
-        buckets in ``_emit_candidates``."""
+        indexes in ``_emit_candidates``."""
         p = entry.pidx
         unless = entry.prop.stages[stage_idx].unless
         indexes = {
-            f"_ub{p}_{stage_idx}_{j}": entry.store.unless_index(stage_idx, j)
+            f"_ub{p}_{stage_idx}_{j}": entry.store.index(stage_idx, unless[j])
             for j in map(unless.index, patterns)
         }
         if None in indexes.values():
             w.w(f"_c = {self._stage_pop_ref(entry, stage_idx)}")
         else:
             self.g.update(indexes)
-            first, *rest = map(self._unless_probe, indexes, patterns)
+            first, *rest = (
+                self._index_probe(name, pattern.env_guards())
+                for name, pattern in zip(indexes, patterns))
             w.w(f"_c = {first}")
             for probe in rest:
                 w.w(f"_h = {probe}")

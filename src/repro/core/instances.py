@@ -7,18 +7,21 @@ which instances it advances — the instance-identification problem whose
 variants (exact / symmetric / wandering / multiple match) Table 1
 catalogues.
 
-One store, :class:`InstanceStore`, answers it.  Per stage it builds an
-*index plan* from the stage's variable-referencing equality guards (plus
-the packet-uid linkage of ``same_packet_as``) and hashes waiting
-instances by their bound values for those variables, so an event yields
-candidates by direct lookup.  Stages with no indexable guards (e.g. an
-out-of-band link-down, which must advance *every* instance — multiple
-match) keep their whole population in one scan bucket.  The same
-treatment covers the cancel path: every ``unless`` pattern (Feature 4)
-with a ``field == $var`` guard gets its own hash index over the
-instances waiting at its stage (:func:`unless_index_plans`), so a
-cancelling event probes one bucket instead of walking the stage
-population; an ``unless`` with no such guard still scans.
+One store, :class:`InstanceStore`, answers it.  Every pattern watched
+at a stage that has something to hash on gets an *index*: the stage's
+own pattern on its variable-referencing equality guards plus the
+packet-uid linkage of ``same_packet_as`` (:func:`stage_index_plan`),
+each ``unless`` pattern (Feature 4) on its ``field == $var`` guards
+(:func:`index_plans`).  An index maps a waiting instance's bindings of
+those variables to the instances waiting there, so an event yields its
+candidates — to advance, discharge or cancel — by one probe, and a
+bucket is dropped when its last instance leaves.  The spec guarantees
+every variable an index reads is bound by the time an instance waits at
+the stage (:meth:`~repro.core.spec.PropertySpec._check_bindings`), so
+every waiting instance has a key in every index of its stage.  A pattern
+with nothing to hash on (e.g. an out-of-band link-down, which must
+advance *every* instance — multiple match) is answered from the stage
+population itself.
 
 Only the generated program (:mod:`repro.core.codegen`) reads the
 indexes.  The reference walk (:mod:`repro.core.reference`) scans each
@@ -39,9 +42,10 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .degradation import EVICT_LRU, EVICT_OLDEST, EVICT_REJECT
+from .refs import EventPattern
 from .spec import PropertySpec, Stage
 
 _instance_ids = itertools.count(1)
@@ -68,8 +72,7 @@ class Instance:
         "alive",
         "instance_id",
         "stage_bucket",
-        "index_bucket",
-        "unless_slots",
+        "slots",
         "stage_entry",
         "timer_gen",
     )
@@ -92,14 +95,12 @@ class Instance:
         self.advanced_at = created_at
         self.alive = True
         self.instance_id = next(_instance_ids)
-        # Store back-pointers: the per-stage population dict and the index
-        # bucket currently holding this instance.
-        # They make removal O(1) instead of a walk over stages × buckets.
+        # Store back-pointers: the per-stage population dict holding this
+        # instance, and one (index, key, bucket) slot per index of its
+        # stage — where the store filed it.  Touch and removal follow
+        # them, building and hashing no key.
         self.stage_bucket: Optional[Dict[int, "Instance"]] = None
-        self.index_bucket: Optional[Dict[int, "Instance"]] = None
-        #: (unless index, key) per indexed ``unless`` pattern of the
-        #: current stage — where the store filed this instance.
-        self.unless_slots: Tuple[Tuple[Dict, Tuple], ...] = ()
+        self.slots: Tuple[Tuple[Dict, Tuple, Dict[int, "Instance"]], ...] = ()
         #: per-store stamp of the moment this instance (re-)entered its
         #: stage population; orders instances drawn from several buckets.
         self.stage_entry = 0
@@ -131,16 +132,17 @@ def stage_index_plan(stage: Stage) -> Tuple[Tuple[str, str], ...]:
     return tuple(plan)
 
 
-def unless_index_plans(
+def index_plans(
     stage: Stage,
-) -> Tuple[Tuple[int, Tuple[Tuple[str, str], ...]], ...]:
-    """``(position in stage.unless, (event_field, env_var) pairs)`` for
-    every ``unless`` pattern of the stage a cancel index can hash on."""
-    return tuple(
-        (j, plan)
-        for j, unless in enumerate(getattr(stage, "unless", ()))
-        if (plan := unless.env_guards())
-    )
+) -> Tuple[Tuple[EventPattern, Tuple[Tuple[str, str], ...]], ...]:
+    """``(pattern, (event_field, env_var) pairs)`` for every pattern
+    watched at the stage that an index can hash on: the stage's own
+    pattern first (:func:`stage_index_plan`), then each ``unless`` with a
+    ``field == $var`` guard."""
+    watched = ((stage.pattern, stage_index_plan(stage)),) + tuple(
+        (unless, unless.env_guards())
+        for unless in getattr(stage, "unless", ()))
+    return tuple((pattern, plan) for pattern, plan in watched if plan)
 
 
 def merge_by_stage_entry(
@@ -174,10 +176,9 @@ class InstanceStore:
     """Hash-indexed live instances of ONE property.
 
     Beside the key map it keeps one dict per stage holding exactly the
-    live instances waiting there, so ``at_stage`` — the scan behind any
-    stage or ``unless`` pattern with nothing to hash on, and the
-    reference walk's candidate source — is O(stage population) and
-    allocates nothing per event.
+    live instances waiting there, so ``at_stage`` — the candidates of a
+    pattern with nothing to hash on, and the reference walk's candidate
+    source — is O(stage population) and allocates nothing per event.
     """
 
     def __init__(self, prop: PropertySpec, capacity: Optional[int] = None) -> None:
@@ -197,46 +198,31 @@ class InstanceStore:
         self._stage_pop: Dict[int, Dict[int, Instance]] = {
             i: {} for i in range(1, prop.num_stages + 1)
         }
-        self._plans: Dict[int, Tuple[Tuple[str, str], ...]] = {
-            i: stage_index_plan(stage)
-            for i, stage in enumerate(prop.stages)
-            if i >= 1
-        }
-        # stage -> index_key (or None for unindexable) -> instances, as an
+        # stage -> one (pattern, index, key of env) per pattern watched
+        # there with something to hash on (``index_plans``: the stage's
+        # own pattern first).  An index maps index key -> instances, as an
         # insertion-ordered dict keyed by instance id.  NOT a set: default
         # object hashing would make candidate iteration order (and thus
         # same-timestamp violation order) depend on memory addresses,
-        # breaking run-to-run determinism.
-        self._buckets: Dict[int, Dict[Optional[Tuple], Dict[int, Instance]]] = {
-            i: {} for i in self._plans
-        }
-        # The cancel-path twin: stage -> one (position in stage.unless,
-        # index, env vars) per hashable ``unless`` pattern, each index
-        # mapping index_key -> instances in the same insertion-ordered
-        # shape.  The index dicts are created here and never replaced
-        # (the generated program binds them, see ``unless_index``); a
-        # bucket is dropped when its last instance leaves, so an index
-        # holds live instances only.
-        self._unless: Dict[int, Tuple[Tuple[int, Dict, Tuple[str, ...]], ...]] = {
+        # breaking run-to-run determinism.  The index dicts are created
+        # here and never replaced (the generated program binds them, see
+        # ``index``); a bucket is dropped when its last instance leaves,
+        # so an index holds live instances only.
+        self._indexes: Dict[int, Tuple[Tuple[EventPattern, Dict, Callable], ...]] = {
             i: tuple(
-                (j, {}, tuple(var for _, var in plan)) for j, plan in plans)
+                (pattern, {}, _key_getter(tuple(var for _, var in plan)))
+                for pattern, plan in plans)
             for i, stage in enumerate(prop.stages)
-            if (plans := unless_index_plans(stage))
+            if i >= 1 and (plans := index_plans(stage))
         }
         self._stage_entries = itertools.count(1)
-        #: stage -> env -> its index key, for stages with a plan.
-        self._plan_keys = {
-            i: _key_getter(tuple(var for _, var in plan))
-            for i, plan in self._plans.items() if plan
-        }
         # A refresh keeps its key by construction; where every index of
         # the stage reads key variables only, it cannot change a bucket.
         key_vars = set(prop.key_vars)
         self._touch_in_place = frozenset(
-            i for i, plan in self._plans.items()
-            if key_vars.issuperset(var for _, var in plan)
-            and all(key_vars.issuperset(env_vars)
-                    for _, _, env_vars in self._unless.get(i, ())))
+            i for i in range(1, prop.num_stages)
+            if all(key_vars.issuperset(var for _, var in plan)
+                   for _, plan in index_plans(prop.stages[i])))
 
     def by_key(self, key: Tuple) -> Optional[Instance]:
         return self._by_key.get(key)
@@ -284,34 +270,34 @@ class InstanceStore:
 
     def touch(self, instance: Instance) -> None:
         """After a refresh: move the instance to the back of its stage
-        population, index bucket and ``unless`` buckets in place — the
-        order ``reindex`` gives, with no key built or hashed — where
+        population and of every index bucket in place — the order
+        ``reindex`` gives, with no key built or hashed — where
         ``_touch_in_place`` says the refresh cannot re-key it.  Elsewhere
-        (a ``samepacket`` uid plan, an ``unless`` on a non-key binding)
-        the refreshed bindings may file it elsewhere: ``reindex``."""
+        (a ``samepacket`` uid plan, an index on a non-key binding) the
+        refreshed bindings may file it elsewhere: ``reindex``."""
         if instance.stage not in self._touch_in_place:
             self.reindex(instance, instance.stage)
             return
         iid = instance.instance_id
-        for bucket in (instance.stage_bucket, instance.index_bucket):
-            del bucket[iid]
-            bucket[iid] = instance
-        if instance.unless_slots:
-            for index, key in instance.unless_slots:
-                bucket = index[key]
+        bucket = instance.stage_bucket
+        del bucket[iid]
+        bucket[iid] = instance
+        if instance.slots:
+            for _, _, bucket in instance.slots:
                 del bucket[iid]
                 bucket[iid] = instance
             instance.stage_entry = next(self._stage_entries)
 
-    def unless_index(
-        self, stage_idx: int, pattern_idx: int
+    def index(
+        self, stage_idx: int, pattern: EventPattern
     ) -> Optional[Dict[Tuple, Dict[int, Instance]]]:
-        """The cancel index of ``stages[stage_idx].unless[pattern_idx]``
-        (index_key -> waiting instances), or None when the pattern has no
-        ``field == $var`` guard to hash on: it is answered by scanning
-        ``at_stage``."""
-        for j, index, _ in self._unless.get(stage_idx, ()):
-            if j == pattern_idx:
+        """The index of ``pattern`` — the stage's own pattern or one of
+        its ``unless`` patterns — over the instances waiting at the stage
+        (index key -> instances), or None when the pattern has no
+        ``field == $var`` guard or ``samepacket`` to hash on: it is
+        answered by ``at_stage``."""
+        for watched, index, _ in self._indexes.get(stage_idx, ()):
+            if watched is pattern:
                 return index
         return None
 
@@ -355,56 +341,24 @@ class InstanceStore:
         return len(self._by_key)
 
     # -- index maintenance ------------------------------------------------
-    def _instance_index_key(self, instance: Instance) -> Optional[Tuple]:
-        key_of = self._plan_keys.get(instance.stage)
-        if key_of is None:
-            return None
-        try:
-            return key_of(instance.env)
-        except KeyError:
-            # A plan variable is not bound (possible only for patterns whose
-            # binding stage was skipped — spec validation prevents it, but a
-            # scan bucket keeps the store safe regardless).
-            return None
-
     def _index_add(self, instance: Instance) -> None:
-        if instance.complete or instance.stage not in self._buckets:
+        indexes = self._indexes.get(instance.stage)
+        if indexes is None:
             return
-        key = self._instance_index_key(instance)
-        bucket = self._buckets[instance.stage].setdefault(key, {})
-        bucket[instance.instance_id] = instance
-        instance.index_bucket = bucket
-        unless = self._unless.get(instance.stage)
-        if unless is not None:
-            # Spec validation guarantees every $var an unless reads is
-            # bound before its stage, so there is no unhashable case.
-            env = instance.env
-            slots = []
-            for _, index, env_vars in unless:
-                key = tuple(env[var] for var in env_vars)
-                index.setdefault(key, {})[instance.instance_id] = instance
-                slots.append((index, key))
-            instance.unless_slots = tuple(slots)
-            instance.stage_entry = next(self._stage_entries)
+        env, iid = instance.env, instance.instance_id
+        slots = []
+        for _, index, key_of in indexes:
+            key = key_of(env)
+            bucket = index.setdefault(key, {})
+            bucket[iid] = instance
+            slots.append((index, key, bucket))
+        instance.slots = tuple(slots)
+        instance.stage_entry = next(self._stage_entries)
 
     def _index_remove(self, instance: Instance) -> None:
-        # The back-pointer makes this O(1); the historical implementation
-        # walked every bucket of every stage per removal.
-        bucket = instance.index_bucket
-        if bucket is not None:
-            bucket.pop(instance.instance_id, None)
-            instance.index_bucket = None
-        if instance.unless_slots:
-            for index, key in instance.unless_slots:
-                bucket = index[key]
-                del bucket[instance.instance_id]
-                if not bucket:
-                    del index[key]
-            instance.unless_slots = ()
-
-
-def make_store(
-    prop: PropertySpec, capacity: Optional[int] = None
-) -> InstanceStore:
-    """The instance store for one property."""
-    return InstanceStore(prop, capacity=capacity)
+        iid = instance.instance_id
+        for index, key, bucket in instance.slots:
+            del bucket[iid]
+            if not bucket:
+                del index[key]
+        instance.slots = ()

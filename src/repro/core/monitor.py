@@ -61,7 +61,7 @@ from .degradation import (
     OverflowLedger,
     ShedKey,
 )
-from .instances import Instance, InstanceStore, make_store
+from .instances import Instance, InstanceStore
 from .provenance import ProvenanceLevel, StageRecord, record_stage
 from .spec import Absent, PropertySpec, refresh_applies
 from .violations import Violation
@@ -310,7 +310,7 @@ class Monitor:
             self.degradation.max_instances
             if self.degradation is not None else None
         )
-        self._stores[prop.name] = make_store(prop, capacity=capacity)
+        self._stores[prop.name] = InstanceStore(prop, capacity=capacity)
         self._timer_rows[prop.name] = tuple(
             ("advance", stage.within) if isinstance(stage, Absent)
             else ("expire", stage.within) if stage.within is not None

@@ -5,8 +5,10 @@ event, walk every property and every stage and evaluate the guard trees
 through ``EventPattern.matches``.  No dispatch plans, no generated source,
 and no instance index: each stage's candidates come from scanning its
 population (``InstanceStore.at_stage``) in stage-entry order, keeping the
-instances an index probe would yield by the index's own rules
-(:func:`_probe_hits`).  It is never the production path; it exists so
+instances an index probe would yield by the index's own rule
+(:func:`_probe_hits`): every plan field present in the event and equal
+to the instance's binding, which the spec guarantees is bound.  It is
+never the production path; it exists so
 the generated program (:mod:`repro.core.codegen`) and the store's hash
 indexes have something independent to be held equal to —
 ``tests/property/test_match_strategy_differential.py`` requires
@@ -140,11 +142,8 @@ def _probe_hits(
     env: Dict[str, object],
 ) -> bool:
     """Whether an index probe for an event would yield an instance
-    waiting at a stage with this index plan: always when the plan is
-    empty or leaves one of its variables unbound (the scan bucket),
-    otherwise when the event has every plan field and each equals the
-    instance's binding (its key bucket)."""
-    if not all(var in env for _, var in plan):
-        return True
+    waiting at a stage with this index plan: when the event has every
+    plan field and each equals the instance's binding (its key bucket) —
+    always, for an empty plan (the stage population)."""
     return all(
         field in fields and fields[field] == env[var] for field, var in plan)

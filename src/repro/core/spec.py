@@ -143,23 +143,36 @@ class PropertySpec:
             raise SpecError(f"property {self.name!r}: duplicate stage names")
 
     def _check_bindings(self) -> None:
-        """Every Var a stage references must be bound by an earlier stage."""
+        """Every Var a stage references must be bound by an earlier stage,
+        and every ``same_packet_as`` must name an earlier observation that
+        records a packet uid — so every variable an instance index reads
+        is bound by the time an instance waits at its stage.
+
+        An ``Absent`` stage is passed only by its timer, so it binds
+        nothing and records no uid; neither does an out-of-band event.
+        """
         bound: Set[str] = set()
-        seen_stage_names: Set[str] = set()
+        records_uid: Dict[str, bool] = {}  # earlier stage -> records a uid?
         for index, stage in enumerate(self.stages):
-            pattern = stage.pattern
-            self._check_pattern_vars(pattern, bound, index)
-            if pattern.same_packet_as is not None:
-                if pattern.same_packet_as not in seen_stage_names:
+            where = f"property {self.name!r} stage {stage.name!r}"
+            for pattern in (stage.pattern, *getattr(stage, "unless", ())):
+                self._check_pattern_vars(pattern, bound, index)
+                target = pattern.same_packet_as
+                if target is not None and not records_uid.get(target):
+                    what = (f"unknown stage {target!r}"
+                            if target not in records_uid else
+                            f"{target!r}, an absent or oob stage, which "
+                            "records no packet uid")
                     raise SpecError(
-                        f"property {self.name!r} stage {stage.name!r}: "
-                        f"same_packet_as references unknown stage "
-                        f"{pattern.same_packet_as!r}"
-                    )
-            for unless in getattr(stage, "unless", ()):
-                self._check_pattern_vars(unless, bound, index)
-            bound.update(b.var for b in pattern.binds)
-            seen_stage_names.add(stage.name)
+                        f"{where}: same_packet_as references {what}")
+            negative = isinstance(stage, Absent)
+            if negative and stage.pattern.binds:
+                raise SpecError(
+                    f"{where}: an absent stage cannot bind (it is passed "
+                    "only by its timer, so its binds never apply)")
+            bound.update(b.var for b in stage.pattern.binds)
+            records_uid[stage.name] = not negative and (
+                stage.pattern.kind is not EventKind.OOB)
 
     def _check_pattern_vars(
         self, pattern: EventPattern, bound: Set[str], stage_index: int

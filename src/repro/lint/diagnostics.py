@@ -52,7 +52,8 @@ RULES: Dict[str, Rule] = {
         Rule("L000", "syntax-error", Severity.ERROR,
              "the file does not parse or a property does not elaborate"),
         Rule("L001", "undefined-variable", Severity.ERROR,
-             "a guard references a $variable no earlier stage binds"),
+             "a guard references a $variable no earlier stage binds, or an "
+             "absent stage binds one"),
         Rule("L002", "unused-variable", Severity.WARNING,
              "a bound $variable is never read by a guard or the instance key"),
         Rule("L003", "shadowed-bind", Severity.WARNING,
@@ -78,7 +79,8 @@ RULES: Dict[str, Rule] = {
         Rule("L013", "duplicate-stage", Severity.ERROR,
              "two stages share a name"),
         Rule("L014", "unknown-samepacket", Severity.ERROR,
-             "samepacket references a stage that does not precede this one"),
+             "samepacket references a stage that does not precede this one "
+             "or records no packet uid (absent, oob)"),
         Rule("L015", "hot-event-scan", Severity.WARNING,
              "a stage with no indexable guard scans every live instance "
              "on a per-packet event kind"),

@@ -79,9 +79,11 @@ def rule_undefined_variable(prop: PropertyAst) -> Iterator[Diagnostic]:
 
     Matches the engine's scoping: a stage's own binds are not visible to
     its guards (binding happens when the pattern matches, guards decide
-    whether it matches).
+    whether it matches), and an ``absent`` stage binds nothing — it is
+    passed only by its timer — so each of its binds is flagged itself.
     """
     bound: Set[str] = set()
+    absent_binds: Dict[str, str] = {}
     for index, stage in enumerate(prop.stages):
         for pattern in _stage_patterns(stage):
             for ref in _var_refs(pattern):
@@ -90,12 +92,27 @@ def rule_undefined_variable(prop: PropertyAst) -> Iterator[Diagnostic]:
                     if any(b.var == ref.name for b in stage.pattern.binds):
                         hint = (" (bound by this same stage — binds only "
                                 "become visible to later stages)")
+                    elif ref.name in absent_binds:
+                        hint = (f" (absent stage "
+                                f"{absent_binds[ref.name]!r} binds it, but "
+                                "an absent stage's binds never apply)")
                     yield make(
                         "L001",
                         f"stage {stage.name!r} references ${ref.name}, which "
                         f"no earlier stage binds{hint}",
                         ref, prop=prop.name,
                     )
+        if stage.negative:
+            for bind in stage.pattern.binds:
+                absent_binds.setdefault(bind.var, stage.name)
+                yield make(
+                    "L001",
+                    f"absent stage {stage.name!r} binds ${bind.var}, which "
+                    "never happens: an absent stage is passed only by its "
+                    "timer",
+                    bind, prop=prop.name,
+                )
+            continue
         bound.update(b.var for b in stage.pattern.binds)
 
 
@@ -256,20 +273,32 @@ def rule_duplicate_stage(prop: PropertyAst) -> Iterator[Diagnostic]:
 
 
 def rule_unknown_samepacket(prop: PropertyAst) -> Iterator[Diagnostic]:
-    """L014 — ``samepacket`` must name a *preceding* stage."""
+    """L014 — ``samepacket`` must name a *preceding* ``observe`` stage on
+    a packet event: an ``absent`` or ``oob`` stage records no packet uid."""
     preceding: Set[str] = set()
+    no_uid: Dict[str, str] = {}  # preceding stage -> "absent" | "oob"
     for stage in prop.stages:
         for pattern in _stage_patterns(stage):
             target = pattern.same_packet_as
-            if target is not None and target not in preceding:
-                where = ("itself" if target == stage.name
-                         else f"{target!r}, which does not precede it")
-                yield make(
-                    "L014",
-                    f"stage {stage.name!r}: samepacket references {where}",
-                    pattern, prop=prop.name,
-                )
+            if target is None:
+                continue
+            if target in no_uid:
+                where = (f"{no_uid[target]} stage {target!r}, which records "
+                         "no packet uid")
+            elif target in preceding:
+                continue
+            elif target == stage.name:
+                where = "itself"
+            else:
+                where = f"{target!r}, which does not precede it"
+            yield make(
+                "L014",
+                f"stage {stage.name!r}: samepacket references {where}",
+                pattern, prop=prop.name,
+            )
         preceding.add(stage.name)
+        if stage.negative or stage.pattern.kind == "oob":
+            no_uid[stage.name] = "absent" if stage.negative else "oob"
 
 
 def rule_key_not_bound(prop: PropertyAst) -> Iterator[Diagnostic]:

@@ -513,7 +513,10 @@ class TestMatchStrategyEquivalence:
             monitor.add_property(echo)
             monitor.observe(_arrival(1, 2, 0.1))
             (waiting,) = monitor.store("echo").at_stage(1)
-            del waiting.index_bucket[waiting.instance_id]
+            ((index, key, bucket),) = waiting.slots
+            del bucket[waiting.instance_id]
+            del index[key]  # its key bucket held it alone
+            waiting.slots = ()
             monitor.observe(_arrival(2, 1, 0.2))
             return (len(monitor.violations),
                     monitor.stats.candidates_examined)

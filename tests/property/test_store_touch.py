@@ -3,10 +3,11 @@
 Twin stores over one property take the same random add / advance /
 refresh / remove sequence; a refresh is ``touch`` on one twin and
 ``reindex`` on the other.  After every step both must iterate the same
-instances in the same order: each stage population, each index bucket,
-each ``unless`` bucket — an ``unless`` index is only ever probed by key,
-never iterated, so the order of its keys is not compared — and they must
-carry the same ``stage_entry`` stamps, which order merged ``unless`` hits.
+instances in the same order: each stage population and each bucket of
+each index — advance and ``unless`` alike; an index is only ever probed
+by key, never iterated, so the order of its keys is not compared — and
+they must carry the same ``stage_entry`` stamps, which order merged
+``unless`` hits.
 A refresh re-binds stage 0's variables: key variables to equal values
 (that is what found the instance), every other one — and the stage-0
 packet uid — to fresh ones.
@@ -120,11 +121,9 @@ def layout(store):
     keys = lambda bucket: [inst.key for inst in bucket.values()]  # noqa: E731
     return {
         "stages": {i: keys(pop) for i, pop in store._stage_pop.items()},
-        "indexes": {i: [(k, keys(b)) for k, b in buckets.items()]
-                    for i, buckets in store._buckets.items()},
-        "unless": {(i, j): {k: keys(b) for k, b in index.items()}
-                   for i, entries in store._unless.items()
-                   for j, index, _ in entries},
+        "indexes": {(i, n): {k: keys(b) for k, b in index.items()}
+                    for i, indexes in store._indexes.items()
+                    for n, (_, index, _) in enumerate(indexes)},
         "entries": sorted((inst.key, inst.stage_entry)
                           for inst in store.all()),
     }

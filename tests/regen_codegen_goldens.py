@@ -6,8 +6,8 @@ Run after a deliberate change to the source emitted by
     PYTHONPATH=src python -m tests.regen_codegen_goldens
 
 then eyeball the diff before committing — the goldens pin the exact
-straight-line program the monitor executes for two representative
-Table-1 properties (and, for one of them, the SPLIT-mode program, which
+straight-line program the monitor executes for three representative
+catalog properties (and, for one of them, the SPLIT-mode program, which
 plans every op instead of refreshing and creating in place), so any
 emission change is reviewable as a plain-text diff.  ``--check``
 regenerates into a temp directory and diffs against the checked-in
@@ -22,7 +22,7 @@ import sys
 import tempfile
 
 from repro.core import Monitor
-from repro.props.catalog import build_table1
+from repro.props import load_property
 from repro.switch.switch import ProcessingMode
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "codegen")
@@ -31,12 +31,14 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "codegen")
 #: One indexed-probe multi-stage property with an ``unless`` watcher, one
 #: deadline (Feature 7 ``within``) property — between them they cover
 #: candidate discharge, advance, unless kills, refresh-vs-create, and
-#: deadline arming — plus the first one's SPLIT program, whose refresh
-#: and create are planned ops like the rest.
+#: deadline arming — the first one's SPLIT program, whose refresh and
+#: create are planned ops like the rest, and one out-of-band stage with
+#: nothing to hash on, whose candidates are its whole stage population.
 PINNED = (
     ("knocking-invalidated", ProcessingMode.INLINE),
     ("dhcp-reply-within", ProcessingMode.INLINE),
     ("knocking-invalidated", ProcessingMode.SPLIT),
+    ("link-down-clears-learning", ProcessingMode.INLINE),
 )
 
 
@@ -47,9 +49,8 @@ def fixture_name(prop_name: str, mode: ProcessingMode) -> str:
 
 def generated_source(prop_name: str,
                      mode: ProcessingMode = ProcessingMode.INLINE) -> str:
-    props = {entry.prop.name: entry.prop for entry in build_table1()}
     monitor = Monitor(mode=mode)
-    monitor.add_property(props[prop_name])
+    monitor.add_property(load_property(prop_name))
     return monitor.codegen_source()
 
 

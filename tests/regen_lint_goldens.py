@@ -9,7 +9,7 @@ temp directory and diffs against the checked-in fixtures instead of
 overwriting them (exit 1 on drift) — CI runs this so the goldens cannot
 go stale silently.
 
-Besides the two hand-written inputs, the catalog itself is pinned: all
+Besides the hand-written inputs, the catalog itself is pinned: all
 ``src/repro/props/sources/*.prop``, linted as ``repro lint`` lints them
 (with the catalog's named predicates), as ``catalog.txt`` /
 ``catalog.json``.  Every field kind, width and trust label the linter
@@ -34,6 +34,8 @@ CATALOG = os.path.join(os.path.dirname(repro.props.__file__), "sources")
 INPUTS = {
     "golden_input.prop": "report",
     "unless_scan_input.prop": "unless_scan",
+    "absent_bind_input.prop": "absent_bind",
+    "samepacket_uid_input.prop": "samepacket_uid",
 }
 
 

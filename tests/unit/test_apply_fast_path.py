@@ -99,7 +99,7 @@ def flow_events():
 @pytest.fixture(scope="module")
 def shard_run():
     """Shard 0 of 2 over every event, with the key filter, the op leaves,
-    each store's index-key builder and the partition hash wrapped to
+    each store index's key getter and the partition hash wrapped to
     count."""
     props = flow_props()
     monitor = build_shard_monitor(props, 0, 2, build_routes(props, 2))
@@ -129,14 +129,20 @@ def shard_run():
     monitor._apply_advance = tagging("advance", monitor._apply_advance)
     monitor._apply_kill = tagging("kill", monitor._apply_kill)
     keyed_by_op = Counter()
+
+    def counting(key_of):
+        def counted(env):
+            keyed_by_op[applying[0]] += 1
+            return key_of(env)
+        return counted
+
+    # every index key is built by its index's key getter
     for prop in props:
         store = monitor.store(prop.name)
-
-        def counting(instance, _index_key=store._instance_index_key):
-            keyed_by_op[applying[0]] += 1
-            return _index_key(instance)
-
-        store._instance_index_key = counting
+        store._indexes = {
+            stage: tuple((pattern, index, counting(key_of))
+                         for pattern, index, key_of in indexes)
+            for stage, indexes in store._indexes.items()}
     hashed = []
     stable_hash = repro.fabric.routing.stable_hash
 

@@ -24,7 +24,6 @@ from repro.core import (
     Var,
     dispatch_plan,
     dispatch_summary,
-    make_store,
     scan_watchers,
     uid_var,
 )
@@ -36,7 +35,7 @@ from repro.core.compile import (
     guard_source,
     refinement_sources,
 )
-from repro.core.instances import Instance
+from repro.core.instances import Instance, InstanceStore
 from repro.core.refs import MISSING
 from repro.fabric import ShardedMonitor
 from repro.packet import IPv4Address, MACAddress, ethernet, tcp_packet
@@ -185,14 +184,13 @@ class TestCompiledPattern:
             ),
             key_vars=("S",),
         )
-        # the uid-less instance sits in the scan bucket, offered to every
-        # event, so the emitted uid comparison decides for it
+        # the uid is the stage's index key, and the emitted uid
+        # comparison decides for each instance the probe yields
         monitor = Monitor(mode=ProcessingMode.SPLIT)
         monitor.add_property(prop)
         store = monitor.store("p")
         store.add(Instance(prop, ("k",), {"S": "k", uid_var("a"): 42}, 0.0))
-        # no uid bound at the linked stage: identity cannot hold
-        store.add(Instance(prop, ("k2",), {"S": "k2"}, 0.0))
+        store.add(Instance(prop, ("k2",), {"S": "k2", uid_var("a"): 7}, 0.0))
 
         def advanced(uid):
             event = egress(1, 2, packet=replace(ethernet(1, 2), uid=uid))
@@ -200,7 +198,9 @@ class TestCompiledPattern:
                     if op.kind == "advance"]
 
         assert advanced(42) == [("k",)]
+        assert advanced(7) == [("k2",)]
         assert advanced(43) == []
+        assert "_f_uid == _xp" in monitor.codegen_source()
 
     def test_capture_and_bindable(self):
         prop = PropertySpec(
@@ -381,9 +381,13 @@ class TestStoreBackpointers:
             ),
             key_vars=("S",),
         )
-        store = make_store(prop)
+        store = InstanceStore(prop)
         inst = Instance(prop, ("m",), {"S": "m"}, 0.0)
         return store, inst
+
+    @staticmethod
+    def index(store, stage_idx):
+        return store.index(stage_idx, store.prop.stages[stage_idx].pattern)
 
     def test_add_remove_maintains_buckets(self):
         store, inst = self.make()
@@ -392,7 +396,8 @@ class TestStoreBackpointers:
         assert list(store.at_stage(1)) == [inst]
         store.remove(inst)
         assert inst.stage_bucket is None
-        assert inst.index_bucket is None
+        assert inst.slots == ()
+        assert self.index(store, 1) == {}
         assert list(store.at_stage(1)) == []
         assert store.live_count == 0
 
@@ -403,17 +408,20 @@ class TestStoreBackpointers:
         store.reindex(inst, old_stage=1)
         assert list(store.at_stage(1)) == []
         assert list(store.at_stage(2)) == [inst]
-        assert store._buckets[1] == {("m",): {}}
-        assert store._buckets[2] == {("m",): {inst.instance_id: inst}}
-        assert inst.index_bucket is store._buckets[2][("m",)]
+        assert ("m",) not in self.index(store, 1)
+        assert self.index(store, 2) == {("m",): {inst.instance_id: inst}}
+        ((index, key, bucket),) = inst.slots
+        assert index is self.index(store, 2) and key == ("m",)
+        assert bucket is index[("m",)]
 
     def test_indexed_candidates_probe_not_scan(self):
         store, inst = self.make()
         store.add(inst)
-        assert inst.index_bucket is store._buckets[1][("m",)]
-        # filed under its binding, not in the scan bucket
-        assert None not in store._buckets[1]
-        assert list(store._buckets[1][("m",)].values()) == [inst]
+        ((index, key, bucket),) = inst.slots
+        assert index is self.index(store, 1)
+        # filed under its binding, the only key of the index
+        assert index == {("m",): bucket}
+        assert list(bucket.values()) == [inst]
 
 
 # ---------------------------------------------------------------------------

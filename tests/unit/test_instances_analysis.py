@@ -1,5 +1,8 @@
 """Unit tests: instance stores (Feature 8 machinery) and static analysis."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core import (
@@ -21,12 +24,7 @@ from repro.core import (
     uid_var,
 )
 from repro.core.degradation import EVICTION_POLICIES, DegradationPolicy
-from repro.core.instances import (
-    Instance,
-    InstanceStore,
-    make_store,
-    unless_index_plans,
-)
+from repro.core.instances import Instance, InstanceStore, index_plans
 from repro.packet import ethernet
 from repro.props import build_table1, load_property
 from repro.switch.events import (
@@ -63,21 +61,21 @@ class TestInstanceStores:
 
     def test_add_and_by_key(self):
         prop = simple_prop()
-        store = make_store(prop)
+        store = InstanceStore(prop)
         inst = self._instance(prop)
         store.add(inst)
         assert store.by_key(("k",)) is inst
 
     def test_duplicate_live_key_rejected(self):
         prop = simple_prop()
-        store = make_store(prop)
+        store = InstanceStore(prop)
         store.add(self._instance(prop))
         with pytest.raises(ValueError):
             store.add(self._instance(prop))
 
     def test_dead_key_can_be_replaced(self):
         prop = simple_prop()
-        store = make_store(prop)
+        store = InstanceStore(prop)
         first = self._instance(prop)
         store.add(first)
         store.remove(first)
@@ -104,7 +102,8 @@ class TestInstanceStores:
         store = InstanceStore(prop)
         inst = self._instance(prop, env={"S": "mac1"})
         store.add(inst)
-        assert store._buckets[1] == {("mac1",): {inst.instance_id: inst}}
+        assert store.index(1, prop.stages[1].pattern) == {
+            ("mac1",): {inst.instance_id: inst}}
         assert self._examined(prop, [arrival(1, 2, 0.1),
                                      arrival(3, 1, 0.2)]) == 1
 
@@ -112,7 +111,7 @@ class TestInstanceStores:
         prop = simple_prop()
         store = InstanceStore(prop)
         store.add(self._instance(prop, env={"S": "mac1"}))
-        assert ("other",) not in store._buckets[1]
+        assert ("other",) not in store.index(1, prop.stages[1].pattern)
         assert self._examined(prop, [arrival(1, 2, 0.1),
                                      arrival(3, 4, 0.2)]) == 0
 
@@ -153,9 +152,79 @@ class TestInstanceStores:
         store.add(inst)
         inst.stage = 2  # completes; no longer waits anywhere
         store.reindex(inst, old_stage=1)
-        assert store._buckets[1] == {("m",): {}}
-        assert inst.index_bucket is None
+        assert ("m",) not in store.index(1, prop.stages[1].pattern)
+        assert inst.slots == ()
         assert list(store.at_stage(1)) == []
+
+
+class TestNoEmptyBucketSurvives:
+    """An index drops a bucket when its last instance leaves, so state
+    that instances on fresh keys leave behind is bounded by the live
+    population, not by every key ever seen."""
+
+    ROUND = 64  # instances created, then expired, per round
+
+    @staticmethod
+    def prop():
+        """Stage b: an advance index on S and an ``unless`` index on D,
+        and a deadline that expires every instance."""
+        return PropertySpec(
+            name="fresh", description="",
+            stages=(
+                Observe("a", EventPattern(
+                    kind=EventKind.ARRIVAL,
+                    binds=(Bind("S", "eth.src"), Bind("D", "eth.dst")))),
+                Observe("b", EventPattern(
+                    kind=EventKind.EGRESS,
+                    guards=(FieldEq("eth.dst", Var("S")),)),
+                    within=1.0,
+                    unless=(EventPattern(kind=EventKind.DROP, guards=(
+                        FieldEq("eth.src", Var("D")),)),)),
+            ),
+            key_vars=("S",),
+        )
+
+    def expire(self, monitor, first, count):
+        """``count`` instances on fresh keys from ``first`` on, created a
+        round at a time, each round expired before the next."""
+        for start in range(first, first + count, self.ROUND):
+            t = start * 10.0
+            monitor.observe_batch([
+                arrival(k + 1, k + 2, t)
+                for k in range(start, start + self.ROUND)])
+            monitor.advance_to(t + 5.0)
+
+    @staticmethod
+    def indexes(store):
+        return [store.index(stage_idx, pattern)
+                for stage_idx in range(1, store.prop.num_stages)
+                for pattern, _ in index_plans(store.prop.stages[stage_idx])]
+
+    def test_expired_fresh_keys_leave_no_bucket(self):
+        n = 1024
+        monitor = Monitor()
+        monitor.add_property(self.prop())
+        store = monitor.store("fresh")
+        self.expire(monitor, 0, self.ROUND)  # warm every code path
+        gc.collect()
+        tracemalloc.start()
+        try:
+            self.expire(monitor, self.ROUND, n)
+            gc.collect()
+            at_n = tracemalloc.get_traced_memory()[0]
+            assert len(self.indexes(store)) == 2
+            assert self.indexes(store) == [{}, {}]
+            self.expire(monitor, self.ROUND + n, 3 * n)
+            gc.collect()
+            at_4n = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert monitor.stats.instances_created == self.ROUND + 4 * n
+        assert store.live_count == 0
+        assert self.indexes(store) == [{}, {}]
+        # one leaked bucket per key (an empty dict under its key tuple)
+        # is over 300 bytes; flat means well under 16 per instance
+        assert at_4n - at_n < 16 * 3 * n
 
 
 def cancel_prop():
@@ -191,30 +260,35 @@ def cancel_prop():
     )
 
 
+def contents(index):
+    """{index key: [instance keys in order]}."""
+    return {key: [inst.key for inst in bucket.values()]
+            for key, bucket in index.items()}
+
+
 def unless_contents(store):
-    """(stage, unless position) -> {index key: [instance keys in order]}."""
+    """(stage, unless position) -> its index's :func:`contents`."""
     out = {}
     for stage_idx, stage in enumerate(store.prop.stages):
-        for j, _ in unless_index_plans(stage):
-            out[stage_idx, j] = {
-                key: [inst.key for inst in bucket.values()]
-                for key, bucket in store.unless_index(stage_idx, j).items()
-            }
+        for j, unless in enumerate(getattr(stage, "unless", ())):
+            index = store.index(stage_idx, unless)
+            if index is not None:
+                out[stage_idx, j] = contents(index)
     return out
 
 
-def check_unless_invariant(store):
-    """Every index holds exactly the live instances waiting at its stage,
-    filed under their current bindings, in stage-population order, and
-    no empty bucket is kept."""
-    for stage_idx, stage in enumerate(store.prop.stages):
+def check_index_invariant(store):
+    """Every index — advance, discharge and cancel alike — holds exactly
+    the live instances waiting at its stage, filed under their current
+    bindings, in stage-population order, and no empty bucket is kept."""
+    for stage_idx in range(1, store.prop.num_stages):
         waiting = list(store.at_stage(stage_idx))
-        for j, plan in unless_index_plans(stage):
+        for pattern, plan in index_plans(store.prop.stages[stage_idx]):
             expected = {}
             for inst in waiting:
                 key = tuple(inst.env[var] for _, var in plan)
                 expected.setdefault(key, []).append(inst.key)
-            assert unless_contents(store)[stage_idx, j] == expected
+            assert contents(store.index(stage_idx, pattern)) == expected
 
 
 class TestUnlessIndex:
@@ -223,12 +297,15 @@ class TestUnlessIndex:
 
     def test_plans_cover_only_hashable_patterns(self):
         prop = cancel_prop()
-        assert unless_index_plans(prop.stages[0]) == ()
-        assert unless_index_plans(prop.stages[1]) == (
-            (0, (("eth.src", "D"),)), (1, (("eth.dst", "S"),)))
+        b, c = prop.stages[1], prop.stages[2]
+        assert index_plans(prop.stages[0]) == ()
+        assert index_plans(b) == (
+            (b.pattern, (("eth.dst", "S"),)),
+            (b.unless[0], (("eth.src", "D"),)),
+            (b.unless[1], (("eth.dst", "S"),)))
         store = InstanceStore(prop)
-        assert store.unless_index(1, 2) is None  # constant guards only
-        assert store.unless_index(2, 0) == {}
+        assert store.index(1, b.unless[2]) is None  # constant guards only
+        assert store.index(2, c.unless[0]) == {}
 
     def test_add_and_remove(self):
         prop = cancel_prop()
@@ -242,7 +319,7 @@ class TestUnlessIndex:
             (2, 0): {},
         }
         store.remove(one)
-        assert one.unless_slots == ()
+        assert one.slots == ()
         assert unless_contents(store) == {
             (1, 0): {("d",): [("t", "d")]},
             (1, 1): {("t",): [("t", "d")]},
@@ -266,7 +343,7 @@ class TestUnlessIndex:
         store.reindex(one, old_stage=1)
         assert unless_contents(store)[1, 0] == {
             ("d",): [("t", "d")], ("e",): [("s", "d")]}
-        check_unless_invariant(store)
+        check_index_invariant(store)
 
     def test_advance_moves_to_the_next_stage_index(self):
         prop = cancel_prop()
@@ -308,14 +385,14 @@ class TestUnlessIndex:
         store = monitor.store("cp")
         for event in self._events():
             monitor.observe(event)
-            check_unless_invariant(store)
+            check_index_invariant(store)
         assert monitor.stats.instances_cancelled > 0
         assert monitor.stats.refreshes > 0
         assert (monitor.stats.instances_evicted
                 + monitor.stats.instances_rejected) > 0
         assert any(unless_contents(store).values())
         monitor.advance_to(1000.0)  # stage b expires; stage c waits forever
-        check_unless_invariant(store)
+        check_index_invariant(store)
         for inst in list(store.all()):
             store.remove(inst)
         assert not any(unless_contents(store).values())
@@ -335,7 +412,7 @@ class TestUnlessIndex:
             original.observe(event)
         restored.restore_state(original.export_state())
         already = len(original.violations)
-        check_unless_invariant(restored.store("cp"))
+        check_index_invariant(restored.store("cp"))
         assert (unless_contents(restored.store("cp"))
                 == unless_contents(original.store("cp")))
         for event in events[9:]:

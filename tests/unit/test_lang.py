@@ -252,6 +252,51 @@ observe a : arrival bind S = eth.src
 observe b : arrival refresh never where eth.dst == $S
 """)
 
+    #: sources whose index variables would not be bound while an instance
+    #: waits: each must be refused when compiled, never fail at run time
+    UNBOUND_AT_RUN_TIME = {
+        # an absent stage is passed only by its timer: $Q is never bound
+        "absent-binds": """
+property t
+observe a : arrival where tcp.dst == 1 bind S = ipv4.src
+absent b : arrival within 1 where ipv4.src == $S bind Q = tcp.src
+observe c : arrival where tcp.dst == 3 and tcp.src == $Q
+""",
+        # neither an absent nor an oob stage records a packet uid
+        "samepacket-absent": """
+property t
+observe a : arrival bind S = eth.src
+absent b : egress within 1 where eth.dst == $S
+observe c : drop samepacket b
+""",
+        "samepacket-oob": """
+property t
+observe a : arrival bind S = eth.src
+observe b : oob(port_down)
+observe c : drop samepacket b
+""",
+        "unless-samepacket-oob": """
+property t
+observe a : arrival bind S = eth.src
+observe b : oob(port_down)
+observe c : egress where eth.dst == $S unless drop samepacket b
+""",
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNBOUND_AT_RUN_TIME))
+    def test_unbound_index_variable_is_a_compile_error(self, name):
+        with pytest.raises(CompileError, match="absent|uid"):
+            compile_one(self.UNBOUND_AT_RUN_TIME[name])
+
+    def test_samepacket_on_an_earlier_packet_observation_compiles(self):
+        prop = compile_one("""
+property t
+observe a : arrival bind S = eth.src
+observe b : oob(port_down)
+observe c : drop samepacket a unless egress samepacket a
+""")
+        assert prop.stages[2].unless[0].same_packet_as == "a"
+
     def test_egress_action_elaborates(self):
         prop = compile_one("""
 property t

@@ -23,6 +23,8 @@ from repro.lint import (
     render_text,
     resolve_backend_name,
 )
+from repro.lang.compile import CompileError, compile_ast
+from repro.lang.parser import parse
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures", "lint")
 
@@ -168,6 +170,31 @@ class TestRenderGolden:
         assert "(role: unless)" in hit.message
         with open(fixture_path(
                 os.path.join("golden", "unless_scan." + ext))) as fp:
+            assert render([report]) + "\n" == fp.read()
+
+    @pytest.mark.parametrize("stem,code,token", [
+        ("absent_bind", "L001", "bind Q"),
+        ("samepacket_uid", "L014", "samepacket b"),
+    ])
+    @pytest.mark.parametrize("ext,render", [
+        ("txt", render_text), ("json", render_json)])
+    def test_unbound_at_run_time_rendering_matches_golden(
+            self, stem, code, token, ext, render):
+        """An absent stage's binds (L001) and a samepacket naming an
+        absent or oob stage (L014) are errors where they are written,
+        as the elaborator refuses them."""
+        source = stem + "_input.prop"
+        with open(fixture_path(os.path.join("golden", source))) as fp:
+            text = fp.read()
+        report = lint_source(text, path=source)
+        hits = [d for d in report.all_diagnostics() if d.code == code]
+        lines = text.splitlines()
+        assert hits and any(token in lines[d.line - 1] for d in hits)
+        for ast in parse(text):
+            with pytest.raises(CompileError):
+                compile_ast(ast)
+        with open(fixture_path(
+                os.path.join("golden", stem + "." + ext))) as fp:
             assert render([report]) + "\n" == fp.read()
 
     def test_json_is_valid_and_summarised(self):
