@@ -132,6 +132,10 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    """Lint each file, then elaborate and analyze it if lint found no
+    error.  Warnings and errors print with their positions; the full
+    report (info-level feasibility verdicts, cost estimates) lives under
+    ``repro lint``."""
     from .lint import Severity, lint_source, RULES
 
     status = 0
@@ -139,23 +143,32 @@ def cmd_check(args: argparse.Namespace) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fp:
                 source = fp.read()
-            props = compile_source(source, _predicates())
-        except Exception as exc:  # surface parse/compile errors per file
+            report = lint_source(source, _predicates(), path=path)
+        except Exception as exc:  # unreadable, or a failure lint misses
             print(f"{path}: ERROR: {exc}", file=sys.stderr)
             status = 1
             continue
-        # Run the linter alongside the analysis; warnings and errors are
-        # surfaced here, the full report (info-level feasibility verdicts,
-        # cost estimates) lives under ``repro lint``.
-        report = lint_source(source, _predicates(), path=path)
-        for diag in report.all_diagnostics():
-            if diag.severity is Severity.INFO:
-                continue
-            print(f"{path}:{diag.line}:{diag.column}: {diag.severity.value} "
-                  f"{diag.code} {RULES[diag.code].slug}: {diag.message}",
-                  file=sys.stderr)
-            if diag.severity is Severity.ERROR:
+        for diag in report.diagnostics:  # the file does not parse
+            print(f"{path}: ERROR: {diag.message}", file=sys.stderr)
+        for prop_report in report.properties:
+            for diag in prop_report.diagnostics:
+                if diag.severity is Severity.INFO:
+                    continue
+                print(f"{path}:{diag.line}:{diag.column}: "
+                      f"{diag.severity.value} {diag.code} "
+                      f"{RULES[diag.code].slug}: {diag.message}",
+                      file=sys.stderr)
+        if report.errors:
+            status = 1
+            continue
+        props = [prop_report.spec for prop_report in report.properties]
+        if None in props:  # an error lint was told to suppress
+            try:
+                props = compile_source(source, _predicates())
+            except Exception as exc:
+                print(f"{path}: ERROR: {exc}", file=sys.stderr)
                 status = 1
+                continue
         for prop in props:
             req = analyze(prop)
             print(f"{path}: {prop.name}")

@@ -51,8 +51,9 @@ phase — cancels in stage order with unless before discharge, then
 advances, then create; the same candidate iteration order, the same
 ``candidates_examined`` increments (batched into one counter add per
 event), the same doomed-set and key-filter semantics — and the
-Hypothesis differential suite holds the two to identical applied ops,
-violations, counters, and ledgers.
+differential lattice (``tests/property/test_lattice.py``) holds the two
+to identical applied ops, violations, counters, and ledgers under every
+execution configuration.
 """
 from __future__ import annotations
 

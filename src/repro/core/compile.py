@@ -24,8 +24,8 @@ the monitor runs:
 Guard semantics are therefore written twice in the repo, not more: here
 (the emitter) and in ``EventPattern.matches`` as walked by the reference
 evaluator (:mod:`repro.core.reference`, ``match_strategy="interpreted"``).
-A Hypothesis differential test holds the two to identical verdicts and
-counters.
+The differential lattice (``tests/property/test_lattice.py``) holds the
+two to identical verdicts and counters.
 """
 
 from __future__ import annotations

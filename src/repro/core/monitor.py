@@ -552,9 +552,9 @@ class Monitor:
         into compares, store probes inlined.  In SPLIT mode it returns
         exactly the ops the reference walk (:mod:`repro.core.reference`)
         would; in INLINE mode it has applied a prefix of them already
-        (see the comment above :meth:`_program`).  Either way the differential property suite
-        holds the two to identical applied ops, violations, counters
-        and ledgers.
+        (see the comment above :meth:`_program`).  Either way the
+        differential lattice holds the two to identical applied ops,
+        violations, counters and ledgers.
         """
         program = self._codegen_program or self._program()
         fn = program.eval_fns[type(event)]

@@ -10,9 +10,10 @@ instances an index probe would yield by the index's own rule
 to the instance's binding, which the spec guarantees is bound.  It is
 never the production path; it exists so
 the generated program (:mod:`repro.core.codegen`) and the store's hash
-indexes have something independent to be held equal to —
-``tests/property/test_match_strategy_differential.py`` requires
-identical violations, counters and ledgers from the two — and
+indexes have something independent to be held equal to — the
+differential lattice (``tests/property/test_lattice.py``) requires the
+reference's violations, counters, ledgers and applied ops from every
+execution configuration — and
 ``benchmarks/e2e`` pins its expected violation counts against it.
 
 :class:`~repro.core.monitor.Monitor` imports this module only when

@@ -68,7 +68,6 @@ from .splitmode import (
     SplitLagSpec,
     SplitReport,
     analyze_split,
-    backend_lag_profile,
     estimate_codegen_cost,
     estimate_cost,
     parse_split_lag,
@@ -125,7 +124,6 @@ __all__ = [
     "SplitLagSpec",
     "SplitReport",
     "analyze_split",
-    "backend_lag_profile",
     "estimate_cost",
     "parse_split_lag",
     "resolve_split_lag",

@@ -58,13 +58,6 @@ INLINE_REQUIRED = "inline-required"
 SplitLagSpec = Union[float, Mapping[str, float]]
 
 
-def backend_lag_profile() -> Dict[str, float]:
-    """Per-backend default lags from Table 2's update-datapath column."""
-    from ..backends import split_lag_profile  # deferred: backends are heavy
-
-    return split_lag_profile()
-
-
 def resolve_split_lag(
     spec: SplitLagSpec, focus_backend: Optional[str] = None
 ) -> float:
@@ -101,7 +94,9 @@ def parse_split_lag(text: str) -> SplitLagSpec:
             raise ValueError(f"--split-lag {value!r} must be non-negative")
         return value
     if text.strip().lower() in ("table2", "auto"):
-        return backend_lag_profile()
+        from ..backends import split_lag_profile  # deferred: heavy
+
+        return split_lag_profile()
     from .feasibility import resolve_backend_name
 
     profile: Dict[str, float] = {}

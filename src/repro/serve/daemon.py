@@ -61,6 +61,7 @@ from ..telemetry import (
 from .http import HttpPlane, json_response, start_http
 from .ingest import IngestQueue, stream_reader
 from .report import ServeDegradationReport
+from .send import check_port
 
 
 class _FileReader:
@@ -83,9 +84,10 @@ def parse_ingest_spec(spec: str) -> Tuple[str, object]:
         raise ValueError(f"ingest spec {spec!r} must be tcp:PORT or pipe:PATH")
     if kind == "tcp":
         try:
-            return ("tcp", int(rest))
+            port = int(rest)
         except ValueError as exc:
             raise ValueError(f"ingest spec {spec!r}: bad port {rest!r}") from exc
+        return ("tcp", check_port(port, f"ingest spec {spec!r}: port"))
     if kind == "pipe":
         return ("pipe", rest)
     raise ValueError(f"ingest spec {spec!r}: unknown kind {kind!r}")
@@ -127,6 +129,7 @@ class ServeConfig:
             raise ValueError(
                 f"unknown chaos profile {self.chaos_profile!r}; "
                 f"choose from {sorted(PROFILES)}")
+        check_port(self.port)
         if self.shards < 0:
             raise ValueError(f"shards must be >= 0, got {self.shards}")
         if self.max_queue < 1:

@@ -86,6 +86,13 @@ def _build_units(path: str, format: str, chunk: int) -> List[Tuple[bytes, int]]:
                      "choose jsonl or rpf2")
 
 
+def check_port(port: int, what: str = "port") -> int:
+    """``port`` if it is a TCP port number; ``ValueError`` if not."""
+    if not 0 <= port <= 65535:
+        raise ValueError(f"{what} must be 0-65535, got {port}")
+    return port
+
+
 def stream_trace(
     path: str,
     host: str,
@@ -115,6 +122,7 @@ def stream_trace(
     framed binary batches (one batch per chunk).  ``monotonic``/
     ``sleep``/``connect`` are injectable for tests.
     """
+    check_port(port)
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat!r}")
     if rate < 0:

@@ -185,12 +185,15 @@ class Tracer:
         """Open a span.
 
         With no explicit ``parent``, a span carrying a ``uid`` attaches
-        under the current root span for that uid (if one is open).
+        under the current root span for that uid (if one is open and
+        began no later: a deferred op of the packet's earlier event may
+        apply while a later event of the same packet is being observed).
         ``root`` registers this span as that root.
         """
         if parent is None and uid is not None and not root:
             current = self._root_by_uid.get(uid)
-            if current is not None and current.end is None:
+            if (current is not None and current.end is None
+                    and current.start <= time):
                 parent = current
         span = Span(
             self._next_id,

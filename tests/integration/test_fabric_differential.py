@@ -1,31 +1,32 @@
-"""Differential suite: the sharded fabric is observationally identical
+"""Differential suite: the forked fabric is observationally identical
 to one plain :class:`Monitor` on unbounded (clean) configurations.
 
 This is the fabric's correctness contract — partitioning by key must
 never change *what* is monitored, only *where*.  Equality is asserted on
-violation fingerprints, the full counter set, live/pending state, and
-ledger emptiness, across shard counts: for the in-process partition
-reference (``tests/partition.py``: the router's split into key-filtered
-shard monitors), which is fast enough for Hypothesis, and for the forked
-fabric itself.  Chaos profiles with bounded stores split one global
-budget into per-shard budgets (a documented difference), so for those
-the suite checks the per-shard soak invariants on the reference, and
-that the fabric merges exactly the reference's shard ledgers.
+violation fingerprints (sorted: the fabric orders same-timestamp
+violations by time, property and bindings, the plain monitor by
+emission), the full counter set, live/pending state and ledger
+emptiness, across shard counts.  The in-process partition reference
+(``tests/partition.py``) is held to the reference walk under every
+configuration by the differential lattice (``test_lattice.py``); a fork
+per example would be too slow for that, so the fabric is compared on
+fixed workloads here.  Chaos profiles with bounded stores split one
+global budget into per-shard budgets (a documented difference), so for
+those the suite checks the per-shard soak invariants on the reference,
+and that the fabric merges exactly the reference's shard ledgers.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.monitor import Monitor, MonitorStats
 from repro.fabric import ShardedMonitor, fork_available
 from repro.props import build_table1
-from repro.faults.profiles import PROFILES
+from repro.faults.profiles import PROFILES, monitor_profile_kwargs
 from repro.faults.rounds import (
     build_sharded_monitor,
     catalog_trace,
     check_invariants,
-    fingerprint as emission_fingerprint,
+    fingerprint,
 )
 from tests.partition import Partitioned
 
@@ -35,12 +36,6 @@ COUNTERS = tuple(MonitorStats._COUNTERS)
 
 def catalog_props():
     return [entry.prop for entry in build_table1()]
-
-
-def fingerprint(violations):
-    # Sorted: the fabric orders same-timestamp violations by (time,
-    # property, bindings) while the plain monitor keeps emission order.
-    return sorted(emission_fingerprint(violations))
 
 
 def run_plain(events):
@@ -59,10 +54,6 @@ def feed(monitor, events, batch):
     return monitor
 
 
-def run_partitioned(events, num_shards, batch=256):
-    return feed(Partitioned(catalog_props(), num_shards), events, batch)
-
-
 def run_sharded(events, num_shards, batch=256):
     fabric = ShardedMonitor(catalog_props(), num_shards=num_shards)
     try:
@@ -72,20 +63,9 @@ def run_sharded(events, num_shards, batch=256):
     return fabric
 
 
-def assert_reference_equivalent(plain, ref):
-    assert fingerprint(ref.violations) == fingerprint(plain.violations)
-    for name in COUNTERS:
-        assert ref.counter(name) == getattr(plain.stats, name), name
-    for attr in ("live_instances", "pending_op_count"):
-        assert sum(getattr(s, attr)() for s in ref.shards) \
-            == getattr(plain, attr)()
-    assert plain.pending_op_count() == 0
-    assert not any(len(s.ledger) for s in ref.shards)
-    assert not len(plain.ledger)
-
-
 def assert_equivalent(plain, fabric):
-    assert fingerprint(fabric.violations) == fingerprint(plain.violations)
+    assert sorted(fingerprint(fabric.violations)) \
+        == sorted(fingerprint(plain.violations))
     for name in COUNTERS:
         assert getattr(fabric.stats, name) == getattr(plain.stats, name), name
     assert fabric.live_instances() == plain.live_instances()
@@ -95,21 +75,12 @@ def assert_equivalent(plain, fabric):
 
 
 class TestInprocessDifferential:
-    """The in-process partition reference against one plain monitor."""
-
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_matches_plain_monitor(self, num_shards):
-        events = catalog_trace(seed=7, num_events=2000)
-        plain = run_plain(events)
-        ref = run_partitioned(events, num_shards)
-        assert ref.violations, "workload produced no violations — vacuous"
-        assert_reference_equivalent(plain, ref)
-
     def test_every_shard_contributes(self):
         # The catalog has keyed and pinned properties on several shards;
-        # a partitioning bug that starves one shard would shift work.
+        # a partitioning bug that starves one shard would shift work
+        # without changing a verdict.
         events = catalog_trace(seed=7, num_events=2000)
-        ref = run_partitioned(events, 4)
+        ref = feed(Partitioned(catalog_props(), 4), events, 256)
         per_shard = [m.stats.events for m in ref.shards]
         assert all(count > 0 for count in per_shard), per_shard
 
@@ -139,17 +110,6 @@ class TestMpDifferential:
             fabric.stats.peak_live_instances
 
 
-class TestHypothesisWorkloads:
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2 ** 16),
-           num_shards=st.sampled_from([2, 3, 4]))
-    def test_random_workload_equivalence(self, seed, num_shards):
-        events = catalog_trace(seed=seed, num_events=400)
-        plain = run_plain(events)
-        ref = run_partitioned(events, num_shards, batch=64)
-        assert_reference_equivalent(plain, ref)
-
-
 class TestChaosProfilesPerShard:
     @pytest.mark.skipif(not fork_available(),
                         reason="fork start method unavailable")
@@ -157,7 +117,9 @@ class TestChaosProfilesPerShard:
     def test_invariants_hold_on_every_shard(self, profile_name):
         events = catalog_trace(seed=13, num_events=1500)
         profile = PROFILES[profile_name]
-        ref = feed(Partitioned(catalog_props(), 2, profile), events, 256)
+        ref = feed(Partitioned(catalog_props(), 2,
+                               lambda: monitor_profile_kwargs(profile)),
+                   events, 256)
         for shard in ref.shards:
             assert check_invariants(shard) == []
         # The fabric runs the same shards in its workers: shed counts
@@ -169,7 +131,8 @@ class TestChaosProfilesPerShard:
             assert fabric.drain() == 0
         finally:
             fabric.stop()
-        assert fingerprint(fabric.violations) == fingerprint(ref.violations)
+        assert sorted(fingerprint(fabric.violations)) \
+            == sorted(fingerprint(ref.violations))
         assert len(fabric.ledger) == sum(len(m.ledger) for m in ref.shards)
         observed = len(fabric.violations)
         lo, hi = fabric.ledger.interval(observed)

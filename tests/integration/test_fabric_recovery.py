@@ -63,7 +63,7 @@ from repro.faults.profiles import PROFILES
 from repro.faults.rounds import (
     catalog_trace,
     crash_schedule,
-    fingerprint as emission_fingerprint,
+    fingerprint,
     run_crash_chaos,
 )
 from repro.packet import tcp_packet
@@ -84,10 +84,6 @@ FAST = dict(heartbeat_interval=0.2, heartbeat_timeout=10.0,
 
 def catalog_props():
     return [entry.prop for entry in build_table1()]
-
-
-def fingerprint(violations):
-    return sorted(emission_fingerprint(violations))
 
 
 def run_plain(events):
@@ -129,8 +125,8 @@ class TestSigkillEquivalence:
                 lo, len(plain.violations), hi)
             if not len(fabric.ledger):
                 # nothing was lost: recovery must be *exact*
-                assert fingerprint(fabric.violations) \
-                    == fingerprint(plain.violations)
+                assert sorted(fingerprint(fabric.violations)) \
+                    == sorted(fingerprint(plain.violations))
         finally:
             fabric.close()
 
@@ -195,8 +191,8 @@ class TestBatchSizeIsNotSemantic:
             fabric.sync()
             assert sup.total_restarts() >= 1 and not sup.failed()
             assert fabric.ledger.summary()["by_kind"] == {}
-            assert fingerprint(fabric.violations) \
-                == fingerprint(plain.violations)
+            assert sorted(fingerprint(fabric.violations)) \
+                == sorted(fingerprint(plain.violations))
             assert {n: getattr(fabric.stats, n)
                     for n in MonitorStats._COUNTERS} \
                 == {n: getattr(plain.stats, n)
@@ -306,8 +302,8 @@ class TestDeathAtQuiesce:
             fabric.stop()
             assert sup.total_restarts() >= 1 and not sup.failed()
             assert fabric.ledger.summary()["by_kind"] == {}
-            assert fingerprint(fabric.violations) \
-                == fingerprint(plain.violations)
+            assert sorted(fingerprint(fabric.violations)) \
+                == sorted(fingerprint(plain.violations))
             assert {n: getattr(fabric.stats, n)
                     for n in MonitorStats._COUNTERS} \
                 == {n: getattr(plain.stats, n)
@@ -532,7 +528,8 @@ def plain_flow_run(events):
 
 
 def assert_equals_plain(fabric, plain):
-    assert fingerprint(fabric.violations) == fingerprint(plain.violations)
+    assert sorted(fingerprint(fabric.violations)) \
+        == sorted(fingerprint(plain.violations))
     assert {n: getattr(fabric.stats, n) for n in COUNTERS} \
         == {n: getattr(plain.stats, n) for n in COUNTERS}
     assert len(fabric.ledger) == 0

@@ -164,10 +164,13 @@ class TestShippedExamplesLintClean:
 
 class TestSplitLagProfiles:
     def test_table2_profile_covers_every_backend(self):
-        from repro.backends import FAST_PATH_SPLIT_LAG, all_backends
-        from repro.lint import backend_lag_profile
+        from repro.backends import (
+            FAST_PATH_SPLIT_LAG,
+            all_backends,
+            split_lag_profile,
+        )
 
-        profile = backend_lag_profile()
+        profile = split_lag_profile()
         names = {b.caps.name for b in all_backends()}
         assert set(profile) == names
         # Fast-path update backends get the fast lag, slow-path the default.

@@ -8,16 +8,18 @@ tested against this, as ``core/reference.py`` is for the matcher.
 
 from repro.fabric import Router, build_routes, build_shard_monitor
 from repro.fabric.fabric import _violation_order
-from repro.faults.profiles import monitor_profile_kwargs
 
 
 class Partitioned:
-    def __init__(self, props, num_shards, profile=None):
+    """``monitor_kwargs()`` is called once per shard, as each forked
+    worker holds its own copy of a control channel, registry or tracer."""
+
+    def __init__(self, props, num_shards, monitor_kwargs=dict):
         routes = build_routes(props, num_shards)
         self.router = Router(routes, num_shards)
         self.shards = [
             build_shard_monitor(props, i, num_shards, routes,
-                                monitor_profile_kwargs(profile))
+                                monitor_kwargs())
             for i in range(num_shards)]
 
     def observe_batch(self, events):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     Bind,
-    Const,
     EventKind,
     EventPattern,
     FieldEq,
@@ -28,39 +27,12 @@ from repro.core import (
     Var,
 )
 from repro.core.instances import Instance, InstanceStore, uid_var
-from test_match_strategy_differential import cancel_prop
+from tests.workloads import cancel_prop, flow_props, ident_prop
 
 
 def flow_prop(i):
     """The benchmark's keyed flow shape: the stage-1 plan reads the key."""
-    return PropertySpec(
-        name=f"flow-{i}", description="",
-        stages=(
-            Observe("seen", EventPattern(
-                kind=EventKind.ARRIVAL,
-                binds=(Bind("src", "ipv4.src"), Bind("sport", "tcp.src")))),
-            Observe("never", EventPattern(
-                kind=EventKind.EGRESS,
-                guards=(FieldEq("ipv4.src", Var("src")),
-                        FieldEq("tcp.src", Var("sport")),
-                        FieldEq("tcp.dst", Const(1 + i))))),
-        ),
-        key_vars=("src", "sport"),
-    )
-
-
-def samepacket_prop():
-    """Stage 1 hashes on the stage-0 packet uid, which a refresh moves."""
-    return PropertySpec(
-        name="ident", description="",
-        stages=(
-            Observe("a", EventPattern(kind=EventKind.ARRIVAL,
-                                      binds=(Bind("S", "eth.src"),))),
-            Observe("b", EventPattern(kind=EventKind.DROP,
-                                      same_packet_as="a")),
-        ),
-        key_vars=("S",),
-    )
+    return flow_props()[i]
 
 
 def loose_unless_prop():
@@ -88,7 +60,7 @@ def loose_unless_prop():
 PROPS = {
     **{f"flow-{i}": (lambda i=i: flow_prop(i)) for i in range(6)},
     "cancelly": cancel_prop,
-    "samepacket": samepacket_prop,
+    "samepacket": ident_prop,
     "loose-unless": loose_unless_prop,
 }
 
@@ -184,5 +156,5 @@ def test_touch_orders_like_reindex(name, script):
 def test_fast_path_only_where_no_index_reads_a_non_key_variable():
     assert InstanceStore(flow_prop(0))._touch_in_place == {1}
     assert InstanceStore(cancel_prop())._touch_in_place == {1, 2}
-    assert InstanceStore(samepacket_prop())._touch_in_place == set()
+    assert InstanceStore(ident_prop())._touch_in_place == set()
     assert InstanceStore(loose_unless_prop())._touch_in_place == set()

@@ -12,6 +12,7 @@ oracle here opens them by hand around the rootless tap ``observe`` and
 the two must agree span for span.
 """
 
+import functools
 import io
 
 from hypothesis import given, settings
@@ -28,8 +29,6 @@ from repro.core import (
     Var,
 )
 from repro.fabric import ShardedMonitor
-from repro.packet import ethernet
-from repro.switch.events import EgressAction, PacketArrival, PacketEgress
 from repro.switch.switch import ProcessingMode
 from repro.telemetry import (
     Tracer,
@@ -37,28 +36,11 @@ from repro.telemetry import (
     load_spans,
     validate_spans,
 )
+from tests.workloads import event_streams
 
-addr = st.integers(min_value=1, max_value=4)
-
-
-@st.composite
-def event_streams(draw, max_events=40):
-    """Random time-ordered arrival/egress streams over a tiny address
-    universe, so instances collide, advance, violate, and expire often."""
-    n = draw(st.integers(min_value=1, max_value=max_events))
-    events = []
-    t = 0.0
-    for _ in range(n):
-        t += draw(st.floats(min_value=0.001, max_value=2.0))
-        packet = ethernet(draw(addr), draw(addr))
-        if draw(st.booleans()):
-            events.append(PacketArrival(
-                switch_id="s", time=t, packet=packet, in_port=draw(addr)))
-        else:
-            events.append(PacketEgress(
-                switch_id="s", time=t, packet=packet, in_port=draw(addr),
-                out_port=draw(addr), action=EgressAction.UNICAST))
-    return events
+#: packet events only: every root span is keyed by a packet uid
+packet_streams = functools.partial(
+    event_streams, max_events=40, kinds=("arrival", "egress"))
 
 
 def traced_property():
@@ -110,13 +92,13 @@ def span_dicts(tracer):
 
 class TestSpanWellFormedness:
     @settings(max_examples=60, deadline=None)
-    @given(event_streams())
+    @given(packet_streams())
     def test_inline_replay_spans_validate(self, events):
         tracer = replay(events)
         assert validate_spans(tracer.spans) == []
 
     @settings(max_examples=40, deadline=None)
-    @given(event_streams())
+    @given(packet_streams())
     def test_split_replay_spans_validate(self, events):
         # Split mode applies ops after the root span closed; the monitor's
         # deferred events must still land as well-formed spans.
@@ -124,7 +106,7 @@ class TestSpanWellFormedness:
         assert validate_spans(tracer.spans) == []
 
     @settings(max_examples=40, deadline=None)
-    @given(event_streams())
+    @given(packet_streams())
     def test_every_monitor_span_nests_under_a_root(self, events):
         tracer = replay(events)
         roots = {s.span_id for s in tracer.spans if s.parent_id is None}
@@ -137,13 +119,13 @@ class TestSpanWellFormedness:
                 by_id[span.parent_id].parent_id is not None)
 
     @settings(max_examples=40, deadline=None)
-    @given(event_streams(), st.sampled_from(list(ProcessingMode)))
+    @given(packet_streams(), st.sampled_from(list(ProcessingMode)))
     def test_observer_roots_equal_hand_opened_roots(self, events, mode):
         assert span_dicts(replay(events, mode)) \
             == span_dicts(replay_rooted_by_hand(events, mode))
 
     @settings(max_examples=20, deadline=None)
-    @given(event_streams())
+    @given(packet_streams())
     def test_fabric_records_the_monitor_s_roots_and_nothing_else(
             self, events):
         # Sharded: arrival roots only (shard spans stay in the shards),
@@ -166,7 +148,7 @@ class TestSpanWellFormedness:
             fabric.stop()
 
     @settings(max_examples=30, deadline=None)
-    @given(event_streams())
+    @given(packet_streams())
     def test_jsonl_roundtrip_preserves_validity(self, events):
         tracer = replay(events)
         buf = io.StringIO()

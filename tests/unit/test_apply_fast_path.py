@@ -14,86 +14,26 @@ the keys belong to the other shard):
   and the ownership predicate keeps its last keyed answer, so a key is
   hashed once per event however many of the six ask about it.
 
-The counters and violations are held to the interpreted reference walk
-under the same key filter: the fast path changes no op.  Last, a
-backend's ``StateCostMeter`` is charged once per applied op, on catalog
-traffic, whether ``_apply`` or the generated program applied it.
+That the fast path changes no op, counter or violation is the
+differential lattice's ``flows`` case (``test_lattice.py``), under a key
+filter and in a partition.  Last, a backend's ``StateCostMeter`` is
+charged once per applied op, on catalog traffic, whether ``_apply`` or
+the generated program applied it.
 """
 
-import random
 from collections import Counter
 
 import pytest
 
 import repro.fabric.routing
 
-from repro.core import (
-    Bind,
-    Const,
-    EventKind,
-    EventPattern,
-    FieldEq,
-    Monitor,
-    Observe,
-    PropertySpec,
-    Var,
-)
+from repro.core import Monitor
 from repro.fabric.routing import build_routes
 from repro.fabric.shard import build_shard_monitor
 from repro.faults.rounds import catalog_trace
-from repro.packet import tcp_packet
 from repro.props.catalog import build_table1
-from repro.switch.events import EgressAction, PacketArrival, PacketEgress
 from repro.switch.registers import StateCostMeter
-
-FLOWS = 256
-EVENTS = 2000
-
-
-def flow_props():
-    """Six keyed two-stage properties on one key (the benchmark's flows
-    shape): any arrival creates or refreshes, an egress of the flow to
-    port ``1 + i`` violates."""
-    return [
-        PropertySpec(
-            name=f"flow-{i}", description="",
-            stages=(
-                Observe("seen", EventPattern(
-                    kind=EventKind.ARRIVAL,
-                    binds=(Bind("src", "ipv4.src"),
-                           Bind("sport", "tcp.src")))),
-                Observe("never", EventPattern(
-                    kind=EventKind.EGRESS,
-                    guards=(FieldEq("ipv4.src", Var("src")),
-                            FieldEq("tcp.src", Var("sport")),
-                            FieldEq("tcp.dst", Const(1 + i))))),
-            ),
-            key_vars=("src", "sport"),
-        )
-        for i in range(6)
-    ]
-
-
-def flow_events():
-    """Arrivals (60 %) and egresses over ``FLOWS`` flows; one flow in 16
-    aims at a port some property waits for."""
-    packets = [
-        tcp_packet(i % 8, (i + 1) % 8, f"10.0.{i}.1", "198.51.100.9",
-                   1024 + i, 80 if i % 16 else 1 + (i // 16) % 6)
-        for i in range(FLOWS)
-    ]
-    rng = random.Random(5)
-    events = []
-    for n in range(EVENTS):
-        packet, t = packets[rng.randrange(FLOWS)], 1.0 + n * 1e-4
-        if rng.random() < 0.6:
-            events.append(PacketArrival(
-                switch_id="s", time=t, packet=packet, in_port=1))
-        else:
-            events.append(PacketEgress(
-                switch_id="s", time=t, packet=packet, in_port=1,
-                out_port=2, action=EgressAction.UNICAST))
-    return events
+from tests.workloads import flow_events, flow_props
 
 
 @pytest.fixture(scope="module")
@@ -183,27 +123,6 @@ def test_a_key_is_hashed_once_per_event(shard_run):
              if repro.fabric.routing.stable_hash(key) % 2 == 0]
     created = monitor.stats.instances_created
     assert 5 * len(owned) < created <= 6 * len(owned)
-
-
-def test_ops_and_violations_are_the_parents(shard_run):
-    """The same shard, run by the interpreted reference walk under the
-    same key filter, plans and applies the same ops and raises the same
-    violations."""
-    monitor, *_ = shard_run
-    props = flow_props()
-    reference = build_shard_monitor(
-        props, 0, 2, build_routes(props, 2),
-        {"match_strategy": "interpreted"})
-    reference.observe_batch(flow_events())
-
-    def observed(m):
-        return ((m.stats.ops_applied, m.stats.instances_created,
-                 m.stats.refreshes),
-                Counter(v.property_name for v in m.violations))
-
-    counts, violations = observed(reference)
-    assert counts[1] and counts[2] and sum(violations.values())
-    assert observed(monitor) == (counts, violations)
 
 
 @pytest.mark.parametrize("slow_path", [False, True])

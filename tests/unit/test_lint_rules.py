@@ -246,6 +246,14 @@ class TestCliLint:
     def test_check_fails_on_lint_errors(self, capsys):
         assert main(["check", fixture_for("L005")]) == 1
 
+    def test_check_lints_before_it_compiles(self, capsys):
+        """A spec error lint pins to a token is reported at the token,
+        not as a bare compile error at the property header."""
+        assert main(["check", fixture_for("L001")]) == 1
+        err = capsys.readouterr().err
+        assert ":5:22: error L001" in err
+        assert "ERROR" not in err
+
 
 def contradiction_findings(source):
     return [(d.code, d.line, d.column, d.message)

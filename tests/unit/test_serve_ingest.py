@@ -379,6 +379,9 @@ class TestServeConfigBounds:
         ("stats {trace} {missing}", 1),
         ("send {missing}", 1),
         ("stats {trace} {prop} --poll-interval 0", 2),
+        ("serve --port 70000", 2),
+        ("serve --ingest tcp:70000", 2),
+        ("send {trace} --port 70000", 2),
     ])
     def test_cli_bad_input_is_one_error_line(self, argv, status, tmp_path,
                                              capsys):
