@@ -168,46 +168,6 @@ def test_estimate_matches_measured_depth(benchmark):
             f"{name}: estimate {est} != measured {measured}")
 
 
-def test_estimate_matches_compiler_rule_plan(benchmark):
-    """The rules cost model against the compiler's emitted plans.
-
-    For every rule-compilable property — the calibration corpus plus any
-    Table-1 catalog row ``check_compilable`` accepts — the estimator's
-    tables/rules/flow-mods per instance must equal what
-    ``plan_property`` counts off the rule plan ``compile_property``
-    actually emits.
-    """
-    from repro.backends.varanus_compiler import plan_property
-    from repro.lint.calibration import calibration_corpus
-    from repro.lint.splitmode import estimate_cost
-
-    def run():
-        rows = []
-        for prop in calibration_corpus():
-            rows.append((prop.name, estimate_cost(prop), plan_property(prop)))
-        return rows
-
-    rows = benchmark(run)
-    print("\nestimated vs compiler-emitted rule plans, per instance")
-    print(f"  {'property':<20} {'tables':>13} {'rules':>13} {'flow-mods':>13}")
-    for name, est, plan in rows:
-        print(
-            f"  {name:<20}"
-            f" {est.instance_tables:5d}/{plan.instance_tables:<7d}"
-            f" {est.rules_per_instance:5d}/{plan.rules_per_instance:<7d}"
-            f" {est.slow_updates_per_instance:5d}/"
-            f"{plan.flow_mods_per_instance:<7d}"
-        )
-    print("  (columns are estimated/emitted)")
-    assert rows, "calibration corpus is empty"
-    for name, est, plan in rows:
-        assert est.model == "rules", f"{name}: not rule-compilable"
-        assert est.instance_tables == plan.instance_tables, name
-        assert est.rules_per_instance == plan.rules_per_instance, name
-        assert est.slow_updates_per_instance == \
-            plan.flow_mods_per_instance, name
-
-
 def test_crossover_varanus_costlier_beyond_stage_count(benchmark):
     """The crossover the paper implies: Varanus beats nothing on cost —
     as soon as instances exceed the property's stage count, its per-event

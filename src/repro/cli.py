@@ -494,17 +494,30 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 0
 
     profile = PROFILES[args.profile]
+    fabric_flags = {"--shards": args.shards,
+                    "--restart-budget": args.restart_budget,
+                    "--checkpoint-interval": args.checkpoint_interval}
+    given = [flag for flag, value in fabric_flags.items() if value is not None]
+    if given and profile.worker_crash.is_null:
+        raise UsageError(f"{given[0]} shapes the fabric of a worker-crash "
+                         f"profile; profile {profile.name!r} runs one monitor")
+    if args.shards is not None and args.shards < 1:
+        raise UsageError(f"--shards must be >= 1, got {args.shards}")
     if not profile.worker_crash.is_null \
             and _lacks_fork("the worker-crash profile"):
         return 2
     with _flag_values():
-        supervision = replace(
-            rounds.SOAK_SUPERVISION, restart_budget=args.restart_budget,
-            checkpoint_interval=args.checkpoint_interval)
-    reports = rounds.run_rounds(
-        profile, args.seed, args.rounds, num_events=args.events,
-        settle=args.settle, num_shards=args.shards or 2,
-        supervision=supervision)
+        supervision = replace(rounds.SOAK_SUPERVISION, **{
+            name: value for name, value in (
+                ("restart_budget", args.restart_budget),
+                ("checkpoint_interval", args.checkpoint_interval))
+            if value is not None})
+    # Round k replays seed + k.
+    reports = [
+        rounds.run_chaos(profile, args.seed + k, num_events=args.events,
+                         settle=args.settle, num_shards=args.shards or 2,
+                         supervision=supervision)
+        for k in range(args.rounds)]
     failed = [report for report in reports if report.failed]
     for index, report in enumerate(reports):
         if args.rounds > 1:
@@ -717,16 +730,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthesize attacks from taint findings "
                             "(L017/L018) instead of replaying a fault "
                             "profile")
-    chaos.add_argument("--shards", type=int, default=2, metavar="N",
-                       help="mp fabric shards for crash profiles "
-                            "(worker-crash only; default: 2)")
-    chaos.add_argument("--restart-budget", type=int, default=5, metavar="N",
+    chaos.add_argument("--shards", type=int, default=None, metavar="N",
+                       help="forked fabric workers (worker-crash only; "
+                            "default: 2)")
+    chaos.add_argument("--restart-budget", type=int, default=None,
+                       metavar="N",
                        help="worker restarts allowed per shard before the "
-                            "shard is declared failed (default: 5)")
-    chaos.add_argument("--checkpoint-interval", type=int, default=2048,
+                            "shard is declared failed (worker-crash only; "
+                            "default: 5)")
+    chaos.add_argument("--checkpoint-interval", type=int, default=None,
                        metavar="EVENTS",
                        help="events per shard between recovery checkpoints "
-                            "(default: 2048)")
+                            "(worker-crash only; default: 2048)")
     chaos.set_defaults(fn=cmd_chaos)
 
     serve = sub.add_parser(

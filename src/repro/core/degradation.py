@@ -120,6 +120,14 @@ def suggested_policy(
 #: supervisor kinds.
 ShedKey = Tuple[str, str, str]
 
+#: The property column of rows that belong to no one property: what the
+#: fabric supervisor loses (events, a shard) and what the daemon's ingest
+#: queue sheds.  A lost event can hide a violation of any property, so
+#: these rows count toward every property's interval.
+FABRIC_ROW = "(fabric)"
+INGEST_ROW = "(ingest)"
+UNATTRIBUTED = (FABRIC_ROW, INGEST_ROW)
+
 
 class OverflowLedger:
     """Counts of everything shed, one per (kind, property, primary).
@@ -142,10 +150,11 @@ class OverflowLedger:
         return self.count()
 
     def count(self, prop: Optional[str] = None) -> int:
-        """Sheds (of ``prop``, or of all properties) — each could hide
-        one real violation or make one reported violation spurious."""
+        """Sheds that bear on ``prop`` — its own plus the
+        :data:`UNATTRIBUTED` rows — or all sheds: each could hide one
+        real violation or make one reported violation spurious."""
         return sum(n for (_, p, _), n in self.counts.items()
-                   if prop is None or p == prop)
+                   if prop is None or p == prop or p in UNATTRIBUTED)
 
     def interval(
         self, observed: int, prop: Optional[str] = None
@@ -168,7 +177,9 @@ class OverflowLedger:
         return self._by(2)
 
     def properties(self) -> Tuple[str, ...]:
-        return tuple(self._by(1))
+        """The properties with rows of their own (not the
+        :data:`UNATTRIBUTED` ones)."""
+        return tuple(p for p in self._by(1) if p not in UNATTRIBUTED)
 
     def summary(self) -> Dict[str, object]:
         """A JSON-able digest for degradation reports."""

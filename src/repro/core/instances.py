@@ -74,7 +74,7 @@ class Instance:
         "stage_bucket",
         "slots",
         "stage_entry",
-        "timer_gen",
+        "timer_seq",
     )
 
     def __init__(
@@ -104,9 +104,9 @@ class Instance:
         #: per-store stamp of the moment this instance (re-)entered its
         #: stage population; orders instances drawn from several buckets.
         self.stage_entry = 0
-        #: bumped whenever the instance's timer is re-armed or its stage
-        #: moves; an agenda entry carrying an older value is stale.
-        self.timer_gen = 0
+        #: the monitor's agenda number of this instance's armed timer (0:
+        #: none); an agenda entry under any other number is stale.
+        self.timer_seq = 0
 
     @property
     def complete(self) -> bool:
@@ -334,8 +334,14 @@ class InstanceStore:
                 best, best_rank = instance, rank
         return best
 
-    def all(self) -> Iterable[Instance]:
+    def all(self) -> List[Instance]:
+        """Live instances in creation order."""
         return [i for i in self._by_key.values() if i.alive]
+
+    def in_stage_entry_order(self) -> Iterable[Instance]:
+        """Live instances stage by stage, each stage in stage-entry order."""
+        return itertools.chain.from_iterable(
+            population.values() for population in self._stage_pop.values())
 
     def __len__(self) -> int:
         return len(self._by_key)

@@ -81,14 +81,15 @@ class MonitorState:
     instance references — so their count is carried instead; a restore
     path that cares (the fabric supervisor) ledgers them as lost.
 
-    ``instances`` holds one ``(property name, rows)`` pair per store.
-    Specs do not pickle (compiled predicate closures), so a store is
-    named and re-linked to its spec on restore.  Each live instance is
-    one plain tuple, ``(key, env, stage, created_at, advanced_at,
-    deadline, deadline_kind, provenance)``, and each of its provenance
-    records a ``(stage_name, time, event, subject)`` tuple: rows export
-    and pickle several times faster than an object per instance and
-    per record.
+    ``instances`` holds one ``(property name, rows, entry)`` triple per
+    store.  Specs do not pickle (compiled predicate closures), so a
+    store is named and re-linked to its spec on restore.  Each live
+    instance is one plain tuple, ``(key, env, stage, created_at,
+    advanced_at, deadline, deadline_kind, timer_seq, provenance)``, and
+    each of its provenance records a ``(stage_name, time, event,
+    subject)`` tuple: rows export and pickle several times faster than
+    an object per instance and per record.  ``entry`` orders the rows
+    (see :meth:`Monitor.export_state`).
     """
 
     now: float
@@ -282,10 +283,10 @@ class Monitor:
         self._codegen_program = None
         #: everything the monitor must do later, in ``(time, rank, seq)``
         #: order: ``(retry_at, _RETRY, seq, op, ideal_apply_at, attempt)``,
-        #: ``(apply_at, _OP, seq, op)``, ``(deadline, _TIMER, seq, instance,
-        #: timer_gen)``.  ``_queued[rank]`` counts the entries of each rank.
+        #: ``(apply_at, _OP, seq, op)``, ``(deadline, _TIMER, seq,
+        #: instance)``.  ``_queued[rank]`` counts the entries of each rank.
         self._agenda: List[Tuple] = []
-        self._seq = itertools.count()
+        self._seq = itertools.count(1)
         self._queued = [0, 0, 0]
         self._now = 0.0
         #: set by start(); None for replay monitors that never start()
@@ -434,12 +435,12 @@ class Monitor:
         agenda = self._agenda
         queued = self._queued
         while agenda and agenda[0][0] <= when:
-            due, rank, _, *payload = heapq.heappop(agenda)
+            due, rank, seq, *payload = heapq.heappop(agenda)
             queued[rank] -= 1
             if due > self._now:
                 self._now = due
             if rank == _TIMER:
-                self._fire_timer(due, *payload)
+                self._fire_timer(due, seq, *payload)
             elif rank == _OP:
                 # Drains go through Gauge.set like every other call site,
                 # keeping the watermark bookkeeping in one place (a drain
@@ -451,10 +452,15 @@ class Monitor:
         if when > self._now:
             self._now = when
 
-    def _push(self, when: float, rank: int, *payload: object) -> None:
-        """Put one entry on the agenda — the only way onto it."""
+    def _push(self, when: float, rank: int, *payload: object,
+              seq: int = 0) -> int:
+        """Put one entry on the agenda — the only way onto it — under the
+        next agenda number, or under ``seq`` (a restored timer's own);
+        returns the number."""
+        seq = seq or next(self._seq)
         self._queued[rank] += 1
-        heapq.heappush(self._agenda, (when, rank, next(self._seq), *payload))
+        heapq.heappush(self._agenda, (when, rank, seq, *payload))
+        return seq
 
     def _wake(self, when: float, label: str) -> None:
         """Have a live simulation's scheduler run the agenda at ``when``
@@ -681,7 +687,6 @@ class Monitor:
         old_stage = instance.stage
         instance.stage += 1
         instance.advanced_at = when
-        instance.timer_gen += 1
         self._stage_advance_counters[name][old_stage].inc()
         record = record_stage(
             self.provenance, instance.prop.stages[old_stage].name, when, event)
@@ -715,7 +720,7 @@ class Monitor:
     # -- timers ---------------------------------------------------------------------
     def _arm_timer(self, instance: Instance, now: float) -> None:
         """Arm the timer of the stage a live, incomplete instance waits at."""
-        instance.timer_gen += 1  # whatever the agenda holds is stale now
+        instance.timer_seq = 0  # whatever the agenda holds is stale now
         kind, within = self._timer_rows[instance.prop.name][instance.stage]
         if kind:
             self._set_deadline(instance, now + within, kind)
@@ -724,19 +729,19 @@ class Monitor:
             instance.deadline_kind = ""
 
     def _set_deadline(self, instance: Instance, deadline: float,
-                      kind: str) -> None:
+                      kind: str, seq: int = 0) -> None:
         instance.deadline = deadline
         instance.deadline_kind = kind
-        self._push(deadline, _TIMER, instance, instance.timer_gen)
+        instance.timer_seq = self._push(deadline, _TIMER, instance, seq=seq)
         if kind == "advance":
             # Only negative observations need a live wakeup: their firing
             # produces externally-visible behaviour (possibly a violation)
             # even if no further packets arrive.  Expiry is lazy.
             self._wake(deadline, "monitor-timeout-action")
 
-    def _fire_timer(self, deadline: float, instance: Instance,
-                    gen: int) -> None:
-        if not instance.alive or instance.timer_gen != gen:
+    def _fire_timer(self, deadline: float, seq: int,
+                    instance: Instance) -> None:
+        if not instance.alive or instance.timer_seq != seq:
             return  # stale agenda entry (lazy cancellation)
         name = instance.prop.name
         if instance.deadline_kind == "expire":
@@ -857,23 +862,31 @@ class Monitor:
     def export_state(self) -> MonitorState:
         """Flatten recoverable state into a picklable :class:`MonitorState`.
 
-        Iteration order is deterministic (property registration order,
-        then store insertion order), so two exports of the same monitor
-        are identical — the fabric's crash-replay equivalence depends on
-        restored timers re-arming in a reproducible order.
+        Three orders survive a restore, because each breaks a tie: rows
+        are in creation order (evictions tie-break on instance id),
+        ``entry`` lists them in stage-entry order (the order candidates
+        are advanced and cancelled in), and each keeps its timer's
+        agenda number (equal deadlines fire in push order).  All of it
+        is read off the live instances, not the agenda: O(live).
         """
-        instances = tuple(
-            (name, tuple([
+        instances = []
+        for name, store in self._stores.items():
+            live = store.all()
+            position = {inst.instance_id: i for i, inst in enumerate(live)}
+            rows = tuple([
                 (inst.key, dict(inst.env), inst.stage, inst.created_at,
                  inst.advanced_at, inst.deadline, inst.deadline_kind,
+                 inst.timer_seq,
                  tuple([(r.stage_name, r.time, r.event, r.subject)
                         for r in inst.provenance]))
-                for inst in store.all()]))
-            for name, store in self._stores.items())
+                for inst in live])
+            entry = tuple([position[inst.instance_id]
+                           for inst in store.in_stage_entry_order()])
+            instances.append((name, rows, entry))
         counters, peaks = self.stats.export()
         return MonitorState(
             now=self._now,
-            instances=instances,
+            instances=tuple(instances),
             lost_pending_ops=self.pending_op_count(),
             counters=counters,
             peaks=peaks,
@@ -883,40 +896,52 @@ class Monitor:
     def restore_state(self, state: MonitorState) -> None:
         """Rebuild instances (and their timers) from a checkpoint.
 
-        The monitor must be fresh (no live instance) and have every
-        property registered that the exporter had; both are checked
-        before anything is added, so a rejected checkpoint leaves the
-        monitor as it was.  The exporter's counters, gauge
+        The monitor must be fresh (nothing live, nothing on its agenda)
+        and have every property registered that the exporter had; both
+        are checked before anything is added, so a rejected checkpoint
+        leaves the monitor as it was.  The exporter's counters, gauge
         high-watermarks and ledger counts are taken over as they were
-        (restoring an instance counts nothing), so from here on this
-        monitor reports what the exporter would have.  Timers re-arm at
-        their saved absolute deadlines: a deadline in a checkpoint is always
+        (restoring an instance counts nothing), and so are its three
+        orders (:meth:`export_state`), so from here on this monitor
+        reports, in the same order, what the exporter would have.
+        Timers re-arm at their saved absolute deadlines, under their
+        saved agenda numbers: a deadline in a checkpoint is always
         strictly in the checkpoint's future (an elapsed timer would have
         fired before the export), so nothing fires during restore.
         """
-        unknown = [name for name, _ in state.instances
+        unknown = [name for name, _, _ in state.instances
                    if name not in self._props]
         if unknown:
             raise ValueError(
                 f"checkpoint references unknown properties {unknown!r}")
-        if self._live_total:
+        if self._live_total or self._agenda:
             raise ValueError(
                 f"restore_state needs a fresh monitor; this one has "
                 f"{self._live_total} live instances")
-        for name, rows in state.instances:
+        last_seq = 0
+        for name, rows, entry in state.instances:
             prop, store = self._props[name], self._stores[name]
+            restored = []
             for (key, env, stage, created_at, advanced_at, deadline,
-                 deadline_kind, provenance) in rows:
+                 deadline_kind, timer_seq, provenance) in rows:
                 instance = Instance(prop, key, dict(env),
                                     created_at=created_at)
                 instance.stage = stage
                 instance.advanced_at = advanced_at
                 instance.provenance = [StageRecord(*r) for r in provenance]
                 store.add(instance)
+                restored.append(instance)
                 if deadline is not None:
-                    self._set_deadline(instance, deadline, deadline_kind)
+                    self._set_deadline(instance, deadline, deadline_kind,
+                                       seq=timer_seq)
+                    last_seq = max(last_seq, timer_seq)
+            # add() filed them in creation order: re-file each at the
+            # back of its stage population and buckets, in entry order.
+            for i in entry:
+                store.reindex(restored[i], restored[i].stage)
             if rows:
                 self._live_changed(name, len(rows))
+        self._seq = itertools.count(max(next(self._seq), last_seq + 1))
         if state.now > self._now:
             self._now = state.now
         self._track_peak()

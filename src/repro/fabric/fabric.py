@@ -9,10 +9,11 @@ system uses — ``observe``/``observe_batch``, ``advance_to``/``flush``,
 Every shard is a forked worker process fed serialized event frames
 (``fabric.mp``), owned by a :class:`~repro.fabric.supervise.Supervisor`
 that turns worker deaths into restarts and ledger entries.  Workers
-acknowledge nothing per event; state flows back as cursor-based snapshot
-deltas on explicit ``sync()``, and as the supervisor's periodic
-checkpoints, which are requested and then taken in whenever their reply
-has arrived — no batch waits for one.  The only wait left on the data
+acknowledge nothing per event; state flows back as snapshot deltas (a
+worker hands over its new violations and forgets them) on explicit
+``sync()``, and as the supervisor's periodic checkpoints, which are
+requested and then taken in whenever their reply has arrived — no
+batch waits for one.  The only wait left on the data
 path is back-pressure for socket space when a worker is behind, bounded
 by ``send_timeout``; ``sync()`` and ``stop()`` are the explicit barriers
 (see ``fabric.mp``'s module docstring).  After ``stop()`` the workers are
@@ -37,7 +38,8 @@ Merging rules (the parts worth being careful about):
   worker restores the checkpoint's counts and replays, so its
   re-detected sheds add nothing.  The interval spans all shards plus
   the supervisor's own ink and anything the serve ingest queue sheds
-  into the same ledger.
+  into the same ledger; those rows belong to no property, so they
+  widen every property's interval.
 """
 
 from __future__ import annotations

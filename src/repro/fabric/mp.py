@@ -34,7 +34,7 @@ Replies (worker -> parent), in the order of the commands they answer:
 * ``b"A" + u32(seq)``      — heartbeat ack echoing the sequence number;
 * ``b"S" + pickle(snap)``  — a snapshot/checkpoint reply.
 
-Workers reply only when asked (cursor-based deltas): there is no
+Workers reply only when asked (snapshot deltas): there is no
 per-event acknowledgement, and no command waits for its reply — the
 supervisor requests a checkpoint and takes the reply in whenever it
 next looks (``fabric.supervise``).  The only wait left on the data path
@@ -107,7 +107,6 @@ def _worker_main(
 ) -> None:
     monitor = build_shard_monitor(
         props, shard_idx, num_shards, routes, monitor_kwargs)
-    violation_cursor = 0
     commands = sock.makefile("rb")
 
     def reply(body: bytes) -> None:
@@ -143,9 +142,8 @@ def _worker_main(
         elif tag == b"R":
             monitor.restore_state(pickle.loads(payload))
         elif tag in (b"S", b"C", b"Q"):
-            snapshot, violation_cursor = take_snapshot(
-                monitor, shard_idx, violation_cursor,
-                with_state=(tag == b"C"))
+            snapshot = take_snapshot(
+                monitor, shard_idx, with_state=(tag == b"C"))
             reply(b"S" + pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL))
             if tag == b"Q":
                 break

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core.degradation import ShedKey
 from ..core.monitor import Monitor
@@ -47,10 +47,12 @@ class ShardSnapshot:
     """A shard's state delta since the previous snapshot.
 
     Counters and the ledger's shed counts are cumulative (cheap,
-    idempotent to re-read); violations are a delta past a cursor so the
-    fabric appends each exactly once.  Everything here pickles — violations
-    carry events and provenance records, which are plain dataclasses —
-    so the same type crosses the multiprocessing result channel.
+    idempotent to re-read); violations are the ones raised since the
+    previous snapshot, handed over and forgotten by the shard, so the
+    fabric appends each exactly once and only the fabric keeps it.
+    Everything here pickles — violations carry events and provenance
+    records, which are plain dataclasses — so the same type crosses the
+    multiprocessing result channel.
     """
 
     shard: int
@@ -78,10 +80,10 @@ class ShardSnapshot:
 def take_snapshot(
     monitor: Monitor,
     shard_idx: int,
-    violation_cursor: int,
     with_state: bool = False,
-) -> Tuple[ShardSnapshot, int]:
-    """Snapshot ``monitor``; returns (snapshot, new violation cursor).
+) -> ShardSnapshot:
+    """Snapshot ``monitor``, handing over (and clearing) the violations
+    it raised since the previous snapshot.
 
     ``with_state=True`` additionally exports and pickles the monitor's
     recoverable state (:meth:`Monitor.export_state`), turning the
@@ -95,13 +97,14 @@ def take_snapshot(
         live_instances=monitor.live_instances(),
         pending_ops=monitor.pending_op_count(),
         counters=counters,
-        violations=list(monitor.violations[violation_cursor:]),
+        violations=monitor.violations,
         sheds=dict(monitor.ledger.counts),
     )
+    monitor.violations = []
     if with_state:
         started = time.process_time()
         state = monitor.export_state()
         snapshot.state = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
         snapshot.export_seconds = time.process_time() - started
         snapshot.lost_pending_ops = state.lost_pending_ops
-    return snapshot, len(monitor.violations)
+    return snapshot

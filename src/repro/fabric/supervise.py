@@ -63,7 +63,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from ..core.degradation import IMPACT_MISSED, OverflowLedger
+from ..core.degradation import FABRIC_ROW, IMPACT_MISSED, OverflowLedger
 from ..switch.events import DataplaneEvent
 from ..telemetry import MetricsRegistry, NullRegistry
 from ..telemetry.metrics import LATENCY_BUCKETS
@@ -78,8 +78,6 @@ KIND_LOST_OP = "crash-lost-op"      # deferred split ops at the checkpoint
 KIND_QUARANTINE = "quarantined-batch"
 KIND_SHARD_LOST = "shard-lost"      # restart budget exhausted
 KIND_QUIT_TIMEOUT = "shard-quit-timeout"
-
-_FABRIC_PROP = "(fabric)"
 
 #: A shard's journal holds at most this many checkpoint intervals of
 #: events (and always its newest batch); older batches drop into the
@@ -729,7 +727,7 @@ class Supervisor:
     # -- ledger ------------------------------------------------------------
     def _ledger_events(self, kind: str, count: int) -> None:
         if count:
-            self.ledger.record(kind, _FABRIC_PROP, IMPACT_MISSED, count)
+            self.ledger.record(kind, FABRIC_ROW, IMPACT_MISSED, count)
 
     def _journal_append(self, st: _ShardState, idx: int,
                         events: List[DataplaneEvent]) -> None:

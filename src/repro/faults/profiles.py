@@ -225,7 +225,6 @@ class WorkerCrashProfile:
     #: kill *k* of a shard uses ``at_fractions[k % len]`` staggered by
     #: shard index so shards do not die in the same batch.
     at_fractions: Tuple[float, ...] = (0.5,)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kills_per_shard < 0:
@@ -350,6 +349,6 @@ PROFILES: Dict[str, ChaosProfile] = {
                     "checkpoint/replay recovery, and ledger honesty. "
                     "Fully ledgered: reports violations +/- uncertainty.",
         worker_crash=WorkerCrashProfile(
-            kills_per_shard=1, at_fractions=(0.45,), seed=0),
+            kills_per_shard=1, at_fractions=(0.45,)),
     ),
 }

@@ -1,16 +1,22 @@
 """Chaos rounds over the Table-1 catalog, with degradation reporting.
 
-This is the harness behind ``repro chaos``: replay a seeded mixed workload
-against the full property catalog twice — once clean, once under a named
-:class:`~repro.faults.profiles.ChaosProfile` — and compare.  The degraded
-run's overflow ledger turns its raw violation count into an uncertainty
-interval (``degraded - n <= true <= degraded + n`` for ``n`` ledgered
-sheds); for profiles whose only divergence sources are
-monitor-side (``profile.ledgered``), the clean count is checked against
-that interval.  Profiles with link faults perturb the event stream before
-the monitor sees it, so they report detection recall instead.  A profile
-with a worker-crash plan runs its degraded half on a forked fabric whose
-workers are SIGKILLed mid-replay.
+This is the harness behind ``repro chaos``.  One round, :func:`run_chaos`,
+serves every :class:`~repro.faults.profiles.ChaosProfile`: it replays a
+seeded mixed workload against the full property catalog twice — through
+a clean :class:`~repro.core.Monitor` and through the profile's monitor —
+and compares the two in one :class:`DegradationReport`.  The profile's
+monitor is a forked :class:`~repro.fabric.ShardedMonitor`, whose
+workers are SIGKILLed between batches, exactly when the profile has a
+worker-crash plan, and one ``Monitor`` otherwise.
+
+The degraded run's overflow ledger turns its raw violation count into an
+uncertainty interval (``degraded - n <= true <= degraded + n`` for ``n``
+ledgered sheds), overall and per property.  For profiles whose only
+divergence sources are monitor-side (``profile.ledgered``), the clean
+count is checked against that interval.  Profiles with link faults
+perturb the event stream before the monitor sees it, so they report
+detection recall instead.  :func:`check_invariants` holds both runs,
+fabric included, to the accounting and liveness guarantees.
 
 Everything runs on the virtual clock from one seed: two invocations with
 the same profile and seed produce identical reports.
@@ -21,8 +27,9 @@ from __future__ import annotations
 import os
 import random
 import signal
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core import Monitor
 from ..core.violations import Violation
@@ -41,8 +48,11 @@ from .profiles import ChaosProfile, FaultyEventChannel, monitor_profile_kwargs
 
 DEFAULT_EVENTS = 2000
 DEFAULT_SETTLE = 600.0
+#: events per ``observe_batch`` call; a crash schedule's SIGKILLs fall
+#: between batches
+BATCH = 256
 
-#: How crash-chaos runs supervise their workers: fast detection and
+#: How a worker-crash round supervises its workers: fast detection and
 #: restart, so a virtual-time replay does not stall on wall-clock backoff.
 SOAK_SUPERVISION = SupervisorPolicy(
     heartbeat_interval=0.2, heartbeat_timeout=10.0,
@@ -126,36 +136,28 @@ def catalog_trace(seed: int, num_events: int = DEFAULT_EVENTS) -> List:
 def build_monitor(
     profile: Optional[ChaosProfile] = None,
     registry: Optional[MetricsRegistry] = None,
-) -> Monitor:
-    """A catalog monitor, optionally configured for a chaos profile."""
-    monitor = Monitor(registry=registry, **monitor_profile_kwargs(profile))
-    for entry in build_table1():
-        monitor.add_property(entry.prop)
-    return monitor
-
-
-def build_sharded_monitor(
-    profile: Optional[ChaosProfile] = None,
-    num_shards: int = 2,
-    registry: Optional[MetricsRegistry] = None,
-    supervision=None,
-):
-    """A catalog :class:`~repro.fabric.ShardedMonitor` for a profile.
+    num_shards: int = 0,
+    supervision: Optional[SupervisorPolicy] = None,
+) -> Union[Monitor, ShardedMonitor]:
+    """A catalog monitor, optionally configured for a chaos profile: one
+    :class:`Monitor`, or with ``num_shards`` a
+    :class:`~repro.fabric.ShardedMonitor` of that many forked workers
+    under ``supervision``.
 
     Each shard worker gets its own copy of the profile-derived kwargs —
     in particular its own control-channel fault source and its own
     bounded-store budget (per-shard capacity, a documented difference
-    from the single monitor's global bound).  ``supervision`` is an
-    optional :class:`~repro.fabric.SupervisorPolicy` for crash recovery.
+    from the single monitor's global bound).
     """
     props = [entry.prop for entry in build_table1()]
-    return ShardedMonitor(
-        props,
-        num_shards=num_shards,
-        registry=registry,
-        monitor_kwargs=monitor_profile_kwargs(profile),
-        supervision=supervision,
-    )
+    kwargs = monitor_profile_kwargs(profile)
+    if num_shards:
+        return ShardedMonitor(props, num_shards=num_shards, registry=registry,
+                              monitor_kwargs=kwargs, supervision=supervision)
+    monitor = Monitor(registry=registry, **kwargs)
+    for prop in props:
+        monitor.add_property(prop)
+    return monitor
 
 
 def fingerprint(violations: Iterable[Violation]) -> List[Tuple]:
@@ -169,28 +171,46 @@ def fingerprint(violations: Iterable[Violation]) -> List[Tuple]:
 
 def count_by_property(violations: Iterable[Violation]) -> Dict[str, int]:
     """Violation count per property name."""
-    counts: Dict[str, int] = {}
-    for violation in violations:
-        counts[violation.property_name] = \
-            counts.get(violation.property_name, 0) + 1
-    return counts
+    return dict(Counter(v.property_name for v in violations))
 
 
 @dataclass
 class RunResult:
-    """One monitor run: verdicts plus the state needed for invariants."""
+    """One monitor run: verdicts plus the state needed for invariants.
 
-    monitor: Monitor
+    ``monitor`` is a :class:`Monitor`, or for a worker-crash profile the
+    stopped :class:`~repro.fabric.ShardedMonitor`, whose run also fills
+    ``recovery`` (see :class:`DegradationReport`)."""
+
+    monitor: Union[Monitor, ShardedMonitor]
     events_offered: int
     events_seen: int
     link_counters: Dict[str, int]
+    recovery: Optional[Dict[str, object]] = None
 
-    @property
-    def per_property(self) -> Dict[str, int]:
-        return count_by_property(self.monitor.violations)
 
-    def fingerprint(self) -> List[Tuple]:
-        return fingerprint(self.monitor.violations)
+def crash_schedule(
+    profile: ChaosProfile,
+    num_events: int,
+    num_shards: int,
+    batch: int = BATCH,
+) -> Dict[int, List[int]]:
+    """Map batch-start event index -> shards to SIGKILL just before it.
+
+    Kill *k* of shard *s* lands at ``at_fractions[k % len]`` of the
+    stream, staggered one batch per shard so no two shards die at the
+    same point (independent recoveries, not a correlated outage).
+    """
+    crash = profile.worker_crash
+    schedule: Dict[int, List[int]] = {}
+    num_batches = max(1, (num_events + batch - 1) // batch)
+    for shard in range(num_shards):
+        for k in range(crash.kills_per_shard):
+            fraction = crash.at_fractions[k % len(crash.at_fractions)]
+            index = min(num_batches - 1,
+                        int(num_batches * fraction) + shard)
+            schedule.setdefault(index * batch, []).append(shard)
+    return schedule
 
 
 def run_events(
@@ -198,31 +218,67 @@ def run_events(
     events: List,
     settle: float = DEFAULT_SETTLE,
     registry: Optional[MetricsRegistry] = None,
+    num_shards: int = 2,
+    supervision: SupervisorPolicy = SOAK_SUPERVISION,
 ) -> RunResult:
-    """Feed one event stream through a (possibly chaotic) monitor."""
+    """Feed one event stream, after the profile's link faults, through
+    the profile's monitor: a fabric of ``num_shards`` supervised workers
+    that :func:`crash_schedule` SIGKILLs between batches where the
+    profile has a worker-crash plan, one :class:`Monitor` elsewhere.
+    It is fed ``BATCH`` events at a time, advanced ``settle`` past the
+    last event and stopped there: an op still deferred then stays
+    pending, for :func:`check_invariants` to report."""
     offered = len(events)
     link_counters: Dict[str, int] = {}
     if profile is not None and not profile.link.is_null:
         channel = FaultyEventChannel(profile.link, name=profile.name)
         events = channel.transform(events)
         link_counters = dict(channel.counters)
-    monitor = build_monitor(profile, registry=registry)
+    fabric = profile is not None and not profile.worker_crash.is_null
+    monitor = build_monitor(profile, registry,
+                            num_shards if fabric else 0, supervision)
+    schedule = crash_schedule(profile, len(events), num_shards) \
+        if fabric else {}
     if registry is not None:
         registry.time_fn = lambda: monitor.now
-    for event in events:
-        monitor.observe(event)
-    if events:
-        monitor.advance_to(events[-1].time + settle)
-    return RunResult(
-        monitor=monitor,
-        events_offered=offered,
-        events_seen=len(events),
-        link_counters=link_counters,
-    )
+    kills = {"kills_delivered": 0, "kills_skipped": 0}
+    try:
+        for start in range(0, len(events), BATCH):
+            for shard in schedule.get(start, ()):
+                pid = monitor.supervisor.worker_pids()[shard]
+                if pid is None:  # already down: nothing to kill
+                    kills["kills_skipped"] += 1
+                    continue
+                os.kill(pid, signal.SIGKILL)
+                kills["kills_delivered"] += 1
+            monitor.observe_batch(events[start:start + BATCH])
+        if events:
+            monitor.advance_to(events[-1].time + settle)
+        monitor.stop(monitor.now)
+    except BaseException:
+        if fabric:
+            monitor.close()
+        raise
+    result = RunResult(monitor, offered, len(events), link_counters)
+    if fabric:
+        supervisor = monitor.supervisor
+        result.recovery = {
+            **kills,
+            "restarts": supervisor.total_restarts(),
+            "quarantined_batches": len(supervisor.quarantine_log),
+            "failed_shards": supervisor.failed(),
+            "shards": monitor.shard_liveness(),
+        }
+    return result
 
 
-def check_invariants(monitor: Monitor) -> List[str]:
-    """The soak-mode guarantees: nothing crashed, leaked, or stalled."""
+def check_invariants(monitor: Union[Monitor, ShardedMonitor]) -> List[str]:
+    """The soak-mode guarantees: nothing crashed, leaked, or stalled.
+
+    A fabric answers through its shards' merged counters, and a shard
+    out of restart budget has stalled; only a :class:`Monitor` shows its
+    stores, so capacity is checked there.
+    """
     problems: List[str] = []
     stats = monitor.stats
     retired = (stats.violations + stats.instances_expired
@@ -237,20 +293,17 @@ def check_invariants(monitor: Monitor) -> List[str]:
         problems.append(
             f"{monitor.pending_op_count()} split-mode op(s) never applied "
             "after settle")
+    if isinstance(monitor, ShardedMonitor):
+        if monitor.supervisor.failed():
+            problems.append(f"shard(s) {monitor.supervisor.failed()} out of "
+                            "restart budget")
+        return problems
     for name, store in monitor._stores.items():
         if store.capacity is not None and store.live_count > store.capacity:
             problems.append(
                 f"store {name!r} over capacity: "
                 f"{store.live_count} > {store.capacity}")
     return problems
-
-
-def _render_ledger(ledger: Dict[str, object]) -> str:
-    shed = ledger.get("by_kind", {})
-    if not shed:
-        return "overflow ledger: empty"
-    detail = ", ".join(f"{k}={v}" for k, v in sorted(shed.items()))
-    return f"overflow ledger: {detail}"
 
 
 @dataclass
@@ -260,7 +313,7 @@ class PropertyDegradation:
     name: str
     clean: int
     degraded: int
-    #: ledgered sheds of this property: each bounds both sides
+    #: ledgered sheds of this property or of none: each bounds both sides
     potential: int
     interval: Tuple[int, int]
     #: whether the clean count falls inside the interval; None when the
@@ -271,7 +324,15 @@ class PropertyDegradation:
 
 @dataclass
 class DegradationReport:
-    """What running a chaos profile did to detection quality."""
+    """What running a chaos profile did to detection quality.
+
+    The same report for every profile.  A worker-crash round also fills
+    ``recovery``: ``kills_delivered`` and ``kills_skipped`` (the shard
+    was already down), the supervisor's ``restarts``,
+    ``quarantined_batches`` and ``failed_shards``, and one
+    :meth:`~repro.fabric.ShardedMonitor.shard_liveness` row per shard
+    (``shards``).
+    """
 
     FAILURE = ("chaos run FAILED: invariant violation or clean count "
                "outside the ledgered uncertainty interval")
@@ -288,6 +349,7 @@ class DegradationReport:
     properties: List[PropertyDegradation]
     ledger: Dict[str, object]
     link_counters: Dict[str, int]
+    recovery: Optional[Dict[str, object]] = None
     invariant_failures: List[str] = field(default_factory=list)
     telemetry: Dict[str, object] = field(default_factory=dict)
 
@@ -325,6 +387,7 @@ class DegradationReport:
             ],
             "ledger": self.ledger,
             "link_counters": self.link_counters,
+            "recovery": self.recovery,
             "invariant_failures": list(self.invariant_failures),
             "telemetry": self.telemetry,
         }
@@ -346,7 +409,27 @@ class DegradationReport:
             f"violations: clean={self.clean_total} "
             f"degraded={self.degraded_total} "
             f"interval=[{lo}, {hi}] recall={self.recall:.3f} ({bound})")
-        lines.append(_render_ledger(self.ledger))
+        rec = self.recovery
+        if rec is not None:
+            skipped = rec["kills_skipped"]
+            lines.append(
+                f"recovery: {len(rec['shards'])} mp shards, "
+                f"{rec['kills_delivered']} SIGKILL(s) delivered"
+                + (f" ({skipped} skipped: shard already down)"
+                   if skipped else "")
+                + f", restarts={rec['restarts']} "
+                f"quarantined_batches={rec['quarantined_batches']} "
+                f"failed_shards={rec['failed_shards'] or 'none'}")
+            for row in rec["shards"]:
+                lines.append(
+                    f"  shard {row['shard']}: restarts={row['restarts']} "
+                    f"journal={row['journal_events']} "
+                    f"quarantined={row['quarantined_batches']}"
+                    + (f" FAILED ({row['down_reason']})"
+                       if row["failed"] else ""))
+        shed = self.ledger.get("by_kind", {})
+        lines.append("overflow ledger: " + (", ".join(
+            f"{k}={v}" for k, v in sorted(shed.items())) or "empty"))
         for p in self.properties:
             if p.clean == 0 and p.degraded == 0 and p.potential == 0:
                 continue
@@ -378,8 +461,8 @@ def compare_runs(
 ) -> DegradationReport:
     """Build the degradation report from a clean/degraded run pair."""
     ledger = degraded.monitor.ledger
-    clean_counts = clean.per_property
-    degraded_counts = degraded.per_property
+    clean_counts = count_by_property(clean.monitor.violations)
+    degraded_counts = count_by_property(degraded.monitor.violations)
     names = sorted(set(clean_counts) | set(degraded_counts)
                    | set(ledger.properties()))
     properties: List[PropertyDegradation] = []
@@ -414,6 +497,7 @@ def compare_runs(
         properties=properties,
         ledger=ledger.summary(),
         link_counters=degraded.link_counters,
+        recovery=degraded.recovery,
         invariant_failures=check_invariants(degraded.monitor)
         + check_invariants(clean.monitor),
     )
@@ -425,257 +509,19 @@ def run_chaos(
     num_events: int = DEFAULT_EVENTS,
     settle: float = DEFAULT_SETTLE,
     with_telemetry: bool = True,
+    num_shards: int = 2,
+    supervision: SupervisorPolicy = SOAK_SUPERVISION,
 ) -> DegradationReport:
-    """One full chaos round: clean reference run, degraded run, report."""
+    """One chaos round: ``catalog_trace(seed, num_events)`` through a
+    clean :class:`Monitor` and through the profile's monitor (see
+    :func:`run_events`; ``num_shards`` and ``supervision`` shape the
+    fabric of a worker-crash profile), then the report."""
     events = catalog_trace(seed, num_events)
     clean = run_events(None, events, settle=settle)
     registry = MetricsRegistry() if with_telemetry else None
-    degraded = run_events(profile, events, settle=settle, registry=registry)
+    degraded = run_events(profile, events, settle=settle, registry=registry,
+                          num_shards=num_shards, supervision=supervision)
     report = compare_runs(profile, seed, clean, degraded)
     if registry is not None:
         report.telemetry = registry.snapshot()
     return report
-
-
-@dataclass
-class CrashRecoveryReport:
-    """What SIGKILLing fabric workers mid-run did to detection quality.
-
-    The acceptance bar: the run completes with no unhandled exception,
-    every killed worker restarts within the budget, and the merged
-    violation set equals the clean baseline within the overflow
-    ledger's ``[lo, hi]`` uncertainty interval (``bounded``); when no
-    state was actually lost, ``exact_match`` is True as well.
-    """
-
-    FAILURE = ("crash chaos FAILED: clean count outside the uncertainty "
-               "interval, an invariant broke, or a shard exhausted its "
-               "restart budget")
-
-    profile: str
-    seed: int
-    events: int
-    shards: int
-    clean_total: int
-    fabric_total: int
-    interval: Tuple[int, int]
-    bounded: bool
-    exact_match: bool
-    kills_delivered: int
-    kills_skipped: int
-    restarts: int
-    quarantined_batches: int
-    failed_shards: List[int]
-    shard_liveness: List[Dict[str, object]]
-    per_property: Dict[str, Dict[str, int]]
-    ledger: Dict[str, object]
-    invariant_failures: List[str] = field(default_factory=list)
-    telemetry: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def failed(self) -> bool:
-        return (not self.bounded or bool(self.invariant_failures)
-                or bool(self.failed_shards))
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "profile": self.profile,
-            "seed": self.seed,
-            "events": self.events,
-            "shards": self.shards,
-            "violations": {
-                "clean": self.clean_total,
-                "fabric": self.fabric_total,
-                "interval": list(self.interval),
-                "bounded": self.bounded,
-                "exact_match": self.exact_match,
-            },
-            "recovery": {
-                "kills_delivered": self.kills_delivered,
-                "kills_skipped": self.kills_skipped,
-                "restarts": self.restarts,
-                "quarantined_batches": self.quarantined_batches,
-                "failed_shards": list(self.failed_shards),
-                "shards": list(self.shard_liveness),
-            },
-            "per_property": self.per_property,
-            "ledger": self.ledger,
-            "invariant_failures": list(self.invariant_failures),
-            "telemetry": self.telemetry,
-        }
-
-    def render(self) -> str:
-        """Human-readable crash-recovery report."""
-        lines: List[str] = []
-        lo, hi = self.interval
-        lines.append(
-            f"profile {self.profile!r} seed={self.seed}: {self.events} "
-            f"events over {self.shards} mp shards, "
-            f"{self.kills_delivered} SIGKILL(s) delivered"
-            + (f" ({self.kills_skipped} skipped: shard already down)"
-               if self.kills_skipped else ""))
-        verdict = "WITHIN interval" if self.bounded else "OUTSIDE interval"
-        exact = ", exact match" if self.exact_match else ""
-        lines.append(
-            f"violations: clean={self.clean_total} "
-            f"fabric={self.fabric_total} interval=[{lo}, {hi}] "
-            f"({verdict}{exact})")
-        lines.append(
-            f"recovery: restarts={self.restarts} "
-            f"quarantined_batches={self.quarantined_batches} "
-            f"failed_shards={self.failed_shards or 'none'}")
-        for row in self.shard_liveness:
-            lines.append(
-                f"  shard {row['shard']}: restarts={row['restarts']} "
-                f"journal={row['journal_events']} "
-                f"quarantined={row['quarantined_batches']}"
-                + (f" FAILED ({row['down_reason']})" if row["failed"] else ""))
-        lines.append(_render_ledger(self.ledger))
-        for name, cf in sorted(self.per_property.items()):
-            if cf["clean"] != cf["fabric"]:
-                lines.append(
-                    f"  {name:<28} clean={cf['clean']:<4} "
-                    f"fabric={cf['fabric']}")
-        for problem in self.invariant_failures:
-            lines.append(f"  INVARIANT VIOLATED: {problem}")
-        return "\n".join(lines)
-
-
-def crash_schedule(
-    profile: ChaosProfile,
-    num_events: int,
-    num_shards: int,
-    batch: int,
-) -> Dict[int, List[int]]:
-    """Map batch-start event index -> shards to SIGKILL just before it.
-
-    Kill *k* of shard *s* lands at ``at_fractions[k % len]`` of the
-    stream, staggered one batch per shard so no two shards die at the
-    same point (independent recoveries, not a correlated outage).
-    """
-    crash = profile.worker_crash
-    schedule: Dict[int, List[int]] = {}
-    num_batches = max(1, (num_events + batch - 1) // batch)
-    for shard in range(num_shards):
-        for k in range(crash.kills_per_shard):
-            fraction = crash.at_fractions[k % len(crash.at_fractions)]
-            index = min(num_batches - 1,
-                        int(num_batches * fraction) + shard)
-            schedule.setdefault(index * batch, []).append(shard)
-    return schedule
-
-
-def run_crash_chaos(
-    profile: ChaosProfile,
-    seed: int,
-    num_events: int = DEFAULT_EVENTS,
-    settle: float = DEFAULT_SETTLE,
-    num_shards: int = 2,
-    batch: int = 256,
-    supervision: SupervisorPolicy = SOAK_SUPERVISION,
-    with_telemetry: bool = True,
-) -> CrashRecoveryReport:
-    """One crash-chaos round: clean baseline vs a SIGKILLed mp fabric.
-
-    The clean run is a plain single :class:`Monitor` (the oracle the
-    differential suite uses); the fabric run feeds the same stream in
-    batches, delivering SIGKILL to live workers at the profile's
-    schedule.  Only meaningful for mp mode — worker crashes need worker
-    processes — so this always builds an mp fabric.
-    """
-    if profile.worker_crash.is_null:
-        raise ValueError(
-            f"profile {profile.name!r} has no worker-crash plan; "
-            "use run_chaos for stream/monitor faults")
-    events = catalog_trace(seed, num_events)
-    clean = run_events(None, events, settle=settle)
-    registry = MetricsRegistry() if with_telemetry else None
-    fabric = build_sharded_monitor(
-        profile, num_shards=num_shards, registry=registry,
-        supervision=supervision)
-    if registry is not None:
-        registry.time_fn = lambda: fabric.now
-    schedule = crash_schedule(profile, len(events), num_shards, batch)
-    kills_delivered = kills_skipped = 0
-    try:
-        for start in range(0, len(events), batch):
-            for shard in schedule.get(start, ()):
-                pid = fabric.supervisor.worker_pids()[shard]
-                if pid is None:
-                    kills_skipped += 1  # already down: nothing to kill
-                    continue
-                os.kill(pid, signal.SIGKILL)
-                kills_delivered += 1
-            fabric.observe_batch(events[start:start + batch])
-        if events:
-            fabric.advance_to(events[-1].time + settle)
-        fabric.stop()
-    except BaseException:
-        fabric.close()
-        raise
-
-    clean_counts = clean.per_property
-    fabric_counts = count_by_property(fabric.violations)
-    per_property = {
-        name: {"clean": clean_counts.get(name, 0),
-               "fabric": fabric_counts.get(name, 0)}
-        for name in sorted(set(clean_counts) | set(fabric_counts))
-    }
-    clean_total = len(clean.monitor.violations)
-    fabric_total = len(fabric.violations)
-    interval = fabric.ledger.interval(fabric_total)
-    supervisor = fabric.supervisor
-    invariants = check_invariants(clean.monitor)
-    if fabric.pending_op_count() != 0:
-        invariants.append(
-            f"fabric retained {fabric.pending_op_count()} pending op(s)")
-    report = CrashRecoveryReport(
-        profile=profile.name,
-        seed=seed,
-        events=len(events),
-        shards=num_shards,
-        clean_total=clean_total,
-        fabric_total=fabric_total,
-        interval=interval,
-        bounded=interval[0] <= clean_total <= interval[1],
-        exact_match=(sorted(clean.fingerprint())
-                     == sorted(fingerprint(fabric.violations))),
-        kills_delivered=kills_delivered,
-        kills_skipped=kills_skipped,
-        restarts=supervisor.total_restarts(),
-        quarantined_batches=len(supervisor.quarantine_log),
-        failed_shards=supervisor.failed(),
-        shard_liveness=fabric.shard_liveness(),
-        per_property=per_property,
-        ledger=fabric.ledger.summary(),
-        invariant_failures=invariants,
-    )
-    if registry is not None:
-        report.telemetry = registry.snapshot()
-    return report
-
-
-def run_rounds(
-    profile: ChaosProfile,
-    seed: int,
-    rounds: int = 1,
-    num_events: int = DEFAULT_EVENTS,
-    settle: float = DEFAULT_SETTLE,
-    num_shards: int = 2,
-    supervision: SupervisorPolicy = SOAK_SUPERVISION,
-) -> List:
-    """``repro chaos``: ``rounds`` independent rounds, round *k* on seed
-    ``seed + k`` — a :func:`run_chaos` round, or for a worker-crash
-    profile a :func:`run_crash_chaos` round on ``num_shards`` forked
-    workers.  Every report answers ``render()``, ``failed`` and
-    ``to_dict()``."""
-    reports: List = []
-    for k in range(rounds):
-        if profile.worker_crash.is_null:
-            reports.append(run_chaos(profile, seed + k, num_events=num_events,
-                                     settle=settle))
-        else:
-            reports.append(run_crash_chaos(
-                profile, seed=seed + k, num_events=num_events, settle=settle,
-                num_shards=num_shards, supervision=supervision))
-    return reports

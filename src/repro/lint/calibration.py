@@ -6,9 +6,8 @@ SNAP- and P4-style compilers validate their static resource models:
 :func:`repro.backends.varanus_compiler.plan_property` walks the rule plan
 the Varanus compiler actually emits and counts tables, rules, and
 slow-path flow-mods per instance, and ``tests/unit/test_calibration.py``
-(and ``benchmarks/bench_pipeline_depth.py``) require the estimate to
-equal those counts for every property of the corpus below — no
-checked-in table stands between the two.
+requires the estimate to equal those counts for every property of the
+corpus below — no checked-in table stands between the two.
 
 The corpus (:func:`calibration_corpus`) spans every structural shape the
 compiler can emit — plain observe chains, deadline'd observes, ``unless``

@@ -49,7 +49,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from ..core.monitor import Monitor
 from ..fabric import SupervisorPolicy
 from ..faults.profiles import PROFILES
-from ..faults.rounds import build_monitor, build_sharded_monitor
+from ..faults.rounds import build_monitor
 from ..netsim.clock import WallClock
 from ..telemetry import (
     MetricsRegistry,
@@ -164,17 +164,13 @@ class ServeDaemon:
         self.registry = MetricsRegistry(time_fn=self.clock.now)
         if monitor is not None:
             self.monitor = monitor
-        elif self.config.shards > 0:
-            self.monitor = build_sharded_monitor(
-                PROFILES[self.config.chaos_profile],
+        else:
+            self.monitor = build_monitor(
+                PROFILES[self.config.chaos_profile], self.registry,
                 num_shards=self.config.shards,
-                registry=self.registry,
                 supervision=SupervisorPolicy(
                     restart_budget=self.config.restart_budget,
                     checkpoint_interval=self.config.checkpoint_interval))
-        else:
-            self.monitor = build_monitor(
-                PROFILES[self.config.chaos_profile], registry=self.registry)
         # Duck-typed: a ShardedMonitor (supervised fabric) answers the
         # liveness methods; a plain Monitor has no shards to report on.
         self._fabric = (

@@ -33,7 +33,7 @@ import json
 from collections import deque
 from typing import Callable, Deque, Generator, List, Optional, Tuple
 
-from ..core.degradation import IMPACT_MISSED, OverflowLedger
+from ..core.degradation import IMPACT_MISSED, INGEST_ROW, OverflowLedger
 from ..netsim.serialize import (
     BATCH_HEADER_SIZE,
     FRAME_MAGIC,
@@ -267,7 +267,7 @@ class IngestQueue:
             self.last_shed_at = now
             self._saturated = True
             self._shed_total.inc()
-            self.ledger.record(SHED_KIND, "(ingest)", IMPACT_MISSED)
+            self.ledger.record(SHED_KIND, INGEST_ROW, IMPACT_MISSED)
             return False
         self._depth_hist.observe(float(len(self._frames)))
         self._frames.append((event, now))

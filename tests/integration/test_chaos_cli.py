@@ -93,18 +93,18 @@ class TestWorkerCrashSupervision:
     def test_cli_hands_over_the_soak_policy_with_its_two_flags(
             self, monkeypatch):
         """``--restart-budget`` and ``--checkpoint-interval`` are the only
-        differences from the policy ``run_crash_chaos`` defaults to."""
+        differences from the policy ``run_chaos`` defaults to."""
         handed = []
 
         class Stop(Exception):
             pass
 
-        def fake_run(profile, supervision, **kwargs):
+        def fake_run(profile, seed, supervision, **kwargs):
             handed.append(supervision)
             raise Stop
 
         monkeypatch.setattr("repro.cli._lacks_fork", lambda what: False)
-        monkeypatch.setattr(rounds, "run_crash_chaos", fake_run)
+        monkeypatch.setattr(rounds, "run_chaos", fake_run)
         with pytest.raises(Stop):
             main(["chaos", "--profile", "worker-crash",
                   "--restart-budget", "9", "--checkpoint-interval", "77"])

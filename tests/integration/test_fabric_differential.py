@@ -23,7 +23,7 @@ from repro.fabric import ShardedMonitor, fork_available
 from repro.props import build_table1
 from repro.faults.profiles import PROFILES, monitor_profile_kwargs
 from repro.faults.rounds import (
-    build_sharded_monitor,
+    build_monitor,
     catalog_trace,
     check_invariants,
     fingerprint,
@@ -125,7 +125,7 @@ class TestChaosProfilesPerShard:
         # The fabric runs the same shards in its workers: shed counts
         # from every shard land in the one fabric ledger, and the
         # interval stays well-formed around the observed count.
-        fabric = build_sharded_monitor(profile, num_shards=2)
+        fabric = build_monitor(profile, num_shards=2)
         try:
             feed(fabric, events, 256)
             assert fabric.drain() == 0

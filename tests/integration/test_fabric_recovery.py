@@ -64,7 +64,7 @@ from repro.faults.rounds import (
     catalog_trace,
     crash_schedule,
     fingerprint,
-    run_crash_chaos,
+    run_chaos,
 )
 from repro.packet import tcp_packet
 from repro.props import build_table1
@@ -130,19 +130,25 @@ class TestSigkillEquivalence:
         finally:
             fabric.close()
 
-    def test_run_crash_chaos_roundtrip(self):
+    def test_crash_round_roundtrip(self):
+        """The one chaos runner puts a worker-crash profile on a fabric:
+        every kill restarts, the interval holds overall and per
+        property, and the invariants hold on the fabric too."""
         profile = PROFILES["worker-crash"]
-        report = run_crash_chaos(profile, seed=3, num_events=3000)
-        assert report.kills_delivered >= 1
-        assert report.restarts >= report.kills_delivered
+        report = run_chaos(profile, seed=3, num_events=3000)
+        recovery = report.recovery
+        assert recovery["kills_delivered"] >= 1
+        assert recovery["restarts"] >= recovery["kills_delivered"]
+        assert not recovery["failed_shards"]
+        assert len(recovery["shards"]) == 2
         assert report.bounded, (report.clean_total, report.interval)
-        assert not report.failed_shards
+        assert report.properties and all(p.bounded for p in report.properties)
         assert not report.invariant_failures
-        rendered = report.render()
-        assert "WITHIN interval" in rendered
+        assert not report.failed
+        assert "clean count WITHIN interval" in report.render()
         payload = report.to_dict()
         assert payload["violations"]["bounded"] is True
-        assert payload["recovery"]["restarts"] == report.restarts
+        assert payload["recovery"]["restarts"] == recovery["restarts"]
 
     def test_crash_schedule_is_deterministic_and_staggered(self):
         profile = PROFILES["worker-crash"]

@@ -17,10 +17,9 @@ change what the monitor reports, so the oracle gets them too.  Its
 * mode: INLINE, or SPLIT at lag 0 against the INLINE oracle;
 * entry: ``observe``; ``observe_batch`` at a drawn batch size; an
   ``export_state``, pickle and ``restore_state`` into a fresh monitor at
-  a drawn cut with no op in flight (where no op fault is set); the
-  events through the RPF2 codec or the JSONL codec; or the key partition
-  of :mod:`tests.partition` at N in {1, 2, 3} (where no cap, key filter
-  or op fault is set);
+  a drawn cut with no op in flight; the events through the RPF2 codec or
+  the JSONL codec; or the key partition of :mod:`tests.partition` at N
+  in {1, 2, 3} (where no cap, key filter or op fault is set);
 * telemetry: a ``MetricsRegistry`` and a ``Tracer``, or neither.
 
 It compares the violations (fingerprint, history depth and whether a
@@ -28,8 +27,8 @@ packet triggered it) in emission order; every ``MonitorStats`` counter;
 the overflow ledger's counts; the gauge peaks where the tested monitor
 runs in the oracle's mode; and the applied-op sequence wherever one
 monitor runs in the oracle's mode, because op order feeds the seeded
-control-channel faults.  A partition and a restore are held to the
-same violations and ops in any order (see ``UNORDERED``).
+control-channel faults.  A partition is held to the same violations in
+any order (see ``UNORDERED``).
 
 The generated program probes the instance store's hash indexes and the
 reference walk scans each stage's population, so every example also
@@ -64,8 +63,11 @@ from tests.partition import Partitioned
 from tests.workloads import (
     ADVANCE_THEN_CREATE,
     HALF_THE_KEYS,
+    PUSHED_ACROSS_STORES,
     REFRESH_STORM,
+    REFRESHED_BEFORE_THE_CUT,
     REORDERED_DOUBLE_HIT,
+    TIED_CREATIONS,
     cancel_prop,
     event_streams,
     flow_events,
@@ -105,12 +107,11 @@ TRACES = {
 SETTLE = {"catalog": 600.0, "keyed-catalog": 600.0}
 
 #: entries whose order of same-instant work is not the oracle's: a
-#: partition merges its shards' violations in its own order, and a
-#: restored monitor files its instances in creation order, not in the
-#: exporter's stage-entry order, so after a refresh it may apply one
-#: event's ops, and raise one instant's violations, in another order.
-#: Neither draws a lossy control channel, whose drops follow op order.
-UNORDERED = ("partition", "restore")
+#: partition merges its shards' violations in its own order.  It draws
+#: no lossy control channel, whose drops follow op order.  (A restored
+#: monitor keeps the exporter's creation, stage-entry and timer orders,
+#: so it is held to the oracle's order like every other entry.)
+UNORDERED = ("partition",)
 
 COUNTERS = tuple(MonitorStats._COUNTERS)
 GAUGES = tuple(MonitorStats._GAUGES)
@@ -316,8 +317,7 @@ def check(case):
     oracle, oracle_applied = run_oracle(case)
     found, counter, ledger, monitor, applied = run_tested(case)
     expected = verdicts(oracle.violations)
-    ordered = case.entry[0] not in UNORDERED
-    if ordered:
+    if case.entry[0] not in UNORDERED:
         assert verdicts(found) == expected
     else:
         assert sorted(verdicts(found)) == sorted(expected)
@@ -327,10 +327,7 @@ def check(case):
     if monitor is not None and not case.lag0:
         assert {name: getattr(monitor.stats, name) for name in GAUGES} \
             == {name: getattr(oracle.stats, name) for name in GAUGES}
-        if ordered:
-            assert applied == oracle_applied
-        else:
-            assert Counter(applied) == Counter(oracle_applied)
+        assert applied == oracle_applied
 
 
 @settings(max_examples=300, deadline=None)
@@ -341,6 +338,13 @@ def check(case):
 @example(Case("keyed-refresh", REFRESH_STORM, key_filter=True,
               split=(0.02, 1)))
 @example(Case("timed-pair", ADVANCE_THEN_CREATE, entry=("batch", 2)))
+@example(Case("probe", REFRESHED_BEFORE_THE_CUT, max_layer=3,
+              entry=("restore", 5)))
+@example(Case("probe", REFRESHED_BEFORE_THE_CUT, max_layer=3,
+              entry=("restore", 7)))
+@example(Case("timed-pair", PUSHED_ACROSS_STORES, entry=("restore", 3)))
+@example(Case("timed-pair", TIED_CREATIONS, cap=(3, "evict-oldest"),
+              entry=("restore", 3)))
 def test_configuration_matches_the_reference(case):
     check(case)
 

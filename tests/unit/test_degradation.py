@@ -20,6 +20,7 @@ from repro.core import (
     PropertySpec,
     Var,
 )
+from repro.core.degradation import UNATTRIBUTED
 from repro.packet import MACAddress, ethernet
 from repro.serve import IngestQueue
 from repro.switch.events import OobKind, OutOfBandEvent, PacketArrival
@@ -143,6 +144,21 @@ class TestLedger:
         assert summary["by_kind"] == {"instance-evicted": 1, "op-shed": 3}
         assert summary["per_property"]["b"] == {
             "potential_missed": 3, "potential_false": 3}
+
+    @pytest.mark.parametrize("row", UNATTRIBUTED)
+    def test_a_row_of_no_property_widens_every_interval(self, row):
+        """A lost event can hide a violation of any property: a fabric or
+        ingest row counts toward each property's interval, and is not
+        listed as a property itself."""
+        ledger = OverflowLedger()
+        ledger.record("instance-evicted", "a", IMPACT_MISSED)
+        ledger.record("crash-gap", row, IMPACT_MISSED, count=2)
+        assert ledger.count("a") == 3
+        assert ledger.count("b") == 2
+        assert ledger.interval(4, "a") == (1, 7)
+        assert ledger.interval(4, "b") == (2, 6)
+        assert ledger.count() == 3
+        assert ledger.properties() == ("a",)
 
 
 class TestLedgerMemory:

@@ -368,6 +368,10 @@ class TestServeConfigBounds:
         ("send {trace} --rate -5", 2),
         ("stats {trace} {prop} --poll-interval -1", 2),
         ("chaos --profile worker-crash --checkpoint-interval 0", 2),
+        ("chaos --profile worker-crash --shards 0", 2),
+        ("chaos --profile lossy --shards 5", 2),
+        ("chaos --profile clean --restart-budget 7", 2),
+        ("chaos --checkpoint-interval 100", 2),
         ("record {out} --hosts 0", 2),
         ("replay {not_json} {prop}", 1),
         ("replay {trace} {no_lex}", 1),

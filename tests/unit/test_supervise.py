@@ -773,11 +773,28 @@ class TestCheckpointRoundTrip:
         monitor.add_property(timed_prop())
         for ev in self._events():
             monitor.observe(ev)
-        plain, _ = take_snapshot(monitor, 0, 0)
-        checkpoint, _ = take_snapshot(monitor, 0, 0, with_state=True)
+        plain = take_snapshot(monitor, 0)
+        checkpoint = take_snapshot(monitor, 0, with_state=True)
         assert plain.state is None and plain.export_seconds == 0.0
         assert checkpoint.export_seconds > 0.0
         assert pickle.loads(checkpoint.state) == monitor.export_state()
+
+    def test_a_snapshot_hands_its_violations_over(self):
+        """A shard keeps no violation it has reported: the next snapshot
+        carries none of them, and the counters still count them."""
+        monitor = Monitor()
+        monitor.add_property(timed_prop(within=5.0))
+        for ev in self._events():
+            monitor.observe(ev)
+        monitor.advance_to(10.0)
+        first = take_snapshot(monitor, 0)
+        assert len(first.violations) == 2
+        assert monitor.violations == []
+        second = take_snapshot(monitor, 0, with_state=True)
+        assert second.violations == []
+        assert second.counters["violations"] \
+            == first.counters["violations"] == 2
+        assert monitor.stats.violations == 2
 
     def test_restore_into_a_used_monitor_rejected(self):
         source = Monitor()

@@ -367,3 +367,41 @@ REFRESH_STORM = [
 #: and ``waiter``'s S == 2 fall due together, in that order only if the
 #: advance was applied before ``waiter``'s create.
 ADVANCE_THEN_CREATE = [arrival(1, 2, 0.1), arrival(2, 1, 0.5)]
+
+#: A refresh before a restore, cut at 5 to 7 (probe catalog,
+#: ``max_layer=3``).  ``oobp`` creates S == 2, 3 and 1 (the egresses of
+#: a 1->1 frame); 2->1 at 5 refreshes S == 2 to the back of the stage
+#: population; the port-down at 8 advances all three, in stage-entry
+#: order (3, 1, 2), not in creation order.
+REFRESHED_BEFORE_THE_CUT = [
+    arrival(2, 1, 1.0), arrival(3, 1, 2.0),
+    *(PacketEgress(switch_id="s", time=t, packet=ethernet(1, 1), in_port=1,
+                   out_port=1, action=EgressAction.UNICAST)
+      for t in (3.0, 4.0)),
+    arrival(2, 1, 5.0),
+    *(PacketEgress(switch_id="s", time=t, packet=ethernet(1, 1), in_port=1,
+                   out_port=1, action=EgressAction.UNICAST)
+      for t in (6.0, 7.0)),
+    *(OutOfBandEvent(switch_id="s", time=t, oob_kind=OobKind.PORT_DOWN,
+                     port=1)
+      for t in (8.0, 9.0)),
+]
+
+#: :func:`timed_pair_props` again.  ``waiter``'s S == 3 falls due at 1.5
+#: and is pushed before ``advancer``'s S == 1, whose store comes first:
+#: restored at a cut of 3 (the quiet 1.0 event after it), the two fire
+#: in the exporter's push order only if the timers keep it.
+PUSHED_ACROSS_STORES = [
+    arrival(1, 2, 0.1), arrival(3, 9, 0.5), arrival(2, 1, 0.5),
+    arrival(5, 9, 1.0),
+]
+
+#: :func:`timed_pair_props` under a cap of 3, evict-oldest.  S == 1 and
+#: S == 3 are created at one instant; 2->1 moves ``advancer``'s S == 1
+#: into the later stage, behind S == 3.  Restored at a cut of 3, the
+#: next creation evicts the older instance id of the tie: S == 1, in
+#: creation order, which a restore must keep apart from stage order.
+TIED_CREATIONS = [
+    arrival(1, 2, 0.1), arrival(3, 4, 0.1), arrival(2, 1, 0.2),
+    arrival(5, 6, 0.3),
+]
