@@ -549,6 +549,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .serve import ServeConfig, ServeDaemon, render_serve_report
 
+    fabric_flags = {"--restart-budget": args.restart_budget,
+                    "--checkpoint-interval": args.checkpoint_interval}
+    given = [flag for flag, value in fabric_flags.items() if value is not None]
+    if given and args.shards <= 0:
+        raise UsageError(f"{given[0]} shapes the fabric of --shards N; "
+                         "without it serve runs one monitor")
     with _flag_values():
         config = ServeConfig(
             host=args.host,
@@ -560,8 +566,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             spans_path=args.spans,
             report_path=args.report,
             shards=args.shards,
-            restart_budget=args.restart_budget,
-            checkpoint_interval=args.checkpoint_interval,
+            **{name: value for name, value in (
+                ("restart_budget", args.restart_budget),
+                ("checkpoint_interval", args.checkpoint_interval))
+               if value is not None},
         )
     if config.shards > 0 and _lacks_fork("serve --shards"):
         return 2
@@ -763,7 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chaos-profile", default="clean",
                        choices=sorted(_chaos_profile_names()),
                        help="run the monitor under a fault profile's "
-                            "degradation policy (default: clean)")
+                            "monitor settings; a profile with link faults "
+                            "or a worker-crash plan exits 2 "
+                            "(default: clean)")
     serve.add_argument("--max-queue", type=int, default=4096,
                        help="ingest queue bound; frames beyond it are shed "
                             "into the overflow ledger (default: 4096)")
@@ -780,11 +790,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drain the ingest queue into a sharded monitor "
                             "fabric of N forked, supervised worker "
                             "processes (0 = single monitor)")
-    serve.add_argument("--restart-budget", type=int, default=5, metavar="N",
+    serve.add_argument("--restart-budget", type=int, default=None,
+                       metavar="N",
                        help="with --shards: worker restarts allowed per shard "
                             "before the shard is declared failed "
                             "(default: 5)")
-    serve.add_argument("--checkpoint-interval", type=int, default=2048,
+    serve.add_argument("--checkpoint-interval", type=int, default=None,
                        metavar="EVENTS",
                        help="with --shards: events per shard between recovery "
                             "checkpoints (default: 2048)")

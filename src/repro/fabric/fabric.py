@@ -332,6 +332,20 @@ class ShardedMonitor:
         """Per-shard health rows for /healthz, /stats, and reports."""
         return self.supervisor.liveness()
 
+    def recovery(self) -> Dict[str, object]:
+        """What supervision has done so far, for ``/stats`` and the
+        serve and chaos reports: ``restarts`` and
+        ``quarantined_batches`` over all shards, the ``failed_shards``,
+        and one :meth:`shard_liveness` row per shard (``shards``)."""
+        rows = self.shard_liveness()
+        return {
+            "restarts": sum(row["restarts"] for row in rows),
+            "quarantined_batches": sum(
+                row["quarantined_batches"] for row in rows),
+            "failed_shards": [row["shard"] for row in rows if row["failed"]],
+            "shards": rows,
+        }
+
     # -- lifecycle ---------------------------------------------------------
     def stop(self, now: Optional[float] = None) -> Dict[str, object]:
         """Drain every shard and return a Monitor-compatible summary."""

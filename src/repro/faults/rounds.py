@@ -261,14 +261,7 @@ def run_events(
         raise
     result = RunResult(monitor, offered, len(events), link_counters)
     if fabric:
-        supervisor = monitor.supervisor
-        result.recovery = {
-            **kills,
-            "restarts": supervisor.total_restarts(),
-            "quarantined_batches": len(supervisor.quarantine_log),
-            "failed_shards": supervisor.failed(),
-            "shards": monitor.shard_liveness(),
-        }
+        result.recovery = {**kills, **monitor.recovery()}
     return result
 
 
@@ -328,10 +321,9 @@ class DegradationReport:
 
     The same report for every profile.  A worker-crash round also fills
     ``recovery``: ``kills_delivered`` and ``kills_skipped`` (the shard
-    was already down), the supervisor's ``restarts``,
-    ``quarantined_batches`` and ``failed_shards``, and one
-    :meth:`~repro.fabric.ShardedMonitor.shard_liveness` row per shard
-    (``shards``).
+    was already down), then :meth:`~repro.fabric.ShardedMonitor.recovery`:
+    ``restarts``, ``quarantined_batches``, ``failed_shards`` and one
+    liveness row per shard (``shards``).
     """
 
     FAILURE = ("chaos run FAILED: invariant violation or clean count "

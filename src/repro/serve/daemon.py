@@ -129,6 +129,16 @@ class ServeConfig:
             raise ValueError(
                 f"unknown chaos profile {self.chaos_profile!r}; "
                 f"choose from {sorted(PROFILES)}")
+        # The daemon's tap is its ingest, and only the world kills its
+        # workers: it applies a profile's monitor settings and nothing else.
+        servable = sorted(
+            name for name, profile in PROFILES.items()
+            if profile.link.is_null and profile.worker_crash.is_null)
+        if self.chaos_profile not in servable:
+            raise ValueError(
+                f"chaos profile {self.chaos_profile!r} has link faults or "
+                f"a worker-crash plan, which serve does not apply; "
+                f"choose from {servable}")
         check_port(self.port)
         if self.shards < 0:
             raise ValueError(f"shards must be >= 0, got {self.shards}")
@@ -302,11 +312,14 @@ class ServeDaemon:
         now = self.clock.now()
         self._uptime_gauge.set(now)
         summary = self.monitor.stop(now=now)
-        # Shard rows are read after stop() so restarts that happened
-        # during the final drain are counted.
-        shard_rows = (
-            self._fabric.shard_liveness() if self._fabric is not None
-            else [])
+        fabric: Dict[str, object] = {}
+        if self._fabric is not None:
+            # Read after stop(), so restarts during the final drain count.
+            recovery = self._fabric.recovery()
+            fabric = dict(shards=recovery["shards"],
+                          shard_restarts=recovery["restarts"],
+                          quarantined_batches=recovery["quarantined_batches"],
+                          failed_shards=recovery["failed_shards"])
         if self._span_writer is not None:
             self._span_writer.close()
         observed = int(summary["events"])
@@ -325,13 +338,7 @@ class ServeDaemon:
             queue=self.queue.stats(),
             ledger=dict(summary["ledger"]),  # type: ignore[arg-type]
             http_requests=self.plane.requests_served,
-            shards=shard_rows,
-            shard_restarts=sum(
-                int(r.get("restarts", 0)) for r in shard_rows),
-            quarantined_batches=sum(
-                int(r.get("quarantined_batches", 0)) for r in shard_rows),
-            failed_shards=[
-                int(r["shard"]) for r in shard_rows if r.get("failed")],
+            **fabric,  # type: ignore[arg-type]
         )
         if self.config.report_path:
             with open(self.config.report_path, "w", encoding="utf-8") as fp:
@@ -475,10 +482,8 @@ class ServeDaemon:
         for a plain monitor or an all-healthy fabric."""
         if self._fabric is None:
             return [], []
-        recovering = list(self._fabric.recovering_shards())
-        failed = [row["shard"] for row in self._fabric.shard_liveness()
-                  if row.get("failed")]
-        return recovering, failed
+        return (self._fabric.recovering_shards(),
+                self._fabric.recovery()["failed_shards"])
 
     def _ep_healthz(self, query: Mapping[str, str]) -> Tuple[int, str, str]:
         recovering, failed = self._shard_health()
@@ -541,16 +546,14 @@ class ServeDaemon:
             "http_requests": self.plane.requests_served,
         }
         if self._fabric is not None:
-            rows = self._fabric.shard_liveness()
-            recovering, failed = self._shard_health()
+            recovery = self._fabric.recovery()
             payload["shards"] = {
-                "count": len(rows),
-                "recovering": recovering,
-                "failed": failed,
-                "restarts": sum(int(r.get("restarts", 0)) for r in rows),
-                "quarantined_batches": sum(
-                    int(r.get("quarantined_batches", 0)) for r in rows),
-                "liveness": rows,
+                "count": len(recovery["shards"]),
+                "recovering": self._fabric.recovering_shards(),
+                "failed": recovery["failed_shards"],
+                "restarts": recovery["restarts"],
+                "quarantined_batches": recovery["quarantined_batches"],
+                "liveness": recovery["shards"],
             }
         return payload
 

@@ -30,6 +30,7 @@ from repro.faults.rounds import (
 )
 from tests.partition import Partitioned
 
+pytestmark = pytest.mark.usefixtures("workers_reaped")
 SETTLE = 600.0
 COUNTERS = tuple(MonitorStats._COUNTERS)
 

@@ -1,32 +1,15 @@
-"""Crash-recovery equivalence: a supervised fabric that loses workers
-mid-replay still reports the plain monitor's violation set, within the
-overflow ledger's uncertainty interval.
+"""Fabric recovery mechanisms the fault machine does not draw.
 
-Fault families, all on real forked workers:
-
-* SIGKILL mid-replay — the supervisor restarts the worker, rehydrates
-  it from checkpoint + journal, and the merged violation set matches
-  the clean single-monitor baseline (exactly, when the ledger is
-  empty).
-* The same crash at every batch size — batch size is not a semantic
-  input: the journal is counted in events, and a worker's counters ride
-  its checkpoint, so violations, ledger and counters equal the plain
-  monitor's whether events arrive one at a time or 1024 at once.
-* The same crash under a bounded store — a worker's shed counts ride
-  its checkpoint, so the fabric's ledger equals an uncrashed run's.
-* A worker that lags by more than the journal bound — the supervisor
-  waits for the outstanding checkpoint instead of ageing out what it
-  covers, so healthy shards drop nothing and a crash is exact.
-* A hung worker at shutdown (SIGSTOP) — ``stop()`` stays bounded, the
-  unrecovered tail is ledgered as ``shard-quit-timeout`` ink.
-* A poison batch (an event whose property predicate SIGKILLs its own
-  worker) — quarantined after ``poison_threshold`` replay deaths
-  instead of burning the restart budget forever.
-* Asynchronous checkpoints — replies several times the socket buffer on
-  a crash-free run (no stall, no spurious restart), a SIGKILL between a
-  checkpoint request and its reply (recovery from the previous
-  checkpoint, exact), and a stopped worker against a send larger than
-  the buffer (``ShardTimeout`` inside ``send_timeout``).
+``tests/property/test_fault_machine.py`` holds recovery to the reference
+interval and an uncrashed twin over drawn SIGKILL schedules.  What stays
+here, on real forked workers: the chaos runner's worker-crash round; a
+healthy worker lagging past the journal bound (the supervisor waits for
+the outstanding cut rather than ageing out what it covers — an early
+age-out only widens the interval, which the machine allows); a SIGSTOPped
+worker at quiesce and against a send larger than the socket buffer; a
+stopped fabric staying stopped; poison-batch quarantine; and checkpoint
+replies several times the socket buffer.  No worker a test forks may
+outlive it.
 """
 
 import os
@@ -38,8 +21,7 @@ import time
 import pytest
 
 from repro.core import codegen
-from repro.core.degradation import DegradationPolicy
-from repro.core.monitor import Monitor, MonitorStats
+from repro.core.monitor import Monitor
 from repro.core.refs import (
     Bind,
     Const,
@@ -69,67 +51,28 @@ from repro.faults.rounds import (
 from repro.packet import tcp_packet
 from repro.props import build_table1
 from repro.switch.events import EgressAction, PacketArrival, PacketEgress
-from repro.switch.switch import ProcessingMode
 from repro.telemetry import MetricsRegistry
+from tests.forks import assert_reaped
 
-pytestmark = pytest.mark.skipif(
-    not fork_available(), reason="fork start method unavailable")
+pytestmark = [pytest.mark.usefixtures("workers_reaped"), pytest.mark.skipif(
+    not fork_available(), reason="fork start method unavailable")]
 
 SETTLE = 600.0
-
-#: fast-recovery knobs so tests don't sit in real backoff sleeps
-FAST = dict(heartbeat_interval=0.2, heartbeat_timeout=10.0,
-            backoff_base=0.01, backoff_max=0.2)
 
 
 def catalog_props():
     return [entry.prop for entry in build_table1()]
 
 
-def run_plain(events):
+def run_plain(props, events):
     monitor = Monitor()
-    for prop in catalog_props():
+    for prop in props:
         monitor.add_property(prop)
     monitor.observe_batch(events)
-    monitor.advance_to(events[-1].time + SETTLE)
     return monitor
 
 
 class TestSigkillEquivalence:
-    def test_sigkill_one_shard_mid_replay(self):
-        events = catalog_trace(seed=7, num_events=4000)
-        plain = run_plain(events)
-        assert plain.violations, "workload produced no violations — vacuous"
-
-        policy = SupervisorPolicy(checkpoint_interval=512, **FAST)
-        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
-                                supervision=policy)
-        batch = 256
-        kill_at = (len(events) // batch // 2) * batch
-        try:
-            for i in range(0, len(events), batch):
-                if i == kill_at:
-                    pid = fabric.supervisor.worker_pids()[0]
-                    assert pid is not None
-                    os.kill(pid, signal.SIGKILL)
-                fabric.observe_batch(events[i:i + batch])
-            fabric.advance_to(events[-1].time + SETTLE)
-            fabric.sync()
-            fabric.stop()
-
-            assert fabric.supervisor.total_restarts() >= 1
-            assert not fabric.supervisor.failed()
-            observed = len(fabric.violations)
-            lo, hi = fabric.ledger.interval(observed)
-            assert lo <= len(plain.violations) <= hi, (
-                lo, len(plain.violations), hi)
-            if not len(fabric.ledger):
-                # nothing was lost: recovery must be *exact*
-                assert sorted(fingerprint(fabric.violations)) \
-                    == sorted(fingerprint(plain.violations))
-        finally:
-            fabric.close()
-
     def test_crash_round_roundtrip(self):
         """The one chaos runner puts a worker-crash profile on a fabric:
         every kill restarts, the interval holds overall and per
@@ -156,102 +99,6 @@ class TestSigkillEquivalence:
         b = crash_schedule(profile, 4000, 2, 256)
         assert a == b
         assert sum(len(v) for v in a.values()) == 2  # one kill per shard
-
-
-class TestBatchSizeIsNotSemantic:
-    """One event list, one SIGKILL, four ways of cutting it up."""
-
-    EVENTS = 6000
-    KILL_AT = 4500   # shard 0 is a checkpoint and some thousand events in
-
-    @pytest.fixture(scope="class")
-    def reference(self):
-        events = catalog_trace(seed=7, num_events=self.EVENTS)
-        plain = run_plain(events)
-        assert plain.violations, "workload produced no violations — vacuous"
-        return events, plain
-
-    @pytest.mark.parametrize("size", [1, 3, 64, 1024])
-    def test_crash_recovery_is_exact_at_every_batch_size(
-            self, reference, size):
-        events, plain = reference
-        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
-                                supervision=SupervisorPolicy(**FAST))
-        sup = fabric.supervisor
-        killed = False
-        try:
-            for i in range(0, len(events), size):
-                if not killed and i >= self.KILL_AT:
-                    killed = True
-                    # Someone read the stats since the checkpoint: what
-                    # the dead worker had reported must not count twice.
-                    fabric.sync()
-                    assert sup.states[0].checkpoint is not None
-                    os.kill(sup.worker_pids()[0], signal.SIGKILL)
-                fabric.observe_batch(events[i:i + size])
-            deadline = time.monotonic() + 5.0
-            while sup.total_restarts() < 1 and time.monotonic() < deadline:
-                sup.heartbeat()
-                sup.tick()
-            fabric.advance_to(events[-1].time + SETTLE)
-            fabric.sync()
-            assert sup.total_restarts() >= 1 and not sup.failed()
-            assert fabric.ledger.summary()["by_kind"] == {}
-            assert sorted(fingerprint(fabric.violations)) \
-                == sorted(fingerprint(plain.violations))
-            assert {n: getattr(fabric.stats, n)
-                    for n in MonitorStats._COUNTERS} \
-                == {n: getattr(plain.stats, n)
-                    for n in MonitorStats._COUNTERS}
-            fabric.stop()
-        finally:
-            fabric.close()
-
-
-class TestShedsAcrossACrash:
-    """A replacement restores the checkpoint's shed counts and replays
-    the journal, re-detecting sheds the dead worker already reported;
-    none of them may count twice, and none may go missing."""
-
-    EVENTS = 4000
-    KILL_AT = 3072
-    BOUNDED = dict(mode=ProcessingMode.INLINE, degradation=DegradationPolicy(
-        max_instances=8, eviction="evict-oldest"))
-
-    def ledger_after(self, events, kill):
-        # The journal holds eight intervals, more than the whole run: no
-        # event ages out of it, so the crash costs no ledgered gap.
-        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
-                                monitor_kwargs=self.BOUNDED,
-                                supervision=SupervisorPolicy(
-                                    checkpoint_interval=1024, **FAST))
-        sup = fabric.supervisor
-        try:
-            for i in range(0, len(events), 128):
-                if kill and i >= self.KILL_AT:
-                    kill = False
-                    # The sync lands the first checkpoint and merges
-                    # what the worker shed after it, which the
-                    # replacement's replay sheds again.
-                    fabric.sync()
-                    assert sup.states[0].checkpoint is not None
-                    os.kill(sup.worker_pids()[0], signal.SIGKILL)
-                fabric.observe_batch(events[i:i + 128])
-            fabric.advance_to(events[-1].time + SETTLE)
-            fabric.stop()
-            assert not sup.failed()
-            return sup.total_restarts(), fabric.ledger.summary()
-        finally:
-            fabric.close()
-
-    def test_ledger_equals_the_uncrashed_run(self):
-        events = catalog_trace(seed=7, num_events=self.EVENTS)
-        restarts, clean = self.ledger_after(events, kill=False)
-        assert restarts == 0
-        assert clean["by_kind"].get("instance-evicted", 0) > 0, clean
-        restarts, crashed = self.ledger_after(events, kill=True)
-        assert restarts >= 1
-        assert crashed == clean
 
 
 class TestJournalWaitsForTheCut:
@@ -282,38 +129,11 @@ class TestJournalWaitsForTheCut:
             fabric.sync()
             assert sup.total_restarts() >= 1 and not sup.failed()
             assert "crash-gap" not in fabric.ledger.summary()["by_kind"]
-            plain = run_plain(events)
+            plain = run_plain(catalog_props(), events)
+            plain.advance_to(events[-1].time + SETTLE)
             assert Counter(v.property_name for v in fabric.violations) \
                 == Counter(v.property_name for v in plain.violations)
             fabric.stop()
-        finally:
-            fabric.close()
-
-
-class TestDeathAtQuiesce:
-    def test_sigkill_just_before_stop_is_recovered_exactly(self):
-        """A worker that dies between its last batch and ``stop()`` is
-        restarted and replayed, not ledgered as hung."""
-        events = catalog_trace(seed=5, num_events=1000)
-        plain = run_plain(events)
-        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
-                                supervision=SupervisorPolicy(
-                                    checkpoint_interval=256, **FAST))
-        sup = fabric.supervisor
-        try:
-            for i in range(0, len(events), 128):
-                fabric.observe_batch(events[i:i + 128])
-            fabric.advance_to(events[-1].time + SETTLE)
-            os.kill(sup.worker_pids()[1], signal.SIGKILL)
-            fabric.stop()
-            assert sup.total_restarts() >= 1 and not sup.failed()
-            assert fabric.ledger.summary()["by_kind"] == {}
-            assert sorted(fingerprint(fabric.violations)) \
-                == sorted(fingerprint(plain.violations))
-            assert {n: getattr(fabric.stats, n)
-                    for n in MonitorStats._COUNTERS} \
-                == {n: getattr(plain.stats, n)
-                    for n in MonitorStats._COUNTERS}
         finally:
             fabric.close()
 
@@ -525,31 +345,13 @@ def flow_trace(num_events, flows):
     return events
 
 
-def plain_flow_run(events):
-    monitor = Monitor()
-    for prop in flow_props():
-        monitor.add_property(prop)
-    monitor.observe_batch(events)
-    return monitor
-
-
-def assert_equals_plain(fabric, plain):
-    assert sorted(fingerprint(fabric.violations)) \
-        == sorted(fingerprint(plain.violations))
-    assert {n: getattr(fabric.stats, n) for n in COUNTERS} \
-        == {n: getattr(plain.stats, n) for n in COUNTERS}
-    assert len(fabric.ledger) == 0
-    observed = len(fabric.violations)
-    assert fabric.ledger.interval(observed) == (observed, observed)
-
-
 class TestAsyncCheckpoints:
     def test_replies_larger_than_the_socket_never_stall_the_run(self):
         """The run a request-then-blocking-send variant hangs on: each
         checkpoint reply is several socket buffers long, so the worker
         blocks writing it while the parent is writing the next batch."""
         events = flow_trace(20_000, flows=6000)
-        plain = plain_flow_run(events)
+        plain = run_plain(flow_props(), events)
         assert plain.violations, "workload produced no violations — vacuous"
         registry = MetricsRegistry()
         fabric = ShardedMonitor(flow_props(), num_shards=2, mode="mp",
@@ -559,7 +361,11 @@ class TestAsyncCheckpoints:
                 fabric.observe_batch(events[i:i + 1024])
             fabric.sync()                      # the first barrier
             assert fabric.supervisor.total_restarts() == 0
-            assert_equals_plain(fabric, plain)
+            assert sorted(fingerprint(fabric.violations)) \
+                == sorted(fingerprint(plain.violations))
+            assert {n: getattr(fabric.stats, n) for n in COUNTERS} \
+                == {n: getattr(plain.stats, n) for n in COUNTERS}
+            assert len(fabric.ledger) == 0
             samples = {
                 metric["name"]: [sample["value"]
                                  for sample in metric["samples"]]
@@ -573,38 +379,6 @@ class TestAsyncCheckpoints:
             for row in fabric.shard_liveness():
                 # cuts landed and truncated while the run was going
                 assert row["journal_events"] < 2 * 2048 + 1024, row
-            fabric.stop()
-        finally:
-            fabric.close()
-
-    def test_sigkill_between_checkpoint_request_and_reply(self):
-        events = flow_trace(6000, flows=1500)
-        plain = plain_flow_run(events)
-        policy = SupervisorPolicy(checkpoint_interval=512, **FAST)
-        fabric = ShardedMonitor(flow_props(), num_shards=2, mode="mp",
-                                supervision=policy)
-        sup = fabric.supervisor
-        killed = False
-        try:
-            for i in range(0, len(events), 128):
-                fabric.observe_batch(events[i:i + 128])
-                st = sup.states[0]
-                # second cut onwards, so there is a previous checkpoint
-                if not killed and st.cut is not None \
-                        and st.checkpoint is not None:
-                    killed = True
-                    os.kill(sup.worker_pids()[0], signal.SIGKILL)
-            assert killed, "no cut was ever outstanding"
-            # The loop above is a few milliseconds a batch, so the kill
-            # may not be noticed, or the backoff not over, when it ends:
-            # wait (bounded) for the restart before the barrier.
-            deadline = time.monotonic() + 5.0
-            while sup.total_restarts() < 1 and time.monotonic() < deadline:
-                sup.heartbeat()
-                sup.tick()
-            assert sup.total_restarts() >= 1 and not sup.failed()
-            fabric.sync()
-            assert_equals_plain(fabric, plain)
             fabric.stop()
         finally:
             fabric.close()
@@ -626,3 +400,4 @@ class TestAsyncCheckpoints:
         finally:
             os.kill(pid, signal.SIGCONT)
             shard.kill()
+        assert_reaped({pid})

@@ -6,6 +6,8 @@ forked fabric adds on top — transport, supervision, the facade — is
 tested against this, as ``core/reference.py`` is for the matcher.
 """
 
+from collections import Counter
+
 from repro.fabric import Router, build_routes, build_shard_monitor
 from repro.fabric.fabric import _violation_order
 
@@ -31,10 +33,22 @@ class Partitioned:
         for shard in self.shards:
             shard.advance_to(when)
 
+    def drain(self):
+        for shard in self.shards:
+            shard.drain()
+
+    @property
+    def now(self):
+        return max(shard.now for shard in self.shards)
+
     def counter(self, name):
         if name == "events":
             return self.router.events_total
         return sum(getattr(shard.stats, name) for shard in self.shards)
+
+    def by_kind(self):
+        return dict(sum((Counter(shard.ledger.by_kind())
+                         for shard in self.shards), Counter()))
 
     @property
     def violations(self):

@@ -364,6 +364,11 @@ class TestServeConfigBounds:
 
     @pytest.mark.parametrize("argv, status", [
         ("serve --max-queue 0", 2),
+        ("serve --restart-budget 7", 2),
+        ("serve --checkpoint-interval 100", 2),
+        ("serve --chaos-profile lossy", 2),
+        ("serve --chaos-profile adversarial", 2),
+        ("serve --chaos-profile worker-crash --shards 2", 2),
         ("send {trace} --repeat 0", 2),
         ("send {trace} --rate -5", 2),
         ("stats {trace} {prop} --poll-interval -1", 2),
