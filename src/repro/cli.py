@@ -47,13 +47,16 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from .core import Monitor, analyze
 from .core.spec import SpecError
 from .lang import CompileError, LexError, ParseError, compile_source
 from .netsim.serialize import TraceFormatError
 from .telemetry import TRACE_SAMPLE_EVERY
+
+if TYPE_CHECKING:
+    from .fabric import SupervisorPolicy
 
 #: What an unreadable input raises: a file that cannot be opened, a trace
 #: that is not JSON lines, a property source that does not compile.
@@ -474,9 +477,22 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
+def _supervision(base: SupervisorPolicy,
+                 args: argparse.Namespace) -> SupervisorPolicy:
+    """``base`` with only the supervision flags given replaced:
+    ``--restart-budget`` and ``--checkpoint-interval``.  A value the
+    policy refuses is a usage error."""
     from dataclasses import replace
 
+    with _flag_values():
+        return replace(base, **{
+            name: value for name, value in (
+                ("restart_budget", args.restart_budget),
+                ("checkpoint_interval", args.checkpoint_interval))
+            if value is not None})
+
+
+def cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import rounds
     from .faults.profiles import PROFILES
 
@@ -506,12 +522,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if not profile.worker_crash.is_null \
             and _lacks_fork("the worker-crash profile"):
         return 2
-    with _flag_values():
-        supervision = replace(rounds.SOAK_SUPERVISION, **{
-            name: value for name, value in (
-                ("restart_budget", args.restart_budget),
-                ("checkpoint_interval", args.checkpoint_interval))
-            if value is not None})
+    supervision = _supervision(rounds.SOAK_SUPERVISION, args)
     # Round k replays seed + k.
     reports = [
         rounds.run_chaos(profile, args.seed + k, num_events=args.events,
@@ -547,6 +558,7 @@ def _write_json(path: str, payload: dict) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from .fabric import SupervisorPolicy
     from .serve import ServeConfig, ServeDaemon, render_serve_report
 
     fabric_flags = {"--restart-budget": args.restart_budget,
@@ -566,10 +578,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             spans_path=args.spans,
             report_path=args.report,
             shards=args.shards,
-            **{name: value for name, value in (
-                ("restart_budget", args.restart_budget),
-                ("checkpoint_interval", args.checkpoint_interval))
-               if value is not None},
+            supervision=_supervision(SupervisorPolicy(), args),
         )
     if config.shards > 0 and _lacks_fork("serve --shards"):
         return 2

@@ -13,13 +13,12 @@ from .mp import MpShard, ShardDied, ShardTimeout, fork_available
 from .routing import PropRoute, Router, build_route, build_routes, \
     shard_key_filter, stable_hash
 from .shard import ShardSnapshot, build_shard_monitor, take_snapshot
-from .supervise import QuarantineRecord, Supervisor, SupervisorPolicy
+from .supervise import Supervisor, SupervisorPolicy
 
 __all__ = [
     "FabricStats",
     "MpShard",
     "PropRoute",
-    "QuarantineRecord",
     "Router",
     "ShardDied",
     "ShardSnapshot",

@@ -13,11 +13,15 @@ acknowledge nothing per event; state flows back as snapshot deltas (a
 worker hands over its new violations and forgets them) on explicit
 ``sync()``, and as the supervisor's periodic checkpoints, which are
 requested and then taken in whenever their reply has arrived — no
-batch waits for one.  The only wait left on the data
-path is back-pressure for socket space when a worker is behind, bounded
-by ``send_timeout``; ``sync()`` and ``stop()`` are the explicit barriers
-(see ``fabric.mp``'s module docstring).  After ``stop()`` the workers are
-gone for good: intake raises, and no shard reads as recovering.
+batch waits for one.  The only waits left on the data path are
+back-pressure for socket space when a worker is behind, and a cut that
+must land once a worker's recovery journal is past its bound, each
+bounded by the policy's one ``heartbeat_timeout``; ``sync()`` and
+``stop()`` are the explicit barriers (see ``fabric.mp``'s module
+docstring).  How many events each shard has not yet confirmed is the
+supervisor's count, published as ``repro_fabric_shard_queue_depth``.
+After ``stop()`` the workers are gone for good: intake raises, and no
+shard reads as recovering.
 
 Merging rules (the parts worth being careful about):
 
@@ -131,15 +135,6 @@ class ShardedMonitor:
         ]
         self._dirty = False
         self._stopped = False
-        self._inflight = [0] * num_shards
-        self._g_queue = [
-            self.registry.gauge(
-                "repro_fabric_shard_queue_depth",
-                help="Events forwarded to one shard and not yet confirmed "
-                     "by a snapshot sync",
-                labels={"shard": str(i)})
-            for i in range(num_shards)
-        ]
         self._mirrored: Dict[str, float] = {}
         #: per shard, the highest count seen for each ledger row
         self._sheds_seen: List[Dict[ShedKey, int]] = [
@@ -155,12 +150,11 @@ class ShardedMonitor:
         def spawn(idx: int) -> MpShard:
             return MpShard(
                 self._props, idx, num_shards, self.routes, shard_kwargs,
-                send_timeout=policy.send_timeout)
+                send_timeout=policy.heartbeat_timeout)
 
         self.supervisor = Supervisor(
-            spawn, num_shards, self.ledger, policy=policy,
-            registry=self.registry, now_fn=lambda: self._now,
-            merge_cb=self._merge)
+            spawn, num_shards, self.ledger, self._merge, policy=policy,
+            registry=self.registry, now_fn=lambda: self._now)
 
     # -- event intake ------------------------------------------------------
     def observe(self, event: DataplaneEvent) -> None:
@@ -191,8 +185,6 @@ class ShardedMonitor:
         for idx, batch in enumerate(batches):
             if batch:
                 supervisor.send_batch(idx, batch)
-                self._inflight[idx] += len(batch)
-                self._g_queue[idx].set(float(self._inflight[idx]))
         supervisor.tick()
         self._dirty = True
 
@@ -253,9 +245,8 @@ class ShardedMonitor:
         self.supervisor.sync_snapshots()
         self._mirror_monitor_metrics()
 
-    def _merge(self, snapshot: ShardSnapshot, unconfirmed: int = 0) -> None:
-        """Fold one shard snapshot into the merged view; ``unconfirmed``
-        events were forwarded after the point it reflects."""
+    def _merge(self, snapshot: ShardSnapshot) -> None:
+        """Fold one shard snapshot into the merged view."""
         idx = snapshot.shard
         self._snapshots[idx] = snapshot
         if snapshot.violations:
@@ -267,8 +258,6 @@ class ShardedMonitor:
             if grown > 0:
                 self.ledger.record(*key, count=grown)
                 seen[key] = count
-        self._inflight[idx] = unconfirmed
-        self._g_queue[idx].set(float(unconfirmed))
 
     def _mirror_monitor_metrics(self) -> None:
         """Reflect shard totals into the fabric's registry.

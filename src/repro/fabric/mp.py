@@ -37,17 +37,20 @@ Replies (worker -> parent), in the order of the commands they answer:
 Workers reply only when asked (snapshot deltas): there is no
 per-event acknowledgement, and no command waits for its reply — the
 supervisor requests a checkpoint and takes the reply in whenever it
-next looks (``fabric.supervise``).  The only wait left on the data path
-is back-pressure: a socketpair holds about 200 kB per direction
-(``SO_SNDBUF`` 212 992 on Linux; a routed 512-event sub-batch is
-≈44 kB), so a send waits for socket space once a worker is a few
-batches behind, for at most ``send_timeout``.  ``ShardedMonitor.sync()``
-and ``stop()`` are the explicit barriers.
+next looks (``fabric.supervise``), unless the shard's recovery journal
+is past its bound.  The only wait in this module is back-pressure: a
+socketpair holds about 200 kB per direction (``SO_SNDBUF`` 212 992 on
+Linux; a routed 512-event sub-batch is ≈44 kB), so a send waits for
+socket space once a worker is a few batches behind, for at most
+``send_timeout`` — the fabric passes its supervisor's one
+``heartbeat_timeout``, since a send stalls only on a worker that has
+stopped reading.  ``ShardedMonitor.sync()`` and ``stop()`` are the
+explicit barriers.
 
 A checkpoint reply is several times larger than the socket buffer, so
 a worker blocks writing it until the parent reads.  A parent that
 blocked writing a command at the same moment would deadlock the pair —
-and the default ``send_timeout`` would then end that stall as a
+and ``send_timeout`` would then end that stall as a
 :class:`ShardTimeout`, a spurious restart.  :meth:`MpShard._send`
 therefore never waits on an unread reply: while it waits for socket
 space it also reads, parking complete replies in an inbox that
@@ -161,7 +164,7 @@ class MpShard:
         num_shards: int,
         routes: Mapping[str, PropRoute],
         monitor_kwargs: Optional[Dict[str, object]],
-        send_timeout: float = 30.0,
+        send_timeout: float,
     ) -> None:
         if not fork_available():
             raise RuntimeError(
@@ -291,15 +294,20 @@ class MpShard:
     # -- receives (bounded) ------------------------------------------------
     def recv_reply(self, timeout: float) -> Optional[bytes]:
         """One tagged reply, or None if none is whole within ``timeout``
-        seconds (0 looks without waiting)."""
-        if self._closed:
-            raise self._died("handle closed")
+        seconds (0 looks without waiting).
+
+        Replies already parked are handed out even once the handle is
+        closed (a send that timed out closes it): only an empty inbox
+        on a closed handle raises.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            if not self._inbox:
+            if not self._inbox and not self._closed:
                 self._pump()
             if self._inbox:
                 return self._inbox.popleft()
+            if self._closed:
+                raise self._died("handle closed")
             if self._eof:
                 raise self._died("worker closed its end")
             if not self._wait(deadline, writing=False):
@@ -340,7 +348,7 @@ class MpShard:
             f"unexpected reply {reply[:1]!r} while awaiting heartbeat ack")
 
     # -- teardown ----------------------------------------------------------
-    def quit(self, timeout: float = 30.0) -> Optional[ShardSnapshot]:
+    def quit(self, timeout: float) -> Optional[ShardSnapshot]:
         """Quiesce: final snapshot then reap; None if the worker hung.
 
         The wait is bounded: after ``timeout`` with no reply the worker

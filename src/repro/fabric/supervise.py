@@ -4,44 +4,48 @@ PR 8's fabric assumed immortal workers: a crashed shard silently stopped
 monitoring its key slice forever.  The :class:`Supervisor` makes worker
 death a *ledgered, recoverable* event instead:
 
-* **Detection** — every parent-side pipe interaction is bounded
-  (``ShardDied`` on a closed pipe, ``ShardTimeout`` on a wedged one),
-  and a periodic heartbeat (``b"H"`` ping / ``b"A"`` ack) catches
-  workers that hang between data-path calls.
+* **Detection** — every parent-side pipe interaction is bounded by the
+  one ``heartbeat_timeout`` (``ShardDied`` on a closed pipe,
+  ``ShardTimeout`` on a wedged one), and a periodic heartbeat (``b"H"``
+  ping / ``b"A"`` ack) catches workers that hang between data-path
+  calls.
 * **Recovery** — dead workers restart with exponential backoff under a
   per-shard restart budget.  The replacement is rehydrated from the
   last checkpoint that landed (the worker's pickled
   :class:`~repro.core.monitor.MonitorState` — instances, timers and
   counters — carried on a ``ShardSnapshot`` as bytes this process never
   opens) plus a per-shard journal of every batch delivered since that
-  checkpoint, replayed in order, then advanced to the fabric's present;
+  checkpoint, replayed in order — every batch followed by a ping, the
+  acks read after the last one — then advanced to the fabric's present;
   the replacement then reports what the dead worker would have.
-* **One unit** — the journal is bounded in *events*, like the
-  checkpoint interval it is a multiple of (``JOURNAL_INTERVALS``).  A
-  batch an outstanding checkpoint covers is never aged out while that
-  checkpoint can still land: the supervisor waits for the reply
-  (back-pressure on the sender) and ages events out only when it does
-  not come within ``heartbeat_timeout``.
-* **Checkpoints off the data path** — every ``checkpoint_interval``
-  events the supervisor *requests* a checkpoint and keeps routing.  The
-  channel is FIFO in both directions, so the request is a consistent
-  cut (:class:`_Cut`): the state the worker exports reflects exactly
-  the batches sent before the request, whatever is sent while the reply
-  is outstanding comes after it, and the reply precedes the reply to
-  anything requested later.  So nothing waits for it: whichever receive
-  the supervisor does next — the look before a send, ``tick``, a
-  heartbeat's ack wait, a sync, ``quiesce`` — takes the reply in first
-  (:meth:`Supervisor._land_cut`), and only then is the journal cut back
-  to the batches sent after the request.  A worker that dies with a cut
-  outstanding forgets it and recovers from the previous checkpoint and
-  the whole journal.
+* **One rule** — while a worker lives, its journal is exactly the
+  batches it has seen since its last landed checkpoint.  The journal is
+  bounded in *events*, like the checkpoint interval it is a multiple of
+  (``JOURNAL_INTERVALS``).  A live worker past the bound must land a cut
+  within ``heartbeat_timeout`` (back-pressure on the sender) or it is
+  dead; only a down shard ages batches out, and each is ledgered as a
+  gap as it goes.
+* **Checkpoints off the data path** — once the journal holds
+  ``checkpoint_interval`` events and no cut is out, the supervisor
+  *requests* a checkpoint and keeps routing.  The channel is FIFO in
+  both directions, so the request is a consistent cut (:class:`_Cut`):
+  the state the worker exports reflects exactly the batches sent before
+  the request, whatever is sent while the reply is outstanding comes
+  after it, and the reply precedes the reply to anything requested
+  later.  So short of the journal bound nothing waits for it:
+  whichever receive the supervisor does next — the look before a send,
+  ``tick``, a heartbeat's ack wait, a sync, ``quiesce`` — takes the
+  reply in first (:meth:`Supervisor._land_cut`), and only then is the
+  journal cut back to the batches sent after the request.  A worker
+  that dies with a cut outstanding forgets it and recovers from the
+  previous checkpoint and the whole journal.
 * **Honesty** — anything recovery cannot reconstruct (events aged out
-  of the journal, deferred split-mode ops at the checkpoint, a shard
-  that exhausts its budget) is counted in the fabric's
+  of a down shard's journal, deferred split-mode ops at the checkpoint,
+  a shard that exhausts its budget) is counted in the fabric's
   :class:`OverflowLedger`, so crashes *widen the detection-uncertainty
   interval* instead of silently dropping violations.
 * **Quarantine** — a batch whose replay kills the replacement worker
-  ``poison_threshold`` times is set aside: removed from the journal,
+  ``POISON_THRESHOLD`` times is set aside: removed from the journal,
   ledgered event by event, counted in
   ``repro_fabric_quarantined_batches_total``, and reported via
   :meth:`Supervisor.liveness` — rather than retried until the restart
@@ -61,7 +65,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional
 
 from ..core.degradation import FABRIC_ROW, IMPACT_MISSED, OverflowLedger
 from ..switch.events import DataplaneEvent
@@ -73,24 +77,23 @@ from .shard import ShardSnapshot
 #: ledger kinds the supervisor writes (each count bounds both sides: a
 #: lost event could hide a real violation or leave a stale instance
 #: that later completes spuriously).
-KIND_GAP = "crash-gap"              # journal overflow: events unreplayable
+KIND_GAP = "crash-gap"              # aged out of a down shard's journal
 KIND_LOST_OP = "crash-lost-op"      # deferred split ops at the checkpoint
 KIND_QUARANTINE = "quarantined-batch"
 KIND_SHARD_LOST = "shard-lost"      # restart budget exhausted
 KIND_QUIT_TIMEOUT = "shard-quit-timeout"
 
 #: A shard's journal holds at most this many checkpoint intervals of
-#: events (and always its newest batch); older batches drop into the
-#: ledger as an unrecoverable gap.  Counted in events, the unit of
+#: events (and always its newest batch).  Counted in events, the unit of
 #: ``checkpoint_interval``, so the journal reaches back to the last
-#: landed checkpoint whatever size the batches are.  A healthy worker
-#: can lag by a socket buffer — a few thousand events, more than the
-#: bound at a small interval — so before a batch that an outstanding
-#: cut covers ages out, the supervisor waits (up to
-#: ``heartbeat_timeout``) for that cut to land, which trims the journal
-#: instead.  The bound bites only while a worker is down or a cut does
-#: not land in time.
+#: landed checkpoint whatever size the batches are.  A live worker past
+#: the bound lands a cut within ``heartbeat_timeout`` — which trims the
+#: journal — or is taken for dead; only while a shard is down do its
+#: oldest batches age out, into the ledger as an unrecoverable gap.
 JOURNAL_INTERVALS = 8
+
+#: replay deaths charged to one journal batch before it is quarantined
+POISON_THRESHOLD = 2
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,8 @@ class SupervisorPolicy:
 
     #: wall seconds between heartbeat rounds (``tick()`` rate-limits)
     heartbeat_interval: float = 1.0
-    #: wall seconds a worker gets to ack a ping or answer a snapshot
+    #: wall seconds any wait on a worker may take: an ack, a snapshot, a
+    #: checkpoint due at the journal bound, a final snapshot, a send
     heartbeat_timeout: float = 5.0
     #: restarts allowed per shard before it is declared failed
     restart_budget: int = 5
@@ -109,12 +113,6 @@ class SupervisorPolicy:
     #: events per shard between checkpoints (``--checkpoint-interval``);
     #: the journal bound is ``JOURNAL_INTERVALS`` times this
     checkpoint_interval: int = 2048
-    #: replay deaths attributed to one batch before it is quarantined
-    poison_threshold: int = 2
-    #: wall seconds ``quiesce`` waits for a final snapshot per shard
-    quiesce_timeout: float = 30.0
-    #: wall seconds a full command pipe may stall a send
-    send_timeout: float = 30.0
 
     def __post_init__(self) -> None:
         if self.restart_budget < 0:
@@ -124,25 +122,10 @@ class SupervisorPolicy:
             raise ValueError(
                 f"checkpoint_interval must be >= 1, "
                 f"got {self.checkpoint_interval}")
-        if self.poison_threshold < 1:
-            raise ValueError(
-                f"poison_threshold must be >= 1, got {self.poison_threshold}")
         for name in ("heartbeat_interval", "heartbeat_timeout",
-                     "backoff_base", "backoff_max", "quiesce_timeout",
-                     "send_timeout"):
+                     "backoff_base", "backoff_max"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-
-
-@dataclass
-class QuarantineRecord:
-    """One poison batch set aside during recovery."""
-
-    shard: int
-    events: int
-    first_time: float
-    last_time: float
-    kills: int
 
 
 @dataclass
@@ -152,10 +135,6 @@ class _Cut:
     #: journal sequence number of the first batch sent after the
     #: request; every batch before it is in the state the reply carries
     seq: int
-    #: events aged out of the journal that the reply will cover:
-    #: ``journal_dropped`` at the request, plus whatever batches from
-    #: before the cut age out while it is outstanding
-    dropped: int
     #: wall clock at the request
     requested_at: float
 
@@ -165,18 +144,14 @@ class _ShardState:
     """Supervisor-side bookkeeping for one shard."""
 
     worker: Optional[MpShard] = None
-    #: batches delivered (or deferred while down) since the last
-    #: checkpoint, oldest first; the recovery replay source.
+    #: batches routed to the shard since its last landed checkpoint,
+    #: oldest first: what its worker has seen since then (or, while it
+    #: is down, will replay); the recovery replay source
     journal: Deque[List[DataplaneEvent]] = field(default_factory=deque)
     #: sequence number of ``journal[0]`` (batches that have left the
     #: journal's old end); a batch's own number is this plus its index
     journal_head: int = 0
     journal_events: int = 0
-    #: events aged out of the bounded journal since the last checkpoint
-    journal_dropped: int = 0
-    #: how many of ``journal_dropped`` have already been ledgered as a
-    #: gap — later restarts only ledger drops newer than this mark
-    dropped_ledgered: int = 0
     #: the last checkpoint that landed: the worker's pickled state,
     #: never opened here, and the deferred ops it could not carry
     checkpoint: Optional[bytes] = None
@@ -189,11 +164,9 @@ class _ShardState:
     failed: bool = False
     down_reason: str = ""
     next_restart_at: float = 0.0
-    #: events sent that no received snapshot reflects yet (what a
-    #: quit-timeout loses)
+    #: events routed that no merged snapshot reflects yet (the queue
+    #: depth gauge; what a quit-timeout loses)
     since_snapshot_events: int = 0
-    #: events sent since the last checkpoint *request* (the cadence)
-    since_checkpoint_events: int = 0
     #: unique violations merged since the checkpoint — becomes the
     #: post-restore duplicate-discard count
     merged_violations: int = 0
@@ -218,7 +191,9 @@ class Supervisor:
     the shard *down* (``recovering``) until the backoff elapses and a
     replacement is rehydrated.  While down, routed batches accumulate
     in the journal and are replayed on restart — so a shard that is
-    down for a few batches loses nothing, it just answers late.
+    down for a few batches loses nothing, it just answers late.  Every
+    snapshot leaves through ``merge``: the fabric's merge of one shard's
+    snapshot, after the supervisor has trimmed replayed violations.
     """
 
     def __init__(
@@ -226,10 +201,10 @@ class Supervisor:
         spawn: Callable[[int], MpShard],
         num_shards: int,
         ledger: OverflowLedger,
+        merge: Callable[[ShardSnapshot], None],
         policy: Optional[SupervisorPolicy] = None,
         registry: Optional[MetricsRegistry] = None,
         now_fn: Callable[[], float] = lambda: 0.0,
-        merge_cb: Optional[Callable[[ShardSnapshot, int], None]] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -238,13 +213,12 @@ class Supervisor:
         self.ledger = ledger
         self.registry = registry if registry is not None else NullRegistry()
         self._spawn = spawn
+        self._merge = merge
         self._now_fn = now_fn      # fabric/monitor (virtual) time
-        self._merge_cb = merge_cb  # fabric._merge
         self._clock = clock        # wall time for backoff/heartbeats
         self._sleep = sleep
         self._hb_seq = 0
         self._last_hb = clock()
-        self.quarantine_log: List[QuarantineRecord] = []
         self.states = [_ShardState() for _ in range(num_shards)]
         self._c_restarts = [
             self.registry.counter(
@@ -262,6 +236,14 @@ class Supervisor:
             "repro_fabric_quarantined_batches_total",
             help="Poison batches set aside (ledgered, never retried) "
                  "after repeatedly killing a shard worker")
+        self._g_queue = [
+            self.registry.gauge(
+                "repro_fabric_shard_queue_depth",
+                help="Events forwarded to one shard and not yet confirmed "
+                     "by a snapshot sync",
+                labels={"shard": str(i)})
+            for i in range(num_shards)
+        ]
         self._g_journal = [
             self.registry.gauge(
                 "repro_fabric_journal_depth",
@@ -314,23 +296,55 @@ class Supervisor:
         if st.failed:
             self._ledger_events(KIND_SHARD_LOST, len(events))
             return
-        self._journal_append(st, idx, events)
+        st.journal.append(list(events))
+        st.journal_events += len(events)
+        st.since_snapshot_events += len(events)
         if st.worker is None:
             # A successful restart replays the whole journal — which
             # already includes the batch just appended — so this path
             # must never ALSO deliver it directly (double-observation).
+            self._age_out(idx)
             self._maybe_restart(idx)
-            return
-        try:
-            self._land_cut(idx, 0.0)
-            st.worker.send_batch(events)
-            st.since_snapshot_events += len(events)
-            st.since_checkpoint_events += len(events)
-            if st.cut is None and st.since_checkpoint_events \
-                    >= self.policy.checkpoint_interval:
+        else:
+            try:
+                self._land_cut(idx, 0.0)
+                st.worker.send_batch(events)
+                if st.cut is None and st.journal_events \
+                        >= self.policy.checkpoint_interval:
+                    self._request_cut(idx)
+                self._hold_to_the_bound(idx)
+            except (ShardDied, ShardTimeout) as exc:
+                self._on_death(idx, str(exc))
+        self._publish(idx)
+
+    def _over_bound(self, st: _ShardState) -> bool:
+        return len(st.journal) > 1 and st.journal_events \
+            > JOURNAL_INTERVALS * self.policy.checkpoint_interval
+
+    def _hold_to_the_bound(self, idx: int) -> None:
+        """A live worker past the journal bound lands a cut within
+        ``heartbeat_timeout`` (requested now if none is out), which trims
+        the journal; one that does not is dead."""
+        st = self.states[idx]
+        timeout = self.policy.heartbeat_timeout
+        while st.worker is not None and self._over_bound(st):
+            if st.cut is None:
                 self._request_cut(idx)
-        except (ShardDied, ShardTimeout) as exc:
-            self._on_death(idx, str(exc))
+            if not self._land_cut(idx, timeout):
+                self._on_death(
+                    idx, f"shard {idx}: no checkpoint within {timeout}s "
+                         f"with its journal past the bound")
+
+    def _age_out(self, idx: int) -> None:
+        """A down shard's journal past the bound loses its oldest
+        batches, each ledgered as a gap as it goes."""
+        st = self.states[idx]
+        while self._over_bound(st):
+            aged = st.journal.popleft()
+            st.journal_head += 1
+            st.journal_events -= len(aged)
+            st.kills.pop(id(aged), None)
+            self._ledger_events(KIND_GAP, len(aged))
 
     def advance_to(self, when: float) -> None:
         for idx, st in enumerate(self.states):
@@ -351,8 +365,9 @@ class Supervisor:
                 self._on_death(idx, str(exc))
 
     # -- snapshots ---------------------------------------------------------
-    def sync_snapshots(self) -> List[Optional[ShardSnapshot]]:
-        """One snapshot per shard; None for shards down this round."""
+    def sync_snapshots(self) -> None:
+        """Merge one snapshot per live shard; shards down this round skip
+        a beat, and their state arrives with a later sync."""
         requested: List[int] = []
         for idx, st in enumerate(self.states):
             if st.recovering:
@@ -364,10 +379,9 @@ class Supervisor:
                 requested.append(idx)
             except (ShardDied, ShardTimeout) as exc:
                 self._on_death(idx, str(exc))
-        out: List[Optional[ShardSnapshot]] = [None] * self.num_shards
+        timeout = self.policy.heartbeat_timeout
         for idx in requested:
             st = self.states[idx]
-            timeout = self.policy.heartbeat_timeout
             try:
                 snap = st.worker.recv_snapshot(timeout) \
                     if self._land_cut(idx, timeout) else None
@@ -378,11 +392,10 @@ class Supervisor:
                 self._on_death(
                     idx, f"shard {idx}: no snapshot within {timeout}s")
                 continue
-            out[idx] = self._deliver(idx, snap)
-        return out
+            self._deliver(idx, snap)
 
     def _deliver(self, idx: int, snap: ShardSnapshot,
-                 unconfirmed: int = 0) -> ShardSnapshot:
+                 unconfirmed: int = 0) -> None:
         """Trim replay re-detections, account, and merge one snapshot.
 
         ``unconfirmed`` is how many events were sent after the point
@@ -396,9 +409,8 @@ class Supervisor:
             st.discard_violations -= dropped
         st.merged_violations += len(snap.violations)
         st.since_snapshot_events = unconfirmed
-        if self._merge_cb is not None:
-            self._merge_cb(snap, unconfirmed)
-        return snap
+        self._publish(idx)
+        self._merge(snap)
 
     # -- checkpoints -------------------------------------------------------
     def _request_cut(self, idx: int) -> None:
@@ -406,9 +418,7 @@ class Supervisor:
         st = self.states[idx]
         st.worker.request_snapshot(checkpoint=True)
         st.cut = _Cut(seq=st.journal_head + len(st.journal),
-                      dropped=st.journal_dropped,
                       requested_at=self._clock())
-        st.since_checkpoint_events = 0
 
     def _land_cut(self, idx: int, timeout: float) -> bool:
         """Take in the reply to the shard's outstanding cut, waiting at
@@ -417,7 +427,8 @@ class Supervisor:
 
         Replies are FIFO, so whoever is about to wait for an ack or a
         snapshot requested after the cut calls this first.  Only here is
-        the journal cut back: to the batches sent after the request.
+        the journal cut back: to the batches sent after the request,
+        which are also the events the checkpoint does not confirm.
         """
         st = self.states[idx]
         cut = st.cut
@@ -430,20 +441,15 @@ class Supervisor:
             raise ShardDied(
                 f"shard {idx}: plain snapshot where a checkpoint was due")
         st.cut = None
-        self._deliver(idx, snap, unconfirmed=st.since_checkpoint_events)
-        st.checkpoint = snap.state
-        st.checkpoint_lost_ops = snap.lost_pending_ops
-        st.checkpoint_ops_ledgered = False
         while st.journal_head < cut.seq:
             st.journal_events -= len(st.journal.popleft())
             st.journal_head += 1
-        # Whatever was ledgered as a gap was dropped before the request,
-        # so all of it is among the drops the checkpoint now covers.
-        st.journal_dropped -= cut.dropped
-        st.dropped_ledgered = 0
+        st.checkpoint = snap.state
+        st.checkpoint_lost_ops = snap.lost_pending_ops
+        st.checkpoint_ops_ledgered = False
+        self._deliver(idx, snap, unconfirmed=st.journal_events)
         st.merged_violations = 0
         st.kills.clear()
-        self._g_journal[idx].set(float(st.journal_events))
         self._g_checkpoint_bytes[idx].set(float(len(snap.state)))
         self._g_checkpoint_export[idx].set(snap.export_seconds)
         self._h_checkpoint.observe(self._clock() - cut.requested_at)
@@ -485,9 +491,9 @@ class Supervisor:
                 pinged.append(idx)
             except (ShardDied, ShardTimeout) as exc:
                 self._on_death(idx, str(exc))
+        timeout = self.policy.heartbeat_timeout
         for idx in pinged:
             st = self.states[idx]
-            timeout = self.policy.heartbeat_timeout
             try:
                 ack = st.worker.recv_ack(timeout) \
                     if self._land_cut(idx, timeout) else None
@@ -495,9 +501,7 @@ class Supervisor:
                 self._on_death(idx, str(exc))
                 continue
             if ack is None:
-                self._on_death(
-                    idx, f"no heartbeat ack within "
-                         f"{self.policy.heartbeat_timeout}s")
+                self._on_death(idx, f"no heartbeat ack within {timeout}s")
 
     def recovering(self) -> List[int]:
         """Shards currently down awaiting (or mid-) restart."""
@@ -591,17 +595,20 @@ class Supervisor:
             st.down_reason = ""
             st.discard_violations = st.merged_violations
             # The replay delivered everything journaled since the last
-            # checkpoint; resume cadence counters from there.
-            st.since_checkpoint_events = st.journal_events
+            # checkpoint, none of it confirmed by a snapshot yet.
             st.since_snapshot_events = st.journal_events
+            self._publish(idx)
             self._g_up[idx].set(1.0)
             self._h_recovery.observe(self._clock() - t0)
         return st.worker is not None
 
     def _rehydrate(self, idx: int) -> None:
         """Checkpoint restore + journal replay + advance, with poison
-        detection: each replayed batch is pinged through, and a batch
-        that keeps killing replacements is quarantined."""
+        detection: each replayed batch is followed by a ping carrying its
+        index, and the acks are read after the last one.  The first batch
+        not acknowledged when the worker dies or times out is charged
+        with the kill; one charged ``POISON_THRESHOLD`` times is
+        quarantined."""
         st = self.states[idx]
         worker = st.worker
         assert worker is not None
@@ -610,44 +617,45 @@ class Supervisor:
             if st.checkpoint_lost_ops and not st.checkpoint_ops_ledgered:
                 st.checkpoint_ops_ledgered = True
                 self._ledger_events(KIND_LOST_OP, st.checkpoint_lost_ops)
-        if st.journal_dropped > st.dropped_ledgered:
-            fresh = st.journal_dropped - st.dropped_ledgered
-            st.dropped_ledgered = st.journal_dropped
-            self._ledger_events(KIND_GAP, fresh)
-        for batch in list(st.journal):
+        batches = list(st.journal)
+        acked = 0
+        try:
             try:
-                worker.send_batch(batch)
-                worker.ping(self._hb_seq)
-                ack = worker.recv_ack(self.policy.heartbeat_timeout)
-                if ack is None:
-                    raise ShardTimeout(
-                        f"shard {idx}: replay batch unacknowledged")
-            except (ShardDied, ShardTimeout):
-                kills = st.kills.get(id(batch), 0) + 1
-                st.kills[id(batch)] = kills
-                if kills >= self.policy.poison_threshold:
-                    self._quarantine(idx, batch, kills)
-                raise
-            st.kills.pop(id(batch), None)
+                for seq, batch in enumerate(batches):
+                    worker.send_batch(batch)
+                    worker.ping(seq)
+            finally:
+                # Acks that came back before a failed send stay readable;
+                # the handle raises once none is left.
+                while acked < len(batches):
+                    if worker.recv_ack(self.policy.heartbeat_timeout) \
+                            is None:
+                        raise ShardTimeout(
+                            f"shard {idx}: replay batch {acked} "
+                            f"unacknowledged")
+                    acked += 1
+        except (ShardDied, ShardTimeout):
+            charged = id(batches[acked])
+            st.kills[charged] = st.kills.get(charged, 0) + 1
+            if st.kills[charged] >= POISON_THRESHOLD:
+                self._quarantine(idx, acked)
+            raise
+        finally:
+            for batch in batches[:acked]:
+                st.kills.pop(id(batch), None)
         worker.advance_to(self._now_fn())
 
-    def _quarantine(self, idx: int, batch: List[DataplaneEvent],
-                    kills: int) -> None:
+    def _quarantine(self, idx: int, position: int) -> None:
+        """Set the journal batch at ``position`` aside for good."""
         st = self.states[idx]
-        try:
-            st.journal.remove(batch)
-            st.journal_events -= len(batch)
-            self._g_journal[idx].set(float(st.journal_events))
-        except ValueError:  # pragma: no cover - defensive
-            pass
+        batch = st.journal[position]
+        del st.journal[position]
+        st.kills.pop(id(batch), None)
+        st.journal_events -= len(batch)
         st.quarantined += 1
         self._c_quarantined.inc()
-        self.quarantine_log.append(QuarantineRecord(
-            shard=idx, events=len(batch),
-            first_time=batch[0].time if batch else 0.0,
-            last_time=batch[-1].time if batch else 0.0,
-            kills=kills))
         self._ledger_events(KIND_QUARANTINE, len(batch))
+        self._publish(idx)
 
     def _fail_shard(self, idx: int) -> None:
         """Budget exhausted: give up, ledger everything unrecovered."""
@@ -655,19 +663,15 @@ class Supervisor:
         st.failed = True
         st.down_reason = (
             f"restart budget ({self.policy.restart_budget}) exhausted")
-        lost = st.journal_events \
-            + (st.journal_dropped - st.dropped_ledgered)
-        if lost:
-            self._ledger_events(KIND_SHARD_LOST, lost)
+        self._ledger_events(KIND_SHARD_LOST, st.journal_events)
         st.journal.clear()
         st.journal_events = 0
-        st.journal_dropped = 0
-        st.dropped_ledgered = 0
-        self._g_journal[idx].set(0.0)
+        st.since_snapshot_events = 0
+        self._publish(idx)
         self._g_up[idx].set(0.0)
 
     # -- teardown ----------------------------------------------------------
-    def quiesce(self) -> List[Optional[ShardSnapshot]]:
+    def quiesce(self) -> None:
         """Final snapshots: recover dead shards, then bounded quits.
 
         A shard that is down, or whose worker turns out dead at its final
@@ -675,12 +679,11 @@ class Supervisor:
         end-of-run state is not lost to unlucky timing — and asked
         again.  The restart budget still bounds this, and exhausting it
         ledgers the shard as lost.  Only a worker that does not answer
-        within ``quiesce_timeout`` is ledgered as hung.  Every shard
+        within ``heartbeat_timeout`` is ledgered as hung.  Every shard
         ends stopped: neither recovering nor restarted again.
         """
-        out: List[Optional[ShardSnapshot]] = [None] * self.num_shards
         horizon = self._now_fn()
-        timeout = self.policy.quiesce_timeout
+        timeout = self.policy.heartbeat_timeout
         for idx, st in enumerate(self.states):
             snap = None
             while not st.failed:
@@ -711,10 +714,9 @@ class Supervisor:
                 st.down_reason = "hung at quiesce"
                 self._g_up[idx].set(0.0)
                 continue
-            out[idx] = self._deliver(idx, snap)
+            self._deliver(idx, snap)
             st.worker = None
             self._g_up[idx].set(0.0)
-        return out
 
     def close(self) -> None:
         """Hard teardown of every worker (error paths, ``__del__``)."""
@@ -724,34 +726,13 @@ class Supervisor:
                 st.worker.kill()
                 st.worker = None
 
-    # -- ledger ------------------------------------------------------------
+    # -- ledger and gauges -------------------------------------------------
     def _ledger_events(self, kind: str, count: int) -> None:
         if count:
             self.ledger.record(kind, FABRIC_ROW, IMPACT_MISSED, count)
 
-    def _journal_append(self, st: _ShardState, idx: int,
-                        events: List[DataplaneEvent]) -> None:
-        st.journal.append(list(events))
-        st.journal_events += len(events)
-        bound = JOURNAL_INTERVALS * self.policy.checkpoint_interval
-        waited = False
-        while st.journal_events > bound and len(st.journal) > 1:
-            if not waited and st.cut is not None \
-                    and st.journal_head < st.cut.seq:
-                # Back-pressure before loss: a batch the outstanding cut
-                # covers waits (once per append) for that cut to land,
-                # which trims it.
-                waited = True
-                try:
-                    if self._land_cut(idx, self.policy.heartbeat_timeout):
-                        continue
-                except (ShardDied, ShardTimeout) as exc:
-                    self._on_death(idx, str(exc))
-            aged = st.journal.popleft()
-            if st.cut is not None and st.journal_head < st.cut.seq:
-                st.cut.dropped += len(aged)
-            st.journal_head += 1
-            st.journal_events -= len(aged)
-            st.journal_dropped += len(aged)
-            st.kills.pop(id(aged), None)
+    def _publish(self, idx: int) -> None:
+        """Gauge one shard's journal and its unconfirmed events."""
+        st = self.states[idx]
         self._g_journal[idx].set(float(st.journal_events))
+        self._g_queue[idx].set(float(st.since_snapshot_events))

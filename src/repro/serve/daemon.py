@@ -117,12 +117,9 @@ class ServeConfig:
     #: 0 = one monitor; N > 0 = drain the queue into a ShardedMonitor
     #: fabric of N forked worker processes (``--shards``).
     shards: int = 0
-    #: fabric supervision: worker restarts allowed per shard before
-    #: the shard is declared failed (``--restart-budget``).
-    restart_budget: int = 5
-    #: events per shard between recovery checkpoints
-    #: (``--checkpoint-interval``).
-    checkpoint_interval: int = 2048
+    #: how the fabric supervises its workers (``--restart-budget``,
+    #: ``--checkpoint-interval``); unused without ``shards``.
+    supervision: SupervisorPolicy = field(default_factory=SupervisorPolicy)
 
     def __post_init__(self) -> None:
         if self.chaos_profile not in PROFILES:
@@ -149,13 +146,6 @@ class ServeConfig:
         if self.trace_buffer < 0:
             raise ValueError(
                 f"trace_buffer must be >= 0, got {self.trace_buffer}")
-        if self.restart_budget < 0:
-            raise ValueError(
-                f"restart_budget must be >= 0, got {self.restart_budget}")
-        if self.checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1, "
-                f"got {self.checkpoint_interval}")
         for spec in self.ingest:
             parse_ingest_spec(spec)  # validate early, fail before boot
 
@@ -178,9 +168,7 @@ class ServeDaemon:
             self.monitor = build_monitor(
                 PROFILES[self.config.chaos_profile], self.registry,
                 num_shards=self.config.shards,
-                supervision=SupervisorPolicy(
-                    restart_budget=self.config.restart_budget,
-                    checkpoint_interval=self.config.checkpoint_interval))
+                supervision=self.config.supervision)
         # Duck-typed: a ShardedMonitor (supervised fabric) answers the
         # liveness methods; a plain Monitor has no shards to report on.
         self._fabric = (

@@ -2,14 +2,15 @@
 
 ``tests/property/test_fault_machine.py`` holds recovery to the reference
 interval and an uncrashed twin over drawn SIGKILL schedules.  What stays
-here, on real forked workers: the chaos runner's worker-crash round; a
-healthy worker lagging past the journal bound (the supervisor waits for
-the outstanding cut rather than ageing out what it covers — an early
-age-out only widens the interval, which the machine allows); a SIGSTOPped
-worker at quiesce and against a send larger than the socket buffer; a
-stopped fabric staying stopped; poison-batch quarantine; and checkpoint
-replies several times the socket buffer.  No worker a test forks may
-outlive it.
+here, on real forked workers: the chaos runner's worker-crash round; the
+journal rule — a live worker's journal is exactly what it has seen since
+its last landed checkpoint, so a worker past the journal bound is waited
+for while it lags and restarted whole once it stops answering, never
+aged out (an age-out only widens the interval, which the machine
+allows); a SIGSTOPped worker at quiesce and against a send larger than
+the socket buffer; a stopped fabric staying stopped; a failed shard's
+queue depth; poison-batch quarantine; and checkpoint replies several
+times the socket buffer.  No worker a test forks may outlive it.
 """
 
 import os
@@ -102,10 +103,12 @@ class TestSigkillEquivalence:
 
 
 class TestJournalWaitsForTheCut:
-    """A healthy worker lags by a socket buffer, more than the journal
-    bound at a small checkpoint interval.  The supervisor waits for the
-    outstanding cut instead of ageing out what it covers, so a crash
-    after that costs no ledgered gap."""
+    """While a worker lives, its journal is exactly the batches it has
+    seen since its last landed checkpoint.  A healthy worker lags by a
+    socket buffer, more than the journal bound at a small checkpoint
+    interval: the supervisor waits for its cut.  A worker that stops
+    answering is taken for dead instead, and restarted from its last
+    checkpoint and the whole journal.  Neither costs a ledgered gap."""
 
     def test_healthy_shards_drop_nothing_and_a_crash_is_exact(self):
         events = catalog_trace(seed=7, num_events=3000)
@@ -119,7 +122,8 @@ class TestJournalWaitsForTheCut:
         try:
             for i in range(0, len(events), 128):
                 fabric.observe_batch(events[i:i + 128])
-            assert [st.journal_dropped for st in sup.states] == [0, 0]
+            # lagging is not dying: waited for, nothing restarted or lost
+            assert sup.total_restarts() == 0 and len(fabric.ledger) == 0
             os.kill(sup.worker_pids()[0], signal.SIGKILL)
             deadline = time.monotonic() + 5.0
             while sup.total_restarts() < 1 and time.monotonic() < deadline:
@@ -137,13 +141,90 @@ class TestJournalWaitsForTheCut:
         finally:
             fabric.close()
 
+    def test_a_stopped_worker_past_the_bound_is_restarted_whole(self):
+        events = catalog_trace(seed=7, num_events=1500)
+        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
+                                supervision=SupervisorPolicy(
+                                    checkpoint_interval=16,
+                                    heartbeat_interval=1e9,
+                                    heartbeat_timeout=0.5,
+                                    backoff_base=0.0, backoff_max=0.0))
+        sup = fabric.supervisor
+        try:
+            fabric.observe_batch(events[:500])
+            fabric.sync()                     # warm, and its cut landed
+            pid = sup.worker_pids()[0]
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                # ~100 kB to the stopped worker: well inside its socket
+                # buffer, and far past a 128-event journal bound
+                for i in range(500, len(events), 32):
+                    fabric.observe_batch(events[i:i + 32])
+                fabric.advance_to(events[-1].time + SETTLE)
+                fabric.sync()
+            finally:
+                try:
+                    os.kill(pid, signal.SIGCONT)
+                except ProcessLookupError:
+                    pass  # killed as dead, and reaped
+            fabric.stop()
+            assert sup.total_restarts() == 1 and not sup.failed()
+            assert len(fabric.ledger) == 0
+            plain = run_plain(catalog_props(), events)
+            plain.advance_to(events[-1].time + SETTLE)
+            assert sorted(fingerprint(fabric.violations)) \
+                == sorted(fingerprint(plain.violations))
+        finally:
+            fabric.close()
+
+
+class TestQueueDepth:
+    def test_a_failed_shard_holds_nothing_in_flight(self):
+        """A shard out of restart budget ledgers everything it held as
+        ``shard-lost``: its queue depth reads 0 and stays there however
+        much is routed to it, while the live shard's returns to 0 at
+        each sync."""
+        events = catalog_trace(seed=5, num_events=3000)
+        registry = MetricsRegistry()
+        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
+                                registry=registry,
+                                supervision=SupervisorPolicy(
+                                    restart_budget=0,
+                                    heartbeat_interval=1e9))
+        sup = fabric.supervisor
+
+        def depth(shard):
+            return registry.gauge("repro_fabric_shard_queue_depth",
+                                  labels={"shard": str(shard)}).value
+
+        try:
+            fabric.observe_batch(events[:500])
+            os.kill(sup.worker_pids()[0], signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while not sup.failed() and time.monotonic() < deadline:
+                sup.heartbeat()
+                sup.tick()
+            assert sup.failed() == [0]
+            assert depth(0) == 0
+            for i in range(500, len(events), 250):
+                fabric.observe_batch(events[i:i + 250])
+                assert depth(0) == 0
+            assert depth(1) > 0
+            fabric.sync()
+            assert (depth(0), depth(1)) == (0, 0)
+            lost = fabric.ledger.summary()["by_kind"]["shard-lost"]
+            assert lost > 0
+            fabric.stop()
+            assert fabric.ledger.summary()["by_kind"]["shard-lost"] == lost
+        finally:
+            fabric.close()
+
 
 class TestQuiesceTimeout:
     def test_sigstop_worker_bounds_stop_and_ledgers(self):
         events = catalog_trace(seed=5, num_events=1000)
-        policy = SupervisorPolicy(quiesce_timeout=0.3,
-                                  heartbeat_interval=1e9,
-                                  heartbeat_timeout=10.0)
+        policy = SupervisorPolicy(heartbeat_interval=1e9,
+                                  heartbeat_timeout=0.3)
         fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
                                 supervision=policy)
         try:
@@ -233,7 +314,7 @@ def arrival(n, t, dst_port=99):
 
 class TestPoisonQuarantine:
     def test_poison_batch_is_quarantined_not_retried_forever(self):
-        policy = SupervisorPolicy(poison_threshold=2, restart_budget=10,
+        policy = SupervisorPolicy(restart_budget=10,
                                   checkpoint_interval=10_000,
                                   heartbeat_interval=1e9,
                                   heartbeat_timeout=10.0,
@@ -276,14 +357,10 @@ class TestPoisonQuarantine:
                 fabric.observe_batch(next_batch())
             fabric.stop(now=t + 1.0)
 
-            assert len(sup.quarantine_log) == 1
-            record = sup.quarantine_log[0]
-            assert record.kills == 2
-            assert record.events == batch_size + 1
             assert sup.total_restarts() >= 2
             assert not sup.failed()
             by_kind = fabric.ledger.summary()["by_kind"]
-            assert by_kind[KIND_QUARANTINE] == record.events
+            assert by_kind[KIND_QUARANTINE] == batch_size + 1
             rows = fabric.shard_liveness()
             assert sum(r["quarantined_batches"] for r in rows) == 1
         finally:
