@@ -3,7 +3,7 @@
 Every shard is a forked worker process under a supervisor.  See
 :mod:`repro.fabric.fabric` for the :class:`ShardedMonitor` facade,
 :mod:`repro.fabric.routing` for the key-partitioning analysis,
-:mod:`repro.fabric.shard` for the key-filtered monitor each worker runs,
+:mod:`repro.fabric.shard` for the monitor each worker inherits,
 :mod:`repro.fabric.mp` for the forked-worker transport, and
 :mod:`repro.fabric.supervise` for crash detection and recovery.
 """

@@ -59,7 +59,7 @@ from ..telemetry import NULL_TRACER, MetricsRegistry, NullRegistry, Tracer
 from ..telemetry.tracing import open_event_root
 from .mp import MpShard
 from .routing import Router, build_routes
-from .shard import ShardSnapshot
+from .shard import ShardSnapshot, build_shard_monitor
 from .supervise import Supervisor, SupervisorPolicy
 
 
@@ -118,9 +118,9 @@ class ShardedMonitor:
                 f"workers (mode='mp')")
         self.num_shards = num_shards
         self.registry = registry if registry is not None else NullRegistry()
-        self._props = list(props)
-        self.routes = build_routes(self._props, num_shards)
-        self.router = Router(self.routes, num_shards, registry=self.registry)
+        props = list(props)
+        routes = build_routes(props, num_shards)
+        self.router = Router(routes, num_shards, registry=self.registry)
         self.ledger = OverflowLedger()
         self.stats = FabricStats(self)
         self.started_at: Optional[float] = None
@@ -142,15 +142,17 @@ class ShardedMonitor:
 
         policy = supervision if supervision is not None \
             else SupervisorPolicy()
-        # Every worker, replacements included, is forked from this
-        # process, which never touches these objects: each one starts
-        # from the same pristine copy (a control channel's RNG included).
-        shard_kwargs = dict(monitor_kwargs or {})
+        # Built once, before the first fork, and never fed here: every
+        # worker, replacements included, inherits the same untouched
+        # copy (a control channel's RNG included).
+        shard_monitors = [
+            build_shard_monitor(props, idx, num_shards, routes,
+                                monitor_kwargs)
+            for idx in range(num_shards)]
 
         def spawn(idx: int) -> MpShard:
-            return MpShard(
-                self._props, idx, num_shards, self.routes, shard_kwargs,
-                send_timeout=policy.heartbeat_timeout)
+            return MpShard(shard_monitors[idx], idx,
+                           send_timeout=policy.heartbeat_timeout)
 
         self.supervisor = Supervisor(
             spawn, num_shards, self.ledger, self._merge, policy=policy,

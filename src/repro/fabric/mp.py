@@ -1,8 +1,10 @@
 """Multiprocessing shard workers and their byte protocol.
 
 Each shard runs a plain :class:`Monitor` in a forked worker process.
-Fork (not spawn) is required: property specs carry compiled predicate
-closures that do not pickle, and a forked child inherits them directly.
+Fork (not spawn) is required: a worker inherits its shard's monitor,
+built once in the parent with its program compiled
+(:func:`~repro.fabric.shard.build_shard_monitor`), which would not
+pickle (predicate closures, exec'd functions) and is never rebuilt.
 Event batches cross the channel as the binary batch encoding from
 ``netsim/serialize.py`` — the same bytes ``repro send --format rpf2``
 writes to a daemon, so the IPC format is covered by the serialization
@@ -71,13 +73,12 @@ import socket
 import struct
 import time
 from collections import deque
-from typing import Deque, Dict, Mapping, Optional, Sequence
+from typing import Deque, Optional, Sequence
 
-from ..core.spec import PropertySpec
+from ..core.monitor import Monitor
 from ..netsim.serialize import decode_frames, encode_frames
 from ..switch.events import DataplaneEvent
-from .routing import PropRoute
-from .shard import ShardSnapshot, build_shard_monitor, take_snapshot
+from .shard import ShardSnapshot, take_snapshot
 
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
@@ -100,16 +101,8 @@ def fork_available() -> bool:
     )
 
 
-def _worker_main(
-    sock: socket.socket,
-    props: Sequence[PropertySpec],
-    shard_idx: int,
-    num_shards: int,
-    routes: Mapping[str, PropRoute],
-    monitor_kwargs: Optional[Dict[str, object]],
-) -> None:
-    monitor = build_shard_monitor(
-        props, shard_idx, num_shards, routes, monitor_kwargs)
+def _worker_main(sock: socket.socket, monitor: Monitor,
+                 shard_idx: int) -> None:
     commands = sock.makefile("rb")
 
     def reply(body: bytes) -> None:
@@ -155,15 +148,12 @@ def _worker_main(
 
 
 class MpShard:
-    """Parent-side handle to one forked shard worker."""
+    """Parent-side handle to a forked worker running a copy of ``monitor``."""
 
     def __init__(
         self,
-        props: Sequence[PropertySpec],
+        monitor: Monitor,
         shard_idx: int,
-        num_shards: int,
-        routes: Mapping[str, PropRoute],
-        monitor_kwargs: Optional[Dict[str, object]],
         send_timeout: float,
     ) -> None:
         if not fork_available():
@@ -185,8 +175,7 @@ class MpShard:
         self._inbox: Deque[bytes] = deque()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_sock, props, shard_idx, num_shards,
-                  routes, monitor_kwargs),
+            args=(child_sock, monitor, shard_idx),
             name=f"repro-fabric-shard-{shard_idx}",
             daemon=True,
         )

@@ -149,9 +149,9 @@ def shard_key_filter(routes, shard_idx, num_shards):
 
     Installed as ``Monitor(key_filter=...)``: a routed event reaches
     every shard that *some* property needs it on, so each shard must
-    refuse to create instances for keys (or pinned properties) it does
-    not own — without this, one event fanned out for property P would
-    also seed property Q's instance on P's shard.
+    refuse to create instances for keyed keys it does not own — without
+    this, one event fanned out for property P would also seed property
+    Q's instance on P's shard.  Only its pin registers a pinned property.
 
     A keyed answer depends on the key alone, and the generated program
     hands every property of one create group the same key tuple, so the
@@ -160,14 +160,14 @@ def shard_key_filter(routes, shard_idx, num_shards):
     hash its key once, not once per property.  Pinned answers are a
     lookup already and are not kept.
     """
+    keyed = frozenset(name for name, route in routes.items() if route.keyed)
     last_key: object = None
     last_owned = False
 
     def key_filter(prop_name: str, key: Tuple[object, ...]) -> bool:
         nonlocal last_key, last_owned
-        route = routes[prop_name]
-        if not route.keyed:
-            return route.pin == shard_idx
+        if prop_name not in keyed:
+            return True
         if key is not last_key:
             last_owned = stable_hash(key) % num_shards == shard_idx
             last_key = key

@@ -1,4 +1,4 @@
-"""One shard: a plain :class:`Monitor` that owns a key partition.
+"""One shard: a plain :class:`Monitor` over the properties it owns.
 
 A shard is not a new engine — it is the existing monitor with a
 ``key_filter`` installed, so every semantic feature (timers, split mode,
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from ..core.degradation import ShedKey
 from ..core.monitor import Monitor
@@ -26,19 +26,24 @@ def build_shard_monitor(
     shard_idx: int,
     num_shards: int,
     routes: Mapping[str, PropRoute],
-    monitor_kwargs: Optional[Dict[str, object]] = None,
+    monitor_kwargs: Optional[Mapping[str, object]] = None,
 ) -> Monitor:
-    """A monitor owning shard ``shard_idx`` of the key space.
-
-    Every shard registers EVERY property: an event fanned out for one
-    property's key may also match another property's watchers, and the
-    key filter — not the property set — is what scopes ownership.
-    """
+    """The monitor of shard ``shard_idx``: every keyed property (the key
+    filter splits their instances by key) and only the pinned properties
+    pinned here.  Its program and the function of every class they watch
+    are compiled now, so a worker forked from it compiles nothing."""
     kwargs = dict(monitor_kwargs or {})
     kwargs["key_filter"] = shard_key_filter(routes, shard_idx, num_shards)
     monitor = Monitor(**kwargs)
+    watched: Set[type] = set()
     for prop in props:
-        monitor.add_property(prop)
+        route = routes[prop.name]
+        if route.keyed or route.pin == shard_idx:
+            monitor.add_property(prop)
+            watched |= route.classes
+    eval_fns = monitor._program().eval_fns
+    for cls in watched:
+        eval_fns[cls]  # a class's function is compiled on first lookup
     return monitor
 
 

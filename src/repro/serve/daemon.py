@@ -23,8 +23,10 @@ monitor) and no thread reads ingest either, so nothing here needs a
 lock, and every source meets the same back-pressure.
 
 Shutdown is a drain, not a kill: SIGTERM (or :meth:`ServeDaemon.request_stop`)
-closes the ingest listeners, gives open streams ``drain_grace`` to end,
-lets the dispatcher empty the queue, runs
+closes the ingest listeners, gives open streams ``drain_grace`` to end
+(a TCP connection is open from the moment asyncio hands it over,
+whether or not its handler has run yet), observes whatever they
+queued, runs
 ``Monitor.stop()`` (which drains deferred split-mode ops and closes
 spans), and emits a
 :class:`~repro.serve.report.ServeDegradationReport` with the
@@ -239,15 +241,16 @@ class ServeDaemon:
         for spec in self.config.ingest:
             kind, arg = parse_ingest_spec(spec)
             if kind == "tcp":
+                # A plain callback, which asyncio calls in connection_made:
+                # a connection is tracked from its hand-over, not from its
+                # handler's first step.
                 server = await asyncio.start_server(
-                    self._handle_ingest_conn,
+                    lambda r, w: self._track(self._handle_ingest_conn(r, w)),
                     host=self.config.host, port=arg)
                 self._servers.append(server)
                 self.ingest_ports.append(server.sockets[0].getsockname()[1])
             else:
-                task = asyncio.ensure_future(self._ingest_pipe(str(arg)))
-                self._conn_tasks.add(task)
-                task.add_done_callback(self._conn_tasks.discard)
+                self._track(self._ingest_pipe(str(arg)))
 
         installed_signals: List[int] = []
         for signum in (signal.SIGTERM, signal.SIGINT):
@@ -279,7 +282,11 @@ class ServeDaemon:
                     task.cancel()
                 if lingering:
                     await asyncio.gather(*lingering, return_exceptions=True)
-            await dispatcher          # exits once the queue is drained
+            # Ingest is over; _finalize observes what is still queued.
+            dispatcher.cancel()  # it waits between batches, never inside
+            await asyncio.wait([dispatcher])
+            if not dispatcher.cancelled():
+                dispatcher.result()  # raise what a dispatch raised
             await poller
         finally:
             for signum in installed_signals:
@@ -291,12 +298,10 @@ class ServeDaemon:
         loop = self._loop
         if loop is None or self._stopping is None:
             return
-        def _set() -> None:
-            self._stopping.set()
-            self._wake.set()
-        loop.call_soon_threadsafe(_set)
+        loop.call_soon_threadsafe(self._stopping.set)
 
     def _finalize(self) -> ServeDegradationReport:
+        self._observe_queued()  # what came after the dispatcher's last look
         now = self.clock.now()
         self._uptime_gauge.set(now)
         summary = self.monitor.stop(now=now)
@@ -335,21 +340,22 @@ class ServeDaemon:
         return self.report
 
     # -- ingest ------------------------------------------------------------
+    def _track(self, stream) -> None:
+        """Run one ingest stream as a task the stop waits for."""
+        task = asyncio.ensure_future(stream)
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+
     async def _handle_ingest_conn(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
         try:
             await self._read_stream(reader)
         except ConnectionError:
             pass
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -424,23 +430,20 @@ class ServeDaemon:
             self._wake.set()
 
     # -- loop bodies -------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        assert self._stopping is not None and self._wake is not None
-        while True:
+    def _observe_queued(self) -> None:
+        # The one door in, the one replay uses: a batch, whole.  Its
+        # observer opens each event's root span (``/trace?uid=N``).
+        batch = self.queue.take_batch(self.config.batch_max)
+        while batch:
+            self.monitor.observe_batch(batch)
             batch = self.queue.take_batch(self.config.batch_max)
-            if batch:
-                # The one door in, the one replay uses: a batch, whole.
-                # Whoever observes it opens each event's root span, so
-                # ``/trace`` can answer "what happened to packet uid N?".
-                self.monitor.observe_batch(batch)
-                continue
-            if self._stopping.is_set() and not self._conn_tasks:
-                return  # stopped, ingest quiesced, and drained
+
+    async def _dispatch_loop(self) -> None:
+        assert self._wake is not None
+        while True:
+            self._observe_queued()
             self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=0.05)
-            except asyncio.TimeoutError:
-                pass
+            await self._wake.wait()
 
     async def _poll_loop(self) -> None:
         assert self._stopping is not None

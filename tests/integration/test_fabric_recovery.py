@@ -39,6 +39,7 @@ from repro.fabric import (
     ShardTimeout,
     SupervisorPolicy,
     build_routes,
+    build_shard_monitor,
     fork_available,
 )
 from repro.fabric.supervise import KIND_QUARANTINE, KIND_QUIT_TIMEOUT
@@ -463,8 +464,9 @@ class TestAsyncCheckpoints:
     def test_stopped_worker_times_out_a_send_larger_than_the_socket(self):
         props = flow_props()
         big = flow_trace(6000, flows=100)     # ~0.4 MB encoded: > SO_SNDBUF
-        shard = MpShard(props, 0, 1, build_routes(props, 1), None,
-                        send_timeout=0.5)
+        shard = MpShard(build_shard_monitor(props, 0, 1,
+                                            build_routes(props, 1)),
+                        0, send_timeout=0.5)
         pid = shard.pid
         os.kill(pid, signal.SIGSTOP)
         try:

@@ -8,6 +8,7 @@ queue drains, the monitor stops, and the final report's uncertainty
 interval accounts for everything shed.
 """
 
+import asyncio
 import collections
 import json
 import os
@@ -426,13 +427,26 @@ class TestHostileFrames:
         stream = b"".join(encode_frames(batch) for batch in batches)
         total = sum(len(batch) for batch in batches)
         rng = random.Random(18)
-        daemon, handle = boot()
+        daemon = ServeDaemon(ServeConfig(port=0, ingest=("tcp:0",)))
+        handle_conn = daemon._handle_ingest_conn
+        ended = []
+
+        async def counted(reader, writer):
+            await handle_conn(reader, writer)
+            ended.append(writer)
+
+        daemon._handle_ingest_conn = counted
+        handle = serve_in_thread(daemon)
         try:
             for _ in range(60):
                 damaged = bytearray(stream)
                 for _ in range(rng.randint(1, 3)):
                     damaged[rng.randrange(len(damaged))] ^= 1 << rng.randrange(8)
                 send_raw(daemon, bytes(damaged))
+            # Every damaged stream read to its end and what it queued
+            # observed, so only the clean stream below moves the count.
+            assert wait_until(lambda: len(ended) == 60
+                              and observed(daemon) == daemon.queue.accepted)
             # Still listening, still decoding.
             before = observed(daemon)
             send_raw(daemon, stream)
@@ -652,6 +666,41 @@ class TestBackpressure:
 
 
 class TestGracefulShutdown:
+    def test_a_handler_that_first_runs_after_the_stop_is_drained(
+            self, trace_path):
+        """A connection is the daemon's from the moment asyncio hands it
+        over.  Here the hand-over itself requests the stop, and the
+        handler's first step comes some loop turns later, after the
+        dispatcher has found the queue empty: the stream is still waited
+        for, read and observed.  Several trials, as the window is a
+        race."""
+        stream = encode_frames(read_trace(trace_path)[:6])
+        for _ in range(5):
+            daemon = ServeDaemon(ServeConfig(port=0, ingest=("tcp:0",)))
+            handle_conn = daemon._handle_ingest_conn
+            handed_over = []
+
+            def late(reader, writer, handle_conn=handle_conn,
+                     daemon=daemon, handed_over=handed_over):
+                handed_over.append(writer)
+                daemon.request_stop()
+
+                async def first_step_later():
+                    for _ in range(8):
+                        await asyncio.sleep(0)
+                    await handle_conn(reader, writer)
+
+                return first_step_later()
+
+            daemon._handle_ingest_conn = late
+            handle = serve_in_thread(daemon)
+            send_raw(daemon, stream)
+            assert wait_until(lambda: handed_over)
+            handle.thread.join(30)  # the hand-over requested the stop
+            assert not handle.thread.is_alive() and not handle.error
+            report = daemon.report
+            assert (report.events_ingested, report.events_observed) == (6, 6)
+
     def test_stop_drains_queue_before_reporting(self, trace_path):
         # Slow the dispatcher down so a backlog exists at stop time.
         daemon, handle = boot(batch_max=1)

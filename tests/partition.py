@@ -1,7 +1,8 @@
 """The fabric's partition semantics in one process, as a test reference.
 
-The router's split feeds one key-filtered shard monitor per shard, and
-the shards' violations merge the way the fabric merges them.  What the
+The router's split feeds one shard monitor per shard, built by
+``build_shard_monitor`` as the fabric builds it, and the shards'
+violations merge the way the fabric merges them.  What the
 forked fabric adds on top — transport, supervision, the facade — is
 tested against this, as ``core/reference.py`` is for the matcher.
 """

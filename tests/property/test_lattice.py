@@ -50,7 +50,7 @@ from repro.core import Monitor
 from repro.core.degradation import EVICTION_POLICIES, DegradationPolicy
 from repro.core.monitor import MonitorStats
 from repro.core.provenance import ProvenanceLevel
-from repro.fabric import build_routes
+from repro.fabric import Router, build_routes
 from repro.faults.profiles import ControlFaultProfile
 from repro.faults.rounds import catalog_trace, fingerprint
 from repro.netsim.serialize import decode_frames, encode_frames, event_to_dict
@@ -84,9 +84,12 @@ _ROUTES = build_routes(CATALOG, 2)
 PROPERTY_SETS = {
     "probe": probe_catalog(),
     "catalog": CATALOG,
-    # A pinned property draws every event it watches to its pin shard,
-    # and the catalog's pins cover every shard: only its keyed properties
-    # let a partition show where the router sends an event.
+    # A shard registers every keyed property and only the pinned ones
+    # pinned to it; a "catalog" partition draws that registration whole.
+    # But at 2 and 3 shards the catalog's pins cover every shard and
+    # watch every class but PacketDrop, so those events reach every
+    # shard whatever their keys: only the keyed properties on their own
+    # let a partition show where the router sends a keyed event.
     "keyed-catalog": [p for p in CATALOG if _ROUTES[p.name].keyed],
     "flows": flow_props(),
     "cancel": [cancel_prop()],
@@ -347,6 +350,26 @@ def check(case):
               entry=("restore", 3)))
 def test_configuration_matches_the_reference(case):
     check(case)
+
+
+def test_the_partition_entry_reaches_both_routing_branches():
+    """``Router.split`` sends an event of a class that only pinned
+    properties watch to their pins, reading no key, and any other event
+    to its keys' shards as well.  The partition entry's property sets
+    reach both branches at every drawn shard count: the catalog sets
+    only the keyed one (no catalog class is watched by pins alone), the
+    drawn-stream sets with pinned properties the other."""
+    for num_shards in (1, 2, 3):
+        branches = {}
+        for name, props in PROPERTY_SETS.items():
+            plan = Router(build_routes(props, num_shards), num_shards)._plan
+            for _, load, _ in plan.values():
+                branch = "pins only" if load is None else "keyed"
+                branches.setdefault(branch, set()).add(name)
+        assert {"catalog", "keyed-catalog", "flows"} <= branches["keyed"]
+        assert {"probe", "cancel", "keyed-refresh"} \
+            <= branches["pins only"]
+        assert not {"catalog", "keyed-catalog"} & branches["pins only"]
 
 
 def test_the_reference_keeps_the_pinned_orders():

@@ -63,11 +63,14 @@ def shard_run():
             applying[0] = None
         return tagged
 
-    # the generated program refreshes and creates through these leaves
+    # the generated program refreshes and creates through these leaves,
+    # bound when it is built: the shard's build did that, so it is
+    # dropped and rebuilt over the wrapped ones
     monitor._create = tagging("create", monitor._create)
     monitor._refresh = tagging("refresh", monitor._refresh)
     monitor._apply_advance = tagging("advance", monitor._apply_advance)
     monitor._apply_kill = tagging("kill", monitor._apply_kill)
+    monitor._codegen_program = None
     keyed_by_op = Counter()
 
     def counting(key_of):

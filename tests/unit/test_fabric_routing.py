@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 import repro
+import repro.core.codegen
 
 from repro.core.refs import Bind, Const, EventKind, EventPattern, FieldEq, Var
 from repro.core.spec import Observe, PropertySpec
@@ -15,9 +16,11 @@ from repro.fabric import (
     Router,
     build_route,
     build_routes,
+    build_shard_monitor,
     shard_key_filter,
     stable_hash,
 )
+from repro.faults.rounds import catalog_trace
 from repro.packet import EtherType, IPv4Address, MACAddress, tcp_packet
 from repro.props import build_table1
 from repro.switch.events import (
@@ -208,9 +211,42 @@ class TestShardKeyFilter:
             owners = [idx for idx, f in enumerate(filters)
                       if f("flow", key)]
             assert owners == [stable_hash(key) % num_shards]
-        pin_owners = [idx for idx, f in enumerate(filters)
-                      if f("global", ())]
-        assert pin_owners == [routes["global"].pin]
+
+
+class TestShardMonitor:
+    def test_a_pinned_property_is_registered_on_its_pin_alone(self):
+        """Each keyed property is registered on every shard, and each
+        pinned property on exactly one: its pin."""
+        props = [entry.prop for entry in build_table1()]
+        for num_shards in (2, 4):
+            routes = build_routes(props, num_shards)
+            registered = [
+                set(build_shard_monitor(props, i, num_shards, routes)._props)
+                for i in range(num_shards)]
+            for prop in props:
+                route = routes[prop.name]
+                holders = [i for i, names in enumerate(registered)
+                           if prop.name in names]
+                assert holders == (list(range(num_shards)) if route.keyed
+                                   else [route.pin]), prop.name
+
+    def test_a_built_shard_compiles_nothing_as_it_runs(self, monkeypatch):
+        """The build compiles the program and every watched class's
+        function: a shard fed the whole catalog trace afterwards, as a
+        forked worker is, never compiles again."""
+        props = [entry.prop for entry in build_table1()]
+        routes = build_routes(props, 2)
+        shards = [build_shard_monitor(props, i, 2, routes) for i in (0, 1)]
+
+        def refuse(*args):
+            raise AssertionError("a shard compiled after its build")
+
+        monkeypatch.setattr(repro.core.codegen, "_compile_function", refuse)
+        events = catalog_trace(seed=7, num_events=2000)
+        for shard in shards:
+            shard.observe_batch(events)
+            shard.advance_to(events[-1].time + 600.0)
+            assert shard.violations
 
 
 class TestRouterSplit:
