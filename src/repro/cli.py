@@ -479,17 +479,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _supervision(base: SupervisorPolicy,
                  args: argparse.Namespace) -> SupervisorPolicy:
-    """``base`` with only the supervision flags given replaced:
-    ``--restart-budget`` and ``--checkpoint-interval``.  A value the
-    policy refuses is a usage error."""
+    """``base`` with ``--restart-budget`` replaced if it was given.  A
+    value the policy refuses is a usage error."""
     from dataclasses import replace
 
+    if args.restart_budget is None:
+        return base
     with _flag_values():
-        return replace(base, **{
-            name: value for name, value in (
-                ("restart_budget", args.restart_budget),
-                ("checkpoint_interval", args.checkpoint_interval))
-            if value is not None})
+        return replace(base, restart_budget=args.restart_budget)
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -511,8 +508,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     profile = PROFILES[args.profile]
     fabric_flags = {"--shards": args.shards,
-                    "--restart-budget": args.restart_budget,
-                    "--checkpoint-interval": args.checkpoint_interval}
+                    "--restart-budget": args.restart_budget}
     given = [flag for flag, value in fabric_flags.items() if value is not None]
     if given and profile.worker_crash.is_null:
         raise UsageError(f"{given[0]} shapes the fabric of a worker-crash "
@@ -561,11 +557,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .fabric import SupervisorPolicy
     from .serve import ServeConfig, ServeDaemon, render_serve_report
 
-    fabric_flags = {"--restart-budget": args.restart_budget,
-                    "--checkpoint-interval": args.checkpoint_interval}
-    given = [flag for flag, value in fabric_flags.items() if value is not None]
-    if given and args.shards <= 0:
-        raise UsageError(f"{given[0]} shapes the fabric of --shards N; "
+    if args.restart_budget is not None and args.shards <= 0:
+        raise UsageError("--restart-budget shapes the fabric of --shards N; "
                          "without it serve runs one monitor")
     with _flag_values():
         config = ServeConfig(
@@ -755,10 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker restarts allowed per shard before the "
                             "shard is declared failed (worker-crash only; "
                             "default: 5)")
-    chaos.add_argument("--checkpoint-interval", type=int, default=None,
-                       metavar="EVENTS",
-                       help="events per shard between recovery checkpoints "
-                            "(worker-crash only; default: 2048)")
     chaos.set_defaults(fn=cmd_chaos)
 
     serve = sub.add_parser(
@@ -804,10 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --shards: worker restarts allowed per shard "
                             "before the shard is declared failed "
                             "(default: 5)")
-    serve.add_argument("--checkpoint-interval", type=int, default=None,
-                       metavar="EVENTS",
-                       help="with --shards: events per shard between recovery "
-                            "checkpoints (default: 2048)")
     serve.add_argument("--report", default=None, metavar="OUT",
                        help="write the final degradation report as JSON "
                             "on shutdown")

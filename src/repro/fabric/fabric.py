@@ -16,7 +16,8 @@ requested and then taken in whenever their reply has arrived — no
 batch waits for one.  The only waits left on the data path are
 back-pressure for socket space when a worker is behind, and a cut that
 must land once a worker's recovery journal is past its bound, each
-bounded by the policy's one ``heartbeat_timeout``; ``sync()`` and
+ended only by the policy's one ``heartbeat_timeout`` of silence from
+the worker; ``sync()`` and
 ``stop()`` are the explicit barriers (see ``fabric.mp``'s module
 docstring).  How many events each shard has not yet confirmed is the
 supervisor's count, published as ``repro_fabric_shard_queue_depth``.
@@ -152,7 +153,7 @@ class ShardedMonitor:
 
         def spawn(idx: int) -> MpShard:
             return MpShard(shard_monitors[idx], idx,
-                           send_timeout=policy.heartbeat_timeout)
+                           heartbeat_timeout=policy.heartbeat_timeout)
 
         self.supervisor = Supervisor(
             spawn, num_shards, self.ledger, self._merge, policy=policy,

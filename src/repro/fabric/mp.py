@@ -34,7 +34,11 @@ Commands (parent -> worker):
 Replies (worker -> parent), in the order of the commands they answer:
 
 * ``b"A" + u32(seq)``      — heartbeat ack echoing the sequence number;
-* ``b"S" + pickle(snap)``  — a snapshot/checkpoint reply.
+* ``b"S" + pickle(snap)``  — a snapshot/checkpoint reply;
+* ``b"K"``                 — keepalive, every quarter of the handle's
+                             ``heartbeat_timeout`` while the worker
+                             restores (``R``) or exports (``C``); it
+                             answers nothing and is never handed out.
 
 Workers reply only when asked (snapshot deltas): there is no
 per-event acknowledgement, and no command waits for its reply — the
@@ -43,23 +47,28 @@ next looks (``fabric.supervise``), unless the shard's recovery journal
 is past its bound.  The only wait in this module is back-pressure: a
 socketpair holds about 200 kB per direction (``SO_SNDBUF`` 212 992 on
 Linux; a routed 512-event sub-batch is ≈44 kB), so a send waits for
-socket space once a worker is a few batches behind, for at most
-``send_timeout`` — the fabric passes its supervisor's one
-``heartbeat_timeout``, since a send stalls only on a worker that has
-stopped reading.  ``ShardedMonitor.sync()`` and ``stop()`` are the
-explicit barriers.
+socket space once a worker is a few batches behind.
+``ShardedMonitor.sync()`` and ``stop()`` are the explicit barriers.
+
+Every parent-side wait — for socket space, a reply, an ack — ends
+after ``heartbeat_timeout`` of *silence*: any whole frame from the
+worker (a keepalive included), and any bytes it takes off a send,
+start the count again.  So a restore or an export is never timed by
+its size — one ``pickle.loads`` and ``restore_state`` of a large state
+may take many timeouts, its keepalives saying the worker lives — while
+a stopped or wedged worker is silent and times out as before.
 
 A checkpoint reply is several times larger than the socket buffer, so
 a worker blocks writing it until the parent reads.  A parent that
 blocked writing a command at the same moment would deadlock the pair —
-and ``send_timeout`` would then end that stall as a
-:class:`ShardTimeout`, a spurious restart.  :meth:`MpShard._send`
-therefore never waits on an unread reply: while it waits for socket
-space it also reads, parking complete replies in an inbox that
-:meth:`MpShard.recv_reply` serves first.  Every parent-side wait is a
-``select`` with a deadline, so a crashed or wedged worker surfaces as
-:class:`ShardDied` / :class:`ShardTimeout`, which is what the fabric
-supervisor turns into a restart.
+and the timeout would then end that stall as a :class:`ShardTimeout`,
+a spurious restart.  :meth:`MpShard._send` therefore never waits on an
+unread reply: while it waits for socket space it also reads, parking
+complete replies in an inbox that :meth:`MpShard.recv_reply` serves
+first.  Every parent-side wait is a ``select`` with a deadline, so a
+crashed or wedged worker surfaces as :class:`ShardDied` /
+:class:`ShardTimeout`, which is what the fabric supervisor turns into
+a restart.
 """
 
 from __future__ import annotations
@@ -71,9 +80,11 @@ import select
 import signal
 import socket
 import struct
+import threading
 import time
 from collections import deque
-from typing import Deque, Optional, Sequence
+from contextlib import contextmanager
+from typing import Callable, Deque, Iterator, Optional, Sequence
 
 from ..core.monitor import Monitor
 from ..netsim.serialize import decode_frames, encode_frames
@@ -101,8 +112,38 @@ def fork_available() -> bool:
     )
 
 
+@contextmanager
+def _keepalive(reply: Callable[[bytes], None],
+               period: float) -> Iterator[None]:
+    """Send ``b"K"`` every ``period`` seconds (never, at 0) while the
+    body runs.
+
+    Only around work that writes nothing (restore, export): the beat
+    has stopped before anything else is written.
+    """
+    if period <= 0:
+        yield
+        return
+    done = threading.Event()
+
+    def beat() -> None:
+        try:
+            while not done.wait(period):
+                reply(b"K")
+        except OSError:
+            pass  # the parent is gone; the command loop finds out next
+
+    thread = threading.Thread(target=beat, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join()
+
+
 def _worker_main(sock: socket.socket, monitor: Monitor,
-                 shard_idx: int) -> None:
+                 shard_idx: int, keepalive: float) -> None:
     commands = sock.makefile("rb")
 
     def reply(body: bytes) -> None:
@@ -136,10 +177,12 @@ def _worker_main(sock: socket.socket, monitor: Monitor,
         elif tag == b"H":
             reply(b"A" + payload)
         elif tag == b"R":
-            monitor.restore_state(pickle.loads(payload))
+            with _keepalive(reply, keepalive):
+                monitor.restore_state(pickle.loads(payload))
         elif tag in (b"S", b"C", b"Q"):
-            snapshot = take_snapshot(
-                monitor, shard_idx, with_state=(tag == b"C"))
+            with _keepalive(reply, keepalive if tag == b"C" else 0.0):
+                snapshot = take_snapshot(
+                    monitor, shard_idx, with_state=(tag == b"C"))
             reply(b"S" + pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL))
             if tag == b"Q":
                 break
@@ -154,7 +197,7 @@ class MpShard:
         self,
         monitor: Monitor,
         shard_idx: int,
-        send_timeout: float,
+        heartbeat_timeout: float,
     ) -> None:
         if not fork_available():
             raise RuntimeError(
@@ -164,7 +207,8 @@ class MpShard:
         self._sock, child_sock = socket.socketpair()
         self._sock.setblocking(False)
         self.shard_idx = shard_idx
-        self.send_timeout = send_timeout
+        #: seconds of silence that end a send (the receives take theirs)
+        self.heartbeat_timeout = heartbeat_timeout
         self._closed = False
         self._eof = False
         #: bytes read off the socket that do not yet make a whole reply
@@ -175,7 +219,7 @@ class MpShard:
         self._inbox: Deque[bytes] = deque()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_sock, monitor, shard_idx),
+            args=(child_sock, monitor, shard_idx, heartbeat_timeout / 4),
             name=f"repro-fabric-shard-{shard_idx}",
             daemon=True,
         )
@@ -194,8 +238,9 @@ class MpShard:
     def _died(self, why: object) -> ShardDied:
         return ShardDied(f"shard {self.shard_idx}: {why}")
 
-    def _pump(self) -> None:
-        """Read what the socket holds now; park every whole reply."""
+    def _pump(self) -> bool:
+        """Read what the socket holds now; park every whole reply and
+        drop every keepalive.  True when any whole frame came in."""
         partial = self._partial
         while not self._eof:
             try:
@@ -212,10 +257,13 @@ class MpShard:
             end = start + _U32.size + _U32.unpack_from(partial, start)[0]
             if end > len(partial):
                 break
-            self._inbox.append(bytes(partial[start + _U32.size:end]))
+            body = bytes(partial[start + _U32.size:end])
+            if body != b"K":
+                self._inbox.append(body)
             start = end
         if start:
             del partial[:start]
+        return start > 0
 
     def _wait(self, deadline: float, writing: bool) -> bool:
         """Sleep until the socket is readable (or, for a sender, has
@@ -233,8 +281,9 @@ class MpShard:
     def _send(self, message: bytes) -> None:
         """Send one command; raise instead of blocking or EPIPE-ing.
 
-        One non-blocking write loop bounded by ``send_timeout`` for the
-        whole message, however much of it fits the socket at once.  A
+        One non-blocking write loop that ends after
+        ``heartbeat_timeout`` of silence: the worker taking bytes off the
+        message, or a whole frame from it, starts the count again.  A
         dead worker raises :class:`ShardDied` (its end is closed).  A
         worker that has stopped reading raises :class:`ShardTimeout`,
         and the handle closes: a message cut short leaves the stream
@@ -245,21 +294,24 @@ class MpShard:
         if self._closed:
             raise self._died("handle closed")
         data = memoryview(_U32.pack(len(message)) + message)
-        deadline = time.monotonic() + self.send_timeout
+        timeout = self.heartbeat_timeout
+        deadline = time.monotonic() + timeout
         while data:
             try:
                 data = data[self._sock.send(data):]
+                deadline = time.monotonic() + timeout
                 continue
             except BlockingIOError:
                 pass
             except OSError as exc:
                 raise self._died(exc) from exc
-            self._pump()
+            if self._pump():
+                deadline = time.monotonic() + timeout
             if not self._wait(deadline, writing=True):
                 self._close_channel()
                 raise ShardTimeout(
-                    f"shard {self.shard_idx}: command channel full for "
-                    f"{self.send_timeout}s (worker wedged?)")
+                    f"shard {self.shard_idx}: command channel full and "
+                    f"the worker silent for {timeout}s (wedged?)")
 
     def send_batch(self, events: Sequence[DataplaneEvent]) -> None:
         self._send(b"B" + encode_frames(events))
@@ -282,8 +334,8 @@ class MpShard:
 
     # -- receives (bounded) ------------------------------------------------
     def recv_reply(self, timeout: float) -> Optional[bytes]:
-        """One tagged reply, or None if none is whole within ``timeout``
-        seconds (0 looks without waiting).
+        """One tagged reply, or None once ``timeout`` seconds pass with
+        no whole frame from the worker (0 looks without waiting).
 
         Replies already parked are handed out even once the handle is
         closed (a send that timed out closes it): only an empty inbox
@@ -291,8 +343,8 @@ class MpShard:
         """
         deadline = time.monotonic() + timeout
         while True:
-            if not self._inbox and not self._closed:
-                self._pump()
+            if not self._inbox and not self._closed and self._pump():
+                deadline = time.monotonic() + timeout
             if self._inbox:
                 return self._inbox.popleft()
             if self._closed:
@@ -304,7 +356,7 @@ class MpShard:
 
     def recv_snapshot(self, timeout: float) -> Optional[ShardSnapshot]:
         """The next snapshot or checkpoint reply (a checkpoint has
-        ``state`` set), or None if none arrived within ``timeout``.
+        ``state`` set), or None after ``timeout`` of silence.
 
         Replies come in command order, so the caller knows which of the
         two is due.  A stale heartbeat ack ahead of it is dropped — a
@@ -323,7 +375,8 @@ class MpShard:
                     "snapshot")
 
     def recv_ack(self, timeout: float) -> Optional[int]:
-        """The next heartbeat ack's sequence number, or None on timeout.
+        """The next heartbeat ack's sequence number, or None after
+        ``timeout`` of silence.
 
         Snapshot replies must not arrive here — the supervisor takes in
         every snapshot it requested before it waits for an ack.

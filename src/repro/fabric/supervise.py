@@ -4,30 +4,37 @@ PR 8's fabric assumed immortal workers: a crashed shard silently stopped
 monitoring its key slice forever.  The :class:`Supervisor` makes worker
 death a *ledgered, recoverable* event instead:
 
-* **Detection** — every parent-side pipe interaction is bounded by the
-  one ``heartbeat_timeout`` (``ShardDied`` on a closed pipe,
-  ``ShardTimeout`` on a wedged one), and a periodic heartbeat (``b"H"``
-  ping / ``b"A"`` ack) catches workers that hang between data-path
-  calls.
+* **Detection** — every parent-side wait on a worker (a send, a reply,
+  an ack) ends only after the one ``heartbeat_timeout`` of *silence*
+  (``ShardDied`` on a closed pipe, ``ShardTimeout`` on a wedged one):
+  a worker restoring or exporting a large state says so with keepalive
+  frames, so the deadline counts silence, not size.  A periodic
+  heartbeat (``b"H"`` ping / ``b"A"`` ack) catches workers that hang
+  between data-path calls.
 * **Recovery** — dead workers restart with exponential backoff under a
   per-shard restart budget.  The replacement is rehydrated from the
   last checkpoint that landed (the worker's pickled
   :class:`~repro.core.monitor.MonitorState` — instances, timers and
   counters — carried on a ``ShardSnapshot`` as bytes this process never
-  opens) plus a per-shard journal of every batch delivered since that
-  checkpoint, replayed in order — every batch followed by a ping, the
-  acks read after the last one — then advanced to the fabric's present;
-  the replacement then reports what the dead worker would have.
+  opens), acknowledged on its own before any replay, plus a per-shard
+  journal of every batch delivered since that checkpoint, replayed in
+  order — every batch followed by a ping, the acks read after the last
+  one — then advanced to the fabric's present; the replacement then
+  reports what the dead worker would have.
 * **One rule** — while a worker lives, its journal is exactly the
   batches it has seen since its last landed checkpoint.  The journal is
-  bounded in *events*, like the checkpoint interval it is a multiple of
-  (``JOURNAL_INTERVALS``).  A live worker past the bound must land a cut
-  within ``heartbeat_timeout`` (back-pressure on the sender) or it is
-  dead; only a down shard ages batches out, and each is ledgered as a
-  gap as it goes.
-* **Checkpoints off the data path** — once the journal holds
-  ``checkpoint_interval`` events and no cut is out, the supervisor
-  *requests* a checkpoint and keeps routing.  The channel is FIFO in
+  bounded in *events*: ``JOURNAL_INTERVALS`` times the size at which a
+  cut falls due.  A live worker past the bound must land a cut before
+  ``heartbeat_timeout`` of silence (back-pressure on the sender) or it
+  is dead; only a down shard ages batches out, and each is ledgered as
+  a gap as it goes.
+* **Checkpoints off the data path** — a cut falls due once the journal
+  holds ``max(live, CHECKPOINT_FLOOR)`` events, ``live`` being the live
+  instances the shard's last snapshot reported; once one is due and
+  none is out, the supervisor *requests* a checkpoint and keeps
+  routing.  A cut then exports at most about as many instances as
+  events arrived since the one before, so the export costs O(1) per
+  event however large the state grows.  The channel is FIFO in
   both directions, so the request is a consistent cut (:class:`_Cut`):
   the state the worker exports reflects exactly the batches sent before
   the request, whatever is sent while the reply is outstanding comes
@@ -83,13 +90,19 @@ KIND_QUARANTINE = "quarantined-batch"
 KIND_SHARD_LOST = "shard-lost"      # restart budget exhausted
 KIND_QUIT_TIMEOUT = "shard-quit-timeout"
 
-#: A shard's journal holds at most this many checkpoint intervals of
-#: events (and always its newest batch).  Counted in events, the unit of
-#: ``checkpoint_interval``, so the journal reaches back to the last
-#: landed checkpoint whatever size the batches are.  A live worker past
-#: the bound lands a cut within ``heartbeat_timeout`` — which trims the
-#: journal — or is taken for dead; only while a shard is down do its
-#: oldest batches age out, into the ledger as an unrecoverable gap.
+#: The fewest journal events at which a cut falls due.  A shard's cut
+#: falls due at ``max(live, CHECKPOINT_FLOOR)`` events, ``live`` being
+#: the live instances its last snapshot reported: the cadence follows
+#: the state, so a cut's export is paid for by as many events.
+CHECKPOINT_FLOOR = 2048
+
+#: A shard's journal holds at most this many due sizes of events (and
+#: always its newest batch).  Counted in events, the unit of the due
+#: size, so the journal reaches back to the last landed checkpoint
+#: whatever size the batches are.  A live worker past the bound lands a
+#: cut before ``heartbeat_timeout`` of silence — which trims the journal
+#: — or is taken for dead; only while a shard is down do its oldest
+#: batches age out, into the ledger as an unrecoverable gap.
 JOURNAL_INTERVALS = 8
 
 #: replay deaths charged to one journal batch before it is quarantined
@@ -98,30 +111,24 @@ POISON_THRESHOLD = 2
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """Knobs for crash detection, restart pacing, and recovery cost."""
+    """Knobs for crash detection and restart pacing."""
 
     #: wall seconds between heartbeat rounds (``tick()`` rate-limits)
     heartbeat_interval: float = 1.0
-    #: wall seconds any wait on a worker may take: an ack, a snapshot, a
-    #: checkpoint due at the journal bound, a final snapshot, a send
+    #: wall seconds of silence that end any wait on a worker: an ack, a
+    #: snapshot, a checkpoint due at the journal bound, a final
+    #: snapshot, a send (a restoring or exporting worker keeps talking)
     heartbeat_timeout: float = 5.0
     #: restarts allowed per shard before it is declared failed
     restart_budget: int = 5
     #: backoff before restart attempt k is ``base * 2**k`` (capped)
     backoff_base: float = 0.05
     backoff_max: float = 2.0
-    #: events per shard between checkpoints (``--checkpoint-interval``);
-    #: the journal bound is ``JOURNAL_INTERVALS`` times this
-    checkpoint_interval: int = 2048
 
     def __post_init__(self) -> None:
         if self.restart_budget < 0:
             raise ValueError(
                 f"restart_budget must be >= 0, got {self.restart_budget}")
-        if self.checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1, "
-                f"got {self.checkpoint_interval}")
         for name in ("heartbeat_interval", "heartbeat_timeout",
                      "backoff_base", "backoff_max"):
             if getattr(self, name) < 0:
@@ -152,6 +159,8 @@ class _ShardState:
     #: journal's old end); a batch's own number is this plus its index
     journal_head: int = 0
     journal_events: int = 0
+    #: live instances the shard's last snapshot reported
+    live_instances: int = 0
     #: the last checkpoint that landed: the worker's pickled state,
     #: never opened here, and the deferred ops it could not carry
     checkpoint: Optional[bytes] = None
@@ -177,6 +186,16 @@ class _ShardState:
     quarantined: int = 0
     #: shut down by ``quiesce``/``close``: gone for good, not rebuilding
     stopped: bool = False
+
+    @property
+    def checkpoint_due(self) -> int:
+        """Journal events at which a cut falls due."""
+        return max(self.live_instances, CHECKPOINT_FLOOR)
+
+    @property
+    def over_bound(self) -> bool:
+        return len(self.journal) > 1 and self.journal_events \
+            > JOURNAL_INTERVALS * self.checkpoint_due
 
     @property
     def recovering(self) -> bool:
@@ -309,37 +328,33 @@ class Supervisor:
             try:
                 self._land_cut(idx, 0.0)
                 st.worker.send_batch(events)
-                if st.cut is None and st.journal_events \
-                        >= self.policy.checkpoint_interval:
+                if st.cut is None \
+                        and st.journal_events >= st.checkpoint_due:
                     self._request_cut(idx)
                 self._hold_to_the_bound(idx)
             except (ShardDied, ShardTimeout) as exc:
                 self._on_death(idx, str(exc))
         self._publish(idx)
 
-    def _over_bound(self, st: _ShardState) -> bool:
-        return len(st.journal) > 1 and st.journal_events \
-            > JOURNAL_INTERVALS * self.policy.checkpoint_interval
-
     def _hold_to_the_bound(self, idx: int) -> None:
-        """A live worker past the journal bound lands a cut within
-        ``heartbeat_timeout`` (requested now if none is out), which trims
-        the journal; one that does not is dead."""
+        """A live worker past the journal bound lands a cut before
+        ``heartbeat_timeout`` of silence (requested now if none is out),
+        which trims the journal; one that does not is dead."""
         st = self.states[idx]
         timeout = self.policy.heartbeat_timeout
-        while st.worker is not None and self._over_bound(st):
+        while st.worker is not None and st.over_bound:
             if st.cut is None:
                 self._request_cut(idx)
             if not self._land_cut(idx, timeout):
                 self._on_death(
-                    idx, f"shard {idx}: no checkpoint within {timeout}s "
-                         f"with its journal past the bound")
+                    idx, f"shard {idx}: no checkpoint and {timeout}s of "
+                         f"silence with its journal past the bound")
 
     def _age_out(self, idx: int) -> None:
         """A down shard's journal past the bound loses its oldest
         batches, each ledgered as a gap as it goes."""
         st = self.states[idx]
-        while self._over_bound(st):
+        while st.over_bound:
             aged = st.journal.popleft()
             st.journal_head += 1
             st.journal_events -= len(aged)
@@ -408,6 +423,7 @@ class Supervisor:
             snap.violations = snap.violations[dropped:]
             st.discard_violations -= dropped
         st.merged_violations += len(snap.violations)
+        st.live_instances = snap.live_instances
         st.since_snapshot_events = unconfirmed
         self._publish(idx)
         self._merge(snap)
@@ -525,6 +541,7 @@ class Supervisor:
                 "restarts": st.restarts,
                 "journal_batches": len(st.journal),
                 "journal_events": st.journal_events,
+                "checkpoint_due": st.checkpoint_due,
                 "checkpoint_pending": st.cut is not None,
                 "quarantined_batches": st.quarantined,
                 "down_reason": st.down_reason,
@@ -604,16 +621,21 @@ class Supervisor:
 
     def _rehydrate(self, idx: int) -> None:
         """Checkpoint restore + journal replay + advance, with poison
-        detection: each replayed batch is followed by a ping carrying its
-        index, and the acks are read after the last one.  The first batch
-        not acknowledged when the worker dies or times out is charged
-        with the kill; one charged ``POISON_THRESHOLD`` times is
-        quarantined."""
+        detection: the restore is acknowledged on its own, so a worker
+        lost to it charges no batch; then each replayed batch is followed
+        by a ping carrying its index, and the acks are read after the
+        last one.  The first batch not acknowledged when the worker dies
+        or times out is charged with the kill; one charged
+        ``POISON_THRESHOLD`` times is quarantined."""
         st = self.states[idx]
         worker = st.worker
         assert worker is not None
+        timeout = self.policy.heartbeat_timeout
         if st.checkpoint is not None:
             worker.restore(st.checkpoint)
+            worker.ping(0)
+            if worker.recv_ack(timeout) is None:
+                raise ShardTimeout(f"shard {idx}: restore unacknowledged")
             if st.checkpoint_lost_ops and not st.checkpoint_ops_ledgered:
                 st.checkpoint_ops_ledgered = True
                 self._ledger_events(KIND_LOST_OP, st.checkpoint_lost_ops)
@@ -628,8 +650,7 @@ class Supervisor:
                 # Acks that came back before a failed send stay readable;
                 # the handle raises once none is left.
                 while acked < len(batches):
-                    if worker.recv_ack(self.policy.heartbeat_timeout) \
-                            is None:
+                    if worker.recv_ack(timeout) is None:
                         raise ShardTimeout(
                             f"shard {idx}: replay batch {acked} "
                             f"unacknowledged")

@@ -119,8 +119,11 @@ class ServeConfig:
     #: 0 = one monitor; N > 0 = drain the queue into a ShardedMonitor
     #: fabric of N forked worker processes (``--shards``).
     shards: int = 0
-    #: how the fabric supervises its workers (``--restart-budget``,
-    #: ``--checkpoint-interval``); unused without ``shards``.
+    #: how the fabric supervises its workers (``--restart-budget``);
+    #: unused without ``shards``.  A shard's cut falls due at
+    #: ``max(live, CHECKPOINT_FLOOR)`` journal events, its journal is
+    #: bounded at ``JOURNAL_INTERVALS`` times that, and a wait on a
+    #: worker ends only after ``heartbeat_timeout`` of silence.
     supervision: SupervisorPolicy = field(default_factory=SupervisorPolicy)
 
     def __post_init__(self) -> None:
@@ -294,11 +297,17 @@ class ServeDaemon:
         return self._finalize()
 
     def request_stop(self) -> None:
-        """Begin graceful shutdown; safe to call from any thread."""
+        """Begin graceful shutdown; safe to call from any thread, and a
+        no-op before ``run()`` starts or once its loop has closed."""
         loop = self._loop
         if loop is None or self._stopping is None:
             return
-        loop.call_soon_threadsafe(self._stopping.set)
+        try:
+            loop.call_soon_threadsafe(self._stopping.set)
+        except RuntimeError:
+            if not loop.is_closed():
+                raise
+            # run() has returned: there is nothing left to stop
 
     def _finalize(self) -> ServeDegradationReport:
         self._observe_queued()  # what came after the dispatcher's last look

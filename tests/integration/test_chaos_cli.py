@@ -90,10 +90,10 @@ class TestChaosCommand:
 
 
 class TestWorkerCrashSupervision:
-    def test_cli_hands_over_the_soak_policy_with_its_two_flags(
+    def test_cli_hands_over_the_soak_policy_with_its_one_flag(
             self, monkeypatch):
-        """``--restart-budget`` and ``--checkpoint-interval`` are the only
-        differences from the policy ``run_chaos`` defaults to."""
+        """``--restart-budget`` is the only difference from the policy
+        ``run_chaos`` defaults to: the checkpoint cadence is no flag."""
         handed = []
 
         class Stop(Exception):
@@ -107,8 +107,7 @@ class TestWorkerCrashSupervision:
         monkeypatch.setattr(rounds, "run_chaos", fake_run)
         with pytest.raises(Stop):
             main(["chaos", "--profile", "worker-crash",
-                  "--restart-budget", "9", "--checkpoint-interval", "77"])
+                  "--restart-budget", "9"])
         assert handed == [dataclasses.replace(
-            rounds.SOAK_SUPERVISION, restart_budget=9,
-            checkpoint_interval=77)]
+            rounds.SOAK_SUPERVISION, restart_budget=9)]
         assert handed[0] != rounds.SOAK_SUPERVISION

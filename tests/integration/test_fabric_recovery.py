@@ -7,10 +7,12 @@ journal rule — a live worker's journal is exactly what it has seen since
 its last landed checkpoint, so a worker past the journal bound is waited
 for while it lags and restarted whole once it stops answering, never
 aged out (an age-out only widens the interval, which the machine
-allows); a SIGSTOPped worker at quiesce and against a send larger than
-the socket buffer; a stopped fabric staying stopped; a failed shard's
-queue depth; poison-batch quarantine; and checkpoint replies several
-times the socket buffer.  No worker a test forks may outlive it.
+allows); a replacement whose restore outlasts the timeout, waited for
+because it keeps talking; a SIGSTOPped worker at quiesce and against a
+send larger than the socket buffer; a stopped fabric staying stopped; a
+failed shard's queue depth; poison-batch quarantine; and checkpoint
+replies several times the socket buffer.  No worker a test forks may
+outlive it.
 """
 
 import os
@@ -41,6 +43,7 @@ from repro.fabric import (
     build_routes,
     build_shard_monitor,
     fork_available,
+    supervise,
 )
 from repro.fabric.supervise import KIND_QUARANTINE, KIND_QUIT_TIMEOUT
 from repro.faults.profiles import PROFILES
@@ -107,18 +110,18 @@ class TestJournalWaitsForTheCut:
     """While a worker lives, its journal is exactly the batches it has
     seen since its last landed checkpoint.  A healthy worker lags by a
     socket buffer, more than the journal bound at a small checkpoint
-    interval: the supervisor waits for its cut.  A worker that stops
+    floor: the supervisor waits for its cut.  A worker that stops
     answering is taken for dead instead, and restarted from its last
     checkpoint and the whole journal.  Neither costs a ledgered gap."""
 
-    def test_healthy_shards_drop_nothing_and_a_crash_is_exact(self):
+    def test_healthy_shards_drop_nothing_and_a_crash_is_exact(
+            self, monkeypatch):
+        monkeypatch.setattr(supervise, "CHECKPOINT_FLOOR", 256)
         events = catalog_trace(seed=7, num_events=3000)
         # The workers fork with no generated code cached, so they start
         # behind, as a fresh daemon's do, whatever ran before this test.
         codegen._compile_function.cache_clear()
-        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
-                                supervision=SupervisorPolicy(
-                                    checkpoint_interval=256))
+        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp")
         sup = fabric.supervisor
         try:
             for i in range(0, len(events), 128):
@@ -142,11 +145,12 @@ class TestJournalWaitsForTheCut:
         finally:
             fabric.close()
 
-    def test_a_stopped_worker_past_the_bound_is_restarted_whole(self):
+    def test_a_stopped_worker_past_the_bound_is_restarted_whole(
+            self, monkeypatch):
+        monkeypatch.setattr(supervise, "CHECKPOINT_FLOOR", 16)
         events = catalog_trace(seed=7, num_events=1500)
         fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
                                 supervision=SupervisorPolicy(
-                                    checkpoint_interval=16,
                                     heartbeat_interval=1e9,
                                     heartbeat_timeout=0.5,
                                     backoff_base=0.0, backoff_max=0.0))
@@ -158,7 +162,8 @@ class TestJournalWaitsForTheCut:
             os.kill(pid, signal.SIGSTOP)
             try:
                 # ~100 kB to the stopped worker: well inside its socket
-                # buffer, and far past a 128-event journal bound
+                # buffer, and past its journal bound of 8 x the 80 live
+                # instances it reported at the sync (640 events)
                 for i in range(500, len(events), 32):
                     fabric.observe_batch(events[i:i + 32])
                 fabric.advance_to(events[-1].time + SETTLE)
@@ -171,6 +176,59 @@ class TestJournalWaitsForTheCut:
             fabric.stop()
             assert sup.total_restarts() == 1 and not sup.failed()
             assert len(fabric.ledger) == 0
+            plain = run_plain(catalog_props(), events)
+            plain.advance_to(events[-1].time + SETTLE)
+            assert sorted(fingerprint(fabric.violations)) \
+                == sorted(fingerprint(plain.violations))
+        finally:
+            fabric.close()
+
+
+class TestSlowRestore:
+    """A restore is timed by silence, not by size: a replacement that
+    takes several heartbeat timeouts to restore its checkpoint keeps
+    saying so, and is waited for."""
+
+    TIMEOUT = 0.5
+
+    def test_a_restore_longer_than_the_timeout_is_no_death(
+            self, monkeypatch):
+        def slow_shard_monitor(*args):
+            monitor = build_shard_monitor(*args)
+            restore = monitor.restore_state
+
+            def slow_restore(state):
+                time.sleep(3 * self.TIMEOUT)
+                restore(state)
+
+            monitor.restore_state = slow_restore
+            return monitor
+
+        monkeypatch.setattr("repro.fabric.fabric.build_shard_monitor",
+                            slow_shard_monitor)
+        monkeypatch.setattr(supervise, "CHECKPOINT_FLOOR", 64)
+        events = catalog_trace(seed=7, num_events=1500)
+        registry = MetricsRegistry()
+        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
+                                registry=registry,
+                                supervision=SupervisorPolicy(
+                                    heartbeat_interval=1e9,
+                                    heartbeat_timeout=self.TIMEOUT,
+                                    backoff_base=0.0, backoff_max=0.0))
+        sup = fabric.supervisor
+        try:
+            fabric.observe_batch(events[:1000])
+            fabric.sync()                     # shard 0's cut has landed
+            assert registry.gauge("repro_fabric_checkpoint_bytes",
+                                  labels={"shard": "0"}).value > 0
+            os.kill(sup.worker_pids()[0], signal.SIGKILL)
+            for i in range(1000, len(events), 100):
+                fabric.observe_batch(events[i:i + 100])
+            fabric.advance_to(events[-1].time + SETTLE)
+            fabric.sync()
+            fabric.stop()
+            assert sup.total_restarts() == 1 and not sup.failed()
+            assert len(fabric.ledger) == 0   # no quarantined batch
             plain = run_plain(catalog_props(), events)
             plain.advance_to(events[-1].time + SETTLE)
             assert sorted(fingerprint(fabric.violations)) \
@@ -314,9 +372,10 @@ def arrival(n, t, dst_port=99):
 
 
 class TestPoisonQuarantine:
-    def test_poison_batch_is_quarantined_not_retried_forever(self):
+    def test_poison_batch_is_quarantined_not_retried_forever(
+            self, monkeypatch):
+        monkeypatch.setattr(supervise, "CHECKPOINT_FLOOR", 10_000)
         policy = SupervisorPolicy(restart_budget=10,
-                                  checkpoint_interval=10_000,
                                   heartbeat_interval=1e9,
                                   heartbeat_timeout=10.0,
                                   backoff_base=0.0, backoff_max=0.0)
@@ -427,8 +486,11 @@ class TestAsyncCheckpoints:
     def test_replies_larger_than_the_socket_never_stall_the_run(self):
         """The run a request-then-blocking-send variant hangs on: each
         checkpoint reply is several socket buffers long, so the worker
-        blocks writing it while the parent is writing the next batch."""
-        events = flow_trace(20_000, flows=6000)
+        blocks writing it while the parent is writing the next batch.
+        A cut falls due at the live state, so the last one lands some
+        thousand events before the end: 24 000 events keep both shards'
+        last replies over three socket buffers."""
+        events = flow_trace(24_000, flows=6000)
         plain = run_plain(flow_props(), events)
         assert plain.violations, "workload produced no violations — vacuous"
         registry = MetricsRegistry()
@@ -455,8 +517,11 @@ class TestAsyncCheckpoints:
             costs = samples["repro_fabric_checkpoint_export_seconds"]
             assert len(costs) == 2 and min(costs) > 0.0, costs
             for row in fabric.shard_liveness():
-                # cuts landed and truncated while the run was going
-                assert row["journal_events"] < 2 * 2048 + 1024, row
+                # cuts landed and truncated while the run was going: one
+                # due size outstanding, one being counted, one batch
+                assert row["checkpoint_due"] > 2048, row
+                assert row["journal_events"] \
+                    < 2 * row["checkpoint_due"] + 1024, row
             fabric.stop()
         finally:
             fabric.close()
@@ -466,7 +531,7 @@ class TestAsyncCheckpoints:
         big = flow_trace(6000, flows=100)     # ~0.4 MB encoded: > SO_SNDBUF
         shard = MpShard(build_shard_monitor(props, 0, 1,
                                             build_routes(props, 1)),
-                        0, send_timeout=0.5)
+                        0, heartbeat_timeout=0.5)
         pid = shard.pid
         os.kill(pid, signal.SIGSTOP)
         try:

@@ -701,6 +701,18 @@ class TestGracefulShutdown:
             report = daemon.report
             assert (report.events_ingested, report.events_observed) == (6, 6)
 
+    def test_stop_after_the_daemon_stopped_itself_returns_the_report(self):
+        """A stop requested inside the loop ends the daemon; a later
+        ``handle.stop()`` finds the loop closed and hands back the report
+        instead of raising."""
+        daemon = ServeDaemon(ServeConfig(port=0, ingest=("tcp:0",)))
+        daemon.on_started = ServeDaemon.request_stop
+        handle = serve_in_thread(daemon)
+        handle.thread.join(30)
+        assert not handle.thread.is_alive() and not handle.error
+        assert handle.stop() is daemon.report
+        daemon.request_stop()
+
     def test_stop_drains_queue_before_reporting(self, trace_path):
         # Slow the dispatcher down so a backlog exists at stop time.
         daemon, handle = boot(batch_max=1)

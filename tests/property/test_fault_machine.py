@@ -78,11 +78,14 @@ NEVER = {supervise.KIND_QUIT_TIMEOUT, supervise.KIND_QUARANTINE,
          supervise.KIND_SHARD_LOST}
 #: kill rules per example (the teardown may SIGKILL once more)
 KILLS = 2
+#: the supervisor's checkpoint floor, put back after every example that
+#: draws its own
+FLOOR = supervise.CHECKPOINT_FLOOR
 
 seeds = st.integers(min_value=0, max_value=2 ** 16)
 shards = st.integers(min_value=0, max_value=1)
 counts = st.integers(min_value=1, max_value=25)
-#: a batch that can outgrow a 16-event interval's journal after a kill
+#: a batch that can outgrow the journal of a 16-event floor after a kill
 bursts = counts | st.integers(min_value=26, max_value=300)
 chunks = st.sampled_from([1, 7, 64, 150])
 
@@ -160,10 +163,10 @@ class FaultMachine(RuleBasedStateMachine):
             self.monitor = catalog_monitor(**self.kwargs)
             return
         self.kill_at_stop = kill_at_stop
+        supervise.CHECKPOINT_FLOOR = interval
         self.monitor = build_monitor(
             profile, num_shards=2, supervision=SupervisorPolicy(
-                backoff_base=0.0, backoff_max=0.0, restart_budget=64,
-                checkpoint_interval=interval))
+                backoff_base=0.0, backoff_max=0.0, restart_budget=64))
         self.pids = track(self.monitor)
         if control.is_null:
             self.twin = Partitioned(
@@ -310,6 +313,7 @@ class FaultMachine(RuleBasedStateMachine):
             self.monitor.stop()
             self._check()
         finally:
+            supervise.CHECKPOINT_FLOOR = FLOOR
             self.monitor.close()
             assert_reaped(self.pids)
 

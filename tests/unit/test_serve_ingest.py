@@ -365,18 +365,15 @@ class TestServeConfigBounds:
     @pytest.mark.parametrize("argv, status", [
         ("serve --max-queue 0", 2),
         ("serve --restart-budget 7", 2),
-        ("serve --checkpoint-interval 100", 2),
         ("serve --chaos-profile lossy", 2),
         ("serve --chaos-profile adversarial", 2),
         ("serve --chaos-profile worker-crash --shards 2", 2),
         ("send {trace} --repeat 0", 2),
         ("send {trace} --rate -5", 2),
         ("stats {trace} {prop} --poll-interval -1", 2),
-        ("chaos --profile worker-crash --checkpoint-interval 0", 2),
         ("chaos --profile worker-crash --shards 0", 2),
         ("chaos --profile lossy --shards 5", 2),
         ("chaos --profile clean --restart-budget 7", 2),
-        ("chaos --checkpoint-interval 100", 2),
         ("record {out} --hosts 0", 2),
         ("replay {not_json} {prop}", 1),
         ("replay {trace} {no_lex}", 1),
@@ -413,6 +410,19 @@ class TestServeConfigBounds:
                 if line.startswith("error:")] == [err.strip()]
         if "{missing}" in argv:
             assert files["missing"] in err and "connection" not in err
+
+
+    @pytest.mark.parametrize("argv", [
+        "serve --shards 2 --checkpoint-interval 100",
+        "chaos --profile worker-crash --checkpoint-interval 100",
+    ], ids=["serve", "chaos"])
+    def test_no_checkpoint_interval_flag(self, argv, capsys):
+        # the cadence follows each shard's live state; nothing sets it
+        with pytest.raises(SystemExit) as exited:
+            main(argv.split())
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --checkpoint-interval" \
+            in capsys.readouterr().err
 
 
 class TestServeReport:

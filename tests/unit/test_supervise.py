@@ -22,7 +22,7 @@ from repro.core.monitor import Monitor
 from repro.core.degradation import OverflowLedger
 from repro.core.refs import Bind, EventKind, EventPattern, FieldEq, Var
 from repro.core.spec import Absent, Observe, PropertySpec
-from repro.fabric import Supervisor, SupervisorPolicy
+from repro.fabric import Supervisor, SupervisorPolicy, supervise
 from repro.fabric.mp import ShardDied
 from repro.fabric.shard import ShardSnapshot, take_snapshot
 from repro.fabric.supervise import (
@@ -78,6 +78,10 @@ class FakeWorker:
         self.die_on = die_on
         #: True kills this worker when it is asked for its final snapshot
         self.die_at_quit = False
+        #: True kills this worker right after it takes a restore in
+        self.die_at_restore = False
+        #: live instances every snapshot reports
+        self.live = 0
 
     def _check(self):
         if not self.alive:
@@ -110,7 +114,7 @@ class FakeWorker:
     def _snapshot(self, checkpoint=False):
         violations, self.fresh_violations = self.fresh_violations, []
         return ShardSnapshot(
-            shard=self.idx, now=0.0, live_instances=0, pending_ops=0,
+            shard=self.idx, now=0.0, live_instances=self.live, pending_ops=0,
             counters={}, violations=violations,
             state=b"state-%d" % len(self.requests) if checkpoint else None,
             export_seconds=0.125 if checkpoint else 0.0)
@@ -134,6 +138,8 @@ class FakeWorker:
     def restore(self, state):
         self._check()
         self.restored = state
+        if self.die_at_restore:
+            self.alive = False
 
     def request_snapshot(self, checkpoint=False):
         self._check()
@@ -199,7 +205,6 @@ class TestPolicyValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("restart_budget", -1),
-        ("checkpoint_interval", 0),
         ("heartbeat_interval", -0.1),
         ("heartbeat_timeout", -1.0),
         ("backoff_base", -0.5),
@@ -211,20 +216,32 @@ class TestPolicyValidation:
 
 # -- journal ----------------------------------------------------------------
 
+@pytest.fixture
+def floor(monkeypatch):
+    """Sets the supervisor's checkpoint floor for one test."""
+    return lambda events: monkeypatch.setattr(
+        supervise, "CHECKPOINT_FLOOR", events)
+
+
 class TestJournal:
-    """The journal is bounded in events: ``JOURNAL_INTERVALS`` checkpoint
-    intervals.  At ``checkpoint_interval=1`` that is ``BOUND`` events.
+    """The journal is bounded in events: ``JOURNAL_INTERVALS`` due sizes.
+    With the floor at 1 and no live state that is ``BOUND`` events.
     Only a down shard's journal ages out (a live worker's is held to the
     bound by its cuts: ``TestAsyncCheckpoint``)."""
 
     BOUND = JOURNAL_INTERVALS
     HALF = JOURNAL_INTERVALS // 2
 
+    @pytest.fixture(autouse=True)
+    def _floor(self, floor):
+        floor(1)
+        self.floor = floor
+
     def _down(self):
         """A supervisor whose worker is found dead at the first send and
         not restarted before the clock passes 1 s."""
         sup, ledger, spawned, clock = make_supervisor(SupervisorPolicy(
-            checkpoint_interval=1, backoff_base=1.0, backoff_max=1.0))
+            backoff_base=1.0, backoff_max=1.0))
         spawned[0].alive = False
         return sup, ledger, spawned, clock
 
@@ -283,11 +300,12 @@ class TestJournal:
 
     def test_batch_size_does_not_move_the_bound(self):
         # the same events as 1-event and as 4-event batches reach back
-        # the same distance: one knob, one unit
+        # the same distance: one due size, one unit
+        self.floor(4)
         reach = []
         for size in (1, 4):
             sup, ledger, spawned, clock = make_supervisor(SupervisorPolicy(
-                checkpoint_interval=4, backoff_base=1.0, backoff_max=1.0))
+                backoff_base=1.0, backoff_max=1.0))
             spawned[0].alive = False
             for n in range(0, 64, size):
                 sup.send_batch(0, run_of(float(n), size))
@@ -416,6 +434,42 @@ class TestQuarantine:
         assert times(spawned[-1].received) == [[1.0], [2.0], [4.0], [5.0]]
         assert spawned[-1].requests == ["H"] * 4
 
+    def test_a_replacement_lost_to_its_restore_charges_no_batch(self):
+        """The restore is acknowledged before any batch is replayed, so
+        replacements that die taking the checkpoint in charge the journal
+        nothing: two such deaths quarantine no batch, and the third
+        replacement replays the whole journal."""
+        policy = SupervisorPolicy(backoff_base=1.0, backoff_max=1.0,
+                                  restart_budget=10, heartbeat_interval=1e9)
+        sup, ledger, spawned, clock = make_supervisor(policy)
+        st = sup.states[0]
+        st.checkpoint = b"opaque"
+        for t in (1.0, 2.0):
+            sup.send_batch(0, batch(t))
+        spawn = sup._spawn
+
+        def lost_to_restore(idx):
+            worker = spawn(idx)
+            worker.die_at_restore = len(spawned) <= 1 + POISON_THRESHOLD
+            return worker
+
+        sup._spawn = lost_to_restore
+        spawned[0].alive = False
+        sup.heartbeat()
+        for attempt in range(POISON_THRESHOLD):
+            clock.t = st.next_restart_at
+            sup.tick()
+            assert spawned[-1].restored == b"opaque"
+            assert not spawned[-1].alive and spawned[-1].received == []
+        assert st.quarantined == 0 and st.kills == {}
+        assert len(ledger) == 0
+        clock.t = st.next_restart_at
+        sup.tick()
+        assert st.worker is spawned[-1] and len(spawned) == 4
+        assert times(spawned[-1].received) == [[1.0], [2.0]]
+        assert spawned[-1].requests == ["H"] * 3
+        assert len(ledger) == 0
+
 
 # -- duplicate suppression --------------------------------------------------
 
@@ -450,9 +504,14 @@ class TestAsyncCheckpoint:
     """A checkpoint is requested, then taken in whenever its reply is
     there; the journal is cut back only then, and only up to the cut."""
 
-    #: 2-event batches against a 4-event interval: every second batch
-    #: is due a checkpoint request
-    POLICY = dict(checkpoint_interval=4, backoff_base=0.0, backoff_max=0.0)
+    #: 2-event batches against a 4-event floor (and no live state):
+    #: every second batch is due a checkpoint request
+    POLICY = dict(backoff_base=0.0, backoff_max=0.0)
+
+    @pytest.fixture(autouse=True)
+    def _floor(self, floor):
+        floor(4)
+        self.floor = floor
 
     def _supervisor(self, **policy):
         merged = []
@@ -567,7 +626,8 @@ class TestAsyncCheckpoint:
 
     def test_cut_requested_once_the_journal_reaches_the_interval(self):
         """The cadence is the journal itself: a cut is asked for when
-        ``journal_events >= checkpoint_interval`` and none is out."""
+        ``journal_events >= max(live, CHECKPOINT_FLOOR)`` and none is
+        out."""
         sup, ledger, spawned, clock, merged = self._supervisor()
         worker = spawned[0]
         sup.send_batch(0, batch(1.0, 1.5))                 # 2 < 4
@@ -582,14 +642,30 @@ class TestAsyncCheckpoint:
         sup.send_batch(0, batch(4.0, 4.5))                 # 4 >= 4
         assert worker.requests == ["C", "C"]
 
+    def test_the_cut_falls_due_at_the_live_state(self):
+        """A shard that last reported 40 live instances is due its next
+        cut at 40 journal events, not at the floor of 4."""
+        sup, ledger, spawned, clock, merged = self._supervisor()
+        worker, st = spawned[0], sup.states[0]
+        worker.live = 40
+        sup.sync_snapshots()
+        assert st.checkpoint_due == 40
+        for t in range(19):                                # 38 < 40
+            sup.send_batch(0, batch(t, t + 0.5))
+        assert worker.requests == ["S"]
+        sup.send_batch(0, batch(19.0, 19.5))               # 40 >= 40
+        assert worker.requests == ["S", "C"]
+        assert st.journal_events == 40
+
     def _past_the_bound(self, slow):
         """b1 (cut #1, landed) | b2 (cut #2 requested, reply held) | b3 ..
         b6, two events each, through a journal of ``JOURNAL_INTERVALS``
-        events (``checkpoint_interval=1``): b6 takes the journal past
-        the bound while cut #2 is out."""
+        events (the floor at 1): b6 takes the journal past the bound
+        while cut #2 is out."""
         assert JOURNAL_INTERVALS == 8, "sized for an 8-event journal"
+        self.floor(1)
         sup, ledger, spawned, clock, merged = self._supervisor(
-            checkpoint_interval=1, heartbeat_timeout=0.5)
+            heartbeat_timeout=0.5)
         worker, st = spawned[0], sup.states[0]
         sup.send_batch(0, batch(1.0, 1.5))       # cut #1 requested
         worker.hold, worker.slow = True, slow
