@@ -90,6 +90,19 @@ class TraceFormatError(ValueError):
     """Raised on malformed trace lines."""
 
 
+_ACTION_BY_VALUE = {action.value: action for action in EgressAction}
+_OOB_BY_VALUE = {kind.value: kind for kind in OobKind}
+
+
+def _member(members: dict, value: object, what: str):
+    """The enum member whose value is ``value``: a dict probe, which
+    ``Enum(value)`` is not, and the same ``ValueError`` on a miss."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        raise TraceFormatError(f"{value!r} is not a valid {what}") from None
+
+
 #: Bumped whenever the event dict layout changes incompatibly.
 TRACE_SCHEMA_VERSION = 1
 
@@ -129,9 +142,9 @@ def _key_scalar_from_json(value: object) -> object:
         if tag == "mac":
             return MACAddress(payload)
         if tag == "egress-action":
-            return EgressAction(payload)
+            return _member(_ACTION_BY_VALUE, payload, "EgressAction")
         if tag == "oob-kind":
-            return OobKind(payload)
+            return _member(_OOB_BY_VALUE, payload, "OobKind")
         raise TraceFormatError(f"unknown key element tag {tag!r}")
     return value
 
@@ -171,7 +184,8 @@ def event_to_dict(event: DataplaneEvent) -> dict:
 
 
 def event_from_dict(data: dict) -> DataplaneEvent:
-    """Rebuild one event from its dict form."""
+    """Rebuild one event from its dict form, through the trusted
+    constructor :meth:`DataplaneEvent.decoded`."""
     try:
         kind = data["kind"]
         switch_id = data["switch"]
@@ -183,27 +197,27 @@ def event_from_dict(data: dict) -> DataplaneEvent:
         return wire_parse(bytes.fromhex(data["packet"]), uid=int(data["uid"]))
 
     if kind == "PacketArrival":
-        return PacketArrival(switch_id=switch_id, time=time, packet=packet(),
-                             in_port=int(data["in_port"]))
+        return PacketArrival.decoded(switch_id, time, packet=packet(),
+                                     in_port=int(data["in_port"]))
     if kind == "PacketEgress":
-        return PacketEgress(
-            switch_id=switch_id, time=time, packet=packet(),
-            in_port=int(data["in_port"]), out_port=int(data["out_port"]),
-            action=EgressAction(data["action"]))
+        return PacketEgress.decoded(
+            switch_id, time, packet=packet(), out_port=int(data["out_port"]),
+            in_port=int(data["in_port"]),
+            action=_member(_ACTION_BY_VALUE, data["action"], "EgressAction"))
     if kind == "PacketDrop":
-        return PacketDrop(switch_id=switch_id, time=time, packet=packet(),
-                          in_port=int(data["in_port"]),
-                          reason=data.get("reason", ""))
+        return PacketDrop.decoded(switch_id, time, packet=packet(),
+                                  in_port=int(data["in_port"]),
+                                  reason=data.get("reason", ""))
     if kind == "OutOfBandEvent":
-        return OutOfBandEvent(switch_id=switch_id, time=time,
-                              oob_kind=OobKind(data["oob_kind"]),
-                              port=data.get("port"))
+        return OutOfBandEvent.decoded(
+            switch_id, time,
+            oob_kind=_member(_OOB_BY_VALUE, data["oob_kind"], "OobKind"),
+            port=data.get("port"))
     if kind == "TimerFired":
-        return TimerFired(switch_id=switch_id, time=time,
-                          timer_id=data.get("timer_id", ""),
-                          instance_key=tuple(
-                              _key_scalar_from_json(k)
-                              for k in data.get("instance_key", ())))
+        key = tuple(_key_scalar_from_json(k)
+                    for k in data.get("instance_key", ()))
+        return TimerFired.decoded(switch_id, time, instance_key=key,
+                                  timer_id=data.get("timer_id", ""))
     raise TraceFormatError(f"unknown event kind {kind!r}")
 
 
@@ -398,8 +412,15 @@ def iter_records(
     unknown tag, a record running past the body, fewer or more bytes
     than ``count`` records carry) is **structural** and always raises
     :class:`TraceFormatError`; what was yielded before it stands.
+
+    A record that decodes has had every value checked here (the packet's
+    L2 framing by ``wire_parse``), so its event is built by the trusted
+    :meth:`~repro.switch.events.DataplaneEvent.decoded`, not the frozen
+    dataclass ``__init__``.
     """
     unpack_packet = _PACKET_RECORD.unpack_from
+    arrival, egress = PacketArrival.decoded, PacketEgress.decoded
+    drop = PacketDrop.decoded
     fixed = _PACKET_RECORD.size
     end = len(body)
     offset = 0
@@ -436,20 +457,18 @@ def iter_records(
                 switch_id = str(body[start:start + n_switch], "ascii")
                 packet = wire_parse(body[wire_at:offset], uid=uid)
                 if tag == _TAG_ARRIVAL:
-                    event = PacketArrival(switch_id=switch_id, time=time,
-                                          packet=packet, in_port=in_port)
+                    event = arrival(switch_id, time, packet=packet,
+                                    in_port=in_port)
                 elif tag == _TAG_EGRESS:
                     if action >= len(_ACTIONS):
                         raise TraceFormatError(
                             f"unknown egress-action index {action}")
-                    event = PacketEgress(
-                        switch_id=switch_id, time=time, packet=packet,
-                        in_port=in_port, out_port=out_port,
-                        action=_ACTIONS[action])
+                    event = egress(switch_id, time, packet=packet,
+                                   out_port=out_port, in_port=in_port,
+                                   action=_ACTIONS[action])
                 else:
-                    event = PacketDrop(
-                        switch_id=switch_id, time=time, packet=packet,
-                        in_port=in_port,
+                    event = drop(
+                        switch_id, time, packet=packet, in_port=in_port,
                         reason=str(body[start + n_switch:wire_at], "ascii"))
         except _RECORD_FAULTS as exc:
             fault = TraceFormatError(f"record {index}: {exc}")

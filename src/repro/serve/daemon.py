@@ -428,13 +428,12 @@ class ServeDaemon:
             await asyncio.sleep(0)
 
     def _offer_batch(self, events: List, frame_errors: int) -> None:
-        """Queue what one read decoded — the only way into the queue;
-        wake the dispatcher once."""
+        """Queue what one read decoded, whole — the only way into the
+        queue: one ``offer_batch``, which sheds what does not fit; wake
+        the dispatcher once."""
         if frame_errors:
             self._frame_errors.inc(frame_errors)
-        offer = self.queue.offer
-        for event in events:
-            offer(event)
+        self.queue.offer_batch(events)
         if events and self._wake is not None:
             self._wake.set()
 

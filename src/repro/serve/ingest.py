@@ -2,7 +2,8 @@
 
 The queue between the network and the monitor is where overload becomes
 *visible* instead of silent.  :class:`IngestQueue` is deliberately dumb:
-a bounded deque whose :meth:`offer` either accepts a frame or sheds it
+a bounded deque of decoded batches whose
+:meth:`~IngestQueue.offer_batch` accepts what fits and sheds the rest
 — and every shed is recorded in the monitor's
 :class:`~repro.core.degradation.OverflowLedger` with both impact kinds,
 because a missing event can suppress a real violation (a dropped kill
@@ -81,7 +82,7 @@ def parse_frame(line: bytes) -> Optional[DataplaneEvent]:
         return None
     try:
         return event_from_dict(data)
-    except (TraceFormatError, KeyError, ValueError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FrameError(f"invalid frame: {exc}") from exc
 
 
@@ -202,10 +203,17 @@ def _read_lines(
 class IngestQueue:
     """A bounded accept-or-shed queue feeding ``observe_batch``.
 
+    The queue moves whole batches: it holds ``(events, enqueued_at)``
+    chunks, one per :meth:`offer_batch`, so a decoded batch costs one
+    clock read and one update of each instrument rather than one per
+    event.  ``max_depth`` and every count are in events.
+
     ``clock`` supplies enqueue timestamps (daemon seconds); dwell time
-    between :meth:`offer` and :meth:`take_batch` is observed into the
+    between the offer and :meth:`take_batch` is observed into the
     ``repro_serve_ingest_latency_seconds`` histogram, and queue depth at
-    enqueue into ``repro_serve_queue_depth_at_enqueue``.
+    enqueue into ``repro_serve_queue_depth_at_enqueue`` — once per
+    accepted event in count, sum, min and max; a batch's middle depths
+    share one bucket, at their mean.
     """
 
     def __init__(
@@ -233,7 +241,8 @@ class IngestQueue:
         self.low_mark = low_mark
         self.shed_window = shed_window
 
-        self._frames: Deque[Tuple[DataplaneEvent, float]] = deque()
+        self._chunks: Deque[Tuple[List[DataplaneEvent], float]] = deque()
+        self._depth = 0
         self.accepted = 0
         self.shed = 0
         self.last_shed_at: Optional[float] = None
@@ -261,42 +270,77 @@ class IngestQueue:
     # -- producer side ----------------------------------------------------
     def offer(self, event: DataplaneEvent) -> bool:
         """Accept ``event`` into the queue, or shed it (ledgered)."""
+        return self.offer_batch([event]) == 1
+
+    def offer_batch(self, events: List[DataplaneEvent]) -> int:
+        """Accept the prefix of ``events`` that fits; shed the rest.
+
+        Returns how many were accepted.  The sheds are one counted
+        ledger row; the queue keeps ``events`` itself when it takes all
+        of them, so the caller hands the list over.
+        """
+        count = len(events)
+        if not count:
+            return 0
         now = self.clock()
-        if len(self._frames) >= self.max_depth:
-            self.shed += 1
+        depth = self._depth
+        taken = min(count, self.max_depth - depth)
+        if taken:
+            self._chunks.append(
+                (events if taken == count else events[:taken], now))
+            self._depth = depth + taken
+            self.accepted += taken
+            self._ingested_total.inc(taken)
+            # The depths seen at each accepted enqueue: depth ... last.
+            last = depth + taken - 1
+            observe = self._depth_hist.observe
+            observe(float(depth))
+            if taken > 1:
+                observe(float(last))
+            if taken > 2:
+                observe((depth + last) / 2, taken - 2)
+            self._depth_gauge.set(float(self._depth))
+            if self._depth >= self.high_mark * self.max_depth:
+                self._saturated = True
+        shed = count - taken
+        if shed:
+            self.shed += shed
             self.last_shed_at = now
             self._saturated = True
-            self._shed_total.inc()
-            self.ledger.record(SHED_KIND, INGEST_ROW, IMPACT_MISSED)
-            return False
-        self._depth_hist.observe(float(len(self._frames)))
-        self._frames.append((event, now))
-        self.accepted += 1
-        self._ingested_total.inc()
-        self._depth_gauge.set(float(len(self._frames)))
-        if len(self._frames) >= self.high_mark * self.max_depth:
-            self._saturated = True
-        return True
+            self._shed_total.inc(shed)
+            self.ledger.record(SHED_KIND, INGEST_ROW, IMPACT_MISSED, shed)
+        return taken
 
     # -- consumer side ----------------------------------------------------
     def take_batch(self, max_events: int = 256) -> List[DataplaneEvent]:
-        """Pop up to ``max_events`` frames, oldest first."""
+        """Pop up to ``max_events`` events, oldest first, splitting the
+        last chunk taken if it does not fit whole."""
         now = self.clock()
         batch: List[DataplaneEvent] = []
-        while self._frames and len(batch) < max_events:
-            event, enqueued_at = self._frames.popleft()
-            self._latency_hist.observe(max(0.0, now - enqueued_at))
-            batch.append(event)
-        self._depth_gauge.set(float(len(self._frames)))
+        chunks = self._chunks
+        room = max_events
+        while chunks and room > 0:
+            events, enqueued_at = chunks[0]
+            if len(events) > room:
+                chunks[0] = (events[room:], enqueued_at)
+                events = events[:room]
+            else:
+                chunks.popleft()
+            self._latency_hist.observe(max(0.0, now - enqueued_at),
+                                       len(events))
+            batch += events
+            room -= len(events)
+        self._depth -= len(batch)
+        self._depth_gauge.set(float(self._depth))
         return batch
 
     # -- introspection ----------------------------------------------------
     def __len__(self) -> int:
-        return len(self._frames)
+        return self._depth
 
     @property
     def depth(self) -> int:
-        return len(self._frames)
+        return self._depth
 
     def ready(self) -> bool:
         """Backpressure-aware readiness (with hysteresis): see
@@ -312,9 +356,9 @@ class IngestQueue:
         """
         reasons: List[str] = []
         if self._saturated:
-            if len(self._frames) > self.low_mark * self.max_depth:
+            if self._depth > self.low_mark * self.max_depth:
                 reasons.append(
-                    f"queue depth {len(self._frames)} above low mark "
+                    f"queue depth {self._depth} above low mark "
                     f"{self.low_mark * self.max_depth:g}")
             if self.last_shed_at is not None:
                 since = self.clock() - self.last_shed_at
@@ -327,7 +371,7 @@ class IngestQueue:
     def stats(self) -> dict:
         """A JSON-able accounting of this queue's lifetime."""
         return {
-            "depth": len(self._frames),
+            "depth": self._depth,
             "max_depth": self.max_depth,
             "accepted": self.accepted,
             "shed": self.shed,

@@ -24,11 +24,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Type, TypeVar
 
 from ..packet.packet import Packet
 
 _event_seq = itertools.count(1)
+
+E = TypeVar("E", bound="DataplaneEvent")
 
 
 def _next_event_seq() -> int:
@@ -55,6 +57,28 @@ class DataplaneEvent:
     @property
     def kind(self) -> str:
         return type(self).__name__
+
+    @classmethod
+    def decoded(cls: Type[E], switch_id: str, time: float,
+                **fields: object) -> E:
+        """An event from a decoder that has already checked its values.
+
+        The trace and frame decoders build every event here rather than
+        through the frozen dataclass ``__init__``, which costs about twice
+        as much: the instance's ``__dict__`` is filled directly, as
+        :meth:`Packet.from_wire <repro.packet.packet.Packet.from_wire>`
+        fills a packet's.  ``seq`` is drawn as ``__init__`` draws it;
+        ``fields`` must name every other field of ``cls`` in declaration
+        order (the order ``__init__`` sets them, so the instance dict
+        keeps sharing its keys), and ``__post_init__`` is not run.
+        """
+        event = object.__new__(cls)
+        state = event.__dict__
+        state["switch_id"] = switch_id
+        state["time"] = time
+        state["seq"] = next(_event_seq)
+        state.update(fields)
+        return event
 
 
 @dataclass(frozen=True)

@@ -107,15 +107,16 @@ class Histogram:
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.sum += value
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` (at least one) observations of ``value``."""
+        self.count += count
+        self.sum += value * count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
         # le semantics: the first bound >= value, else the +Inf slot
-        self.bucket_counts[bisect_left(self.bounds, value)] += 1
+        self.bucket_counts[bisect_left(self.bounds, value)] += count
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """Cumulative ``(le, count)`` pairs, ending with ``(inf, count)``."""
@@ -133,7 +134,8 @@ class _NullHistogram(Histogram):
 
     __slots__ = ()
 
-    def observe(self, value: float) -> None:  # pragma: no cover - trivial
+    def observe(self, value: float,
+                count: int = 1) -> None:  # pragma: no cover - trivial
         pass
 
 

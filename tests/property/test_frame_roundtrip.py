@@ -5,7 +5,9 @@ strings (the gap the fabric's IPC transport surfaced), and the packet
 events whose values do not fit the fixed binary record."""
 
 import dataclasses
+import io
 import json
+import pickle
 import struct
 
 import pytest
@@ -175,6 +177,81 @@ class TestFrameRoundtrip:
         assert_same_event(event, restored)
 
 
+def _built(cls, **values):
+    return cls(switch_id="s1", time=0.1, **values)
+
+
+#: one event of every packet class and of every EgressAction, plus the
+#: rare kinds the JSON record and the JSONL line carry
+TRUSTED_CASES = [
+    _built(PacketArrival, packet=tcp_packet(1, 2, "10.0.0.1", "10.0.0.2",
+                                            1234, 80), in_port=3),
+    _built(PacketDrop, packet=arp_request(1, "10.0.0.1", "10.0.0.2"),
+           in_port=2, reason="acl"),
+    *[_built(PacketEgress, packet=arp_request(1, "10.0.0.1", "10.0.0.9"),
+             in_port=1, out_port=4, action=action)
+      for action in EgressAction],
+    *[_built(OutOfBandEvent, oob_kind=kind, port=5) for kind in OobKind],
+    _built(TimerFired, instance_key=(IPv4Address("10.0.0.1"),
+                                     EgressAction.FLOOD, 7),
+           timer_id="t"),
+]
+
+
+def _case_id(event):
+    member = getattr(event, "action", None) or getattr(event, "oob_kind", None)
+    return type(event).__name__ + (f"-{member.value}" if member else "")
+
+
+def _via_rpf2(event):
+    (decoded,) = decode_frames(encode_frames([event]))
+    return decoded
+
+
+def _via_jsonl(event):
+    fp = io.StringIO()
+    dump_trace([event], fp)
+    fp.seek(0)
+    (decoded,) = load_trace(fp)
+    return decoded
+
+
+class TestTrustedConstructor:
+    """Both decoders build events with ``DataplaneEvent.decoded``, not
+    the dataclass ``__init__``: the result must be the event
+    ``__init__`` builds, in every way a reader can tell."""
+
+    @pytest.mark.parametrize("decode", [_via_rpf2, _via_jsonl],
+                             ids=["rpf2", "jsonl"])
+    @pytest.mark.parametrize("event", TRUSTED_CASES, ids=_case_id)
+    def test_decoded_event_is_the_dataclass_event(self, event, decode):
+        decoded = decode(event)
+        built = dataclasses.replace(event, seq=decoded.seq)
+        assert type(decoded) is type(built)
+        assert decoded == built and built == decoded
+        assert hash(decoded) == hash(built)
+        if hasattr(event, "packet"):
+            # a parsed header holds plain ints where a built one holds
+            # enum members: equal, but not in repr
+            built = dataclasses.replace(built, packet=decoded.packet)
+        assert repr(decoded) == repr(built)
+        names = [field.name for field in dataclasses.fields(built)]
+        # every field, in declaration order, and nothing else
+        assert list(vars(decoded)) == names
+        again = pickle.loads(pickle.dumps(decoded))
+        assert again == built and hash(again) == hash(built)
+        assert repr(again) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decoded.time = 1.0
+
+    def test_decoded_events_draw_fresh_sequence_numbers(self):
+        event = TRUSTED_CASES[0]
+        before = _built(PacketArrival, packet=event.packet, in_port=3)
+        first, second = _via_rpf2(event), _via_jsonl(event)
+        after = _built(PacketArrival, packet=event.packet, in_port=3)
+        assert before.seq < first.seq < second.seq < after.seq
+
+
 class TestRecordLayout:
     def test_packet_record_is_the_documented_struct(self):
         from repro.packet.parser import encode as wire_encode
@@ -259,8 +336,13 @@ class TestFrameErrors:
         json_record(b"not json"),
         json_record(b"[1, 2, 3]"),
         json_record(b'{"kind": "PacketArrival", "switch": "s", "time": null}'),
+        json_record(b'{"kind": "OutOfBandEvent", "switch": "s", "time": 1,'
+                    b' "oob_kind": "link-sideways"}'),
+        json_record(b'{"kind": "OutOfBandEvent", "switch": "s", "time": 1,'
+                    b' "oob_kind": {"v": 1}}'),
     ], ids=["short-packet", "bad-action", "non-ascii-switch", "not-json",
-            "json-array", "null-time"])
+            "json-array", "null-time", "unknown-oob-kind",
+            "unhashable-oob-kind"])
     def test_bad_record_is_skipped_only_when_counting(self, record):
         """A delimited record that does not decode: the strict form
         raises; with a callback it costs one report and nothing else."""

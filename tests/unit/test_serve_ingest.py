@@ -10,6 +10,8 @@ tests drive it with a fake clock — no sockets, no event loop.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.degradation import IMPACT_MISSED, OverflowLedger
@@ -19,6 +21,7 @@ from repro.serve.daemon import parse_ingest_spec
 from repro.serve.report import ServeDegradationReport, render_serve_report
 from repro.switch.events import OutOfBandEvent, OobKind
 from repro.telemetry import MetricsRegistry
+from repro.telemetry.metrics import Histogram
 
 
 def oob(time=0.0):
@@ -140,6 +143,101 @@ class TestInstrumentation:
         assert gauge.high_watermark == 2
 
 
+class TestBatchOffer:
+    """``offer_batch`` is ``offer`` event by event, whole: the counts,
+    the ledger, the readiness latch and both histograms' count, sum,
+    min and max come out the same however the events are chunked."""
+
+    MAX_DEPTH = 10
+
+    @classmethod
+    def run(cls, script, chunked):
+        """Drive a queue through ``script`` — ``("offer", n)`` offers
+        ``n`` fresh events, ``("take", n)`` takes a batch — with the
+        clock a quarter second further on at every step, so each dwell
+        is exact in binary and equal both ways."""
+        clock, registry, ledger = FakeClock(), MetricsRegistry(), \
+            OverflowLedger()
+        q = IngestQueue(cls.MAX_DEPTH, ledger=ledger, clock=clock,
+                        registry=registry, high_mark=0.8, low_mark=0.3,
+                        shed_window=0.6)
+        seen, made = [], 0
+        for op, n in script:
+            clock.now += 0.25
+            if op == "offer":
+                events = [oob(time=float(made + i)) for i in range(n)]
+                made += n
+                if chunked:
+                    accepted = q.offer_batch(events)
+                else:
+                    accepted = sum(q.offer(event) for event in events)
+                seen.append(("offered", accepted))
+            else:
+                seen.append(("took", [e.time for e in q.take_batch(n)]))
+            seen.append((q.depth, q.ready(), q.accepted, q.shed,
+                         q.last_shed_at, dict(ledger.counts)))
+        gauge = registry.gauge("repro_serve_queue_depth")
+        seen.append((gauge.value, gauge.high_watermark,
+                     registry.counter("repro_serve_events_ingested_total")
+                     .value,
+                     registry.counter("repro_serve_events_shed_total").value))
+        for name in ("repro_serve_queue_depth_at_enqueue",
+                     "repro_serve_ingest_latency_seconds"):
+            hist = registry.histogram(name)
+            seen.append((name, hist.count, hist.sum, hist.min, hist.max))
+        return seen
+
+    def test_a_chunk_shed_in_part_and_a_take_that_splits_a_chunk(self):
+        script = [("offer", 4), ("offer", 5), ("take", 3), ("offer", 6),
+                  ("take", 7), ("offer", 1), ("take", 100), ("take", 1),
+                  ("take", 1), ("take", 1)]
+        chunked = self.run(script, chunked=True)
+        assert chunked == self.run(script, chunked=False)
+        # offered 4 + 5 fit; after taking 3 of the first chunk (split),
+        # 6 more meet room for 4: two shed in one ledger row.
+        assert chunked[6] == ("offered", 4)
+        assert chunked[7][3] == 2
+        assert chunked[7][5] == {("ingest-shed", "(ingest)",
+                                  IMPACT_MISSED): 2}
+        # 7 taken across three chunks: the rest of the split one, the
+        # whole second and the first of the third, oldest first.
+        assert chunked[8] == ("took", [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
+        # Saturated at the high mark, held by the shed at t=1.0; ready
+        # again once drained under the low mark with the shed 0.75 s
+        # (more than the window) old.
+        assert [row[1] for row in chunked[1:20:2]] == [
+            True, False, False, False, False, False, True, True, True,
+            True]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["offer", "take"]),
+                              st.integers(0, 14)), max_size=12))
+    def test_chunked_equals_event_by_event(self, script):
+        assert self.run(script, chunked=True) \
+            == self.run(script, chunked=False)
+
+    def test_an_empty_batch_at_a_full_queue_sheds_nothing(self):
+        ledger = OverflowLedger()
+        q = IngestQueue(max_depth=1, ledger=ledger)
+        q.offer(oob())
+        assert q.offer_batch([]) == 0
+        assert (q.depth, q.shed, q.last_shed_at, ledger.counts) \
+            == (1, 0, None, {})
+
+    def test_histogram_observes_a_value_count_times(self):
+        once, counted = Histogram(), Histogram()
+        for _ in range(3):
+            once.observe(2.0)
+        counted.observe(2.0, 3)
+        once.observe(7.0)
+        counted.observe(7.0)
+        for hist in (once, counted):
+            assert (hist.count, hist.sum, hist.min, hist.max) \
+                == (4, 13.0, 2.0, 7.0)
+        assert counted.bucket_counts == once.bucket_counts
+        assert counted.cumulative() == once.cumulative()
+
+
 class TestParseFrame:
     def test_round_trips_a_serialized_event(self):
         from repro.netsim.serialize import event_to_dict
@@ -162,6 +260,13 @@ class TestParseFrame:
         b'{"kind": "NoSuchEvent", "switch": "s1", "time": 0}\n',
         b'{"kind": "PacketArrival", "switch": "s1"}\n',  # missing fields
         b"\xff\xfe\n",
+        b'{"kind": "PacketArrival", "switch": "s1", "time": null}\n',
+        b'{"kind": "OutOfBandEvent", "switch": "s1", "time": 0,'
+        b' "oob_kind": ["link-up"]}\n',
+        b'{"kind": "OutOfBandEvent", "switch": "s1", "time": 0,'
+        b' "oob_kind": "no-such-kind"}\n',
+        b'{"kind": "PacketArrival", "switch": "s1", "time": 0, "uid": 1,'
+        b' "packet": "' + b"00" * 14 + b'", "in_port": 1e999999}\n',
     ])
     def test_junk_raises_frame_error(self, junk):
         with pytest.raises(FrameError):
@@ -310,9 +415,11 @@ class TestLineReader:
     def test_bad_lines_are_counted_and_the_good_ones_around_them_survive(self):
         stream = b"\n".join([
             self.line(1.0), b"not json", self.line(2.0), b"[1, 2]",
-            b"\xff\xfe", self.line(3.0), b'{"kind": "NoSuchEvent"}'])
+            b"\xff\xfe", self.line(3.0), b'{"kind": "NoSuchEvent"}',
+            b'{"kind": "PacketArrival", "switch": "s1", "time": null}',
+            self.line(4.0)])
         for times, errors, _, _ in drive_both(stream):
-            assert (times, errors) == ([1.0, 2.0, 3.0], 4)
+            assert (times, errors) == ([1.0, 2.0, 3.0, 4.0], 5)
 
     def test_a_stream_shorter_than_the_sniff_is_one_frame_error(self):
         for times, errors, _, _ in drive_both(b"RPF"):
