@@ -5,6 +5,21 @@ Fork (not spawn) is required: a worker inherits its shard's monitor,
 built once in the parent with its program compiled
 (:func:`~repro.fabric.shard.build_shard_monitor`), which would not
 pickle (predicate closures, exec'd functions) and is never rebuilt.
+
+A worker collects only what it makes.  Its first act is
+``gc.freeze()``: everything it inherited — its shard monitor and the
+rest of the parent's heap — moves into the collector's permanent
+generation, a list splice that touches no object, so the worker's
+collections walk, and copy on write, only what it allocated itself.
+The freeze is the child's own: a freeze/unfreeze pair around the fork
+in the parent would also thaw whatever an embedding application had
+frozen on purpose.  Around its two bulk, acyclic builds — the restore
+(``pickle.loads`` + ``restore_state``) and the checkpoint export
+(``export_state`` + pickle) — the worker pauses its collector
+(:func:`_collector_paused`); ``Monitor.export_state`` and
+``restore_state`` themselves leave the collector alone, for in-process
+callers.
+
 Event batches cross the channel as the binary batch encoding from
 ``netsim/serialize.py`` — the same bytes ``repro send --format rpf2``
 writes to a daemon, so the IPC format is covered by the serialization
@@ -73,6 +88,7 @@ a restart.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
@@ -115,15 +131,11 @@ def fork_available() -> bool:
 @contextmanager
 def _keepalive(reply: Callable[[bytes], None],
                period: float) -> Iterator[None]:
-    """Send ``b"K"`` every ``period`` seconds (never, at 0) while the
-    body runs.
+    """Send ``b"K"`` every ``period`` seconds while the body runs.
 
     Only around work that writes nothing (restore, export): the beat
     has stopped before anything else is written.
     """
-    if period <= 0:
-        yield
-        return
     done = threading.Event()
 
     def beat() -> None:
@@ -142,8 +154,30 @@ def _keepalive(reply: Callable[[bytes], None],
         thread.join()
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic collector off.
+
+    For the worker's bulk, acyclic builds (a restore, a checkpoint
+    export): each allocates a whole state's worth of containers and no
+    cycle, so every collection those allocations trigger walks the
+    young heap for nothing.  The collector comes back on afterwards,
+    exception or not, only if it was on before.
+    """
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+
+
 def _worker_main(sock: socket.socket, monitor: Monitor,
                  shard_idx: int, keepalive: float) -> None:
+    # everything inherited goes to the permanent generation: the
+    # worker's collector walks (and copies on write) only what it makes
+    gc.freeze()
     commands = sock.makefile("rb")
 
     def reply(body: bytes) -> None:
@@ -177,12 +211,15 @@ def _worker_main(sock: socket.socket, monitor: Monitor,
         elif tag == b"H":
             reply(b"A" + payload)
         elif tag == b"R":
-            with _keepalive(reply, keepalive):
+            with _keepalive(reply, keepalive), _collector_paused():
                 monitor.restore_state(pickle.loads(payload))
         elif tag in (b"S", b"C", b"Q"):
-            with _keepalive(reply, keepalive if tag == b"C" else 0.0):
-                snapshot = take_snapshot(
-                    monitor, shard_idx, with_state=(tag == b"C"))
+            if tag == b"C":
+                with _keepalive(reply, keepalive), _collector_paused():
+                    snapshot = take_snapshot(monitor, shard_idx,
+                                             with_state=True)
+            else:
+                snapshot = take_snapshot(monitor, shard_idx)
             reply(b"S" + pickle.dumps(snapshot, pickle.HIGHEST_PROTOCOL))
             if tag == b"Q":
                 break

@@ -19,7 +19,7 @@ from enum import IntEnum
 from typing import ClassVar, Optional, Tuple
 
 from .addresses import IPv4Address, MACAddress
-from .headers import Field, Header, HeaderError
+from .headers import Field, Header, HeaderError, members
 
 
 class DhcpMessageType(IntEnum):
@@ -37,6 +37,8 @@ class DhcpOp(IntEnum):
     BOOTREQUEST = 1
     BOOTREPLY = 2
 
+
+_OPS, _MSG_TYPES = members(DhcpOp), members(DhcpMessageType)
 
 _OPT_MSG_TYPE = 53
 _OPT_REQUESTED_IP = 50
@@ -162,8 +164,8 @@ class Dhcp(Header):
             raise HeaderError("DHCP message missing message-type option")
         return (
             cls(
-                op=op,
-                msg_type=msg_type,
+                op=_OPS.get(op, op),
+                msg_type=_MSG_TYPES.get(msg_type, msg_type),
                 xid=xid,
                 client_mac=MACAddress.from_wire(client_mac),
                 yiaddr=IPv4Address.from_wire(yiaddr),

@@ -16,7 +16,8 @@ the parse depth a field needs are all read from it.
 
 A header states its byte layout once, as ``WIRE``, and reads it once, in
 ``unpack`` (length and validity checks, then the raw values).  Everything
-else is a projection of those values: ``from_wire`` builds the object,
+else is a projection of those values: ``from_wire`` builds the object
+(a known enum value read as its member, as a built header holds it),
 ``read_fields`` writes the flat dotted-name fields without building it —
 what :mod:`repro.packet.wire` walks a frame with — and ``decode`` is
 ``unpack`` + ``from_wire`` + the bytes left over.  Where a field sits in
@@ -82,6 +83,16 @@ def _unpack(cls, data: bytes, at: int = 0) -> tuple:
     except struct.error:
         raise HeaderError(
             f"{cls.__name__} header truncated: {len(data) - at} bytes") from None
+
+
+def members(enum: type) -> Dict[int, IntEnum]:
+    """``enum``'s members by value: ``from_wire`` reads a known value as
+    the member a built header holds, and leaves an unknown one an int."""
+    return {int(member): member for member in enum}
+
+
+_ETHERTYPES, _PROTOS = members(EtherType), members(IPProto)
+_ARP_OPS, _TCP_FLAGS = members(ArpOp), members(TCPFlags)
 
 
 class Field(NamedTuple):
@@ -178,7 +189,8 @@ class Ethernet(WireHeader):
     @classmethod
     def from_wire(cls, values: tuple) -> "Ethernet":
         dst, src, ethertype = values
-        return cls(src=_mac(src), dst=_mac(dst), ethertype=ethertype)
+        return cls(src=_mac(src), dst=_mac(dst),
+                   ethertype=_ETHERTYPES.get(ethertype, ethertype))
 
 
 @dataclass(frozen=True)
@@ -210,7 +222,8 @@ class Vlan(WireHeader):
     @classmethod
     def from_wire(cls, values: tuple) -> "Vlan":
         tci, ethertype = values
-        return cls(vid=tci & 0x0FFF, pcp=tci >> 13, ethertype=ethertype)
+        return cls(vid=tci & 0x0FFF, pcp=tci >> 13,
+                   ethertype=_ETHERTYPES.get(ethertype, ethertype))
 
 
 @dataclass(frozen=True)
@@ -255,7 +268,8 @@ class Arp(WireHeader):
 
     @classmethod
     def from_wire(cls, values: tuple) -> "Arp":
-        return cls(op=values[4],
+        op = values[4]
+        return cls(op=_ARP_OPS.get(op, op),
                    sender_mac=_mac(values[5]), sender_ip=_ip(values[6]),
                    target_mac=_mac(values[7]), target_ip=_ip(values[8]))
 
@@ -325,7 +339,8 @@ class IPv4(WireHeader):
     @classmethod
     def from_wire(cls, values: tuple) -> "IPv4":
         _, tos, total_len, ident, _frag, ttl, proto, _csum, src, dst = values
-        return cls(src=_ip(src), dst=_ip(dst), proto=proto, ttl=ttl,
+        return cls(src=_ip(src), dst=_ip(dst),
+                   proto=_PROTOS.get(proto, proto), ttl=ttl,
                    dscp=tos >> 2, ident=ident,
                    payload_len=max(0, total_len - 20))
 
@@ -394,7 +409,7 @@ class TCP(WireHeader):
     def from_wire(cls, values: tuple) -> "TCP":
         sport, dport, seq, ack, _offset, flags, window, _csum, _urg = values
         return cls(src_port=sport, dst_port=dport, seq=seq, ack=ack,
-                   flags=flags, window=window)
+                   flags=_TCP_FLAGS.get(flags, flags), window=window)
 
     def has_flag(self, flag: int) -> bool:
         return bool(self.flags & flag)
