@@ -54,7 +54,7 @@ from .instances import (
     stage_index_plan,
     uid_var,
 )
-from .monitor import Monitor, MonitorState, MonitorStats
+from .monitor import Monitor, MonitorStats
 from .provenance import ProvenanceLevel, StageRecord
 from .refs import (
     Bind,
@@ -112,7 +112,6 @@ __all__ = [
     "stage_index_plan",
     "uid_var",
     "Monitor",
-    "MonitorState",
     "MonitorStats",
     "ProvenanceLevel",
     "StageRecord",

@@ -394,8 +394,7 @@ class _ClassEmitter:
 
         The index and population dicts referenced here are created once
         in the store's ``__init__`` and never replaced, so binding them as
-        exec globals stays correct across instance churn and
-        ``restore_state``.
+        exec globals stays correct across instance churn.
         """
         stage = entry.prop.stages[stage_idx]
         index = entry.store.index(stage_idx, stage.pattern)
@@ -557,8 +556,7 @@ class _ClassEmitter:
 
         Ownership (``_kf``) is asked on the create branch only: a live
         instance under ``key`` exists because this monitor's filter
-        admitted it (``restore_state`` restores a shard's own instances
-        only), so a refresh needs no second answer.
+        admitted it, so a refresh needs no second answer.
         """
         p = entry.pidx
         owned = f"_kf is None or _kf({entry.prop.name!r}, {key})"

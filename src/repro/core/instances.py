@@ -338,11 +338,6 @@ class InstanceStore:
         """Live instances in creation order."""
         return [i for i in self._by_key.values() if i.alive]
 
-    def in_stage_entry_order(self) -> Iterable[Instance]:
-        """Live instances stage by stage, each stage in stage-entry order."""
-        return itertools.chain.from_iterable(
-            population.values() for population in self._stage_pop.values())
-
     def __len__(self) -> int:
         return len(self._by_key)
 

@@ -59,45 +59,14 @@ from .degradation import (
     IMPACT_MISSED,
     DegradationPolicy,
     OverflowLedger,
-    ShedKey,
 )
 from .instances import Instance, InstanceStore
-from .provenance import ProvenanceLevel, StageRecord, record_stage
+from .provenance import ProvenanceLevel, record_stage
 from .spec import Absent, PropertySpec, refresh_applies
 from .violations import Violation
 
 ViolationSink = Callable[[Violation], None]
 
-
-@dataclass(frozen=True)
-class MonitorState:
-    """A picklable checkpoint of a monitor's recoverable state.
-
-    Covers every live instance (with its armed timer), the clock, the
-    :class:`MonitorStats` counters and gauge high-watermarks, and the
-    overflow ledger's count table (``sheds``), so a restored monitor's
-    interval is the exporter's.
-    Deferred split-mode ops are *not* exportable — they hold spec and
-    instance references — so their count is carried instead; a restore
-    path that cares (the fabric supervisor) ledgers them as lost.
-
-    ``instances`` holds one ``(property name, rows, entry)`` triple per
-    store.  Specs do not pickle (compiled predicate closures), so a
-    store is named and re-linked to its spec on restore.  Each live
-    instance is one plain tuple, ``(key, env, stage, created_at,
-    advanced_at, deadline, deadline_kind, timer_seq, provenance)``, and
-    each of its provenance records a ``(stage_name, time, event,
-    subject)`` tuple: rows export and pickle several times faster than
-    an object per instance and per record.  ``entry`` orders the rows
-    (see :meth:`Monitor.export_state`).
-    """
-
-    now: float
-    instances: Tuple[Tuple[str, Tuple[Tuple, ...]], ...]
-    lost_pending_ops: int = 0
-    counters: Dict[str, int] = field(default_factory=dict)
-    peaks: Dict[str, int] = field(default_factory=dict)
-    sheds: Dict[ShedKey, int] = field(default_factory=dict)
 
 #: ``"compiled"`` runs the generated program (:mod:`repro.core.codegen`);
 #: ``"interpreted"`` runs the reference walk (:mod:`repro.core.reference`).
@@ -452,12 +421,10 @@ class Monitor:
         if when > self._now:
             self._now = when
 
-    def _push(self, when: float, rank: int, *payload: object,
-              seq: int = 0) -> int:
+    def _push(self, when: float, rank: int, *payload: object) -> int:
         """Put one entry on the agenda — the only way onto it — under the
-        next agenda number, or under ``seq`` (a restored timer's own);
-        returns the number."""
-        seq = seq or next(self._seq)
+        next agenda number; returns the number."""
+        seq = next(self._seq)
         self._queued[rank] += 1
         heapq.heappush(self._agenda, (when, rank, seq, *payload))
         return seq
@@ -729,10 +696,10 @@ class Monitor:
             instance.deadline_kind = ""
 
     def _set_deadline(self, instance: Instance, deadline: float,
-                      kind: str, seq: int = 0) -> None:
+                      kind: str) -> None:
         instance.deadline = deadline
         instance.deadline_kind = kind
-        instance.timer_seq = self._push(deadline, _TIMER, instance, seq=seq)
+        instance.timer_seq = self._push(deadline, _TIMER, instance)
         if kind == "advance":
             # Only negative observations need a live wakeup: their firing
             # produces externally-visible behaviour (possibly a violation)
@@ -857,96 +824,6 @@ class Monitor:
             "pending_ops": remaining,
             "ledger": self.ledger.summary(),
         }
-
-    # -- checkpoint / restore ----------------------------------------------------------
-    def export_state(self) -> MonitorState:
-        """Flatten recoverable state into a picklable :class:`MonitorState`.
-
-        Three orders survive a restore, because each breaks a tie: rows
-        are in creation order (evictions tie-break on instance id),
-        ``entry`` lists them in stage-entry order (the order candidates
-        are advanced and cancelled in), and each keeps its timer's
-        agenda number (equal deadlines fire in push order).  All of it
-        is read off the live instances, not the agenda: O(live).
-        """
-        instances = []
-        for name, store in self._stores.items():
-            live = store.all()
-            position = {inst.instance_id: i for i, inst in enumerate(live)}
-            rows = tuple([
-                (inst.key, dict(inst.env), inst.stage, inst.created_at,
-                 inst.advanced_at, inst.deadline, inst.deadline_kind,
-                 inst.timer_seq,
-                 tuple([(r.stage_name, r.time, r.event, r.subject)
-                        for r in inst.provenance]))
-                for inst in live])
-            entry = tuple([position[inst.instance_id]
-                           for inst in store.in_stage_entry_order()])
-            instances.append((name, rows, entry))
-        counters, peaks = self.stats.export()
-        return MonitorState(
-            now=self._now,
-            instances=tuple(instances),
-            lost_pending_ops=self.pending_op_count(),
-            counters=counters,
-            peaks=peaks,
-            sheds=dict(self.ledger.counts),
-        )
-
-    def restore_state(self, state: MonitorState) -> None:
-        """Rebuild instances (and their timers) from a checkpoint.
-
-        The monitor must be fresh (nothing live, nothing on its agenda)
-        and have every property registered that the exporter had; both
-        are checked before anything is added, so a rejected checkpoint
-        leaves the monitor as it was.  The exporter's counters, gauge
-        high-watermarks and ledger counts are taken over as they were
-        (restoring an instance counts nothing), and so are its three
-        orders (:meth:`export_state`), so from here on this monitor
-        reports, in the same order, what the exporter would have.
-        Timers re-arm at their saved absolute deadlines, under their
-        saved agenda numbers: a deadline in a checkpoint is always
-        strictly in the checkpoint's future (an elapsed timer would have
-        fired before the export), so nothing fires during restore.
-        """
-        unknown = [name for name, _, _ in state.instances
-                   if name not in self._props]
-        if unknown:
-            raise ValueError(
-                f"checkpoint references unknown properties {unknown!r}")
-        if self._live_total or self._agenda:
-            raise ValueError(
-                f"restore_state needs a fresh monitor; this one has "
-                f"{self._live_total} live instances")
-        last_seq = 0
-        for name, rows, entry in state.instances:
-            prop, store = self._props[name], self._stores[name]
-            restored = []
-            for (key, env, stage, created_at, advanced_at, deadline,
-                 deadline_kind, timer_seq, provenance) in rows:
-                instance = Instance(prop, key, dict(env),
-                                    created_at=created_at)
-                instance.stage = stage
-                instance.advanced_at = advanced_at
-                instance.provenance = [StageRecord(*r) for r in provenance]
-                store.add(instance)
-                restored.append(instance)
-                if deadline is not None:
-                    self._set_deadline(instance, deadline, deadline_kind,
-                                       seq=timer_seq)
-                    last_seq = max(last_seq, timer_seq)
-            # add() filed them in creation order: re-file each at the
-            # back of its stage population and buckets, in entry order.
-            for i in entry:
-                store.reindex(restored[i], restored[i].stage)
-            if rows:
-                self._live_changed(name, len(rows))
-        self._seq = itertools.count(max(next(self._seq), last_seq + 1))
-        if state.now > self._now:
-            self._now = state.now
-        self._track_peak()
-        self.stats.restore(state.counters, state.peaks)
-        self.ledger.counts = dict(state.sheds)
 
     # -- conveniences ------------------------------------------------------------------
     def attach(self, switch) -> None:

@@ -11,13 +11,14 @@ Every shard is a forked worker process fed serialized event frames
 that turns worker deaths into restarts and ledger entries.  Workers
 acknowledge nothing per event; state flows back as snapshot deltas (a
 worker hands over its new violations and forgets them) on explicit
-``sync()``, and as the supervisor's periodic checkpoints, which are
+``sync()``, and with the supervisor's periodic cuts, which are
 requested and then taken in whenever their reply has arrived — no
-batch waits for one.  The only waits left on the data path are
-back-pressure for socket space when a worker is behind, and a cut that
-must land once a worker's recovery journal is past its bound, each
-ended only by the policy's one ``heartbeat_timeout`` of silence from
-the worker; ``sync()`` and
+batch waits for one.  A cut's reply hands over a forked standby of the
+worker, which a crash promotes (``fabric.mp``).  The only waits left
+on the data path are back-pressure for socket space when a worker is
+behind, and a cut that must land once a worker's recovery journal is
+past its bound, each ended only by the policy's one
+``heartbeat_timeout`` of silence from the worker; ``sync()`` and
 ``stop()`` are the explicit barriers (see ``fabric.mp``'s module
 docstring).  How many events each shard has not yet confirmed is the
 supervisor's count, published as ``repro_fabric_shard_queue_depth``.
@@ -31,16 +32,16 @@ Merging rules (the parts worth being careful about):
 * All other counters sum across shards.  With the default indexed
   stores this reproduces the single-monitor counts exactly: every
   candidate probe touches instances sharing the event's full key, all
-  of which live on the shard the event routed to.  A worker's counters
-  ride its checkpoint, so the sum stays exact across a crash whose
-  ledger is empty.
+  of which live on the shard the event routed to.  A standby holds its
+  worker's counters as of the cut, so the sum stays exact across a
+  crash whose ledger is empty.
 * There are no merged peak gauges: shards peak at different moments,
   and no exact global peak can be rebuilt from theirs.
 * Violations merge into one list ordered by (time, property, bindings).
 * Each shard reports its ledger as a cumulative count table, and the
-  fabric-owned :class:`OverflowLedger` takes in only what a row grew
-  by over the highest count seen from that shard.  A replacement
-  worker restores the checkpoint's counts and replays, so its
+  supervisor takes into the fabric-owned :class:`OverflowLedger` only
+  what a row grew by over the highest count seen from that shard.  A
+  promoted standby holds the cut's counts and replays, so its
   re-detected sheds add nothing.  The interval spans all shards plus
   the supervisor's own ink and anything the serve ingest queue sheds
   into the same ledger; those rows belong to no property, so they
@@ -51,14 +52,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.degradation import OverflowLedger, ShedKey
+from ..core.degradation import OverflowLedger
 from ..core.monitor import MonitorStats
 from ..core.spec import PropertySpec
 from ..core.violations import Violation
 from ..switch.events import DataplaneEvent
 from ..telemetry import NULL_TRACER, MetricsRegistry, NullRegistry, Tracer
 from ..telemetry.tracing import open_event_root
-from .mp import MpShard
+from .mp import MpShard, ProcessGroup
 from .routing import Router, build_routes
 from .shard import ShardSnapshot, build_shard_monitor
 from .supervise import Supervisor, SupervisorPolicy
@@ -137,9 +138,6 @@ class ShardedMonitor:
         self._dirty = False
         self._stopped = False
         self._mirrored: Dict[str, float] = {}
-        #: per shard, the highest count seen for each ledger row
-        self._sheds_seen: List[Dict[ShedKey, int]] = [
-            {} for _ in range(num_shards)]
 
         policy = supervision if supervision is not None \
             else SupervisorPolicy()
@@ -151,13 +149,21 @@ class ShardedMonitor:
                                 monitor_kwargs)
             for idx in range(num_shards)]
 
-        def spawn(idx: int) -> MpShard:
-            return MpShard(shard_monitors[idx], idx,
-                           heartbeat_timeout=policy.heartbeat_timeout)
+        #: every process of this fabric, unknown leftovers included
+        self._group = ProcessGroup()
 
-        self.supervisor = Supervisor(
-            spawn, num_shards, self.ledger, self._merge, policy=policy,
-            registry=self.registry, now_fn=lambda: self._now)
+        def spawn(idx: int) -> MpShard:
+            return MpShard.fork(shard_monitors[idx], idx,
+                                heartbeat_timeout=policy.heartbeat_timeout,
+                                group=self._group)
+
+        try:
+            self.supervisor = Supervisor(
+                spawn, num_shards, self.ledger, self._merge, policy=policy,
+                registry=self.registry, now_fn=lambda: self._now)
+        except BaseException:
+            self._group.close()
+            raise
 
     # -- event intake ------------------------------------------------------
     def observe(self, event: DataplaneEvent) -> None:
@@ -250,17 +256,10 @@ class ShardedMonitor:
 
     def _merge(self, snapshot: ShardSnapshot) -> None:
         """Fold one shard snapshot into the merged view."""
-        idx = snapshot.shard
-        self._snapshots[idx] = snapshot
+        self._snapshots[snapshot.shard] = snapshot
         if snapshot.violations:
             self._violations.extend(snapshot.violations)
             self._sorted_violations = None
-        seen = self._sheds_seen[idx]
-        for key, count in snapshot.sheds.items():
-            grown = count - seen.get(key, 0)
-            if grown > 0:
-                self.ledger.record(*key, count=grown)
-                seen[key] = count
 
     def _mirror_monitor_metrics(self) -> None:
         """Reflect shard totals into the fabric's registry.
@@ -353,6 +352,7 @@ class ShardedMonitor:
             # self._merge, and a hung worker is killed + ledgered
             # instead of deadlocking this call.
             self.supervisor.quiesce()
+            self._group.close()
             self._dirty = False
             self._mirror_monitor_metrics()
             self._tracer.close_all(self._now)
@@ -372,3 +372,4 @@ class ShardedMonitor:
         """Tear down workers without draining (error paths, __del__)."""
         self._stopped = True
         self.supervisor.close()
+        self._group.close()

@@ -9,8 +9,6 @@ fabric merges into its single external view.
 
 from __future__ import annotations
 
-import pickle
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
@@ -56,8 +54,8 @@ class ShardSnapshot:
     previous snapshot, handed over and forgotten by the shard, so the
     fabric appends each exactly once and only the fabric keeps it.
     Everything here pickles — violations carry events and provenance
-    records, which are plain dataclasses — so the same type crosses the
-    multiprocessing result channel.
+    records, which are plain dataclasses — so the same type crosses a
+    worker's channel.
     """
 
     shard: int
@@ -67,34 +65,11 @@ class ShardSnapshot:
     counters: Dict[str, float]
     violations: List[Violation] = field(default_factory=list)
     sheds: Dict[ShedKey, int] = field(default_factory=dict)
-    #: full recoverable state, attached only on checkpoint requests —
-    #: regular syncs stay cheap deltas.  It is the shard's pickled
-    #: :class:`~repro.core.monitor.MonitorState`, pickled once where it
-    #: was exported and opaque from there on: whoever holds a checkpoint
-    #: only ever forwards these bytes to a replacement worker.
-    state: Optional[bytes] = None
-    #: ``MonitorState.lost_pending_ops`` of that state, beside the bytes
-    #: so the holder can ledger them without opening it.
-    lost_pending_ops: int = 0
-    #: CPU seconds the exporting process spent on ``export_state`` plus
-    #: the pickle — what the checkpoint cost the worker, off the clock
-    #: of whoever waits for the reply.
-    export_seconds: float = 0.0
 
 
-def take_snapshot(
-    monitor: Monitor,
-    shard_idx: int,
-    with_state: bool = False,
-) -> ShardSnapshot:
+def take_snapshot(monitor: Monitor, shard_idx: int) -> ShardSnapshot:
     """Snapshot ``monitor``, handing over (and clearing) the violations
-    it raised since the previous snapshot.
-
-    ``with_state=True`` additionally exports and pickles the monitor's
-    recoverable state (:meth:`Monitor.export_state`), turning the
-    snapshot into a checkpoint a replacement worker can be rehydrated
-    from, and times that work (``export_seconds``).
-    """
+    it raised since the previous snapshot."""
     counters, _ = monitor.stats.export()
     snapshot = ShardSnapshot(
         shard=shard_idx,
@@ -106,10 +81,4 @@ def take_snapshot(
         sheds=dict(monitor.ledger.counts),
     )
     monitor.violations = []
-    if with_state:
-        started = time.process_time()
-        state = monitor.export_state()
-        snapshot.state = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
-        snapshot.export_seconds = time.process_time() - started
-        snapshot.lost_pending_ops = state.lost_pending_ops
     return snapshot

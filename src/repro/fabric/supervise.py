@@ -6,48 +6,42 @@ death a *ledgered, recoverable* event instead:
 
 * **Detection** — every parent-side wait on a worker (a send, a reply,
   an ack) ends only after the one ``heartbeat_timeout`` of *silence*
-  (``ShardDied`` on a closed pipe, ``ShardTimeout`` on a wedged one):
-  a worker restoring or exporting a large state says so with keepalive
-  frames, so the deadline counts silence, not size.  A periodic
-  heartbeat (``b"H"`` ping / ``b"A"`` ack) catches workers that hang
-  between data-path calls.
+  (``ShardDied`` on a closed pipe, ``ShardTimeout`` on a wedged one).
+  A periodic heartbeat (``b"H"`` ping / ``b"A"`` ack) catches workers
+  that hang between data-path calls.
 * **Recovery** — dead workers restart with exponential backoff under a
-  per-shard restart budget.  The replacement is rehydrated from the
-  last checkpoint that landed (the worker's pickled
-  :class:`~repro.core.monitor.MonitorState` — instances, timers and
-  counters — carried on a ``ShardSnapshot`` as bytes this process never
-  opens), acknowledged on its own before any replay, plus a per-shard
-  journal of every batch delivered since that checkpoint, replayed in
-  order — every batch followed by a ping, the acks read after the last
-  one — then advanced to the fabric's present; the replacement then
-  reports what the dead worker would have.
+  per-shard restart budget.  The shard's standby, its worker forked at
+  the last landed cut (:mod:`repro.fabric.mp`), is promoted (before the
+  first cut, a fresh worker is forked); then the journal of every batch
+  delivered since the cut is replayed in order — every batch followed by
+  a ping, the acks read after the last one — and the worker advanced to
+  the fabric's present: it reports what the dead worker would have.
 * **One rule** — while a worker lives, its journal is exactly the
-  batches it has seen since its last landed checkpoint.  The journal is
+  batches it has seen since its last landed cut.  The journal is
   bounded in *events*: ``JOURNAL_INTERVALS`` times the size at which a
   cut falls due.  A live worker past the bound must land a cut before
   ``heartbeat_timeout`` of silence (back-pressure on the sender) or it
   is dead; only a down shard ages batches out, and each is ledgered as
   a gap as it goes.
-* **Checkpoints off the data path** — a cut falls due once the journal
-  holds ``max(live, CHECKPOINT_FLOOR)`` events, ``live`` being the live
+* **Cuts off the data path** — a cut falls due once the journal holds
+  ``max(live, CHECKPOINT_FLOOR)`` events, ``live`` being the live
   instances the shard's last snapshot reported; once one is due and
-  none is out, the supervisor *requests* a checkpoint and keeps
-  routing.  A cut then exports at most about as many instances as
-  events arrived since the one before, so the export costs O(1) per
-  event however large the state grows.  The channel is FIFO in
-  both directions, so the request is a consistent cut (:class:`_Cut`):
-  the state the worker exports reflects exactly the batches sent before
-  the request, whatever is sent while the reply is outstanding comes
-  after it, and the reply precedes the reply to anything requested
-  later.  So short of the journal bound nothing waits for it:
+  none is out, the supervisor *requests* a cut and keeps routing.  A
+  cut's fork costs in proportion to the state, so as many events pay
+  for it.  The channel is FIFO in both directions, so the request is a
+  consistent cut (:class:`_Cut`): the standby the worker forks reflects
+  exactly the batches sent before the request, whatever is sent while
+  the reply is outstanding comes after it, and the reply precedes the
+  reply to anything requested later.  So short of the journal bound nothing waits for it:
   whichever receive the supervisor does next — the look before a send,
   ``tick``, a heartbeat's ack wait, a sync, ``quiesce`` — takes the
   reply in first (:meth:`Supervisor._land_cut`), and only then is the
-  journal cut back to the batches sent after the request.  A worker
-  that dies with a cut outstanding forgets it and recovers from the
-  previous checkpoint and the whole journal.
+  journal cut back to the batches sent after the request, and the
+  previous standby retired.  A worker that dies with a cut outstanding
+  forgets it and recovers from the previous standby and the whole
+  journal.
 * **Honesty** — anything recovery cannot reconstruct (events aged out
-  of a down shard's journal, deferred split-mode ops at the checkpoint,
+  of a down shard's journal, a cut whose standby died with its worker,
   a shard that exhausts its budget) is counted in the fabric's
   :class:`OverflowLedger`, so crashes *widen the detection-uncertainty
   interval* instead of silently dropping violations.
@@ -58,13 +52,13 @@ death a *ledgered, recoverable* event instead:
   :meth:`Supervisor.liveness` — rather than retried until the restart
   budget burns out.
 
-Duplicate suppression: a regular sync between a checkpoint and a crash
-already reported some post-checkpoint violations.  Replay re-detects
-them — deterministically, in the same order — so the supervisor trims
-that many violations from the replacement's first snapshots before
-handing them to the fabric's merge.  Sheds need no trim: they are
-cumulative counts that ride the checkpoint, and the merge takes in
-only what a count grew by.
+Duplicate suppression: a regular sync between a cut and a crash
+already reported some post-cut violations.  Replay re-detects them —
+deterministically, in the same order — so the supervisor trims that
+many violations from the replacement's first snapshots before handing
+them to the fabric's merge.  Sheds need no trim: they are cumulative
+counts, which the standby holds as of the cut, and only what a count
+grew by reaches the ledger (:meth:`Supervisor._deliver`).
 """
 
 from __future__ import annotations
@@ -75,6 +69,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
 from ..core.degradation import FABRIC_ROW, IMPACT_MISSED, OverflowLedger
+from ..core.degradation import ShedKey
 from ..switch.events import DataplaneEvent
 from ..telemetry import MetricsRegistry, NullRegistry
 from ..telemetry.metrics import LATENCY_BUCKETS
@@ -85,7 +80,7 @@ from .shard import ShardSnapshot
 #: lost event could hide a real violation or leave a stale instance
 #: that later completes spuriously).
 KIND_GAP = "crash-gap"              # aged out of a down shard's journal
-KIND_LOST_OP = "crash-lost-op"      # deferred split ops at the checkpoint
+KIND_CUT_LOST = "cut-lost"          # covered by a standby that died too
 KIND_QUARANTINE = "quarantined-batch"
 KIND_SHARD_LOST = "shard-lost"      # restart budget exhausted
 KIND_QUIT_TIMEOUT = "shard-quit-timeout"
@@ -93,13 +88,13 @@ KIND_QUIT_TIMEOUT = "shard-quit-timeout"
 #: The fewest journal events at which a cut falls due.  A shard's cut
 #: falls due at ``max(live, CHECKPOINT_FLOOR)`` events, ``live`` being
 #: the live instances its last snapshot reported: the cadence follows
-#: the state, so a cut's export is paid for by as many events.
+#: the state, so a cut's fork is paid for by as many events.
 CHECKPOINT_FLOOR = 2048
 
 #: A shard's journal holds at most this many due sizes of events (and
 #: always its newest batch).  Counted in events, the unit of the due
-#: size, so the journal reaches back to the last landed checkpoint
-#: whatever size the batches are.  A live worker past the bound lands a
+#: size, so the journal reaches back to the last landed cut whatever
+#: size the batches are.  A live worker past the bound lands a
 #: cut before ``heartbeat_timeout`` of silence — which trims the journal
 #: — or is taken for dead; only while a shard is down do its oldest
 #: batches age out, into the ledger as an unrecoverable gap.
@@ -116,8 +111,8 @@ class SupervisorPolicy:
     #: wall seconds between heartbeat rounds (``tick()`` rate-limits)
     heartbeat_interval: float = 1.0
     #: wall seconds of silence that end any wait on a worker: an ack, a
-    #: snapshot, a checkpoint due at the journal bound, a final
-    #: snapshot, a send (a restoring or exporting worker keeps talking)
+    #: snapshot, a cut due at the journal bound, a promotion, a final
+    #: snapshot, a send
     heartbeat_timeout: float = 5.0
     #: restarts allowed per shard before it is declared failed
     restart_budget: int = 5
@@ -137,10 +132,10 @@ class SupervisorPolicy:
 
 @dataclass
 class _Cut:
-    """A checkpoint requested of a worker and not yet answered."""
+    """A cut requested of a worker and not yet answered."""
 
     #: journal sequence number of the first batch sent after the
-    #: request; every batch before it is in the state the reply carries
+    #: request; every batch before it is in the reply's standby
     seq: int
     #: wall clock at the request
     requested_at: float
@@ -151,7 +146,13 @@ class _ShardState:
     """Supervisor-side bookkeeping for one shard."""
 
     worker: Optional[MpShard] = None
-    #: batches routed to the shard since its last landed checkpoint,
+    #: the worker forked at the last landed cut, blocked on its socket
+    standby: Optional[MpShard] = None
+    #: events the standby holds: what losing it loses
+    cut_events: int = 0
+    #: per ledger row, the highest cumulative count the shard reported
+    sheds_seen: Dict[ShedKey, int] = field(default_factory=dict)
+    #: batches routed to the shard since its last landed cut,
     #: oldest first: what its worker has seen since then (or, while it
     #: is down, will replay); the recovery replay source
     journal: Deque[List[DataplaneEvent]] = field(default_factory=deque)
@@ -161,12 +162,7 @@ class _ShardState:
     journal_events: int = 0
     #: live instances the shard's last snapshot reported
     live_instances: int = 0
-    #: the last checkpoint that landed: the worker's pickled state,
-    #: never opened here, and the deferred ops it could not carry
-    checkpoint: Optional[bytes] = None
-    checkpoint_lost_ops: int = 0
-    checkpoint_ops_ledgered: bool = False
-    #: the checkpoint requested and not yet answered — at most one
+    #: the cut requested and not yet answered — at most one
     cut: Optional[_Cut] = None
     restarts: int = 0
     consecutive_failures: int = 0
@@ -176,8 +172,8 @@ class _ShardState:
     #: events routed that no merged snapshot reflects yet (the queue
     #: depth gauge; what a quit-timeout loses)
     since_snapshot_events: int = 0
-    #: unique violations merged since the checkpoint — becomes the
-    #: post-restore duplicate-discard count
+    #: unique violations merged since the last landed cut — becomes the
+    #: replay's duplicate-discard count
     merged_violations: int = 0
     discard_violations: int = 0
     #: replay deaths per journal batch (key: id() of the batch list,
@@ -208,9 +204,10 @@ class Supervisor:
     The fabric routes every worker interaction through here: sends
     journal first, receives are bounded, and any detected death marks
     the shard *down* (``recovering``) until the backoff elapses and a
-    replacement is rehydrated.  While down, routed batches accumulate
-    in the journal and are replayed on restart — so a shard that is
-    down for a few batches loses nothing, it just answers late.  Every
+    replacement replays the journal.  While down, routed batches
+    accumulate in the journal and are replayed on restart — so a shard
+    that is down for a few batches loses nothing, it just answers late.
+    Every
     snapshot leaves through ``merge``: the fabric's merge of one shard's
     snapshot, after the supervisor has trimmed replayed violations.
     """
@@ -239,6 +236,8 @@ class Supervisor:
         self._hb_seq = 0
         self._last_hb = clock()
         self.states = [_ShardState() for _ in range(num_shards)]
+        #: standbys retired by a later cut and not yet reaped
+        self._retired: List[MpShard] = []
         self._c_restarts = [
             self.registry.counter(
                 "repro_fabric_shard_restarts_total",
@@ -276,22 +275,6 @@ class Supervisor:
             help="Wall seconds from a checkpoint request to its reply "
                  "being taken in (the data path does not wait for it)",
             unit="seconds", buckets=LATENCY_BUCKETS)
-        self._g_checkpoint_bytes = [
-            self.registry.gauge(
-                "repro_fabric_checkpoint_bytes",
-                help="Size of the pickled state in one shard's last "
-                     "checkpoint",
-                labels={"shard": str(i)})
-            for i in range(num_shards)
-        ]
-        self._g_checkpoint_export = [
-            self.registry.gauge(
-                "repro_fabric_checkpoint_export_seconds",
-                help="Worker CPU seconds spent exporting and pickling "
-                     "the state in one shard's last checkpoint",
-                unit="seconds", labels={"shard": str(i)})
-            for i in range(num_shards)
-        ]
         self._g_up = [
             self.registry.gauge(
                 "repro_fabric_shard_up",
@@ -347,7 +330,7 @@ class Supervisor:
                 self._request_cut(idx)
             if not self._land_cut(idx, timeout):
                 self._on_death(
-                    idx, f"shard {idx}: no checkpoint and {timeout}s of "
+                    idx, f"shard {idx}: no cut and {timeout}s of "
                          f"silence with its journal past the bound")
 
     def _age_out(self, idx: int) -> None:
@@ -411,11 +394,12 @@ class Supervisor:
 
     def _deliver(self, idx: int, snap: ShardSnapshot,
                  unconfirmed: int = 0) -> None:
-        """Trim replay re-detections, account, and merge one snapshot.
+        """Trim replay re-detections, ledger what the shed counts grew
+        by, account, and merge one snapshot.
 
         ``unconfirmed`` is how many events were sent after the point
-        the snapshot reflects (non-zero only for a checkpoint reply,
-        which answers a request made some batches ago).
+        the snapshot reflects (non-zero only for a cut's reply, which
+        answers a request made some batches ago).
         """
         st = self.states[idx]
         if st.discard_violations:
@@ -423,16 +407,22 @@ class Supervisor:
             snap.violations = snap.violations[dropped:]
             st.discard_violations -= dropped
         st.merged_violations += len(snap.violations)
+        seen = st.sheds_seen
+        for key, count in snap.sheds.items():
+            grown = count - seen.get(key, 0)
+            if grown > 0:
+                self.ledger.record(*key, count=grown)
+                seen[key] = count
         st.live_instances = snap.live_instances
         st.since_snapshot_events = unconfirmed
         self._publish(idx)
         self._merge(snap)
 
-    # -- checkpoints -------------------------------------------------------
+    # -- cuts ------------------------------------------------------------
     def _request_cut(self, idx: int) -> None:
-        """Ask the shard for a checkpoint and remember where the cut is."""
+        """Ask the shard for a cut and remember where it falls."""
         st = self.states[idx]
-        st.worker.request_snapshot(checkpoint=True)
+        st.worker.request_snapshot(cut=True)
         st.cut = _Cut(seq=st.journal_head + len(st.journal),
                       requested_at=self._clock())
 
@@ -444,32 +434,38 @@ class Supervisor:
         Replies are FIFO, so whoever is about to wait for an ack or a
         snapshot requested after the cut calls this first.  Only here is
         the journal cut back: to the batches sent after the request,
-        which are also the events the checkpoint does not confirm.
+        which are also the events the new standby does not hold.
         """
         st = self.states[idx]
         cut = st.cut
         if cut is None:
             return True
-        snap = st.worker.recv_snapshot(timeout)
-        if snap is None:
+        reply = st.worker.recv_cut(timeout)
+        if reply is None:
             return False
-        if snap.state is None:
-            raise ShardDied(
-                f"shard {idx}: plain snapshot where a checkpoint was due")
+        snap, standby = reply
         st.cut = None
         while st.journal_head < cut.seq:
-            st.journal_events -= len(st.journal.popleft())
+            batch = st.journal.popleft()
+            st.journal_events -= len(batch)
+            st.cut_events += len(batch)
             st.journal_head += 1
-        st.checkpoint = snap.state
-        st.checkpoint_lost_ops = snap.lost_pending_ops
-        st.checkpoint_ops_ledgered = False
+        self._set_standby(idx, standby)
         self._deliver(idx, snap, unconfirmed=st.journal_events)
         st.merged_violations = 0
         st.kills.clear()
-        self._g_checkpoint_bytes[idx].set(float(len(snap.state)))
-        self._g_checkpoint_export[idx].set(snap.export_seconds)
         self._h_checkpoint.observe(self._clock() - cut.requested_at)
         return True
+
+    def _set_standby(self, idx: int, standby: Optional[MpShard]) -> None:
+        """Retire the shard's standby for ``standby``, and reap every
+        retired one that has exited."""
+        st = self.states[idx]
+        if st.standby is not None:
+            st.standby.close()
+            self._retired.append(st.standby)
+        st.standby = standby
+        self._retired = [old for old in self._retired if not old.reaped()]
 
     # -- liveness ----------------------------------------------------------
     def tick(self) -> None:
@@ -552,6 +548,10 @@ class Supervisor:
         return [st.worker.pid if st.worker is not None else None
                 for st in self.states]
 
+    def standby_pids(self) -> List[Optional[int]]:
+        return [st.standby.pid if st.standby is not None else None
+                for st in self.states]
+
     def total_restarts(self) -> int:
         return sum(st.restarts for st in self.states)
 
@@ -563,7 +563,7 @@ class Supervisor:
             st.worker.kill()
             st.worker = None
         # An unanswered cut dies with the worker: recovery starts from
-        # the previous checkpoint and the whole, untruncated journal.
+        # the previous standby and the whole, untruncated journal.
         st.cut = None
         st.down_reason = reason
         backoff = min(
@@ -574,7 +574,7 @@ class Supervisor:
         self._g_up[idx].set(0.0)
 
     def _maybe_restart(self, idx: int, block: bool = False) -> bool:
-        """Restart + rehydrate a down shard; True when it is live again.
+        """Restart + replay a down shard; True when it is live again.
 
         Non-blocking by default: before the backoff deadline this is a
         no-op (the shard keeps journaling).  ``block=True`` (quiesce)
@@ -594,15 +594,14 @@ class Supervisor:
             self._c_restarts[idx].inc()
             t0 = self._clock()
             try:
-                worker = self._spawn(idx)
+                st.worker = self._revive(idx)
             except Exception as exc:  # pragma: no cover - spawn is local
                 self._on_death(idx, f"respawn failed: {exc}")
                 if not block:
                     return False
                 continue
-            st.worker = worker
             try:
-                self._rehydrate(idx)
+                self._replay(idx)
             except (ShardDied, ShardTimeout) as exc:
                 self._on_death(idx, f"died during recovery: {exc}")
                 if not block:
@@ -612,33 +611,46 @@ class Supervisor:
             st.down_reason = ""
             st.discard_violations = st.merged_violations
             # The replay delivered everything journaled since the last
-            # checkpoint, none of it confirmed by a snapshot yet.
+            # cut, none of it confirmed by a snapshot yet.
             st.since_snapshot_events = st.journal_events
             self._publish(idx)
             self._g_up[idx].set(1.0)
             self._h_recovery.observe(self._clock() - t0)
         return st.worker is not None
 
-    def _rehydrate(self, idx: int) -> None:
-        """Checkpoint restore + journal replay + advance, with poison
-        detection: the restore is acknowledged on its own, so a worker
-        lost to it charges no batch; then each replayed batch is followed
-        by a ping carrying its index, and the acks are read after the
-        last one.  The first batch not acknowledged when the worker dies
-        or times out is charged with the kill; one charged
+    def _revive(self, idx: int) -> MpShard:
+        """The down shard's standby, promoted (it forks a standby of its
+        own first); before the first cut, or once the standby is dead
+        too, a fresh fork, with every event the lost cuts held in the
+        ledger."""
+        st = self.states[idx]
+        standby, st.standby = st.standby, None
+        if standby is not None:
+            try:
+                self._set_standby(
+                    idx, standby.promote(self.policy.heartbeat_timeout))
+                return standby
+            except (ShardDied, ShardTimeout):
+                standby.kill()
+        if st.cut_events:
+            self._ledger_events(KIND_CUT_LOST, st.cut_events)
+            st.cut_events = 0
+            # the fresh worker counts from zero, and replays only what
+            # came after the cut: each shed it reports is new
+            st.sheds_seen = {}
+        return self._spawn(idx)
+
+    def _replay(self, idx: int) -> None:
+        """Journal replay + advance, with poison detection: each replayed
+        batch is followed by a ping carrying its index, and the acks are
+        read after the last one.  The first batch not acknowledged when
+        the worker dies or times out is charged with the kill (a
+        promotion is answered before any); one charged
         ``POISON_THRESHOLD`` times is quarantined."""
         st = self.states[idx]
         worker = st.worker
         assert worker is not None
         timeout = self.policy.heartbeat_timeout
-        if st.checkpoint is not None:
-            worker.restore(st.checkpoint)
-            worker.ping(0)
-            if worker.recv_ack(timeout) is None:
-                raise ShardTimeout(f"shard {idx}: restore unacknowledged")
-            if st.checkpoint_lost_ops and not st.checkpoint_ops_ledgered:
-                st.checkpoint_ops_ledgered = True
-                self._ledger_events(KIND_LOST_OP, st.checkpoint_lost_ops)
         batches = list(st.journal)
         acked = 0
         try:
@@ -679,14 +691,19 @@ class Supervisor:
         self._publish(idx)
 
     def _fail_shard(self, idx: int) -> None:
-        """Budget exhausted: give up, ledger everything unrecovered."""
+        """Budget exhausted: give up, ledger everything unrecovered —
+        the journal and every event the standby held."""
         st = self.states[idx]
         st.failed = True
         st.down_reason = (
             f"restart budget ({self.policy.restart_budget}) exhausted")
-        self._ledger_events(KIND_SHARD_LOST, st.journal_events)
+        self._ledger_events(KIND_SHARD_LOST,
+                            st.journal_events + st.cut_events)
+        if st.standby is not None:
+            st.standby.kill()
+            st.standby = None
         st.journal.clear()
-        st.journal_events = 0
+        st.journal_events = st.cut_events = 0
         st.since_snapshot_events = 0
         self._publish(idx)
         self._g_up[idx].set(0.0)
@@ -701,7 +718,8 @@ class Supervisor:
         again.  The restart budget still bounds this, and exhausting it
         ledgers the shard as lost.  Only a worker that does not answer
         within ``heartbeat_timeout`` is ledgered as hung.  Every shard
-        ends stopped: neither recovering nor restarted again.
+        ends stopped, neither recovering nor restarted again, and no
+        worker or standby of it is left.
         """
         horizon = self._now_fn()
         timeout = self.policy.heartbeat_timeout
@@ -738,14 +756,19 @@ class Supervisor:
             self._deliver(idx, snap)
             st.worker = None
             self._g_up[idx].set(0.0)
+        self.close()
 
     def close(self) -> None:
-        """Hard teardown of every worker (error paths, ``__del__``)."""
+        """Hard teardown of every worker and standby (error paths)."""
         for st in self.states:
             st.stopped = True
-            if st.worker is not None:
-                st.worker.kill()
-                st.worker = None
+            for process in (st.worker, st.standby):
+                if process is not None:
+                    process.kill()
+            st.worker = st.standby = None
+        for old in self._retired:
+            old.kill()
+        self._retired = []
 
     # -- ledger and gauges -------------------------------------------------
     def _ledger_events(self, kind: str, count: int) -> None:

@@ -339,15 +339,6 @@ class StatsView:
         return ({name: getattr(self, name) for name in self._COUNTERS},
                 {name: getattr(self, name) for name in self._GAUGES})
 
-    def restore(self, counters: Mapping[str, int],
-                peaks: Mapping[str, int]) -> None:
-        """Set the cells to exported values (a checkpoint restore)."""
-        for name, value in counters.items():
-            self._registry.counter(self._COUNTERS[name]).value = float(value)
-        for name, value in peaks.items():
-            self._registry.gauge(
-                self._GAUGES[name]).high_watermark = float(value)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         counters, peaks = self.export()
         inner = ", ".join(f"{k}={v}" for k, v in {**counters, **peaks}.items())

@@ -1,5 +1,5 @@
-"""Worker hygiene: no worker a fabric forks outlives it.  The pids come
-from the fabric's supervisor, never from a scan of the host."""
+"""Worker hygiene: no worker or standby of a fabric outlives it.  The
+pids come from the fabric's supervisor, never from a scan of the host."""
 
 import os
 
@@ -9,18 +9,26 @@ from repro.fabric import ShardedMonitor
 
 
 def track(fabric):
-    """The pids ``fabric``'s supervisor has forked, kept current as it
-    forks replacements."""
+    """The pids of the workers and standbys ``fabric``'s supervisor has
+    forked or taken in, kept current as it forks replacements and lands
+    cuts."""
     supervisor = fabric.supervisor
-    pids = {pid for pid in supervisor.worker_pids() if pid is not None}
-    spawn = supervisor._spawn
+    pids = {pid for pid in supervisor.worker_pids() + supervisor.standby_pids()
+            if pid is not None}
+    spawn, set_standby = supervisor._spawn, supervisor._set_standby
 
     def spawn_and_note(idx):
         worker = spawn(idx)
         pids.add(worker.pid)
         return worker
 
+    def set_standby_and_note(idx, standby):
+        if standby is not None:
+            pids.add(standby.pid)
+        set_standby(idx, standby)
+
     supervisor._spawn = spawn_and_note
+    supervisor._set_standby = set_standby_and_note
     return pids
 
 
@@ -33,7 +41,7 @@ def assert_reaped(pids):
             alive.append(pid)
         except ProcessLookupError:
             pass
-    assert not alive, f"fabric workers outlived close(): {alive}"
+    assert not alive, f"fabric processes outlived close(): {alive}"
 
 
 @pytest.fixture

@@ -4,19 +4,21 @@
 interval and an uncrashed twin over drawn SIGKILL schedules.  What stays
 here, on real forked workers: the chaos runner's worker-crash round; the
 journal rule — a live worker's journal is exactly what it has seen since
-its last landed checkpoint, so a worker past the journal bound is waited
-for while it lags and restarted whole once it stops answering, never
-aged out (an age-out only widens the interval, which the machine
-allows); a replacement whose restore outlasts the timeout, waited for
-because it keeps talking; a SIGSTOPped worker at quiesce and against a
-send larger than the socket buffer; a stopped fabric staying stopped; a
-failed shard's queue depth; poison-batch quarantine; and checkpoint
-replies several times the socket buffer.  No worker a test forks may
-outlive it.
+its last landed cut, so a worker past the journal bound is waited for
+while it lags and restarted whole once it stops answering, never aged
+out (an age-out only widens the interval, which the machine allows); a
+SPLIT-mode crash after a cut with ops deferred at it; a SIGSTOPped
+worker at quiesce and against a send larger than the socket buffer; a
+stopped fabric staying stopped; a failed shard's queue depth;
+poison-batch quarantine; replies several times the socket buffer; and
+process hygiene: a retired standby exits though workers were forked
+after it, and whatever is left in a fabric's process group is reaped.
+No worker or standby a test forks may outlive it.
 """
 
 import os
 import random
+import select
 from collections import Counter
 import signal
 import time
@@ -45,6 +47,7 @@ from repro.fabric import (
     fork_available,
     supervise,
 )
+from repro.fabric import mp
 from repro.fabric.supervise import KIND_QUARANTINE, KIND_QUIT_TIMEOUT
 from repro.faults.profiles import PROFILES
 from repro.faults.rounds import (
@@ -56,6 +59,7 @@ from repro.faults.rounds import (
 from repro.packet import tcp_packet
 from repro.props import build_table1
 from repro.switch.events import EgressAction, PacketArrival, PacketEgress
+from repro.switch.switch import ProcessingMode
 from repro.telemetry import MetricsRegistry
 from tests.forks import assert_reaped
 
@@ -108,11 +112,11 @@ class TestSigkillEquivalence:
 
 class TestJournalWaitsForTheCut:
     """While a worker lives, its journal is exactly the batches it has
-    seen since its last landed checkpoint.  A healthy worker lags by a
-    socket buffer, more than the journal bound at a small checkpoint
-    floor: the supervisor waits for its cut.  A worker that stops
-    answering is taken for dead instead, and restarted from its last
-    checkpoint and the whole journal.  Neither costs a ledgered gap."""
+    seen since its last landed cut.  A healthy worker lags by a socket
+    buffer, more than the journal bound at a small checkpoint floor: the
+    supervisor waits for its cut.  A worker that stops answering is
+    taken for dead instead, and its standby replays the whole journal.
+    Neither costs a ledgered gap."""
 
     def test_healthy_shards_drop_nothing_and_a_crash_is_exact(
             self, monkeypatch):
@@ -184,58 +188,134 @@ class TestJournalWaitsForTheCut:
             fabric.close()
 
 
-class TestSlowRestore:
-    """A restore is timed by silence, not by size: a replacement that
-    takes several heartbeat timeouts to restore its checkpoint keeps
-    saying so, and is waited for."""
+class TestSplitRecovery:
+    """A standby is its worker as of the cut, SPLIT-mode ops deferred at
+    that moment included, so a crash after the cut loses none of them."""
 
-    TIMEOUT = 0.5
-
-    def test_a_restore_longer_than_the_timeout_is_no_death(
-            self, monkeypatch):
-        def slow_shard_monitor(*args):
-            monitor = build_shard_monitor(*args)
-            restore = monitor.restore_state
-
-            def slow_restore(state):
-                time.sleep(3 * self.TIMEOUT)
-                restore(state)
-
-            monitor.restore_state = slow_restore
-            return monitor
-
-        monkeypatch.setattr("repro.fabric.fabric.build_shard_monitor",
-                            slow_shard_monitor)
+    def test_ops_deferred_at_the_cut_survive_a_crash(self, monkeypatch):
         monkeypatch.setattr(supervise, "CHECKPOINT_FLOOR", 64)
+        split = dict(mode=ProcessingMode.SPLIT, split_lag=0.5)
         events = catalog_trace(seed=7, num_events=1500)
-        registry = MetricsRegistry()
         fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp",
-                                registry=registry,
+                                monitor_kwargs=split,
                                 supervision=SupervisorPolicy(
                                     heartbeat_interval=1e9,
-                                    heartbeat_timeout=self.TIMEOUT,
                                     backoff_base=0.0, backoff_max=0.0))
         sup = fabric.supervisor
         try:
-            fabric.observe_batch(events[:1000])
-            fabric.sync()                     # shard 0's cut has landed
-            assert registry.gauge("repro_fabric_checkpoint_bytes",
-                                  labels={"shard": "0"}).value > 0
-            os.kill(sup.worker_pids()[0], signal.SIGKILL)
-            for i in range(1000, len(events), 100):
+            for i in range(0, 800, 100):
                 fabric.observe_batch(events[i:i + 100])
-            fabric.advance_to(events[-1].time + SETTLE)
-            fabric.sync()
-            fabric.stop()
+            fabric.sync()                     # shard 0's last cut lands
+            row = fabric.shard_liveness()[0]
+            assert not row["checkpoint_pending"]
+            assert row["journal_events"] < 400, row
+            # half a second of ops is deferred at any moment: some were
+            # at the cut, and are in no event the journal replays
+            assert fabric.pending_op_count() > 0
+            os.kill(sup.worker_pids()[0], signal.SIGKILL)
+            for i in range(800, len(events), 100):
+                fabric.observe_batch(events[i:i + 100])
+            fabric.stop(now=events[-1].time + SETTLE)
             assert sup.total_restarts() == 1 and not sup.failed()
-            assert len(fabric.ledger) == 0   # no quarantined batch
-            plain = run_plain(catalog_props(), events)
+            assert fabric.ledger.by_kind() == {}
+            plain = Monitor(**split)
+            for prop in catalog_props():
+                plain.add_property(prop)
+            plain.observe_batch(events)
             plain.advance_to(events[-1].time + SETTLE)
+            assert plain.violations
             assert sorted(fingerprint(fabric.violations)) \
                 == sorted(fingerprint(plain.violations))
         finally:
             fabric.close()
 
+
+def socket_inodes(pid):
+    """The sockets ``pid`` holds, as ``socket:[inode]`` names."""
+    held = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue  # closed since the listing
+        if target.startswith("socket:"):
+            held.add(target)
+    return held
+
+
+class TestProcessHygiene:
+    """Every forked fabric process closes the fabric sockets it does not
+    own, so a retired standby sees its EOF whatever was forked after it;
+    and whatever is left of a fabric's process group is reaped."""
+
+    def test_a_retired_standby_exits_though_workers_forked_after_it(
+            self, monkeypatch):
+        monkeypatch.setattr(supervise, "CHECKPOINT_FLOOR", 16)
+        events = catalog_trace(seed=7, num_events=600)
+        first = ShardedMonitor(catalog_props(), num_shards=2, mode="mp")
+        second = exited = None
+        try:
+            first.observe_batch(events[:200])
+            first.sync()                      # shard 0's cut has landed
+            standby = first.supervisor.standby_pids()[0]
+            assert standby is not None
+            exited = os.pidfd_open(standby)
+            # forked while this process holds the standby's end
+            second = ShardedMonitor(catalog_props(), num_shards=2,
+                                    mode="mp")
+            second.observe_batch(events[:200])
+            second.sync()
+            for fabric in (first, second):
+                # an ack is answered after the cut that came before it,
+                # when the worker has closed its copy of the standby's end
+                fabric.supervisor.heartbeat()
+            # what a child holds of this process's sockets it inherited;
+            # none may be a fabric end, and beyond them each holds one
+            # socket, its own channel
+            mine = socket_inodes(os.getpid())
+            parent_ends = {os.readlink(f"/proc/self/fd/{end.fileno()}")
+                           for end in list(mp._PARENT_ENDS)}
+            for fabric in (first, second):
+                sup = fabric.supervisor
+                for worker, spare in zip(sup.worker_pids(),
+                                         sup.standby_pids()):
+                    held = socket_inodes(worker)
+                    assert not held & parent_ends, (worker, held)
+                    assert len(held - mine) == 1, (worker, held)
+                    if spare is not None:
+                        kept = socket_inodes(spare)
+                        assert not kept & parent_ends, (spare, kept)
+                        # not the worker's channel: its own end only
+                        assert len(kept - mine) == 1, (spare, kept)
+                        assert not kept & (held - mine), (spare, kept)
+            first.observe_batch(events[200:400])
+            first.sync()                      # a new cut retires it
+            assert first.supervisor.standby_pids()[0] != standby
+            assert select.select([exited], [], [], 10.0)[0], \
+                "the retired standby never saw its EOF"
+        finally:
+            for fabric in (first, second):
+                if fabric is not None:
+                    fabric.close()
+            if exited is not None:
+                os.close(exited)
+
+    def test_close_reaps_whatever_is_left_in_the_group(self):
+        """A process the supervisor never heard of — one a worker forked
+        and died before naming — is killed and reaped at ``close()``."""
+        fabric = ShardedMonitor(catalog_props(), num_shards=2, mode="mp")
+        try:
+            group = fabric._group.pgid
+            assert group == fabric.supervisor.worker_pids()[0]
+            stray = os.fork()
+            if stray == 0:  # pragma: no cover - the stray child
+                os.setpgid(0, group)
+                signal.pause()
+                os._exit(0)
+            os.setpgid(stray, group)
+        finally:
+            fabric.close()
+        assert_reaped({stray})
 
 class TestQueueDepth:
     def test_a_failed_shard_holds_nothing_in_flight(self):
@@ -482,20 +562,53 @@ def flow_trace(num_events, flows):
     return events
 
 
+def seen_again_props():
+    """Every egress, and every second arrival, of a flow that arrived is
+    a violation: violations grow with the events, and so does each cut's
+    reply, which carries those raised since the previous snapshot."""
+    return [
+        PropertySpec(
+            name=f"flow-seen-again-{kind.name.lower()}",
+            description="a flow that arrived, seen again",
+            stages=(
+                Observe("seen", EventPattern(
+                    kind=EventKind.ARRIVAL,
+                    binds=(Bind("src", "ipv4.src"),
+                           Bind("sport", "tcp.src")))),
+                Observe("again", EventPattern(
+                    kind=kind,
+                    guards=(FieldEq("ipv4.src", Var("src")),
+                            FieldEq("tcp.src", Var("sport"))))),
+            ),
+            key_vars=("src", "sport"),
+        )
+        for kind in (EventKind.ARRIVAL, EventKind.EGRESS)
+    ]
+
+
 class TestAsyncCheckpoints:
-    def test_replies_larger_than_the_socket_never_stall_the_run(self):
-        """The run a request-then-blocking-send variant hangs on: each
-        checkpoint reply is several socket buffers long, so the worker
-        blocks writing it while the parent is writing the next batch.
-        A cut falls due at the live state, so the last one lands some
-        thousand events before the end: 24 000 events keep both shards'
-        last replies over three socket buffers."""
+    def test_replies_larger_than_the_socket_never_stall_the_run(
+            self, monkeypatch):
+        """The run a request-then-blocking-send variant hangs on: a
+        cut's reply is over two socket buffers long, so the worker blocks
+        writing it while the parent is writing the next batch.  A cut
+        falls due at the live state, some ten thousand events a shard
+        here, and its reply carries the violations of as many events."""
+        props = flow_props() + seen_again_props()
         events = flow_trace(24_000, flows=6000)
-        plain = run_plain(flow_props(), events)
+        plain = run_plain(props, events)
         assert plain.violations, "workload produced no violations — vacuous"
-        registry = MetricsRegistry()
-        fabric = ShardedMonitor(flow_props(), num_shards=2, mode="mp",
-                                registry=registry)  # default policy
+        cut_replies = []
+        recv = MpShard._recv
+
+        def noting_cuts(shard, tag, timeout):
+            reply = recv(shard, tag, timeout)
+            if reply is not None and tag == b"C":
+                cut_replies.append((shard.shard_idx, len(reply[0])))
+            return reply
+
+        monkeypatch.setattr(MpShard, "_recv", noting_cuts)
+        fabric = ShardedMonitor(props, num_shards=2, mode="mp")
         try:
             for i in range(0, len(events), 1024):
                 fabric.observe_batch(events[i:i + 1024])
@@ -506,16 +619,11 @@ class TestAsyncCheckpoints:
             assert {n: getattr(fabric.stats, n) for n in COUNTERS} \
                 == {n: getattr(plain.stats, n) for n in COUNTERS}
             assert len(fabric.ledger) == 0
-            samples = {
-                metric["name"]: [sample["value"]
-                                 for sample in metric["samples"]]
-                for metric in registry.snapshot()["metrics"]
-                if metric["kind"] == "gauge"}
-            sizes = samples["repro_fabric_checkpoint_bytes"]
-            assert len(sizes) == 2 and min(sizes) > 3 * 212_992, sizes
-            # each worker timed the export it did
-            costs = samples["repro_fabric_checkpoint_export_seconds"]
-            assert len(costs) == 2 and min(costs) > 0.0, costs
+            largest = {}
+            for shard, size in cut_replies:
+                largest[shard] = max(size, largest.get(shard, 0))
+            assert len(largest) == 2 \
+                and min(largest.values()) > 2 * 212_992, cut_replies
             for row in fabric.shard_liveness():
                 # cuts landed and truncated while the run was going: one
                 # due size outstanding, one being counted, one batch
@@ -529,9 +637,9 @@ class TestAsyncCheckpoints:
     def test_stopped_worker_times_out_a_send_larger_than_the_socket(self):
         props = flow_props()
         big = flow_trace(6000, flows=100)     # ~0.4 MB encoded: > SO_SNDBUF
-        shard = MpShard(build_shard_monitor(props, 0, 1,
-                                            build_routes(props, 1)),
-                        0, heartbeat_timeout=0.5)
+        shard = MpShard.fork(build_shard_monitor(props, 0, 1,
+                                                 build_routes(props, 1)),
+                             0, heartbeat_timeout=0.5)
         pid = shard.pid
         os.kill(pid, signal.SIGSTOP)
         try:

@@ -1,14 +1,12 @@
 """A fabric worker collects only what it makes.
 
 A forked worker moves the heap it inherited into the collector's
-permanent generation (``gc.freeze()``) before it reads a command, and
-pauses its collector around its two bulk builds: the restore (``R``)
-and the checkpoint export (``C``).  The worker reports what it sees
-through its inherited monitor: an instance-level ``observe_batch``
-appends the freeze count and the collector's state to ``violations``,
-which the next snapshot carries back, and instance-level
-``export_state`` / ``restore_state`` note whether the collector ran
-while they did.  Nothing here is timed.
+permanent generation (``gc.freeze()``) before it reads a command, and a
+promoted standby freezes all it inherited, its worker's own heap
+included, before it serves.  The worker reports what it sees through
+its inherited monitor: an instance-level ``observe_batch`` appends the
+freeze count and the collector's state to ``violations``, which the
+next snapshot carries back.  Nothing here is timed.
 """
 
 import gc
@@ -17,7 +15,6 @@ import pytest
 
 from repro.core.monitor import Monitor
 from repro.fabric import MpShard, fork_available
-from repro.fabric.mp import _collector_paused
 from repro.packet import tcp_packet
 from repro.switch.events import PacketArrival
 from tests.forks import assert_reaped
@@ -35,28 +32,18 @@ EVENT = PacketArrival(switch_id="s1", time=0.1,
                       in_port=1)
 
 
-def reporting_monitor():
+def reporting_monitor(make=0):
     """A monitor whose batches report the worker's collector instead of
-    matching: one ``(freeze count, collector on, notes)`` row a batch,
-    the notes saying whether it was on inside each export and restore."""
+    matching: one ``(freeze count, collector on)`` row a batch.  Each
+    batch also keeps ``make`` new tracked containers alive."""
     monitor = Monitor()
-    notes = []
+    kept = []
 
     def observe_batch(events):
-        monitor.violations.append(
-            (gc.get_freeze_count(), gc.isenabled(), tuple(notes)))
-
-    def export_state():
-        notes.append(("export", gc.isenabled()))
-        return Monitor.export_state(monitor)
-
-    def restore_state(state):
-        notes.append(("restore", gc.isenabled()))
-        Monitor.restore_state(monitor, state)
+        kept.extend([] for _ in range(make))
+        monitor.violations.append((gc.get_freeze_count(), gc.isenabled()))
 
     monitor.observe_batch = observe_batch
-    monitor.export_state = export_state
-    monitor.restore_state = restore_state
     return monitor
 
 
@@ -70,26 +57,16 @@ def report(shard):
     return row
 
 
-@pytest.fixture
-def shard():
-    shard = MpShard(reporting_monitor(), 0, heartbeat_timeout=TIMEOUT)
-    pid = shard.pid
-    try:
-        yield shard
-    finally:
-        assert shard.quit(TIMEOUT) is not None
-        assert_reaped({pid})
-
-
 class TestFrozenInheritance:
     def test_the_worker_freezes_what_it_inherited(self):
         held = [[] for _ in range(HELD)]
         gc.collect()        # what the parent tracks is then all live
         tracked = len(gc.get_objects())
-        shard = MpShard(reporting_monitor(), 0, heartbeat_timeout=TIMEOUT)
+        shard = MpShard.fork(reporting_monitor(), 0,
+                             heartbeat_timeout=TIMEOUT)
         pid = shard.pid
         try:
-            frozen, collecting, _ = report(shard)
+            frozen, collecting = report(shard)
         finally:
             shard.quit(TIMEOUT)
         assert_reaped({pid})
@@ -99,42 +76,25 @@ class TestFrozenInheritance:
         assert collecting
         assert gc.get_freeze_count() == 0   # the parent froze nothing
 
-    def test_the_collector_is_paused_around_export_and_restore_only(
-            self, shard):
-        assert report(shard)[1:] == (True, ())
-        shard.request_snapshot(checkpoint=True)
-        cut = shard.recv_snapshot(TIMEOUT)
-        assert cut is not None and cut.state is not None
-        assert report(shard)[1:] == (True, (("export", False),))
-        shard.restore(cut.state)
-        assert report(shard)[1:] == (
-            True, (("export", False), ("restore", False)))
-
-
-class TestCollectorPaused:
-    @pytest.fixture(autouse=True)
-    def collector_restored(self):
-        was_on = gc.isenabled()
-        yield
-        if was_on:
-            gc.enable()
-        else:
-            gc.disable()
-
-    def test_an_exception_inside_turns_the_collector_back_on(self):
-        gc.enable()
-        with pytest.raises(RuntimeError):
-            with _collector_paused():
-                assert not gc.isenabled()
-                raise RuntimeError("inside")
-        assert gc.isenabled()
-
-    def test_a_collector_that_was_off_stays_off(self):
-        gc.disable()
-        with _collector_paused():
-            assert not gc.isenabled()
-        assert not gc.isenabled()
-        with pytest.raises(RuntimeError):
-            with _collector_paused():
-                raise RuntimeError("inside")
-        assert not gc.isenabled()
+    def test_a_promoted_standby_freezes_too(self):
+        worker = MpShard.fork(reporting_monitor(make=HELD), 0,
+                              heartbeat_timeout=TIMEOUT)
+        forked = [worker]
+        try:
+            frozen_at_start, _ = report(worker)
+            worker.request_snapshot(cut=True)
+            cut = worker.recv_cut(TIMEOUT)
+            assert cut is not None
+            _, standby = cut
+            forked.append(standby)
+            worker.kill()
+            forked.append(standby.promote(TIMEOUT))
+            frozen, collecting = report(standby)
+        finally:
+            for shard in forked:
+                shard.kill()
+        assert_reaped({shard.pid for shard in forked})
+        # the worker's own containers, made after its freeze, are frozen
+        # in the standby that took over
+        assert frozen >= frozen_at_start + HELD, (frozen, frozen_at_start)
+        assert collecting

@@ -40,6 +40,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]
 import workloads  # noqa: E402  (the benchmark's generators)
 
 BATCH = 1024
+#: batches between two memory samples
+SAMPLE_EVERY = 4
 
 
 def recovery_seconds(registry):
@@ -50,24 +52,72 @@ def recovery_seconds(registry):
     return 0.0
 
 
+def memory_kb(pid):
+    """``(Rss, Pss)`` of a live process in kB, from its smaps_rollup."""
+    fields = {}
+    with open(f"/proc/{pid}/smaps_rollup", encoding="ascii") as rollup:
+        for line in rollup:
+            name, _, rest = line.partition(":")
+            if name in ("Rss", "Pss"):
+                fields[name] = int(rest.split()[0])
+    return fields["Rss"], fields["Pss"]
+
+
+class PeakMemory:
+    """Peak PSS of each shard's worker plus standby, and of the parent,
+    sampled between batches; and the highest ratio of a shard's PSS to
+    its standby's RSS, which is the worker's RSS at the cut."""
+
+    def __init__(self):
+        self.shards = {}
+        self.parent = 0
+        self.ratio = 0.0
+
+    def sample(self, supervisor):
+        self.parent = max(self.parent, memory_kb(os.getpid())[1])
+        pairs = zip(supervisor.worker_pids(), supervisor.standby_pids())
+        for shard, (worker, standby) in enumerate(pairs):
+            try:
+                pss = memory_kb(worker)[1] if worker else 0
+                if standby:
+                    at_cut, standby_pss = memory_kb(standby)
+                    pss += standby_pss
+                    self.ratio = max(self.ratio, pss / at_cut)
+            except OSError:
+                continue  # died since the supervisor looked
+            self.shards[shard] = max(self.shards.get(shard, 0), pss)
+
+    def render(self):
+        shards = ", ".join(f"shard {shard} {kb / 1024:.0f} MB"
+                           for shard, kb in sorted(self.shards.items()))
+        return (f"peak PSS, worker + standby: {shards}; parent "
+                f"{self.parent / 1024:.0f} MB; worker + standby at most "
+                f"{self.ratio:.2f}x the worker's RSS at the cut")
+
+
 def run_fabric(events, props):
     """(sorted violation fingerprints, restarts, failed shards, ledger
-    by kind, recovery seconds) of the fabric run with its one SIGKILL."""
+    by kind, recovery seconds, peak memory) of the fabric run with its
+    one SIGKILL."""
     registry = MetricsRegistry()
     fabric = ShardedMonitor(props, num_shards=2, mode="mp",
                             registry=registry)
     sup = fabric.supervisor
+    memory = PeakMemory()
     try:
         middle = len(events) // 2 // BATCH * BATCH
         for start in range(0, len(events), BATCH):
             if start == middle:
                 os.kill(sup.worker_pids()[0], signal.SIGKILL)
             fabric.observe_batch(events[start:start + BATCH])
+            if start // BATCH % SAMPLE_EVERY == 0:
+                memory.sample(sup)
         fabric.sync()
+        memory.sample(sup)
         fabric.stop()
         return (sorted(fingerprint(fabric.violations)), sup.total_restarts(),
                 sup.failed(), fabric.ledger.by_kind(),
-                recovery_seconds(registry))
+                recovery_seconds(registry), memory)
     finally:
         fabric.close()
 
@@ -90,11 +140,13 @@ def main(argv=None) -> int:
         workloads.flow_decisions(1, 4 * flows, flows), flows)
     props = workloads.flow_properties()
     t0 = time.perf_counter()
-    violations, restarts, failed, ledger, recovery = run_fabric(events, props)
+    violations, restarts, failed, ledger, recovery, memory = run_fabric(
+        events, props)
     wall = time.perf_counter() - t0
     print(f"fabric: {len(events)} events, {wall:.1f} s, {restarts} "
           f"restart(s) recovered in {recovery:.2f} s, failed shards "
           f"{failed}, ledger {ledger}, {len(violations)} violations")
+    print(memory.render())
     # The reference runs after the workers are gone, so no worker forks
     # from a parent holding its state.
     reference = run_plain(events, props)

@@ -11,10 +11,13 @@ and a 4:1 draw between the two put 4 to 42 of ~130 runs on the fabric)
 through the faults ``repro chaos`` injects: catalog batches through a
 :class:`~repro.faults.profiles.FaultyEventChannel`, a control channel on
 its split ops and a bounded policy or none, with time advancing between.
-A ``Monitor`` is checkpointed and restored; a fabric's workers are
-SIGKILLed between steps, once a checkpoint request is outstanding,
-mid-batch with or without a ``sync()`` first, and just before
-``stop()``, through its public surface and ``supervisor.worker_pids()``.
+A fabric's workers are SIGKILLed between steps, once a cut request is
+outstanding, mid-batch with or without a ``sync()`` first, and just
+before ``stop()``, through its public surface and
+``supervisor.worker_pids()``.  ``TestStandbyFaultMachine``, on a budget
+of its own, also SIGKILLs a shard's standby (``standby_pids()``), alone
+or with its worker: with both gone the shard's cut is lost, and that
+must reach the ledger as ``cut-lost``, never pass silently.
 
 The oracle is an unbounded, fault-free reference monitor
 (``match_strategy="interpreted"``) with the same mode and split lag, fed
@@ -23,7 +26,8 @@ step all drain (a fabric until no shard is recovering) to one time, then
 the reference count lies in the interval, in total and per property,
 with identical violations when the ledger is empty; ``hi - lo <= 2 *
 len(ledger)``; :func:`~repro.faults.rounds.check_invariants` passes; a
-fabric's ledger has no ``NEVER`` row; and with no ``(fabric)`` row and
+fabric's ledger has no ``NEVER`` row (nor a ``cut-lost`` one unless a
+standby was killed); and with no ``(fabric)`` row and
 no control channel a fabric equals its uncrashed twin
 (``tests/partition.py``) in sorted violations, every counter and the
 ledger by kind.  A replacement's control channel restarts from the
@@ -78,6 +82,8 @@ NEVER = {supervise.KIND_QUIT_TIMEOUT, supervise.KIND_QUARANTINE,
          supervise.KIND_SHARD_LOST}
 #: kill rules per example (the teardown may SIGKILL once more)
 KILLS = 2
+#: standby kill rules per example, where drawn at all
+STANDBY_KILLS = 2
 #: the supervisor's checkpoint floor, put back after every example that
 #: draws its own
 FLOOR = supervise.CHECKPOINT_FLOOR
@@ -134,9 +140,12 @@ def catalog_monitor(**kwargs) -> Monitor:
 class FaultMachine(RuleBasedStateMachine):
     #: drive a 2-shard forked fabric instead of one Monitor
     fabric = False
+    #: also SIGKILL the fabric's standbys
+    standbys = False
     twin = None
     kills = 0
-    #: the shard to SIGKILL once its checkpoint request is outstanding
+    standby_kills = 0
+    #: the shard to SIGKILL once its cut request is outstanding
     trap = None
 
     @initialize(
@@ -156,11 +165,8 @@ class FaultMachine(RuleBasedStateMachine):
         self.oracle = catalog_monitor(mode=mode, split_lag=split_lag,
                                       match_strategy="interpreted")
         self.tap = FaultyEventChannel(link, name="machine")
-        #: what monitors replaced by a restore reported
-        self.carried_violations = []
         if not self.fabric:
-            self.kwargs = monitor_profile_kwargs(profile)
-            self.monitor = catalog_monitor(**self.kwargs)
+            self.monitor = catalog_monitor(**monitor_profile_kwargs(profile))
             return
         self.kill_at_stop = kill_at_stop
         supervise.CHECKPOINT_FLOOR = interval
@@ -215,17 +221,6 @@ class FaultMachine(RuleBasedStateMachine):
         for monitor in self._monitors():
             monitor.advance_to(when)
 
-    @precondition(lambda self: not self.fabric)
-    @rule()
-    def checkpoint_and_restore(self):
-        # Quiescent: the invariant below drained every in-flight op.
-        state = self.monitor.export_state()
-        assert state.lost_pending_ops == 0
-        fresh = catalog_monitor(**self.kwargs)
-        fresh.restore_state(state)
-        self.carried_violations.extend(self.monitor.violations)
-        self.monitor = fresh
-
     # The kill rules count when drawn, not when a kill lands: whether a
     # cut is outstanding is a matter of timing, and draws must not be.
 
@@ -253,6 +248,21 @@ class FaultMachine(RuleBasedStateMachine):
                     self.monitor.sync()
                 self._sigkill(shard)
 
+    @precondition(lambda self: self.standbys
+                  and self.standby_kills < STANDBY_KILLS)
+    @rule(shard=shards, worker_too=st.booleans())
+    def kill_standby(self, shard, worker_too):
+        """SIGKILL ``shard``'s standby between steps, once a ``sync()``
+        has landed any cut outstanding, and (``worker_too``) its worker
+        after it: the cut is then gone with the worker."""
+        self.standby_kills += 1
+        self.monitor.sync()
+        pid = self.monitor.supervisor.standby_pids()[shard]
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+        if worker_too:
+            self._sigkill(shard)
+
     @invariant()
     def reference_count_lies_in_the_interval(self):
         if self.fabric:
@@ -270,7 +280,7 @@ class FaultMachine(RuleBasedStateMachine):
 
     def _check(self):
         ledger = self.monitor.ledger
-        observed = self.carried_violations + list(self.monitor.violations)
+        observed = list(self.monitor.violations)
         reference = self.oracle.violations
         lo, hi = ledger.interval(len(observed))
         assert lo <= len(reference) <= hi, (lo, len(reference), hi)
@@ -290,7 +300,9 @@ class FaultMachine(RuleBasedStateMachine):
         assert check_invariants(self.monitor) == []
         if not self.fabric:
             return
-        assert not NEVER & set(ledger.by_kind()), ledger.by_kind()
+        never = NEVER if self.standby_kills else NEVER | {
+            supervise.KIND_CUT_LOST}
+        assert not never & set(ledger.by_kind()), ledger.by_kind()
         if self.twin is None or any(key[1] == FABRIC_ROW
                                     for key in ledger.counts):
             return
@@ -322,6 +334,10 @@ class FabricFaultMachine(FaultMachine):
     fabric = True
 
 
+class StandbyFaultMachine(FaultMachine):
+    fabric = standbys = True
+
+
 TestFaultMachine = FaultMachine.TestCase
 TestFaultMachine.settings = settings(
     max_examples=100, stateful_step_count=20, deadline=None,
@@ -332,3 +348,9 @@ TestFabricFaultMachine = pytest.mark.skipif(
         FabricFaultMachine.TestCase)
 TestFabricFaultMachine.settings = settings(
     TestFaultMachine.settings, max_examples=15)
+
+TestStandbyFaultMachine = pytest.mark.skipif(
+    not fork_available(), reason="fork start method unavailable")(
+        StandbyFaultMachine.TestCase)
+TestStandbyFaultMachine.settings = settings(
+    TestFaultMachine.settings, max_examples=8)

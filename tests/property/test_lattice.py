@@ -15,11 +15,10 @@ change what the monitor reports, so the oracle gets them too.  Its
 
 * evaluator: the generated program, or the reference walk itself;
 * mode: INLINE, or SPLIT at lag 0 against the INLINE oracle;
-* entry: ``observe``; ``observe_batch`` at a drawn batch size; an
-  ``export_state``, pickle and ``restore_state`` into a fresh monitor at
-  a drawn cut with no op in flight; the events through the RPF2 codec or
-  the JSONL codec; or the key partition of :mod:`tests.partition` at N
-  in {1, 2, 3} (where no cap, key filter or op fault is set);
+* entry: ``observe``; ``observe_batch`` at a drawn batch size; the
+  events through the RPF2 codec or the JSONL codec; or the key
+  partition of :mod:`tests.partition` at N in {1, 2, 3} (where no cap,
+  key filter or op fault is set);
 * telemetry: a ``MetricsRegistry`` and a ``Tracer``, or neither.
 
 It compares the violations (fingerprint, history depth and whether a
@@ -34,11 +33,14 @@ The generated program probes the instance store's hash indexes and the
 reference walk scans each stage's population, so every example also
 holds the indexes to a scan.  The forked fabric is compared on fixed
 workloads in ``tests/integration/test_fabric_differential.py``: a fork
-per example would cost more than the whole lattice.
+per example would cost more than the whole lattice.  Nor is there a
+checkpoint entry: a checkpoint is a forked copy of the process, which
+translates no state that a configuration could get wrong; what is
+built around it — promotion and the journal replay — is the fault
+machine's (``tests/property/test_fault_machine.py``).
 """
 
 import json
-import pickle
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -111,9 +113,7 @@ SETTLE = {"catalog": 600.0, "keyed-catalog": 600.0}
 
 #: entries whose order of same-instant work is not the oracle's: a
 #: partition merges its shards' violations in its own order.  It draws
-#: no lossy control channel, whose drops follow op order.  (A restored
-#: monitor keeps the exporter's creation, stage-entry and timer orders,
-#: so it is held to the oracle's order like every other entry.)
+#: no lossy control channel, whose drops follow op order.
 UNORDERED = ("partition",)
 
 COUNTERS = tuple(MonitorStats._COUNTERS)
@@ -140,8 +140,8 @@ class Case:
     evaluator: str = "compiled"
     #: SPLIT at lag 0 against an INLINE oracle
     lag0: bool = False
-    #: ``("observe",)``, ``("batch", size)``, ``("restore", cut)``,
-    #: ``("rpf2",)``, ``("jsonl",)`` or ``("partition", shards)``
+    #: ``("observe",)``, ``("batch", size)``, ``("rpf2",)``,
+    #: ``("jsonl",)`` or ``("partition", shards)``
     entry: Tuple = ("observe",)
     telemetry: bool = False
 
@@ -191,8 +191,8 @@ def cases(draw):
         start = draw(st.integers(0, len(trace) - n))
         stream = (start, start + n)
     kind = draw(st.sampled_from(
-        ("observe", "partition", "restore", "batch", "rpf2", "jsonl")))
-    arg = {"batch": st.integers(1, 64), "restore": st.integers(0, n),
+        ("observe", "partition", "batch", "rpf2", "jsonl")))
+    arg = {"batch": st.integers(1, 64),
            "partition": st.integers(1, 3)}.get(kind)
     entry = (kind,) if arg is None else (kind, draw(arg))
     partition = kind == "partition"
@@ -242,41 +242,6 @@ def run_oracle(case):
     return monitor, applied
 
 
-def run_restored(case, cut):
-    """``observe`` up to the first event at or after ``cut`` with no op
-    in flight, then carry on in a fresh monitor restored from a pickled
-    checkpoint, which must export what it was restored from.  The
-    control channel, like the key filter, belongs to the environment, so
-    the restored monitor keeps using it."""
-    events = case.events
-    kwargs = case.tested_kwargs()
-    first = new_monitor(case, **kwargs)
-    applied = record_applied(first)
-    k = min(cut, len(events))
-    for event in events[:k]:
-        first.observe(event)
-    while k < len(events):
-        first.advance_to(events[k].time)
-        if first.pending_op_count() == 0:
-            break
-        first.observe(events[k])
-        k += 1
-    else:
-        settle(case, first)
-    state = pickle.loads(pickle.dumps(first.export_state()))
-    if case.telemetry:
-        kwargs.update(registry=MetricsRegistry(), tracer=Tracer())
-    second = new_monitor(case, **kwargs)
-    applied_after = record_applied(second)
-    second.restore_state(state)
-    assert second.export_state() == state  # restored is the exporter
-    for event in events[k:]:
-        second.observe(event)
-    settle(case, second)
-    return (first.violations + second.violations, second,
-            applied + applied_after)
-
-
 def run_tested(case):
     """``(violations, counter reader, ledger counts, monitor, applied
     ops)`` of the tested configuration; a partition is no one monitor
@@ -293,26 +258,22 @@ def run_tested(case):
             ledger.update(shard.ledger.counts)
         return (partitioned.violations, partitioned.counter, dict(ledger),
                 None, None)
-    if kind == "restore":
-        found, monitor, applied = run_restored(case, arg[0])
+    monitor = new_monitor(case, **case.tested_kwargs())
+    applied = record_applied(monitor)
+    if kind == "observe":
+        for event in events:
+            monitor.observe(event)
+    elif kind == "batch":
+        for i in range(0, len(events), arg[0]):
+            monitor.observe_batch(events[i:i + arg[0]])
+    elif kind == "rpf2":
+        monitor.observe_batch(decode_frames(encode_frames(events)))
     else:
-        monitor = new_monitor(case, **case.tested_kwargs())
-        applied = record_applied(monitor)
-        if kind == "observe":
-            for event in events:
-                monitor.observe(event)
-        elif kind == "batch":
-            for i in range(0, len(events), arg[0]):
-                monitor.observe_batch(events[i:i + arg[0]])
-        elif kind == "rpf2":
-            monitor.observe_batch(decode_frames(encode_frames(events)))
-        else:
-            monitor.observe_batch([
-                parse_frame(json.dumps(event_to_dict(event)).encode())
-                for event in events])
-        settle(case, monitor)
-        found = monitor.violations
-    return (found, lambda name: getattr(monitor.stats, name),
+        monitor.observe_batch([
+            parse_frame(json.dumps(event_to_dict(event)).encode())
+            for event in events])
+    settle(case, monitor)
+    return (monitor.violations, lambda name: getattr(monitor.stats, name),
             dict(monitor.ledger.counts), monitor, applied)
 
 
@@ -342,12 +303,10 @@ def check(case):
               split=(0.02, 1)))
 @example(Case("timed-pair", ADVANCE_THEN_CREATE, entry=("batch", 2)))
 @example(Case("probe", REFRESHED_BEFORE_THE_CUT, max_layer=3,
-              entry=("restore", 5)))
-@example(Case("probe", REFRESHED_BEFORE_THE_CUT, max_layer=3,
-              entry=("restore", 7)))
-@example(Case("timed-pair", PUSHED_ACROSS_STORES, entry=("restore", 3)))
+              entry=("batch", 5)))
+@example(Case("timed-pair", PUSHED_ACROSS_STORES, entry=("batch", 3)))
 @example(Case("timed-pair", TIED_CREATIONS, cap=(3, "evict-oldest"),
-              entry=("restore", 3)))
+              entry=("batch", 3)))
 def test_configuration_matches_the_reference(case):
     check(case)
 

@@ -131,13 +131,6 @@ def build_scenario_registry():
         "repro_fabric_quarantined_batches_total",
         "Poison batches set aside (ledgered, never retried) "
         "after repeatedly killing a shard worker").inc(0)
-    # Each shard's last checkpoint cost its worker a few ms of CPU.
-    for shard, seconds in (("0", 0.004), ("1", 0.003)):
-        registry.gauge(
-            "repro_fabric_checkpoint_export_seconds",
-            "Worker CPU seconds spent exporting and pickling "
-            "the state in one shard's last checkpoint",
-            unit="seconds", labels={"shard": shard}).set(seconds)
 
     return registry
 

@@ -33,7 +33,6 @@ from repro.switch.events import (
     PacketDrop,
     PacketEgress,
 )
-from tests.applied_ops import record_applied
 
 
 def simple_prop():
@@ -396,35 +395,6 @@ class TestUnlessIndex:
         for inst in list(store.all()):
             store.remove(inst)
         assert not any(unless_contents(store).values())
-
-    def test_restored_monitor_probes_like_the_original(self):
-        """A restore re-adds instances in export (key-map) order, which a
-        refresh can make differ from the exporter's stage order — for the
-        scan as much as for the index; here the one refreshed instance is
-        cancelled before the checkpoint, so even the order carries over."""
-        events = self._events()
-        original, restored = Monitor(), Monitor()
-        applied = []
-        for monitor in (original, restored):
-            monitor.add_property(cancel_prop())
-            applied.append(record_applied(monitor))
-        for event in events[:9]:
-            original.observe(event)
-        restored.restore_state(original.export_state())
-        already = len(original.violations)
-        check_index_invariant(restored.store("cp"))
-        assert (unless_contents(restored.store("cp"))
-                == unless_contents(original.store("cp")))
-        for event in events[9:]:
-            for monitor, ops in zip((original, restored), applied):
-                ops.clear()
-                monitor.observe(event)
-            assert applied[0] == applied[1]
-        assert applied[0]  # the last event advances (8, 2) to completion
-        assert len(original.violations) > already
-        assert ([(v.time, v.bindings) for v in restored.violations]
-                == [(v.time, v.bindings)
-                    for v in original.violations[already:]])
 
 
 class TestFieldClassification:

@@ -5,14 +5,12 @@ method surface, so these tests drive it with an in-memory fake — no
 fork, no sockets — and a hand-cranked wall clock.  The fake answers
 like the real worker does — one reply per request, in request order —
 and can be told to hold its replies back, which is how the
-asynchronous-checkpoint cases put batches between a request and its
+asynchronous-cut cases put batches between a request and its
 reply, or to answer only once the supervisor waits (``slow``).  The
-checkpoint round-trip tests use the real :class:`Monitor`
-export/restore path, including timer re-arming, since crash-replay
-equivalence depends on it being exact.
+checkpoint round-trip tests fork real workers and promote a real
+standby, since crash-replay equivalence depends on it being exact.
 """
 
-import pickle
 from collections import deque
 from types import SimpleNamespace
 
@@ -23,20 +21,22 @@ from repro.core.degradation import OverflowLedger
 from repro.core.refs import Bind, EventKind, EventPattern, FieldEq, Var
 from repro.core.spec import Absent, Observe, PropertySpec
 from repro.fabric import Supervisor, SupervisorPolicy, supervise
-from repro.fabric.mp import ShardDied
+from repro.fabric.mp import MpShard, ShardDied
 from repro.fabric.shard import ShardSnapshot, take_snapshot
 from repro.fabric.supervise import (
     JOURNAL_INTERVALS,
     KIND_GAP,
-    KIND_LOST_OP,
+    KIND_CUT_LOST,
     KIND_QUARANTINE,
     KIND_QUIT_TIMEOUT,
     KIND_SHARD_LOST,
     POISON_THRESHOLD,
 )
+from repro.faults.rounds import fingerprint
 from repro.packet import tcp_packet
 from repro.switch.events import PacketArrival
 from repro.telemetry import MetricsRegistry
+from tests.forks import assert_reaped
 
 
 # -- fakes ------------------------------------------------------------------
@@ -53,17 +53,26 @@ class FakeClock:
 
 
 class FakeWorker:
-    """Duck-typed MpShard: scriptable deaths, full interaction log."""
+    """Duck-typed MpShard: scriptable deaths, full interaction log.
 
-    def __init__(self, idx, die_on=None):
+    A cut's reply hands over a standby: another fake, labelled by the
+    request it answers (``state``), which a promotion makes the worker
+    and which then forks a fresh standby of its own, with the same
+    label.
+    """
+
+    def __init__(self, idx, die_on=None, state=None):
         self.idx = idx
         self.pid = 1000 + idx
         self.alive = True
         self.received = []   # batches delivered via send_batch
-        self.restored = None
+        #: the cut this process is the standby of (None: forked fresh)
+        self.state = state
+        self.promoted = False
+        self.retired = False
         self.requests = []   # "H" / "S" / "C", in the order they came
-        #: what the parent can read, oldest first: ("A", seq) or
-        #: ("S", ShardSnapshot)
+        #: what the parent can read, oldest first: ("A", seq),
+        #: ("S", ShardSnapshot) or ("C", (ShardSnapshot, standby))
         self.replies = deque()
         #: while True, replies pile up in ``held`` (a worker that has
         #: not got to the request yet) until ``release()``
@@ -78,8 +87,6 @@ class FakeWorker:
         self.die_on = die_on
         #: True kills this worker when it is asked for its final snapshot
         self.die_at_quit = False
-        #: True kills this worker right after it takes a restore in
-        self.die_at_restore = False
         #: live instances every snapshot reports
         self.live = 0
 
@@ -111,18 +118,33 @@ class FakeWorker:
         self.replies.extend(self.held)
         self.held = []
 
-    def _snapshot(self, checkpoint=False):
+    def _snapshot(self):
         violations, self.fresh_violations = self.fresh_violations, []
         return ShardSnapshot(
             shard=self.idx, now=0.0, live_instances=self.live, pending_ops=0,
-            counters={}, violations=violations,
-            state=b"state-%d" % len(self.requests) if checkpoint else None,
-            export_seconds=0.125 if checkpoint else 0.0)
+            counters={}, violations=violations)
+
+    def _fork(self, state):
+        return FakeWorker(self.idx, die_on=self.die_on, state=state)
 
     def ping(self, seq):
         self._check()
         self.requests.append("H")
         self._answer(("A", seq))
+
+    def _recv(self, tag, timeout):
+        """Like MpShard: the next reply, which must be a ``tag`` one;
+        stale acks ahead of it are dropped."""
+        self._check()
+        if self.slow and timeout > 0:
+            self.release()
+        while self.replies:
+            got, value = self.replies.popleft()
+            if got == tag:
+                return value
+            if got != "A":
+                raise ShardDied(f"shard {self.idx}: unexpected {got!r}")
+        return None
 
     def recv_ack(self, timeout):
         # like MpShard: replies that came back before a death stay
@@ -135,26 +157,25 @@ class FakeWorker:
             raise ShardDied(f"shard {self.idx}: unexpected reply {tag!r}")
         return value
 
-    def restore(self, state):
+    def request_snapshot(self, cut=False):
         self._check()
-        self.restored = state
-        if self.die_at_restore:
-            self.alive = False
-
-    def request_snapshot(self, checkpoint=False):
-        self._check()
-        self.requests.append("C" if checkpoint else "S")
-        self._answer(("S", self._snapshot(checkpoint)))
+        self.requests.append("C" if cut else "S")
+        if cut:
+            state = b"state-%d" % len(self.requests)
+            self._answer(("C", (self._snapshot(), self._fork(state))))
+        else:
+            self._answer(("S", self._snapshot()))
 
     def recv_snapshot(self, timeout):
+        return self._recv("S", timeout)
+
+    def recv_cut(self, timeout):
+        return self._recv("C", timeout)
+
+    def promote(self, timeout):
         self._check()
-        if self.slow and timeout > 0:
-            self.release()
-        while self.replies:
-            tag, value = self.replies.popleft()
-            if tag == "S":
-                return value
-        return None
+        self.promoted = True
+        return self._fork(self.state)
 
     def quit(self, timeout):
         self._check()
@@ -167,7 +188,14 @@ class FakeWorker:
         self.alive = False
         return snapshot
 
-    def kill(self, sig=None):
+    def close(self):
+        self.retired = True
+        self.alive = False
+
+    def reaped(self):
+        return not self.alive
+
+    def kill(self):
         self.alive = False
 
 
@@ -377,6 +405,24 @@ class TestBackoffAndBudget:
         assert ledger.summary()["by_kind"][KIND_SHARD_LOST] == before + 2
 
 
+    def test_a_lost_shard_ledgers_what_its_standby_held(self):
+        """A shard out of budget loses its cut with its journal: both
+        are ledgered, and its standby is killed."""
+        policy = SupervisorPolicy(restart_budget=0, backoff_base=0.0,
+                                  backoff_max=0.0)
+        sup, ledger, spawned, clock = make_supervisor(policy)
+        st = sup.states[0]
+        st.standby, st.cut_events = FakeWorker(0, state=b"cut"), 5
+        standby = st.standby
+        sup.send_batch(0, batch(1.0, 1.5))
+        spawned[0].alive = False
+        sup.send_batch(0, batch(2.0))       # death detected, journaled
+        sup.tick()                          # no budget: the shard fails
+        assert sup.failed() == [0] and st.standby is None
+        assert not standby.alive and not standby.promoted
+        assert ledger.summary()["by_kind"] == {KIND_SHARD_LOST: 5 + 3}
+
+
 # -- poison quarantine ------------------------------------------------------
 
 class TestQuarantine:
@@ -435,39 +481,61 @@ class TestQuarantine:
         assert spawned[-1].requests == ["H"] * 4
 
     def test_a_replacement_lost_to_its_restore_charges_no_batch(self):
-        """The restore is acknowledged before any batch is replayed, so
-        replacements that die taking the checkpoint in charge the journal
-        nothing: two such deaths quarantine no batch, and the third
-        replacement replays the whole journal."""
+        """A replacement restores the last cut by promoting the shard's
+        standby, and the promotion is answered before any batch is
+        replayed.  A standby found dead then charges the journal
+        nothing: its cut is ledgered as lost, and a fresh worker replays
+        the whole journal in the same restart."""
         policy = SupervisorPolicy(backoff_base=1.0, backoff_max=1.0,
                                   restart_budget=10, heartbeat_interval=1e9)
         sup, ledger, spawned, clock = make_supervisor(policy)
         st = sup.states[0]
-        st.checkpoint = b"opaque"
+        st.standby, st.cut_events = FakeWorker(0, state=b"opaque"), 5
+        st.standby.alive = False
         for t in (1.0, 2.0):
             sup.send_batch(0, batch(t))
-        spawn = sup._spawn
-
-        def lost_to_restore(idx):
-            worker = spawn(idx)
-            worker.die_at_restore = len(spawned) <= 1 + POISON_THRESHOLD
-            return worker
-
-        sup._spawn = lost_to_restore
         spawned[0].alive = False
         sup.heartbeat()
-        for attempt in range(POISON_THRESHOLD):
-            clock.t = st.next_restart_at
-            sup.tick()
-            assert spawned[-1].restored == b"opaque"
-            assert not spawned[-1].alive and spawned[-1].received == []
-        assert st.quarantined == 0 and st.kills == {}
-        assert len(ledger) == 0
         clock.t = st.next_restart_at
         sup.tick()
-        assert st.worker is spawned[-1] and len(spawned) == 4
+        assert st.worker is spawned[-1] and len(spawned) == 2
+        assert sup.total_restarts() == 1
+        assert st.quarantined == 0 and st.kills == {}
         assert times(spawned[-1].received) == [[1.0], [2.0]]
-        assert spawned[-1].requests == ["H"] * 3
+        assert spawned[-1].requests == ["H"] * 2
+        assert ledger.summary()["by_kind"] == {KIND_CUT_LOST: 5}
+        assert st.cut_events == 0 and st.standby is None
+
+    def test_a_standby_promoted_at_the_cut_replays_and_keeps_a_standby(
+            self):
+        """A promoted standby forks a standby of its own first: a
+        replacement that then dies in the replay leaves the cut there
+        for the next attempt, and nothing is ledgered."""
+        policy = SupervisorPolicy(backoff_base=1.0, backoff_max=1.0,
+                                  restart_budget=10, heartbeat_interval=1e9)
+
+        def die_on(events):
+            return events[0].time == 2.0
+
+        sup, ledger, spawned, clock = make_supervisor(policy)
+        st = sup.states[0]
+        st.standby = standby = FakeWorker(0, die_on=die_on, state=b"cut")
+        for t in (1.0, 2.0):
+            sup.send_batch(0, batch(t))
+        spawned[0].alive = False
+        sup.heartbeat()
+        clock.t = st.next_restart_at
+        sup.tick()                       # the standby dies in the replay
+        assert standby.promoted and not standby.alive
+        assert times(standby.received) == [[1.0]]
+        assert st.standby is not None and st.standby.state == b"cut"
+        second = st.standby
+        second.die_on = None
+        clock.t = st.next_restart_at
+        sup.tick()
+        assert st.worker is second and second.promoted
+        assert times(second.received) == [[1.0], [2.0]]
+        assert st.standby.state == b"cut" and len(spawned) == 1
         assert len(ledger) == 0
 
 
@@ -500,12 +568,18 @@ def times(batches):
     return [[e.time for e in b] for b in batches]
 
 
+def cut_of(st):
+    """Which cut the shard's standby holds (None: no standby)."""
+    return None if st.standby is None else st.standby.state
+
+
 class TestAsyncCheckpoint:
-    """A checkpoint is requested, then taken in whenever its reply is
-    there; the journal is cut back only then, and only up to the cut."""
+    """A cut is requested, then taken in whenever its reply is there;
+    the journal is cut back only then, and only up to the cut, and the
+    standby the reply hands over replaces the previous one."""
 
     #: 2-event batches against a 4-event floor (and no live state):
-    #: every second batch is due a checkpoint request
+    #: every second batch is due a cut request
     POLICY = dict(backoff_base=0.0, backoff_max=0.0)
 
     @pytest.fixture(autouse=True)
@@ -533,34 +607,42 @@ class TestAsyncCheckpoint:
             sup.send_batch(0, batch(t, t + 0.5))
             sup.tick()
         # nothing landed: journal whole, and never a second cut
-        assert len(st.journal) == 5 and st.checkpoint is None
+        assert len(st.journal) == 5 and cut_of(st) is None
         assert worker.requests == ["C"]
         worker.release()
         sup.tick()                               # any receive lands it
         assert times(st.journal) == [[3.0, 3.5], [4.0, 4.5], [5.0, 5.5]]
         assert st.journal_events == 6
         assert st.since_snapshot_events == 6
-        assert st.checkpoint == b"state-1"
+        assert cut_of(st) == b"state-1" and st.cut_events == 4
         assert not sup.liveness()[0]["checkpoint_pending"]
         # the cadence resumed from the cut: 6 >= 4, so the next batch
         # asks again
         sup.send_batch(0, batch(6.0, 6.5))
         assert worker.requests == ["C", "C"]
 
-    def test_landed_checkpoint_gauges_its_size_and_export_cost(self):
+    def test_a_landed_cut_retires_the_previous_standby(self):
         registry = MetricsRegistry()
-        sup, _, _, _ = make_supervisor(
+        sup, _, _, clock = make_supervisor(
             SupervisorPolicy(**self.POLICY), registry=registry)
+        st = sup.states[0]
         sup.send_batch(0, batch(1.0, 1.5))
         sup.send_batch(0, batch(2.0, 2.5))       # cut requested
+        clock.t = 0.25
         sup.tick()                               # and landed
-        assert sup.states[0].checkpoint == b"state-1"
-        gauges = {
-            metric["name"]: [sample["value"] for sample in metric["samples"]]
-            for metric in registry.snapshot()["metrics"]
-            if metric["kind"] == "gauge"}
-        assert gauges["repro_fabric_checkpoint_bytes"] == [len(b"state-1")]
-        assert gauges["repro_fabric_checkpoint_export_seconds"] == [0.125]
+        first = st.standby
+        assert first.state == b"state-1" and first.alive
+        sup.send_batch(0, batch(3.0, 3.5))
+        sup.send_batch(0, batch(4.0, 4.5))       # cut #2 requested
+        sup.tick()                               # landed: #1 retired
+        assert cut_of(st) == b"state-2" and st.standby.alive
+        assert first.retired and sup._retired == []  # exited and reaped
+        assert sup.standby_pids() == [st.standby.pid]
+        (histogram,) = [metric for metric in registry.snapshot()["metrics"]
+                        if metric["name"]
+                        == "repro_fabric_checkpoint_seconds"]
+        assert histogram["samples"][0]["count"] == 2
+        assert histogram["samples"][0]["sum"] == pytest.approx(0.25)
 
     def test_death_with_cut_outstanding_recovers_from_previous(self):
         sup, ledger, spawned, clock, merged = self._supervisor()
@@ -568,7 +650,7 @@ class TestAsyncCheckpoint:
         sup.send_batch(0, batch(1.0, 1.5))
         sup.send_batch(0, batch(2.0, 2.5))       # cut #1 requested ...
         sup.send_batch(0, batch(3.0, 3.5))       # ... and landed here
-        previous = st.checkpoint
+        previous = st.standby
         assert previous is not None and times(st.journal) == [[3.0, 3.5]]
         worker.fresh_violations = ["v1", "v2"]
         sup.sync_snapshots()                     # merged since cut #1
@@ -578,11 +660,11 @@ class TestAsyncCheckpoint:
         sup.send_batch(0, batch(5.0, 5.5))
         worker.alive = False                     # dies before replying
         sup.send_batch(0, batch(6.0, 6.5))       # death detected
-        assert st.cut is None and st.checkpoint is previous
+        assert st.cut is None and st.standby is previous
         sup.send_batch(0, batch(7.0, 7.5))       # restart + replay
-        replacement = spawned[-1]
-        assert replacement is not worker
-        assert replacement.restored is previous
+        replacement = st.worker
+        assert replacement is previous and replacement.promoted
+        assert len(spawned) == 1 and cut_of(st) == b"state-1"
         assert times(replacement.received) == [
             [3.0, 3.5], [4.0, 4.5], [5.0, 5.5], [6.0, 6.5], [7.0, 7.5]]
         assert st.discard_violations == 2
@@ -595,9 +677,9 @@ class TestAsyncCheckpoint:
         sup.send_batch(0, batch(1.0, 1.5))
         sup.send_batch(0, batch(2.0, 2.5))       # cut requested, answered
         assert st.cut is not None
-        sup.heartbeat()                          # replies: [S(ckpt), A]
+        sup.heartbeat()                          # replies: [C, A]
         assert sup.recovering() == [] and worker.alive
-        assert st.cut is None and st.checkpoint == b"state-1"
+        assert st.cut is None and cut_of(st) == b"state-1"
         assert [s.violations for s in merged] == [["c1"]]
         assert not worker.replies
 
@@ -610,8 +692,9 @@ class TestAsyncCheckpoint:
         worker.fresh_violations = ["f1"]
         sup.quiesce()
         assert [s.violations for s in merged] == [["c1"], ["f1"]]
-        assert merged[-1].state is None
-        assert st.checkpoint == b"state-1" and len(ledger) == 0
+        assert len(ledger) == 0
+        # the cut landed, and the stopped shard keeps no standby
+        assert worker.requests == ["C", "Q"] and st.standby is None
 
     def test_quiesce_with_an_unanswered_cut_is_a_hung_worker(self):
         sup, ledger, spawned, clock, merged = self._supervisor()
@@ -671,7 +754,7 @@ class TestAsyncCheckpoint:
         worker.hold, worker.slow = True, slow
         for t in (2.0, 3.0, 4.0, 5.0):           # b2 lands #1, asks #2
             sup.send_batch(0, batch(t, t + 0.5))
-        assert st.checkpoint == b"state-1" and st.cut.seq == 2
+        assert cut_of(st) == b"state-1" and st.cut.seq == 2
         assert st.journal_events == JOURNAL_INTERVALS
         sup.send_batch(0, batch(6.0, 6.5))
         return sup, ledger, spawned, clock
@@ -682,25 +765,26 @@ class TestAsyncCheckpoint:
         sup, ledger, spawned, clock = self._past_the_bound(slow=True)
         worker, st = spawned[0], sup.states[0]
         assert worker.alive and st.worker is worker and len(spawned) == 1
-        assert st.checkpoint == b"state-2" and st.cut is None
+        assert cut_of(st) == b"state-2" and st.cut is None
         assert times(st.journal) == [[3.0, 3.5], [4.0, 4.5], [5.0, 5.5],
                                      [6.0, 6.5]]
         assert len(ledger) == 0
 
     def test_past_the_bound_an_unlanded_cut_is_a_death(self):
         """A worker whose cut does not land within ``heartbeat_timeout``
-        once its journal is past the bound is dead.  Its replacement
-        restores the previous checkpoint and replays the whole journal:
+        once its journal is past the bound is dead.  Its replacement is
+        the previous cut's standby, which replays the whole journal:
         nothing aged out, so nothing is ledgered."""
         sup, ledger, spawned, clock = self._past_the_bound(slow=False)
         worker, st = spawned[0], sup.states[0]
         assert not worker.alive and sup.recovering() == [0]
         assert "past the bound" in st.down_reason
-        assert st.cut is None and st.checkpoint == b"state-1"
+        assert st.cut is None and cut_of(st) == b"state-1"
         sup.tick()                               # restart
-        replacement = spawned[-1]
+        replacement = st.worker
         assert replacement is not worker and replacement.alive
-        assert replacement.restored == b"state-1"
+        assert replacement.promoted and replacement.state == b"state-1"
+        assert len(spawned) == 1 and cut_of(st) == b"state-1"
         assert times(replacement.received) == [
             [2.0, 2.5], [3.0, 3.5], [4.0, 4.5], [5.0, 5.5], [6.0, 6.5]]
         assert len(ledger) == 0
@@ -781,23 +865,6 @@ class TestHeartbeat:
         sup.tick()
         assert len(pings) == 1
 
-    def test_lost_pending_ops_ledgered_on_restore(self):
-        policy = SupervisorPolicy(backoff_base=0.0, backoff_max=0.0)
-        sup, ledger, spawned, clock = make_supervisor(policy)
-        st = sup.states[0]
-        st.checkpoint = b"opaque"
-        st.checkpoint_lost_ops = 3
-        st.worker.alive = False
-        sup.heartbeat()
-        sup.tick()                       # restart restores the checkpoint
-        assert spawned[-1].restored is st.checkpoint
-        assert ledger.summary()["by_kind"][KIND_LOST_OP] == 3
-        # a second crash does not double-ledger the same checkpoint
-        sup.states[0].worker.alive = False
-        sup.heartbeat()
-        sup.tick()
-        assert ledger.summary()["by_kind"][KIND_LOST_OP] == 3
-
 
 # -- checkpoint round-trip (real Monitor) -----------------------------------
 
@@ -826,95 +893,73 @@ def arrival(src_mac, t):
         in_port=1)
 
 
+@pytest.fixture
+def forked():
+    """Handles the test forks; every one is killed and reaped after it."""
+    handles = []
+    yield handles
+    for handle in handles:
+        handle.kill()
+    assert_reaped({handle.pid for handle in handles})
+
+
 class TestCheckpointRoundTrip:
+    """A checkpoint is a cut's standby, and restoring it is promoting
+    the standby: the worker forked as it was at the cut.  These fork
+    real processes (``MpShard``), since crash-replay equivalence depends
+    on the promoted standby being exact."""
+
+    TIMEOUT = 10.0
+
     def _events(self):
         return [arrival("00:00:00:00:00:01", 1.0),
                 arrival("00:00:00:00:00:02", 2.0)]
 
-    def test_export_is_deterministic_and_picklable(self):
-        events = self._events()  # shared: packet uids are process-global
-        monitors = []
-        for _ in range(2):
-            m = Monitor()
-            m.add_property(timed_prop())
-            for ev in events:
-                m.observe(ev)
-            monitors.append(m)
-        a, b = (m.export_state() for m in monitors)
-        assert pickle.loads(pickle.dumps(a)) == a
-        assert a == b
+    def _cut_and_crash(self, forked, prop, events):
+        """Fork a worker, feed it ``events``, land a cut, SIGKILL the
+        worker and promote the standby: (promoted worker, cut snapshot)."""
+        monitor = Monitor()
+        monitor.add_property(prop)
+        worker = MpShard.fork(monitor, 0, heartbeat_timeout=self.TIMEOUT)
+        forked.append(worker)
+        worker.send_batch(events)
+        worker.request_snapshot(cut=True)
+        snapshot, standby = worker.recv_cut(self.TIMEOUT)
+        forked.append(standby)
+        worker.kill()
+        forked.append(standby.promote(self.TIMEOUT))
+        return standby, snapshot
 
-    def test_restore_rearms_timers_identically(self):
+    def _snapshot(self, shard):
+        shard.request_snapshot()
+        return shard.recv_snapshot(self.TIMEOUT)
+
+    def test_restore_rearms_timers_identically(self, forked):
+        """The promoted standby holds the cut's armed timers: past their
+        deadlines it fires what the uncrashed monitor fires."""
+        events = self._events()  # shared: packet uids are process-global
         baseline = Monitor()
         baseline.add_property(timed_prop(within=5.0))
-        for ev in self._events():
-            baseline.observe(ev)
-        state = pickle.loads(pickle.dumps(baseline.export_state()))
-
-        restored = Monitor()
-        restored.add_property(timed_prop(within=5.0))
-        restored.restore_state(state)
-        assert restored.live_instances() == baseline.live_instances()
-
-        # advance both past the deadlines: identical violations fire
+        baseline.observe_batch(events)
+        promoted, _ = self._cut_and_crash(
+            forked, timed_prop(within=5.0), events)
         baseline.advance_to(20.0)
-        restored.advance_to(20.0)
-        assert len(restored.violations) == len(baseline.violations) == 2
-        assert ([v.time for v in restored.violations]
-                == [v.time for v in baseline.violations])
+        promoted.advance_to(20.0)
+        fired = self._snapshot(promoted).violations
+        assert len(fired) == len(baseline.violations) == 2
+        assert fingerprint(fired) == fingerprint(baseline.violations)
 
-    def test_restore_does_not_recount_creations(self):
-        source = Monitor()
-        source.add_property(timed_prop())
-        for ev in self._events():
-            source.observe(ev)
-        created = source.stats.instances_created
-        restored = Monitor()
-        restored.add_property(timed_prop())
-        restored.restore_state(source.export_state())
-        # the exporter's count rides the checkpoint: carried over, and
-        # restoring the two instances adds nothing to it
-        assert restored.stats.instances_created == created == 2
-        assert restored.live_instances() == 2
-
-    def test_restore_unknown_property_rejected(self):
-        source = Monitor()
-        source.add_property(timed_prop())
-        source.observe(arrival("00:00:00:00:00:01", 1.0))
-        state = source.export_state()
-        empty = Monitor()
-        with pytest.raises(ValueError):
-            empty.restore_state(state)
-
-    def test_rejected_restore_adds_nothing(self):
-        """A property the restorer lacks is found before any instance is
-        added — not after the known property's rows are already in."""
-        source = Monitor()
-        for name in ("answered-in-time", "second"):
-            source.add_property(timed_prop(name=name))
-        for ev in self._events():
-            source.observe(ev)
-        state = source.export_state()
-        assert source.live_instances() == 4
-        partial = Monitor()
-        partial.add_property(timed_prop())
-        with pytest.raises(ValueError, match="second"):
-            partial.restore_state(state)
-        assert partial.live_instances() == 0
-        assert partial.stats.export() == Monitor().stats.export()
-        partial.advance_to(100.0)  # no timer was armed either
-        assert partial.violations == []
-
-    def test_checkpoint_snapshot_times_its_export(self):
-        monitor = Monitor()
-        monitor.add_property(timed_prop())
-        for ev in self._events():
-            monitor.observe(ev)
-        plain = take_snapshot(monitor, 0)
-        checkpoint = take_snapshot(monitor, 0, with_state=True)
-        assert plain.state is None and plain.export_seconds == 0.0
-        assert checkpoint.export_seconds > 0.0
-        assert pickle.loads(checkpoint.state) == monitor.export_state()
+    def test_restore_does_not_recount_creations(self, forked):
+        """The promoted standby reports the cut's counters, carried over
+        as they were, and its own creations only after them."""
+        events = self._events()
+        promoted, cut = self._cut_and_crash(forked, timed_prop(), events)
+        after = self._snapshot(promoted)
+        assert cut.counters["instances_created"] == 2
+        assert after.counters == cut.counters
+        assert after.live_instances == cut.live_instances == 2
+        promoted.send_batch([arrival("00:00:00:00:00:03", 3.0)])
+        assert self._snapshot(promoted).counters["instances_created"] == 3
 
     def test_a_snapshot_hands_its_violations_over(self):
         """A shard keeps no violation it has reported: the next snapshot
@@ -927,20 +972,8 @@ class TestCheckpointRoundTrip:
         first = take_snapshot(monitor, 0)
         assert len(first.violations) == 2
         assert monitor.violations == []
-        second = take_snapshot(monitor, 0, with_state=True)
+        second = take_snapshot(monitor, 0)
         assert second.violations == []
         assert second.counters["violations"] \
             == first.counters["violations"] == 2
         assert monitor.stats.violations == 2
-
-    def test_restore_into_a_used_monitor_rejected(self):
-        source = Monitor()
-        source.add_property(timed_prop())
-        source.observe(arrival("00:00:00:00:00:01", 1.0))
-        used = Monitor()
-        used.add_property(timed_prop())
-        used.observe(arrival("00:00:00:00:00:02", 2.0))
-        with pytest.raises(ValueError, match="fresh"):
-            used.restore_state(source.export_state())
-        assert used.live_instances() == 1
-        assert used.stats.instances_created == 1

@@ -368,7 +368,7 @@ REFRESH_STORM = [
 #: advance was applied before ``waiter``'s create.
 ADVANCE_THEN_CREATE = [arrival(1, 2, 0.1), arrival(2, 1, 0.5)]
 
-#: A refresh before a restore, cut at 5 to 7 (probe catalog,
+#: A refresh before a batch boundary at 5 to 7 (probe catalog,
 #: ``max_layer=3``).  ``oobp`` creates S == 2, 3 and 1 (the egresses of
 #: a 1->1 frame); 2->1 at 5 refreshes S == 2 to the back of the stage
 #: population; the port-down at 8 advances all three, in stage-entry
@@ -389,8 +389,8 @@ REFRESHED_BEFORE_THE_CUT = [
 
 #: :func:`timed_pair_props` again.  ``waiter``'s S == 3 falls due at 1.5
 #: and is pushed before ``advancer``'s S == 1, whose store comes first:
-#: restored at a cut of 3 (the quiet 1.0 event after it), the two fire
-#: in the exporter's push order only if the timers keep it.
+#: across a batch boundary at 3 (the quiet 1.0 event after it), the two
+#: fire in push order only if the timers keep it.
 PUSHED_ACROSS_STORES = [
     arrival(1, 2, 0.1), arrival(3, 9, 0.5), arrival(2, 1, 0.5),
     arrival(5, 9, 1.0),
@@ -398,9 +398,9 @@ PUSHED_ACROSS_STORES = [
 
 #: :func:`timed_pair_props` under a cap of 3, evict-oldest.  S == 1 and
 #: S == 3 are created at one instant; 2->1 moves ``advancer``'s S == 1
-#: into the later stage, behind S == 3.  Restored at a cut of 3, the
-#: next creation evicts the older instance id of the tie: S == 1, in
-#: creation order, which a restore must keep apart from stage order.
+#: into the later stage, behind S == 3.  After a batch boundary at 3,
+#: the next creation evicts the older instance id of the tie: S == 1, in
+#: creation order, which is not stage order.
 TIED_CREATIONS = [
     arrival(1, 2, 0.1), arrival(3, 4, 0.1), arrival(2, 1, 0.2),
     arrival(5, 6, 0.3),
